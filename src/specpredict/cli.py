@@ -213,14 +213,15 @@ def _formats(config: dict, flag: str) -> tuple:
 
 
 def _timeseries_csv(path, x, meta):
-    t = x.grid.times()
-    write_csv(path, ["t", "x"], list(zip(t, x.samples.real)), meta)
+    t = x.grid.times().tolist()
+    write_csv(path, ["t", "x"], list(zip(t, x.samples.real.tolist())), meta)
 
 
 def _spectrum_csv(path, X, meta):
     om = to_centered(X.grid.omegas())
     vals = to_centered(X.values)
-    write_csv(path, ["omega", "re", "im"], list(zip(om, vals.real, vals.imag)), meta)
+    rows = list(zip(om.tolist(), vals.real.tolist(), vals.imag.tolist()))
+    write_csv(path, ["omega", "re", "im"], rows, meta)
 
 
 def _cmd_predict(config, outdir, formats):
@@ -244,7 +245,7 @@ def _cmd_predict(config, outdir, formats):
         write_csv(
             f"{outdir}/khat.csv",
             ["t", "khat"],
-            list(zip(grid.times(), pt.khat_time.samples.real)),
+            list(zip(grid.times().tolist(), pt.khat_time.samples.real.tolist())),
             meta,
         )
     err_l2 = norm(diff, 2)

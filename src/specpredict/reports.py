@@ -18,16 +18,14 @@ from .signals import ALGORITHM_ID
 
 
 def format_value(v) -> str:
+    # floats first, the common case (Python floats and numpy float64 alike);
+    # '%.16e' prints nan, inf, -inf and -0.0 as they are
+    if isinstance(v, float):
+        return "%.16e" % v
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
         return str(v)
-    if isinstance(v, float):
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return f"{v:.16e}"
     if v is None:
         return ""
     return str(v)
@@ -43,7 +41,7 @@ def write_csv(path: str, columns, rows, metadata: dict) -> None:
     """Write rows (sequences aligned with ``columns``) under a metadata comment."""
     lines = [_metadata_block(metadata), ",".join(columns)]
     for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
+        lines.append(",".join(map(format_value, row)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

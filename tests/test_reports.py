@@ -1,6 +1,11 @@
 import json
 import math
 
+import numpy as np
+from conftest import random_series
+
+from specpredict import make_grid
+from specpredict.cli import _timeseries_csv
 from specpredict.reports import (
     format_value,
     write_csv,
@@ -42,6 +47,48 @@ class TestWriters:
         assert lines[2] == f"{1.0:.16e},true"
         assert lines[3] == "inf,"
         assert "\r" not in raw  # LF endings only
+
+    def test_csv_golden_bytes(self, tmp_path):
+        # Python floats and numpy scalars share one column and print alike
+        values = [
+            1.5, np.float64(1.5), math.nan, -math.nan, np.float64(math.nan), math.inf, -math.inf,
+            np.float64(-math.inf), -0.0, np.float64(-0.0), 5e-324, 1e308, True, 42, None, "a b",
+        ]
+        path = tmp_path / "golden.csv"
+        write_csv(str(path), ["i", "v"], [[i, v] for i, v in enumerate(values)], {"run": 1})
+        assert path.read_bytes() == (
+            b'# {"generator": "numpy.random.Philox(SeedSequence(entropy=seed, '
+            b'spawn_key=(stream,)))", "run": 1}\n'
+            b"i,v\n"
+            b"0,1.5000000000000000e+00\n"
+            b"1,1.5000000000000000e+00\n"
+            b"2,nan\n"
+            b"3,nan\n"
+            b"4,nan\n"
+            b"5,inf\n"
+            b"6,-inf\n"
+            b"7,-inf\n"
+            b"8,-0.0000000000000000e+00\n"
+            b"9,-0.0000000000000000e+00\n"
+            b"10,4.9406564584124654e-324\n"
+            b"11,1.0000000000000000e+308\n"
+            b"12,true\n"
+            b"13,42\n"
+            b"14,\n"
+            b"15,a b\n"
+        )
+
+    def test_timeseries_csv_matches_per_value_formatting(self, tmp_path):
+        x = random_series(make_grid(1024, 0.05), seed=3)
+        path = tmp_path / "x.csv"
+        _timeseries_csv(str(path), x, {"run": 2})
+        rows = (f"{t:.16e},{v:.16e}" for t, v in zip(x.grid.times(), x.samples.real))
+        header = (
+            '# {"generator": "numpy.random.Philox(SeedSequence(entropy=seed, '
+            'spawn_key=(stream,)))", "run": 2}'
+        )
+        expected = "\n".join([header, "t,x", *rows]) + "\n"
+        assert path.read_bytes() == expected.encode()
 
     def test_json_embeds_metadata(self, tmp_path):
         path = tmp_path / "out.json"

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import specpredict
 from specpredict import (
     DegeneracyClass,
     GeneratorConfig,
@@ -21,6 +25,8 @@ from specpredict import (
     weight_h,
 )
 from specpredict.degeneracy import log_weight
+from specpredict.experiments import default_grid
+from specpredict.signals import _guard_window
 
 GRID = make_grid(2**12, 0.02)
 CLS = DegeneracyClass(2.0, 1.0)
@@ -143,6 +149,39 @@ class TestClassMember:
         live = X > floor
         live[0] = False
         assert np.all(X[live] <= np.maximum(envelope[live] * (1 + 1e-2), floor))
+
+
+class TestGuardWindow:
+    def test_matches_scipy_erfc_oracle(self):
+        special = pytest.importorskip("scipy.special")
+        g = default_grid()
+        t = np.abs(g.times())
+        t_flat, t_zero = g.span / 16.0, g.span / 4.0
+        sigma = (t_zero - t_flat) / 8.6
+        ref = 0.5 * special.erfc((t - 0.5 * (t_flat + t_zero)) / (math.sqrt(2.0) * sigma))
+        ref[t >= t_zero] = 0.0
+        ref = ref / np.max(ref)
+        w = _guard_window(g)
+        live = ref != 0.0
+        assert np.array_equal(w == 0.0, ~live)
+        assert np.max(np.abs(w[live] - ref[live]) / ref[live]) <= 1e-14
+
+    def test_cached_per_grid_and_read_only(self):
+        w = _guard_window(make_grid(2**12, 0.02))
+        assert _guard_window(make_grid(2**12, 0.02)) is w
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
+    def test_package_import_leaves_scipy_out(self):
+        src = os.path.dirname(os.path.dirname(specpredict.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import sys, specpredict; print('scipy' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestGeneratorConfig:
