@@ -10,7 +10,7 @@ function of its inputs plus generator seeds, so reports are bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,14 +31,15 @@ from .signals import (
     class_norm,
     counterexample_pair,
     make_class_ensemble,
-    sample_class_member,
 )
 from .spectral import (
     FrequencyGrid,
     Spectrum,
     TimeSeries,
+    _is_sup,
     forward_transform,
     inverse_transform,
+    irfft_rows,
     make_grid,
     norm,
 )
@@ -161,6 +162,31 @@ class SweepReport:
     metadata: dict = field(default_factory=dict)
 
 
+def _member_half_spectra(ensemble) -> np.ndarray:
+    """(m, n/2+1) stack of the members' spectra at nodes 0..n/2."""
+    grid = ensemble[0].grid
+    if any(x.grid != grid for x in ensemble):
+        raise ValueError("all ensemble members must share one grid")
+    return np.stack([_member_spectrum(x)[: grid.n // 2 + 1] for x in ensemble])
+
+
+def _row_norms(rows: np.ndarray, grid: FrequencyGrid):
+    """Per-row grid l2 and sup norms of an (m, n) stack of real series."""
+    return math.sqrt(grid.delta_t) * np.linalg.norm(rows, axis=1), np.max(np.abs(rows), axis=1)
+
+
+def _error_rows(khat: np.ndarray, K: np.ndarray, X: np.ndarray, grid: FrequencyGrid):
+    """Error channel of every member at once: ``(K_hat - K) X`` on the half
+    spectra ``X`` (m, n/2+1), and the l2 and sup norms of its inverse."""
+    diff = (khat[: grid.n // 2 + 1] - K) * X
+    l2, sup = _row_norms(irfft_rows(diff, grid), grid)
+    return diff, l2, sup
+
+
+def _relative(err: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    return np.where(err == 0.0, 0.0, err / np.maximum(ref, 1e-300))
+
+
 def _run_sweep(
     kernel: AnticausalKernel,
     gammas,
@@ -170,43 +196,23 @@ def _run_sweep(
     omega_floor: float = 0.5,
 ):
     grid = ensemble[0].grid
-    K = transfer(kernel, grid).values
-    spectra = []
-    for x in ensemble:
-        if x.grid != grid:
-            raise ValueError("all ensemble members must share one grid")
-        X = _member_spectrum(x)
-        y = inverse_transform(Spectrum(grid, K * X))
-        spectra.append((X, norm(y, 2), norm(y, math.inf)))
+    h = grid.n // 2 + 1
+    X = _member_half_spectra(ensemble)
+    K = transfer(kernel, grid).values[:h]
+    y_l2, y_sup = _row_norms(irfft_rows(K * X, grid), grid)
 
-    low_mask_omega = np.abs(grid.omegas())
+    omega_abs = np.abs(grid.omegas()[:h])
+    # the half spectrum stands for both signs of omega except at 0 and omega_max
+    weights = np.full(h, 2.0)
+    weights[[0, -1]] = 1.0
     rows = []
-    predictors = []
     for gamma in sorted(float(g) for g in gammas):
         pt = build_predictor(kernel, gamma, r, grid)
-        predictors.append(pt)
-        worst = {"l2a": 0.0, "l2r": 0.0, "supa": 0.0, "supr": 0.0}
-        worst_i = (0.0, 0.0)
-        worst_l2r = -1.0
-        for X, y_l2, y_sup in spectra:
-            diff_spec = (pt.khat_values - K) * X
-            d = inverse_transform(Spectrum(grid, diff_spec))
-            l2a = norm(d, 2)
-            supa = norm(d, math.inf)
-            l2r = 0.0 if l2a == 0.0 else l2a / max(y_l2, 1e-300)
-            supr = 0.0 if supa == 0.0 else supa / max(y_sup, 1e-300)
-            worst["l2a"] = max(worst["l2a"], l2a)
-            worst["l2r"] = max(worst["l2r"], l2r)
-            worst["supa"] = max(worst["supa"], supa)
-            worst["supr"] = max(worst["supr"], supr)
-            if l2r > worst_l2r:
-                worst_l2r = l2r
-                E = np.abs(diff_spec) ** 2
-                low = low_mask_omega <= pt.omega_threshold
-                worst_i = (
-                    float(grid.delta_omega * np.sum(E[low])),
-                    float(grid.delta_omega * np.sum(E[~low])),
-                )
+        diff, l2a, supa = _error_rows(pt.khat_values, K, X, grid)
+        l2r = _relative(l2a, y_l2)
+        # i1/i2 belong to the member with the worst relative l2 error
+        E = weights * np.abs(diff[int(np.argmax(l2r))]) ** 2
+        low = omega_abs <= pt.omega_threshold
         lemma_kwargs = {}
         if cls is not None:
             rep = lemma_check(pt, cls, omega_floor=omega_floor)
@@ -218,19 +224,21 @@ def _run_sweep(
         rows.append(
             SweepRow(
                 gamma=gamma,
-                err_l2_abs=worst["l2a"],
-                err_l2_rel=worst["l2r"],
-                err_sup_abs=worst["supa"],
-                err_sup_rel=worst["supr"],
+                err_l2_abs=float(np.max(l2a)),
+                err_l2_rel=float(np.max(l2r)),
+                err_sup_abs=float(np.max(supa)),
+                err_sup_rel=float(np.max(_relative(supa, y_sup))),
                 kappa_sup=pt.kappa_sup,
                 omega_threshold=pt.omega_threshold,
                 causality_defect=causality_defect(pt),
-                i1=worst_i[0],
-                i2=worst_i[1],
+                i1=float(grid.delta_omega * np.sum(E[low])),
+                i2=float(grid.delta_omega * np.sum(E[~low])),
                 **lemma_kwargs,
             )
         )
-    return rows, predictors
+        # each predictor holds several n-node arrays; drop it before the next build
+        del pt, diff
+    return rows
 
 
 def gamma_sweep(
@@ -254,7 +262,7 @@ def gamma_sweep(
     if len(ensemble) == 0:
         raise ValueError("ensemble must be nonempty")
     _require_admissible(r, cls)
-    rows, _ = _run_sweep(kernel, gammas, r, ensemble, cls=cls)
+    rows = _run_sweep(kernel, gammas, r, ensemble, cls=cls)
     meta = {
         "kernel": {"poles": list(kernel.poles), "numerator": list(kernel.numerator)},
         "class": {"q": cls.q, "c": cls.c},
@@ -281,18 +289,15 @@ def uniformity_check(
     uniform bound ||y - y_hat|| <= eps(gamma) * ||x||_class.
     """
     _require_admissible(r, cls)
-    norms = [class_norm(x, cls) for x in ensemble]
-    if any(math.isinf(w) for w in norms):
+    norms = np.array([class_norm(x, cls) for x in ensemble])
+    if np.any(np.isinf(norms)):
         raise ValueError("ensemble member has infinite class norm")
     grid = ensemble[0].grid
+    X = _member_half_spectra(ensemble)
     pt = build_predictor(kernel, gamma, r, grid)
-    K = transfer(kernel, grid).values
-    worst = 0.0
-    for x, w in zip(ensemble, norms):
-        X = _member_spectrum(x)
-        diff = inverse_transform(Spectrum(grid, (pt.khat_values - K) * X))
-        worst = max(worst, norm(diff, p) / w)
-    return worst
+    K = transfer(kernel, grid).values[: grid.n // 2 + 1]
+    _, l2, sup = _error_rows(pt.khat_values, K, X, grid)
+    return float(np.max((sup if _is_sup(p) else l2) / norms))
 
 
 @dataclass(frozen=True)
@@ -542,15 +547,8 @@ def nonpredictability_demo(
     reference = DegeneracyClass(q_reference, c)  # also validates c > 0
     _require_admissible(r, reference)
 
-    slow_members = []
-    ref_members = []
-    for i in range(size):
-        member_cfg = replace(cfg, seed=cfg.seed + i)
-        slow_members.append(_enveloped_member(q_bad, c, member_cfg))
-        ref_members.append(sample_class_member(reference, member_cfg))
-
-    slow_rows, _ = _run_sweep(kernel, gammas, r, slow_members)
-    ref_rows, _ = _run_sweep(kernel, gammas, r, ref_members)
+    slow_rows = _run_sweep(kernel, gammas, r, _enveloped_member(q_bad, c, cfg, size))
+    ref_rows = _run_sweep(kernel, gammas, r, make_class_ensemble(reference, cfg, size))
     rows = tuple(
         NegativeDemoRow(gamma=s.gamma, err_rel_slow=s.err_l2_rel, err_rel_reference=g.err_l2_rel)
         for s, g in zip(slow_rows, ref_rows)

@@ -27,7 +27,8 @@ from .spectral import (
     Spectrum,
     TimeSeries,
     forward_transform,
-    inverse_transform,
+    irfft_rows,
+    rfft_rows,
     spectrum_l1,
 )
 from .tolerances import CALIBRATION
@@ -96,19 +97,23 @@ def _band_mask(cfg: GeneratorConfig, omega_abs: np.ndarray) -> np.ndarray:
 
 
 def _random_hermitian_phases(grid: FrequencyGrid, rng: np.random.Generator) -> np.ndarray:
-    """Unit-modulus hermitian spectrum: e^{i phi} with phi(-w) = -phi(w).
+    """Half of a unit-modulus hermitian spectrum, e^{i phi} at nodes 0..n/2.
 
-    The omega = 0 node and the unpaired -omega_max node get random signs so
-    they stay real.
+    The omega = 0 node and the unpaired omega_max node get random signs so
+    they stay real; the nodes above n/2 are the conjugate mirror.
     """
     n = grid.n
-    phases = np.zeros(n)
+    phases = np.zeros(n // 2 + 1)
     phases[1 : n // 2] = rng.uniform(0.0, 2.0 * math.pi, n // 2 - 1)
-    phases[n // 2 + 1 :] = -phases[1 : n // 2][::-1]
     unit = np.exp(1j * phases)
     unit[0] = rng.integers(0, 2) * 2.0 - 1.0
     unit[n // 2] = rng.integers(0, 2) * 2.0 - 1.0
     return unit
+
+
+def _half_omega_abs(grid: FrequencyGrid) -> np.ndarray:
+    """|omega| at nodes 0..n/2, the nodes a real signal's half spectrum keeps."""
+    return np.abs(grid.omegas()[: grid.n // 2 + 1])
 
 
 @functools.lru_cache(maxsize=8)
@@ -146,44 +151,43 @@ _HEADROOM = 0.5
 _PROJECTION_ROUNDS = 2
 
 
-def _project_real(spectrum_values: np.ndarray, grid: FrequencyGrid) -> TimeSeries:
-    x = inverse_transform(Spectrum(grid, spectrum_values))
-    return TimeSeries(grid, x.samples.real.astype(np.complex128))
+def _enveloped_member(q: float, c: float, cfg: GeneratorConfig, size: int) -> list:
+    """Envelope-times-random-phase members for a raw (q, c) pair.
 
-
-def _enveloped_member(q: float, c: float, cfg: GeneratorConfig) -> TimeSeries:
-    """Envelope-times-random-phase member for a raw (q, c) pair.
+    Returns ``size`` members seeded ``cfg.seed + i``; they share the envelope
+    and the window, so they run as one (size, n/2+1) stack through both
+    projection rounds, and each row equals the member drawn alone.
 
     No validation of q: callers admit q > 1 through DegeneracyClass, while
     the negative illustration deliberately feeds q in (0, 1).
     """
     grid = cfg.grid
-    rng = _generator(cfg, _STREAM_CLASS)
-    om = grid.omegas()
-    om_abs = np.abs(om)
+    om_abs = _half_omega_abs(grid)
 
-    log_env = _log_amplitude(cfg, om_abs) - log_weight(om, q, c)
+    log_env = _log_amplitude(cfg, om_abs) - log_weight(om_abs, q, c)
     log_env[~_band_mask(cfg, om_abs)] = -np.inf
     with np.errstate(under="ignore"):
         env = np.exp(log_env)
     env[0] = 0.0
 
-    raw = _HEADROOM * env * _random_hermitian_phases(grid, rng)
-    x = _project_real(raw, grid)
+    phases = np.stack([
+        _random_hermitian_phases(grid, _generator(replace(cfg, seed=cfg.seed + i), _STREAM_CLASS))
+        for i in range(size)
+    ])
+    x = irfft_rows(_HEADROOM * env * phases, grid)
     window = _guard_window(grid)
 
     # alternate time confinement with the spectral projection; the last step
     # is spectral, which makes the envelope bound and X(0) = 0 exact
     for _ in range(_PROJECTION_ROUNDS):
-        tapered = TimeSeries(grid, x.samples * window)
-        Xt = forward_transform(tapered).values
+        Xt = rfft_rows(x * window, grid)
         mag = np.abs(Xt)
         with np.errstate(invalid="ignore"):
             scale = np.where(mag > env, env / np.where(mag == 0.0, 1.0, mag), 1.0)
         clipped = Xt * scale
-        clipped[0] = 0.0
-        x = _project_real(clipped, grid)
-    return x
+        clipped[:, 0] = 0.0
+        x = irfft_rows(clipped, grid)
+    return [TimeSeries(grid, row) for row in x]
 
 
 def sample_class_member(cls: DegeneracyClass, cfg: GeneratorConfig) -> TimeSeries:
@@ -193,7 +197,7 @@ def sample_class_member(cls: DegeneracyClass, cfg: GeneratorConfig) -> TimeSerie
     construction), X(0) = 0 exactly, and the time support is confined to the
     middle half of the window up to guard residues.
     """
-    return _enveloped_member(cls.q, cls.c, cfg)
+    return _enveloped_member(cls.q, cls.c, cfg, 1)[0]
 
 
 def sample_bandlimited(omega_bar: float, cfg: GeneratorConfig) -> TimeSeries:
@@ -209,7 +213,7 @@ def sample_bandlimited(omega_bar: float, cfg: GeneratorConfig) -> TimeSeries:
     if not (0.0 < omega_bar < grid.omega_max):
         raise ValueError(f"omega_bar must lie in (0, omega_max={grid.omega_max})")
     rng = _generator(cfg, _STREAM_BAND)
-    om_abs = np.abs(grid.omegas())
+    om_abs = _half_omega_abs(grid)
     support = (om_abs <= omega_bar) & _band_mask(cfg, om_abs)
     support[0] = False
     if not np.any(support):
@@ -223,15 +227,13 @@ def sample_bandlimited(omega_bar: float, cfg: GeneratorConfig) -> TimeSeries:
     roll = (om_abs > edge) & (om_abs <= omega_bar) & support
     env[roll] *= 0.5 * (1.0 + np.cos(math.pi * (om_abs[roll] - edge) / (omega_bar - edge)))
 
-    raw = env * _random_hermitian_phases(grid, rng)
-    x = _project_real(raw, grid)
+    x = irfft_rows(env * _random_hermitian_phases(grid, rng), grid)
     window = _guard_window(grid)
     for _ in range(_PROJECTION_ROUNDS):
-        tapered = TimeSeries(grid, x.samples * window)
-        Xt = np.where(support, forward_transform(tapered).values, 0.0)
+        Xt = np.where(support, rfft_rows(x * window, grid), 0.0)
         Xt[0] = 0.0
-        x = _project_real(Xt, grid)
-    return x
+        x = irfft_rows(Xt, grid)
+    return TimeSeries(grid, x)
 
 
 def counterexample_pair(a: float, cfg: GeneratorConfig):
@@ -249,10 +251,10 @@ def counterexample_pair(a: float, cfg: GeneratorConfig):
         raise ValueError(f"split frequency must lie in (0, omega_max={grid.omega_max})")
     rng = _generator(cfg, _STREAM_PAIR)
     unit = _random_hermitian_phases(grid, rng)
-    inner = np.abs(grid.omegas()) < a
-    x1 = _project_real(np.where(inner, unit, 0.0), grid)
-    x2 = _project_real(np.where(inner, 0.0, unit), grid)
-    return x1, x2
+    inner = _half_omega_abs(grid) < a
+    x1 = irfft_rows(np.where(inner, unit, 0.0), grid)
+    x2 = irfft_rows(np.where(inner, 0.0, unit), grid)
+    return TimeSeries(grid, x1), TimeSeries(grid, x2)
 
 
 def add_noise(x: TimeSeries, nu: float, cfg: GeneratorConfig):
@@ -270,16 +272,15 @@ def add_noise(x: TimeSeries, nu: float, cfg: GeneratorConfig):
     if nu == 0.0:
         return x, Spectrum(grid, np.zeros(grid.n, dtype=np.complex128))
     rng = _generator(cfg, _STREAM_NOISE)
+    half = _random_hermitian_phases(grid, rng)
+    unit = np.concatenate([half, np.conj(half[-2:0:-1])])
     sel = _band_mask(cfg, np.abs(grid.omegas()))
     count = int(np.count_nonzero(sel))
-    values = np.where(sel, nu / (count * grid.delta_omega), 0.0) * _random_hermitian_phases(
-        grid, rng
-    )
-    N = Spectrum(grid, values)
+    N = Spectrum(grid, np.where(sel, nu / (count * grid.delta_omega), 0.0) * unit)
     l1 = spectrum_l1(N)
     N = Spectrum(grid, N.values * (nu / l1))
-    eta = inverse_transform(N)
-    return TimeSeries(grid, x.samples + eta.samples.real), N
+    eta = irfft_rows(N.values[: grid.n // 2 + 1], grid)
+    return TimeSeries(grid, x.samples + eta), N
 
 
 def class_norm(x: TimeSeries, cls: DegeneracyClass) -> float:
@@ -317,6 +318,4 @@ def make_class_ensemble(cls: DegeneracyClass, cfg: GeneratorConfig, size: int):
     """Draw ``size`` independent class members, seeds derived as cfg.seed + i."""
     if size < 1:
         raise ValueError("ensemble size must be >= 1")
-    return [
-        sample_class_member(cls, replace(cfg, seed=cfg.seed + i)) for i in range(size)
-    ]
+    return _enveloped_member(cls.q, cls.c, cfg, size)

@@ -11,6 +11,12 @@ frequency nodes are kept in natural (fast-transform) order internally;
 ``to_centered`` / ``to_natural`` are the only reindexing helpers and own the
 conversion to the centered reporting order
 {-omega_max, ..., -d_omega, 0, d_omega, ..., omega_max - d_omega}.
+
+Real signals have conjugate-symmetric spectra, so ``rfft_rows`` /
+``irfft_rows`` keep only nodes 0..n/2 (node n/2 is the unpaired omega_max)
+and transform along the last axis, one signal per row of an (m, n) stack.
+They carry the same centred-origin phase and delta_t scaling as the complex
+``forward_transform`` / ``inverse_transform`` pair.
 """
 
 from __future__ import annotations
@@ -129,9 +135,6 @@ class TimeSeries:
             return True
         return float(np.max(np.abs(self.samples.imag))) <= CALIBRATION["real_imag_rel"] * mag
 
-    def real_samples(self) -> np.ndarray:
-        return self.samples.real.copy()
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -171,14 +174,51 @@ def inverse_transform(X: Spectrum) -> TimeSeries:
     return TimeSeries(grid, samples)
 
 
+def _half_signs(grid: FrequencyGrid) -> np.ndarray:
+    return grid.alternating_signs()[: grid.n // 2 + 1]
+
+
+def rfft_rows(samples, grid: FrequencyGrid) -> np.ndarray:
+    """:func:`forward_transform` of real signals along the last axis, nodes 0..n/2.
+
+    ``samples`` is one real series of shape (n,) or a stack of shape (m, n);
+    the result has shape (n/2+1,) or (m, n/2+1).
+    """
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.ndim not in (1, 2) or samples.shape[-1] != grid.n:
+        raise ValueError(f"samples must have shape ({grid.n},) or (m, {grid.n}), got {samples.shape}")
+    return grid.delta_t * _half_signs(grid) * np.fft.rfft(samples, axis=-1)
+
+
+def irfft_rows(values, grid: FrequencyGrid) -> np.ndarray:
+    """:func:`inverse_transform` of half spectra (nodes 0..n/2) to real rows.
+
+    ``values`` has shape (n/2+1,) or (m, n/2+1); the conjugate-symmetric
+    upper half is implied, and the imaginary parts at nodes 0 and n/2 are
+    dropped, as taking the real part of the complex inverse would.
+    """
+    values = np.asarray(values, dtype=np.complex128)
+    h = grid.n // 2 + 1
+    if values.ndim not in (1, 2) or values.shape[-1] != h:
+        raise ValueError(f"values must have shape ({h},) or (m, {h}), got {values.shape}")
+    return np.fft.irfft(_half_signs(grid) * values, n=grid.n, axis=-1) / grid.delta_t
+
+
+def _is_sup(p) -> bool:
+    """True for the sup norm (inf, "inf", "sup"), False for p = 2; else ValueError."""
+    if p == 2:
+        return False
+    if p in ("inf", "sup") or (isinstance(p, (int, float)) and math.isinf(p)):
+        return True
+    raise ValueError(f"p must be 2 or inf, got {p!r}")
+
+
 def norm(x: TimeSeries, p) -> float:
     """Grid norm: p=2 gives sqrt(delta_t * sum |x|^2); p=inf gives max |x|."""
     mags = np.abs(x.samples)
-    if p == 2:
-        return float(math.sqrt(x.grid.delta_t) * np.linalg.norm(mags))
-    if p in ("inf", "sup") or (isinstance(p, (int, float)) and math.isinf(p)):
+    if _is_sup(p):
         return float(np.max(mags)) if mags.size else 0.0
-    raise ValueError(f"p must be 2 or inf, got {p!r}")
+    return float(math.sqrt(x.grid.delta_t) * np.linalg.norm(mags))
 
 
 def spectrum_l1(X: Spectrum) -> float:

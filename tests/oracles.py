@@ -50,3 +50,67 @@ def anticausal_transform_quadrature(pole: float, omega: float, grid) -> complex:
     past = t <= 0.0
     integrand = -np.exp(pole * t[past]) * np.exp(-1j * omega * t[past])
     return complex(np.trapezoid(integrand, dx=grid.delta_t))
+
+
+def gamma_sweep_reference(kernel, cls, gammas, r, ensemble):
+    """Sweep rows from a per-member loop over full complex spectra.
+
+    Unlike the other oracles this one does use the library's complex fast
+    transforms: it is the one-member-at-a-time formulation of the sweep,
+    kept as a reference for the batched half-spectrum path.  Returns one
+    dict per gamma with the fields of ``SweepRow``.
+    """
+    from specpredict import (
+        Spectrum,
+        build_predictor,
+        causality_defect,
+        inverse_transform,
+        lemma_check,
+        norm,
+        transfer,
+    )
+    from specpredict.experiments import _member_spectrum
+
+    grid = ensemble[0].grid
+    K = transfer(kernel, grid).values
+    members = []
+    for x in ensemble:
+        X = _member_spectrum(x)
+        y = inverse_transform(Spectrum(grid, K * X))
+        members.append((X, norm(y, 2), norm(y, math.inf)))
+    omega_abs = np.abs(grid.omegas())
+    rows = []
+    for gamma in sorted(float(g) for g in gammas):
+        pt = build_predictor(kernel, gamma, r, grid)
+        worst = dict(err_l2_abs=0.0, err_l2_rel=0.0, err_sup_abs=0.0, err_sup_rel=0.0)
+        worst_l2r, i1, i2 = -1.0, 0.0, 0.0
+        for X, y_l2, y_sup in members:
+            diff = (pt.khat_values - K) * X
+            d = inverse_transform(Spectrum(grid, diff))
+            l2a, supa = norm(d, 2), norm(d, math.inf)
+            l2r = 0.0 if l2a == 0.0 else l2a / max(y_l2, 1e-300)
+            supr = 0.0 if supa == 0.0 else supa / max(y_sup, 1e-300)
+            for key, value in zip(worst, (l2a, l2r, supa, supr)):
+                worst[key] = max(worst[key], value)
+            if l2r > worst_l2r:
+                worst_l2r = l2r
+                E = np.abs(diff) ** 2
+                low = omega_abs <= pt.omega_threshold
+                i1 = float(grid.delta_omega * np.sum(E[low]))
+                i2 = float(grid.delta_omega * np.sum(E[~low]))
+        rep = lemma_check(pt, cls)
+        rows.append(
+            dict(
+                gamma=gamma,
+                **worst,
+                kappa_sup=pt.kappa_sup,
+                omega_threshold=pt.omega_threshold,
+                causality_defect=causality_defect(pt),
+                i1=i1,
+                i2=i2,
+                lemma_pass_high_band=rep.pass_high_band,
+                lemma_pass_low_band=rep.pass_low_band,
+                lemma_tail_dev=rep.tail_dev_max,
+            )
+        )
+    return rows

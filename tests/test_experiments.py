@@ -26,6 +26,8 @@ from specpredict import (
 )
 from specpredict.experiments import _member_spectrum
 
+from oracles import gamma_sweep_reference
+
 GRID = make_grid(2**12, 0.02)
 KERNEL = AnticausalKernel((1.0,), (1.0,))
 CLS = DegeneracyClass(2.0, 1.0)
@@ -113,6 +115,19 @@ class TestGammaSweep:
             assert b.err_l2_rel <= a.err_l2_rel * jitter
             assert b.err_sup_rel <= a.err_sup_rel * jitter
         assert rep.rows[-1].err_l2_rel <= 0.1 * rep.rows[0].err_l2_rel
+
+    def test_matches_complex_per_member_reference(self, ensemble):
+        gammas = (10.0, 30.0, 100.0, 300.0, 1000.0)
+        rows = gamma_sweep(KERNEL, CLS, gammas, 4.0, ensemble).rows
+        reference = gamma_sweep_reference(KERNEL, CLS, gammas, 4.0, ensemble)
+        assert len(rows) == len(reference)
+        for row, ref in zip(rows, reference):
+            for name, want in ref.items():
+                got = getattr(row, name)
+                if isinstance(want, bool):
+                    assert got is want, (row.gamma, name)
+                else:
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0), (row.gamma, name)
 
     def test_metadata_recorded(self, ensemble):
         rep = gamma_sweep(KERNEL, CLS, (10.0,), 4.0, ensemble, metadata={"seed": 2026})

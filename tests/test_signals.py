@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -17,6 +18,7 @@ from specpredict import (
     class_norm,
     counterexample_pair,
     forward_transform,
+    make_class_ensemble,
     make_grid,
     norm,
     sample_bandlimited,
@@ -103,6 +105,14 @@ class TestClassMember:
         assert np.array_equal(a.samples, b.samples)
         c = sample_class_member(CLS, cfg(43))
         assert not np.array_equal(a.samples, c.samples)
+
+    @pytest.mark.parametrize("kw", [{}, dict(profile="gaussian", sigma=1.5, band=(0.2, 5.0))])
+    def test_ensemble_rows_equal_single_draws(self, kw):
+        base = cfg(2026, **kw)
+        ensemble = make_class_ensemble(CLS, base, 10)
+        for i, x in enumerate(ensemble):
+            alone = sample_class_member(CLS, dataclasses.replace(base, seed=base.seed + i))
+            assert np.array_equal(x.samples, alone.samples), i
 
     def test_real_output(self):
         assert sample_class_member(CLS, cfg(2)).is_real

@@ -18,6 +18,7 @@ from specpredict import (
     to_centered,
     to_natural,
 )
+from specpredict.spectral import irfft_rows, rfft_rows
 
 from oracles import idft_direct
 
@@ -236,3 +237,50 @@ class TestTypeInvariants:
     def test_is_real_flag(self, small_grid):
         assert TimeSeries(small_grid, np.ones(small_grid.n)).is_real
         assert not TimeSeries(small_grid, np.ones(small_grid.n) * (1 + 1e-6j)).is_real
+
+
+class TestRowTransforms:
+    @staticmethod
+    def _rows(n):
+        rng = np.random.Generator(np.random.Philox(n))
+        return rng.standard_normal((3, n))
+
+    @pytest.mark.parametrize("n", [8, 256, 2**16])
+    def test_rfft_rows_matches_forward_transform(self, n):
+        grid = make_grid(n, 0.01)
+        rows = self._rows(n)
+        half = rfft_rows(rows, grid)
+        assert half.shape == (3, n // 2 + 1)
+        for row, got2d in zip(rows, half):
+            want = forward_transform(TimeSeries(grid, row)).values[: n // 2 + 1]
+            peak = np.max(np.abs(want))
+            assert np.max(np.abs(got2d - want)) <= 1e-15 * peak
+            assert np.max(np.abs(rfft_rows(row, grid) - want)) <= 1e-15 * peak
+
+    @pytest.mark.parametrize("n", [8, 256, 2**16])
+    def test_irfft_rows_matches_inverse_transform(self, n):
+        grid = make_grid(n, 0.01)
+        spectra = [forward_transform(TimeSeries(grid, row)).values for row in self._rows(n)]
+        half = np.stack([X[: n // 2 + 1] for X in spectra])
+        rows = irfft_rows(half, grid)
+        assert rows.shape == (3, n) and rows.dtype == np.float64
+        for X, h, got2d in zip(spectra, half, rows):
+            want = inverse_transform(Spectrum(grid, X)).samples
+            peak = np.max(np.abs(want))
+            assert np.max(np.abs(got2d - want)) <= 1e-15 * peak
+            assert np.max(np.abs(irfft_rows(h, grid) - want)) <= 1e-15 * peak
+
+    @pytest.mark.parametrize("n", [8, 256, 2**16])
+    def test_round_trip(self, n):
+        grid = make_grid(n, 0.01)
+        rows = self._rows(n)
+        back = irfft_rows(rfft_rows(rows, grid), grid)
+        assert np.max(np.abs(back - rows)) <= 1e-15 * np.max(np.abs(rows))
+        back1d = irfft_rows(rfft_rows(rows[0], grid), grid)
+        assert np.max(np.abs(back1d - rows[0])) <= 1e-15 * np.max(np.abs(rows[0]))
+
+    def test_rejects_wrong_lengths(self, small_grid):
+        with pytest.raises(ValueError):
+            rfft_rows(np.zeros(small_grid.n // 2), small_grid)
+        with pytest.raises(ValueError):
+            irfft_rows(np.zeros((2, small_grid.n)), small_grid)
