@@ -15,6 +15,7 @@ saturation reached a quantity that feeds a pass/fail flag).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -29,7 +30,7 @@ from .experiments import (
     nonpredictability_demo,
     robustness_experiment,
 )
-from .kernels import AnticausalKernel, transfer
+from .kernels import AnticausalKernel
 from .predictor import build_predictor, causality_defect, find_gamma0, lemma_check
 from .reports import (
     ensure_dir,
@@ -212,9 +213,19 @@ def _formats(config: dict, flag: str) -> tuple:
     return formats
 
 
-def _timeseries_csv(path, x, meta):
-    t = x.grid.times().tolist()
-    write_csv(path, ["t", "x"], list(zip(t, x.samples.real.tolist())), meta)
+@functools.lru_cache(maxsize=1)
+def _time_text(grid) -> tuple:
+    """The '%.16e' strings of ``grid.times()``, formatted once per grid.
+
+    Every time-series CSV of a run shares one grid, so its time column is
+    printed once and passed to :func:`write_csv` as text.
+    """
+    return tuple(map("%.16e".__mod__, grid.times().tolist()))
+
+
+def _timeseries_csv(path, x, meta, column="x"):
+    rows = list(zip(_time_text(x.grid), x.samples.real.tolist()))
+    write_csv(path, ["t", column], rows, meta)
 
 
 def _spectrum_csv(path, X, meta):
@@ -233,7 +244,7 @@ def _cmd_predict(config, outdir, formats):
     # generated signals carry constructional spectral zeros; the experiment
     # layer restores them before applying transfers (see _member_spectrum)
     X = _member_spectrum(x)
-    K = transfer(kernel, grid).values
+    K = pt.k_values
     y = inverse_transform(Spectrum(grid, K * X))
     y_hat = inverse_transform(Spectrum(grid, pt.khat_values * X))
     diff = inverse_transform(Spectrum(grid, (pt.khat_values - K) * X))
@@ -242,12 +253,7 @@ def _cmd_predict(config, outdir, formats):
         _timeseries_csv(f"{outdir}/x.csv", x, meta)
         _timeseries_csv(f"{outdir}/y.csv", y, meta)
         _timeseries_csv(f"{outdir}/yhat.csv", y_hat, meta)
-        write_csv(
-            f"{outdir}/khat.csv",
-            ["t", "khat"],
-            list(zip(grid.times().tolist(), pt.khat_time.samples.real.tolist())),
-            meta,
-        )
+        _timeseries_csv(f"{outdir}/khat.csv", pt.khat_time, meta, column="khat")
     err_l2 = norm(diff, 2)
     err_sup = norm(diff, math.inf)
     write_json(
@@ -264,6 +270,12 @@ def _cmd_predict(config, outdir, formats):
         },
         meta,
     )
+    if pt.any_saturated:
+        print(
+            f"warning: {int(pt.saturated.sum())} of {grid.n} predictor nodes saturated; "
+            "khat.csv and causality_defect read clamped values",
+            file=sys.stderr,
+        )
     return 0
 
 

@@ -295,7 +295,7 @@ def uniformity_check(
     grid = ensemble[0].grid
     X = _member_half_spectra(ensemble)
     pt = build_predictor(kernel, gamma, r, grid)
-    K = transfer(kernel, grid).values[: grid.n // 2 + 1]
+    K = pt.k_values[: grid.n // 2 + 1]
     _, l2, sup = _error_rows(pt.khat_values, K, X, grid)
     return float(np.max((sup if _is_sup(p) else l2) / norms))
 
@@ -336,11 +336,11 @@ def robustness_experiment(
     the 5% discretization slack from the calibration table.  The J-split
     columns are grid diagnostics of the clean/noise error channels.
     """
-    if any(nu < 0 for nu in nus):
-        raise ValueError("noise intensities must be >= 0")
+    if not all(math.isfinite(nu) and nu >= 0 for nu in nus):
+        raise ValueError(f"noise intensities must be finite and >= 0, got {list(nus)!r}")
     grid = x0.grid
     pt = build_predictor(kernel, gamma, r, grid)
-    K = transfer(kernel, grid).values
+    K = pt.k_values
     # the clean member's spectrum carries its constructional X(0) = 0; the
     # noise spectrum keeps whatever degeneracy-node content it legitimately has
     X0 = _member_spectrum(x0)

@@ -130,9 +130,10 @@ def v_minus_one(omega, kernel: AnticausalKernel, gamma: float, r: float) -> np.n
 class PredictorTransfer:
     """The sampled causal predictor K_hat = V * K with its diagnostics.
 
-    ``v_values`` and ``khat_values`` are magnitude-clamped at exp(700) where
-    the log magnitude saturates (mask in ``saturated``); the unclamped log
-    magnitudes and phases ride along for log-domain arithmetic.
+    ``k_values`` holds the kernel transfer K on the grid, sampled once per
+    predictor.  ``khat_values`` is magnitude-clamped at exp(700) where the
+    log magnitude saturates (mask in ``saturated``); the unclamped log
+    magnitude and phase of K_hat ride along for log-domain arithmetic.
     ``kappa_sup`` is the grid max of |khat_values| (an under-estimate of the
     true sup, consistent with the grid resolution); ``omega_threshold`` is
     the degeneracy-band edge sqrt(max_j a_j * gamma^{-r}).
@@ -142,13 +143,11 @@ class PredictorTransfer:
     gamma: float
     r: float
     grid: FrequencyGrid
-    v_values: np.ndarray
+    k_values: np.ndarray
     khat_values: np.ndarray
     khat_time: TimeSeries
     kappa_sup: float
     omega_threshold: float
-    v_log_mag: np.ndarray
-    v_phase: np.ndarray
     khat_log_mag: np.ndarray
     khat_phase: np.ndarray
     saturated: np.ndarray
@@ -208,13 +207,11 @@ def build_predictor(
         gamma=float(gamma),
         r=float(r),
         grid=grid,
-        v_values=v_vals,
+        k_values=K.values,
         khat_values=khat_vals,
         khat_time=khat_time,
         kappa_sup=float(np.max(np.abs(khat_vals))),
         omega_threshold=omega_threshold(kernel, gamma, r),
-        v_log_mag=v_log,
-        v_phase=v_ph,
         khat_log_mag=khat_log,
         khat_phase=khat_ph,
         saturated=sat,
@@ -457,10 +454,9 @@ def orthogonality_residual(pt: PredictorTransfer) -> float:
     configuration it reads ~0.055 whatever the kernel (docs/numerics.md).
     :func:`line_witness` measures the kernel itself.
     """
-    K = transfer(pt.kernel, pt.grid)
     with np.errstate(divide="ignore"):
-        k_log = np.log(np.abs(K.values))
-    k_ph = np.angle(K.values)
+        k_log = np.log(np.abs(pt.k_values))
+    k_ph = np.angle(pt.k_values)
     kh_log, kh_ph = pt.khat_log_mag, pt.khat_phase
     if not np.any(np.isfinite(kh_log)):
         return 0.0

@@ -6,6 +6,13 @@ notation with 17 significant digits (round-trip exact for doubles), LF line
 endings and a mandatory header row; comment lines starting with '#' carry
 the metadata.  The SVG writer is hand-rolled so repeated runs are
 byte-identical (figure libraries embed per-process ids).
+
+The CSV writer picks one format per column from the types it holds: a
+column of floats (numpy float64 included) prints with ``'%.16e'``, a column
+of strings is copied as it is (callers may pass preformatted text), and any
+other column (bools, ints or ``None`` in it) goes value by value through
+:func:`format_value`.  Each row is then one ``%``-format, streamed to the
+file; the bytes are those of :func:`format_value` on every value.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from operator import itemgetter
 
 from .signals import ALGORITHM_ID
 
@@ -37,13 +45,30 @@ def _metadata_block(metadata: dict) -> str:
     return "# " + json.dumps(payload, sort_keys=True)
 
 
+def _column_spec(values):
+    """'%.16e' for an all-float column, '%s' for all-str, None for the rest."""
+    types = set(map(type, values))
+    if all(issubclass(t, float) for t in types):
+        return "%.16e"
+    if all(issubclass(t, str) for t in types):
+        return "%s"
+    return None
+
+
 def write_csv(path: str, columns, rows, metadata: dict) -> None:
-    """Write rows (sequences aligned with ``columns``) under a metadata comment."""
-    lines = [_metadata_block(metadata), ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(map(format_value, row)))
+    """Write rows (sequences aligned with ``columns``) under a metadata comment.
+
+    ``rows`` is a sized sequence of lists or tuples; see the module docstring
+    for the per-column formats.
+    """
+    specs = [_column_spec(map(itemgetter(i), rows)) for i in range(len(columns))]
+    row_format = ",".join(spec or "%s" for spec in specs) + "\n"
+    cells = map(tuple, rows)
+    if None in specs:
+        cells = (tuple(v if s else format_value(v) for s, v in zip(specs, row)) for row in rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_metadata_block(metadata) + "\n" + ",".join(columns) + "\n")
+        fh.writelines(map(row_format.__mod__, cells))
 
 
 def write_json(path: str, payload: dict, metadata: dict) -> None:

@@ -264,8 +264,8 @@ def add_noise(x: TimeSeries, nu: float, cfg: GeneratorConfig):
     or the configured band) and rescaled so that the grid L1 norm of the noise
     spectrum equals nu; returns (contaminated series, noise spectrum).
     """
-    if nu < 0:
-        raise ValueError("noise intensity must be >= 0")
+    if not (math.isfinite(nu) and nu >= 0):
+        raise ValueError(f"noise intensity must be finite and >= 0, got {nu!r}")
     grid = x.grid
     if grid != cfg.grid:
         raise ValueError("time series grid does not match generator grid")

@@ -3,7 +3,18 @@ import math
 
 import pytest
 
+from specpredict import (
+    AnticausalKernel,
+    DegeneracyClass,
+    GeneratorConfig,
+    Spectrum,
+    build_predictor,
+    inverse_transform,
+    make_grid,
+    sample_class_member,
+)
 from specpredict.cli import main
+from specpredict.experiments import _member_spectrum
 
 GRID_SMALL = {"n": 4096, "delta_t": 0.02}
 
@@ -76,6 +87,50 @@ class TestPredictCommand:
         assert code1 == code2 == 0
         for name in ("x.csv", "y.csv", "yhat.csv", "khat.csv", "summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_csvs_match_per_value_formatting(self, tmp_path):
+        grid = make_grid(1024, 0.05)
+        config = base_config(grid={"n": grid.n, "delta_t": grid.delta_t})
+        code, outdir = run(tmp_path, "predict", config)
+        assert code == 0
+        cls = DegeneracyClass(2.0, 1.0)
+        x = sample_class_member(cls, GeneratorConfig(seed=7, grid=grid, profile="flat"))
+        pt = build_predictor(AnticausalKernel((1.0,), (1.0,)), 10.0, 4.0, grid)
+        X = _member_spectrum(x)
+        expected = {
+            "x.csv": x,
+            "y.csv": inverse_transform(Spectrum(grid, pt.k_values * X)),
+            "yhat.csv": inverse_transform(Spectrum(grid, pt.khat_values * X)),
+            "khat.csv": pt.khat_time,
+        }
+        for name, series in expected.items():
+            rows = (outdir / name).read_text().splitlines()[2:]
+            assert rows == [
+                f"{t:.16e},{v:.16e}" for t, v in zip(grid.times(), series.samples.real)
+            ], name
+
+    def test_saturated_predictor_warns(self, tmp_path, capsys):
+        code, outdir = run(tmp_path, "predict", base_config())
+        assert code == 0
+        summary = json.loads((outdir / "summary.json").read_text())
+        assert summary["saturated"] is True
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "warning: 1 of 4096 predictor nodes saturated; "
+            "khat.csv and causality_defect read clamped values"
+        ]
+
+    def test_unsaturated_predictor_is_silent(self, tmp_path, capsys):
+        config = base_config(
+            kernel={"poles": [0.01], "numerator": [1.0]},
+            predictor={"r": 0.6, "gammas": [30.0]},
+        )
+        config["class"] = {"q": 5.0, "c": 1.0}
+        code, outdir = run(tmp_path, "predict", config)
+        assert code == 0
+        summary = json.loads((outdir / "summary.json").read_text())
+        assert summary["saturated"] is False
+        assert capsys.readouterr().err == ""
 
     def test_set_override(self, tmp_path):
         code, outdir = run(
@@ -160,6 +215,14 @@ class TestRobustnessCommand:
         assert "saturation" in capsys.readouterr().err
         # the report is still written for inspection
         assert (outdir / "robustness.json").exists()
+
+    def test_nan_noise_level_exits_2(self, tmp_path, capsys):
+        code, outdir = run(
+            tmp_path, "robustness", self.config(), extra=("--set", "noise.nus=[0.0, NaN]")
+        )
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (outdir / "robustness.json").exists()
 
 
 class TestCounterexampleCommand:

@@ -201,6 +201,11 @@ class TestRobustness:
         with pytest.raises(ValueError):
             robustness_experiment(self.KER, 30.0, 0.6, x0, [-0.01], cfg(1))
 
+    def test_rejects_nan_intensity(self, x0):
+        # rejected up front, before the predictor is built or any noise drawn
+        with pytest.raises(ValueError, match="intensities must be finite"):
+            robustness_experiment(self.KER, 30.0, 0.6, x0, [0.0, math.nan], cfg(1))
+
 
 class TestCounterexample:
     def test_zero_predictor_limit(self):

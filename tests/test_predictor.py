@@ -22,7 +22,7 @@ from specpredict import (
     transfer,
     v_minus_one,
 )
-from specpredict.predictor import _line_figures, factor_exponent
+from specpredict.predictor import _line_figures, factor_exponent, v_logpolar
 from specpredict.tolerances import CALIBRATION
 
 KERNEL = AnticausalKernel((1.0,), (1.0,))
@@ -85,8 +85,11 @@ class TestBuildPredictor:
     def test_khat_is_nodewise_product(self, small_grid):
         pt = build_predictor(KERNEL, 20.0, 2.0, small_grid)
         K = transfer(KERNEL, small_grid).values
+        v_log, v_ph = v_logpolar(1j * small_grid.omegas(), KERNEL, 20.0, 2.0)
         finite = ~pt.saturated
-        assert np.allclose(pt.khat_values[finite], (pt.v_values * K)[finite])
+        V = np.exp(v_log[finite]) * np.exp(1j * v_ph[finite])
+        assert np.allclose(pt.khat_values[finite], V * K[finite])
+        assert np.array_equal(pt.k_values, K)
 
     def test_hermitian_khat_and_real_kernel(self, small_grid):
         from specpredict import Spectrum
@@ -145,7 +148,6 @@ class TestPredict:
         fake = dataclasses.replace(
             pt,
             khat_values=K,
-            v_values=np.ones(small_grid.n, dtype=complex),
             khat_time=inverse_transform(transfer(KERNEL, small_grid)),
         )
         rng = np.random.Generator(np.random.Philox(4))

@@ -1,7 +1,9 @@
+import inspect
 import json
 import math
 
 import numpy as np
+import pytest
 from conftest import random_series
 
 from specpredict import make_grid
@@ -11,6 +13,11 @@ from specpredict.reports import (
     write_csv,
     write_json,
     write_svg_lineplot,
+)
+
+HEADER = (
+    b'# {"generator": "numpy.random.Philox(SeedSequence(entropy=seed, '
+    b'spawn_key=(stream,)))", "run": 1}\n'
 )
 
 
@@ -77,6 +84,44 @@ class TestWriters:
             b"14,\n"
             b"15,a b\n"
         )
+
+    @pytest.mark.parametrize("container", [list, tuple])
+    def test_csv_rows_as_lists_or_tuples(self, tmp_path, container):
+        rows = [("-1.0", 1.5, np.float64(-2.0)), ("t1", math.inf, -0.0), ("t2", 5e-324, math.nan)]
+        path = tmp_path / "rows.csv"
+        write_csv(str(path), ["t", "a", "b"], [container(row) for row in rows], {"run": 1})
+        assert path.read_bytes() == HEADER + (
+            b"t,a,b\n"
+            b"-1.0,1.5000000000000000e+00,-2.0000000000000000e+00\n"
+            b"t1,inf,-0.0000000000000000e+00\n"
+            b"t2,4.9406564584124654e-324,nan\n"
+        )
+
+    @pytest.mark.parametrize("odd, text", [(True, "true"), (None, ""), (7, "7")])
+    def test_csv_float_column_with_one_odd_value(self, tmp_path, odd, text):
+        # one non-float in a float column sends the whole column through format_value
+        path = tmp_path / "odd.csv"
+        write_csv(str(path), ["v", "w"], [[0.25, 1.0], [odd, 2.0], [np.float64(3.0), 3.0]], {"run": 1})
+        assert path.read_text().splitlines()[2:] == [
+            "2.5000000000000000e-01,1.0000000000000000e+00",
+            f"{text},2.0000000000000000e+00",
+            "3.0000000000000000e+00,3.0000000000000000e+00",
+        ]
+
+    def test_csv_str_column_passes_through(self, tmp_path):
+        path = tmp_path / "text.csv"
+        write_csv(str(path), ["s"], [["1.5"], ["100%"], [""], ["a b"]], {"run": 1})
+        assert path.read_bytes() == HEADER + b"s\n1.5\n100%\n\na b\n"
+
+    def test_csv_zero_rows_writes_header_only(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        write_csv(str(path), ["a", "b"], [], {"run": 1})
+        assert path.read_bytes() == HEADER + b"a,b\n"
+
+    def test_csv_signature_is_stable(self):
+        # the benchmark's trace hook binds write_csv's arguments by name
+        params = list(inspect.signature(write_csv).parameters)
+        assert params == ["path", "columns", "rows", "metadata"]
 
     def test_timeseries_csv_matches_per_value_formatting(self, tmp_path):
         x = random_series(make_grid(1024, 0.05), seed=3)

@@ -304,3 +304,8 @@ class TestAddNoise:
     def test_rejects_negative_intensity(self):
         with pytest.raises(ValueError):
             add_noise(TimeSeries(GRID, np.zeros(GRID.n)), -0.1, cfg(1))
+
+    @pytest.mark.parametrize("nu", [math.nan, math.inf])
+    def test_rejects_non_finite_intensity(self, nu):
+        with pytest.raises(ValueError, match="finite"):
+            add_noise(TimeSeries(GRID, np.zeros(GRID.n)), nu, cfg(1))
