@@ -15,6 +15,7 @@ saturation reached a quantity that feeds a pass/fail flag).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -23,6 +24,10 @@ import sys
 from .degeneracy import DegeneracyClass
 from .experiments import (
     DEFAULT_R,
+    CounterexampleRow,
+    NegativeDemoRow,
+    RobustnessRow,
+    SweepRow,
     _member_spectrum,
     counterexample_experiment,
     gamma_sweep,
@@ -30,16 +35,9 @@ from .experiments import (
     nonpredictability_demo,
     robustness_experiment,
 )
-from .kernels import AnticausalKernel
-from .predictor import build_predictor, causality_defect, find_gamma0, lemma_check
-from .reports import (
-    ensure_dir,
-    format_value,
-    rows_from_dataclasses,
-    write_csv,
-    write_json,
-    write_svg_lineplot,
-)
+from .kernels import kernel_from_dict
+from .predictor import LemmaReport, build_predictor, causality_defect, find_gamma0, lemma_check
+from .reports import ensure_dir, format_value, write_csv, write_json, write_svg_lineplot
 from .signals import GeneratorConfig, class_norm, sample_bandlimited, sample_class_member
 from .spectral import (
     Spectrum,
@@ -128,7 +126,12 @@ def _apply_overrides(config: dict, pairs) -> None:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        config.setdefault(keys[0], {})[keys[1]] = value
+        if not isinstance(config, dict):
+            raise ConfigError("config root must be a JSON object")
+        section = config.setdefault(keys[0], {})
+        if not isinstance(section, dict):
+            raise ConfigError(f"section '{keys[0]}' must be an object")
+        section[keys[1]] = value
 
 
 def _build_objects(config: dict, command: str):
@@ -142,10 +145,7 @@ def _build_objects(config: dict, command: str):
     kernel = None
     if "kernel" in config:
         try:
-            kernel = AnticausalKernel(
-                tuple(config["kernel"]["poles"]),
-                tuple(config["kernel"].get("numerator", [1.0])),
-            )
+            kernel = kernel_from_dict(config["kernel"])
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"kernel: {exc}") from exc
 
@@ -235,6 +235,23 @@ def _spectrum_csv(path, X, meta):
     write_csv(path, ["omega", "re", "im"], rows, meta)
 
 
+def _write_table(path, row_type, rows, meta, formats, drop=(), gammas=None) -> list:
+    """Write dataclass ``rows`` as a CSV table, if ``formats`` asks for csv, and
+    return them as JSON objects.
+
+    The columns are the fields of ``row_type`` less ``drop``; ``gammas``, one
+    value per row, leads each CSV row as a ``gamma`` column.
+    """
+    columns = [f.name for f in dataclasses.fields(row_type) if f.name not in drop]
+    values = [[getattr(row, c) for c in columns] for row in rows]
+    if "csv" in formats:
+        if gammas is None:
+            write_csv(path, columns, values, meta)
+        else:
+            write_csv(path, ["gamma", *columns], [[g, *v] for g, v in zip(gammas, values)], meta)
+    return [dict(zip(columns, v)) for v in values]
+
+
 def _cmd_predict(config, outdir, formats):
     grid, kernel, cls, r, gammas = _build_objects(config, "predict")
     if len(gammas) != 1:
@@ -279,23 +296,6 @@ def _cmd_predict(config, outdir, formats):
     return 0
 
 
-_SWEEP_FIELDS = (
-    "gamma",
-    "err_l2_abs",
-    "err_l2_rel",
-    "err_sup_abs",
-    "err_sup_rel",
-    "kappa_sup",
-    "omega_threshold",
-    "causality_defect",
-    "i1",
-    "i2",
-    "lemma_pass_high_band",
-    "lemma_pass_low_band",
-    "lemma_tail_dev",
-)
-
-
 def _cmd_sweep(config, outdir, formats):
     grid, kernel, cls, r, gammas = _build_objects(config, "sweep")
     ens_cfg = config["ensemble"]
@@ -303,23 +303,10 @@ def _cmd_sweep(config, outdir, formats):
     ensemble = make_class_ensemble(cls, cfg, ens_cfg.get("size", 10))
     report = gamma_sweep(kernel, cls, gammas, r, ensemble, metadata={"seed": cfg.seed})
     meta = _resolved(config, "sweep")
-    if "csv" in formats:
-        write_csv(
-            f"{outdir}/sweep.csv",
-            list(_SWEEP_FIELDS),
-            rows_from_dataclasses(report.rows, _SWEEP_FIELDS),
-            meta,
-        )
+    rows = _write_table(f"{outdir}/sweep.csv", SweepRow, report.rows, meta, formats)
     if "json" in formats:
         write_json(
-            f"{outdir}/sweep.json",
-            {
-                "rows": [
-                    {f: getattr(row, f) for f in _SWEEP_FIELDS} for row in report.rows
-                ],
-                "sweep_metadata": report.metadata,
-            },
-            meta,
+            f"{outdir}/sweep.json", {"rows": rows, "sweep_metadata": report.metadata}, meta
         )
     if "svg" in formats:
         gammas_list = [row.gamma for row in report.rows]
@@ -344,21 +331,10 @@ def _cmd_lemma(config, outdir, formats):
     bracket = tuple(lemma_cfg.get("gamma0_bracket", [0.5, 2000.0]))
     reports = [lemma_check(build_predictor(kernel, g, r, grid), cls, floor) for g in gammas]
     gamma0 = find_gamma0(kernel, cls, r, grid, bracket=bracket)
-    fields = (
-        "gamma",
-        "omega_threshold",
-        "pass_positivity",
-        "pass_factor_dev",
-        "tail_dev_max",
-        "pass_low_band",
-        "low_band_nodes",
-        "low_band_margin",
-    )
     meta = _resolved(config, "lemma")
-    if "csv" in formats:
-        write_csv(
-            f"{outdir}/lemma.csv", list(fields), rows_from_dataclasses(reports, fields), meta
-        )
+    rows = _write_table(
+        f"{outdir}/lemma.csv", LemmaReport, reports, meta, formats, drop=("r", "omega_floor")
+    )
     write_json(
         f"{outdir}/lemma.json",
         {
@@ -368,7 +344,7 @@ def _cmd_lemma(config, outdir, formats):
                 a.tail_dev_max > b.tail_dev_max for a, b in zip(reports, reports[1:])
             ),
             "pass_low_band": all(rep.pass_low_band for rep in reports),
-            "rows": [{f: getattr(rep, f) for f in fields} for rep in reports],
+            "rows": rows,
         },
         meta,
     )
@@ -388,13 +364,14 @@ def _cmd_robustness(config, outdir, formats):
     nus = [float(v) for v in noise_cfg["nus"]]
     reports = [robustness_experiment(kernel, g, r, x0, nus, cfg) for g in gammas]
     meta = _resolved(config, "robustness")
-    fields = ("nu", "err_sup_noisy", "bound", "holds", "j0", "j_eta")
-    rows = []
-    for rep in reports:
-        for row in rep.rows:
-            rows.append([rep.gamma] + [getattr(row, f) for f in fields])
-    if "csv" in formats:
-        write_csv(f"{outdir}/robustness.csv", ["gamma"] + list(fields), rows, meta)
+    rows = _write_table(
+        f"{outdir}/robustness.csv",
+        RobustnessRow,
+        [row for rep in reports for row in rep.rows],
+        meta,
+        formats,
+        gammas=[rep.gamma for rep in reports for _ in nus],
+    )
     write_json(
         f"{outdir}/robustness.json",
         {
@@ -404,9 +381,9 @@ def _cmd_robustness(config, outdir, formats):
                     "eps_clean": rep.eps_clean,
                     "kappa_sup": rep.kappa_sup,
                     "saturated": rep.saturated,
-                    "rows": [{f: getattr(row, f) for f in fields} for row in rep.rows],
+                    "rows": rows[i * len(nus) : (i + 1) * len(nus)],
                 }
-                for rep in reports
+                for i, rep in enumerate(reports)
             ],
             "all_bounds_hold": all(row.holds for rep in reports for row in rep.rows),
         },
@@ -426,35 +403,16 @@ def _cmd_counterexample(config, outdir, formats):
     ce = config["counterexample"]
     cfg = GeneratorConfig(seed=ce.get("seed", 0), grid=grid)
     report = counterexample_experiment(float(ce["a"]), kernel, gammas, cfg, r=r)
-    fields = (
-        "gamma",
-        "e1",
-        "e2",
-        "identity_lhs",
-        "identity_rhs",
-        "residual",
-        "e1_sq_log",
-        "e2_sq_log",
-        "identity_lhs_log",
-        "identity_rhs_log",
-        "identity_rel_gap",
-        "identity_ok",
-        "floor_ok",
-    )
     meta = _resolved(config, "counterexample")
-    if "csv" in formats:
-        write_csv(
-            f"{outdir}/counterexample.csv",
-            list(fields),
-            rows_from_dataclasses(report.rows, fields),
-            meta,
-        )
+    rows = _write_table(
+        f"{outdir}/counterexample.csv", CounterexampleRow, report.rows, meta, formats
+    )
     write_json(
         f"{outdir}/counterexample.json",
         {
             "split": report.split,
             "no_gamma_predicts_both": report.no_gamma_predicts_both,
-            "rows": [{f: getattr(row, f) for f in fields} for row in report.rows],
+            "rows": rows,
         },
         meta,
     )
@@ -471,22 +429,15 @@ def _cmd_demo_negative(config, outdir, formats):
     report = nonpredictability_demo(
         q_bad, cls.c, kernel, gammas, cfg, r, size=neg.get("size", 3), q_reference=cls.q
     )
-    fields = ("gamma", "err_rel_slow", "err_rel_reference")
     meta = _resolved(config, "demo-negative")
-    if "csv" in formats:
-        write_csv(
-            f"{outdir}/negative.csv",
-            list(fields),
-            rows_from_dataclasses(report.rows, fields),
-            meta,
-        )
+    rows = _write_table(f"{outdir}/negative.csv", NegativeDemoRow, report.rows, meta, formats)
     write_json(
         f"{outdir}/negative.json",
         {
             "label": report.label,
             "q_bad": report.q_bad,
             "final_ratio": report.final_ratio,
-            "rows": [{f: getattr(row, f) for f in fields} for row in report.rows],
+            "rows": rows,
         },
         meta,
     )
@@ -553,11 +504,9 @@ def main(argv=None) -> int:
         outdir = args.out if args.out != "." else config.get("output", {}).get("directory", ".")
         ensure_dir(outdir)
         return _COMMANDS[args.command](config, outdir, formats)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # module-level precondition violations surface as config errors too
+    except (OSError, ValueError) as exc:
+        # ConfigError and JSON syntax errors are ValueErrors, as are the
+        # module-level precondition violations that surface as config errors
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .degeneracy import DegeneracyClass
-from .kernels import AnticausalKernel, apply_anticausal, transfer
+from .kernels import AnticausalKernel, apply_anticausal, kernel_to_dict, transfer
 from .predictor import (
     PredictorTransfer,
+    _logsumexp,
     build_predictor,
     causality_defect,
     lemma_check,
@@ -58,6 +59,22 @@ DEFAULT_ENSEMBLE_SIZE = 10
 
 def default_grid() -> FrequencyGrid:
     return make_grid(DEFAULT_GRID_N, DEFAULT_GRID_DT)
+
+
+def _metadata(kernel: AnticausalKernel, grid: FrequencyGrid, **extra) -> dict:
+    """Report metadata: the kernel and grid of a run, then ``extra``."""
+    grid_dict = {"n": grid.n, "delta_t": grid.delta_t}
+    return {"kernel": kernel_to_dict(kernel), "grid": grid_dict, **extra}
+
+
+def _gamma_list(gammas) -> tuple:
+    """``gammas`` read once, as sorted floats; empty or non-positive input is rejected."""
+    out = tuple(sorted(float(g) for g in gammas))
+    if not out:
+        raise ValueError("gammas must be nonempty")
+    if not all(g > 0 for g in out):
+        raise ValueError("gammas must be positive")
+    return out
 
 
 def _require_admissible(r: float, cls: DegeneracyClass) -> None:
@@ -206,7 +223,7 @@ def _run_sweep(
     weights = np.full(h, 2.0)
     weights[[0, -1]] = 1.0
     rows = []
-    for gamma in sorted(float(g) for g in gammas):
+    for gamma in gammas:
         pt = build_predictor(kernel, gamma, r, grid)
         diff, l2a, supa = _error_rows(pt.khat_values, K, X, grid)
         l2r = _relative(l2a, y_l2)
@@ -255,23 +272,14 @@ def gamma_sweep(
     relative L2 error at that gamma (rho = 2), so the partition identity
     i1 + i2 = total spectral error measure holds row-wise.
     """
-    if len(list(gammas)) == 0:
-        raise ValueError("gammas must be nonempty")
-    if any(g <= 0 for g in gammas):
-        raise ValueError("gammas must be positive")
+    gammas = _gamma_list(gammas)
     if len(ensemble) == 0:
         raise ValueError("ensemble must be nonempty")
     _require_admissible(r, cls)
     rows = _run_sweep(kernel, gammas, r, ensemble, cls=cls)
-    meta = {
-        "kernel": {"poles": list(kernel.poles), "numerator": list(kernel.numerator)},
-        "class": {"q": cls.q, "c": cls.c},
-        "r": r,
-        "grid": {"n": ensemble[0].grid.n, "delta_t": ensemble[0].grid.delta_t},
-        "ensemble_size": len(ensemble),
-    }
-    if metadata:
-        meta.update(metadata)
+    meta = _metadata(kernel, ensemble[0].grid, r=r, ensemble_size=len(ensemble))
+    meta["class"] = {"q": cls.q, "c": cls.c}
+    meta.update(metadata or {})
     return SweepReport(rows=tuple(rows), metadata=meta)
 
 
@@ -344,7 +352,6 @@ def robustness_experiment(
     # the clean member's spectrum carries its constructional X(0) = 0; the
     # noise spectrum keeps whatever degeneracy-node content it legitimately has
     X0 = _member_spectrum(x0)
-    y = inverse_transform(Spectrum(grid, K * X0))
     clean_diff = inverse_transform(Spectrum(grid, (pt.khat_values - K) * X0))
     eps_clean = norm(clean_diff, math.inf)
     slack = CALIBRATION["robustness_slack"]
@@ -380,11 +387,7 @@ def robustness_experiment(
         kappa_sup=pt.kappa_sup,
         rows=tuple(rows),
         saturated=pt.any_saturated,
-        metadata={
-            "kernel": {"poles": list(kernel.poles), "numerator": list(kernel.numerator)},
-            "grid": {"n": grid.n, "delta_t": grid.delta_t},
-            "seed": cfg.seed,
-        },
+        metadata=_metadata(kernel, grid, seed=cfg.seed),
     )
 
 
@@ -418,17 +421,6 @@ def _log_abs(values: np.ndarray) -> np.ndarray:
         return np.log(np.abs(values))
 
 
-def _logsumexp_arr(a: np.ndarray) -> float:
-    finite = a[np.isfinite(a)]
-    if finite.size == 0:
-        return float(np.max(a)) if a.size else -math.inf
-    m = float(np.max(finite))
-    if np.any(np.isposinf(a)):
-        return math.inf
-    with np.errstate(under="ignore"):
-        return m + math.log(float(np.sum(np.exp(np.where(np.isfinite(a), a, -np.inf) - m))))
-
-
 def counterexample_experiment(
     a: float,
     kernel: AnticausalKernel,
@@ -451,8 +443,7 @@ def counterexample_experiment(
     grid = cfg.grid
     if not (0.0 < a < grid.omega_max):
         raise ValueError(f"split frequency must lie in (0, omega_max={grid.omega_max})")
-    if len(list(gammas)) == 0:
-        raise ValueError("gammas must be nonempty")
+    gammas = _gamma_list(gammas)
 
     x1, x2 = counterexample_pair(a, cfg)
     X1 = forward_transform(x1).values
@@ -460,18 +451,18 @@ def counterexample_experiment(
     K = transfer(kernel, grid).values
     k_log = _log_abs(K)
     log_dw = math.log(grid.delta_omega)
-    log_norm_k_sq = _logsumexp_arr(2.0 * k_log) + log_dw
+    log_norm_k_sq = _logsumexp(2.0 * k_log) + log_dw
     tol = CALIBRATION["counterexample_identity_rel"]
 
     rows = []
-    for gamma in sorted(float(g) for g in gammas):
+    for gamma in gammas:
         pt = build_predictor(kernel, gamma, r, grid)
         with np.errstate(invalid="ignore"):
             diff_log = np.where(pt.saturated, pt.khat_log_mag, _log_abs(K - pt.khat_values))
-        le1 = _logsumexp_arr(2.0 * (diff_log + _log_abs(X1))) + log_dw - math.log(2 * math.pi)
-        le2 = _logsumexp_arr(2.0 * (diff_log + _log_abs(X2))) + log_dw - math.log(2 * math.pi)
+        le1 = _logsumexp(2.0 * (diff_log + _log_abs(X1))) + log_dw - math.log(2 * math.pi)
+        le2 = _logsumexp(2.0 * (diff_log + _log_abs(X2))) + log_dw - math.log(2 * math.pi)
         lhs_log = math.log(2 * math.pi) + np.logaddexp(le1, le2)
-        rhs_log = np.logaddexp(log_norm_k_sq, _logsumexp_arr(2.0 * pt.khat_log_mag) + log_dw)
+        rhs_log = np.logaddexp(log_norm_k_sq, _logsumexp(2.0 * pt.khat_log_mag) + log_dw)
         rel_gap = abs(math.expm1(lhs_log - rhs_log))
         floor_ok = max(le1, le2) >= rhs_log - math.log(4 * math.pi) + math.log(0.95)
         with np.errstate(over="ignore"):
@@ -496,12 +487,7 @@ def counterexample_experiment(
         split=float(a),
         rows=tuple(rows),
         no_gamma_predicts_both=all(row.floor_ok for row in rows),
-        metadata={
-            "kernel": {"poles": list(kernel.poles), "numerator": list(kernel.numerator)},
-            "r": r,
-            "grid": {"n": grid.n, "delta_t": grid.delta_t},
-            "seed": cfg.seed,
-        },
+        metadata=_metadata(kernel, grid, r=r, seed=cfg.seed),
     )
 
 
@@ -546,6 +532,7 @@ def nonpredictability_demo(
         raise ValueError(f"q_bad must lie strictly inside (0, 1), got {q_bad!r}")
     reference = DegeneracyClass(q_reference, c)  # also validates c > 0
     _require_admissible(r, reference)
+    gammas = _gamma_list(gammas)
 
     slow_rows = _run_sweep(kernel, gammas, r, _enveloped_member(q_bad, c, cfg, size))
     ref_rows = _run_sweep(kernel, gammas, r, make_class_ensemble(reference, cfg, size))
@@ -560,14 +547,9 @@ def nonpredictability_demo(
         c=float(c),
         rows=rows,
         final_ratio=float(ratio),
-        metadata={
-            "kernel": {"poles": list(kernel.poles), "numerator": list(kernel.numerator)},
-            "r": r,
-            "q_reference": q_reference,
-            "grid": {"n": cfg.grid.n, "delta_t": cfg.grid.delta_t},
-            "seed": cfg.seed,
-            "size": size,
-        },
+        metadata=_metadata(
+            kernel, cfg.grid, r=r, q_reference=q_reference, seed=cfg.seed, size=size
+        ),
     )
 
 

@@ -69,17 +69,26 @@ class AnticausalKernel:
         return max(self.poles)
 
 
-def kernel_to_json(kernel: AnticausalKernel) -> str:
-    """Serialize as {"poles": [...], "numerator": [...]} (ascending degree)."""
-    return json.dumps({"poles": list(kernel.poles), "numerator": list(kernel.numerator)})
+def kernel_to_dict(kernel: AnticausalKernel) -> dict:
+    """{"poles": [...], "numerator": [...]} (ascending degree), the one JSON form of a kernel."""
+    return {"poles": list(kernel.poles), "numerator": list(kernel.numerator)}
 
 
-def kernel_from_json(text: str) -> AnticausalKernel:
-    obj = json.loads(text)
+def kernel_from_dict(obj: dict) -> AnticausalKernel:
+    """Inverse of :func:`kernel_to_dict`; the numerator defaults to [1.0] and
+    unknown fields are rejected."""
     unknown = set(obj) - {"poles", "numerator"}
     if unknown:
         raise ValueError(f"unknown kernel fields: {sorted(unknown)}")
     return AnticausalKernel(tuple(obj["poles"]), tuple(obj.get("numerator", [1.0])))
+
+
+def kernel_to_json(kernel: AnticausalKernel) -> str:
+    return json.dumps(kernel_to_dict(kernel))
+
+
+def kernel_from_json(text: str) -> AnticausalKernel:
+    return kernel_from_dict(json.loads(text))
 
 
 def _numerator_at(kernel: AnticausalKernel, s) -> np.ndarray:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degeneracy import DegeneracyClass, log_weight
-from .kernels import AnticausalKernel, transfer
+from .kernels import AnticausalKernel, kernel_from_dict, kernel_to_dict, transfer
 from .spectral import (
     FrequencyGrid,
     Spectrum,
@@ -222,7 +222,7 @@ def predictor_to_json(pt: PredictorTransfer) -> str:
     """Serialize the defining parameters; the sampled arrays are rebuilt."""
     return json.dumps(
         {
-            "kernel": {"poles": list(pt.kernel.poles), "numerator": list(pt.kernel.numerator)},
+            "kernel": kernel_to_dict(pt.kernel),
             "gamma": pt.gamma,
             "r": pt.r,
             "grid": {"n": pt.grid.n, "delta_t": pt.grid.delta_t},
@@ -236,11 +236,8 @@ def predictor_from_json(text: str) -> PredictorTransfer:
     unknown = set(obj) - {"kernel", "gamma", "r", "grid"}
     if unknown:
         raise ValueError(f"unknown predictor fields: {sorted(unknown)}")
-    kernel = AnticausalKernel(
-        tuple(obj["kernel"]["poles"]), tuple(obj["kernel"].get("numerator", [1.0]))
-    )
     grid = FrequencyGrid(obj["grid"]["n"], obj["grid"]["delta_t"])
-    return build_predictor(kernel, obj["gamma"], obj["r"], grid)
+    return build_predictor(kernel_from_dict(obj["kernel"]), obj["gamma"], obj["r"], grid)
 
 
 def predict(pt: PredictorTransfer, x: TimeSeries) -> TimeSeries:
@@ -422,11 +419,6 @@ def _logsumexp(values: np.ndarray) -> float:
         return m
     with np.errstate(under="ignore"):
         return m + math.log(float(np.sum(np.exp(a - m))))
-
-
-def log_norm2(log_mag: np.ndarray, delta_omega: float) -> float:
-    """log of sqrt(delta_omega * sum exp(2*log_mag)): grid L2 norm in log form."""
-    return 0.5 * (_logsumexp(2.0 * np.asarray(log_mag)) + math.log(delta_omega))
 
 
 def _scaled_inner_product(log_a, phase_a, log_b, phase_b):

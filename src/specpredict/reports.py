@@ -78,20 +78,6 @@ def write_json(path: str, payload: dict, metadata: dict) -> None:
         fh.write(json.dumps(body, sort_keys=True, indent=2, allow_nan=True) + "\n")
 
 
-def rows_from_dataclasses(items, fields) -> list:
-    return [[getattr(item, f) for f in fields] for item in items]
-
-
-def _svg_coords(values, lo, hi, pix_lo, pix_hi, log_scale):
-    out = []
-    for v in values:
-        if log_scale:
-            v = math.log10(max(v, 1e-320))
-        u = 0.0 if hi == lo else (v - lo) / (hi - lo)
-        out.append(pix_lo + u * (pix_hi - pix_lo))
-    return out
-
-
 def write_svg_lineplot(
     path: str,
     xs,

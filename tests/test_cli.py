@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import math
+import os
 
 import pytest
 
@@ -288,3 +290,77 @@ class TestGenSignalCommand:
 
     def test_missing_config_file_exit_2(self, tmp_path):
         assert main(["gen-signal", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+class TestMalformedConfigWithOverrides:
+    @pytest.mark.parametrize("config", [{"grid": 5}, []], ids=["section", "root"])
+    def test_exit_2_with_config_error(self, tmp_path, capsys, config):
+        code, _ = run(tmp_path, "predict", config, extra=("--set", "grid.n=8"))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+
+# every section, on the 4,096-node grid; predict takes one gamma through --set
+FULL_CONFIG = base_config(
+    predictor={"r": 4.0, "gammas": [10.0, 30.0]},
+    ensemble={"size": 2, "seed": 2026},
+    noise={"nus": [0.0, 0.05], "seed": 11, "band": None},
+    counterexample={"a": 0.5, "seed": 5},
+    negative={"q_bad": 0.5, "seed": 77, "size": 2},
+    lemma={"omega_floor": 0.5, "gamma0_bracket": [0.5, 500.0]},
+    output={"directory": ".", "formats": ["csv", "json", "svg"]},
+)
+COMMANDS = ("predict", "sweep", "lemma", "robustness", "counterexample", "demo-negative", "gen-signal")
+
+
+def run_full(tmp_path, command, out):
+    extra = ("--set", "predictor.gammas=[30.0]") if command == "predict" else ()
+    return run(tmp_path, command, FULL_CONFIG, out=out, extra=extra)
+
+
+def _benchmark_sweep_fields():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "ops.py")
+    spec = importlib.util.spec_from_file_location("perfbench_ops", path)
+    ops = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ops)
+    return ops.SWEEP_FIELDS
+
+
+class TestReportSchemas:
+    HEADERS = {
+        ("sweep", "sweep.csv"): "gamma,err_l2_abs,err_l2_rel,err_sup_abs,err_sup_rel,kappa_sup,"
+        "omega_threshold,causality_defect,i1,i2,lemma_pass_high_band,lemma_pass_low_band,"
+        "lemma_tail_dev",
+        ("lemma", "lemma.csv"): "gamma,omega_threshold,pass_positivity,pass_factor_dev,"
+        "tail_dev_max,pass_low_band,low_band_nodes,low_band_margin",
+        ("robustness", "robustness.csv"): "gamma,nu,err_sup_noisy,bound,holds,j0,j_eta",
+        ("counterexample", "counterexample.csv"): "gamma,e1,e2,identity_lhs,identity_rhs,"
+        "residual,e1_sq_log,e2_sq_log,identity_lhs_log,identity_rhs_log,identity_rel_gap,"
+        "identity_ok,floor_ok",
+        ("demo-negative", "negative.csv"): "gamma,err_rel_slow,err_rel_reference",
+    }
+
+    @pytest.mark.parametrize("command,name", list(HEADERS))
+    def test_csv_header(self, tmp_path, command, name):
+        _, outdir = run_full(tmp_path, command, "out")
+        lines = (outdir / name).read_text().splitlines()
+        assert lines[1] == self.HEADERS[command, name]
+        # one data row per gamma (robustness: per gamma and noise level)
+        per_gamma = len(FULL_CONFIG["noise"]["nus"]) if command == "robustness" else 1
+        assert len(lines) == 2 + per_gamma * len(FULL_CONFIG["predictor"]["gammas"])
+
+    def test_sweep_header_is_what_the_benchmark_reads(self):
+        assert self.HEADERS["sweep", "sweep.csv"].split(",") == list(_benchmark_sweep_fields())
+
+
+class TestRerunByteIdentity:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_reports_exit_code_and_stderr(self, tmp_path, capsys, command):
+        code1, out1 = run_full(tmp_path, command, "out1")
+        err1 = capsys.readouterr().err
+        code2, out2 = run_full(tmp_path, command, "out2")
+        assert (code1, err1) == (code2, capsys.readouterr().err)
+        names = sorted(p.name for p in out1.iterdir())
+        assert names and names == sorted(p.name for p in out2.iterdir())
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name

@@ -129,6 +129,12 @@ class TestGammaSweep:
                 else:
                     assert got == pytest.approx(want, rel=1e-12, abs=0.0), (row.gamma, name)
 
+    def test_generator_gammas_read_once(self, ensemble):
+        rows = gamma_sweep(KERNEL, CLS, (g for g in (30.0, 10.0)), 4.0, ensemble).rows
+        assert rows == gamma_sweep(KERNEL, CLS, (10.0, 30.0), 4.0, ensemble).rows
+        with pytest.raises(ValueError, match="positive"):
+            gamma_sweep(KERNEL, CLS, (g for g in (-1.0,)), 4.0, ensemble)
+
     def test_metadata_recorded(self, ensemble):
         rep = gamma_sweep(KERNEL, CLS, (10.0,), 4.0, ensemble, metadata={"seed": 2026})
         assert rep.metadata["kernel"] == {"poles": [1.0], "numerator": [1.0]}
@@ -242,6 +248,12 @@ class TestCounterexample:
             assert math.isfinite(row.e1) and math.isfinite(row.e2)
             assert row.floor_ok
 
+    def test_generator_gammas_read_once(self):
+        rep = counterexample_experiment(0.5, KERNEL, (g for g in (100.0, 10.0)), cfg(5), r=4.0)
+        assert rep.rows == counterexample_experiment(0.5, KERNEL, (10.0, 100.0), cfg(5), r=4.0).rows
+        with pytest.raises(ValueError, match="nonempty"):
+            counterexample_experiment(0.5, KERNEL, (g for g in ()), cfg(5), r=4.0)
+
     def test_rejects_bad_split(self):
         with pytest.raises(ValueError):
             counterexample_experiment(GRID.omega_max + 1, KERNEL, (10.0,), cfg(1))
@@ -258,6 +270,14 @@ class TestNegativeDemo:
     def test_rejects_bad_c_via_class(self):
         with pytest.raises(ValueError):
             nonpredictability_demo(0.5, -1.0, KERNEL, (10.0,), cfg(1), r=2.5)
+
+    def test_generator_gammas_read_once(self):
+        def demo(gammas):
+            return nonpredictability_demo(0.5, 1.0, KERNEL, gammas, cfg(1), r=2.5, size=1)
+
+        assert demo(g for g in (10.0, 3.0)).rows == demo((3.0, 10.0)).rows
+        with pytest.raises(ValueError, match="positive"):
+            demo(g for g in (-1.0,))
 
     def test_slow_degeneracy_error_floor(self):
         g = make_grid(2**16, 0.01)

@@ -303,3 +303,10 @@ class TestSerialization:
 
         with pytest.raises(ValueError):
             predictor_from_json('{"kernel": {"poles": [1.0]}, "gamma": 1, "r": 1, "grid": {"n": 8, "delta_t": 1.0}, "extra": 0}')
+
+    def test_unknown_kernel_fields_rejected(self):
+        from specpredict import predictor_from_json
+
+        text = '{"kernel": {"poles": [1.0], "zeros": [3.0]}, "gamma": 1, "r": 1, "grid": {"n": 8, "delta_t": 1.0}}'
+        with pytest.raises(ValueError, match="unknown kernel fields"):
+            predictor_from_json(text)
