@@ -21,6 +21,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .degeneracy import DegeneracyClass
 from .experiments import (
     DEFAULT_R,
@@ -28,7 +30,10 @@ from .experiments import (
     NegativeDemoRow,
     RobustnessRow,
     SweepRow,
+    _error_channel,
     _member_spectrum,
+    _relative,
+    _row_norms,
     counterexample_experiment,
     gamma_sweep,
     make_class_ensemble,
@@ -39,26 +44,21 @@ from .kernels import kernel_from_dict
 from .predictor import LemmaReport, build_predictor, causality_defect, find_gamma0, lemma_check
 from .reports import ensure_dir, format_value, write_csv, write_json, write_svg_lineplot
 from .signals import GeneratorConfig, class_norm, sample_bandlimited, sample_class_member
-from .spectral import (
-    Spectrum,
-    forward_transform,
-    inverse_transform,
-    make_grid,
-    norm,
-    to_centered,
-)
+from .spectral import forward_transform, irfft_rows, make_grid, norm, to_centered
 
 
 class ConfigError(ValueError):
     """Configuration rejected before any computation."""
 
 
+# a leaf's allowed types; [types] stands for a JSON array of such values
 _NUM = (int, float)
+_NUMS = ([_NUM],)
 _SCHEMA = {
     "grid": {"n": (int,), "delta_t": _NUM},
-    "kernel": {"poles": (list,), "numerator": (list,)},
+    "kernel": {"poles": _NUMS, "numerator": _NUMS},
     "class": {"q": _NUM, "c": _NUM},
-    "predictor": {"r": _NUM, "gammas": (list,)},
+    "predictor": {"r": _NUM, "gammas": _NUMS},
     "signal": {
         "kind": (str,),
         "seed": (int,),
@@ -67,11 +67,11 @@ _SCHEMA = {
         "omega_bar": _NUM,
     },
     "ensemble": {"size": (int,), "seed": (int,)},
-    "noise": {"nus": (list,), "seed": (int,), "band": (list, type(None))},
+    "noise": {"nus": _NUMS, "seed": (int,), "band": ([_NUM], type(None))},
     "counterexample": {"a": _NUM, "seed": (int,)},
     "negative": {"q_bad": _NUM, "seed": (int,), "size": (int,)},
-    "lemma": {"omega_floor": _NUM, "gamma0_bracket": (list,)},
-    "output": {"directory": (str,), "formats": (list,)},
+    "lemma": {"omega_floor": _NUM, "gamma0_bracket": _NUMS},
+    "output": {"directory": (str,), "formats": ([(str,)],)},
 }
 
 _REQUIRED = {
@@ -88,6 +88,19 @@ _REQUIRED = {
 _NEEDS_ADMISSIBLE_R = {"predict", "sweep", "robustness", "demo-negative"}
 
 
+def _matches(value, kinds) -> bool:
+    """``value`` has one of the leaf types ``kinds``; a bool is never a number."""
+    if isinstance(value, list):
+        return any(isinstance(k, list) and all(_matches(v, k[0]) for v in value) for k in kinds)
+    return not isinstance(value, bool) and any(
+        not isinstance(k, list) and isinstance(value, k) for k in kinds
+    )
+
+
+def _type_names(kinds) -> str:
+    return "/".join(f"list of {_type_names(k[0])}" if isinstance(k, list) else k.__name__ for k in kinds)
+
+
 def _validate_tree(config: dict) -> None:
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
@@ -100,9 +113,8 @@ def _validate_tree(config: dict) -> None:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key: {section}.{key}")
             expected = _SCHEMA[section][key]
-            if isinstance(value, bool) or not isinstance(value, expected):
-                names = "/".join(t.__name__ for t in expected)
-                raise ConfigError(f"{section}.{key} must be {names}, got {value!r}")
+            if not _matches(value, expected):
+                raise ConfigError(f"{section}.{key} must be {_type_names(expected)}, got {value!r}")
 
 
 def _require(config: dict, command: str) -> None:
@@ -223,8 +235,8 @@ def _time_text(grid) -> tuple:
     return tuple(map("%.16e".__mod__, grid.times().tolist()))
 
 
-def _timeseries_csv(path, x, meta, column="x"):
-    rows = list(zip(_time_text(x.grid), x.samples.real.tolist()))
+def _timeseries_csv(path, grid, samples, meta, column="x"):
+    rows = list(zip(_time_text(grid), samples.tolist()))
     write_csv(path, ["t", column], rows, meta)
 
 
@@ -260,26 +272,24 @@ def _cmd_predict(config, outdir, formats):
     pt = build_predictor(kernel, gammas[0], r, grid)
     # generated signals carry constructional spectral zeros; the experiment
     # layer restores them before applying transfers (see _member_spectrum)
-    X = _member_spectrum(x)
-    K = pt.k_values
-    y = inverse_transform(Spectrum(grid, K * X))
-    y_hat = inverse_transform(Spectrum(grid, pt.khat_values * X))
-    diff = inverse_transform(Spectrum(grid, (pt.khat_values - K) * X))
+    h = grid.n // 2 + 1
+    X = _member_spectrum(x)[:h]
+    _, err_l2, err_sup = _error_channel(pt, X)
+    y, y_hat = irfft_rows(np.stack([pt.k_values[:h] * X, pt.khat_values[:h] * X]), grid)
+    y_l2, y_sup = _row_norms(y, grid)
     meta = _resolved(config, "predict")
     if "csv" in formats:
-        _timeseries_csv(f"{outdir}/x.csv", x, meta)
-        _timeseries_csv(f"{outdir}/y.csv", y, meta)
-        _timeseries_csv(f"{outdir}/yhat.csv", y_hat, meta)
-        _timeseries_csv(f"{outdir}/khat.csv", pt.khat_time, meta, column="khat")
-    err_l2 = norm(diff, 2)
-    err_sup = norm(diff, math.inf)
+        _timeseries_csv(f"{outdir}/x.csv", grid, x.samples.real, meta)
+        _timeseries_csv(f"{outdir}/y.csv", grid, y, meta)
+        _timeseries_csv(f"{outdir}/yhat.csv", grid, y_hat, meta)
+        _timeseries_csv(f"{outdir}/khat.csv", grid, pt.khat_time.samples.real, meta, column="khat")
     write_json(
         f"{outdir}/summary.json",
         {
-            "err_l2": err_l2,
-            "err_l2_rel": 0.0 if err_l2 == 0.0 else err_l2 / max(norm(y, 2), 1e-300),
-            "err_sup": err_sup,
-            "err_sup_rel": 0.0 if err_sup == 0.0 else err_sup / max(norm(y, math.inf), 1e-300),
+            "err_l2": float(err_l2),
+            "err_l2_rel": float(_relative(err_l2, y_l2)),
+            "err_sup": float(err_sup),
+            "err_sup_rel": float(_relative(err_sup, y_sup)),
             "kappa_sup": pt.kappa_sup,
             "causality_defect": causality_defect(pt),
             "omega_threshold": pt.omega_threshold,
@@ -449,7 +459,7 @@ def _cmd_gen_signal(config, outdir, formats):
     x, cfg = _signal_from_config(config, grid, cls)
     meta = _resolved(config, "gen-signal")
     if "csv" in formats:
-        _timeseries_csv(f"{outdir}/signal.csv", x, meta)
+        _timeseries_csv(f"{outdir}/signal.csv", grid, x.samples.real, meta)
         _spectrum_csv(f"{outdir}/signal_spectrum.csv", forward_transform(x), meta)
     write_json(
         f"{outdir}/signal.json",

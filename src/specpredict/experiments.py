@@ -9,13 +9,14 @@ function of its inputs plus generator seeds, so reports are bit-reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .degeneracy import DegeneracyClass
-from .kernels import AnticausalKernel, apply_anticausal, kernel_to_dict, transfer
+from .kernels import AnticausalKernel, kernel_to_dict, transfer
 from .predictor import (
     PredictorTransfer,
     _logsumexp,
@@ -23,26 +24,23 @@ from .predictor import (
     causality_defect,
     lemma_check,
     orthogonality_residual,
-    predict,
 )
 from .signals import (
     GeneratorConfig,
+    _counterexample_half_spectra,
     _enveloped_member,
+    _half_omega_abs,
     add_noise,
     class_norm,
-    counterexample_pair,
     make_class_ensemble,
 )
 from .spectral import (
     FrequencyGrid,
-    Spectrum,
     TimeSeries,
     _is_sup,
     forward_transform,
-    inverse_transform,
     irfft_rows,
     make_grid,
-    norm,
 )
 from .tolerances import CALIBRATION
 
@@ -107,56 +105,6 @@ def _member_spectrum(x: TimeSeries) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PredictionError:
-    abs_err: float
-    rel_err: float
-
-
-def prediction_error(
-    kernel: AnticausalKernel, pt: PredictorTransfer, x: TimeSeries, p
-) -> PredictionError:
-    """Worst grid distance between the anti-causal target and its prediction."""
-    y = apply_anticausal(kernel, x)
-    y_hat = predict(pt, x)
-    diff = TimeSeries(x.grid, y_hat.samples - y.samples)
-    abs_err = norm(diff, p)
-    if abs_err == 0.0:
-        return PredictionError(0.0, 0.0)
-    return PredictionError(abs_err, abs_err / max(norm(y, p), 1e-300))
-
-
-def error_decomposition(
-    pt: PredictorTransfer,
-    kernel: AnticausalKernel,
-    x: TimeSeries,
-    cls: DegeneracyClass,
-    p,
-    restore_dc_zero: bool = True,
-):
-    """Split the spectral error measure at the degeneracy-band edge.
-
-    With rho = 2 for p = 2 and rho = 1 for p = inf, returns
-    (i1, i2) = (delta_omega * sum_{|omega| <= threshold} |Yhat - Y|^rho,
-                same over |omega| > threshold);
-    their sum is the full grid error measure by construction.  ``cls`` rides
-    along for report labelling only; the split frequency is the predictor's.
-
-    The decomposition is a class-member diagnostic, so the constructional
-    X(0) = 0 is restored by default; pass ``restore_dc_zero=False`` for
-    signals with genuine content at the degeneracy node.
-    """
-    rho = 2 if p == 2 else 1
-    grid = x.grid
-    X = _member_spectrum(x) if restore_dc_zero else forward_transform(x).values
-    K = transfer(kernel, grid).values
-    E = np.abs((pt.khat_values - K) * X) ** rho
-    low = np.abs(grid.omegas()) <= pt.omega_threshold
-    i1 = float(grid.delta_omega * np.sum(E[low]))
-    i2 = float(grid.delta_omega * np.sum(E[~low]))
-    return i1, i2
-
-
-@dataclass(frozen=True)
 class SweepRow:
     gamma: float
     err_l2_abs: float
@@ -180,59 +128,103 @@ class SweepReport:
 
 
 def _member_half_spectra(ensemble) -> np.ndarray:
-    """(m, n/2+1) stack of the members' spectra at nodes 0..n/2."""
+    """(m, n/2+1) stack of the spectra of real class members at nodes 0..n/2,
+    their constructional zeros restored (see :func:`_member_spectrum`)."""
     grid = ensemble[0].grid
     if any(x.grid != grid for x in ensemble):
         raise ValueError("all ensemble members must share one grid")
+    if not all(x.is_real for x in ensemble):
+        raise ValueError("class members must be real signals")
     return np.stack([_member_spectrum(x)[: grid.n // 2 + 1] for x in ensemble])
 
 
 def _row_norms(rows: np.ndarray, grid: FrequencyGrid):
-    """Per-row grid l2 and sup norms of an (m, n) stack of real series."""
-    return math.sqrt(grid.delta_t) * np.linalg.norm(rows, axis=1), np.max(np.abs(rows), axis=1)
+    """Grid l2 (inf once a square overflows) and sup norms of real rows, (n,) or (m, n)."""
+    with np.errstate(over="ignore"):
+        l2 = math.sqrt(grid.delta_t) * np.linalg.norm(rows, axis=-1)
+    return l2, np.max(np.abs(rows), axis=-1)
 
 
-def _error_rows(khat: np.ndarray, K: np.ndarray, X: np.ndarray, grid: FrequencyGrid):
-    """Error channel of every member at once: ``(K_hat - K) X`` on the half
-    spectra ``X`` (m, n/2+1), and the l2 and sup norms of its inverse."""
-    diff = (khat[: grid.n // 2 + 1] - K) * X
+def _error_channel(pt: PredictorTransfer, X: np.ndarray):
+    """The error channel ``(K_hat - K) X`` of half spectra ``X``, shape
+    (n/2+1,) or (m, n/2+1), and the grid l2 and sup norms of its inverse."""
+    grid = pt.grid
+    h = grid.n // 2 + 1
+    diff = (pt.khat_values[:h] - pt.k_values[:h]) * X
     l2, sup = _row_norms(irfft_rows(diff, grid), grid)
     return diff, l2, sup
+
+
+@functools.lru_cache(maxsize=4)
+def _half_nodes(grid: FrequencyGrid):
+    """(|omega|, weight) at nodes 0..n/2, read-only and cached per grid, since
+    the sweep reads them at every gamma.  The weight is 2, as node k stands for
+    both signs of omega, except at nodes 0 and n/2, which stand for themselves."""
+    omega_abs = _half_omega_abs(grid)
+    weights = np.full(grid.n // 2 + 1, 2.0)
+    weights[[0, -1]] = 1.0
+    omega_abs.flags.writeable = weights.flags.writeable = False
+    return omega_abs, weights
+
+
+def _band_split(diff: np.ndarray, pt: PredictorTransfer, rho: int):
+    """(i1, i2): delta_omega * sum of |diff|^rho over both signs of omega, for
+    the half spectrum ``diff``, at |omega| <= omega_threshold and above it."""
+    omega_abs, weights = _half_nodes(pt.grid)
+    E = weights * np.abs(diff) ** rho
+    low = omega_abs <= pt.omega_threshold
+    dw = pt.grid.delta_omega
+    return float(dw * np.sum(E[low])), float(dw * np.sum(E[~low]))
 
 
 def _relative(err: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return np.where(err == 0.0, 0.0, err / np.maximum(ref, 1e-300))
 
 
-def _run_sweep(
-    kernel: AnticausalKernel,
-    gammas,
-    r: float,
-    ensemble,
-    cls: DegeneracyClass = None,
-    omega_floor: float = 0.5,
-):
-    grid = ensemble[0].grid
-    h = grid.n // 2 + 1
-    X = _member_half_spectra(ensemble)
-    K = transfer(kernel, grid).values[:h]
-    y_l2, y_sup = _row_norms(irfft_rows(K * X, grid), grid)
+@dataclass(frozen=True)
+class PredictionError:
+    abs_err: float
+    rel_err: float
 
-    omega_abs = np.abs(grid.omegas()[:h])
-    # the half spectrum stands for both signs of omega except at 0 and omega_max
-    weights = np.full(h, 2.0)
-    weights[[0, -1]] = 1.0
+
+def prediction_error(pt: PredictorTransfer, x: TimeSeries, p) -> PredictionError:
+    """Grid distance between the anti-causal target of a real class member
+    and its causal prediction, absolute and relative to the target: the
+    :func:`gamma_sweep` figures of a one-member ensemble."""
+    grid = pt.grid
+    if x.grid != grid:
+        raise ValueError("time series grid does not match predictor grid")
+    X = _member_half_spectra([x])
+    _, l2, sup = _error_channel(pt, X)
+    y_l2, y_sup = _row_norms(irfft_rows(pt.k_values[: grid.n // 2 + 1] * X, grid), grid)
+    err, ref = (sup, y_sup) if _is_sup(p) else (l2, y_l2)
+    return PredictionError(float(err[0]), float(_relative(err, ref)[0]))
+
+
+def error_decomposition(pt: PredictorTransfer, x: TimeSeries, p):
+    """The spectral error measure of a real class member, rho = 2 for p = 2
+    and rho = 1 for p = inf, split at the degeneracy-band edge into (i1, i2)
+    as :func:`_band_split` does; i1 + i2 is the full grid measure."""
+    rho = 1 if _is_sup(p) else 2
+    diff, _, _ = _error_channel(pt, _member_half_spectra([x])[0])
+    return _band_split(diff, pt, rho)
+
+
+def _run_sweep(kernel: AnticausalKernel, gammas, r: float, ensemble, cls: DegeneracyClass = None):
+    grid = ensemble[0].grid
+    X = _member_half_spectra(ensemble)
+    K = transfer(kernel, grid).values[: grid.n // 2 + 1]
+    y_l2, y_sup = _row_norms(irfft_rows(K * X, grid), grid)
     rows = []
     for gamma in gammas:
         pt = build_predictor(kernel, gamma, r, grid)
-        diff, l2a, supa = _error_rows(pt.khat_values, K, X, grid)
+        diff, l2a, supa = _error_channel(pt, X)
         l2r = _relative(l2a, y_l2)
         # i1/i2 belong to the member with the worst relative l2 error
-        E = weights * np.abs(diff[int(np.argmax(l2r))]) ** 2
-        low = omega_abs <= pt.omega_threshold
+        i1, i2 = _band_split(diff[int(np.argmax(l2r))], pt, 2)
         lemma_kwargs = {}
         if cls is not None:
-            rep = lemma_check(pt, cls, omega_floor=omega_floor)
+            rep = lemma_check(pt, cls)
             lemma_kwargs = dict(
                 lemma_pass_high_band=rep.pass_high_band,
                 lemma_pass_low_band=rep.pass_low_band,
@@ -248,8 +240,8 @@ def _run_sweep(
                 kappa_sup=pt.kappa_sup,
                 omega_threshold=pt.omega_threshold,
                 causality_defect=causality_defect(pt),
-                i1=float(grid.delta_omega * np.sum(E[low])),
-                i2=float(grid.delta_omega * np.sum(E[~low])),
+                i1=i1,
+                i2=i2,
                 **lemma_kwargs,
             )
         )
@@ -300,11 +292,9 @@ def uniformity_check(
     norms = np.array([class_norm(x, cls) for x in ensemble])
     if np.any(np.isinf(norms)):
         raise ValueError("ensemble member has infinite class norm")
-    grid = ensemble[0].grid
     X = _member_half_spectra(ensemble)
-    pt = build_predictor(kernel, gamma, r, grid)
-    K = pt.k_values[: grid.n // 2 + 1]
-    _, l2, sup = _error_rows(pt.khat_values, K, X, grid)
+    pt = build_predictor(kernel, gamma, r, ensemble[0].grid)
+    _, l2, sup = _error_channel(pt, X)
     return float(np.max((sup if _is_sup(p) else l2) / norms))
 
 
@@ -347,29 +337,24 @@ def robustness_experiment(
     if not all(math.isfinite(nu) and nu >= 0 for nu in nus):
         raise ValueError(f"noise intensities must be finite and >= 0, got {list(nus)!r}")
     grid = x0.grid
+    h = grid.n // 2 + 1
     pt = build_predictor(kernel, gamma, r, grid)
-    K = pt.k_values
     # the clean member's spectrum carries its constructional X(0) = 0; the
     # noise spectrum keeps whatever degeneracy-node content it legitimately has
-    X0 = _member_spectrum(x0)
-    clean_diff = inverse_transform(Spectrum(grid, (pt.khat_values - K) * X0))
-    eps_clean = norm(clean_diff, math.inf)
+    clean_diff, _, eps_clean = _error_channel(pt, _member_half_spectra([x0])[0])
+    eps_clean = float(eps_clean)
     slack = CALIBRATION["robustness_slack"]
 
-    j0 = float(grid.delta_omega / (2 * math.pi) * np.sum(np.abs((pt.khat_values - K) * X0)))
+    j0 = sum(_band_split(clean_diff, pt, 1)) / (2 * math.pi)
     rows = []
     for nu in nus:
-        _, N = add_noise(x0, float(nu), cfg)
-        # same spectral expression as the clean run plus the noise channel, so
-        # the nu = 0 row reproduces eps_clean bit-exactly
-        noisy_diff = inverse_transform(
-            Spectrum(grid, (pt.khat_values - K) * X0 + pt.khat_values * N.values)
-        )
-        err = norm(noisy_diff, math.inf)
+        N = add_noise(x0, float(nu), cfg)[1].values[:h]
+        noise_diff, _, _ = _error_channel(pt, N)
+        # the clean channel plus the prediction of the noise, so the nu = 0
+        # row reproduces eps_clean bit-exactly
+        err = float(np.max(np.abs(irfft_rows(clean_diff + pt.khat_values[:h] * N, grid))))
         bound = eps_clean + nu * (pt.kappa_sup + 1.0)
-        j_eta = float(
-            grid.delta_omega / (2 * math.pi) * np.sum(np.abs((pt.khat_values - K) * N.values))
-        )
+        j_eta = sum(_band_split(noise_diff, pt, 1)) / (2 * math.pi)
         rows.append(
             RobustnessRow(
                 nu=float(nu),
@@ -441,13 +426,12 @@ def counterexample_experiment(
     degeneracy node; linear columns saturate to inf where that happens.
     """
     grid = cfg.grid
-    if not (0.0 < a < grid.omega_max):
-        raise ValueError(f"split frequency must lie in (0, omega_max={grid.omega_max})")
     gammas = _gamma_list(gammas)
-
-    x1, x2 = counterexample_pair(a, cfg)
-    X1 = forward_transform(x1).values
-    X2 = forward_transform(x2).values
+    h = grid.n // 2 + 1
+    # the pair's own half spectra, exact zeros included; the log-weight counts
+    # each node for both signs of omega (see _half_nodes)
+    X1, X2 = _counterexample_half_spectra(a, cfg)
+    log_w = np.log(_half_nodes(grid)[1])
     K = transfer(kernel, grid).values
     k_log = _log_abs(K)
     log_dw = math.log(grid.delta_omega)
@@ -458,9 +442,9 @@ def counterexample_experiment(
     for gamma in gammas:
         pt = build_predictor(kernel, gamma, r, grid)
         with np.errstate(invalid="ignore"):
-            diff_log = np.where(pt.saturated, pt.khat_log_mag, _log_abs(K - pt.khat_values))
-        le1 = _logsumexp(2.0 * (diff_log + _log_abs(X1))) + log_dw - math.log(2 * math.pi)
-        le2 = _logsumexp(2.0 * (diff_log + _log_abs(X2))) + log_dw - math.log(2 * math.pi)
+            diff_log = np.where(pt.saturated, pt.khat_log_mag, _log_abs(K - pt.khat_values))[:h]
+        le1 = _logsumexp(2.0 * (diff_log + _log_abs(X1)) + log_w) + log_dw - math.log(2 * math.pi)
+        le2 = _logsumexp(2.0 * (diff_log + _log_abs(X2)) + log_w) + log_dw - math.log(2 * math.pi)
         lhs_log = math.log(2 * math.pi) + np.logaddexp(le1, le2)
         rhs_log = np.logaddexp(log_norm_k_sq, _logsumexp(2.0 * pt.khat_log_mag) + log_dw)
         rel_gap = abs(math.expm1(lhs_log - rhs_log))

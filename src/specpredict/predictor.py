@@ -381,7 +381,6 @@ def find_gamma0(
     r: float,
     grid: FrequencyGrid,
     bracket=(0.5, 2000.0),
-    iterations: int = 60,
 ) -> float:
     """Bisect for the smallest gamma at which the low-band bound holds.
 
@@ -401,7 +400,7 @@ def find_gamma0(
         return lo
     if not holds(hi):
         raise ValueError(f"low-band bound fails at the bracket ceiling {hi}")
-    for _ in range(iterations):
+    for _ in range(60):  # 60 halvings of log(hi/lo) pass double precision
         mid = math.sqrt(lo * hi)
         if holds(mid):
             hi = mid

@@ -85,21 +85,17 @@ def write_svg_lineplot(
     title: str,
     x_label: str,
     y_label: str,
-    log_x: bool = True,
-    log_y: bool = True,
 ) -> None:
-    """Minimal deterministic line plot; decorative only, no logic reads it."""
+    """Minimal deterministic log-log line plot; decorative only, no logic reads it."""
     width, height = 640, 420
     margin = 60
     palette = ["#1f6fb2", "#c44e52", "#55a868", "#8172b2", "#ccaa14"]
 
-    def prep(vals, log_scale):
-        if not log_scale:
-            return list(map(float, vals))
+    def prep(vals):
         return [math.log10(max(float(v), 1e-320)) for v in vals]
 
-    px = prep(xs, log_x)
-    all_y = [v for vals in series.values() for v in prep(vals, log_y)]
+    px = prep(xs)
+    all_y = [v for vals in series.values() for v in prep(vals)]
     x_lo, x_hi = min(px), max(px)
     y_lo, y_hi = min(all_y), max(all_y)
     if x_hi == x_lo:
@@ -124,7 +120,7 @@ def write_svg_lineplot(
         f'height="{height - 2 * margin}" fill="none" stroke="#444"/>',
     ]
     for i, (name, vals) in enumerate(series.items()):
-        py = prep(vals, log_y)
+        py = prep(vals)
         pts = " ".join(f"{map_x(a):.2f},{map_y(b):.2f}" for a, b in zip(px, py))
         color = palette[i % len(palette)]
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="2"/>')

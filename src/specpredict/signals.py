@@ -236,6 +236,17 @@ def sample_bandlimited(omega_bar: float, cfg: GeneratorConfig) -> TimeSeries:
     return TimeSeries(grid, x)
 
 
+def _counterexample_half_spectra(a: float, cfg: GeneratorConfig):
+    """Half spectra (nodes 0..n/2) of :func:`counterexample_pair`: one
+    unit-modulus spectrum, zeroed at |omega| >= a and at |omega| < a."""
+    grid = cfg.grid
+    if not (0.0 < a < grid.omega_max):
+        raise ValueError(f"split frequency must lie in (0, omega_max={grid.omega_max})")
+    unit = _random_hermitian_phases(grid, _generator(cfg, _STREAM_PAIR))
+    inner = _half_omega_abs(grid) < a
+    return np.where(inner, unit, 0.0), np.where(inner, 0.0, unit)
+
+
 def counterexample_pair(a: float, cfg: GeneratorConfig):
     """Split one unit-modulus spectrum at |omega| = a into a band-limited part
     and its complement.
@@ -247,14 +258,8 @@ def counterexample_pair(a: float, cfg: GeneratorConfig):
     identity and needs no wraparound guard.
     """
     grid = cfg.grid
-    if not (0.0 < a < grid.omega_max):
-        raise ValueError(f"split frequency must lie in (0, omega_max={grid.omega_max})")
-    rng = _generator(cfg, _STREAM_PAIR)
-    unit = _random_hermitian_phases(grid, rng)
-    inner = _half_omega_abs(grid) < a
-    x1 = irfft_rows(np.where(inner, unit, 0.0), grid)
-    x2 = irfft_rows(np.where(inner, 0.0, unit), grid)
-    return TimeSeries(grid, x1), TimeSeries(grid, x2)
+    X1, X2 = _counterexample_half_spectra(a, cfg)
+    return TimeSeries(grid, irfft_rows(X1, grid)), TimeSeries(grid, irfft_rows(X2, grid))
 
 
 def add_noise(x: TimeSeries, nu: float, cfg: GeneratorConfig):

@@ -64,14 +64,14 @@ def grid():
 
 @pytest.fixture(scope="module")
 def default_sweep(grid):
-    """Criterion-4 artifacts shared by criteria 5 and 6."""
+    """The criterion-4 sweep, and the (kernel, gamma, r) of each of its
+    predictors, which criteria 5 and 6 read on Re z = sigma."""
     cfg = GeneratorConfig(seed=2026, grid=grid)
     ensemble = make_class_ensemble(DEFAULT_CLASS, cfg, 10)
     sweep = gamma_sweep(
         DEFAULT_KERNEL, DEFAULT_CLASS, DEFAULT_GAMMAS, DEFAULT_R, ensemble, metadata={"seed": 2026}
     )
-    predictors = [build_predictor(DEFAULT_KERNEL, g, DEFAULT_R, grid) for g in DEFAULT_GAMMAS]
-    return sweep, predictors
+    return sweep, [(DEFAULT_KERNEL, row.gamma, DEFAULT_R) for row in sweep.rows]
 
 
 def test_criterion_01_transform_fidelity(grid):
@@ -177,8 +177,8 @@ def test_criterion_05_causality(default_sweep):
     # and the ringing fits the witness grid.  The weight e^{-sigma t} raises
     # t < 0 and lowers t > 0, so the share read there bounds the kernel's own
     # t < 0 share from above.  See docs/numerics.md.
-    _, predictors = default_sweep
-    defects = [line_witness(pt.kernel, pt.gamma, pt.r).causality_defect for pt in predictors]
+    _, configs = default_sweep
+    defects = [line_witness(*args).causality_defect for args in configs]
     worst = max(defects)
     ok = worst < 1e-3
     report(5, ok, f"worst causality defect {worst:.1e} on Re z = sigma (<1e-3 required)")
@@ -193,10 +193,8 @@ def test_criterion_06_orthogonality(default_sweep):
     # K_hat(sigma + i*omega) over the line is the inner product of the
     # anti-causal and the causal kernel, 0 when their supports are disjoint.
     # See docs/numerics.md.
-    _, predictors = default_sweep
-    residuals = [
-        line_witness(pt.kernel, pt.gamma, pt.r).orthogonality_residual for pt in predictors
-    ]
+    _, configs = default_sweep
+    residuals = [line_witness(*args).orthogonality_residual for args in configs]
     worst = max(residuals)
     ok = worst < 1e-2
     report(6, ok, f"worst orthogonality residual {worst:.1e} on Re z = sigma (<1e-2 required)")

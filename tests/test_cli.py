@@ -9,14 +9,13 @@ from specpredict import (
     AnticausalKernel,
     DegeneracyClass,
     GeneratorConfig,
-    Spectrum,
     build_predictor,
-    inverse_transform,
     make_grid,
     sample_class_member,
 )
 from specpredict.cli import main
 from specpredict.experiments import _member_spectrum
+from specpredict.spectral import irfft_rows
 
 GRID_SMALL = {"n": 4096, "delta_t": 0.02}
 
@@ -98,18 +97,17 @@ class TestPredictCommand:
         cls = DegeneracyClass(2.0, 1.0)
         x = sample_class_member(cls, GeneratorConfig(seed=7, grid=grid, profile="flat"))
         pt = build_predictor(AnticausalKernel((1.0,), (1.0,)), 10.0, 4.0, grid)
-        X = _member_spectrum(x)
+        h = grid.n // 2 + 1
+        X = _member_spectrum(x)[:h]
         expected = {
-            "x.csv": x,
-            "y.csv": inverse_transform(Spectrum(grid, pt.k_values * X)),
-            "yhat.csv": inverse_transform(Spectrum(grid, pt.khat_values * X)),
-            "khat.csv": pt.khat_time,
+            "x.csv": x.samples.real,
+            "y.csv": irfft_rows(pt.k_values[:h] * X, grid),
+            "yhat.csv": irfft_rows(pt.khat_values[:h] * X, grid),
+            "khat.csv": pt.khat_time.samples.real,
         }
-        for name, series in expected.items():
+        for name, samples in expected.items():
             rows = (outdir / name).read_text().splitlines()[2:]
-            assert rows == [
-                f"{t:.16e},{v:.16e}" for t, v in zip(grid.times(), series.samples.real)
-            ], name
+            assert rows == [f"{t:.16e},{v:.16e}" for t, v in zip(grid.times(), samples)], name
 
     def test_saturated_predictor_warns(self, tmp_path, capsys):
         code, outdir = run(tmp_path, "predict", base_config())
@@ -296,6 +294,16 @@ class TestMalformedConfigWithOverrides:
     @pytest.mark.parametrize("config", [{"grid": 5}, []], ids=["section", "root"])
     def test_exit_2_with_config_error(self, tmp_path, capsys, config):
         code, _ = run(tmp_path, "predict", config, extra=("--set", "grid.n=8"))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+
+class TestListElementTypes:
+    @pytest.mark.parametrize(
+        "override", ["kernel.poles=[[1]]", "predictor.gammas=[null]", "noise.nus=[null]"]
+    )
+    def test_bad_element_exits_2(self, tmp_path, capsys, override):
+        code, _ = run(tmp_path, "predict", base_config(), extra=("--set", override))
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: ")
 

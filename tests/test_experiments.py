@@ -45,7 +45,7 @@ def ensemble():
 class TestPredictionError:
     def test_zero_signal(self):
         pt = build_predictor(KERNEL, 10.0, 4.0, GRID)
-        err = prediction_error(KERNEL, pt, TimeSeries(GRID, np.zeros(GRID.n)), 2)
+        err = prediction_error(pt, TimeSeries(GRID, np.zeros(GRID.n)), 2)
         assert err.abs_err == 0.0 and err.rel_err == 0.0
 
     def test_identity_transfer_gives_zero_error(self):
@@ -53,15 +53,29 @@ class TestPredictionError:
         fake = dataclasses.replace(pt, khat_values=transfer(KERNEL, GRID).values)
         rng = np.random.Generator(np.random.Philox(1))
         x = TimeSeries(GRID, rng.standard_normal(GRID.n) + 0j)
-        err = prediction_error(KERNEL, fake, x, 2)
+        err = prediction_error(fake, x, 2)
         assert err.abs_err < 1e-13 * norm(x, 2)
+
+    def test_sup_norm_equals_sweep(self, ensemble):
+        x = ensemble[0]
+        row = gamma_sweep(KERNEL, CLS, (10.0,), 4.0, [x]).rows[0]
+        err = prediction_error(build_predictor(KERNEL, 10.0, 4.0, GRID), x, math.inf)
+        assert (err.abs_err, err.rel_err) == (row.err_sup_abs, row.err_sup_rel)
+
+    def test_rejects_non_real_member(self, ensemble):
+        pt = build_predictor(KERNEL, 10.0, 4.0, GRID)
+        x = TimeSeries(GRID, ensemble[0].samples * 1j)
+        with pytest.raises(ValueError, match="real"):
+            prediction_error(pt, x, 2)
+        with pytest.raises(ValueError, match="real"):
+            error_decomposition(pt, x, 2)
 
 
 class TestErrorDecomposition:
     def test_partition_identity(self, ensemble):
         pt = build_predictor(KERNEL, 5.0, 4.0, GRID)
         for p, rho in ((2, 2), (math.inf, 1)):
-            i1, i2 = error_decomposition(pt, KERNEL, ensemble[0], CLS, p)
+            i1, i2 = error_decomposition(pt, ensemble[0], p)
             X = _member_spectrum(ensemble[0])
             K = transfer(KERNEL, GRID).values
             total = GRID.delta_omega * float(np.sum(np.abs((pt.khat_values - K) * X) ** rho))
@@ -72,7 +86,7 @@ class TestErrorDecomposition:
         # members carry an exact zero
         pt = build_predictor(KERNEL, 100.0, 4.0, GRID)
         assert pt.omega_threshold < GRID.delta_omega
-        i1, _ = error_decomposition(pt, KERNEL, ensemble[0], CLS, 2)
+        i1, _ = error_decomposition(pt, ensemble[0], 2)
         assert i1 == 0.0
 
     def test_parseval_bridge(self, ensemble):
@@ -84,7 +98,7 @@ class TestErrorDecomposition:
         X = _member_spectrum(x)
         K = transfer(KERNEL, GRID).values
         diff = inverse_transform(Spectrum(GRID, (pt.khat_values - K) * X))
-        i1, i2 = error_decomposition(pt, KERNEL, x, CLS, 2)
+        i1, i2 = error_decomposition(pt, x, 2)
         assert 2 * math.pi * norm(diff, 2) ** 2 == pytest.approx(i1 + i2, rel=1e-6)
 
 
@@ -247,6 +261,14 @@ class TestCounterexample:
             assert row.residual < 1e-2
             assert math.isfinite(row.e1) and math.isfinite(row.e2)
             assert row.floor_ok
+
+    def test_complement_error_is_read_on_its_own_support(self):
+        # x2 is zero at the saturated degeneracy node; its exact spectrum
+        # keeps that zero, so e2 stays small while e1 carries the saturation
+        rep = counterexample_experiment(0.5, KERNEL, (10.0, 30.0), cfg(5), r=4.0)
+        for row in rep.rows:
+            assert row.e2_sq_log < 0.0 < row.e1_sq_log
+            assert row.identity_ok and row.floor_ok
 
     def test_generator_gammas_read_once(self):
         rep = counterexample_experiment(0.5, KERNEL, (g for g in (100.0, 10.0)), cfg(5), r=4.0)

@@ -126,7 +126,7 @@ class TestWriters:
     def test_timeseries_csv_matches_per_value_formatting(self, tmp_path):
         x = random_series(make_grid(1024, 0.05), seed=3)
         path = tmp_path / "x.csv"
-        _timeseries_csv(str(path), x, {"run": 2})
+        _timeseries_csv(str(path), x.grid, x.samples.real, {"run": 2})
         rows = (f"{t:.16e},{v:.16e}" for t, v in zip(x.grid.times(), x.samples.real))
         header = (
             '# {"generator": "numpy.random.Philox(SeedSequence(entropy=seed, '
