@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import math
 import sys
@@ -225,26 +224,14 @@ def _formats(config: dict, flag: str) -> tuple:
     return formats
 
 
-@functools.lru_cache(maxsize=1)
-def _time_text(grid) -> tuple:
-    """The '%.16e' strings of ``grid.times()``, formatted once per grid.
-
-    Every time-series CSV of a run shares one grid, so its time column is
-    printed once and passed to :func:`write_csv` as text.
-    """
-    return tuple(map("%.16e".__mod__, grid.times().tolist()))
-
-
 def _timeseries_csv(path, grid, samples, meta, column="x"):
-    rows = list(zip(_time_text(grid), samples.tolist()))
-    write_csv(path, ["t", column], rows, meta)
+    write_csv(path, ["t", column], np.column_stack((grid.times(), samples)), meta)
 
 
 def _spectrum_csv(path, X, meta):
     om = to_centered(X.grid.omegas())
     vals = to_centered(X.values)
-    rows = list(zip(om.tolist(), vals.real.tolist(), vals.imag.tolist()))
-    write_csv(path, ["omega", "re", "im"], rows, meta)
+    write_csv(path, ["omega", "re", "im"], np.column_stack((om, vals.real, vals.imag)), meta)
 
 
 def _write_table(path, row_type, rows, meta, formats, drop=(), gammas=None) -> list:
@@ -339,6 +326,8 @@ def _cmd_lemma(config, outdir, formats):
     lemma_cfg = config.get("lemma", {})
     floor = float(lemma_cfg.get("omega_floor", 0.5))
     bracket = tuple(lemma_cfg.get("gamma0_bracket", [0.5, 2000.0]))
+    if len(bracket) != 2:
+        raise ConfigError(f"lemma.gamma0_bracket must be two numbers [lo, hi], got {list(bracket)!r}")
     reports = [lemma_check(build_predictor(kernel, g, r, grid), cls, floor) for g in gammas]
     gamma0 = find_gamma0(kernel, cls, r, grid, bracket=bracket)
     meta = _resolved(config, "lemma")

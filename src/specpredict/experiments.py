@@ -145,13 +145,17 @@ def _row_norms(rows: np.ndarray, grid: FrequencyGrid):
     return l2, np.max(np.abs(rows), axis=-1)
 
 
-def _error_channel(pt: PredictorTransfer, X: np.ndarray):
+def _error_spectrum(pt: PredictorTransfer, X: np.ndarray) -> np.ndarray:
     """The error channel ``(K_hat - K) X`` of half spectra ``X``, shape
-    (n/2+1,) or (m, n/2+1), and the grid l2 and sup norms of its inverse."""
-    grid = pt.grid
-    h = grid.n // 2 + 1
-    diff = (pt.khat_values[:h] - pt.k_values[:h]) * X
-    l2, sup = _row_norms(irfft_rows(diff, grid), grid)
+    (n/2+1,) or (m, n/2+1)."""
+    h = pt.grid.n // 2 + 1
+    return (pt.khat_values[:h] - pt.k_values[:h]) * X
+
+
+def _error_channel(pt: PredictorTransfer, X: np.ndarray):
+    """:func:`_error_spectrum` of ``X`` and the grid l2 and sup norms of its inverse."""
+    diff = _error_spectrum(pt, X)
+    l2, sup = _row_norms(irfft_rows(diff, pt.grid), pt.grid)
     return diff, l2, sup
 
 
@@ -206,8 +210,7 @@ def error_decomposition(pt: PredictorTransfer, x: TimeSeries, p):
     and rho = 1 for p = inf, split at the degeneracy-band edge into (i1, i2)
     as :func:`_band_split` does; i1 + i2 is the full grid measure."""
     rho = 1 if _is_sup(p) else 2
-    diff, _, _ = _error_channel(pt, _member_half_spectra([x])[0])
-    return _band_split(diff, pt, rho)
+    return _band_split(_error_spectrum(pt, _member_half_spectra([x])[0]), pt, rho)
 
 
 def _run_sweep(kernel: AnticausalKernel, gammas, r: float, ensemble, cls: DegeneracyClass = None):
@@ -349,12 +352,11 @@ def robustness_experiment(
     rows = []
     for nu in nus:
         N = add_noise(x0, float(nu), cfg)[1].values[:h]
-        noise_diff, _, _ = _error_channel(pt, N)
         # the clean channel plus the prediction of the noise, so the nu = 0
         # row reproduces eps_clean bit-exactly
         err = float(np.max(np.abs(irfft_rows(clean_diff + pt.khat_values[:h] * N, grid))))
         bound = eps_clean + nu * (pt.kappa_sup + 1.0)
-        j_eta = sum(_band_split(noise_diff, pt, 1)) / (2 * math.pi)
+        j_eta = sum(_band_split(_error_spectrum(pt, N), pt, 1)) / (2 * math.pi)
         rows.append(
             RobustnessRow(
                 nu=float(nu),

@@ -7,22 +7,32 @@ endings and a mandatory header row; comment lines starting with '#' carry
 the metadata.  The SVG writer is hand-rolled so repeated runs are
 byte-identical (figure libraries embed per-process ids).
 
-The CSV writer picks one format per column from the types it holds: a
-column of floats (numpy float64 included) prints with ``'%.16e'``, a column
-of strings is copied as it is (callers may pass preformatted text), and any
-other column (bools, ints or ``None`` in it) goes value by value through
-:func:`format_value`.  Each row is then one ``%``-format, streamed to the
-file; the bytes are those of :func:`format_value` on every value.
+:func:`write_csv` takes one of two inputs.  A 2-D float64 array, as the
+time series and spectra are written, is printed by a vectorized ``'%.16e'``
+formatter in blocks of rows; its bytes are those of ``'%.16e' % v`` on every
+value.  Any other rows, such as the small tables of the experiments, go value
+by value through :func:`format_value`.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
-from operator import itemgetter
+
+import numpy as np
 
 from .signals import ALGORITHM_ID
+
+# rows per block of a float CSV, so that no n-row temporaries stay alive
+_BLOCK_ROWS = 4096
+# bytes per printed float: sign, 17 digits and '.', 'e', exponent sign, three
+# exponent digits and the separator; unused bytes are dropped before writing
+_SLOT = 25
+# a scaled value this close to a rounding tie is printed by '%.16e' itself;
+# the double-double product below is good to about 1e-14
+_TIE_WINDOW = 1e-9
 
 
 def format_value(v) -> str:
@@ -45,30 +55,138 @@ def _metadata_block(metadata: dict) -> str:
     return "# " + json.dumps(payload, sort_keys=True)
 
 
-def _column_spec(values):
-    """'%.16e' for an all-float column, '%s' for all-str, None for the rest."""
-    types = set(map(type, values))
-    if all(issubclass(t, float) for t in types):
-        return "%.16e"
-    if all(issubclass(t, str) for t in types):
-        return "%s"
-    return None
+# decimal exponents of float64 values run from -324 to 308; the table keeps
+# one more either side for a decade estimate that is one off
+_K_MIN, _K_MAX = -325, 309
+
+
+@functools.cache
+def _decade_scales() -> tuple:
+    """``(g, hi, lo)`` per decimal exponent k from ``_K_MIN`` to ``_K_MAX``, with
+    ``10**(16 - k) == 2**g * (hi + lo)`` to double-double precision and hi in
+    [0.5, 2); exact integer arithmetic, then correctly rounded divisions.
+    Built on first use."""
+    table = []
+    for k in range(_K_MIN, _K_MAX + 1):
+        num, den = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
+        g = num.bit_length() - den.bit_length()
+        num, den = (num, den << g) if g >= 0 else (num << -g, den)
+        hi = num / den
+        a, b = hi.as_integer_ratio()
+        table.append((g, hi, (num * b - a * den) / (den * b)))
+    g, hi, lo = zip(*table)
+    return np.array(g, np.int64), np.array(hi), np.array(lo)
+
+
+def _scaled(m, e, k):
+    """Floor (int64) and fraction of ``m * 2**(e - 53) * 10**(16 - k)`` for
+    integer-valued float mantissas ``m`` < 2**53."""
+    g, hi, lo = (column[k - _K_MIN] for column in _decade_scales())
+    m = np.ldexp(m, e - 53 + g)
+    # Dekker's two-product: p + err == m * hi exactly
+    t = 134217729.0 * m
+    m_h = t - (t - m)
+    m_l = m - m_h
+    t = 134217729.0 * hi
+    hi_h = t - (t - hi)
+    hi_l = hi - hi_h
+    p = m * hi
+    err = ((m_h * hi_h - p) + m_h * hi_l + m_l * hi_h) + m_l * hi_l
+    whole = np.floor(p)
+    rest = (p - whole) + (err + m * lo)
+    rest_floor = np.floor(rest)
+    return whole.astype(np.int64) + rest_floor.astype(np.int64), rest - rest_floor
+
+
+def _decimal(mag):
+    """17-digit significands (int64 in [10**16, 10**17)) and decimal exponents
+    of the positive finite floats ``mag``, rounded half to even as '%.16e'."""
+    frac, e = np.frexp(mag)
+    m = np.ldexp(frac, 53)
+    k = np.floor(np.log10(mag)).astype(np.int64)
+    whole, rest = _scaled(m, e, k)
+    # log10 can miss the decade by one next to a power of ten; the unrounded
+    # floor decides it, since rounding first turns 9.99...95e-300 into 1e-299
+    shift = (whole >= 10**17).astype(np.int64) - (whole < 10**16)
+    redo = np.flatnonzero(shift)
+    if redo.size:
+        k[redo] += shift[redo]
+        whole[redo], rest[redo] = _scaled(m[redo], e[redo], k[redo])
+    digits = whole + (rest > 0.5)
+    carry = digits == 10**17
+    digits[carry] = 10**16
+    k[carry] += 1
+    doubtful = (np.abs(rest - 0.5) < _TIE_WINDOW) | (whole < 10**16) | (whole >= 10**17)
+    for i in np.flatnonzero(doubtful):
+        significand, exponent = ("%.16e" % mag[i]).split("e")
+        digits[i] = int(significand.replace(".", ""))
+        k[i] = int(exponent)
+    return digits, k
+
+
+@functools.cache
+def _digit_table() -> np.ndarray:
+    """The ASCII digits of 0000..9999, four bytes packed in each uint32, so
+    that one gather fetches four digits.  Built on first use."""
+    text = "".join(map("%04d".__mod__, range(10000))).encode()
+    return np.frombuffer(text, np.uint32)
+
+
+def _float_rows(block: np.ndarray) -> bytes:
+    """The CSV lines of a 2-D float64 block, each value printed as '%.16e'."""
+    values = block.ravel()
+    size = values.size
+    finite = np.isfinite(values)
+    nonzero = finite & (values != 0.0)
+    # zeros keep significand 0 and exponent 0: 0.0000000000000000e+00
+    digits = np.zeros(size, np.int64)
+    exponent = np.zeros(size, np.int64)
+    digits[nonzero], exponent[nonzero] = _decimal(np.abs(values[nonzero]))
+
+    table = _digit_table()
+    lead, tail = np.divmod(digits, 10**16)
+    quads = np.stack([tail // 10**12, tail // 10**8 % 10**4, tail // 10**4 % 10**4, tail % 10**4], axis=1)
+    out = np.empty((size, _SLOT), np.uint8)
+    out[:, 0] = ord("-")
+    out[:, 1] = lead + ord("0")
+    out[:, 2] = ord(".")
+    out[:, 3:19] = table[quads].view(np.uint8)
+    out[:, 19] = ord("e")
+    out[:, 20:24] = table[np.abs(exponent), None].view(np.uint8)
+    out[:, 20] = np.where(exponent < 0, ord("-"), ord("+"))
+    fields = out.reshape(block.shape + (_SLOT,))
+    fields[:, :, -1] = ord(",")
+    fields[:, -1, -1] = ord("\n")
+
+    keep = np.ones((size, _SLOT), bool)
+    nan = np.isnan(values)
+    keep[:, 0] = np.signbit(values) & ~nan
+    keep[:, 21] = np.abs(exponent) >= 100
+    special = np.flatnonzero(~finite)
+    if special.size:
+        names = np.where(nan[special, None], np.frombuffer(b"nan", np.uint8), np.frombuffer(b"inf", np.uint8))
+        out[special, 1:4] = names
+        keep[special, 4:-1] = False
+    return out[keep].tobytes()
 
 
 def write_csv(path: str, columns, rows, metadata: dict) -> None:
     """Write rows (sequences aligned with ``columns``) under a metadata comment.
 
-    ``rows`` is a sized sequence of lists or tuples; see the module docstring
-    for the per-column formats.
+    ``rows`` is a 2-D float64 array of shape (n, len(columns)), written block
+    by block through the vectorized formatter, or any sized sequence of rows,
+    whose values go through :func:`format_value`.
     """
-    specs = [_column_spec(map(itemgetter(i), rows)) for i in range(len(columns))]
-    row_format = ",".join(spec or "%s" for spec in specs) + "\n"
-    cells = map(tuple, rows)
-    if None in specs:
-        cells = (tuple(v if s else format_value(v) for s, v in zip(specs, row)) for row in rows)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_metadata_block(metadata) + "\n" + ",".join(columns) + "\n")
-        fh.writelines(map(row_format.__mod__, cells))
+    floats = isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64
+    if floats and rows.shape[1] != len(columns):
+        raise ValueError(f"{len(columns)} columns but rows of {rows.shape[1]} values")
+    with open(path, "wb") as fh:
+        fh.write((_metadata_block(metadata) + "\n" + ",".join(columns) + "\n").encode("utf-8"))
+        if floats:
+            for start in range(0, len(rows), _BLOCK_ROWS):
+                fh.write(_float_rows(rows[start : start + _BLOCK_ROWS]))
+        else:
+            fh.writelines((",".join(map(format_value, row)) + "\n").encode("utf-8") for row in rows)
 
 
 def write_json(path: str, payload: dict, metadata: dict) -> None:

@@ -307,6 +307,14 @@ class TestListElementTypes:
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: ")
 
+    @pytest.mark.parametrize("bracket", ["[0.5]", "[]", "[0.5, 2000, 7]"])
+    def test_lemma_bracket_must_be_two_numbers(self, tmp_path, capsys, bracket):
+        extra = ("--set", f"lemma.gamma0_bracket={bracket}")
+        code, outdir = run(tmp_path, "lemma", base_config(), extra=extra)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: lemma.gamma0_bracket")
+        assert not (outdir / "lemma.json").exists()
+
 
 # every section, on the 4,096-node grid; predict takes one gamma through --set
 FULL_CONFIG = base_config(
@@ -359,6 +367,21 @@ class TestReportSchemas:
 
     def test_sweep_header_is_what_the_benchmark_reads(self):
         assert self.HEADERS["sweep", "sweep.csv"].split(",") == list(_benchmark_sweep_fields())
+
+
+class TestCsvFields:
+    @pytest.mark.parametrize("command", ["predict", "gen-signal"])
+    def test_every_field_prints_as_per_value_format(self, tmp_path, command):
+        code, outdir = run_full(tmp_path, command, "out")
+        assert code == 0
+        names = sorted(p.name for p in outdir.iterdir() if p.suffix == ".csv")
+        assert names
+        for name in names:
+            lines = (outdir / name).read_text().splitlines()[2:]
+            assert len(lines) == GRID_SMALL["n"], name
+            for line in lines:
+                for field in line.split(","):
+                    assert "%.16e" % float(field) == field, (name, field)
 
 
 class TestRerunByteIdentity:

@@ -24,6 +24,7 @@ from specpredict import (
     transfer,
     uniformity_check,
 )
+from specpredict import experiments
 from specpredict.experiments import _member_spectrum
 
 from oracles import gamma_sweep_reference
@@ -220,6 +221,19 @@ class TestRobustness:
     def test_rejects_negative_intensity(self, x0):
         with pytest.raises(ValueError):
             robustness_experiment(self.KER, 30.0, 0.6, x0, [-0.01], cfg(1))
+
+    def test_one_inverse_transform_per_row(self, x0, monkeypatch):
+        # the clean channel and one noisy error per row; j0 and j_eta come
+        # from the half spectra, and error_decomposition transforms nothing
+        calls = []
+        real = experiments.irfft_rows
+        monkeypatch.setattr(experiments, "irfft_rows", lambda *a: calls.append(1) or real(*a))
+        nus = [0.0, 0.01, 0.05]
+        robustness_experiment(self.KER, 30.0, 0.6, x0, nus, cfg(424242))
+        assert len(calls) == 1 + len(nus)
+        calls.clear()
+        error_decomposition(build_predictor(self.KER, 30.0, 0.6, GRID), x0, 2)
+        assert calls == []
 
     def test_rejects_nan_intensity(self, x0):
         # rejected up front, before the predictor is built or any noise drawn

@@ -5,10 +5,14 @@ import math
 import numpy as np
 import pytest
 from conftest import random_series
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specpredict import make_grid
 from specpredict.cli import _timeseries_csv
 from specpredict.reports import (
+    _BLOCK_ROWS,
+    _float_rows,
     format_value,
     write_csv,
     write_json,
@@ -39,6 +43,64 @@ class TestFormatValue:
     def test_tiny_value_round_trips(self):
         v = 5e-324  # smallest subnormal
         assert float(format_value(v)) == v
+
+
+def per_value_lines(values) -> bytes:
+    """The reference: one '%.16e' per value."""
+    return "".join(",".join("%.16e" % v for v in row) + "\n" for row in values.tolist()).encode()
+
+
+def _edge_values():
+    powers = 10.0 ** np.arange(-307, 308)
+    values = [
+        5e-324, 1e-323, 2.5e-320, 1.2345678901234567e-310, 2.225073858507201e-308,
+        2.2250738585072014e-308, 1.7976931348623157e308, 0.0, -0.0, math.inf, -math.inf,
+        math.nan, -math.nan, 9.99999999999999999e5, 1e-299, 1e23, 0.1, 0.5, 1.5, 2.5,
+        *powers, *np.nextafter(powers, 0.0), *np.nextafter(powers, math.inf),
+        *(i * 2.0**40 for i in range(1, 1000)), *(i * 2.0**60 for i in range(1, 1000)),
+        *(k / 64 for k in range(-3000, 3000)),
+    ]
+    return np.array(values + [-v for v in values])
+
+
+class TestFloatFormatter:
+    """The vectorized '%.16e' of float arrays against Python's, byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=300), columns=st.sampled_from([1, 2, 3]))
+    def test_random_bit_patterns(self, bits, columns):
+        values = np.array(bits, np.uint64).view(np.float64)
+        values = np.concatenate([values, -values])
+        values = np.resize(values, (-(-values.size // columns), columns))
+        assert _float_rows(values) == per_value_lines(values)
+
+    def test_edge_values(self):
+        values = _edge_values().reshape(-1, 1)
+        assert _float_rows(values) == per_value_lines(values)
+
+    def test_random_normals_in_blocks(self, tmp_path):
+        # several blocks and a ragged last one
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((2 * _BLOCK_ROWS + 3, 2)) * 10.0 ** rng.integers(-30, 30, (1, 2))
+        path = tmp_path / "blocks.csv"
+        write_csv(str(path), ["a", "b"], values, {"run": 1})
+        assert path.read_bytes() == HEADER + b"a,b\n" + per_value_lines(values)
+
+    def test_float_array_golden_bytes(self, tmp_path):
+        values = np.array([[1.5, math.nan], [-math.nan, math.inf], [-math.inf, -0.0], [5e-324, 1e308]])
+        path = tmp_path / "golden.csv"
+        write_csv(str(path), ["a", "b"], values, {"run": 1})
+        assert path.read_bytes() == HEADER + (
+            b"a,b\n"
+            b"1.5000000000000000e+00,nan\n"
+            b"nan,inf\n"
+            b"-inf,-0.0000000000000000e+00\n"
+            b"4.9406564584124654e-324,1.0000000000000000e+308\n"
+        )
+
+    def test_float_array_column_count_checked(self, tmp_path):
+        with pytest.raises(ValueError, match="columns"):
+            write_csv(str(tmp_path / "bad.csv"), ["a"], np.zeros((3, 2)), {"run": 1})
 
 
 class TestWriters:
@@ -99,7 +161,7 @@ class TestWriters:
 
     @pytest.mark.parametrize("odd, text", [(True, "true"), (None, ""), (7, "7")])
     def test_csv_float_column_with_one_odd_value(self, tmp_path, odd, text):
-        # one non-float in a float column sends the whole column through format_value
+        # rows that are not a float array go value by value through format_value
         path = tmp_path / "odd.csv"
         write_csv(str(path), ["v", "w"], [[0.25, 1.0], [odd, 2.0], [np.float64(3.0), 3.0]], {"run": 1})
         assert path.read_text().splitlines()[2:] == [
