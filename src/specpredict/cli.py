@@ -261,8 +261,9 @@ def _cmd_predict(config, outdir, formats):
     # layer restores them before applying transfers (see _member_spectrum)
     h = grid.n // 2 + 1
     X = _member_spectrum(x)[:h]
-    _, err_l2, err_sup = _error_channel(pt, X)
-    y, y_hat = irfft_rows(np.stack([pt.k_values[:h] * X, pt.khat_values[:h] * X]), grid)
+    (err_l2,), (err_sup,) = _error_channel(pt, [X])
+    y = irfft_rows(pt.k_values[:h] * X, grid)
+    y_hat = irfft_rows(pt.khat_values[:h] * X, grid)
     y_l2, y_sup = _row_norms(y, grid)
     meta = _resolved(config, "predict")
     if "csv" in formats:

@@ -5,6 +5,9 @@ the slow-degeneracy negative illustration.
 Reported errors are worst-case over the ensemble, matching the universal
 quantifier of the prediction guarantee at desk scale.  Everything is a pure
 function of its inputs plus generator seeds, so reports are bit-reproducible.
+Ensembles are streamed: each member's error channel is formed, inverted and
+reduced on its own, so besides the (m, n/2+1) member spectra a sweep holds
+one member's rows at a time.
 """
 
 from __future__ import annotations
@@ -128,21 +131,30 @@ class SweepReport:
 
 
 def _member_half_spectra(ensemble) -> np.ndarray:
-    """(m, n/2+1) stack of the spectra of real class members at nodes 0..n/2,
+    """(m, n/2+1) array of the spectra of real class members at nodes 0..n/2,
     their constructional zeros restored (see :func:`_member_spectrum`)."""
     grid = ensemble[0].grid
     if any(x.grid != grid for x in ensemble):
         raise ValueError("all ensemble members must share one grid")
     if not all(x.is_real for x in ensemble):
         raise ValueError("class members must be real signals")
-    return np.stack([_member_spectrum(x)[: grid.n // 2 + 1] for x in ensemble])
+    X = np.empty((len(ensemble), grid.n // 2 + 1), dtype=np.complex128)
+    for row, x in zip(X, ensemble):
+        row[:] = _member_spectrum(x)[: grid.n // 2 + 1]
+    return X
 
 
 def _row_norms(rows: np.ndarray, grid: FrequencyGrid):
     """Grid l2 (inf once a square overflows) and sup norms of real rows, (n,) or (m, n)."""
     with np.errstate(over="ignore"):
-        l2 = math.sqrt(grid.delta_t) * np.linalg.norm(rows, axis=-1)
+        l2 = math.sqrt(grid.delta_t) * np.sqrt(np.add.reduce(np.square(rows), axis=-1))
     return l2, np.max(np.abs(rows), axis=-1)
+
+
+def _inverse_norms(spectra, grid: FrequencyGrid):
+    """(l2, sup) arrays: the :func:`_row_norms` of the real signals whose half
+    spectra ``spectra`` yields, one inverse transform at a time."""
+    return np.array([_row_norms(irfft_rows(S, grid), grid) for S in spectra]).T
 
 
 def _error_spectrum(pt: PredictorTransfer, X: np.ndarray) -> np.ndarray:
@@ -153,10 +165,10 @@ def _error_spectrum(pt: PredictorTransfer, X: np.ndarray) -> np.ndarray:
 
 
 def _error_channel(pt: PredictorTransfer, X: np.ndarray):
-    """:func:`_error_spectrum` of ``X`` and the grid l2 and sup norms of its inverse."""
-    diff = _error_spectrum(pt, X)
-    l2, sup = _row_norms(irfft_rows(diff, pt.grid), pt.grid)
-    return diff, l2, sup
+    """Grid l2 and sup norms of the inverse of :func:`_error_spectrum` for each
+    row of the half spectra ``X`` (m, n/2+1), formed and transformed one row at
+    a time."""
+    return _inverse_norms((_error_spectrum(pt, row) for row in X), pt.grid)
 
 
 @functools.lru_cache(maxsize=4)
@@ -199,8 +211,8 @@ def prediction_error(pt: PredictorTransfer, x: TimeSeries, p) -> PredictionError
     if x.grid != grid:
         raise ValueError("time series grid does not match predictor grid")
     X = _member_half_spectra([x])
-    _, l2, sup = _error_channel(pt, X)
-    y_l2, y_sup = _row_norms(irfft_rows(pt.k_values[: grid.n // 2 + 1] * X, grid), grid)
+    l2, sup = _error_channel(pt, X)
+    y_l2, y_sup = _inverse_norms(pt.k_values[: grid.n // 2 + 1] * X, grid)
     err, ref = (sup, y_sup) if _is_sup(p) else (l2, y_l2)
     return PredictionError(float(err[0]), float(_relative(err, ref)[0]))
 
@@ -217,14 +229,15 @@ def _run_sweep(kernel: AnticausalKernel, gammas, r: float, ensemble, cls: Degene
     grid = ensemble[0].grid
     X = _member_half_spectra(ensemble)
     K = transfer(kernel, grid).values[: grid.n // 2 + 1]
-    y_l2, y_sup = _row_norms(irfft_rows(K * X, grid), grid)
+    y_l2, y_sup = _inverse_norms((K * row for row in X), grid)
     rows = []
     for gamma in gammas:
         pt = build_predictor(kernel, gamma, r, grid)
-        diff, l2a, supa = _error_channel(pt, X)
+        l2a, supa = _error_channel(pt, X)
         l2r = _relative(l2a, y_l2)
-        # i1/i2 belong to the member with the worst relative l2 error
-        i1, i2 = _band_split(diff[int(np.argmax(l2r))], pt, 2)
+        # i1/i2 belong to the member with the worst relative l2 error, whose
+        # error channel is formed once more rather than kept for every member
+        i1, i2 = _band_split(_error_spectrum(pt, X[int(np.argmax(l2r))]), pt, 2)
         lemma_kwargs = {}
         if cls is not None:
             rep = lemma_check(pt, cls)
@@ -249,7 +262,7 @@ def _run_sweep(kernel: AnticausalKernel, gammas, r: float, ensemble, cls: Degene
             )
         )
         # each predictor holds several n-node arrays; drop it before the next build
-        del pt, diff
+        del pt
     return rows
 
 
@@ -297,7 +310,7 @@ def uniformity_check(
         raise ValueError("ensemble member has infinite class norm")
     X = _member_half_spectra(ensemble)
     pt = build_predictor(kernel, gamma, r, ensemble[0].grid)
-    _, l2, sup = _error_channel(pt, X)
+    l2, sup = _error_channel(pt, X)
     return float(np.max((sup if _is_sup(p) else l2) / norms))
 
 
@@ -344,8 +357,8 @@ def robustness_experiment(
     pt = build_predictor(kernel, gamma, r, grid)
     # the clean member's spectrum carries its constructional X(0) = 0; the
     # noise spectrum keeps whatever degeneracy-node content it legitimately has
-    clean_diff, _, eps_clean = _error_channel(pt, _member_half_spectra([x0])[0])
-    eps_clean = float(eps_clean)
+    clean_diff = _error_spectrum(pt, _member_half_spectra([x0])[0])
+    eps_clean = float(_row_norms(irfft_rows(clean_diff, grid), grid)[1])
     slack = CALIBRATION["robustness_slack"]
 
     j0 = sum(_band_split(clean_diff, pt, 1)) / (2 * math.pi)

@@ -317,12 +317,14 @@ def _low_band_holds(
     """Check log|V| <= c/|omega|^q on grid nodes with 0 < |omega| <= threshold.
 
     Returns (holds, node_count, worst_margin); margin is max(log|V| - log h),
-    -inf when the band contains no nonzero node.
+    -inf when the band contains no nonzero node.  Both sides are even in
+    omega, so only nodes 0..n/2 are evaluated; ``node_count`` still counts
+    the full grid, where each node 0 < k < n/2 has a mirror at -omega_k.
     """
-    om = grid.omegas()
+    om = grid.omegas()[: grid.n // 2 + 1]
     thr = omega_threshold(kernel, gamma, r)
     band = (np.abs(om) > 0.0) & (np.abs(om) <= thr)
-    count = int(np.count_nonzero(band))
+    count = 2 * int(np.count_nonzero(band)) - int(band[-1])
     if count == 0:
         return True, 0, -math.inf
     v_log, _ = v_logpolar(1j * om[band], kernel, gamma, r)
@@ -339,11 +341,13 @@ def lemma_check(
     and |V_j(i*omega) - 1| < 1 for every pole; (b) max |V - 1| over
     |omega| >= omega_floor, the quantity that must shrink as gamma grows;
     (c) the weighted low-band bound |V| <= exp(c/|omega|^q) inside the band.
+    Each check is an all() or a max over a set symmetric in +-omega, on which
+    V(-i*omega) is the conjugate of V(i*omega), so they read nodes 0..n/2.
     """
     if not (0 < omega_floor < pt.grid.omega_max):
         raise ValueError(f"omega_floor must lie in (0, omega_max={pt.grid.omega_max})")
     grid, gamma, r = pt.grid, pt.gamma, pt.r
-    om = grid.omegas()
+    om = grid.omegas()[: grid.n // 2 + 1]
     alpha = gamma ** (-r)
     thr = pt.omega_threshold
     outside = np.abs(om) > thr
@@ -387,9 +391,12 @@ def find_gamma0(
     Assumes the pass region is upward closed in gamma (which the construction
     guarantees for admissible r).  If the bound already holds at the bracket
     floor, the floor is returned; if it fails at the ceiling, a ValueError
-    reports that no threshold exists in the bracket.
+    reports that no threshold exists in the bracket.  A bracket that does not
+    hold exactly two numbers raises ValueError too.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
+    if len(bracket) != 2:
+        raise ValueError(f"bracket must hold exactly two numbers (lo, hi), got {bracket!r}")
+    lo, hi = (float(b) for b in bracket)
     if not (0 < lo < hi):
         raise ValueError("bracket must satisfy 0 < lo < hi")
 

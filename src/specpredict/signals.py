@@ -154,9 +154,10 @@ _PROJECTION_ROUNDS = 2
 def _enveloped_member(q: float, c: float, cfg: GeneratorConfig, size: int) -> list:
     """Envelope-times-random-phase members for a raw (q, c) pair.
 
-    Returns ``size`` members seeded ``cfg.seed + i``; they share the envelope
-    and the window, so they run as one (size, n/2+1) stack through both
-    projection rounds, and each row equals the member drawn alone.
+    Returns ``size`` members seeded ``cfg.seed + i``.  They share the
+    envelope and the window, and each runs through both projection rounds
+    on its own, in place on its own half spectrum and samples, so a member
+    does not depend on the ensemble it is drawn in.
 
     No validation of q: callers admit q > 1 through DegeneracyClass, while
     the negative illustration deliberately feeds q in (0, 1).
@@ -169,25 +170,29 @@ def _enveloped_member(q: float, c: float, cfg: GeneratorConfig, size: int) -> li
     with np.errstate(under="ignore"):
         env = np.exp(log_env)
     env[0] = 0.0
-
-    phases = np.stack([
-        _random_hermitian_phases(grid, _generator(replace(cfg, seed=cfg.seed + i), _STREAM_CLASS))
-        for i in range(size)
-    ])
-    x = irfft_rows(_HEADROOM * env * phases, grid)
+    start = _HEADROOM * env
     window = _guard_window(grid)
 
-    # alternate time confinement with the spectral projection; the last step
-    # is spectral, which makes the envelope bound and X(0) = 0 exact
-    for _ in range(_PROJECTION_ROUNDS):
-        Xt = rfft_rows(x * window, grid)
-        mag = np.abs(Xt)
-        with np.errstate(invalid="ignore"):
-            scale = np.where(mag > env, env / np.where(mag == 0.0, 1.0, mag), 1.0)
-        clipped = Xt * scale
-        clipped[:, 0] = 0.0
-        x = irfft_rows(clipped, grid)
-    return [TimeSeries(grid, row) for row in x]
+    members = []
+    for i in range(size):
+        X = _random_hermitian_phases(grid, _generator(replace(cfg, seed=cfg.seed + i), _STREAM_CLASS))
+        X *= start
+        x = irfft_rows(X, grid)
+        # alternate time confinement with the spectral projection; the last
+        # step is spectral, which makes the envelope bound and X(0) = 0 exact
+        for _ in range(_PROJECTION_ROUNDS):
+            x *= window
+            X = rfft_rows(x, grid)
+            # the clip scale min(env/|X|, 1), 1 where |X| = 0, in |X|'s buffer
+            scale = np.abs(X)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(env, scale, out=scale)
+            np.fmin(scale, 1.0, out=scale)
+            X *= scale
+            X[0] = 0.0
+            x = irfft_rows(X, grid)
+        members.append(TimeSeries(grid, x))
+    return members
 
 
 def sample_class_member(cls: DegeneracyClass, cfg: GeneratorConfig) -> TimeSeries:

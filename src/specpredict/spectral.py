@@ -16,11 +16,18 @@ Real signals have conjugate-symmetric spectra, so ``rfft_rows`` /
 ``irfft_rows`` keep only nodes 0..n/2 (node n/2 is the unpaired omega_max)
 and transform along the last axis, one signal per row of an (m, n) stack.
 They carry the same centred-origin phase and delta_t scaling as the complex
-``forward_transform`` / ``inverse_transform`` pair.
+``forward_transform`` / ``inverse_transform`` pair.  The phase factors
+``(-1)^k`` and ``delta_t * (-1)^k`` are built once per grid and shared
+read-only, and every transform scales its fast-transform output in place.
+
+Grids hold at most ``MAX_GRID_N`` = 2^24 samples, where one complex array
+already takes 256 MB; a larger ``n`` is rejected before anything is
+allocated.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,6 +36,7 @@ import numpy as np
 from .tolerances import CALIBRATION
 
 TWO_PI = 2.0 * math.pi
+MAX_GRID_N = 2**24
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -64,6 +72,8 @@ class FrequencyGrid:
             raise ValueError(f"sample count must be an integer, got {n!r}")
         if n < 8 or not _is_power_of_two(int(n)):
             raise ValueError(f"sample count must be a power of two >= 8, got {n}")
+        if n > MAX_GRID_N:
+            raise ValueError(f"sample count must be at most {MAX_GRID_N}, got {n}")
         dt = self.delta_t
         if not (isinstance(dt, (int, float, np.floating)) and math.isfinite(dt) and dt > 0):
             raise ValueError(f"time step must be a positive finite number, got {dt!r}")
@@ -97,12 +107,6 @@ class FrequencyGrid:
         """Angular-frequency nodes in centered reporting order."""
         return to_centered(self.omegas())
 
-    def alternating_signs(self) -> np.ndarray:
-        """(-1)^k phase factors tying the centered time origin to natural order."""
-        signs = np.ones(self.n)
-        signs[1::2] = -1.0
-        return signs
-
 
 def make_grid(n: int, delta_t: float) -> FrequencyGrid:
     """Construct a grid, rejecting non-power-of-two n and nonpositive steps."""
@@ -110,10 +114,9 @@ def make_grid(n: int, delta_t: float) -> FrequencyGrid:
 
 
 def _as_complex(values, n: int, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.complex128)
+    arr = np.array(values, dtype=np.complex128)
     if arr.shape != (n,):
         raise ValueError(f"{what} must have shape ({n},), got {arr.shape}")
-    arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
@@ -156,26 +159,33 @@ class Spectrum:
         return float(defect) <= CALIBRATION["hermitian_rel"] * mag
 
 
+@functools.lru_cache(maxsize=4)
+def _signs(grid: FrequencyGrid):
+    """((-1)^k, delta_t * (-1)^k) at nodes 0..n-1, the phase factors tying the
+    centered time origin to natural order; read-only and cached per grid."""
+    signs = np.ones(grid.n)
+    signs[1::2] = -1.0
+    scaled = grid.delta_t * signs
+    signs.flags.writeable = scaled.flags.writeable = False
+    return signs, scaled
+
+
 def forward_transform(x: TimeSeries) -> Spectrum:
     """Riemann approximation of the continuous Fourier integral.
 
     X(i*omega_k) ~ delta_t * sum_j e^{-i*omega_k*t_j} x(t_j), computed with a
     fast transform plus the (-1)^k phase correction for the centered origin.
     """
-    grid = x.grid
-    values = grid.delta_t * grid.alternating_signs() * np.fft.fft(x.samples)
-    return Spectrum(grid, values)
+    values = np.fft.fft(x.samples)
+    values *= _signs(x.grid)[1]
+    return Spectrum(x.grid, values)
 
 
 def inverse_transform(X: Spectrum) -> TimeSeries:
     """Inverse of :func:`forward_transform`; exact round trip up to rounding."""
-    grid = X.grid
-    samples = np.fft.ifft(grid.alternating_signs() * X.values) / grid.delta_t
-    return TimeSeries(grid, samples)
-
-
-def _half_signs(grid: FrequencyGrid) -> np.ndarray:
-    return grid.alternating_signs()[: grid.n // 2 + 1]
+    samples = np.fft.ifft(_signs(X.grid)[0] * X.values)
+    samples /= X.grid.delta_t
+    return TimeSeries(X.grid, samples)
 
 
 def rfft_rows(samples, grid: FrequencyGrid) -> np.ndarray:
@@ -187,7 +197,9 @@ def rfft_rows(samples, grid: FrequencyGrid) -> np.ndarray:
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim not in (1, 2) or samples.shape[-1] != grid.n:
         raise ValueError(f"samples must have shape ({grid.n},) or (m, {grid.n}), got {samples.shape}")
-    return grid.delta_t * _half_signs(grid) * np.fft.rfft(samples, axis=-1)
+    out = np.fft.rfft(samples, axis=-1)
+    out *= _signs(grid)[1][: grid.n // 2 + 1]
+    return out
 
 
 def irfft_rows(values, grid: FrequencyGrid) -> np.ndarray:
@@ -201,7 +213,9 @@ def irfft_rows(values, grid: FrequencyGrid) -> np.ndarray:
     h = grid.n // 2 + 1
     if values.ndim not in (1, 2) or values.shape[-1] != h:
         raise ValueError(f"values must have shape ({h},) or (m, {h}), got {values.shape}")
-    return np.fft.irfft(_half_signs(grid) * values, n=grid.n, axis=-1) / grid.delta_t
+    out = np.fft.irfft(_signs(grid)[0][:h] * values, n=grid.n, axis=-1)
+    out /= grid.delta_t
+    return out
 
 
 def _is_sup(p) -> bool:

@@ -57,7 +57,7 @@ def gamma_sweep_reference(kernel, cls, gammas, r, ensemble):
 
     Unlike the other oracles this one does use the library's complex fast
     transforms: it is the one-member-at-a-time formulation of the sweep,
-    kept as a reference for the batched half-spectrum path.  Returns one
+    kept as a reference for the streamed half-spectrum path.  Returns one
     dict per gamma with the fields of ``SweepRow``.
     """
     from specpredict import (
@@ -114,3 +114,119 @@ def gamma_sweep_reference(kernel, cls, gammas, r, ensemble):
             )
         )
     return rows
+
+
+def _signs(n):
+    signs = np.ones(n)
+    signs[1::2] = -1.0
+    return signs
+
+
+def enveloped_members_batched(q, c, cfg, size):
+    """Class members drawn as one (size, n/2+1) stack through both projection
+    rounds, each round one batched transform; the generator's stacked form,
+    kept as a byte-exact reference for the per-member path."""
+    from dataclasses import replace
+
+    from specpredict.degeneracy import log_weight
+    from specpredict.signals import (
+        _HEADROOM,
+        _PROJECTION_ROUNDS,
+        _STREAM_CLASS,
+        _generator,
+        _guard_window,
+        _random_hermitian_phases,
+    )
+
+    grid = cfg.grid
+    h = grid.n // 2 + 1
+    signs = _signs(grid.n)[:h]
+    om_abs = np.abs(grid.omegas()[:h])
+    assert cfg.profile == "flat" and cfg.band is None
+    with np.errstate(under="ignore"):
+        env = np.exp(np.zeros_like(om_abs) - log_weight(om_abs, q, c))
+    env[0] = 0.0
+    phases = np.stack([
+        _random_hermitian_phases(grid, _generator(replace(cfg, seed=cfg.seed + i), _STREAM_CLASS))
+        for i in range(size)
+    ])
+    x = np.fft.irfft(signs * (_HEADROOM * env * phases), n=grid.n, axis=-1) / grid.delta_t
+    window = _guard_window(grid)
+    for _ in range(_PROJECTION_ROUNDS):
+        Xt = grid.delta_t * signs * np.fft.rfft(x * window, axis=-1)
+        mag = np.abs(Xt)
+        with np.errstate(invalid="ignore"):
+            scale = np.where(mag > env, env / np.where(mag == 0.0, 1.0, mag), 1.0)
+        clipped = Xt * scale
+        clipped[:, 0] = 0.0
+        x = np.fft.irfft(signs * clipped, n=grid.n, axis=-1) / grid.delta_t
+    return x
+
+
+def row_norms_linalg(rows, grid):
+    """Grid l2 (``np.linalg.norm``) and sup norms of real rows, (n,) or (m, n)."""
+    with np.errstate(over="ignore"):
+        l2 = math.sqrt(grid.delta_t) * np.linalg.norm(rows, axis=-1)
+    return l2, np.max(np.abs(rows), axis=-1)
+
+
+def irfft_stack(values, grid):
+    """Real rows of a whole (m, n/2+1) stack of half spectra in one transform."""
+    h = grid.n // 2 + 1
+    return np.fft.irfft(_signs(grid.n)[:h] * values, n=grid.n, axis=-1) / grid.delta_t
+
+
+def error_channel_batched(pt, X):
+    """(diff, l2, sup): the error channel ``(K_hat - K) X`` of a whole
+    (m, n/2+1) stack of half spectra and the norms of its inverse, taken in
+    one batched transform; the stacked form of the library's per-row channel."""
+    h = pt.grid.n // 2 + 1
+    diff = (pt.khat_values[:h] - pt.k_values[:h]) * X
+    l2, sup = row_norms_linalg(irfft_stack(diff, pt.grid), pt.grid)
+    return diff, l2, sup
+
+
+def lemma_check_full_grid(pt, cls, omega_floor=0.5):
+    """:func:`specpredict.lemma_check` evaluated on all n nodes, both signs of
+    omega, as a reference for the library's half-grid evaluation."""
+    from specpredict.degeneracy import log_weight
+    from specpredict.predictor import LemmaReport, factor_exponent, v_logpolar, v_minus_one
+    from specpredict.tolerances import CALIBRATION
+
+    grid, gamma, r = pt.grid, pt.gamma, pt.r
+    om = grid.omegas()
+    alpha = gamma ** (-r)
+    thr = pt.omega_threshold
+    outside = np.abs(om) > thr
+
+    pass_pos = True
+    pass_dev = True
+    for a in pt.kernel.poles:
+        re_ratio = (om[outside] ** 2 - a * alpha) / (om[outside] ** 2 + alpha**2)
+        pass_pos = pass_pos and bool(np.all(re_ratio > 0.0))
+        with np.errstate(under="ignore"):
+            dev = np.abs(np.exp(factor_exponent(1j * om[outside], a, gamma, r)))
+        pass_dev = pass_dev and bool(np.all(dev < 1.0))
+
+    tail = np.abs(om) >= omega_floor
+    tail_dev = float(np.max(np.abs(v_minus_one(om[tail], pt.kernel, gamma, r))))
+
+    band = (np.abs(om) > 0.0) & (np.abs(om) <= thr)
+    count = int(np.count_nonzero(band))
+    holds, margin = True, -math.inf
+    if count:
+        v_log, _ = v_logpolar(1j * om[band], pt.kernel, gamma, r)
+        margin = float(np.max(v_log - log_weight(om[band], cls.q, cls.c)))
+        holds = margin <= CALIBRATION["lemma_iv_slack"]
+    return LemmaReport(
+        gamma=gamma,
+        r=r,
+        omega_threshold=thr,
+        pass_positivity=pass_pos,
+        pass_factor_dev=pass_dev,
+        tail_dev_max=tail_dev,
+        omega_floor=float(omega_floor),
+        pass_low_band=holds,
+        low_band_nodes=count,
+        low_band_margin=margin,
+    )

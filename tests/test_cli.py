@@ -76,6 +76,18 @@ class TestPredictCommand:
         assert code == 2
         assert "unknown key" in capsys.readouterr().err
 
+    def test_grid_above_cap_exits_2_before_allocating(self, tmp_path, capsys, monkeypatch):
+        def no_signal(*args):
+            raise AssertionError("a signal was generated on an uncapped grid")
+
+        # were the grid accepted, predict would go on to draw its signal
+        monkeypatch.setattr("specpredict.cli._signal_from_config", no_signal)
+        extra = ("--set", "grid.n=17179869184")
+        code, outdir = run(tmp_path, "predict", base_config(), extra=extra)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: grid: sample count must be at most")
+        assert not (outdir / "summary.json").exists()
+
     def test_bad_grid_rejected(self, tmp_path):
         config = base_config(grid={"n": 1000, "delta_t": 0.02})
         code, _ = run(tmp_path, "predict", config)

@@ -27,7 +27,13 @@ from specpredict import (
 from specpredict import experiments
 from specpredict.experiments import _member_spectrum
 
-from oracles import gamma_sweep_reference
+from oracles import (
+    enveloped_members_batched,
+    error_channel_batched,
+    gamma_sweep_reference,
+    irfft_stack,
+    row_norms_linalg,
+)
 
 GRID = make_grid(2**12, 0.02)
 KERNEL = AnticausalKernel((1.0,), (1.0,))
@@ -353,3 +359,47 @@ class TestMixedEnsembleUniformity:
         r10 = uniformity_check(KERNEL, CLS, 10.0, 4.0, members)
         r30 = uniformity_check(KERNEL, CLS, 30.0, 4.0, members)
         assert r30 < r10
+
+
+class TestPerRowChannelIsExact:
+    """The error channel, its norms and the members are formed one row at a
+    time; they equal the stacked forms in ``oracles`` byte for byte, signed
+    zeros included."""
+
+    GAMMAS = (10.0, 30.0, 100.0, 300.0, 1000.0)
+
+    def test_members_match_batched_generation(self, ensemble):
+        want = enveloped_members_batched(CLS.q, CLS.c, cfg(2026), len(ensemble))
+        got = np.stack([x.samples for x in ensemble])
+        assert got.real.tobytes() == want.tobytes()
+        assert not np.any(got.imag)
+
+    def test_half_spectra_match_stacked_member_spectra(self, ensemble):
+        want = np.stack([_member_spectrum(x)[: GRID.n // 2 + 1] for x in ensemble])
+        assert experiments._member_half_spectra(ensemble).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_error_channel_matches_batched(self, ensemble, gamma):
+        X = experiments._member_half_spectra(ensemble)
+        pt = build_predictor(KERNEL, gamma, 4.0, GRID)
+        diff, l2_want, sup_want = error_channel_batched(pt, X)
+        l2, sup = experiments._error_channel(pt, X)
+        assert (l2.tobytes(), sup.tobytes()) == (l2_want.tobytes(), sup_want.tobytes())
+        for i, row in enumerate(X):
+            assert experiments._error_spectrum(pt, row).tobytes() == diff[i].tobytes()
+        K = pt.k_values[: GRID.n // 2 + 1]
+        y_l2, y_sup = experiments._inverse_norms(K * X, GRID)
+        y_l2_want, y_sup_want = row_norms_linalg(irfft_stack(K * X, GRID), GRID)
+        assert (y_l2.tobytes(), y_sup.tobytes()) == (y_l2_want.tobytes(), y_sup_want.tobytes())
+
+    def test_row_norms_match_linalg_norm(self):
+        rows = np.random.default_rng(3).standard_normal((4, 64))
+        rows[1] = -0.0
+        rows[2, :3] = 1e200  # the squares overflow: l2 reads inf
+        rows[3] *= 1e-170  # the squares underflow
+        grid = make_grid(64, 0.1)
+        with np.errstate(under="ignore"):
+            got = experiments._row_norms(rows, grid)
+            want = row_norms_linalg(rows, grid)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert math.isinf(got[0][2])

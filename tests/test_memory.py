@@ -1,0 +1,54 @@
+"""Memory bounds of the default convergence study (n = 2^16, 10 members).
+
+numpy reports its array buffers to ``tracemalloc``, so a traced peak is the
+largest set of arrays alive at once; the FFT library's own scratch is not
+counted.  Members are drawn, and the sweep's error channel is formed, one
+member at a time, so no stacked (m, n) or (m, n/2+1) temporary is alive
+beside the sweep's one array of member spectra.
+"""
+
+import tracemalloc
+
+from specpredict import GeneratorConfig, gamma_sweep, make_class_ensemble
+from specpredict.experiments import (
+    DEFAULT_CLASS,
+    DEFAULT_ENSEMBLE_SIZE,
+    DEFAULT_GAMMAS,
+    DEFAULT_KERNEL,
+    DEFAULT_R,
+    default_grid,
+)
+
+CFG = GeneratorConfig(seed=2026, grid=default_grid())
+
+# Traced peak of gamma_sweep above its inputs at these defaults: 26.8 MB for
+# the stacked channel (one (10, 2^15+1) error spectrum and one (10, 2^16)
+# inverse per gamma), 16.9 MB streamed; the bound sits between the two.
+SWEEP_PEAK_BOUND = 22e6
+
+
+def _traced_peak(fn):
+    """``fn()`` and the peak bytes it allocated while tracing ran."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_generation_peak_stays_under_twice_the_samples():
+    ensemble, peak = _traced_peak(
+        lambda: make_class_ensemble(DEFAULT_CLASS, CFG, DEFAULT_ENSEMBLE_SIZE)
+    )
+    samples = sum(x.samples.nbytes for x in ensemble)
+    # the stacked projection rounds peaked at about 4x the samples
+    assert peak < 2 * samples, (peak, samples)
+
+
+def test_sweep_peak_above_inputs_is_bounded():
+    ensemble = make_class_ensemble(DEFAULT_CLASS, CFG, DEFAULT_ENSEMBLE_SIZE)
+    report, peak = _traced_peak(
+        lambda: gamma_sweep(DEFAULT_KERNEL, DEFAULT_CLASS, DEFAULT_GAMMAS, DEFAULT_R, ensemble)
+    )
+    assert len(report.rows) == len(DEFAULT_GAMMAS)
+    assert peak < SWEEP_PEAK_BOUND, peak

@@ -25,6 +25,8 @@ from specpredict import (
 from specpredict.predictor import _line_figures, factor_exponent, v_logpolar
 from specpredict.tolerances import CALIBRATION
 
+from oracles import lemma_check_full_grid
+
 KERNEL = AnticausalKernel((1.0,), (1.0,))
 
 
@@ -228,6 +230,45 @@ class TestLemmaChecks:
         for gamma in (max(g0, 10.0), 100.0, 1000.0):
             rep = lemma_check(build_predictor(KERNEL, gamma, 4.0, g), DegeneracyClass(2.0, 1.0))
             assert rep.pass_low_band
+
+    @pytest.mark.parametrize("bracket", [(0.5, 500.0, 7), (0.5,)])
+    def test_gamma0_bracket_must_hold_two_numbers(self, bracket):
+        with pytest.raises(ValueError, match="exactly two numbers"):
+            find_gamma0(KERNEL, DegeneracyClass(2.0, 1.0), 4.0, make_grid(1024, 0.1), bracket=bracket)
+
+
+class TestHalfGridLemma:
+    """lemma_check reads nodes 0..n/2 only; its report equals the full-grid
+    evaluation in ``oracles`` exactly, repr for repr."""
+
+    @pytest.mark.parametrize("poles", [(1.0,), (1.0, 2.0), (0.5, 1.0, 2.0)])
+    @pytest.mark.parametrize("gamma", [0.3, 1.0, 3.0, 10.0, 100.0])
+    def test_matches_full_grid(self, poles, gamma):
+        pt = build_predictor(AnticausalKernel(poles), gamma, 4.0, make_grid(4096, 0.02))
+        cls = DegeneracyClass(2.0, 1.0)
+        assert repr(lemma_check(pt, cls)) == repr(lemma_check_full_grid(pt, cls))
+
+    @pytest.mark.parametrize("gamma", [3.0, 10.0, 20.0])
+    def test_resolved_band_matches_full_grid(self, gamma):
+        # a band the grid resolves: tens of nodes inside it, none saturated
+        pt = build_predictor(AnticausalKernel((0.01,)), gamma, 1.5, make_grid(2**16, 0.1))
+        cls = DegeneracyClass(3.0, 1e-3)
+        rep = lemma_check(pt, cls)
+        assert rep.low_band_nodes > 0
+        assert repr(rep) == repr(lemma_check_full_grid(pt, cls))
+
+    @pytest.mark.parametrize(
+        "poles, gamma, r, cls, grid",
+        [
+            # the low-band bound fails
+            ((3.0, 5.0), 0.5, 1.0, DegeneracyClass(2.0, 0.1), make_grid(4096, 0.02)),
+            # the band covers the whole grid, the unpaired omega_max node included
+            ((100.0,), 0.5, 4.0, DegeneracyClass(2.0, 1.0), make_grid(64, 0.5)),
+        ],
+    )
+    def test_edge_configurations_match_full_grid(self, poles, gamma, r, cls, grid):
+        pt = build_predictor(AnticausalKernel(poles), gamma, r, grid)
+        assert repr(lemma_check(pt, cls)) == repr(lemma_check_full_grid(pt, cls))
 
 
 class TestOrthogonality:

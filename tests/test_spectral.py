@@ -18,7 +18,8 @@ from specpredict import (
     to_centered,
     to_natural,
 )
-from specpredict.spectral import irfft_rows, rfft_rows
+from specpredict import spectral
+from specpredict.spectral import MAX_GRID_N, FrequencyGrid, irfft_rows, rfft_rows
 
 from oracles import idft_direct
 
@@ -38,6 +39,15 @@ class TestMakeGrid:
     def test_rejects_bad_sample_count(self, n):
         with pytest.raises(ValueError):
             make_grid(n, 1.0)
+
+    @pytest.mark.parametrize("n", [2**25, 2**34])
+    def test_rejects_grids_above_cap(self, n):
+        # validation only: the grid's arrays are never built
+        with pytest.raises(ValueError, match="at most"):
+            FrequencyGrid(n, 0.01)
+
+    def test_accepts_the_cap(self):
+        assert FrequencyGrid(MAX_GRID_N, 0.01).n == 2**24
 
     @pytest.mark.parametrize("dt", [0.0, -0.5, math.inf, math.nan])
     def test_rejects_bad_step(self, dt):
@@ -279,8 +289,49 @@ class TestRowTransforms:
         back1d = irfft_rows(rfft_rows(rows[0], grid), grid)
         assert np.max(np.abs(back1d - rows[0])) <= 1e-15 * np.max(np.abs(rows[0]))
 
+    def test_row_of_a_stack_equals_the_row_alone(self):
+        grid = make_grid(2**12, 0.01)
+        rows = self._rows(grid.n)
+        half = rfft_rows(rows, grid)
+        back = irfft_rows(half, grid)
+        for i, row in enumerate(rows):
+            assert rfft_rows(row, grid).tobytes() == half[i].tobytes()
+            assert irfft_rows(half[i], grid).tobytes() == back[i].tobytes()
+
     def test_rejects_wrong_lengths(self, small_grid):
         with pytest.raises(ValueError):
             rfft_rows(np.zeros(small_grid.n // 2), small_grid)
         with pytest.raises(ValueError):
             irfft_rows(np.zeros((2, small_grid.n)), small_grid)
+
+
+class TestSignVectors:
+    def test_cached_read_only_per_grid(self):
+        a, b = make_grid(256, 0.05), make_grid(256, 0.05)
+        assert a is not b
+        signs, scaled = spectral._signs(a)
+        assert spectral._signs(b)[0] is signs and spectral._signs(b)[1] is scaled
+        assert not signs.flags.writeable and not scaled.flags.writeable
+        assert signs.tolist() == [1.0, -1.0] * 128
+        assert scaled.tobytes() == (0.05 * signs).tobytes()
+        assert spectral._signs(make_grid(256, 0.1))[1] is not scaled
+
+    def test_in_place_scaling_matches_out_of_place(self):
+        grid = make_grid(256, 0.05)
+        signs = np.where(np.arange(grid.n) % 2 == 0, 1.0, -1.0)
+        x = random_series(grid, 4).samples.copy()
+        x[:5] = [0.0, -0.0, 0.0j, -0.0 - 0.0j, 1e-320]
+        X = Spectrum(grid, x)
+        assert forward_transform(TimeSeries(grid, x)).values.tobytes() == (
+            grid.delta_t * signs * np.fft.fft(x)
+        ).tobytes()
+        assert inverse_transform(X).samples.tobytes() == (
+            np.fft.ifft(signs * x) / grid.delta_t
+        ).tobytes()
+        h = grid.n // 2 + 1
+        assert rfft_rows(x.real, grid).tobytes() == (
+            grid.delta_t * signs[:h] * np.fft.rfft(x.real)
+        ).tobytes()
+        assert irfft_rows(x[:h], grid).tobytes() == (
+            np.fft.irfft(signs[:h] * x[:h], n=grid.n) / grid.delta_t
+        ).tobytes()
