@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .degeneracy import DegeneracyClass
-from .kernels import AnticausalKernel, kernel_to_dict, transfer
+from .kernels import AnticausalKernel, _transfer_half, kernel_to_dict, transfer
 from .predictor import (
     PredictorTransfer,
     _logsumexp,
@@ -157,18 +157,24 @@ def _inverse_norms(spectra, grid: FrequencyGrid):
     return np.array([_row_norms(irfft_rows(S, grid), grid) for S in spectra]).T
 
 
+def _error_gain(pt: PredictorTransfer) -> np.ndarray:
+    """K_hat - K at nodes 0..n/2, the gain of the error channel."""
+    h = pt.grid.n // 2 + 1
+    return pt.khat_values[:h] - pt.k_values[:h]
+
+
 def _error_spectrum(pt: PredictorTransfer, X: np.ndarray) -> np.ndarray:
     """The error channel ``(K_hat - K) X`` of half spectra ``X``, shape
     (n/2+1,) or (m, n/2+1)."""
-    h = pt.grid.n // 2 + 1
-    return (pt.khat_values[:h] - pt.k_values[:h]) * X
+    return _error_gain(pt) * X
 
 
 def _error_channel(pt: PredictorTransfer, X: np.ndarray):
     """Grid l2 and sup norms of the inverse of :func:`_error_spectrum` for each
     row of the half spectra ``X`` (m, n/2+1), formed and transformed one row at
-    a time."""
-    return _inverse_norms((_error_spectrum(pt, row) for row in X), pt.grid)
+    a time with one :func:`_error_gain`."""
+    gain = _error_gain(pt)
+    return _inverse_norms((gain * row for row in X), pt.grid)
 
 
 @functools.lru_cache(maxsize=4)
@@ -228,7 +234,7 @@ def error_decomposition(pt: PredictorTransfer, x: TimeSeries, p):
 def _run_sweep(kernel: AnticausalKernel, gammas, r: float, ensemble, cls: DegeneracyClass = None):
     grid = ensemble[0].grid
     X = _member_half_spectra(ensemble)
-    K = transfer(kernel, grid).values[: grid.n // 2 + 1]
+    K = _transfer_half(kernel, grid)
     y_l2, y_sup = _inverse_norms((K * row for row in X), grid)
     rows = []
     for gamma in gammas:

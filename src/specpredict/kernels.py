@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import FrequencyGrid, Spectrum, TimeSeries, forward_transform, inverse_transform
+from .spectral import FrequencyGrid, Spectrum, TimeSeries, _mirror, forward_transform, inverse_transform
 
 
 @dataclass(frozen=True)
@@ -100,6 +100,18 @@ def _numerator_at(kernel: AnticausalKernel, s) -> np.ndarray:
     return out
 
 
+def _transfer_half(kernel: AnticausalKernel, grid: FrequencyGrid, sigma: float = 0.0) -> np.ndarray:
+    """:func:`transfer` at nodes 0..n/2, the unpaired node n/2 (-omega_max)
+    at its real part; the nodes above n/2 are the conjugates of these."""
+    s = sigma + 1j * grid.omegas()[: grid.n // 2 + 1]
+    den = np.ones_like(s)
+    for a in kernel.poles:
+        den = den * (s - a)
+    values = _numerator_at(kernel, s) / den
+    values[-1] = values[-1].real
+    return values
+
+
 def transfer(kernel: AnticausalKernel, grid: FrequencyGrid, sigma: float = 0.0) -> Spectrum:
     """Sample K(s) = d(s) / prod_j (s - a_j) at s = sigma + i*omega on the grid.
 
@@ -110,14 +122,10 @@ def transfer(kernel: AnticausalKernel, grid: FrequencyGrid, sigma: float = 0.0) 
     make the result hermitian.  The unpaired half-rate node stands for both
     of +-omega_max at once and receives their average, i.e. the real part,
     which is what keeps the sampled transfer conjugate-symmetric on the grid.
+    Nodes 0..n/2 are evaluated and the rest filled in as their conjugates,
+    which is what evaluating them gives, bit for bit.
     """
-    s = sigma + 1j * grid.omegas()
-    den = np.ones_like(s)
-    for a in kernel.poles:
-        den = den * (s - a)
-    values = _numerator_at(kernel, s) / den
-    values[grid.n // 2] = values[grid.n // 2].real
-    return Spectrum(grid, values)
+    return Spectrum(grid, _mirror(_transfer_half(kernel, grid, sigma), grid.n, np.conjugate))
 
 
 def residues(kernel: AnticausalKernel) -> np.ndarray:

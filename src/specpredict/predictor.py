@@ -27,11 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degeneracy import DegeneracyClass, log_weight
-from .kernels import AnticausalKernel, kernel_from_dict, kernel_to_dict, transfer
+from .kernels import AnticausalKernel, _transfer_half, kernel_from_dict, kernel_to_dict, transfer
 from .spectral import (
     FrequencyGrid,
     Spectrum,
     TimeSeries,
+    _mirror,
     forward_transform,
     inverse_transform,
 )
@@ -74,11 +75,13 @@ def eval_v_factor(z, a: float, gamma: float, r: float):
 
 
 def _factor_logpolar(z: np.ndarray, a: float, gamma: float, r: float):
-    """(log|V_j|, arg V_j) at complex points z, stable for huge exponents.
+    """(log|V_j|, arg V_j, asymptotic) at complex points z, stable for huge exponents.
 
     Where Re w <= 690 the factor 1 - e^w is formed exactly; beyond that
     1 - e^w = -e^w (1 - e^{-w}) gives log magnitude Re w and phase Im w + pi
-    up to an e^{-Re w} correction far below double rounding.
+    up to an e^{-Re w} correction far below double rounding.  ``asymptotic``
+    marks the points that took the second form, whose phase is not odd in
+    Im z: at conj(z) it is pi - Im w, not -(Im w + pi).
     """
     w = factor_exponent(z, a, gamma, r)
     wr = w.real
@@ -92,19 +95,27 @@ def _factor_logpolar(z: np.ndarray, a: float, gamma: float, r: float):
     big = ~exact
     logmag[big] = wr[big]
     phase[big] = w.imag[big] + math.pi
-    return logmag, phase
+    return logmag, phase, big
+
+
+def _v_logpolar(z, kernel: AnticausalKernel, gamma: float, r: float):
+    """:func:`v_logpolar` and the points where some factor is ``asymptotic``
+    (see :func:`_factor_logpolar`)."""
+    z = np.asarray(z, dtype=np.complex128)
+    logmag = np.zeros(z.shape)
+    phase = np.zeros(z.shape)
+    asymptotic = np.zeros(z.shape, dtype=bool)
+    for a in kernel.poles:
+        lm, ph, big = _factor_logpolar(z, a, gamma, r)
+        logmag += lm
+        phase += ph
+        asymptotic |= big
+    return logmag, phase, asymptotic
 
 
 def v_logpolar(z: np.ndarray, kernel: AnticausalKernel, gamma: float, r: float):
     """(log|V|, arg V) of the full product at complex points z (i*omega on the axis)."""
-    z = np.asarray(z, dtype=np.complex128)
-    logmag = np.zeros(z.shape)
-    phase = np.zeros(z.shape)
-    for a in kernel.poles:
-        lm, ph = _factor_logpolar(z, a, gamma, r)
-        logmag += lm
-        phase += ph
-    return logmag, phase
+    return _v_logpolar(z, kernel, gamma, r)[:2]
 
 
 def v_minus_one(omega, kernel: AnticausalKernel, gamma: float, r: float) -> np.ndarray:
@@ -162,44 +173,71 @@ def omega_threshold(kernel: AnticausalKernel, gamma: float, r: float) -> float:
     return math.sqrt(kernel.max_pole * gamma ** (-r))
 
 
+def _khat_nodes(v_log: np.ndarray, v_ph: np.ndarray, K: np.ndarray):
+    """(khat_values, khat_log_mag, khat_phase, saturated) at nodes where V is
+    (v_log, v_ph) in log-polar form and the kernel transfer is K."""
+    sat = v_log > _CLAMP_LOG
+    v_vals = np.exp(np.minimum(v_log, _CLAMP_LOG)) * np.exp(1j * v_ph)
+    with np.errstate(divide="ignore"):
+        khat_log = v_log + np.log(np.abs(K))
+    khat_ph = v_ph + np.angle(K)
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        khat_vals = v_vals * K
+        overflow = ~np.isfinite(khat_vals)
+        if np.any(overflow):
+            khat_vals[overflow] = np.exp(
+                np.minimum(khat_log[overflow], _VALUE_LOG_MAX)
+            ) * np.exp(1j * khat_ph[overflow])
+    return khat_vals, khat_log, khat_ph, sat | overflow
+
+
 def build_predictor(
     kernel: AnticausalKernel, gamma: float, r: float, grid: FrequencyGrid
 ) -> PredictorTransfer:
     """Assemble V, K_hat = V*K, the causal time kernel and the gain figures.
+
+    V, K and K_hat are evaluated at nodes 0..n/2 only (node n/2 is
+    -omega_max, as on the full grid).  Real coefficients make every node
+    above n/2 the exact mirror of one below: conjugate values, equal log
+    magnitude and saturation, negated phase.  The one exception is a node
+    where a factor of V takes the asymptotic form of
+    :func:`_factor_logpolar`, whose phase is not odd; the mirrors of those
+    (few, low-band) nodes are evaluated at -omega directly.  Every array is
+    therefore bit for bit what evaluating all n nodes gives.
 
     Admissibility of r against a signal class (r > 2/(q-1)) is a property of
     experiments, not of the transfer itself, and is checked by callers that
     pair the predictor with a class.
     """
     _check_sharpness(gamma, r)
-    om = grid.omegas()
-    v_log, v_ph = v_logpolar(1j * om, kernel, gamma, r)
+    n = grid.n
+    om = grid.omegas()[: n // 2 + 1]
+    v_log, v_ph, asymptotic = _v_logpolar(1j * om, kernel, gamma, r)
     # the unpaired half-rate node stands for both +-omega_max; averaging the
     # conjugate pair keeps V, and hence K_hat, conjugate-symmetric on-grid
-    ny = grid.n // 2
     with np.errstate(divide="ignore"):
-        ny_real = math.exp(min(v_log[ny], _CLAMP_LOG)) * math.cos(v_ph[ny])
-        v_log[ny] = np.log(abs(ny_real)) if ny_real != 0.0 else -np.inf
-    v_ph[ny] = 0.0 if ny_real >= 0.0 else math.pi
+        ny_real = math.exp(min(v_log[-1], _CLAMP_LOG)) * math.cos(v_ph[-1])
+        v_log[-1] = np.log(abs(ny_real)) if ny_real != 0.0 else -np.inf
+    v_ph[-1] = 0.0 if ny_real >= 0.0 else math.pi
 
-    sat = v_log > _CLAMP_LOG
-    v_vals = np.exp(np.minimum(v_log, _CLAMP_LOG)) * np.exp(1j * v_ph)
+    K = _transfer_half(kernel, grid)
+    vals, log_mag, phase, sat = _khat_nodes(v_log, v_ph, K)
+    kappa_sup = float(np.max(np.abs(vals)))
+    khat_vals = _mirror(vals, n, np.conjugate)
+    khat_log = _mirror(log_mag, n)
+    khat_ph = _mirror(phase, n, np.negative)
+    sat = _mirror(sat, n)
+    k_values = _mirror(K, n, np.conjugate)
+    k_values.flags.writeable = False
+    # the half-node arrays go before the inverse transform allocates
+    del vals, log_mag, phase, K, v_log, v_ph
 
-    K = transfer(kernel, grid)
-    with np.errstate(divide="ignore"):
-        k_log = np.log(np.abs(K.values))
-    k_ph = np.angle(K.values)
-
-    khat_log = v_log + k_log
-    khat_ph = v_ph + k_ph
-    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-        khat_vals = v_vals * K.values
-        overflow = ~np.isfinite(khat_vals)
-        if np.any(overflow):
-            khat_vals[overflow] = np.exp(
-                np.minimum(khat_log[overflow], _VALUE_LOG_MAX)
-            ) * np.exp(1j * khat_ph[overflow])
-    sat = sat | overflow
+    direct = np.flatnonzero(asymptotic[1:-1]) + 1
+    upper = n - direct
+    khat_vals[upper], khat_log[upper], khat_ph[upper], sat[upper] = _khat_nodes(
+        *v_logpolar(1j * -om[direct], kernel, gamma, r), k_values[upper]
+    )
+    kappa_sup = float(np.max(np.abs(khat_vals[upper]), initial=kappa_sup))
 
     khat_time = inverse_transform(Spectrum(grid, khat_vals))
     return PredictorTransfer(
@@ -207,10 +245,10 @@ def build_predictor(
         gamma=float(gamma),
         r=float(r),
         grid=grid,
-        k_values=K.values,
+        k_values=k_values,
         khat_values=khat_vals,
         khat_time=khat_time,
-        kappa_sup=float(np.max(np.abs(khat_vals))),
+        kappa_sup=kappa_sup,
         omega_threshold=omega_threshold(kernel, gamma, r),
         khat_log_mag=khat_log,
         khat_phase=khat_ph,

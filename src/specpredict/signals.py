@@ -26,6 +26,7 @@ from .spectral import (
     FrequencyGrid,
     Spectrum,
     TimeSeries,
+    _mirror,
     forward_transform,
     irfft_rows,
     rfft_rows,
@@ -283,7 +284,7 @@ def add_noise(x: TimeSeries, nu: float, cfg: GeneratorConfig):
         return x, Spectrum(grid, np.zeros(grid.n, dtype=np.complex128))
     rng = _generator(cfg, _STREAM_NOISE)
     half = _random_hermitian_phases(grid, rng)
-    unit = np.concatenate([half, np.conj(half[-2:0:-1])])
+    unit = _mirror(half, grid.n, np.conjugate)
     sel = _band_mask(cfg, np.abs(grid.omegas()))
     count = int(np.count_nonzero(sel))
     N = Spectrum(grid, np.where(sel, nu / (count * grid.delta_omega), 0.0) * unit)

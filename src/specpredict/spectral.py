@@ -19,6 +19,10 @@ They carry the same centred-origin phase and delta_t scaling as the complex
 ``forward_transform`` / ``inverse_transform`` pair.  The phase factors
 ``(-1)^k`` and ``delta_t * (-1)^k`` are built once per grid and shared
 read-only, and every transform scales its fast-transform output in place.
+By the same symmetry ``_mirror`` fills nodes n/2+1..n-1 of a sampled
+real-coefficient function from nodes 0..n/2.  A ``TimeSeries`` stores real
+samples as float64, with no zero imaginary parts; their fast transform is
+bit for bit that of the same values stored as complex.
 
 Grids hold at most ``MAX_GRID_N`` = 2^24 samples, where one complex array
 already takes 256 MB; a larger ``n`` is rejected before anything is
@@ -113,8 +117,7 @@ def make_grid(n: int, delta_t: float) -> FrequencyGrid:
     return FrequencyGrid(n, delta_t)
 
 
-def _as_complex(values, n: int, what: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.complex128)
+def _read_only(arr: np.ndarray, n: int, what: str) -> np.ndarray:
     if arr.shape != (n,):
         raise ValueError(f"{what} must have shape ({n},), got {arr.shape}")
     arr.setflags(write=False)
@@ -123,16 +126,28 @@ def _as_complex(values, n: int, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Sampled signal on a grid; index j holds the value at t_j = (j - n/2)*delta_t."""
+    """Sampled signal on a grid; index j holds the value at t_j = (j - n/2)*delta_t.
+
+    Real input is kept as a read-only float64 copy and complex input as a
+    complex128 one, so ``is_real`` holds by dtype for real storage.  Every
+    sample must be finite: NaN or infinite input raises ValueError.
+    """
 
     grid: FrequencyGrid
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "samples", _as_complex(self.samples, self.grid.n, "samples"))
+        arr = np.array(self.samples)
+        dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
+        arr = _read_only(arr.astype(dtype, copy=False), self.grid.n, "samples")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("samples must be finite, got NaN or infinity")
+        object.__setattr__(self, "samples", arr)
 
     @property
     def is_real(self) -> bool:
+        if not np.iscomplexobj(self.samples):
+            return True
         mag = np.max(np.abs(self.samples))
         if mag == 0.0:
             return True
@@ -147,7 +162,8 @@ class Spectrum:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _as_complex(self.values, self.grid.n, "values"))
+        values = np.array(self.values, dtype=np.complex128)
+        object.__setattr__(self, "values", _read_only(values, self.grid.n, "values"))
 
     @property
     def is_hermitian(self) -> bool:
@@ -157,6 +173,21 @@ class Spectrum:
         idx = (-np.arange(self.grid.n)) % self.grid.n
         defect = np.max(np.abs(self.values - np.conj(self.values[idx])))
         return float(defect) <= CALIBRATION["hermitian_rel"] * mag
+
+
+def _mirror(half: np.ndarray, n: int, flip=None) -> np.ndarray:
+    """The n-node array whose nodes 0..n/2 are ``half`` and whose node n-k is
+    ``flip`` of node k (unchanged when ``flip`` is None): ``np.conjugate``
+    for the values of a real signal's spectrum, ``np.negative`` for their
+    phases."""
+    h = n // 2 + 1
+    full = np.empty(n, dtype=half.dtype)
+    full[:h] = half
+    upper = full[h:]
+    upper[:] = half[h - 2 : 0 : -1]
+    if flip is not None:
+        flip(upper, out=upper)
+    return full
 
 
 @functools.lru_cache(maxsize=4)

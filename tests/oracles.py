@@ -230,3 +230,72 @@ def lemma_check_full_grid(pt, cls, omega_floor=0.5):
         low_band_nodes=count,
         low_band_margin=margin,
     )
+
+
+def transfer_full_grid(kernel, grid, sigma=0.0):
+    """K(sigma + i*omega) evaluated at all n nodes, the half-rate node at its
+    real part: the reference for the library's half-node sampler."""
+    from specpredict.kernels import _numerator_at
+
+    s = sigma + 1j * grid.omegas()
+    den = np.ones_like(s)
+    for a in kernel.poles:
+        den = den * (s - a)
+    values = _numerator_at(kernel, s) / den
+    values[grid.n // 2] = values[grid.n // 2].real
+    return values
+
+
+def build_predictor_full_grid(kernel, gamma, r, grid):
+    """:func:`specpredict.build_predictor` with V, K and K_hat evaluated at all
+    n nodes, both signs of omega, rather than at nodes 0..n/2 and mirrored."""
+    from specpredict import Spectrum, inverse_transform
+    from specpredict.predictor import (
+        _CLAMP_LOG,
+        _VALUE_LOG_MAX,
+        PredictorTransfer,
+        omega_threshold,
+        v_logpolar,
+    )
+
+    om = grid.omegas()
+    v_log, v_ph = v_logpolar(1j * om, kernel, gamma, r)
+    ny = grid.n // 2
+    with np.errstate(divide="ignore"):
+        ny_real = math.exp(min(v_log[ny], _CLAMP_LOG)) * math.cos(v_ph[ny])
+        v_log[ny] = np.log(abs(ny_real)) if ny_real != 0.0 else -np.inf
+    v_ph[ny] = 0.0 if ny_real >= 0.0 else math.pi
+
+    sat = v_log > _CLAMP_LOG
+    v_vals = np.exp(np.minimum(v_log, _CLAMP_LOG)) * np.exp(1j * v_ph)
+
+    K = transfer_full_grid(kernel, grid)
+    with np.errstate(divide="ignore"):
+        k_log = np.log(np.abs(K))
+    k_ph = np.angle(K)
+
+    khat_log = v_log + k_log
+    khat_ph = v_ph + k_ph
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        khat_vals = v_vals * K
+        overflow = ~np.isfinite(khat_vals)
+        if np.any(overflow):
+            khat_vals[overflow] = np.exp(
+                np.minimum(khat_log[overflow], _VALUE_LOG_MAX)
+            ) * np.exp(1j * khat_ph[overflow])
+    sat = sat | overflow
+
+    return PredictorTransfer(
+        kernel=kernel,
+        gamma=float(gamma),
+        r=float(r),
+        grid=grid,
+        k_values=K,
+        khat_values=khat_vals,
+        khat_time=inverse_transform(Spectrum(grid, khat_vals)),
+        kappa_sup=float(np.max(np.abs(khat_vals))),
+        omega_threshold=omega_threshold(kernel, gamma, r),
+        khat_log_mag=khat_log,
+        khat_phase=khat_ph,
+        saturated=sat,
+    )

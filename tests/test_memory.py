@@ -4,12 +4,13 @@ numpy reports its array buffers to ``tracemalloc``, so a traced peak is the
 largest set of arrays alive at once; the FFT library's own scratch is not
 counted.  Members are drawn, and the sweep's error channel is formed, one
 member at a time, so no stacked (m, n) or (m, n/2+1) temporary is alive
-beside the sweep's one array of member spectra.
+beside the sweep's one array of member spectra.  Real members keep float64
+samples, and ``build_predictor`` evaluates nodes 0..n/2 only.
 """
 
 import tracemalloc
 
-from specpredict import GeneratorConfig, gamma_sweep, make_class_ensemble
+from specpredict import GeneratorConfig, build_predictor, gamma_sweep, make_class_ensemble
 from specpredict.experiments import (
     DEFAULT_CLASS,
     DEFAULT_ENSEMBLE_SIZE,
@@ -25,6 +26,11 @@ CFG = GeneratorConfig(seed=2026, grid=default_grid())
 # the stacked channel (one (10, 2^15+1) error spectrum and one (10, 2^16)
 # inverse per gamma), 16.9 MB streamed; the bound sits between the two.
 SWEEP_PEAK_BOUND = 22e6
+
+# Traced peak of one build_predictor at n = 2^16, gamma = 10: 10.1 MB with
+# V, K and K_hat evaluated at all n nodes, 7.0 MB at nodes 0..n/2 and
+# mirrored; the bound sits between the two.
+BUILD_PEAK_BOUND = 8.5e6
 
 
 def _traced_peak(fn):
@@ -52,3 +58,16 @@ def test_sweep_peak_above_inputs_is_bounded():
     )
     assert len(report.rows) == len(DEFAULT_GAMMAS)
     assert peak < SWEEP_PEAK_BOUND, peak
+
+
+def test_members_keep_real_samples_as_float64():
+    ensemble = make_class_ensemble(DEFAULT_CLASS, CFG, DEFAULT_ENSEMBLE_SIZE)
+    assert sum(x.samples.nbytes for x in ensemble) == DEFAULT_ENSEMBLE_SIZE * CFG.grid.n * 8
+
+
+def test_build_predictor_peak_is_bounded():
+    grid = CFG.grid
+    build_predictor(DEFAULT_KERNEL, 10.0, DEFAULT_R, grid)  # caches (signs) outside the trace
+    pt, peak = _traced_peak(lambda: build_predictor(DEFAULT_KERNEL, 10.0, DEFAULT_R, grid))
+    assert pt.khat_values.shape == (grid.n,)
+    assert peak < BUILD_PEAK_BOUND, peak

@@ -25,7 +25,7 @@ from specpredict import (
 from specpredict.predictor import _line_figures, factor_exponent, v_logpolar
 from specpredict.tolerances import CALIBRATION
 
-from oracles import lemma_check_full_grid
+from oracles import build_predictor_full_grid, lemma_check_full_grid, transfer_full_grid
 
 KERNEL = AnticausalKernel((1.0,), (1.0,))
 
@@ -269,6 +269,74 @@ class TestHalfGridLemma:
     def test_edge_configurations_match_full_grid(self, poles, gamma, r, cls, grid):
         pt = build_predictor(AnticausalKernel(poles), gamma, r, grid)
         assert repr(lemma_check(pt, cls)) == repr(lemma_check_full_grid(pt, cls))
+
+
+def _assert_bitwise_equal(pt, ref):
+    """Every field of two PredictorTransfers equal bit for bit."""
+    for f in dataclasses.fields(pt):
+        got, want = getattr(pt, f.name), getattr(ref, f.name)
+        if isinstance(got, np.ndarray):
+            assert got.dtype == want.dtype and got.shape == want.shape, f.name
+            assert got.tobytes() == want.tobytes(), f.name
+        elif f.name == "khat_time":
+            assert got.samples.dtype == want.samples.dtype
+            assert got.samples.tobytes() == want.samples.tobytes(), f.name
+        elif isinstance(got, float):
+            assert got.hex() == want.hex(), f.name
+        else:
+            assert got == want, f.name
+
+
+_KERNELS = [
+    pytest.param(poles, numerator, id=f"poles{list(poles)}-num{list(numerator)}")
+    for poles, numerator in [
+        ((1.0,), (1.0,)),
+        ((1.0, 2.0), (1.0,)),
+        ((1.0, 2.0), (0.1, 1.0)),
+        ((0.5, 1.0, 2.0), (1.0,)),
+        ((0.5, 1.0, 2.0), (0.1, 1.0)),
+    ]
+]
+_GRIDS = [make_grid(4096, 0.01), make_grid(2**16, 0.01)]
+
+
+class TestHalfNodePredictor:
+    """build_predictor evaluates nodes 0..n/2 and mirrors them; every field
+    equals the all-node evaluation in ``oracles`` bit for bit."""
+
+    @pytest.mark.parametrize("grid", _GRIDS, ids=["n4096", "n65536"])
+    @pytest.mark.parametrize("r", [4.0, 0.6])
+    @pytest.mark.parametrize("gamma", [10.0, 30.0, 100.0, 300.0, 1000.0])
+    @pytest.mark.parametrize("poles, numerator", _KERNELS)
+    def test_matches_full_grid(self, poles, numerator, gamma, r, grid):
+        kernel = AnticausalKernel(poles, numerator)
+        _assert_bitwise_equal(
+            build_predictor(kernel, gamma, r, grid), build_predictor_full_grid(kernel, gamma, r, grid)
+        )
+
+    def test_covers_saturating_and_clean_configurations(self):
+        grid = _GRIDS[1]
+        assert build_predictor(KERNEL, 10.0, 4.0, grid).any_saturated
+        assert not build_predictor(KERNEL, 10.0, 0.6, grid).any_saturated
+
+    def test_asymptotic_nodes_are_evaluated_not_negated(self):
+        # at r = 0.6, gamma = 1000 the factor takes its asymptotic form at
+        # paired low-band nodes, where arg V is pi - Im w at -omega rather
+        # than -(Im w + pi); the plain negated mirror would differ there
+        grid = _GRIDS[1]
+        ref = build_predictor_full_grid(KERNEL, 1000.0, 0.6, grid)
+        h = grid.n // 2 + 1
+        negated = np.concatenate([ref.khat_phase[:h], -ref.khat_phase[h - 2 : 0 : -1]])
+        assert negated.tobytes() != ref.khat_phase.tobytes()
+        _assert_bitwise_equal(build_predictor(KERNEL, 1000.0, 0.6, grid), ref)
+
+    @pytest.mark.parametrize("grid", _GRIDS, ids=["n4096", "n65536"])
+    @pytest.mark.parametrize("sigma", [0.0, 0.25, -0.25])
+    @pytest.mark.parametrize("poles, numerator", _KERNELS)
+    def test_transfer_matches_full_grid(self, poles, numerator, sigma, grid):
+        kernel = AnticausalKernel(poles, numerator)
+        got = transfer(kernel, grid, sigma).values
+        assert got.tobytes() == transfer_full_grid(kernel, grid, sigma).tobytes()
 
 
 class TestOrthogonality:

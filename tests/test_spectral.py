@@ -248,6 +248,44 @@ class TestTypeInvariants:
         assert TimeSeries(small_grid, np.ones(small_grid.n)).is_real
         assert not TimeSeries(small_grid, np.ones(small_grid.n) * (1 + 1e-6j)).is_real
 
+    def test_real_input_stored_as_float64_complex_as_complex128(self, small_grid):
+        n = small_grid.n
+        for values in (np.ones(n), np.arange(n), np.ones(n, dtype=np.float32), [0.5] * n):
+            x = TimeSeries(small_grid, values)
+            assert x.samples.dtype == np.float64 and x.is_real
+            assert not x.samples.flags.writeable
+        for values in (np.ones(n) + 0j, np.ones(n, dtype=np.complex64), [0.5 + 1j] * n):
+            x = TimeSeries(small_grid, values)
+            assert x.samples.dtype == np.complex128
+            assert not x.samples.flags.writeable
+
+    def test_samples_are_copied(self, small_grid):
+        values = np.ones(small_grid.n)
+        x = TimeSeries(small_grid, values)
+        values[0] = 2.0
+        assert x.samples[0] == 1.0
+
+    @pytest.mark.parametrize("n", [8, 256, 2**16])
+    def test_float_storage_transforms_like_complex_storage(self, n):
+        grid = make_grid(n, 0.01)
+        rng = np.random.Generator(np.random.Philox(n))
+        samples = rng.standard_normal(n)
+        real, cplx = TimeSeries(grid, samples), TimeSeries(grid, samples + 0j)
+        assert real.samples.dtype == np.float64 and cplx.samples.dtype == np.complex128
+        assert forward_transform(real).values.tobytes() == forward_transform(cplx).values.tobytes()
+
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)], ids=["nan", "inf", "-inf", "complex-nan"]
+    )
+    def test_rejects_non_finite_samples(self, bad):
+        grid = make_grid(8, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            TimeSeries(grid, [bad] * 8)
+        one_bad = [0.0] * 8
+        one_bad[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            TimeSeries(grid, one_bad)
+
 
 class TestRowTransforms:
     @staticmethod
