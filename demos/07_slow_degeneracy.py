@@ -2,10 +2,12 @@
 """Illustration: spectra that vanish too slowly are not predictable.
 
 Signals whose transform decays like exp(-c/|omega|^q) with q < 1 keep mass
-inside the predictor's amplified low band, so their error refuses to shrink
-while an admissible ensemble (q = 2, same seeds, same sweep) converges.
-A numerical run cannot prove non-existence of predictors; this is an
-illustration of the error floor, nothing more.
+inside the predictor's amplified low band.  Their error falls with gamma
+too, but at gamma = 30 it stays about 1e10 above that of an admissible
+ensemble (q = 2, same seeds, same sweep).  On this uniform grid the first
+frequency node acts as a spectral gap, which is why the slow error does
+not grow (ROADMAP item 3).  A numerical run cannot prove non-existence of
+predictors; this is an illustration, nothing more.
 """
 
 from specpredict import (

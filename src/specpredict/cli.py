@@ -43,7 +43,7 @@ from .kernels import kernel_from_dict
 from .predictor import LemmaReport, build_predictor, causality_defect, find_gamma0, lemma_check
 from .reports import ensure_dir, format_value, write_csv, write_json, write_svg_lineplot
 from .signals import GeneratorConfig, class_norm, sample_bandlimited, sample_class_member
-from .spectral import forward_transform, irfft_rows, make_grid, norm, to_centered
+from .spectral import _half_nodes, forward_transform, irfft_rows, make_grid, norm, to_centered
 
 
 class ConfigError(ValueError):
@@ -262,15 +262,15 @@ def _cmd_predict(config, outdir, formats):
     h = grid.n // 2 + 1
     X = _member_spectrum(x)[:h]
     (err_l2,), (err_sup,) = _error_channel(pt, [X])
-    y = irfft_rows(pt.k_values[:h] * X, grid)
-    y_hat = irfft_rows(pt.khat_values[:h] * X, grid)
+    y = irfft_rows(pt.k_values * X, grid)
+    y_hat = irfft_rows(pt.khat_values * X, grid)
     y_l2, y_sup = _row_norms(y, grid)
     meta = _resolved(config, "predict")
     if "csv" in formats:
         _timeseries_csv(f"{outdir}/x.csv", grid, x.samples.real, meta)
         _timeseries_csv(f"{outdir}/y.csv", grid, y, meta)
         _timeseries_csv(f"{outdir}/yhat.csv", grid, y_hat, meta)
-        _timeseries_csv(f"{outdir}/khat.csv", grid, pt.khat_time.samples.real, meta, column="khat")
+        _timeseries_csv(f"{outdir}/khat.csv", grid, pt.khat_time.samples, meta, column="khat")
     write_json(
         f"{outdir}/summary.json",
         {
@@ -286,8 +286,10 @@ def _cmd_predict(config, outdir, formats):
         meta,
     )
     if pt.any_saturated:
+        # counted on the full grid: node k of 0 < k < n/2 stands for +-omega_k
+        saturated = int(np.sum(_half_nodes(grid)[1][pt.saturated]))
         print(
-            f"warning: {int(pt.saturated.sum())} of {grid.n} predictor nodes saturated; "
+            f"warning: {saturated} of {grid.n} predictor nodes saturated; "
             "khat.csv and causality_defect read clamped values",
             file=sys.stderr,
         )

@@ -12,14 +12,13 @@ one member's rows at a time.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .degeneracy import DegeneracyClass
-from .kernels import AnticausalKernel, _transfer_half, kernel_to_dict, transfer
+from .kernels import AnticausalKernel, _transfer_half, kernel_to_dict
 from .predictor import (
     PredictorTransfer,
     _logsumexp,
@@ -32,7 +31,6 @@ from .signals import (
     GeneratorConfig,
     _counterexample_half_spectra,
     _enveloped_member,
-    _half_omega_abs,
     add_noise,
     class_norm,
     make_class_ensemble,
@@ -40,6 +38,7 @@ from .signals import (
 from .spectral import (
     FrequencyGrid,
     TimeSeries,
+    _half_nodes,
     _is_sup,
     forward_transform,
     irfft_rows,
@@ -159,8 +158,7 @@ def _inverse_norms(spectra, grid: FrequencyGrid):
 
 def _error_gain(pt: PredictorTransfer) -> np.ndarray:
     """K_hat - K at nodes 0..n/2, the gain of the error channel."""
-    h = pt.grid.n // 2 + 1
-    return pt.khat_values[:h] - pt.k_values[:h]
+    return pt.khat_values - pt.k_values
 
 
 def _error_spectrum(pt: PredictorTransfer, X: np.ndarray) -> np.ndarray:
@@ -175,18 +173,6 @@ def _error_channel(pt: PredictorTransfer, X: np.ndarray):
     a time with one :func:`_error_gain`."""
     gain = _error_gain(pt)
     return _inverse_norms((gain * row for row in X), pt.grid)
-
-
-@functools.lru_cache(maxsize=4)
-def _half_nodes(grid: FrequencyGrid):
-    """(|omega|, weight) at nodes 0..n/2, read-only and cached per grid, since
-    the sweep reads them at every gamma.  The weight is 2, as node k stands for
-    both signs of omega, except at nodes 0 and n/2, which stand for themselves."""
-    omega_abs = _half_omega_abs(grid)
-    weights = np.full(grid.n // 2 + 1, 2.0)
-    weights[[0, -1]] = 1.0
-    omega_abs.flags.writeable = weights.flags.writeable = False
-    return omega_abs, weights
 
 
 def _band_split(diff: np.ndarray, pt: PredictorTransfer, rho: int):
@@ -218,7 +204,7 @@ def prediction_error(pt: PredictorTransfer, x: TimeSeries, p) -> PredictionError
         raise ValueError("time series grid does not match predictor grid")
     X = _member_half_spectra([x])
     l2, sup = _error_channel(pt, X)
-    y_l2, y_sup = _inverse_norms(pt.k_values[: grid.n // 2 + 1] * X, grid)
+    y_l2, y_sup = _inverse_norms(pt.k_values * X, grid)
     err, ref = (sup, y_sup) if _is_sup(p) else (l2, y_l2)
     return PredictionError(float(err[0]), float(_relative(err, ref)[0]))
 
@@ -267,7 +253,8 @@ def _run_sweep(kernel: AnticausalKernel, gammas, r: float, ensemble, cls: Degene
                 **lemma_kwargs,
             )
         )
-        # each predictor holds several n-node arrays; drop it before the next build
+        # each predictor holds several (n/2+1)-node arrays and its n-sample
+        # time kernel; drop it before the next build
         del pt
     return rows
 
@@ -373,7 +360,7 @@ def robustness_experiment(
         N = add_noise(x0, float(nu), cfg)[1].values[:h]
         # the clean channel plus the prediction of the noise, so the nu = 0
         # row reproduces eps_clean bit-exactly
-        err = float(np.max(np.abs(irfft_rows(clean_diff + pt.khat_values[:h] * N, grid))))
+        err = float(np.max(np.abs(irfft_rows(clean_diff + pt.khat_values * N, grid))))
         bound = eps_clean + nu * (pt.kappa_sup + 1.0)
         j_eta = sum(_band_split(_error_spectrum(pt, N), pt, 1)) / (2 * math.pi)
         rows.append(
@@ -448,26 +435,24 @@ def counterexample_experiment(
     """
     grid = cfg.grid
     gammas = _gamma_list(gammas)
-    h = grid.n // 2 + 1
     # the pair's own half spectra, exact zeros included; the log-weight counts
     # each node for both signs of omega (see _half_nodes)
     X1, X2 = _counterexample_half_spectra(a, cfg)
     log_w = np.log(_half_nodes(grid)[1])
-    K = transfer(kernel, grid).values
-    k_log = _log_abs(K)
+    K = _transfer_half(kernel, grid)
     log_dw = math.log(grid.delta_omega)
-    log_norm_k_sq = _logsumexp(2.0 * k_log) + log_dw
+    log_norm_k_sq = _logsumexp(2.0 * _log_abs(K) + log_w) + log_dw
     tol = CALIBRATION["counterexample_identity_rel"]
 
     rows = []
     for gamma in gammas:
         pt = build_predictor(kernel, gamma, r, grid)
         with np.errstate(invalid="ignore"):
-            diff_log = np.where(pt.saturated, pt.khat_log_mag, _log_abs(K - pt.khat_values))[:h]
+            diff_log = np.where(pt.saturated, pt.khat_log_mag, _log_abs(K - pt.khat_values))
         le1 = _logsumexp(2.0 * (diff_log + _log_abs(X1)) + log_w) + log_dw - math.log(2 * math.pi)
         le2 = _logsumexp(2.0 * (diff_log + _log_abs(X2)) + log_w) + log_dw - math.log(2 * math.pi)
         lhs_log = math.log(2 * math.pi) + np.logaddexp(le1, le2)
-        rhs_log = np.logaddexp(log_norm_k_sq, _logsumexp(2.0 * pt.khat_log_mag) + log_dw)
+        rhs_log = np.logaddexp(log_norm_k_sq, _logsumexp(2.0 * pt.khat_log_mag + log_w) + log_dw)
         rel_gap = abs(math.expm1(lhs_log - rhs_log))
         floor_ok = max(le1, le2) >= rhs_log - math.log(4 * math.pi) + math.log(0.95)
         with np.errstate(over="ignore"):
@@ -530,8 +515,12 @@ def nonpredictability_demo(
     an admissible reference class under identical seeds and sweep.
 
     Signals with too-slow spectral decay keep mass inside the predictor's
-    amplified low band, so their error refuses to shrink (and visibly grows)
-    while the reference ensemble converges.
+    amplified low band.  On a uniform grid their error falls with gamma as
+    well, only far less: at demo 07's configuration (pole 0.5, r = 2.5,
+    seed 77) it reads 1.3e59 at gamma = 10 and 1.0e-3 at gamma = 30, about
+    1e10 above the reference.  The grid's first node acts as a spectral gap;
+    once the band edge drops below it, slow members behave like class
+    members and the contrast fades (ROADMAP item 3).
     """
     if not (0.0 < q_bad < 1.0):
         raise ValueError(f"q_bad must lie strictly inside (0, 1), got {q_bad!r}")

@@ -32,9 +32,10 @@ from .spectral import (
     FrequencyGrid,
     Spectrum,
     TimeSeries,
-    _mirror,
-    forward_transform,
+    _half_nodes,
     inverse_transform,
+    irfft_rows,
+    rfft_rows,
 )
 from .tolerances import CALIBRATION
 
@@ -75,13 +76,11 @@ def eval_v_factor(z, a: float, gamma: float, r: float):
 
 
 def _factor_logpolar(z: np.ndarray, a: float, gamma: float, r: float):
-    """(log|V_j|, arg V_j, asymptotic) at complex points z, stable for huge exponents.
+    """(log|V_j|, arg V_j) at complex points z, stable for huge exponents.
 
     Where Re w <= 690 the factor 1 - e^w is formed exactly; beyond that
     1 - e^w = -e^w (1 - e^{-w}) gives log magnitude Re w and phase Im w + pi
-    up to an e^{-Re w} correction far below double rounding.  ``asymptotic``
-    marks the points that took the second form, whose phase is not odd in
-    Im z: at conj(z) it is pi - Im w, not -(Im w + pi).
+    up to an e^{-Re w} correction far below double rounding.
     """
     w = factor_exponent(z, a, gamma, r)
     wr = w.real
@@ -95,27 +94,19 @@ def _factor_logpolar(z: np.ndarray, a: float, gamma: float, r: float):
     big = ~exact
     logmag[big] = wr[big]
     phase[big] = w.imag[big] + math.pi
-    return logmag, phase, big
-
-
-def _v_logpolar(z, kernel: AnticausalKernel, gamma: float, r: float):
-    """:func:`v_logpolar` and the points where some factor is ``asymptotic``
-    (see :func:`_factor_logpolar`)."""
-    z = np.asarray(z, dtype=np.complex128)
-    logmag = np.zeros(z.shape)
-    phase = np.zeros(z.shape)
-    asymptotic = np.zeros(z.shape, dtype=bool)
-    for a in kernel.poles:
-        lm, ph, big = _factor_logpolar(z, a, gamma, r)
-        logmag += lm
-        phase += ph
-        asymptotic |= big
-    return logmag, phase, asymptotic
+    return logmag, phase
 
 
 def v_logpolar(z: np.ndarray, kernel: AnticausalKernel, gamma: float, r: float):
     """(log|V|, arg V) of the full product at complex points z (i*omega on the axis)."""
-    return _v_logpolar(z, kernel, gamma, r)[:2]
+    z = np.asarray(z, dtype=np.complex128)
+    logmag = np.zeros(z.shape)
+    phase = np.zeros(z.shape)
+    for a in kernel.poles:
+        lm, ph = _factor_logpolar(z, a, gamma, r)
+        logmag += lm
+        phase += ph
+    return logmag, phase
 
 
 def v_minus_one(omega, kernel: AnticausalKernel, gamma: float, r: float) -> np.ndarray:
@@ -141,13 +132,18 @@ def v_minus_one(omega, kernel: AnticausalKernel, gamma: float, r: float) -> np.n
 class PredictorTransfer:
     """The sampled causal predictor K_hat = V * K with its diagnostics.
 
-    ``k_values`` holds the kernel transfer K on the grid, sampled once per
-    predictor.  ``khat_values`` is magnitude-clamped at exp(700) where the
-    log magnitude saturates (mask in ``saturated``); the unclamped log
-    magnitude and phase of K_hat ride along for log-domain arithmetic.
-    ``kappa_sup`` is the grid max of |khat_values| (an under-estimate of the
-    true sup, consistent with the grid resolution); ``omega_threshold`` is
-    the degeneracy-band edge sqrt(max_j a_j * gamma^{-r}).
+    Real coefficients make K, V and K_hat conjugate-symmetric, so every
+    sampled array holds nodes 0..n/2 only, as the half spectra of
+    :func:`.spectral.rfft_rows` do (node n/2 is the unpaired omega_max); a
+    full-grid sum weights them with :func:`.spectral._half_nodes`.
+    ``k_values`` holds the kernel transfer K, sampled once per predictor.
+    ``khat_values`` is magnitude-clamped at exp(700) where the log magnitude
+    saturates (mask in ``saturated``); the unclamped log magnitude and phase
+    of K_hat ride along for log-domain arithmetic.  ``khat_time`` is the real
+    inverse of ``khat_values`` at all n time nodes.  ``kappa_sup`` is the
+    grid max of |khat_values| (an under-estimate of the true sup, consistent
+    with the grid resolution); ``omega_threshold`` is the degeneracy-band
+    edge sqrt(max_j a_j * gamma^{-r}).
     """
 
     kernel: AnticausalKernel
@@ -173,9 +169,30 @@ def omega_threshold(kernel: AnticausalKernel, gamma: float, r: float) -> float:
     return math.sqrt(kernel.max_pole * gamma ** (-r))
 
 
-def _khat_nodes(v_log: np.ndarray, v_ph: np.ndarray, K: np.ndarray):
-    """(khat_values, khat_log_mag, khat_phase, saturated) at nodes where V is
-    (v_log, v_ph) in log-polar form and the kernel transfer is K."""
+def build_predictor(
+    kernel: AnticausalKernel, gamma: float, r: float, grid: FrequencyGrid
+) -> PredictorTransfer:
+    """Assemble V, K_hat = V*K, the causal time kernel and the gain figures.
+
+    V, K and K_hat are evaluated at nodes 0..n/2, the nodes the predictor
+    keeps (see :class:`PredictorTransfer`).
+
+    Admissibility of r against a signal class (r > 2/(q-1)) is a property of
+    experiments, not of the transfer itself, and is checked by callers that
+    pair the predictor with a class.
+    """
+    _check_sharpness(gamma, r)
+    om = grid.omegas()[: grid.n // 2 + 1]
+    v_log, v_ph = v_logpolar(1j * om, kernel, gamma, r)
+    # the unpaired half-rate node stands for both +-omega_max; averaging the
+    # conjugate pair keeps V, and hence K_hat, conjugate-symmetric on-grid
+    with np.errstate(divide="ignore"):
+        ny_real = math.exp(min(v_log[-1], _CLAMP_LOG)) * math.cos(v_ph[-1])
+        v_log[-1] = np.log(abs(ny_real)) if ny_real != 0.0 else -np.inf
+    v_ph[-1] = 0.0 if ny_real >= 0.0 else math.pi
+
+    K = _transfer_half(kernel, grid)
+    K.flags.writeable = False
     sat = v_log > _CLAMP_LOG
     v_vals = np.exp(np.minimum(v_log, _CLAMP_LOG)) * np.exp(1j * v_ph)
     with np.errstate(divide="ignore"):
@@ -188,71 +205,20 @@ def _khat_nodes(v_log: np.ndarray, v_ph: np.ndarray, K: np.ndarray):
             khat_vals[overflow] = np.exp(
                 np.minimum(khat_log[overflow], _VALUE_LOG_MAX)
             ) * np.exp(1j * khat_ph[overflow])
-    return khat_vals, khat_log, khat_ph, sat | overflow
 
-
-def build_predictor(
-    kernel: AnticausalKernel, gamma: float, r: float, grid: FrequencyGrid
-) -> PredictorTransfer:
-    """Assemble V, K_hat = V*K, the causal time kernel and the gain figures.
-
-    V, K and K_hat are evaluated at nodes 0..n/2 only (node n/2 is
-    -omega_max, as on the full grid).  Real coefficients make every node
-    above n/2 the exact mirror of one below: conjugate values, equal log
-    magnitude and saturation, negated phase.  The one exception is a node
-    where a factor of V takes the asymptotic form of
-    :func:`_factor_logpolar`, whose phase is not odd; the mirrors of those
-    (few, low-band) nodes are evaluated at -omega directly.  Every array is
-    therefore bit for bit what evaluating all n nodes gives.
-
-    Admissibility of r against a signal class (r > 2/(q-1)) is a property of
-    experiments, not of the transfer itself, and is checked by callers that
-    pair the predictor with a class.
-    """
-    _check_sharpness(gamma, r)
-    n = grid.n
-    om = grid.omegas()[: n // 2 + 1]
-    v_log, v_ph, asymptotic = _v_logpolar(1j * om, kernel, gamma, r)
-    # the unpaired half-rate node stands for both +-omega_max; averaging the
-    # conjugate pair keeps V, and hence K_hat, conjugate-symmetric on-grid
-    with np.errstate(divide="ignore"):
-        ny_real = math.exp(min(v_log[-1], _CLAMP_LOG)) * math.cos(v_ph[-1])
-        v_log[-1] = np.log(abs(ny_real)) if ny_real != 0.0 else -np.inf
-    v_ph[-1] = 0.0 if ny_real >= 0.0 else math.pi
-
-    K = _transfer_half(kernel, grid)
-    vals, log_mag, phase, sat = _khat_nodes(v_log, v_ph, K)
-    kappa_sup = float(np.max(np.abs(vals)))
-    khat_vals = _mirror(vals, n, np.conjugate)
-    khat_log = _mirror(log_mag, n)
-    khat_ph = _mirror(phase, n, np.negative)
-    sat = _mirror(sat, n)
-    k_values = _mirror(K, n, np.conjugate)
-    k_values.flags.writeable = False
-    # the half-node arrays go before the inverse transform allocates
-    del vals, log_mag, phase, K, v_log, v_ph
-
-    direct = np.flatnonzero(asymptotic[1:-1]) + 1
-    upper = n - direct
-    khat_vals[upper], khat_log[upper], khat_ph[upper], sat[upper] = _khat_nodes(
-        *v_logpolar(1j * -om[direct], kernel, gamma, r), k_values[upper]
-    )
-    kappa_sup = float(np.max(np.abs(khat_vals[upper]), initial=kappa_sup))
-
-    khat_time = inverse_transform(Spectrum(grid, khat_vals))
     return PredictorTransfer(
         kernel=kernel,
         gamma=float(gamma),
         r=float(r),
         grid=grid,
-        k_values=k_values,
+        k_values=K,
         khat_values=khat_vals,
-        khat_time=khat_time,
-        kappa_sup=kappa_sup,
+        khat_time=TimeSeries(grid, irfft_rows(khat_vals, grid)),
+        kappa_sup=float(np.max(np.abs(khat_vals))),
         omega_threshold=omega_threshold(kernel, gamma, r),
         khat_log_mag=khat_log,
         khat_phase=khat_ph,
-        saturated=sat,
+        saturated=sat | overflow,
     )
 
 
@@ -279,13 +245,17 @@ def predictor_from_json(text: str) -> PredictorTransfer:
 
 
 def predict(pt: PredictorTransfer, x: TimeSeries) -> TimeSeries:
-    """Causal prediction y_hat = inverse(K_hat * X); same guard rules as
-    :func:`.kernels.apply_anticausal` (circular product, middle-half support).
+    """Causal prediction y_hat = inverse(K_hat * X) of a real series; same
+    guard rules as :func:`.kernels.apply_anticausal` (circular product,
+    middle-half support).  Real values stored as complex are accepted; a
+    series whose imaginary part exceeds roundoff raises ValueError.
     """
     if x.grid != pt.grid:
         raise ValueError("time series grid does not match predictor grid")
-    X = forward_transform(x)
-    return inverse_transform(Spectrum(pt.grid, pt.khat_values * X.values))
+    if not x.is_real:
+        raise ValueError("predict takes a real series, got a nonzero imaginary part")
+    X = rfft_rows(x.samples.real, pt.grid)
+    return TimeSeries(pt.grid, irfft_rows(pt.khat_values * X, pt.grid))
 
 
 def _past_share(samples: np.ndarray, t: np.ndarray) -> float:
@@ -465,43 +435,37 @@ def _logsumexp(values: np.ndarray) -> float:
         return m + math.log(float(np.sum(np.exp(a - m))))
 
 
-def _scaled_inner_product(log_a, phase_a, log_b, phase_b):
-    """(log scale L, complex S) with sum conj(A)B = e^L * S."""
-    terms = np.asarray(log_a) + np.asarray(log_b)
-    finite = np.isfinite(terms)
-    if not np.any(finite):
-        return -math.inf, 0.0 + 0.0j
-    L = float(np.max(terms[finite]))
-    with np.errstate(under="ignore"):
-        weights = np.where(finite, np.exp(np.where(finite, terms, -np.inf) - L), 0.0)
-    S = np.sum(weights * np.exp(1j * (np.asarray(phase_b) - np.asarray(phase_a))))
-    return L, complex(S)
-
-
 def orthogonality_residual(pt: PredictorTransfer) -> float:
     """Normalized grid inner product of K and K_hat on the imaginary axis.
 
     |delta_omega * sum conj(K) K_hat| / (||K||_2 ||K_hat||_2) over the
     predictor's own grid samples, saturated nodes at their clamped log
     magnitude, evaluated in the log domain so they cannot overflow; the
-    normalization makes the grid spacing cancel.  0 for an identically zero
+    normalization makes the grid spacing cancel.  Both signs of omega enter
+    through the node weights, and the terms at +-omega are conjugate, so the
+    sum is the weighted sum of their real parts.  0 for an identically zero
     predictor.  It tracks the inner product of the kernels only when no node
     saturates and the degeneracy band is resolved; at the default sweep
     configuration it reads ~0.055 whatever the kernel (docs/numerics.md).
     :func:`line_witness` measures the kernel itself.
     """
+    weights = _half_nodes(pt.grid)[1]
     with np.errstate(divide="ignore"):
         k_log = np.log(np.abs(pt.k_values))
-    k_ph = np.angle(pt.k_values)
-    kh_log, kh_ph = pt.khat_log_mag, pt.khat_phase
-    if not np.any(np.isfinite(kh_log)):
+    kh_log = pt.khat_log_mag
+    terms = k_log + kh_log
+    finite = np.isfinite(terms)
+    if not np.any(finite):
         return 0.0
-
-    L, S = _scaled_inner_product(k_log, k_ph, kh_log, kh_ph)
-    if abs(S) == 0.0:
+    L = float(np.max(terms[finite]))
+    cos = np.cos(pt.khat_phase[finite] - np.angle(pt.k_values[finite]))
+    with np.errstate(under="ignore"):
+        S = float(np.sum(weights[finite] * np.exp(terms[finite] - L) * cos))
+    if S == 0.0:
         return 0.0
     num_log = L + math.log(abs(S))
-    den_log = 0.5 * _logsumexp(2.0 * k_log) + 0.5 * _logsumexp(2.0 * kh_log)
+    log_w = np.log(weights)
+    den_log = 0.5 * _logsumexp(2.0 * k_log + log_w) + 0.5 * _logsumexp(2.0 * kh_log + log_w)
     with np.errstate(over="ignore"):
         return float(np.exp(num_log - den_log))
 

@@ -26,6 +26,7 @@ from .spectral import (
     FrequencyGrid,
     Spectrum,
     TimeSeries,
+    _half_nodes,
     _mirror,
     forward_transform,
     irfft_rows,
@@ -112,11 +113,6 @@ def _random_hermitian_phases(grid: FrequencyGrid, rng: np.random.Generator) -> n
     return unit
 
 
-def _half_omega_abs(grid: FrequencyGrid) -> np.ndarray:
-    """|omega| at nodes 0..n/2, the nodes a real signal's half spectrum keeps."""
-    return np.abs(grid.omegas()[: grid.n // 2 + 1])
-
-
 @functools.lru_cache(maxsize=8)
 def _guard_window(grid: FrequencyGrid) -> np.ndarray:
     """Smooth taper confining the signal to the middle half of the window.
@@ -164,7 +160,7 @@ def _enveloped_member(q: float, c: float, cfg: GeneratorConfig, size: int) -> li
     the negative illustration deliberately feeds q in (0, 1).
     """
     grid = cfg.grid
-    om_abs = _half_omega_abs(grid)
+    om_abs = _half_nodes(grid)[0]
 
     log_env = _log_amplitude(cfg, om_abs) - log_weight(om_abs, q, c)
     log_env[~_band_mask(cfg, om_abs)] = -np.inf
@@ -219,7 +215,7 @@ def sample_bandlimited(omega_bar: float, cfg: GeneratorConfig) -> TimeSeries:
     if not (0.0 < omega_bar < grid.omega_max):
         raise ValueError(f"omega_bar must lie in (0, omega_max={grid.omega_max})")
     rng = _generator(cfg, _STREAM_BAND)
-    om_abs = _half_omega_abs(grid)
+    om_abs = _half_nodes(grid)[0]
     support = (om_abs <= omega_bar) & _band_mask(cfg, om_abs)
     support[0] = False
     if not np.any(support):
@@ -249,7 +245,7 @@ def _counterexample_half_spectra(a: float, cfg: GeneratorConfig):
     if not (0.0 < a < grid.omega_max):
         raise ValueError(f"split frequency must lie in (0, omega_max={grid.omega_max})")
     unit = _random_hermitian_phases(grid, _generator(cfg, _STREAM_PAIR))
-    inner = _half_omega_abs(grid) < a
+    inner = _half_nodes(grid)[0] < a
     return np.where(inner, unit, 0.0), np.where(inner, 0.0, unit)
 
 

@@ -19,10 +19,12 @@ They carry the same centred-origin phase and delta_t scaling as the complex
 ``forward_transform`` / ``inverse_transform`` pair.  The phase factors
 ``(-1)^k`` and ``delta_t * (-1)^k`` are built once per grid and shared
 read-only, and every transform scales its fast-transform output in place.
-By the same symmetry ``_mirror`` fills nodes n/2+1..n-1 of a sampled
-real-coefficient function from nodes 0..n/2.  A ``TimeSeries`` stores real
-samples as float64, with no zero imaginary parts; their fast transform is
-bit for bit that of the same values stored as complex.
+``_half_nodes`` gives |omega| at nodes 0..n/2 and the weight with which
+each enters a full-grid sum.  By the same symmetry ``_mirror`` fills nodes
+n/2+1..n-1 from nodes 0..n/2 where all n nodes are needed: the public
+``transfer`` and the noise spectrum of ``add_noise``.  A ``TimeSeries``
+stores real samples as float64, with no zero imaginary parts; their fast
+transform is bit for bit that of the same values stored as complex.
 
 Grids hold at most ``MAX_GRID_N`` = 2^24 samples, where one complex array
 already takes 256 MB; a larger ``n`` is rejected before anything is
@@ -188,6 +190,19 @@ def _mirror(half: np.ndarray, n: int, flip=None) -> np.ndarray:
     if flip is not None:
         flip(upper, out=upper)
     return full
+
+
+@functools.lru_cache(maxsize=4)
+def _half_nodes(grid: FrequencyGrid):
+    """(|omega|, weight) at nodes 0..n/2, read-only and cached per grid.  The
+    weight is 2, as node k stands for both signs of omega, except at nodes 0
+    and n/2, which stand for themselves; a full-grid sum of a function even
+    in omega is the weighted sum over nodes 0..n/2."""
+    omega_abs = np.abs(grid.omegas()[: grid.n // 2 + 1])
+    weights = np.full(grid.n // 2 + 1, 2.0)
+    weights[[0, -1]] = 1.0
+    omega_abs.flags.writeable = weights.flags.writeable = False
+    return omega_abs, weights
 
 
 @functools.lru_cache(maxsize=4)

@@ -62,7 +62,6 @@ def gamma_sweep_reference(kernel, cls, gammas, r, ensemble):
     """
     from specpredict import (
         Spectrum,
-        build_predictor,
         causality_defect,
         inverse_transform,
         lemma_check,
@@ -81,7 +80,7 @@ def gamma_sweep_reference(kernel, cls, gammas, r, ensemble):
     omega_abs = np.abs(grid.omegas())
     rows = []
     for gamma in sorted(float(g) for g in gammas):
-        pt = build_predictor(kernel, gamma, r, grid)
+        pt = build_predictor_full_grid(kernel, gamma, r, grid)
         worst = dict(err_l2_abs=0.0, err_l2_rel=0.0, err_sup_abs=0.0, err_sup_rel=0.0)
         worst_l2r, i1, i2 = -1.0, 0.0, 0.0
         for X, y_l2, y_sup in members:
@@ -180,8 +179,7 @@ def error_channel_batched(pt, X):
     """(diff, l2, sup): the error channel ``(K_hat - K) X`` of a whole
     (m, n/2+1) stack of half spectra and the norms of its inverse, taken in
     one batched transform; the stacked form of the library's per-row channel."""
-    h = pt.grid.n // 2 + 1
-    diff = (pt.khat_values[:h] - pt.k_values[:h]) * X
+    diff = (pt.khat_values - pt.k_values) * X
     l2, sup = row_norms_linalg(irfft_stack(diff, pt.grid), pt.grid)
     return diff, l2, sup
 
@@ -232,6 +230,23 @@ def lemma_check_full_grid(pt, cls, omega_floor=0.5):
     )
 
 
+def orthogonality_residual_full_grid(pt):
+    """:func:`specpredict.orthogonality_residual` of an all-node predictor
+    (:func:`build_predictor_full_grid`): the complex terms summed over all n
+    nodes, in the log domain, with no node weights."""
+    from specpredict.predictor import _logsumexp
+
+    with np.errstate(divide="ignore"):
+        k_log = np.log(np.abs(pt.k_values))
+    terms = k_log + pt.khat_log_mag
+    finite = np.isfinite(terms)
+    L = float(np.max(terms[finite]))
+    dphase = pt.khat_phase[finite] - np.angle(pt.k_values[finite])
+    S = np.sum(np.exp(terms[finite] - L) * np.exp(1j * dphase))
+    den_log = 0.5 * _logsumexp(2.0 * k_log) + 0.5 * _logsumexp(2.0 * pt.khat_log_mag)
+    return float(np.exp(L + math.log(abs(S)) - den_log))
+
+
 def transfer_full_grid(kernel, grid, sigma=0.0):
     """K(sigma + i*omega) evaluated at all n nodes, the half-rate node at its
     real part: the reference for the library's half-node sampler."""
@@ -247,8 +262,9 @@ def transfer_full_grid(kernel, grid, sigma=0.0):
 
 
 def build_predictor_full_grid(kernel, gamma, r, grid):
-    """:func:`specpredict.build_predictor` with V, K and K_hat evaluated at all
-    n nodes, both signs of omega, rather than at nodes 0..n/2 and mirrored."""
+    """:func:`specpredict.build_predictor` with V, K and K_hat evaluated and
+    kept at all n nodes, both signs of omega, rather than at nodes 0..n/2, and
+    the time kernel taken by the complex inverse transform."""
     from specpredict import Spectrum, inverse_transform
     from specpredict.predictor import (
         _CLAMP_LOG,

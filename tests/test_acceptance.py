@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import compact_pulse
-from oracles import idft_direct, linear_convolve
+from oracles import build_predictor_full_grid, idft_direct, linear_convolve
 from specpredict import (
     AnticausalKernel,
     DegeneracyClass,
@@ -114,7 +114,8 @@ def test_criterion_02_oracle_equivalence():
                 / norm(TimeSeries(g, slow + 0j), 2),
             )
     pt = build_predictor(kernels[0], 3.0, 0.2, g)
-    khat_series = idft_direct(pt.khat_values, g).real
+    khat_full = build_predictor_full_grid(kernels[0], 3.0, 0.2, g).khat_values
+    khat_series = idft_direct(khat_full, g).real
     for seed in range(5):
         x = compact_pulse(g, 200 + seed)
         fast = predict(pt, x)

@@ -113,9 +113,9 @@ class TestPredictCommand:
         X = _member_spectrum(x)[:h]
         expected = {
             "x.csv": x.samples.real,
-            "y.csv": irfft_rows(pt.k_values[:h] * X, grid),
-            "yhat.csv": irfft_rows(pt.khat_values[:h] * X, grid),
-            "khat.csv": pt.khat_time.samples.real,
+            "y.csv": irfft_rows(pt.k_values * X, grid),
+            "yhat.csv": irfft_rows(pt.khat_values * X, grid),
+            "khat.csv": pt.khat_time.samples,
         }
         for name, samples in expected.items():
             rows = (outdir / name).read_text().splitlines()[2:]
@@ -129,6 +129,21 @@ class TestPredictCommand:
         err = capsys.readouterr().err.splitlines()
         assert err == [
             "warning: 1 of 4096 predictor nodes saturated; "
+            "khat.csv and causality_defect read clamped values"
+        ]
+
+    def test_saturated_count_covers_both_signs_of_omega(self, tmp_path, capsys):
+        # node 0 and the pair at +-delta_omega saturate: 3 of the n grid nodes
+        config = base_config(
+            grid={"n": 4096, "delta_t": 0.01},
+            kernel={"poles": [5.0], "numerator": [1.0]},
+            predictor={"r": 0.6, "gammas": [1000.0]},
+        )
+        config["class"] = {"q": 5.0, "c": 1.0}
+        code, _ = run(tmp_path, "predict", config)
+        assert code == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: 3 of 4096 predictor nodes saturated; "
             "khat.csv and causality_defect read clamped values"
         ]
 

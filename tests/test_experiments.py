@@ -28,6 +28,7 @@ from specpredict import experiments
 from specpredict.experiments import _member_spectrum
 
 from oracles import (
+    build_predictor_full_grid,
     enveloped_members_batched,
     error_channel_batched,
     gamma_sweep_reference,
@@ -57,7 +58,7 @@ class TestPredictionError:
 
     def test_identity_transfer_gives_zero_error(self):
         pt = build_predictor(KERNEL, 10.0, 4.0, GRID)
-        fake = dataclasses.replace(pt, khat_values=transfer(KERNEL, GRID).values)
+        fake = dataclasses.replace(pt, khat_values=transfer(KERNEL, GRID).values[: GRID.n // 2 + 1])
         rng = np.random.Generator(np.random.Philox(1))
         x = TimeSeries(GRID, rng.standard_normal(GRID.n) + 0j)
         err = prediction_error(fake, x, 2)
@@ -81,11 +82,12 @@ class TestPredictionError:
 class TestErrorDecomposition:
     def test_partition_identity(self, ensemble):
         pt = build_predictor(KERNEL, 5.0, 4.0, GRID)
+        khat = build_predictor_full_grid(KERNEL, 5.0, 4.0, GRID).khat_values
         for p, rho in ((2, 2), (math.inf, 1)):
             i1, i2 = error_decomposition(pt, ensemble[0], p)
             X = _member_spectrum(ensemble[0])
             K = transfer(KERNEL, GRID).values
-            total = GRID.delta_omega * float(np.sum(np.abs((pt.khat_values - K) * X) ** rho))
+            total = GRID.delta_omega * float(np.sum(np.abs((khat - K) * X) ** rho))
             assert i1 + i2 == pytest.approx(total, rel=1e-9)
 
     def test_subresolution_band_gives_zero_low_part(self, ensemble):
@@ -101,10 +103,11 @@ class TestErrorDecomposition:
         from specpredict import Spectrum, inverse_transform
 
         pt = build_predictor(KERNEL, 5.0, 4.0, GRID)
+        khat = build_predictor_full_grid(KERNEL, 5.0, 4.0, GRID).khat_values
         x = ensemble[0]
         X = _member_spectrum(x)
         K = transfer(KERNEL, GRID).values
-        diff = inverse_transform(Spectrum(GRID, (pt.khat_values - K) * X))
+        diff = inverse_transform(Spectrum(GRID, (khat - K) * X))
         i1, i2 = error_decomposition(pt, x, 2)
         assert 2 * math.pi * norm(diff, 2) ** 2 == pytest.approx(i1 + i2, rel=1e-6)
 
@@ -167,12 +170,12 @@ class TestUniformity:
     def test_singleton_ratio(self, ensemble):
         x = ensemble[0]
         ratio = uniformity_check(KERNEL, CLS, 10.0, 4.0, [x])
-        pt = build_predictor(KERNEL, 10.0, 4.0, GRID)
+        khat = build_predictor_full_grid(KERNEL, 10.0, 4.0, GRID).khat_values
         from specpredict import Spectrum, inverse_transform
 
         X = _member_spectrum(x)
         K = transfer(KERNEL, GRID).values
-        err = norm(inverse_transform(Spectrum(GRID, (pt.khat_values - K) * X)), 2)
+        err = norm(inverse_transform(Spectrum(GRID, (khat - K) * X)), 2)
         assert ratio == pytest.approx(err / class_norm(x, CLS))
 
     def test_scaling_invariance(self, ensemble):
@@ -387,7 +390,7 @@ class TestPerRowChannelIsExact:
         assert (l2.tobytes(), sup.tobytes()) == (l2_want.tobytes(), sup_want.tobytes())
         for i, row in enumerate(X):
             assert experiments._error_spectrum(pt, row).tobytes() == diff[i].tobytes()
-        K = pt.k_values[: GRID.n // 2 + 1]
+        K = pt.k_values
         y_l2, y_sup = experiments._inverse_norms(K * X, GRID)
         y_l2_want, y_sup_want = row_norms_linalg(irfft_stack(K * X, GRID), GRID)
         assert (y_l2.tobytes(), y_sup.tobytes()) == (y_l2_want.tobytes(), y_sup_want.tobytes())

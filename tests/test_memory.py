@@ -5,7 +5,7 @@ largest set of arrays alive at once; the FFT library's own scratch is not
 counted.  Members are drawn, and the sweep's error channel is formed, one
 member at a time, so no stacked (m, n) or (m, n/2+1) temporary is alive
 beside the sweep's one array of member spectra.  Real members keep float64
-samples, and ``build_predictor`` evaluates nodes 0..n/2 only.
+samples, and a predictor evaluates and keeps nodes 0..n/2 only.
 """
 
 import tracemalloc
@@ -24,13 +24,16 @@ CFG = GeneratorConfig(seed=2026, grid=default_grid())
 
 # Traced peak of gamma_sweep above its inputs at these defaults: 26.8 MB for
 # the stacked channel (one (10, 2^15+1) error spectrum and one (10, 2^16)
-# inverse per gamma), 16.9 MB streamed; the bound sits between the two.
-SWEEP_PEAK_BOUND = 22e6
+# inverse per gamma), 14.1 MB streamed with predictors mirrored to n nodes,
+# 11.4-11.9 MB with predictors kept at nodes 0..n/2; the bound sits above
+# the last and below the one before.
+SWEEP_PEAK_BOUND = 13e6
 
 # Traced peak of one build_predictor at n = 2^16, gamma = 10: 10.1 MB with
-# V, K and K_hat evaluated at all n nodes, 7.0 MB at nodes 0..n/2 and
-# mirrored; the bound sits between the two.
-BUILD_PEAK_BOUND = 8.5e6
+# V, K and K_hat evaluated at all n nodes, 7.0 MB evaluated at nodes 0..n/2
+# and mirrored, 4.3 MB kept at nodes 0..n/2; the bound sits between the last
+# two.
+BUILD_PEAK_BOUND = 5.5e6
 
 
 def _traced_peak(fn):
@@ -43,6 +46,7 @@ def _traced_peak(fn):
 
 
 def test_generation_peak_stays_under_twice_the_samples():
+    make_class_ensemble(DEFAULT_CLASS, CFG, 1)  # per-grid caches outside the trace
     ensemble, peak = _traced_peak(
         lambda: make_class_ensemble(DEFAULT_CLASS, CFG, DEFAULT_ENSEMBLE_SIZE)
     )
@@ -69,5 +73,5 @@ def test_build_predictor_peak_is_bounded():
     grid = CFG.grid
     build_predictor(DEFAULT_KERNEL, 10.0, DEFAULT_R, grid)  # caches (signs) outside the trace
     pt, peak = _traced_peak(lambda: build_predictor(DEFAULT_KERNEL, 10.0, DEFAULT_R, grid))
-    assert pt.khat_values.shape == (grid.n,)
+    assert pt.khat_values.shape == (grid.n // 2 + 1,)
     assert peak < BUILD_PEAK_BOUND, peak

@@ -7,6 +7,7 @@ import pytest
 from specpredict import (
     AnticausalKernel,
     DegeneracyClass,
+    Spectrum,
     TimeSeries,
     build_predictor,
     causality_defect,
@@ -25,7 +26,12 @@ from specpredict import (
 from specpredict.predictor import _line_figures, factor_exponent, v_logpolar
 from specpredict.tolerances import CALIBRATION
 
-from oracles import build_predictor_full_grid, lemma_check_full_grid, transfer_full_grid
+from oracles import (
+    build_predictor_full_grid,
+    lemma_check_full_grid,
+    orthogonality_residual_full_grid,
+    transfer_full_grid,
+)
 
 KERNEL = AnticausalKernel((1.0,), (1.0,))
 
@@ -76,8 +82,9 @@ class TestVFactor:
 class TestBuildPredictor:
     def test_large_gamma_transfer_approaches_kernel(self, small_grid):
         pt = build_predictor(KERNEL, 1000.0, 4.0, small_grid)
-        K = transfer(KERNEL, small_grid).values
-        nz = small_grid.omegas() != 0.0
+        h = small_grid.n // 2 + 1
+        K = transfer(KERNEL, small_grid).values[:h]
+        nz = small_grid.omegas()[:h] != 0.0
         assert np.max(np.abs(pt.khat_values[nz] - K[nz])) < 1e-10
 
     def test_omega_threshold_formula(self, small_grid):
@@ -86,19 +93,25 @@ class TestBuildPredictor:
 
     def test_khat_is_nodewise_product(self, small_grid):
         pt = build_predictor(KERNEL, 20.0, 2.0, small_grid)
-        K = transfer(KERNEL, small_grid).values
-        v_log, v_ph = v_logpolar(1j * small_grid.omegas(), KERNEL, 20.0, 2.0)
+        h = small_grid.n // 2 + 1
+        K = transfer(KERNEL, small_grid).values[:h]
+        v_log, v_ph = v_logpolar(1j * small_grid.omegas()[:h], KERNEL, 20.0, 2.0)
         finite = ~pt.saturated
         V = np.exp(v_log[finite]) * np.exp(1j * v_ph[finite])
         assert np.allclose(pt.khat_values[finite], V * K[finite])
         assert np.array_equal(pt.k_values, K)
 
     def test_hermitian_khat_and_real_kernel(self, small_grid):
-        from specpredict import Spectrum
-
-        pt = build_predictor(AnticausalKernel((0.5, 2.0), (0.1, 1.0)), 15.0, 1.0, small_grid)
-        assert Spectrum(small_grid, pt.khat_values).is_hermitian
-        assert pt.khat_time.is_real
+        # nodes 0..n/2 imply the conjugate-symmetric rest; nodes 0 and n/2
+        # stand for themselves and are real
+        kernel = AnticausalKernel((0.5, 2.0), (0.1, 1.0))
+        pt = build_predictor(kernel, 15.0, 1.0, small_grid)
+        assert pt.khat_values.shape == (small_grid.n // 2 + 1,)
+        ends = pt.khat_values[[0, -1]]
+        assert np.all(np.abs(ends.imag) <= CALIBRATION["hermitian_rel"] * np.abs(ends))
+        assert pt.khat_time.samples.dtype == np.float64
+        full = build_predictor_full_grid(kernel, 15.0, 1.0, small_grid).khat_values
+        assert Spectrum(small_grid, full).is_hermitian
 
     def test_kappa_sup_is_grid_max(self, small_grid):
         pt = build_predictor(KERNEL, 12.0, 0.8, small_grid)
@@ -146,7 +159,7 @@ class TestPredict:
         from specpredict import apply_anticausal
 
         pt = build_predictor(KERNEL, 10.0, 1.0, small_grid)
-        K = transfer(KERNEL, small_grid).values
+        K = transfer(KERNEL, small_grid).values[: small_grid.n // 2 + 1]
         fake = dataclasses.replace(
             pt,
             khat_values=K,
@@ -157,6 +170,16 @@ class TestPredict:
         y = apply_anticausal(KERNEL, x)
         y_hat = predict(fake, x)
         assert norm(TimeSeries(small_grid, y_hat.samples - y.samples), 2) < 1e-12 * norm(y, 2)
+
+    def test_only_real_series_accepted(self, small_grid):
+        pt = build_predictor(KERNEL, 10.0, 1.0, small_grid)
+        x = np.random.Generator(np.random.Philox(5)).standard_normal(small_grid.n)
+        y_hat = predict(pt, TimeSeries(small_grid, x))
+        assert y_hat.samples.dtype == np.float64
+        # real values stored as complex predict the same
+        assert predict(pt, TimeSeries(small_grid, x + 0j)).samples.tobytes() == y_hat.samples.tobytes()
+        with pytest.raises(ValueError, match="real"):
+            predict(pt, TimeSeries(small_grid, x + 1e-3j * x))
 
 
 class TestCausalityDefect:
@@ -271,16 +294,21 @@ class TestHalfGridLemma:
         assert repr(lemma_check(pt, cls)) == repr(lemma_check_full_grid(pt, cls))
 
 
-def _assert_bitwise_equal(pt, ref):
-    """Every field of two PredictorTransfers equal bit for bit."""
+def _assert_matches_full_grid(pt, ref):
+    """Every array field of ``pt`` equals nodes 0..n/2 of the all-node ``ref``
+    bit for bit, as does every other field but ``khat_time``: the real
+    inverse of the half spectrum, within 1e-10 of the peak of ref's."""
+    h = pt.grid.n // 2 + 1
     for f in dataclasses.fields(pt):
         got, want = getattr(pt, f.name), getattr(ref, f.name)
         if isinstance(got, np.ndarray):
+            want = want[:h]
             assert got.dtype == want.dtype and got.shape == want.shape, f.name
             assert got.tobytes() == want.tobytes(), f.name
         elif f.name == "khat_time":
-            assert got.samples.dtype == want.samples.dtype
-            assert got.samples.tobytes() == want.samples.tobytes(), f.name
+            assert got.samples.dtype == np.float64
+            peak = np.max(np.abs(want.samples))
+            assert np.max(np.abs(got.samples - want.samples)) <= 1e-10 * peak
         elif isinstance(got, float):
             assert got.hex() == want.hex(), f.name
         else:
@@ -301,8 +329,8 @@ _GRIDS = [make_grid(4096, 0.01), make_grid(2**16, 0.01)]
 
 
 class TestHalfNodePredictor:
-    """build_predictor evaluates nodes 0..n/2 and mirrors them; every field
-    equals the all-node evaluation in ``oracles`` bit for bit."""
+    """build_predictor evaluates and keeps nodes 0..n/2; they equal those of
+    the all-node evaluation in ``oracles`` bit for bit."""
 
     @pytest.mark.parametrize("grid", _GRIDS, ids=["n4096", "n65536"])
     @pytest.mark.parametrize("r", [4.0, 0.6])
@@ -310,7 +338,7 @@ class TestHalfNodePredictor:
     @pytest.mark.parametrize("poles, numerator", _KERNELS)
     def test_matches_full_grid(self, poles, numerator, gamma, r, grid):
         kernel = AnticausalKernel(poles, numerator)
-        _assert_bitwise_equal(
+        _assert_matches_full_grid(
             build_predictor(kernel, gamma, r, grid), build_predictor_full_grid(kernel, gamma, r, grid)
         )
 
@@ -318,17 +346,6 @@ class TestHalfNodePredictor:
         grid = _GRIDS[1]
         assert build_predictor(KERNEL, 10.0, 4.0, grid).any_saturated
         assert not build_predictor(KERNEL, 10.0, 0.6, grid).any_saturated
-
-    def test_asymptotic_nodes_are_evaluated_not_negated(self):
-        # at r = 0.6, gamma = 1000 the factor takes its asymptotic form at
-        # paired low-band nodes, where arg V is pi - Im w at -omega rather
-        # than -(Im w + pi); the plain negated mirror would differ there
-        grid = _GRIDS[1]
-        ref = build_predictor_full_grid(KERNEL, 1000.0, 0.6, grid)
-        h = grid.n // 2 + 1
-        negated = np.concatenate([ref.khat_phase[:h], -ref.khat_phase[h - 2 : 0 : -1]])
-        assert negated.tobytes() != ref.khat_phase.tobytes()
-        _assert_bitwise_equal(build_predictor(KERNEL, 1000.0, 0.6, grid), ref)
 
     @pytest.mark.parametrize("grid", _GRIDS, ids=["n4096", "n65536"])
     @pytest.mark.parametrize("sigma", [0.0, 0.25, -0.25])
@@ -342,18 +359,28 @@ class TestHalfNodePredictor:
 class TestOrthogonality:
     def test_identical_copies_give_maximal_residual(self, small_grid):
         pt = build_predictor(KERNEL, 10.0, 1.0, small_grid)
-        K = transfer(KERNEL, small_grid)
+        K = pt.k_values
         with np.errstate(divide="ignore"):
-            log_k = np.log(np.abs(K.values))
-        fake = dataclasses.replace(
-            pt, khat_log_mag=log_k.copy(), khat_phase=np.angle(K.values).copy()
-        )
+            log_k = np.log(np.abs(K))
+        fake = dataclasses.replace(pt, khat_log_mag=log_k, khat_phase=np.angle(K))
         assert orthogonality_residual(fake) == pytest.approx(1.0, rel=1e-9)
 
     def test_zero_predictor_residual_zero(self, small_grid):
         pt = build_predictor(KERNEL, 10.0, 1.0, small_grid)
-        fake = dataclasses.replace(pt, khat_log_mag=np.full(small_grid.n, -np.inf))
+        fake = dataclasses.replace(pt, khat_log_mag=np.full(small_grid.n // 2 + 1, -np.inf))
         assert orthogonality_residual(fake) == 0.0
+
+    @pytest.mark.parametrize(
+        "poles, gamma, r, n",
+        [((1.0,), 10.0, 4.0, 2**16), ((1.0,), 30.0, 0.6, 2**16), ((0.5, 2.0), 15.0, 1.0, 4096)],
+    )
+    def test_weighted_half_sum_matches_full_grid(self, poles, gamma, r, n):
+        grid = make_grid(n, 0.01)
+        kernel = AnticausalKernel(poles)
+        want = orthogonality_residual_full_grid(build_predictor_full_grid(kernel, gamma, r, grid))
+        assert want > 1e-3
+        got = orthogonality_residual(build_predictor(kernel, gamma, r, grid))
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_small_residual_at_representable_config(self):
         g = make_grid(2**17, 0.01)
