@@ -5,9 +5,10 @@ the slow-degeneracy negative illustration.
 Reported errors are worst-case over the ensemble, matching the universal
 quantifier of the prediction guarantee at desk scale.  Everything is a pure
 function of its inputs plus generator seeds, so reports are bit-reproducible.
-Ensembles are streamed: each member's error channel is formed, inverted and
-reduced on its own, so besides the (m, n/2+1) member spectra a sweep holds
-one member's rows at a time.
+Ensembles are streamed: a sweep keeps the error gain of each gamma, then
+forms each member's half spectrum once and reduces its error channel under
+every gain into running worst-case figures, so what it holds grows with the
+number of gammas and not with the ensemble.
 """
 
 from __future__ import annotations
@@ -129,14 +130,20 @@ class SweepReport:
     metadata: dict = field(default_factory=dict)
 
 
-def _member_half_spectra(ensemble) -> np.ndarray:
-    """(m, n/2+1) array of the spectra of real class members at nodes 0..n/2,
-    their constructional zeros restored (see :func:`_member_spectrum`)."""
+def _shared_real_grid(ensemble) -> FrequencyGrid:
+    """The one grid of an ensemble of real class members; ValueError otherwise."""
     grid = ensemble[0].grid
     if any(x.grid != grid for x in ensemble):
         raise ValueError("all ensemble members must share one grid")
     if not all(x.is_real for x in ensemble):
         raise ValueError("class members must be real signals")
+    return grid
+
+
+def _member_half_spectra(ensemble) -> np.ndarray:
+    """(m, n/2+1) array of :func:`_member_spectrum` at nodes 0..n/2, for the
+    one-member experiments; the sweep takes one member at a time."""
+    grid = _shared_real_grid(ensemble)
     X = np.empty((len(ensemble), grid.n // 2 + 1), dtype=np.complex128)
     for row, x in zip(X, ensemble):
         row[:] = _member_spectrum(x)[: grid.n // 2 + 1]
@@ -175,13 +182,13 @@ def _error_channel(pt: PredictorTransfer, X: np.ndarray):
     return _inverse_norms((gain * row for row in X), pt.grid)
 
 
-def _band_split(diff: np.ndarray, pt: PredictorTransfer, rho: int):
+def _band_split(diff: np.ndarray, grid: FrequencyGrid, threshold: float, rho: int):
     """(i1, i2): delta_omega * sum of |diff|^rho over both signs of omega, for
-    the half spectrum ``diff``, at |omega| <= omega_threshold and above it."""
-    omega_abs, weights = _half_nodes(pt.grid)
+    the half spectrum ``diff``, at |omega| <= threshold and above it."""
+    omega_abs, weights = _half_nodes(grid)
     E = weights * np.abs(diff) ** rho
-    low = omega_abs <= pt.omega_threshold
-    dw = pt.grid.delta_omega
+    low = omega_abs <= threshold
+    dw = grid.delta_omega
     return float(dw * np.sum(E[low])), float(dw * np.sum(E[~low]))
 
 
@@ -214,49 +221,67 @@ def error_decomposition(pt: PredictorTransfer, x: TimeSeries, p):
     and rho = 1 for p = inf, split at the degeneracy-band edge into (i1, i2)
     as :func:`_band_split` does; i1 + i2 is the full grid measure."""
     rho = 1 if _is_sup(p) else 2
-    return _band_split(_error_spectrum(pt, _member_half_spectra([x])[0]), pt, rho)
+    diff = _error_spectrum(pt, _member_half_spectra([x])[0])
+    return _band_split(diff, pt.grid, pt.omega_threshold, rho)
 
 
 def _run_sweep(kernel: AnticausalKernel, gammas, r: float, ensemble, cls: DegeneracyClass = None):
-    grid = ensemble[0].grid
-    X = _member_half_spectra(ensemble)
-    K = _transfer_half(kernel, grid)
-    y_l2, y_sup = _inverse_norms((K * row for row in X), grid)
-    rows = []
-    for gamma in gammas:
+    """Sweep rows in two passes: each gamma's predictor fields and error gain,
+    then each member's error figures under every gain, as running maxima."""
+    grid = _shared_real_grid(ensemble)
+    h = grid.n // 2 + 1
+    gains = np.empty((len(gammas), h), dtype=np.complex128)
+    fields = []
+    for gamma, gain in zip(gammas, gains):
         pt = build_predictor(kernel, gamma, r, grid)
-        l2a, supa = _error_channel(pt, X)
-        l2r = _relative(l2a, y_l2)
-        # i1/i2 belong to the member with the worst relative l2 error, whose
-        # error channel is formed once more rather than kept for every member
-        i1, i2 = _band_split(_error_spectrum(pt, X[int(np.argmax(l2r))]), pt, 2)
-        lemma_kwargs = {}
+        np.subtract(pt.khat_values, pt.k_values, out=gain)
+        row = dict(
+            gamma=gamma,
+            kappa_sup=pt.kappa_sup,
+            omega_threshold=pt.omega_threshold,
+            causality_defect=causality_defect(pt),
+        )
         if cls is not None:
             rep = lemma_check(pt, cls)
-            lemma_kwargs = dict(
+            row.update(
                 lemma_pass_high_band=rep.pass_high_band,
                 lemma_pass_low_band=rep.pass_low_band,
                 lemma_tail_dev=rep.tail_dev_max,
             )
-        rows.append(
-            SweepRow(
-                gamma=gamma,
-                err_l2_abs=float(np.max(l2a)),
-                err_l2_rel=float(np.max(l2r)),
-                err_sup_abs=float(np.max(supa)),
-                err_sup_rel=float(np.max(_relative(supa, y_sup))),
-                kappa_sup=pt.kappa_sup,
-                omega_threshold=pt.omega_threshold,
-                causality_defect=causality_defect(pt),
-                i1=i1,
-                i2=i2,
-                **lemma_kwargs,
-            )
-        )
-        # each predictor holds several (n/2+1)-node arrays and its n-sample
-        # time kernel; drop it before the next build
+        fields.append(row)
+        # of a predictor's (n/2+1)-node arrays and n-sample time kernel the
+        # sweep keeps only the gain; drop it before the next build
         del pt
-    return rows
+
+    K = _transfer_half(kernel, grid)
+    # per gamma: worst l2, relative l2, sup and relative sup, reduced as np.max
+    # reduces (NaN wins), and the band split of the worst relative-l2 member
+    worst = np.full((4, len(gammas)), -np.inf)
+    bands = [None] * len(gammas)
+    for x in ensemble:
+        X = _member_spectrum(x)[:h].copy()  # a copy releases the full spectrum
+        y_l2, y_sup = _row_norms(irfft_rows(K * X, grid), grid)
+        l2a, supa = _inverse_norms((gain * X for gain in gains), grid)
+        l2r = _relative(l2a, y_l2)
+        # np.argmax's rule: the first maximum leads, and a NaN is a maximum;
+        # the leader's error channel is formed once more for its band split
+        leads = (l2r > worst[1]) | (np.isnan(l2r) & ~np.isnan(worst[1]))
+        for i in np.flatnonzero(leads):
+            bands[i] = _band_split(gains[i] * X, grid, fields[i]["omega_threshold"], 2)
+        np.maximum(worst, (l2a, l2r, supa, _relative(supa, y_sup)), out=worst)
+
+    return [
+        SweepRow(
+            err_l2_abs=float(l2a),
+            err_l2_rel=float(l2r),
+            err_sup_abs=float(supa),
+            err_sup_rel=float(supr),
+            i1=i1,
+            i2=i2,
+            **row,
+        )
+        for row, (l2a, l2r, supa, supr), (i1, i2) in zip(fields, worst.T, bands)
+    ]
 
 
 def gamma_sweep(
@@ -298,13 +323,19 @@ def uniformity_check(
     uniform bound ||y - y_hat|| <= eps(gamma) * ||x||_class.
     """
     _require_admissible(r, cls)
-    norms = np.array([class_norm(x, cls) for x in ensemble])
-    if np.any(np.isinf(norms)):
-        raise ValueError("ensemble member has infinite class norm")
-    X = _member_half_spectra(ensemble)
-    pt = build_predictor(kernel, gamma, r, ensemble[0].grid)
-    l2, sup = _error_channel(pt, X)
-    return float(np.max((sup if _is_sup(p) else l2) / norms))
+    grid = _shared_real_grid(ensemble)
+    gain = _error_gain(build_predictor(kernel, gamma, r, grid))
+    worst = -np.inf
+    for x in ensemble:
+        norm = class_norm(x, cls)
+        if math.isinf(norm):
+            raise ValueError("ensemble member has infinite class norm")
+        # X is named: numpy may form gain * <temporary> in the temporary's
+        # buffer as temporary * gain, and complex products do not commute bitwise
+        X = _member_spectrum(x)[: grid.n // 2 + 1].copy()
+        l2, sup = _row_norms(irfft_rows(gain * X, grid), grid)
+        worst = np.maximum(worst, (sup if _is_sup(p) else l2) / norm)
+    return float(worst)
 
 
 @dataclass(frozen=True)
@@ -354,7 +385,7 @@ def robustness_experiment(
     eps_clean = float(_row_norms(irfft_rows(clean_diff, grid), grid)[1])
     slack = CALIBRATION["robustness_slack"]
 
-    j0 = sum(_band_split(clean_diff, pt, 1)) / (2 * math.pi)
+    j0 = sum(_band_split(clean_diff, grid, pt.omega_threshold, 1)) / (2 * math.pi)
     rows = []
     for nu in nus:
         N = add_noise(x0, float(nu), cfg)[1].values[:h]
@@ -362,7 +393,8 @@ def robustness_experiment(
         # row reproduces eps_clean bit-exactly
         err = float(np.max(np.abs(irfft_rows(clean_diff + pt.khat_values * N, grid))))
         bound = eps_clean + nu * (pt.kappa_sup + 1.0)
-        j_eta = sum(_band_split(_error_spectrum(pt, N), pt, 1)) / (2 * math.pi)
+        noise_diff = _error_spectrum(pt, N)
+        j_eta = sum(_band_split(noise_diff, grid, pt.omega_threshold, 1)) / (2 * math.pi)
         rows.append(
             RobustnessRow(
                 nu=float(nu),
@@ -545,33 +577,3 @@ def nonpredictability_demo(
             kernel, cfg.grid, r=r, q_reference=q_reference, seed=cfg.seed, size=size
         ),
     )
-
-
-# re-export for callers assembling ensembles alongside sweeps
-__all__ = [
-    "DEFAULT_CLASS",
-    "DEFAULT_ENSEMBLE_SIZE",
-    "DEFAULT_GAMMAS",
-    "DEFAULT_GRID_DT",
-    "DEFAULT_GRID_N",
-    "DEFAULT_KERNEL",
-    "DEFAULT_R",
-    "CounterexampleReport",
-    "CounterexampleRow",
-    "NegativeDemoReport",
-    "NegativeDemoRow",
-    "PredictionError",
-    "RobustnessReport",
-    "RobustnessRow",
-    "SweepReport",
-    "SweepRow",
-    "counterexample_experiment",
-    "default_grid",
-    "error_decomposition",
-    "gamma_sweep",
-    "make_class_ensemble",
-    "nonpredictability_demo",
-    "prediction_error",
-    "robustness_experiment",
-    "uniformity_check",
-]

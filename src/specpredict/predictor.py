@@ -117,15 +117,18 @@ def v_minus_one(omega, kernel: AnticausalKernel, gamma: float, r: float) -> np.n
     1 - 1 cancellation of forming V first.
     """
     om = np.asarray(omega, dtype=float)
-    with np.errstate(over="ignore", under="ignore"):
-        f = np.stack(
-            [-np.exp(factor_exponent(1j * om, a, gamma, r)) for a in kernel.poles]
-        )
-    tiny = np.all(np.abs(f) < 1e-6, axis=0)
-    with np.errstate(invalid="ignore", over="ignore"):
-        direct = np.prod(1.0 + f, axis=0) - 1.0
-    linear = np.sum(f, axis=0)
-    return np.where(tiny, linear, direct)
+    # accumulated from 1 and 0, as np.prod and np.sum reduce a stack of the f_j
+    prod = np.ones(om.shape, dtype=np.complex128)
+    linear = np.zeros(om.shape, dtype=np.complex128)
+    tiny = np.ones(om.shape, dtype=bool)
+    for a in kernel.poles:
+        with np.errstate(over="ignore", under="ignore"):
+            f = -np.exp(factor_exponent(1j * om, a, gamma, r))
+        tiny &= np.abs(f) < 1e-6
+        with np.errstate(invalid="ignore", over="ignore"):
+            prod *= 1.0 + f
+        linear += f
+    return np.where(tiny, linear, prod - 1.0)
 
 
 @dataclass(frozen=True)
@@ -329,9 +332,9 @@ def _low_band_holds(
     omega, so only nodes 0..n/2 are evaluated; ``node_count`` still counts
     the full grid, where each node 0 < k < n/2 has a mirror at -omega_k.
     """
-    om = grid.omegas()[: grid.n // 2 + 1]
+    om = _half_nodes(grid)[0]
     thr = omega_threshold(kernel, gamma, r)
-    band = (np.abs(om) > 0.0) & (np.abs(om) <= thr)
+    band = (om > 0.0) & (om <= thr)
     count = 2 * int(np.count_nonzero(band)) - int(band[-1])
     if count == 0:
         return True, 0, -math.inf
@@ -355,10 +358,10 @@ def lemma_check(
     if not (0 < omega_floor < pt.grid.omega_max):
         raise ValueError(f"omega_floor must lie in (0, omega_max={pt.grid.omega_max})")
     grid, gamma, r = pt.grid, pt.gamma, pt.r
-    om = grid.omegas()[: grid.n // 2 + 1]
+    om = _half_nodes(grid)[0]
     alpha = gamma ** (-r)
     thr = pt.omega_threshold
-    outside = np.abs(om) > thr
+    outside = om > thr
 
     pass_pos = True
     pass_dev = True
@@ -368,8 +371,9 @@ def lemma_check(
         with np.errstate(under="ignore"):
             dev = np.abs(np.exp(factor_exponent(1j * om[outside], a, gamma, r)))
         pass_dev = pass_dev and bool(np.all(dev < 1.0))
+        del re_ratio, dev  # not kept alive beside the tail evaluation below
 
-    tail = np.abs(om) >= omega_floor
+    tail = om >= omega_floor
     tail_dev = float(np.max(np.abs(v_minus_one(om[tail], pt.kernel, gamma, r))))
 
     holds, count, margin = _low_band_holds(pt.kernel, cls, gamma, r, grid)

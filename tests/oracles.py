@@ -184,6 +184,76 @@ def error_channel_batched(pt, X):
     return diff, l2, sup
 
 
+def sweep_rows_stacked(kernel, cls, gammas, r, ensemble):
+    """``gamma_sweep`` rows from the (m, n/2+1) stack of member half spectra,
+    one gamma at a time: each error channel is taken for the whole stack in
+    one batched transform, and i1/i2 for the ``np.argmax`` member.  The
+    gamma-outer form of the library's member-streamed sweep."""
+    from specpredict import build_predictor, causality_defect, lemma_check
+    from specpredict.experiments import SweepRow, _member_half_spectra
+
+    X = _member_half_spectra(ensemble)
+    grid = ensemble[0].grid
+    h = grid.n // 2 + 1
+    om = np.abs(grid.omegas()[:h])
+    w = np.full(h, 2.0)
+    w[[0, -1]] = 1.0
+    rows = []
+    for gamma in sorted(float(g) for g in gammas):
+        pt = build_predictor(kernel, gamma, r, grid)
+        y_l2, y_sup = row_norms_linalg(irfft_stack(pt.k_values * X, grid), grid)
+        diff, l2, sup = error_channel_batched(pt, X)
+        l2r = np.where(l2 == 0.0, 0.0, l2 / np.maximum(y_l2, 1e-300))
+        supr = np.where(sup == 0.0, 0.0, sup / np.maximum(y_sup, 1e-300))
+        E = w * np.abs(diff[int(np.argmax(l2r))]) ** 2
+        low = om <= pt.omega_threshold
+        rep = lemma_check(pt, cls)
+        rows.append(
+            SweepRow(
+                gamma=gamma,
+                err_l2_abs=float(np.max(l2)),
+                err_l2_rel=float(np.max(l2r)),
+                err_sup_abs=float(np.max(sup)),
+                err_sup_rel=float(np.max(supr)),
+                kappa_sup=pt.kappa_sup,
+                omega_threshold=pt.omega_threshold,
+                causality_defect=causality_defect(pt),
+                i1=float(grid.delta_omega * np.sum(E[low])),
+                i2=float(grid.delta_omega * np.sum(E[~low])),
+                lemma_pass_high_band=rep.pass_high_band,
+                lemma_pass_low_band=rep.pass_low_band,
+                lemma_tail_dev=rep.tail_dev_max,
+            )
+        )
+    return rows
+
+
+def uniformity_check_stacked(kernel, cls, gamma, r, ensemble, p):
+    """``uniformity_check`` from the stacked member half spectra and class
+    norms, with one batched error channel."""
+    from specpredict import build_predictor, class_norm
+    from specpredict.experiments import _member_half_spectra
+
+    norms = np.array([class_norm(x, cls) for x in ensemble])
+    pt = build_predictor(kernel, gamma, r, ensemble[0].grid)
+    _, l2, sup = error_channel_batched(pt, _member_half_spectra(ensemble))
+    return float(np.max((sup if math.isinf(p) else l2) / norms))
+
+
+def v_minus_one_stacked(omega, kernel, gamma, r):
+    """:func:`specpredict.v_minus_one` from the (P, len(omega)) stack of the
+    factor deviations f_j, reduced with ``np.prod`` and ``np.sum``."""
+    from specpredict.predictor import factor_exponent
+
+    om = np.asarray(omega, dtype=float)
+    with np.errstate(over="ignore", under="ignore"):
+        f = np.stack([-np.exp(factor_exponent(1j * om, a, gamma, r)) for a in kernel.poles])
+    tiny = np.all(np.abs(f) < 1e-6, axis=0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        direct = np.prod(1.0 + f, axis=0) - 1.0
+    return np.where(tiny, np.sum(f, axis=0), direct)
+
+
 def lemma_check_full_grid(pt, cls, omega_floor=0.5):
     """:func:`specpredict.lemma_check` evaluated on all n nodes, both signs of
     omega, as a reference for the library's half-grid evaluation."""

@@ -34,6 +34,8 @@ from oracles import (
     gamma_sweep_reference,
     irfft_stack,
     row_norms_linalg,
+    sweep_rows_stacked,
+    uniformity_check_stacked,
 )
 
 GRID = make_grid(2**12, 0.02)
@@ -362,6 +364,67 @@ class TestMixedEnsembleUniformity:
         r10 = uniformity_check(KERNEL, CLS, 10.0, 4.0, members)
         r30 = uniformity_check(KERNEL, CLS, 30.0, 4.0, members)
         assert r30 < r10
+
+
+class TestStreamedSweep:
+    """The sweep and uniformity_check take one member at a time; their
+    figures do not depend on the order of the ensemble and equal the stacked
+    gamma-outer forms in ``oracles`` bit for bit."""
+
+    GAMMAS = (10.0, 30.0, 100.0, 300.0, 1000.0)
+
+    def _rows(self, members):
+        return repr(gamma_sweep(KERNEL, CLS, self.GAMMAS, 4.0, members).rows)
+
+    def test_matches_stacked_sweep(self, ensemble):
+        want = tuple(sweep_rows_stacked(KERNEL, CLS, self.GAMMAS, 4.0, ensemble))
+        assert self._rows(ensemble) == repr(want)
+
+    def test_reversed_ensemble_gives_equal_rows(self, ensemble):
+        assert self._rows(ensemble[::-1]) == self._rows(ensemble)
+
+    def _worst(self, ensemble, gamma):
+        pt = build_predictor(KERNEL, gamma, 4.0, GRID)
+        return ensemble[int(np.argmax([prediction_error(pt, x, 2).rel_err for x in ensemble]))]
+
+    def test_copy_of_worst_member_leaves_rows_unchanged(self, ensemble):
+        want = self._rows(ensemble)
+        for gamma in self.GAMMAS:
+            copy = TimeSeries(GRID, self._worst(ensemble, gamma).samples.copy())
+            assert self._rows([*ensemble, copy]) == want, gamma
+
+    def test_first_worst_member_keeps_the_band_split(self, ensemble):
+        # doubling a member is exact: its relative errors tie bit for bit with
+        # the original's while its band split reads 4 times as much
+        gamma = self.GAMMAS[0]
+        (row,) = gamma_sweep(KERNEL, CLS, (gamma,), 4.0, ensemble).rows
+        doubled = TimeSeries(GRID, 2.0 * self._worst(ensemble, gamma).samples)
+        (after,) = gamma_sweep(KERNEL, CLS, (gamma,), 4.0, [*ensemble, doubled]).rows
+        (before,) = gamma_sweep(KERNEL, CLS, (gamma,), 4.0, [doubled, *ensemble]).rows
+        assert after.err_l2_rel == before.err_l2_rel == row.err_l2_rel
+        assert (after.i1, after.i2) == (row.i1, row.i2)
+        assert (before.i1, before.i2) == (4.0 * row.i1, 4.0 * row.i2)
+        assert before.i2 > 0.0
+
+    @pytest.mark.parametrize("p", [2, math.inf])
+    @pytest.mark.parametrize("gamma", [10.0, 30.0])
+    def test_uniformity_matches_stacked(self, ensemble, gamma, p):
+        got = uniformity_check(KERNEL, CLS, gamma, 4.0, ensemble, p)
+        want = uniformity_check_stacked(KERNEL, CLS, gamma, 4.0, ensemble, p)
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("seed", [2026, 7])
+    def test_uniformity_matches_stacked_at_default_grid(self, seed):
+        # half spectra above 256 KiB, where numpy may form a product in the
+        # buffer of a temporary operand, swapping the factors of a complex
+        # product that is not bitwise commutative
+        grid = experiments.default_grid()
+        members = make_class_ensemble(CLS, GeneratorConfig(seed=seed, grid=grid), 10)
+        for gamma in (10.0, 30.0):
+            for p in (2, math.inf):
+                got = uniformity_check(KERNEL, CLS, gamma, 4.0, members, p)
+                want = uniformity_check_stacked(KERNEL, CLS, gamma, 4.0, members, p)
+                assert repr(got) == repr(want), (gamma, p)
 
 
 class TestPerRowChannelIsExact:

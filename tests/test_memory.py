@@ -2,15 +2,23 @@
 
 numpy reports its array buffers to ``tracemalloc``, so a traced peak is the
 largest set of arrays alive at once; the FFT library's own scratch is not
-counted.  Members are drawn, and the sweep's error channel is formed, one
-member at a time, so no stacked (m, n) or (m, n/2+1) temporary is alive
-beside the sweep's one array of member spectra.  Real members keep float64
-samples, and a predictor evaluates and keeps nodes 0..n/2 only.
+counted.  Members are drawn one at a time, and the sweep keeps one
+(gammas, n/2+1) array of error gains and takes the members one at a time,
+so no array sized by the ensemble is alive during a sweep and its peak does
+not grow with the ensemble.  Real members keep float64 samples, and a
+predictor evaluates and keeps nodes 0..n/2 only.
 """
 
 import tracemalloc
 
-from specpredict import GeneratorConfig, build_predictor, gamma_sweep, make_class_ensemble
+from specpredict import (
+    AnticausalKernel,
+    GeneratorConfig,
+    build_predictor,
+    gamma_sweep,
+    lemma_check,
+    make_class_ensemble,
+)
 from specpredict.experiments import (
     DEFAULT_CLASS,
     DEFAULT_ENSEMBLE_SIZE,
@@ -25,15 +33,27 @@ CFG = GeneratorConfig(seed=2026, grid=default_grid())
 # Traced peak of gamma_sweep above its inputs at these defaults: 26.8 MB for
 # the stacked channel (one (10, 2^15+1) error spectrum and one (10, 2^16)
 # inverse per gamma), 14.1 MB streamed with predictors mirrored to n nodes,
-# 11.4-11.9 MB with predictors kept at nodes 0..n/2; the bound sits above
-# the last and below the one before.
-SWEEP_PEAK_BOUND = 13e6
+# 11.4-11.9 MB with predictors kept at nodes 0..n/2 beside an (m, 2^15+1)
+# stack of member spectra, 7.7 MB with members taken one at a time against
+# a (5, 2^15+1) array of error gains; the bound sits above the last and
+# below the one before.
+SWEEP_PEAK_BOUND = 8.5e6
+
+# The member-streamed sweep peaks at the same traced size for 10 and 20
+# members; the member stack made it grow by 0.52 MB a member (5.2 MB).
+SWEEP_GROWTH_BOUND = 0.25e6
 
 # Traced peak of one build_predictor at n = 2^16, gamma = 10: 10.1 MB with
 # V, K and K_hat evaluated at all n nodes, 7.0 MB evaluated at nodes 0..n/2
 # and mirrored, 4.3 MB kept at nodes 0..n/2; the bound sits between the last
 # two.
 BUILD_PEAK_BOUND = 5.5e6
+
+# Traced peak of lemma_check for poles (0.5, 1, 2) at n = 2^16, gamma = 10:
+# 5.08 MB with a fresh n-node omega array and the factor deviations stacked
+# (3, ~n/2), 3.50 MB reading the cached |omega| and accumulating pole by
+# pole; the bound sits between.
+LEMMA_PEAK_BOUND = 4.6e6
 
 
 def _traced_peak(fn):
@@ -64,6 +84,18 @@ def test_sweep_peak_above_inputs_is_bounded():
     assert peak < SWEEP_PEAK_BOUND, peak
 
 
+def test_sweep_peak_does_not_grow_with_the_ensemble():
+    ensemble = make_class_ensemble(DEFAULT_CLASS, CFG, 2 * DEFAULT_ENSEMBLE_SIZE)
+
+    def sweep(members):
+        return gamma_sweep(DEFAULT_KERNEL, DEFAULT_CLASS, DEFAULT_GAMMAS, DEFAULT_R, members)
+
+    sweep(ensemble[:1])  # per-grid caches outside the trace
+    _, peak_10 = _traced_peak(lambda: sweep(ensemble[:DEFAULT_ENSEMBLE_SIZE]))
+    _, peak_20 = _traced_peak(lambda: sweep(ensemble))
+    assert abs(peak_20 - peak_10) < SWEEP_GROWTH_BOUND, (peak_10, peak_20)
+
+
 def test_members_keep_real_samples_as_float64():
     ensemble = make_class_ensemble(DEFAULT_CLASS, CFG, DEFAULT_ENSEMBLE_SIZE)
     assert sum(x.samples.nbytes for x in ensemble) == DEFAULT_ENSEMBLE_SIZE * CFG.grid.n * 8
@@ -75,3 +107,11 @@ def test_build_predictor_peak_is_bounded():
     pt, peak = _traced_peak(lambda: build_predictor(DEFAULT_KERNEL, 10.0, DEFAULT_R, grid))
     assert pt.khat_values.shape == (grid.n // 2 + 1,)
     assert peak < BUILD_PEAK_BOUND, peak
+
+
+def test_lemma_check_peak_is_bounded():
+    kernel = AnticausalKernel((0.5, 1.0, 2.0))
+    pt = build_predictor(kernel, 10.0, DEFAULT_R, CFG.grid)
+    lemma_check(pt, DEFAULT_CLASS)  # per-grid caches outside the trace
+    _, peak = _traced_peak(lambda: lemma_check(pt, DEFAULT_CLASS))
+    assert peak < LEMMA_PEAK_BOUND, peak

@@ -31,6 +31,7 @@ from oracles import (
     lemma_check_full_grid,
     orthogonality_residual_full_grid,
     transfer_full_grid,
+    v_minus_one_stacked,
 )
 
 KERNEL = AnticausalKernel((1.0,), (1.0,))
@@ -292,6 +293,27 @@ class TestHalfGridLemma:
     def test_edge_configurations_match_full_grid(self, poles, gamma, r, cls, grid):
         pt = build_predictor(AnticausalKernel(poles), gamma, r, grid)
         assert repr(lemma_check(pt, cls)) == repr(lemma_check_full_grid(pt, cls))
+
+
+class TestVMinusOneAccumulation:
+    """v_minus_one accumulates the factors pole by pole; it equals the stacked
+    reduction in ``oracles`` byte for byte, NaN nodes of overflowed products
+    included."""
+
+    OMEGAS = make_grid(2**16, 0.01).omegas()
+
+    @pytest.mark.parametrize("poles", [(1.0,), (0.5, 1.0), (0.5, 1.0, 2.0), (0.3, 0.7, 1.5, 3.0)])
+    @pytest.mark.parametrize("gamma", [10.0, 100.0, 1000.0])
+    @pytest.mark.parametrize("r", [4.0, 0.6])
+    def test_matches_stacked(self, poles, gamma, r):
+        kernel = AnticausalKernel(poles)
+        with np.errstate(invalid="ignore"):  # inf - inf in the linear sum, on both paths
+            got = v_minus_one(self.OMEGAS, kernel, gamma, r)
+            want = v_minus_one_stacked(self.OMEGAS, kernel, gamma, r)
+        assert got.tobytes() == want.tobytes()
+        if r == 0.6 and gamma >= 100.0:
+            # overflowed products beyond the omega = 0 node
+            assert np.count_nonzero(np.isnan(got)) > 10
 
 
 def _assert_matches_full_grid(pt, ref):
