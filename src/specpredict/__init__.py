@@ -9,7 +9,7 @@ reproduces the checkable convergence, robustness and impossibility
 experiments (:mod:`.experiments`).
 """
 
-from .degeneracy import DegeneracyClass, weight_h
+from .degeneracy import DegeneracyClass
 from .experiments import (
     counterexample_experiment,
     default_grid,
@@ -41,8 +41,6 @@ from .predictor import (
     line_witness,
     orthogonality_residual,
     predict,
-    predictor_from_json,
-    predictor_to_json,
     v_minus_one,
 )
 from .signals import (
@@ -59,13 +57,11 @@ from .spectral import (
     Spectrum,
     TimeSeries,
     forward_transform,
-    hermitian_symmetrize,
     inverse_transform,
     make_grid,
     norm,
     spectrum_l1,
     to_centered,
-    to_natural,
 )
 from .tolerances import CALIBRATION
 
@@ -95,7 +91,6 @@ __all__ = [
     "find_gamma0",
     "forward_transform",
     "gamma_sweep",
-    "hermitian_symmetrize",
     "inverse_transform",
     "kernel_from_json",
     "kernel_to_json",
@@ -108,8 +103,6 @@ __all__ = [
     "orthogonality_residual",
     "predict",
     "prediction_error",
-    "predictor_from_json",
-    "predictor_to_json",
     "residues",
     "robustness_experiment",
     "sample_bandlimited",
@@ -117,9 +110,7 @@ __all__ = [
     "spectrum_l1",
     "time_kernel",
     "to_centered",
-    "to_natural",
     "transfer",
     "uniformity_check",
     "v_minus_one",
-    "weight_h",
 ]

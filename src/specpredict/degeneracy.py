@@ -42,14 +42,3 @@ def log_weight(omega, q: float, c: float) -> np.ndarray:
     nz = om > 0.0
     out[nz] = c * om[nz] ** (-q)
     return out
-
-
-def weight_h(omega, cls: DegeneracyClass) -> np.ndarray:
-    """The class weight exp(c/|omega|^q); +inf sentinel at omega = 0.
-
-    Evaluated through its logarithm; overflow saturates to +inf, which is the
-    honest extended-real value of the weight near the origin.
-    """
-    lw = log_weight(omega, cls.q, cls.c)
-    with np.errstate(over="ignore"):
-        return np.exp(lw)

@@ -5,10 +5,15 @@ the slow-degeneracy negative illustration.
 Reported errors are worst-case over the ensemble, matching the universal
 quantifier of the prediction guarantee at desk scale.  Everything is a pure
 function of its inputs plus generator seeds, so reports are bit-reproducible.
-Ensembles are streamed: a sweep keeps the error gain of each gamma, then
-forms each member's half spectrum once and reduces its error channel under
-every gain into running worst-case figures, so what it holds grows with the
-number of gammas and not with the ensemble.
+
+Every experiment and the CLI's ``predict`` take a member's error the same
+way: :func:`_member_half` checks the member and gives its half spectrum X
+(nodes 0..n/2), the caller multiplies it by the gain K_hat - K, and
+:func:`_norms` inverts the product and takes its grid norms.  Ensembles are
+streamed: a sweep keeps the error gain of each gamma, then takes the members
+one at a time and reduces their error figures under every gain into running
+worst-case figures, so what it holds grows with the number of gammas and not
+with the ensemble.
 """
 
 from __future__ import annotations
@@ -140,14 +145,15 @@ def _shared_real_grid(ensemble) -> FrequencyGrid:
     return grid
 
 
-def _member_half_spectra(ensemble) -> np.ndarray:
-    """(m, n/2+1) array of :func:`_member_spectrum` at nodes 0..n/2, for the
-    one-member experiments; the sweep takes one member at a time."""
-    grid = _shared_real_grid(ensemble)
-    X = np.empty((len(ensemble), grid.n // 2 + 1), dtype=np.complex128)
-    for row, x in zip(X, ensemble):
-        row[:] = _member_spectrum(x)[: grid.n // 2 + 1]
-    return X
+def _member_half(x: TimeSeries, grid: FrequencyGrid) -> np.ndarray:
+    """:func:`_member_spectrum` of a real series on ``grid`` at nodes 0..n/2,
+    copied so the full spectrum is released; ValueError for a series on
+    another grid or with a nonzero imaginary part."""
+    if x.grid != grid:
+        raise ValueError("time series grid does not match predictor grid")
+    if not x.is_real:
+        raise ValueError("class members must be real signals")
+    return _member_spectrum(x)[: grid.n // 2 + 1].copy()
 
 
 def _row_norms(rows: np.ndarray, grid: FrequencyGrid):
@@ -157,29 +163,14 @@ def _row_norms(rows: np.ndarray, grid: FrequencyGrid):
     return l2, np.max(np.abs(rows), axis=-1)
 
 
-def _inverse_norms(spectra, grid: FrequencyGrid):
-    """(l2, sup) arrays: the :func:`_row_norms` of the real signals whose half
-    spectra ``spectra`` yields, one inverse transform at a time."""
-    return np.array([_row_norms(irfft_rows(S, grid), grid) for S in spectra]).T
+def _norms(half: np.ndarray, grid: FrequencyGrid):
+    """:func:`_row_norms` of the real signal whose half spectrum is ``half``.
 
-
-def _error_gain(pt: PredictorTransfer) -> np.ndarray:
-    """K_hat - K at nodes 0..n/2, the gain of the error channel."""
-    return pt.khat_values - pt.k_values
-
-
-def _error_spectrum(pt: PredictorTransfer, X: np.ndarray) -> np.ndarray:
-    """The error channel ``(K_hat - K) X`` of half spectra ``X``, shape
-    (n/2+1,) or (m, n/2+1)."""
-    return _error_gain(pt) * X
-
-
-def _error_channel(pt: PredictorTransfer, X: np.ndarray):
-    """Grid l2 and sup norms of the inverse of :func:`_error_spectrum` for each
-    row of the half spectra ``X`` (m, n/2+1), formed and transformed one row at
-    a time with one :func:`_error_gain`."""
-    gain = _error_gain(pt)
-    return _inverse_norms((gain * row for row in X), pt.grid)
+    Callers bind each half spectrum to a name before multiplying it by a
+    gain: numpy may form ``gain * <temporary>`` in the temporary's buffer as
+    ``temporary * gain``, and complex products do not commute bitwise.
+    """
+    return _row_norms(irfft_rows(half, grid), grid)
 
 
 def _band_split(diff: np.ndarray, grid: FrequencyGrid, threshold: float, rho: int):
@@ -206,14 +197,12 @@ def prediction_error(pt: PredictorTransfer, x: TimeSeries, p) -> PredictionError
     """Grid distance between the anti-causal target of a real class member
     and its causal prediction, absolute and relative to the target: the
     :func:`gamma_sweep` figures of a one-member ensemble."""
-    grid = pt.grid
-    if x.grid != grid:
-        raise ValueError("time series grid does not match predictor grid")
-    X = _member_half_spectra([x])
-    l2, sup = _error_channel(pt, X)
-    y_l2, y_sup = _inverse_norms(pt.k_values * X, grid)
+    X = _member_half(x, pt.grid)
+    gain = pt.khat_values - pt.k_values
+    l2, sup = _norms(gain * X, pt.grid)
+    y_l2, y_sup = _norms(pt.k_values * X, pt.grid)
     err, ref = (sup, y_sup) if _is_sup(p) else (l2, y_l2)
-    return PredictionError(float(err[0]), float(_relative(err, ref)[0]))
+    return PredictionError(float(err), float(_relative(err, ref)))
 
 
 def error_decomposition(pt: PredictorTransfer, x: TimeSeries, p):
@@ -221,8 +210,9 @@ def error_decomposition(pt: PredictorTransfer, x: TimeSeries, p):
     and rho = 1 for p = inf, split at the degeneracy-band edge into (i1, i2)
     as :func:`_band_split` does; i1 + i2 is the full grid measure."""
     rho = 1 if _is_sup(p) else 2
-    diff = _error_spectrum(pt, _member_half_spectra([x])[0])
-    return _band_split(diff, pt.grid, pt.omega_threshold, rho)
+    X = _member_half(x, pt.grid)
+    gain = pt.khat_values - pt.k_values
+    return _band_split(gain * X, pt.grid, pt.omega_threshold, rho)
 
 
 def _run_sweep(kernel: AnticausalKernel, gammas, r: float, ensemble, cls: DegeneracyClass = None):
@@ -249,8 +239,8 @@ def _run_sweep(kernel: AnticausalKernel, gammas, r: float, ensemble, cls: Degene
                 lemma_tail_dev=rep.tail_dev_max,
             )
         fields.append(row)
-        # of a predictor's (n/2+1)-node arrays and n-sample time kernel the
-        # sweep keeps only the gain; drop it before the next build
+        # of a predictor's (n/2+1)-node arrays the sweep keeps only the gain;
+        # drop it before the next build
         del pt
 
     K = _transfer_half(kernel, grid)
@@ -259,9 +249,9 @@ def _run_sweep(kernel: AnticausalKernel, gammas, r: float, ensemble, cls: Degene
     worst = np.full((4, len(gammas)), -np.inf)
     bands = [None] * len(gammas)
     for x in ensemble:
-        X = _member_spectrum(x)[:h].copy()  # a copy releases the full spectrum
-        y_l2, y_sup = _row_norms(irfft_rows(K * X, grid), grid)
-        l2a, supa = _inverse_norms((gain * X for gain in gains), grid)
+        X = _member_half(x, grid)
+        y_l2, y_sup = _norms(K * X, grid)
+        l2a, supa = np.array([_norms(gain * X, grid) for gain in gains]).T
         l2r = _relative(l2a, y_l2)
         # np.argmax's rule: the first maximum leads, and a NaN is a maximum;
         # the leader's error channel is formed once more for its band split
@@ -324,16 +314,15 @@ def uniformity_check(
     """
     _require_admissible(r, cls)
     grid = _shared_real_grid(ensemble)
-    gain = _error_gain(build_predictor(kernel, gamma, r, grid))
+    pt = build_predictor(kernel, gamma, r, grid)
+    gain = pt.khat_values - pt.k_values
     worst = -np.inf
     for x in ensemble:
         norm = class_norm(x, cls)
         if math.isinf(norm):
             raise ValueError("ensemble member has infinite class norm")
-        # X is named: numpy may form gain * <temporary> in the temporary's
-        # buffer as temporary * gain, and complex products do not commute bitwise
-        X = _member_spectrum(x)[: grid.n // 2 + 1].copy()
-        l2, sup = _row_norms(irfft_rows(gain * X, grid), grid)
+        X = _member_half(x, grid)
+        l2, sup = _norms(gain * X, grid)
         worst = np.maximum(worst, (sup if _is_sup(p) else l2) / norm)
     return float(worst)
 
@@ -381,8 +370,10 @@ def robustness_experiment(
     pt = build_predictor(kernel, gamma, r, grid)
     # the clean member's spectrum carries its constructional X(0) = 0; the
     # noise spectrum keeps whatever degeneracy-node content it legitimately has
-    clean_diff = _error_spectrum(pt, _member_half_spectra([x0])[0])
-    eps_clean = float(_row_norms(irfft_rows(clean_diff, grid), grid)[1])
+    X0 = _member_half(x0, grid)
+    gain = pt.khat_values - pt.k_values
+    clean_diff = gain * X0
+    eps_clean = float(_norms(clean_diff, grid)[1])
     slack = CALIBRATION["robustness_slack"]
 
     j0 = sum(_band_split(clean_diff, grid, pt.omega_threshold, 1)) / (2 * math.pi)
@@ -391,9 +382,9 @@ def robustness_experiment(
         N = add_noise(x0, float(nu), cfg)[1].values[:h]
         # the clean channel plus the prediction of the noise, so the nu = 0
         # row reproduces eps_clean bit-exactly
-        err = float(np.max(np.abs(irfft_rows(clean_diff + pt.khat_values * N, grid))))
+        err = float(_norms(clean_diff + pt.khat_values * N, grid)[1])
         bound = eps_clean + nu * (pt.kappa_sup + 1.0)
-        noise_diff = _error_spectrum(pt, N)
+        noise_diff = gain * N
         j_eta = sum(_band_split(noise_diff, grid, pt.omega_threshold, 1)) / (2 * math.pi)
         rows.append(
             RobustnessRow(

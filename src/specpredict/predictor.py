@@ -20,23 +20,14 @@ entirely in the log domain.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .degeneracy import DegeneracyClass, log_weight
-from .kernels import AnticausalKernel, _transfer_half, kernel_from_dict, kernel_to_dict, transfer
-from .spectral import (
-    FrequencyGrid,
-    Spectrum,
-    TimeSeries,
-    _half_nodes,
-    inverse_transform,
-    irfft_rows,
-    rfft_rows,
-)
+from .kernels import AnticausalKernel, _transfer_half
+from .spectral import FrequencyGrid, TimeSeries, _half_nodes, irfft_rows, rfft_rows
 from .tolerances import CALIBRATION
 
 _CLAMP_LOG = CALIBRATION["v_overflow_clamp_log"]
@@ -127,7 +118,7 @@ def v_minus_one(omega, kernel: AnticausalKernel, gamma: float, r: float) -> np.n
         tiny &= np.abs(f) < 1e-6
         with np.errstate(invalid="ignore", over="ignore"):
             prod *= 1.0 + f
-        linear += f
+            linear += f
     return np.where(tiny, linear, prod - 1.0)
 
 
@@ -142,11 +133,12 @@ class PredictorTransfer:
     ``k_values`` holds the kernel transfer K, sampled once per predictor.
     ``khat_values`` is magnitude-clamped at exp(700) where the log magnitude
     saturates (mask in ``saturated``); the unclamped log magnitude and phase
-    of K_hat ride along for log-domain arithmetic.  ``khat_time`` is the real
-    inverse of ``khat_values`` at all n time nodes.  ``kappa_sup`` is the
-    grid max of |khat_values| (an under-estimate of the true sup, consistent
-    with the grid resolution); ``omega_threshold`` is the degeneracy-band
-    edge sqrt(max_j a_j * gamma^{-r}).
+    of K_hat ride along for log-domain arithmetic.  No time kernel is kept:
+    the readers that need one (:func:`causality_defect`, the CLI's
+    ``khat.csv``) take ``irfft_rows`` of ``khat_values``.  ``kappa_sup`` is
+    the grid max of |khat_values| (an under-estimate of the true sup,
+    consistent with the grid resolution); ``omega_threshold`` is the
+    degeneracy-band edge sqrt(max_j a_j * gamma^{-r}).
     """
 
     kernel: AnticausalKernel
@@ -155,7 +147,6 @@ class PredictorTransfer:
     grid: FrequencyGrid
     k_values: np.ndarray
     khat_values: np.ndarray
-    khat_time: TimeSeries
     kappa_sup: float
     omega_threshold: float
     khat_log_mag: np.ndarray
@@ -175,7 +166,7 @@ def omega_threshold(kernel: AnticausalKernel, gamma: float, r: float) -> float:
 def build_predictor(
     kernel: AnticausalKernel, gamma: float, r: float, grid: FrequencyGrid
 ) -> PredictorTransfer:
-    """Assemble V, K_hat = V*K, the causal time kernel and the gain figures.
+    """Assemble V, K_hat = V*K and the gain figures.
 
     V, K and K_hat are evaluated at nodes 0..n/2, the nodes the predictor
     keeps (see :class:`PredictorTransfer`).
@@ -216,35 +207,12 @@ def build_predictor(
         grid=grid,
         k_values=K,
         khat_values=khat_vals,
-        khat_time=TimeSeries(grid, irfft_rows(khat_vals, grid)),
         kappa_sup=float(np.max(np.abs(khat_vals))),
         omega_threshold=omega_threshold(kernel, gamma, r),
         khat_log_mag=khat_log,
         khat_phase=khat_ph,
         saturated=sat | overflow,
     )
-
-
-def predictor_to_json(pt: PredictorTransfer) -> str:
-    """Serialize the defining parameters; the sampled arrays are rebuilt."""
-    return json.dumps(
-        {
-            "kernel": kernel_to_dict(pt.kernel),
-            "gamma": pt.gamma,
-            "r": pt.r,
-            "grid": {"n": pt.grid.n, "delta_t": pt.grid.delta_t},
-        },
-        sort_keys=True,
-    )
-
-
-def predictor_from_json(text: str) -> PredictorTransfer:
-    obj = json.loads(text)
-    unknown = set(obj) - {"kernel", "gamma", "r", "grid"}
-    if unknown:
-        raise ValueError(f"unknown predictor fields: {sorted(unknown)}")
-    grid = FrequencyGrid(obj["grid"]["n"], obj["grid"]["delta_t"])
-    return build_predictor(kernel_from_dict(obj["kernel"]), obj["gamma"], obj["r"], grid)
 
 
 def predict(pt: PredictorTransfer, x: TimeSeries) -> TimeSeries:
@@ -287,7 +255,7 @@ def causality_defect(pt: PredictorTransfer) -> float:
     sweep configuration neither holds and it reads 0.5 whatever the kernel
     (docs/numerics.md).  :func:`line_witness` measures the kernel itself.
     """
-    return _past_share(pt.khat_time.samples, pt.grid.times())
+    return _past_share(irfft_rows(pt.khat_values, pt.grid), pt.grid.times())
 
 
 @dataclass(frozen=True)
@@ -532,14 +500,16 @@ def _line_figures(grid: FrequencyGrid, k_mirror: np.ndarray, khat_line: np.ndarr
     """(causality defect, orthogonality residual) from samples on the lines.
 
     ``khat_line`` holds K_hat(sigma + i*omega), ``k_mirror`` K(-sigma + i*omega),
-    both on ``grid`` with real half-rate nodes; scale does not matter.
+    both at nodes 0..n/2 of ``grid`` with a real half-rate node; scale does
+    not matter.  Both are conjugate-symmetric, so the terms of the inner
+    product at +-omega are conjugate and it is the weighted sum of their real
+    parts (see :func:`.spectral._half_nodes`).
     """
-    h = inverse_transform(Spectrum(grid, khat_line)).samples
-    defect = _past_share(h, grid.times())
-    residual = abs(np.vdot(k_mirror, khat_line)) / (
-        np.linalg.norm(k_mirror) * np.linalg.norm(khat_line)
-    )
-    return defect, float(residual)
+    defect = _past_share(irfft_rows(khat_line, grid), grid.times())
+    weights = _half_nodes(grid)[1]
+    inner = np.sum(weights * (np.conj(k_mirror) * khat_line).real)
+    sq_norms = np.sum(weights * np.abs(k_mirror) ** 2) * np.sum(weights * np.abs(khat_line) ** 2)
+    return defect, float(abs(inner) / np.sqrt(sq_norms))
 
 
 def line_witness(kernel: AnticausalKernel, gamma: float, r: float) -> LineWitness:
@@ -549,19 +519,19 @@ def line_witness(kernel: AnticausalKernel, gamma: float, r: float) -> LineWitnes
     z = sigma + i*omega with 0 < sigma < min_j a_j, where the gain is finite,
     about exp(gamma sum_j (a_j - sigma)/sigma), and the ringing is short; see
     :class:`LineWitness`.  The witness builds its own grid from
-    (kernel, gamma, r) and carries K_hat in log-polar form, normalized by its
-    peak before exponentiating.  Raises ValueError when the grid would exceed
-    2^20 samples.
+    (kernel, gamma, r) and carries K_hat at nodes 0..n/2 in log-polar form,
+    normalized by its peak before exponentiating; real coefficients make the
+    rest the conjugates.  Raises ValueError when the grid would exceed 2^20
+    samples.
     """
     _check_sharpness(gamma, r)
     sigma, grid = _line_grid(kernel, gamma, r)
-    K = transfer(kernel, grid, sigma).values
-    v_log, v_ph = v_logpolar(sigma + 1j * grid.omegas(), kernel, gamma, r)
+    K = _transfer_half(kernel, grid, sigma)
+    v_log, v_ph = v_logpolar(sigma + 1j * grid.omegas()[: grid.n // 2 + 1], kernel, gamma, r)
     with np.errstate(divide="ignore"):
         khat_log = v_log + np.log(np.abs(K))
     with np.errstate(under="ignore"):
         khat = np.exp(khat_log - np.max(khat_log)) * np.exp(1j * (v_ph + np.angle(K)))
-    ny = grid.n // 2
-    khat[ny] = khat[ny].real
-    defect, residual = _line_figures(grid, transfer(kernel, grid, -sigma).values, khat)
+    khat[-1] = khat[-1].real
+    defect, residual = _line_figures(grid, _transfer_half(kernel, grid, -sigma), khat)
     return LineWitness(sigma, grid, defect, residual)

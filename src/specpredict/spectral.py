@@ -8,8 +8,8 @@ The continuous transform pair
 is approximated on a uniform time grid with the origin at the grid centre,
 so that both past (t < 0) and future (t > 0) samples exist on-grid.  The
 frequency nodes are kept in natural (fast-transform) order internally;
-``to_centered`` / ``to_natural`` are the only reindexing helpers and own the
-conversion to the centered reporting order
+``to_centered`` is the only reindexing helper and owns the conversion to the
+centered reporting order
 {-omega_max, ..., -d_omega, 0, d_omega, ..., omega_max - d_omega}.
 
 Real signals have conjugate-symmetric spectra, so ``rfft_rows`` /
@@ -22,9 +22,11 @@ read-only, and every transform scales its fast-transform output in place.
 ``_half_nodes`` gives |omega| at nodes 0..n/2 and the weight with which
 each enters a full-grid sum.  By the same symmetry ``_mirror`` fills nodes
 n/2+1..n-1 from nodes 0..n/2 where all n nodes are needed: the public
-``transfer`` and the noise spectrum of ``add_noise``.  A ``TimeSeries``
-stores real samples as float64, with no zero imaginary parts; their fast
-transform is bit for bit that of the same values stored as complex.
+``transfer``, which ``apply_anticausal`` multiplies into a complex
+spectrum, and the noise spectrum of ``add_noise``.  The predictor and the
+experiments read nodes 0..n/2 only.  A ``TimeSeries`` stores real samples
+as float64, with no zero imaginary parts; their fast transform is bit for
+bit that of the same values stored as complex.
 
 Grids hold at most ``MAX_GRID_N`` = 2^24 samples, where one complex array
 already takes 256 MB; a larger ``n`` is rejected before anything is
@@ -52,11 +54,6 @@ def _is_power_of_two(n: int) -> bool:
 def to_centered(values: np.ndarray) -> np.ndarray:
     """Reorder natural (fast-transform) node order to centered order."""
     return np.fft.fftshift(values)
-
-
-def to_natural(values: np.ndarray) -> np.ndarray:
-    """Reorder centered node order back to natural order."""
-    return np.fft.ifftshift(values)
 
 
 @dataclass(frozen=True)
@@ -284,9 +281,3 @@ def norm(x: TimeSeries, p) -> float:
 def spectrum_l1(X: Spectrum) -> float:
     """delta_omega * sum_k |X(i*omega_k)|, the grid estimate of the L1 norm."""
     return float(X.grid.delta_omega * np.sum(np.abs(X.values)))
-
-
-def hermitian_symmetrize(X: Spectrum) -> Spectrum:
-    """Project onto conjugate-symmetric spectra: (X(i*w) + conj(X(-i*w))) / 2."""
-    idx = (-np.arange(X.grid.n)) % X.grid.n
-    return Spectrum(X.grid, 0.5 * (X.values + np.conj(X.values[idx])))

@@ -60,15 +60,9 @@ def gamma_sweep_reference(kernel, cls, gammas, r, ensemble):
     kept as a reference for the streamed half-spectrum path.  Returns one
     dict per gamma with the fields of ``SweepRow``.
     """
-    from specpredict import (
-        Spectrum,
-        causality_defect,
-        inverse_transform,
-        lemma_check,
-        norm,
-        transfer,
-    )
+    from specpredict import Spectrum, inverse_transform, lemma_check, norm, transfer
     from specpredict.experiments import _member_spectrum
+    from specpredict.predictor import _past_share
 
     grid = ensemble[0].grid
     K = transfer(kernel, grid).values
@@ -104,7 +98,9 @@ def gamma_sweep_reference(kernel, cls, gammas, r, ensemble):
                 **worst,
                 kappa_sup=pt.kappa_sup,
                 omega_threshold=pt.omega_threshold,
-                causality_defect=causality_defect(pt),
+                causality_defect=_past_share(
+                    inverse_transform(Spectrum(grid, pt.khat_values)).samples, grid.times()
+                ),
                 i1=i1,
                 i2=i2,
                 lemma_pass_high_band=rep.pass_high_band,
@@ -175,6 +171,15 @@ def irfft_stack(values, grid):
     return np.fft.irfft(_signs(grid.n)[:h] * values, n=grid.n, axis=-1) / grid.delta_t
 
 
+def member_half_spectra(ensemble):
+    """(m, n/2+1) stack of the member spectra at nodes 0..n/2, the stacked
+    form of the library's one-member ``_member_half``."""
+    from specpredict.experiments import _member_spectrum
+
+    h = ensemble[0].grid.n // 2 + 1
+    return np.stack([_member_spectrum(x)[:h] for x in ensemble])
+
+
 def error_channel_batched(pt, X):
     """(diff, l2, sup): the error channel ``(K_hat - K) X`` of a whole
     (m, n/2+1) stack of half spectra and the norms of its inverse, taken in
@@ -190,9 +195,9 @@ def sweep_rows_stacked(kernel, cls, gammas, r, ensemble):
     one batched transform, and i1/i2 for the ``np.argmax`` member.  The
     gamma-outer form of the library's member-streamed sweep."""
     from specpredict import build_predictor, causality_defect, lemma_check
-    from specpredict.experiments import SweepRow, _member_half_spectra
+    from specpredict.experiments import SweepRow
 
-    X = _member_half_spectra(ensemble)
+    X = member_half_spectra(ensemble)
     grid = ensemble[0].grid
     h = grid.n // 2 + 1
     om = np.abs(grid.omegas()[:h])
@@ -232,11 +237,10 @@ def uniformity_check_stacked(kernel, cls, gamma, r, ensemble, p):
     """``uniformity_check`` from the stacked member half spectra and class
     norms, with one batched error channel."""
     from specpredict import build_predictor, class_norm
-    from specpredict.experiments import _member_half_spectra
 
     norms = np.array([class_norm(x, cls) for x in ensemble])
     pt = build_predictor(kernel, gamma, r, ensemble[0].grid)
-    _, l2, sup = error_channel_batched(pt, _member_half_spectra(ensemble))
+    _, l2, sup = error_channel_batched(pt, member_half_spectra(ensemble))
     return float(np.max((sup if math.isinf(p) else l2) / norms))
 
 
@@ -333,9 +337,7 @@ def transfer_full_grid(kernel, grid, sigma=0.0):
 
 def build_predictor_full_grid(kernel, gamma, r, grid):
     """:func:`specpredict.build_predictor` with V, K and K_hat evaluated and
-    kept at all n nodes, both signs of omega, rather than at nodes 0..n/2, and
-    the time kernel taken by the complex inverse transform."""
-    from specpredict import Spectrum, inverse_transform
+    kept at all n nodes, both signs of omega, rather than at nodes 0..n/2."""
     from specpredict.predictor import (
         _CLAMP_LOG,
         _VALUE_LOG_MAX,
@@ -378,10 +380,40 @@ def build_predictor_full_grid(kernel, gamma, r, grid):
         grid=grid,
         k_values=K,
         khat_values=khat_vals,
-        khat_time=inverse_transform(Spectrum(grid, khat_vals)),
         kappa_sup=float(np.max(np.abs(khat_vals))),
         omega_threshold=omega_threshold(kernel, gamma, r),
         khat_log_mag=khat_log,
         khat_phase=khat_ph,
         saturated=sat,
     )
+
+
+def hermitian_symmetrize(X):
+    """Project a :class:`specpredict.Spectrum` onto conjugate-symmetric
+    spectra: (X(i*w) + conj(X(-i*w))) / 2."""
+    from specpredict import Spectrum
+
+    idx = (-np.arange(X.grid.n)) % X.grid.n
+    return Spectrum(X.grid, 0.5 * (X.values + np.conj(X.values[idx])))
+
+
+def line_witness_full_grid(kernel, gamma, r):
+    """(causality defect, orthogonality residual) of :func:`specpredict.line_witness`
+    on its own grid, with K_hat and K evaluated at all n nodes, the time
+    kernel taken by the complex inverse transform and the inner product
+    summed over all n nodes with ``np.vdot``."""
+    from specpredict import Spectrum, inverse_transform
+    from specpredict.predictor import _line_grid, _past_share, v_logpolar
+
+    sigma, grid = _line_grid(kernel, gamma, r)
+    K = transfer_full_grid(kernel, grid, sigma)
+    v_log, v_ph = v_logpolar(sigma + 1j * grid.omegas(), kernel, gamma, r)
+    with np.errstate(divide="ignore"):
+        khat_log = v_log + np.log(np.abs(K))
+    with np.errstate(under="ignore"):
+        khat = np.exp(khat_log - np.max(khat_log)) * np.exp(1j * (v_ph + np.angle(K)))
+    khat[grid.n // 2] = khat[grid.n // 2].real
+    k_mirror = transfer_full_grid(kernel, grid, -sigma)
+    defect = _past_share(inverse_transform(Spectrum(grid, khat)).samples, grid.times())
+    residual = abs(np.vdot(k_mirror, khat)) / (np.linalg.norm(k_mirror) * np.linalg.norm(khat))
+    return defect, float(residual)

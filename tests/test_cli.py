@@ -115,7 +115,7 @@ class TestPredictCommand:
             "x.csv": x.samples.real,
             "y.csv": irfft_rows(pt.k_values * X, grid),
             "yhat.csv": irfft_rows(pt.khat_values * X, grid),
-            "khat.csv": pt.khat_time.samples,
+            "khat.csv": irfft_rows(pt.khat_values, grid),
         }
         for name, samples in expected.items():
             rows = (outdir / name).read_text().splitlines()[2:]

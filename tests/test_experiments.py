@@ -33,6 +33,7 @@ from oracles import (
     error_channel_batched,
     gamma_sweep_reference,
     irfft_stack,
+    member_half_spectra,
     row_norms_linalg,
     sweep_rows_stacked,
     uniformity_check_stacked,
@@ -79,6 +80,13 @@ class TestPredictionError:
             prediction_error(pt, x, 2)
         with pytest.raises(ValueError, match="real"):
             error_decomposition(pt, x, 2)
+
+    def test_rejects_member_on_another_grid(self, ensemble):
+        pt = build_predictor(KERNEL, 10.0, 4.0, make_grid(GRID.n, 0.01))
+        with pytest.raises(ValueError, match="grid"):
+            prediction_error(pt, ensemble[0], 2)
+        with pytest.raises(ValueError, match="grid"):
+            error_decomposition(pt, ensemble[0], 2)
 
 
 class TestErrorDecomposition:
@@ -442,19 +450,21 @@ class TestPerRowChannelIsExact:
 
     def test_half_spectra_match_stacked_member_spectra(self, ensemble):
         want = np.stack([_member_spectrum(x)[: GRID.n // 2 + 1] for x in ensemble])
-        assert experiments._member_half_spectra(ensemble).tobytes() == want.tobytes()
+        got = np.stack([experiments._member_half(x, GRID) for x in ensemble])
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("gamma", GAMMAS)
     def test_error_channel_matches_batched(self, ensemble, gamma):
-        X = experiments._member_half_spectra(ensemble)
+        X = member_half_spectra(ensemble)
         pt = build_predictor(KERNEL, gamma, 4.0, GRID)
         diff, l2_want, sup_want = error_channel_batched(pt, X)
-        l2, sup = experiments._error_channel(pt, X)
+        gain = pt.khat_values - pt.k_values
+        l2, sup = np.array([experiments._norms(gain * row, GRID) for row in X]).T
         assert (l2.tobytes(), sup.tobytes()) == (l2_want.tobytes(), sup_want.tobytes())
         for i, row in enumerate(X):
-            assert experiments._error_spectrum(pt, row).tobytes() == diff[i].tobytes()
+            assert (gain * row).tobytes() == diff[i].tobytes()
         K = pt.k_values
-        y_l2, y_sup = experiments._inverse_norms(K * X, GRID)
+        y_l2, y_sup = np.array([experiments._norms(K * row, GRID) for row in X]).T
         y_l2_want, y_sup_want = row_norms_linalg(irfft_stack(K * X, GRID), GRID)
         assert (y_l2.tobytes(), y_sup.tobytes()) == (y_l2_want.tobytes(), y_sup_want.tobytes())
 

@@ -6,7 +6,7 @@ counted.  Members are drawn one at a time, and the sweep keeps one
 (gammas, n/2+1) array of error gains and takes the members one at a time,
 so no array sized by the ensemble is alive during a sweep and its peak does
 not grow with the ensemble.  Real members keep float64 samples, and a
-predictor evaluates and keeps nodes 0..n/2 only.
+predictor and the line witness evaluate and keep nodes 0..n/2 only.
 """
 
 import tracemalloc
@@ -17,6 +17,7 @@ from specpredict import (
     build_predictor,
     gamma_sweep,
     lemma_check,
+    line_witness,
     make_class_ensemble,
 )
 from specpredict.experiments import (
@@ -45,9 +46,14 @@ SWEEP_GROWTH_BOUND = 0.25e6
 
 # Traced peak of one build_predictor at n = 2^16, gamma = 10: 10.1 MB with
 # V, K and K_hat evaluated at all n nodes, 7.0 MB evaluated at nodes 0..n/2
-# and mirrored, 4.3 MB kept at nodes 0..n/2; the bound sits between the last
-# two.
-BUILD_PEAK_BOUND = 5.5e6
+# and mirrored, 4.3 MB kept at nodes 0..n/2 beside an eager n-sample time
+# kernel, 3.7 MB without it; the bound sits between the last two.
+BUILD_PEAK_BOUND = 4.0e6
+
+# Traced peak of line_witness for pole 1, gamma = 1000, r = 4 (n = 2^18):
+# 31.7 MB on all n nodes with a complex inverse, 19.1 MB on nodes 0..n/2
+# with a real one; the bound sits between.
+LINE_WITNESS_PEAK_BOUND = 25e6
 
 # Traced peak of lemma_check for poles (0.5, 1, 2) at n = 2^16, gamma = 10:
 # 5.08 MB with a fresh n-node omega array and the factor deviations stacked
@@ -107,6 +113,13 @@ def test_build_predictor_peak_is_bounded():
     pt, peak = _traced_peak(lambda: build_predictor(DEFAULT_KERNEL, 10.0, DEFAULT_R, grid))
     assert pt.khat_values.shape == (grid.n // 2 + 1,)
     assert peak < BUILD_PEAK_BOUND, peak
+
+
+def test_line_witness_peak_is_bounded():
+    line_witness(DEFAULT_KERNEL, 1000.0, DEFAULT_R)  # per-grid caches outside the trace
+    w, peak = _traced_peak(lambda: line_witness(DEFAULT_KERNEL, 1000.0, DEFAULT_R))
+    assert w.grid.n == 2**18
+    assert peak < LINE_WITNESS_PEAK_BOUND, peak
 
 
 def test_lemma_check_peak_is_bounded():

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import math
 
@@ -23,12 +24,15 @@ from specpredict import (
     transfer,
     v_minus_one,
 )
-from specpredict.predictor import _line_figures, factor_exponent, v_logpolar
+from specpredict.kernels import _transfer_half
+from specpredict.predictor import _line_figures, _past_share, factor_exponent, v_logpolar
+from specpredict.spectral import irfft_rows
 from specpredict.tolerances import CALIBRATION
 
 from oracles import (
     build_predictor_full_grid,
     lemma_check_full_grid,
+    line_witness_full_grid,
     orthogonality_residual_full_grid,
     transfer_full_grid,
     v_minus_one_stacked,
@@ -110,7 +114,7 @@ class TestBuildPredictor:
         assert pt.khat_values.shape == (small_grid.n // 2 + 1,)
         ends = pt.khat_values[[0, -1]]
         assert np.all(np.abs(ends.imag) <= CALIBRATION["hermitian_rel"] * np.abs(ends))
-        assert pt.khat_time.samples.dtype == np.float64
+        assert irfft_rows(pt.khat_values, small_grid).dtype == np.float64
         full = build_predictor_full_grid(kernel, 15.0, 1.0, small_grid).khat_values
         assert Spectrum(small_grid, full).is_hermitian
 
@@ -161,11 +165,7 @@ class TestPredict:
 
         pt = build_predictor(KERNEL, 10.0, 1.0, small_grid)
         K = transfer(KERNEL, small_grid).values[: small_grid.n // 2 + 1]
-        fake = dataclasses.replace(
-            pt,
-            khat_values=K,
-            khat_time=inverse_transform(transfer(KERNEL, small_grid)),
-        )
+        fake = dataclasses.replace(pt, khat_values=K)
         rng = np.random.Generator(np.random.Philox(4))
         x = TimeSeries(small_grid, rng.standard_normal(small_grid.n) + 0j)
         y = apply_anticausal(KERNEL, x)
@@ -184,14 +184,16 @@ class TestPredict:
 
 
 class TestCausalityDefect:
-    def _pt_with_kernel(self, grid, samples):
-        pt = build_predictor(KERNEL, 10.0, 1.0, grid)
-        return dataclasses.replace(pt, khat_time=TimeSeries(grid, samples))
+    """causality_defect is the t < 0 share (``_past_share``) of the inverse
+    of ``khat_values``; the share is checked on exact time samples."""
+
+    def _share(self, grid, samples):
+        return _past_share(samples, grid.times())
 
     def test_exact_causal_support_gives_zero(self, small_grid):
         s = np.zeros(small_grid.n)
         s[small_grid.n // 2 :] = 1.0
-        assert causality_defect(self._pt_with_kernel(small_grid, s)) == 0.0
+        assert self._share(small_grid, s) == 0.0
 
     def test_time_reversed_kernel(self, small_grid):
         t = small_grid.times()
@@ -199,14 +201,17 @@ class TestCausalityDefect:
         # reversal around t = 0 keeps that sample in place
         n = small_grid.n
         rev = s[(n - np.arange(n)) % n]
-        d_causal = causality_defect(self._pt_with_kernel(small_grid, s))
-        d_rev = causality_defect(self._pt_with_kernel(small_grid, rev))
+        d_causal = self._share(small_grid, s)
+        d_rev = self._share(small_grid, rev)
         share_t0 = s[n // 2] ** 2 / np.sum(s**2)
         assert d_causal == 0.0
         assert d_rev == pytest.approx(1.0 - share_t0)
 
     def test_zero_kernel_defined_as_zero(self, small_grid):
-        assert causality_defect(self._pt_with_kernel(small_grid, np.zeros(small_grid.n))) == 0.0
+        assert self._share(small_grid, np.zeros(small_grid.n)) == 0.0
+        pt = build_predictor(KERNEL, 10.0, 1.0, small_grid)
+        zero = dataclasses.replace(pt, khat_values=np.zeros_like(pt.khat_values))
+        assert causality_defect(zero) == 0.0
 
     def test_certifies_causal_support_at_representable_config(self):
         # band edge resolved, gain representable: the inverse transform is
@@ -307,8 +312,8 @@ class TestVMinusOneAccumulation:
     @pytest.mark.parametrize("r", [4.0, 0.6])
     def test_matches_stacked(self, poles, gamma, r):
         kernel = AnticausalKernel(poles)
-        with np.errstate(invalid="ignore"):  # inf - inf in the linear sum, on both paths
-            got = v_minus_one(self.OMEGAS, kernel, gamma, r)
+        got = v_minus_one(self.OMEGAS, kernel, gamma, r)
+        with np.errstate(invalid="ignore"):  # inf - inf in the oracle's linear sum
             want = v_minus_one_stacked(self.OMEGAS, kernel, gamma, r)
         assert got.tobytes() == want.tobytes()
         if r == 0.6 and gamma >= 100.0:
@@ -318,19 +323,19 @@ class TestVMinusOneAccumulation:
 
 def _assert_matches_full_grid(pt, ref):
     """Every array field of ``pt`` equals nodes 0..n/2 of the all-node ``ref``
-    bit for bit, as does every other field but ``khat_time``: the real
-    inverse of the half spectrum, within 1e-10 of the peak of ref's."""
+    bit for bit, as does every other field; the real inverse of the half
+    spectrum is within 1e-10 of the peak of the complex inverse of ref's."""
     h = pt.grid.n // 2 + 1
+    got = irfft_rows(pt.khat_values, pt.grid)
+    want = inverse_transform(Spectrum(pt.grid, ref.khat_values)).samples
+    assert got.dtype == np.float64
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
     for f in dataclasses.fields(pt):
         got, want = getattr(pt, f.name), getattr(ref, f.name)
         if isinstance(got, np.ndarray):
             want = want[:h]
             assert got.dtype == want.dtype and got.shape == want.shape, f.name
             assert got.tobytes() == want.tobytes(), f.name
-        elif f.name == "khat_time":
-            assert got.samples.dtype == np.float64
-            peak = np.max(np.abs(want.samples))
-            assert np.max(np.abs(got.samples - want.samples)) <= 1e-10 * peak
         elif isinstance(got, float):
             assert got.hex() == want.hex(), f.name
         else:
@@ -419,9 +424,7 @@ class TestLineWitness:
         a, sigma = 1.0, 0.5
         g = make_grid(2**14, 0.05)
         kern = AnticausalKernel((a,), (1.0,))
-        defect, residual = _line_figures(
-            g, transfer(kern, g, -sigma).values, transfer(kern, g, sigma).values
-        )
+        defect, residual = _line_figures(g, _transfer_half(kern, g, -sigma), _transfer_half(kern, g, sigma))
         q = math.exp(-2.0 * (a - sigma) * g.delta_t)
         share_t0 = 0.25 / (0.25 + q / (1.0 - q))
         assert residual == pytest.approx(math.sqrt(1.0 - (sigma / a) ** 2), abs=1e-3)
@@ -438,6 +441,20 @@ class TestLineWitness:
         for residual in (orthogonality_residual(pt), w.orthogonality_residual):
             assert residual < CALIBRATION["orthogonality_residual_max"]
 
+    @pytest.mark.parametrize(
+        "poles, gamma, r", [((1.0,), 10.0, 4.0), ((1.0,), 300.0, 4.0), ((0.01,), 30.0, 0.6)]
+    )
+    def test_half_nodes_match_full_grid(self, poles, gamma, r):
+        # figures above roundoff agree to 1e-9; roundoff-sized ones stay so
+        kernel = AnticausalKernel(poles)
+        w = line_witness(kernel, gamma, r)
+        got = (w.causality_defect, w.orthogonality_residual)
+        for a, b in zip(got, line_witness_full_grid(kernel, gamma, r)):
+            if b >= 1e-12:
+                assert a == pytest.approx(b, rel=1e-9)
+            else:
+                assert a < 1e-12
+
     def test_rejects_grid_beyond_budget(self):
         # poles 30x apart: the step follows the fast pole, the ringing the
         # slow one, and gamma = 1000 needs ~2^28 samples; the size check runs
@@ -446,25 +463,18 @@ class TestLineWitness:
             line_witness(AnticausalKernel((0.1, 3.0), (1.0,)), 1000.0, 4.0)
 
 
-class TestSerialization:
-    def test_round_trip_rebuilds_identical_transfer(self, small_grid):
-        from specpredict import predictor_from_json, predictor_to_json
+def test_predictor_imports_no_full_grid_path():
+    # the predictor stays on nodes 0..n/2: nothing it imports builds, mirrors
+    # or inverts an n-node spectrum
+    from pathlib import Path
 
-        pt = build_predictor(AnticausalKernel((0.5, 2.0), (0.1, 1.0)), 15.0, 1.0, small_grid)
-        clone = predictor_from_json(predictor_to_json(pt))
-        assert clone.gamma == pt.gamma and clone.r == pt.r
-        assert clone.grid == pt.grid and clone.kernel == pt.kernel
-        assert np.array_equal(clone.khat_values, pt.khat_values)
+    from specpredict import predictor
 
-    def test_unknown_fields_rejected(self):
-        from specpredict import predictor_from_json
-
-        with pytest.raises(ValueError):
-            predictor_from_json('{"kernel": {"poles": [1.0]}, "gamma": 1, "r": 1, "grid": {"n": 8, "delta_t": 1.0}, "extra": 0}')
-
-    def test_unknown_kernel_fields_rejected(self):
-        from specpredict import predictor_from_json
-
-        text = '{"kernel": {"poles": [1.0], "zeros": [3.0]}, "gamma": 1, "r": 1, "grid": {"n": 8, "delta_t": 1.0}}'
-        with pytest.raises(ValueError, match="unknown kernel fields"):
-            predictor_from_json(text)
+    tree = ast.parse(Path(predictor.__file__).read_text(encoding="utf-8"))
+    imported = {
+        alias.name.rsplit(".", 1)[-1]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert not imported & {"Spectrum", "inverse_transform", "transfer", "_mirror"}

@@ -24,7 +24,6 @@ from specpredict import (
     sample_bandlimited,
     sample_class_member,
     spectrum_l1,
-    weight_h,
 )
 from specpredict.degeneracy import log_weight
 from specpredict.experiments import default_grid
@@ -55,19 +54,22 @@ class TestDegeneracyClass:
 
 
 class TestWeight:
+    """The class weight exp(c/|omega|^q), read through ``log_weight``."""
+
     def test_value_at_unit_frequency(self):
-        assert weight_h(np.array([1.0]), CLS)[0] == pytest.approx(math.e)
+        assert math.exp(log_weight(np.array([1.0]), CLS.q, CLS.c)[0]) == pytest.approx(math.e)
 
     def test_limit_at_high_frequency(self):
-        assert weight_h(np.array([1e9]), CLS)[0] == pytest.approx(1.0)
+        assert math.exp(log_weight(np.array([1e9]), CLS.q, CLS.c)[0]) == pytest.approx(1.0)
 
     def test_infinite_at_origin(self):
-        assert weight_h(np.array([0.0]), CLS)[0] == math.inf
+        assert log_weight(np.array([0.0]), CLS.q, CLS.c)[0] == math.inf
 
     def test_log_form_avoids_overflow(self):
         lw = log_weight(np.array([1e-3]), 2.0, 1.0)
         assert lw[0] == pytest.approx(1e6)
-        assert weight_h(np.array([1e-3]), CLS)[0] == math.inf
+        # the weight itself, e^(1e6), is beyond the double range
+        assert math.isfinite(lw[0]) and lw[0] > math.log(np.finfo(float).max)
 
 
 class TestClassNorm:
