@@ -37,7 +37,7 @@ from .signals import (
     GeneratorConfig,
     _counterexample_half_spectra,
     _enveloped_member,
-    add_noise,
+    _noise_spectrum,
     class_norm,
     make_class_ensemble,
 )
@@ -366,6 +366,8 @@ def robustness_experiment(
     if not all(math.isfinite(nu) and nu >= 0 for nu in nus):
         raise ValueError(f"noise intensities must be finite and >= 0, got {list(nus)!r}")
     grid = x0.grid
+    if grid != cfg.grid:
+        raise ValueError("time series grid does not match generator grid")
     h = grid.n // 2 + 1
     pt = build_predictor(kernel, gamma, r, grid)
     # the clean member's spectrum carries its constructional X(0) = 0; the
@@ -379,7 +381,7 @@ def robustness_experiment(
     j0 = sum(_band_split(clean_diff, grid, pt.omega_threshold, 1)) / (2 * math.pi)
     rows = []
     for nu in nus:
-        N = add_noise(x0, float(nu), cfg)[1].values[:h]
+        N = _noise_spectrum(float(nu), cfg)[:h]
         # the clean channel plus the prediction of the noise, so the nu = 0
         # row reproduces eps_clean bit-exactly
         err = float(_norms(clean_diff + pt.khat_values * N, grid)[1])

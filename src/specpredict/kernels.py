@@ -23,7 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import FrequencyGrid, Spectrum, TimeSeries, _mirror, forward_transform, inverse_transform
+from .spectral import (
+    FrequencyGrid,
+    Spectrum,
+    TimeSeries,
+    _half_omegas,
+    _mirror,
+    forward_transform,
+    inverse_transform,
+)
 
 
 @dataclass(frozen=True)
@@ -103,7 +111,7 @@ def _numerator_at(kernel: AnticausalKernel, s) -> np.ndarray:
 def _transfer_half(kernel: AnticausalKernel, grid: FrequencyGrid, sigma: float = 0.0) -> np.ndarray:
     """:func:`transfer` at nodes 0..n/2, the unpaired node n/2 (-omega_max)
     at its real part; the nodes above n/2 are the conjugates of these."""
-    s = sigma + 1j * grid.omegas()[: grid.n // 2 + 1]
+    s = sigma + 1j * _half_omegas(grid)
     den = np.ones_like(s)
     for a in kernel.poles:
         den = den * (s - a)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .degeneracy import DegeneracyClass, log_weight
 from .kernels import AnticausalKernel, _transfer_half
-from .spectral import FrequencyGrid, TimeSeries, _half_nodes, irfft_rows, rfft_rows
+from .spectral import FrequencyGrid, TimeSeries, _half_nodes, _half_omegas, irfft_rows, rfft_rows
 from .tolerances import CALIBRATION
 
 _CLAMP_LOG = CALIBRATION["v_overflow_clamp_log"]
@@ -43,9 +43,17 @@ def _check_sharpness(gamma: float, r: float) -> None:
 
 
 def factor_exponent(z, a: float, gamma: float, r: float) -> np.ndarray:
-    """The exponent -gamma * (z - a) / (z + gamma^{-r}) as one complex division."""
+    """The exponent -gamma * (z - a) / (z + gamma^{-r}) as one complex division.
+
+    The numerator is scaled and divided in its own buffer, beside the one
+    denominator, with the operands in the order of the expression.
+    """
     alpha = gamma ** (-r)
-    return -gamma * (np.asarray(z, dtype=np.complex128) - a) / (np.asarray(z) + alpha)
+    w = np.array(z, dtype=np.complex128)
+    w -= a
+    np.multiply(-gamma, w, out=w)
+    w /= np.asarray(z) + alpha
+    return w[()]  # a numpy scalar for scalar z, as the one expression gave
 
 
 def eval_v_factor(z, a: float, gamma: float, r: float):
@@ -176,8 +184,7 @@ def build_predictor(
     pair the predictor with a class.
     """
     _check_sharpness(gamma, r)
-    om = grid.omegas()[: grid.n // 2 + 1]
-    v_log, v_ph = v_logpolar(1j * om, kernel, gamma, r)
+    v_log, v_ph = v_logpolar(1j * _half_omegas(grid), kernel, gamma, r)
     # the unpaired half-rate node stands for both +-omega_max; averaging the
     # conjugate pair keeps V, and hence K_hat, conjugate-symmetric on-grid
     with np.errstate(divide="ignore"):
@@ -229,24 +236,26 @@ def predict(pt: PredictorTransfer, x: TimeSeries) -> TimeSeries:
     return TimeSeries(pt.grid, irfft_rows(pt.khat_values * X, pt.grid))
 
 
-def _past_share(samples: np.ndarray, t: np.ndarray) -> float:
-    """Energy share of the samples at t < 0; 0 for an all-zero series.
+def _past_share(samples: np.ndarray) -> float:
+    """Energy share of the real samples at t < 0; 0 for an all-zero series.
 
-    Computed on sup-normalized samples so huge values do not overflow the
-    squares; the ratio is scale invariant.
+    On the centred grid t_j = (j - n/2) * delta_t, so t < 0 holds exactly
+    for the first n/2 samples.  The share is computed on sup-normalized
+    samples so huge values do not overflow the squares; the ratio is scale
+    invariant.  ``samples`` is overwritten with the normalized squares.
     """
-    s = np.abs(samples)
+    s = np.abs(samples, out=samples)
     peak = np.max(s)
     if peak == 0.0:
         return 0.0
-    s = s / peak
-    total = float(np.sum(s * s))
-    past = float(np.sum((s * s)[t < 0.0]))
-    return past / total
+    s /= peak
+    s *= s
+    return float(np.sum(s[: s.size // 2])) / float(np.sum(s))
 
 
 def causality_defect(pt: PredictorTransfer) -> float:
-    """Energy share at t < 0 of the grid kernel inverse(khat_values).
+    """Energy share at t < 0, the first n/2 samples, of the grid kernel
+    inverse(khat_values).
 
     This reads the predictor's own grid samples on Re z = 0: the kernel is
     wrapped over the window of span T, and saturated nodes enter at their
@@ -255,7 +264,7 @@ def causality_defect(pt: PredictorTransfer) -> float:
     sweep configuration neither holds and it reads 0.5 whatever the kernel
     (docs/numerics.md).  :func:`line_witness` measures the kernel itself.
     """
-    return _past_share(irfft_rows(pt.khat_values, pt.grid), pt.grid.times())
+    return _past_share(irfft_rows(pt.khat_values, pt.grid))
 
 
 @dataclass(frozen=True)
@@ -311,6 +320,16 @@ def _low_band_holds(
     return margin <= CALIBRATION["lemma_iv_slack"], count, margin
 
 
+# nodes per block of lemma_check's node-wise checks; a block's complex
+# temporaries take 64 kB each
+_LEMMA_BLOCK = 4096
+
+
+def _blocks(nodes: np.ndarray):
+    """Consecutive views of at most ``_LEMMA_BLOCK`` of ``nodes``."""
+    return (nodes[i : i + _LEMMA_BLOCK] for i in range(0, nodes.size, _LEMMA_BLOCK))
+
+
 def lemma_check(
     pt: PredictorTransfer, cls: DegeneracyClass, omega_floor: float = 0.5
 ) -> LemmaReport:
@@ -322,6 +341,11 @@ def lemma_check(
     (c) the weighted low-band bound |V| <= exp(c/|omega|^q) inside the band.
     Each check is an all() or a max over a set symmetric in +-omega, on which
     V(-i*omega) is the conjugate of V(i*omega), so they read nodes 0..n/2.
+    |omega| rises with the node index there, so each set is a tail of those
+    nodes, and the checks take it in blocks of ``_LEMMA_BLOCK`` nodes: every
+    node's value is what one evaluation over the whole set gives, and all()
+    and max do not depend on the grouping, so no n/2-node temporaries are
+    needed.
     """
     if not (0 < omega_floor < pt.grid.omega_max):
         raise ValueError(f"omega_floor must lie in (0, omega_max={pt.grid.omega_max})")
@@ -329,20 +353,21 @@ def lemma_check(
     om = _half_nodes(grid)[0]
     alpha = gamma ** (-r)
     thr = pt.omega_threshold
-    outside = om > thr
 
     pass_pos = True
     pass_dev = True
-    for a in pt.kernel.poles:
-        re_ratio = (om[outside] ** 2 - a * alpha) / (om[outside] ** 2 + alpha**2)
-        pass_pos = pass_pos and bool(np.all(re_ratio > 0.0))
-        with np.errstate(under="ignore"):
-            dev = np.abs(np.exp(factor_exponent(1j * om[outside], a, gamma, r)))
-        pass_dev = pass_dev and bool(np.all(dev < 1.0))
-        del re_ratio, dev  # not kept alive beside the tail evaluation below
+    for o in _blocks(om[np.searchsorted(om, thr, side="right") :]):
+        for a in pt.kernel.poles:
+            re_ratio = (o**2 - a * alpha) / (o**2 + alpha**2)
+            pass_pos = pass_pos and bool(np.all(re_ratio > 0.0))
+            with np.errstate(under="ignore"):
+                dev = np.abs(np.exp(factor_exponent(1j * o, a, gamma, r)))
+            pass_dev = pass_dev and bool(np.all(dev < 1.0))
 
-    tail = om >= omega_floor
-    tail_dev = float(np.max(np.abs(v_minus_one(om[tail], pt.kernel, gamma, r))))
+    tail = om[np.searchsorted(om, omega_floor) :]
+    tail_dev = float(
+        np.max([np.max(np.abs(v_minus_one(o, pt.kernel, gamma, r))) for o in _blocks(tail)])
+    )
 
     holds, count, margin = _low_band_holds(pt.kernel, cls, gamma, r, grid)
     return LemmaReport(
@@ -505,7 +530,7 @@ def _line_figures(grid: FrequencyGrid, k_mirror: np.ndarray, khat_line: np.ndarr
     product at +-omega are conjugate and it is the weighted sum of their real
     parts (see :func:`.spectral._half_nodes`).
     """
-    defect = _past_share(irfft_rows(khat_line, grid), grid.times())
+    defect = _past_share(irfft_rows(khat_line, grid))
     weights = _half_nodes(grid)[1]
     inner = np.sum(weights * (np.conj(k_mirror) * khat_line).real)
     sq_norms = np.sum(weights * np.abs(k_mirror) ** 2) * np.sum(weights * np.abs(khat_line) ** 2)
@@ -527,7 +552,7 @@ def line_witness(kernel: AnticausalKernel, gamma: float, r: float) -> LineWitnes
     _check_sharpness(gamma, r)
     sigma, grid = _line_grid(kernel, gamma, r)
     K = _transfer_half(kernel, grid, sigma)
-    v_log, v_ph = v_logpolar(sigma + 1j * grid.omegas()[: grid.n // 2 + 1], kernel, gamma, r)
+    v_log, v_ph = v_logpolar(sigma + 1j * _half_omegas(grid), kernel, gamma, r)
     with np.errstate(divide="ignore"):
         khat_log = v_log + np.log(np.abs(K))
     with np.errstate(under="ignore"):

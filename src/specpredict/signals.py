@@ -151,14 +151,21 @@ _PROJECTION_ROUNDS = 2
 def _enveloped_member(q: float, c: float, cfg: GeneratorConfig, size: int) -> list:
     """Envelope-times-random-phase members for a raw (q, c) pair.
 
-    Returns ``size`` members seeded ``cfg.seed + i``.  They share the
-    envelope and the window, and each runs through both projection rounds
-    on its own, in place on its own half spectrum and samples, so a member
-    does not depend on the ensemble it is drawn in.
+    Returns ``size`` members seeded ``cfg.seed + i``; a seed range that
+    leaves 64 unsigned bits raises ValueError before any member is drawn.
+    They share the envelope and the window, and each runs through both
+    projection rounds on its own, in place on its own half spectrum and
+    samples, so a member does not depend on the ensemble it is drawn in.
 
     No validation of q: callers admit q > 1 through DegeneracyClass, while
     the negative illustration deliberately feeds q in (0, 1).
     """
+    last = cfg.seed + size - 1
+    if last >= 2**64:
+        raise ValueError(
+            f"member seeds {cfg.seed}..{last} must fit in 64 unsigned bits: "
+            f"for {size} members the seed must be at most {2**64 - size}"
+        )
     grid = cfg.grid
     om_abs = _half_nodes(grid)[0]
 
@@ -264,6 +271,22 @@ def counterexample_pair(a: float, cfg: GeneratorConfig):
     return TimeSeries(grid, irfft_rows(X1, grid)), TimeSeries(grid, irfft_rows(X2, grid))
 
 
+def _noise_spectrum(nu: float, cfg: GeneratorConfig) -> np.ndarray:
+    """The n-node noise spectrum of :func:`add_noise` on ``cfg.grid``."""
+    if not (math.isfinite(nu) and nu >= 0):
+        raise ValueError(f"noise intensity must be finite and >= 0, got {nu!r}")
+    grid = cfg.grid
+    if nu == 0.0:
+        return np.zeros(grid.n, dtype=np.complex128)
+    rng = _generator(cfg, _STREAM_NOISE)
+    half = _random_hermitian_phases(grid, rng)
+    unit = _mirror(half, grid.n, np.conjugate)
+    sel = _band_mask(cfg, np.abs(grid.omegas()))
+    count = int(np.count_nonzero(sel))
+    values = np.where(sel, nu / (count * grid.delta_omega), 0.0) * unit
+    return values * (nu / spectrum_l1(Spectrum(grid, values)))
+
+
 def add_noise(x: TimeSeries, nu: float, cfg: GeneratorConfig):
     """Contaminate with hermitian flat-magnitude noise of exact L1 intensity nu.
 
@@ -271,23 +294,13 @@ def add_noise(x: TimeSeries, nu: float, cfg: GeneratorConfig):
     or the configured band) and rescaled so that the grid L1 norm of the noise
     spectrum equals nu; returns (contaminated series, noise spectrum).
     """
-    if not (math.isfinite(nu) and nu >= 0):
-        raise ValueError(f"noise intensity must be finite and >= 0, got {nu!r}")
-    grid = x.grid
-    if grid != cfg.grid:
+    if x.grid != cfg.grid:
         raise ValueError("time series grid does not match generator grid")
+    N = Spectrum(cfg.grid, _noise_spectrum(nu, cfg))
     if nu == 0.0:
-        return x, Spectrum(grid, np.zeros(grid.n, dtype=np.complex128))
-    rng = _generator(cfg, _STREAM_NOISE)
-    half = _random_hermitian_phases(grid, rng)
-    unit = _mirror(half, grid.n, np.conjugate)
-    sel = _band_mask(cfg, np.abs(grid.omegas()))
-    count = int(np.count_nonzero(sel))
-    N = Spectrum(grid, np.where(sel, nu / (count * grid.delta_omega), 0.0) * unit)
-    l1 = spectrum_l1(N)
-    N = Spectrum(grid, N.values * (nu / l1))
-    eta = irfft_rows(N.values[: grid.n // 2 + 1], grid)
-    return TimeSeries(grid, x.samples + eta), N
+        return x, N
+    eta = irfft_rows(N.values[: cfg.grid.n // 2 + 1], cfg.grid)
+    return TimeSeries(x.grid, x.samples + eta), N
 
 
 def class_norm(x: TimeSeries, cls: DegeneracyClass) -> float:

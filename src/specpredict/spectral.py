@@ -17,12 +17,17 @@ Real signals have conjugate-symmetric spectra, so ``rfft_rows`` /
 and transform along the last axis, one signal per row of an (m, n) stack.
 They carry the same centred-origin phase and delta_t scaling as the complex
 ``forward_transform`` / ``inverse_transform`` pair.  The phase factors
-``(-1)^k`` and ``delta_t * (-1)^k`` are built once per grid and shared
-read-only, and every transform scales its fast-transform output in place.
-``_half_nodes`` gives |omega| at nodes 0..n/2 and the weight with which
-each enters a full-grid sum.  By the same symmetry ``_mirror`` fills nodes
-n/2+1..n-1 from nodes 0..n/2 where all n nodes are needed: the public
-``transfer``, which ``apply_anticausal`` multiplies into a complex
+``(-1)^k`` and ``delta_t * (-1)^k`` are built once per grid, at nodes
+0..n/2 only, and shared read-only.  n is even, so node n-k carries the
+factor of node k, and the complex pair reads the nodes above n/2 through
+the mirrored index ``[n/2-1:0:-1]`` of the same tables.  ``_half_omegas``
+gives the signed omega at nodes 0..n/2, as ``omegas()`` does there, and
+``_half_nodes`` gives |omega| and the weight with which each node enters a
+full-grid sum.  These per-grid tables are cached for one grid at a time:
+every experiment runs on one grid, and the single-use grids of
+``line_witness`` would otherwise pile up.  By the same symmetry ``_mirror``
+fills nodes n/2+1..n-1 from nodes 0..n/2 where all n nodes are needed: the
+public ``transfer``, which ``apply_anticausal`` multiplies into a complex
 spectrum, and the noise spectrum of ``add_noise``.  The predictor and the
 experiments read nodes 0..n/2 only.  A ``TimeSeries`` stores real samples
 as float64, with no zero imaginary parts; their fast transform is bit for
@@ -189,24 +194,40 @@ def _mirror(half: np.ndarray, n: int, flip=None) -> np.ndarray:
     return full
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=1)
+def _half_omegas(grid: FrequencyGrid) -> np.ndarray:
+    """Signed omega at nodes 0..n/2, read-only and cached: bit for bit
+    ``grid.omegas()[:n/2+1]``, node n/2 at -omega_max, without building
+    the n-node ``fftfreq``.  It forms k * (1/(n*delta_t)) as ``fftfreq``
+    does, negates node n/2, which is exact, and scales by 2*pi."""
+    om = np.arange(grid.n // 2 + 1) * (1.0 / (grid.n * grid.delta_t))
+    om[-1] = -om[-1]
+    om *= TWO_PI
+    om.flags.writeable = False
+    return om
+
+
+@functools.lru_cache(maxsize=1)
 def _half_nodes(grid: FrequencyGrid):
-    """(|omega|, weight) at nodes 0..n/2, read-only and cached per grid.  The
-    weight is 2, as node k stands for both signs of omega, except at nodes 0
-    and n/2, which stand for themselves; a full-grid sum of a function even
-    in omega is the weighted sum over nodes 0..n/2."""
-    omega_abs = np.abs(grid.omegas()[: grid.n // 2 + 1])
+    """(|omega|, weight) at nodes 0..n/2, read-only and cached.  The weight
+    is 2, as node k stands for both signs of omega, except at nodes 0 and
+    n/2, which stand for themselves; a full-grid sum of a function even in
+    omega is the weighted sum over nodes 0..n/2."""
+    omega_abs = np.abs(_half_omegas(grid))
     weights = np.full(grid.n // 2 + 1, 2.0)
     weights[[0, -1]] = 1.0
     omega_abs.flags.writeable = weights.flags.writeable = False
     return omega_abs, weights
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=1)
 def _signs(grid: FrequencyGrid):
-    """((-1)^k, delta_t * (-1)^k) at nodes 0..n-1, the phase factors tying the
-    centered time origin to natural order; read-only and cached per grid."""
-    signs = np.ones(grid.n)
+    """((-1)^k, delta_t * (-1)^k) at nodes 0..n/2, the phase factors tying
+    the centered time origin to natural order; read-only and cached.  The
+    real transforms read them as they are.  n is even, so node n-k takes
+    the factor of node k, and the complex pair scales nodes n/2+1..n-1 by
+    the mirrored slice ``[n/2-1:0:-1]``; no n-node table is built."""
+    signs = np.ones(grid.n // 2 + 1)
     signs[1::2] = -1.0
     scaled = grid.delta_t * signs
     signs.flags.writeable = scaled.flags.writeable = False
@@ -220,13 +241,21 @@ def forward_transform(x: TimeSeries) -> Spectrum:
     fast transform plus the (-1)^k phase correction for the centered origin.
     """
     values = np.fft.fft(x.samples)
-    values *= _signs(x.grid)[1]
+    scaled = _signs(x.grid)[1]
+    h = scaled.size
+    values[:h] *= scaled
+    values[h:] *= scaled[h - 2 : 0 : -1]
     return Spectrum(x.grid, values)
 
 
 def inverse_transform(X: Spectrum) -> TimeSeries:
     """Inverse of :func:`forward_transform`; exact round trip up to rounding."""
-    samples = np.fft.ifft(_signs(X.grid)[0] * X.values)
+    signs = _signs(X.grid)[0]
+    h = signs.size
+    phased = np.empty_like(X.values)
+    np.multiply(signs, X.values[:h], out=phased[:h])
+    np.multiply(signs[h - 2 : 0 : -1], X.values[h:], out=phased[h:])
+    samples = np.fft.ifft(phased)
     samples /= X.grid.delta_t
     return TimeSeries(X.grid, samples)
 
@@ -241,7 +270,7 @@ def rfft_rows(samples, grid: FrequencyGrid) -> np.ndarray:
     if samples.ndim not in (1, 2) or samples.shape[-1] != grid.n:
         raise ValueError(f"samples must have shape ({grid.n},) or (m, {grid.n}), got {samples.shape}")
     out = np.fft.rfft(samples, axis=-1)
-    out *= _signs(grid)[1][: grid.n // 2 + 1]
+    out *= _signs(grid)[1]
     return out
 
 
@@ -256,7 +285,7 @@ def irfft_rows(values, grid: FrequencyGrid) -> np.ndarray:
     h = grid.n // 2 + 1
     if values.ndim not in (1, 2) or values.shape[-1] != h:
         raise ValueError(f"values must have shape ({h},) or (m, {h}), got {values.shape}")
-    out = np.fft.irfft(_signs(grid)[0][:h] * values, n=grid.n, axis=-1)
+    out = np.fft.irfft(_signs(grid)[0] * values, n=grid.n, axis=-1)
     out /= grid.delta_t
     return out
 

@@ -62,7 +62,6 @@ def gamma_sweep_reference(kernel, cls, gammas, r, ensemble):
     """
     from specpredict import Spectrum, inverse_transform, lemma_check, norm, transfer
     from specpredict.experiments import _member_spectrum
-    from specpredict.predictor import _past_share
 
     grid = ensemble[0].grid
     K = transfer(kernel, grid).values
@@ -98,7 +97,7 @@ def gamma_sweep_reference(kernel, cls, gammas, r, ensemble):
                 **worst,
                 kappa_sup=pt.kappa_sup,
                 omega_threshold=pt.omega_threshold,
-                causality_defect=_past_share(
+                causality_defect=past_share(
                     inverse_transform(Spectrum(grid, pt.khat_values)).samples, grid.times()
                 ),
                 i1=i1,
@@ -112,9 +111,39 @@ def gamma_sweep_reference(kernel, cls, gammas, r, ensemble):
 
 
 def _signs(n):
+    """(-1)^k at all n nodes, the sign table the complex transform pair
+    once multiplied in whole."""
     signs = np.ones(n)
     signs[1::2] = -1.0
     return signs
+
+
+def forward_transform_n_node(samples, grid):
+    """Spectrum values of ``forward_transform``, scaled by the n-node table."""
+    values = np.fft.fft(samples)
+    values *= grid.delta_t * _signs(grid.n)
+    return values
+
+
+def inverse_transform_n_node(values, grid):
+    """Samples of ``inverse_transform``, phased by the n-node table."""
+    samples = np.fft.ifft(_signs(grid.n) * values)
+    samples /= grid.delta_t
+    return samples
+
+
+def past_share(samples, t):
+    """Energy share of the samples at t < 0, selected by a mask of the time
+    nodes ``t`` and computed on fresh arrays; 0 for an all-zero series.  The
+    library's ``_past_share`` splits real samples at n/2 in place instead."""
+    s = np.abs(samples)
+    peak = np.max(s)
+    if peak == 0.0:
+        return 0.0
+    s = s / peak
+    total = float(np.sum(s * s))
+    past = float(np.sum((s * s)[t < 0.0]))
+    return past / total
 
 
 def enveloped_members_batched(q, c, cfg, size):
@@ -256,6 +285,16 @@ def v_minus_one_stacked(omega, kernel, gamma, r):
     with np.errstate(invalid="ignore", over="ignore"):
         direct = np.prod(1.0 + f, axis=0) - 1.0
     return np.where(tiny, np.sum(f, axis=0), direct)
+
+
+def lemma_tail_dev_stacked(pt, omega_floor=0.5):
+    """``tail_dev_max`` of :func:`specpredict.lemma_check` as one maximum of
+    :func:`v_minus_one_stacked` over every node 0..n/2 with |omega| >=
+    omega_floor, selected by a mask."""
+    om = np.abs(pt.grid.omegas()[: pt.grid.n // 2 + 1])
+    with np.errstate(invalid="ignore"):  # inf - inf in the linear sum
+        dev = v_minus_one_stacked(om[om >= omega_floor], pt.kernel, pt.gamma, pt.r)
+    return float(np.max(np.abs(dev)))
 
 
 def lemma_check_full_grid(pt, cls, omega_floor=0.5):
@@ -403,7 +442,7 @@ def line_witness_full_grid(kernel, gamma, r):
     kernel taken by the complex inverse transform and the inner product
     summed over all n nodes with ``np.vdot``."""
     from specpredict import Spectrum, inverse_transform
-    from specpredict.predictor import _line_grid, _past_share, v_logpolar
+    from specpredict.predictor import _line_grid, v_logpolar
 
     sigma, grid = _line_grid(kernel, gamma, r)
     K = transfer_full_grid(kernel, grid, sigma)
@@ -414,6 +453,31 @@ def line_witness_full_grid(kernel, gamma, r):
         khat = np.exp(khat_log - np.max(khat_log)) * np.exp(1j * (v_ph + np.angle(K)))
     khat[grid.n // 2] = khat[grid.n // 2].real
     k_mirror = transfer_full_grid(kernel, grid, -sigma)
-    defect = _past_share(inverse_transform(Spectrum(grid, khat)).samples, grid.times())
+    defect = past_share(inverse_transform(Spectrum(grid, khat)).samples, grid.times())
     residual = abs(np.vdot(k_mirror, khat)) / (np.linalg.norm(k_mirror) * np.linalg.norm(khat))
     return defect, float(residual)
+
+
+def line_witness_half_grid(kernel, gamma, r):
+    """(causality defect, orthogonality residual) of :func:`specpredict.line_witness`
+    at nodes 0..n/2, with omega sliced from ``grid.omegas()``, K from
+    :func:`transfer_full_grid`, the real inverse phased by the n-node sign
+    table and the t < 0 share taken by :func:`past_share`."""
+    from specpredict.predictor import _line_grid, v_logpolar
+
+    sigma, grid = _line_grid(kernel, gamma, r)
+    h = grid.n // 2 + 1
+    K = transfer_full_grid(kernel, grid, sigma)[:h]
+    v_log, v_ph = v_logpolar(sigma + 1j * grid.omegas()[:h], kernel, gamma, r)
+    with np.errstate(divide="ignore"):
+        khat_log = v_log + np.log(np.abs(K))
+    with np.errstate(under="ignore"):
+        khat = np.exp(khat_log - np.max(khat_log)) * np.exp(1j * (v_ph + np.angle(K)))
+    khat[-1] = khat[-1].real
+    k_mirror = transfer_full_grid(kernel, grid, -sigma)[:h]
+    defect = past_share(irfft_stack(khat, grid), grid.times())
+    weights = np.full(h, 2.0)
+    weights[[0, -1]] = 1.0
+    inner = np.sum(weights * (np.conj(k_mirror) * khat).real)
+    sq_norms = np.sum(weights * np.abs(k_mirror) ** 2) * np.sum(weights * np.abs(khat) ** 2)
+    return defect, float(abs(inner) / np.sqrt(sq_norms))

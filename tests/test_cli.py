@@ -196,6 +196,14 @@ class TestSweepCommand:
         code, _ = run(tmp_path, "sweep", config)
         assert code == 2
 
+    def test_member_seeds_beyond_64_bits_exit_2(self, tmp_path, capsys):
+        config = base_config(
+            predictor={"r": 4.0, "gammas": [10.0]}, ensemble={"size": 2, "seed": 2**64 - 1}
+        )
+        code, _ = run(tmp_path, "sweep", config)
+        assert code == 2
+        assert "member seeds" in capsys.readouterr().err
+
 
 class TestLemmaCommand:
     def test_reports_flags_and_gamma0(self, tmp_path):

@@ -6,20 +6,27 @@ counted.  Members are drawn one at a time, and the sweep keeps one
 (gammas, n/2+1) array of error gains and takes the members one at a time,
 so no array sized by the ensemble is alive during a sweep and its peak does
 not grow with the ensemble.  Real members keep float64 samples, and a
-predictor and the line witness evaluate and keep nodes 0..n/2 only.
+predictor and the line witness evaluate and keep nodes 0..n/2 only.  The
+per-grid tables (signs, signed and absolute omega, node weights) hold nodes
+0..n/2 and are cached for one grid at a time, the witnesses split the t < 0
+share at n/2 in place, and lemma_check reduces its node sets in blocks, so
+none of them builds an n-node or n/2-node scratch array.
 """
 
+import gc
 import tracemalloc
 
 from specpredict import (
     AnticausalKernel,
     GeneratorConfig,
     build_predictor,
+    causality_defect,
     gamma_sweep,
     lemma_check,
     line_witness,
     make_class_ensemble,
 )
+from specpredict import spectral
 from specpredict.experiments import (
     DEFAULT_CLASS,
     DEFAULT_ENSEMBLE_SIZE,
@@ -47,19 +54,37 @@ SWEEP_GROWTH_BOUND = 0.25e6
 # Traced peak of one build_predictor at n = 2^16, gamma = 10: 10.1 MB with
 # V, K and K_hat evaluated at all n nodes, 7.0 MB evaluated at nodes 0..n/2
 # and mirrored, 4.3 MB kept at nodes 0..n/2 beside an eager n-sample time
-# kernel, 3.7 MB without it; the bound sits between the last two.
-BUILD_PEAK_BOUND = 4.0e6
+# kernel, 3.7 MB without it, 3.18 MB reading a cached (n/2+1)-node omega
+# table in place of the n-node fftfreq and forming the factor exponent in
+# one buffer; the bound sits between the last two.
+BUILD_PEAK_BOUND = 3.3e6
 
 # Traced peak of line_witness for pole 1, gamma = 1000, r = 4 (n = 2^18):
 # 31.7 MB on all n nodes with a complex inverse, 19.1 MB on nodes 0..n/2
-# with a real one; the bound sits between.
-LINE_WITNESS_PEAK_BOUND = 25e6
+# with a real one, 15.7 MB without the n-node fftfreq and time nodes; the
+# bound sits between the last two.
+LINE_WITNESS_PEAK_BOUND = 16e6
+
+# Traced arrays left alive by line_witness at the five default gammas (pole
+# 1, r = 4), whose grids run from 2^13 to 2^18 samples: 9.05 MB while the
+# per-grid caches kept four grids and n-node sign tables, 5.25 MB with
+# (n/2+1)-node tables cached for one grid, that of gamma = 1000.
+LINE_CACHE_RESIDUE_BOUND = 5.5e6
+
+# Traced peak of causality_defect at n = 2^16, gamma = 10: 2.43 MB with the
+# n time nodes, their mask and fresh |x| and square arrays beside the real
+# inverse, 1.05 MB splitting the t < 0 share at n/2 in place, where the
+# inverse and its phased half spectrum are all that is alive; the bound
+# sits between.
+CAUSALITY_PEAK_BOUND = 1.2e6
 
 # Traced peak of lemma_check for poles (0.5, 1, 2) at n = 2^16, gamma = 10:
 # 5.08 MB with a fresh n-node omega array and the factor deviations stacked
 # (3, ~n/2), 3.50 MB reading the cached |omega| and accumulating pole by
-# pole; the bound sits between.
-LEMMA_PEAK_BOUND = 4.6e6
+# pole, 0.47 MB taking the node sets in blocks of 4096 nodes; the bound sits
+# between, below the 2.1 MB of four n/2-node complex arrays, the least that
+# an unblocked evaluation with two accumulators needs.
+LEMMA_PEAK_BOUND = 1.0e6
 
 
 def _traced_peak(fn):
@@ -120,6 +145,38 @@ def test_line_witness_peak_is_bounded():
     w, peak = _traced_peak(lambda: line_witness(DEFAULT_KERNEL, 1000.0, DEFAULT_R))
     assert w.grid.n == 2**18
     assert peak < LINE_WITNESS_PEAK_BOUND, peak
+
+
+def test_line_witness_grids_do_not_pile_up_in_the_caches():
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for gamma in DEFAULT_GAMMAS:
+            line_witness(DEFAULT_KERNEL, gamma, DEFAULT_R)
+        gc.collect()
+        residue = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert residue < LINE_CACHE_RESIDUE_BOUND, residue
+
+
+def test_sweep_reuses_the_default_grid_tables():
+    grid = CFG.grid
+    ensemble = make_class_ensemble(DEFAULT_CLASS, CFG, 2)
+
+    def tables():
+        return (spectral._half_omegas(grid), *spectral._half_nodes(grid), *spectral._signs(grid))
+
+    before = tables()
+    gamma_sweep(DEFAULT_KERNEL, DEFAULT_CLASS, DEFAULT_GAMMAS, DEFAULT_R, ensemble)
+    assert all(a is b for a, b in zip(before, tables()))
+
+
+def test_causality_defect_peak_is_bounded():
+    pt = build_predictor(DEFAULT_KERNEL, 10.0, DEFAULT_R, CFG.grid)
+    causality_defect(pt)  # per-grid caches outside the trace
+    _, peak = _traced_peak(lambda: causality_defect(pt))
+    assert peak < CAUSALITY_PEAK_BOUND, peak
 
 
 def test_lemma_check_peak_is_bounded():

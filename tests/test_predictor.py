@@ -26,14 +26,18 @@ from specpredict import (
 )
 from specpredict.kernels import _transfer_half
 from specpredict.predictor import _line_figures, _past_share, factor_exponent, v_logpolar
-from specpredict.spectral import irfft_rows
+from specpredict.spectral import _half_omegas, irfft_rows
 from specpredict.tolerances import CALIBRATION
 
 from oracles import (
     build_predictor_full_grid,
+    irfft_stack,
     lemma_check_full_grid,
+    lemma_tail_dev_stacked,
     line_witness_full_grid,
+    line_witness_half_grid,
     orthogonality_residual_full_grid,
+    past_share,
     transfer_full_grid,
     v_minus_one_stacked,
 )
@@ -185,10 +189,21 @@ class TestPredict:
 
 class TestCausalityDefect:
     """causality_defect is the t < 0 share (``_past_share``) of the inverse
-    of ``khat_values``; the share is checked on exact time samples."""
+    of ``khat_values``; the share is checked on exact time samples, through
+    the oracle that selects t < 0 by the time nodes, and ``_past_share``,
+    which takes the first n/2 samples, equals it bit for bit."""
 
     def _share(self, grid, samples):
-        return _past_share(samples, grid.times())
+        return past_share(samples, grid.times())
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_split_at_half_matches_time_mask(self, small_grid, seed):
+        rng = np.random.default_rng(seed)
+        s = rng.standard_normal(small_grid.n) * np.exp(rng.uniform(-300.0, 300.0, small_grid.n))
+        s[::7] = -0.0
+        want = self._share(small_grid, s)
+        assert _past_share(s.copy()).hex() == want.hex()
+        assert _past_share(np.zeros(small_grid.n)) == 0.0
 
     def test_exact_causal_support_gives_zero(self, small_grid):
         s = np.zeros(small_grid.n)
@@ -319,6 +334,37 @@ class TestVMinusOneAccumulation:
         if r == 0.6 and gamma >= 100.0:
             # overflowed products beyond the omega = 0 node
             assert np.count_nonzero(np.isnan(got)) > 10
+
+
+class TestPreSplitIdentity:
+    """The witnesses read the (n/2+1)-node tables, split the t < 0 share at
+    n/2 and reduce the lemma's node sets block by block; each figure equals
+    byte for byte what the n-node tables, the time mask and one reduction
+    over the whole node set give (``oracles``), saturated nodes included."""
+
+    GRID = make_grid(2**16, 0.01)
+    CLS = DegeneracyClass(2.0, 1.0)
+
+    @pytest.mark.parametrize("poles", [(1.0,), (1.0, 2.0), (0.5, 1.0, 2.0)])
+    @pytest.mark.parametrize("gamma", [10.0, 100.0, 1000.0])
+    def test_default_grid_witnesses(self, poles, gamma):
+        grid = self.GRID
+        pt = build_predictor(AnticausalKernel(poles), gamma, 4.0, grid)
+        assert pt.any_saturated
+        want = past_share(irfft_stack(pt.khat_values, grid), grid.times())
+        assert causality_defect(pt).hex() == want.hex()
+        rep = lemma_check(pt, self.CLS)
+        assert rep.tail_dev_max.hex() == lemma_tail_dev_stacked(pt).hex()
+        assert repr(rep) == repr(lemma_check_full_grid(pt, self.CLS))
+
+    def test_line_grid_of_gamma_1000(self):
+        w = line_witness(KERNEL, 1000.0, 4.0)
+        assert w.grid.n == 2**18
+        got = (w.causality_defect, w.orthogonality_residual)
+        want = line_witness_half_grid(KERNEL, 1000.0, 4.0)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        h = w.grid.n // 2 + 1
+        assert _half_omegas(w.grid).tobytes() == w.grid.omegas()[:h].tobytes()
 
 
 def _assert_matches_full_grid(pt, ref):
@@ -478,3 +524,10 @@ def test_predictor_imports_no_full_grid_path():
         for alias in node.names
     }
     assert not imported & {"Spectrum", "inverse_transform", "transfer", "_mirror"}
+    # nor does it build n-node time or frequency nodes
+    called = {
+        node.func.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    }
+    assert not called & {"times", "omegas"}

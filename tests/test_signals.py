@@ -25,9 +25,11 @@ from specpredict import (
     sample_class_member,
     spectrum_l1,
 )
+from specpredict import signals
 from specpredict.degeneracy import log_weight
 from specpredict.experiments import default_grid
-from specpredict.signals import _guard_window
+from specpredict.signals import _guard_window, _noise_spectrum
+from specpredict.spectral import irfft_rows
 
 GRID = make_grid(2**12, 0.02)
 CLS = DegeneracyClass(2.0, 1.0)
@@ -215,6 +217,17 @@ class TestGeneratorConfig:
         with pytest.raises(ValueError):
             GeneratorConfig(seed=-1, grid=GRID)
 
+    def test_ensemble_seed_range_is_checked_before_any_draw(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(signals, "_generator", lambda c, stream: drawn.append(c.seed))
+        with pytest.raises(ValueError, match=r"member seeds 18446744073709551615\.\.18446744073709551616"):
+            make_class_ensemble(CLS, GeneratorConfig(seed=2**64 - 1, grid=GRID), 2)
+        assert drawn == []
+
+    def test_ensemble_may_end_at_the_largest_seed(self):
+        members = make_class_ensemble(CLS, GeneratorConfig(seed=2**64 - 2, grid=GRID), 2)
+        assert len(members) == 2
+
 
 class TestBandlimited:
     def test_exact_support(self):
@@ -302,6 +315,15 @@ class TestAddNoise:
         from specpredict import Spectrum
 
         assert Spectrum(GRID, N.values).is_hermitian
+
+    @pytest.mark.parametrize("band", [None, (1.0, 2.0)])
+    def test_shares_the_noise_spectrum_helper(self, band):
+        x = sample_class_member(CLS, cfg(16))
+        noisy, N = add_noise(x, 0.2, cfg(16, band=band))
+        values = _noise_spectrum(0.2, cfg(16, band=band))
+        assert N.values.tobytes() == values.tobytes()
+        eta = irfft_rows(values[: GRID.n // 2 + 1], GRID)
+        assert noisy.samples.tobytes() == (x.samples + eta).tobytes()
 
     def test_rejects_negative_intensity(self):
         with pytest.raises(ValueError):

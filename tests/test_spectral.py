@@ -19,7 +19,12 @@ from specpredict import (
 from specpredict import spectral
 from specpredict.spectral import MAX_GRID_N, FrequencyGrid, irfft_rows, rfft_rows
 
-from oracles import hermitian_symmetrize, idft_direct
+from oracles import (
+    forward_transform_n_node,
+    hermitian_symmetrize,
+    idft_direct,
+    inverse_transform_n_node,
+)
 
 
 class TestMakeGrid:
@@ -348,22 +353,35 @@ class TestSignVectors:
         signs, scaled = spectral._signs(a)
         assert spectral._signs(b)[0] is signs and spectral._signs(b)[1] is scaled
         assert not signs.flags.writeable and not scaled.flags.writeable
-        assert signs.tolist() == [1.0, -1.0] * 128
+        # nodes 0..n/2 only; the complex pair mirrors them onto the rest
+        assert signs.tolist() == [1.0, -1.0] * 64 + [1.0]
         assert scaled.tobytes() == (0.05 * signs).tobytes()
         assert spectral._signs(make_grid(256, 0.1))[1] is not scaled
 
+    @pytest.mark.parametrize("n, dt", [(8, 1.0), (256, 0.05), (2**16, 0.01), (2**18, 0.05)])
+    def test_half_omegas_are_the_first_nodes_of_omegas(self, n, dt):
+        grid = make_grid(n, dt)
+        om = spectral._half_omegas(grid)
+        assert not om.flags.writeable
+        assert om.tobytes() == grid.omegas()[: n // 2 + 1].tobytes()
+        assert om[-1] == -grid.omega_max
+        assert spectral._half_nodes(grid)[0].tobytes() == np.abs(om).tobytes()
+
     def test_in_place_scaling_matches_out_of_place(self):
+        # the complex pair reads the (n/2+1)-node tables through the mirror
+        # and equals the products with the n-node table, signed zeros on
+        # both sides of node n/2 included
         grid = make_grid(256, 0.05)
         signs = np.where(np.arange(grid.n) % 2 == 0, 1.0, -1.0)
         x = random_series(grid, 4).samples.copy()
         x[:5] = [0.0, -0.0, 0.0j, -0.0 - 0.0j, 1e-320]
+        x[126:134] = [0.0, -0.0, 0.0j, -0.0 - 0.0j, complex(0.0, -0.0), complex(-0.0, 0.0), -0.0, 0.0]
+        x[-4:] = [-0.0, complex(-0.0, -0.0), complex(0.0, -0.0), 0.0]
         X = Spectrum(grid, x)
         assert forward_transform(TimeSeries(grid, x)).values.tobytes() == (
-            grid.delta_t * signs * np.fft.fft(x)
-        ).tobytes()
-        assert inverse_transform(X).samples.tobytes() == (
-            np.fft.ifft(signs * x) / grid.delta_t
-        ).tobytes()
+            forward_transform_n_node(x, grid).tobytes()
+        )
+        assert inverse_transform(X).samples.tobytes() == inverse_transform_n_node(x, grid).tobytes()
         h = grid.n // 2 + 1
         assert rfft_rows(x.real, grid).tobytes() == (
             grid.delta_t * signs[:h] * np.fft.rfft(x.real)
