@@ -54,6 +54,7 @@ from .signals import (
 )
 from .spectral import (
     FrequencyGrid,
+    SpectralSeries,
     Spectrum,
     TimeSeries,
     forward_transform,
@@ -76,6 +77,7 @@ __all__ = [
     "GeneratorConfig",
     "LineWitness",
     "PredictorTransfer",
+    "SpectralSeries",
     "Spectrum",
     "TimeSeries",
     "add_noise",

@@ -258,8 +258,8 @@ def _cmd_predict(config, outdir, formats):
         raise ConfigError("predict requires exactly one gamma")
     x, _ = _signal_from_config(config, grid, cls)
     pt = build_predictor(kernel, gammas[0], r, grid)
-    # generated signals carry constructional spectral zeros; the experiment
-    # layer restores them before applying transfers (see _member_spectrum)
+    # a generated member gives its exact half spectrum; a band-limited
+    # signal's is re-formed with its roundoff floor zeroed (_member_half)
     X = _member_half(x, grid)
     gain = pt.khat_values - pt.k_values
     err_l2, err_sup = _norms(gain * X, grid)

@@ -9,7 +9,10 @@ function of its inputs plus generator seeds, so reports are bit-reproducible.
 Every experiment and the CLI's ``predict`` take a member's error the same
 way: :func:`_member_half` checks the member and gives its half spectrum X
 (nodes 0..n/2), the caller multiplies it by the gain K_hat - K, and
-:func:`_norms` inverts the product and takes its grid norms.  Ensembles are
+:func:`_norms` inverts the product and takes its grid norms.  Generated
+members hold X itself, exact zeros included, and are read without any
+transform; only a series that arrives as samples is transformed, with its
+roundoff floor restored to zeros (:func:`_member_spectrum`).  Ensembles are
 streamed: a sweep keeps the error gain of each gamma, then takes the members
 one at a time and reduces their error figures under every gain into running
 worst-case figures, so what it holds grows with the number of gammas and not
@@ -43,6 +46,7 @@ from .signals import (
 )
 from .spectral import (
     FrequencyGrid,
+    SpectralSeries,
     TimeSeries,
     _half_nodes,
     _is_sup,
@@ -93,17 +97,18 @@ def _require_admissible(r: float, cls: DegeneracyClass) -> None:
 
 
 def _member_spectrum(x: TimeSeries) -> np.ndarray:
-    """Transform of a generated class member with its constructional zeros
-    restored.
+    """Transform of a real series that arrives as samples, with its spectral
+    roundoff floor restored to exact zeros.
 
-    The generators emit spectra with exact zeros at the degeneracy node and
-    across the deep-degeneracy band; recomputing the transform from time
-    samples leaves absolute roundoff (~1e-16 of the peak) at every node, and
-    the predictor's enormous low-band gain would amplify that junk into
-    garbage.  Values at or below the spectral roundoff floor (the same
-    calibration constant the class norm uses) are therefore restored to
-    exact zero, the same kind of cleanup as taking the real part after
-    inverting a hermitian spectrum.
+    Generated class members carry their exact half spectrum (a
+    ``SpectralSeries``) and never come here.  Samples of a signal whose
+    spectrum has exact zeros at the degeneracy node and across the
+    deep-degeneracy band transform back with absolute roundoff (~1e-16 of
+    the peak) at every node, and the predictor's enormous low-band gain
+    would amplify that junk into garbage.  Values at or below the spectral
+    roundoff floor (the same calibration constant the class norm uses) are
+    therefore restored to exact zero, the same kind of cleanup as taking
+    the real part after inverting a hermitian spectrum.
     """
     X = forward_transform(x).values.copy()
     floor = CALIBRATION["class_dc_floor_rel"] * float(np.max(np.abs(X)))
@@ -145,12 +150,16 @@ def _shared_real_grid(ensemble) -> FrequencyGrid:
     return grid
 
 
-def _member_half(x: TimeSeries, grid: FrequencyGrid) -> np.ndarray:
-    """:func:`_member_spectrum` of a real series on ``grid`` at nodes 0..n/2,
-    copied so the full spectrum is released; ValueError for a series on
-    another grid or with a nonzero imaginary part."""
+def _member_half(x, grid: FrequencyGrid) -> np.ndarray:
+    """The half spectrum (nodes 0..n/2) of a real member on ``grid``:
+    a ``SpectralSeries``'s stored, read-only spectrum as it is, or
+    :func:`_member_spectrum` of a ``TimeSeries``, copied so the full
+    spectrum is released; ValueError for a series on another grid or with
+    a nonzero imaginary part."""
     if x.grid != grid:
         raise ValueError("time series grid does not match predictor grid")
+    if isinstance(x, SpectralSeries):
+        return x.spectrum
     if not x.is_real:
         raise ValueError("class members must be real signals")
     return _member_spectrum(x)[: grid.n // 2 + 1].copy()

@@ -27,7 +27,15 @@ import numpy as np
 
 from .degeneracy import DegeneracyClass, log_weight
 from .kernels import AnticausalKernel, _transfer_half
-from .spectral import FrequencyGrid, TimeSeries, _half_nodes, _half_omegas, irfft_rows, rfft_rows
+from .spectral import (
+    FrequencyGrid,
+    SpectralSeries,
+    TimeSeries,
+    _half_nodes,
+    _half_omegas,
+    irfft_rows,
+    rfft_rows,
+)
 from .tolerances import CALIBRATION
 
 _CLAMP_LOG = CALIBRATION["v_overflow_clamp_log"]
@@ -222,17 +230,22 @@ def build_predictor(
     )
 
 
-def predict(pt: PredictorTransfer, x: TimeSeries) -> TimeSeries:
+def predict(pt: PredictorTransfer, x) -> TimeSeries:
     """Causal prediction y_hat = inverse(K_hat * X) of a real series; same
     guard rules as :func:`.kernels.apply_anticausal` (circular product,
-    middle-half support).  Real values stored as complex are accepted; a
-    series whose imaginary part exceeds roundoff raises ValueError.
+    middle-half support).  A ``SpectralSeries`` is read on its stored
+    spectrum, whose exact zeros the low band's huge gain must not meet as
+    roundoff.  Real values stored as complex are accepted; a series whose
+    imaginary part exceeds roundoff raises ValueError.
     """
     if x.grid != pt.grid:
         raise ValueError("time series grid does not match predictor grid")
-    if not x.is_real:
+    if isinstance(x, SpectralSeries):
+        X = x.spectrum
+    elif x.is_real:
+        X = rfft_rows(x.samples.real, pt.grid)
+    else:
         raise ValueError("predict takes a real series, got a nonzero imaginary part")
-    X = rfft_rows(x.samples.real, pt.grid)
     return TimeSeries(pt.grid, irfft_rows(pt.khat_values * X, pt.grid))
 
 

@@ -8,9 +8,10 @@ platforms; :data:`ALGORITHM_ID` names the scheme inside every report.
 Class members are built spectrum-first (envelope times random phase), tapered
 to the middle half of the time window for wraparound safety, then projected
 back under the envelope so the degeneracy inequality holds exactly at every
-node.  The last projection is spectral, which is what makes membership exact;
-the time support is then "near-compact", with guard residues held under the
-calibration guard level on adequately long windows.
+node.  The last projection is spectral, which is what makes membership exact,
+so a member keeps that half spectrum (a ``SpectralSeries``) and its samples
+are the inverse of it; the time support is then "near-compact", with guard
+residues held under the calibration guard level on adequately long windows.
 """
 
 from __future__ import annotations
@@ -24,9 +25,11 @@ import numpy as np
 from .degeneracy import DegeneracyClass, log_weight
 from .spectral import (
     FrequencyGrid,
+    SpectralSeries,
     Spectrum,
     TimeSeries,
     _half_nodes,
+    _half_omegas,
     _mirror,
     forward_transform,
     irfft_rows,
@@ -113,6 +116,10 @@ def _random_hermitian_phases(grid: FrequencyGrid, rng: np.random.Generator) -> n
     return unit
 
 
+# nodes per block of the guard window's ramp evaluation
+_WINDOW_BLOCK = 4096
+
+
 @functools.lru_cache(maxsize=8)
 def _guard_window(grid: FrequencyGrid) -> np.ndarray:
     """Smooth taper confining the signal to the middle half of the window.
@@ -123,19 +130,25 @@ def _guard_window(grid: FrequencyGrid) -> np.ndarray:
     degeneracy band far below the envelope-projection scale; the hard cut
     sits 4.3 sigma past the ramp centre, where it has fallen to ~9e-6.
 
-    The ramp is ``0.5 * math.erfc``, evaluated once per grid: the result is
-    cached per (frozen, hashable) ``FrequencyGrid`` and returned read-only,
-    so every caller shares one array.
+    The ramp is ``0.5 * math.erfc`` of each node's |t_j|, formed as
+    ``grid.times()`` forms t_j, in blocks of ``_WINDOW_BLOCK`` nodes, so no
+    n-node time array or n/2-value list is built.  It is evaluated once per
+    grid: the result is cached per (frozen, hashable) ``FrequencyGrid`` and
+    returned read-only, so every caller shares one array.
     """
-    t = np.abs(grid.times())
+    n = grid.n
     t_flat = grid.span / 16.0
     t_zero = grid.span / 4.0
     sigma = (t_zero - t_flat) / 8.6
     mu = 0.5 * (t_flat + t_zero)
-    inside = t < t_zero
-    arg = (t[inside] - mu) / (math.sqrt(2.0) * sigma)
-    w = np.zeros(grid.n)
-    w[inside] = 0.5 * np.fromiter(map(math.erfc, arg.tolist()), dtype=np.float64)
+    width = math.sqrt(2.0) * sigma
+    w = np.zeros(n)
+    for start in range(0, n, _WINDOW_BLOCK):
+        t = np.abs((np.arange(start, min(start + _WINDOW_BLOCK, n)) - n // 2) * grid.delta_t)
+        inside = t < t_zero
+        arg = (t[inside] - mu) / width
+        block = w[start : start + t.size]
+        block[inside] = 0.5 * np.fromiter(map(math.erfc, arg.tolist()), dtype=np.float64)
     w /= np.max(w)
     w.flags.writeable = False
     return w
@@ -156,6 +169,9 @@ def _enveloped_member(q: float, c: float, cfg: GeneratorConfig, size: int) -> li
     They share the envelope and the window, and each runs through both
     projection rounds on its own, in place on its own half spectrum and
     samples, so a member does not depend on the ensemble it is drawn in.
+    Each member is the :class:`SpectralSeries` of its last projection's
+    half spectrum: the spectrum that is exactly in the class, not a
+    re-transform of its samples.
 
     No validation of q: callers admit q > 1 through DegeneracyClass, while
     the negative illustration deliberately feeds q in (0, 1).
@@ -181,10 +197,10 @@ def _enveloped_member(q: float, c: float, cfg: GeneratorConfig, size: int) -> li
     for i in range(size):
         X = _random_hermitian_phases(grid, _generator(replace(cfg, seed=cfg.seed + i), _STREAM_CLASS))
         X *= start
-        x = irfft_rows(X, grid)
         # alternate time confinement with the spectral projection; the last
         # step is spectral, which makes the envelope bound and X(0) = 0 exact
         for _ in range(_PROJECTION_ROUNDS):
+            x = irfft_rows(X, grid)
             x *= window
             X = rfft_rows(x, grid)
             # the clip scale min(env/|X|, 1), 1 where |X| = 0, in |X|'s buffer
@@ -194,17 +210,17 @@ def _enveloped_member(q: float, c: float, cfg: GeneratorConfig, size: int) -> li
             np.fmin(scale, 1.0, out=scale)
             X *= scale
             X[0] = 0.0
-            x = irfft_rows(X, grid)
-        members.append(TimeSeries(grid, x))
+        members.append(SpectralSeries(grid, X))
     return members
 
 
-def sample_class_member(cls: DegeneracyClass, cfg: GeneratorConfig) -> TimeSeries:
+def sample_class_member(cls: DegeneracyClass, cfg: GeneratorConfig) -> SpectralSeries:
     """Draw a real signal whose spectrum obeys |X| <= A(omega) e^{-c/|omega|^q}.
 
-    The bound holds exactly at every node (so the class norm is finite by
-    construction), X(0) = 0 exactly, and the time support is confined to the
-    middle half of the window up to guard residues.
+    The bound holds exactly at every node of the stored half spectrum (so
+    the class norm is finite by construction), X(0) = 0 exactly, and the
+    time support is confined to the middle half of the window up to guard
+    residues.
     """
     return _enveloped_member(cls.q, cls.c, cfg, 1)[0]
 
@@ -303,39 +319,46 @@ def add_noise(x: TimeSeries, nu: float, cfg: GeneratorConfig):
     return TimeSeries(x.grid, x.samples + eta), N
 
 
-def class_norm(x: TimeSeries, cls: DegeneracyClass) -> float:
+def class_norm(x, cls: DegeneracyClass) -> float:
     """Grid estimate of sup |X(i*omega)| * e^{c/|omega|^q}; +inf for non-members.
 
-    Spectral values at or below the roundoff floor (relative to the spectral
-    peak, see the calibration table) are treated as exact zeros: a transform
-    recomputed from finite-precision samples carries absolute roundoff at
-    every node, and the weight near the degeneracy point is so large that
-    evaluating it on roundoff values would flag every representable signal.
-    Content at the degeneracy node itself above that floor exits the class
-    immediately.  Evaluated through logarithms; the result may round to +inf
-    for signals far outside the class, which is the honest extended-real
-    answer.
+    A :class:`SpectralSeries` is read on its stored half spectrum, where
+    zeros are exact: any content at the degeneracy node exits the class.
+    For a ``TimeSeries`` the transform is recomputed from finite-precision
+    samples and carries absolute roundoff at every node, and the weight near
+    the degeneracy point is so large that evaluating it on roundoff values
+    would flag every representable signal; spectral values at or below the
+    roundoff floor (relative to the spectral peak, see the calibration
+    table) are therefore treated as exact zeros there, and content at the
+    degeneracy node above that floor exits the class.  Evaluated through
+    logarithms; the result may round to +inf for signals far outside the
+    class, which is the honest extended-real answer.
     """
-    X = forward_transform(x).values
-    mags = np.abs(X)
-    floor = max(
-        CALIBRATION["class_zero_floor"],
-        CALIBRATION["class_dc_floor_rel"] * float(np.max(mags)),
-    )
+    if isinstance(x, SpectralSeries):
+        mags = np.abs(x.spectrum)
+        om = _half_omegas(x.grid)
+        floor = 0.0
+    else:
+        mags = np.abs(forward_transform(x).values)
+        om = x.grid.omegas()
+        floor = max(
+            CALIBRATION["class_zero_floor"],
+            CALIBRATION["class_dc_floor_rel"] * float(np.max(mags)),
+        )
     if mags[0] > floor:
         return math.inf
     live = mags > floor
     live[0] = False
     if not np.any(live):
         return 0.0
-    om = x.grid.omegas()
     total = np.log(mags[live]) + log_weight(om[live], cls.q, cls.c)
     with np.errstate(over="ignore"):
         return float(np.exp(np.max(total)))
 
 
 def make_class_ensemble(cls: DegeneracyClass, cfg: GeneratorConfig, size: int):
-    """Draw ``size`` independent class members, seeds derived as cfg.seed + i."""
+    """Draw ``size`` independent class members, seeds derived as cfg.seed + i,
+    each a :class:`SpectralSeries` (see :func:`sample_class_member`)."""
     if size < 1:
         raise ValueError("ensemble size must be >= 1")
     return _enveloped_member(cls.q, cls.c, cfg, size)

@@ -31,7 +31,9 @@ public ``transfer``, which ``apply_anticausal`` multiplies into a complex
 spectrum, and the noise spectrum of ``add_noise``.  The predictor and the
 experiments read nodes 0..n/2 only.  A ``TimeSeries`` stores real samples
 as float64, with no zero imaginary parts; their fast transform is bit for
-bit that of the same values stored as complex.
+bit that of the same values stored as complex.  A ``SpectralSeries`` is a
+real signal stored as its half spectrum, for signals defined by their
+spectrum; its samples are the real inverse, formed on demand.
 
 Grids hold at most ``MAX_GRID_N`` = 2^24 samples, where one complex array
 already takes 256 MB; a larger ``n`` is rejected before anything is
@@ -156,6 +158,32 @@ class TimeSeries:
         if mag == 0.0:
             return True
         return float(np.max(np.abs(self.samples.imag))) <= CALIBRATION["real_imag_rel"] * mag
+
+
+@dataclass(frozen=True)
+class SpectralSeries:
+    """Real signal held as its half spectrum X(i*omega_k) at nodes 0..n/2.
+
+    A signal defined by its spectrum keeps that spectrum, read-only and
+    uncopied, in place of samples: re-transforming the samples would add
+    roundoff at every node, exact zeros included.  ``samples`` is the real
+    inverse :func:`irfft_rows`, formed afresh on each read and read-only, so
+    it equals the float64 samples a ``TimeSeries`` would hold, bit for bit.
+    """
+
+    grid: FrequencyGrid
+    spectrum: np.ndarray
+    is_real = True
+
+    def __post_init__(self) -> None:
+        spectrum = np.asarray(self.spectrum, dtype=np.complex128)
+        object.__setattr__(self, "spectrum", _read_only(spectrum, self.grid.n // 2 + 1, "spectrum"))
+
+    @property
+    def samples(self) -> np.ndarray:
+        samples = irfft_rows(self.spectrum, self.grid)
+        samples.flags.writeable = False
+        return samples
 
 
 @dataclass(frozen=True)

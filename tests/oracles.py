@@ -61,13 +61,12 @@ def gamma_sweep_reference(kernel, cls, gammas, r, ensemble):
     dict per gamma with the fields of ``SweepRow``.
     """
     from specpredict import Spectrum, inverse_transform, lemma_check, norm, transfer
-    from specpredict.experiments import _member_spectrum
 
     grid = ensemble[0].grid
     K = transfer(kernel, grid).values
     members = []
     for x in ensemble:
-        X = _member_spectrum(x)
+        X = hermitian_full(x.spectrum)
         y = inverse_transform(Spectrum(grid, K * X))
         members.append((X, norm(y, 2), norm(y, math.inf)))
     omega_abs = np.abs(grid.omegas())
@@ -118,6 +117,12 @@ def _signs(n):
     return signs
 
 
+def hermitian_full(half):
+    """All n nodes of a real signal's spectrum from nodes 0..n/2: node n-k
+    is the conjugate of node k."""
+    return np.concatenate([half, np.conj(half[-2:0:-1])])
+
+
 def forward_transform_n_node(samples, grid):
     """Spectrum values of ``forward_transform``, scaled by the n-node table."""
     values = np.fft.fft(samples)
@@ -146,10 +151,27 @@ def past_share(samples, t):
     return past / total
 
 
-def enveloped_members_batched(q, c, cfg, size):
-    """Class members drawn as one (size, n/2+1) stack through both projection
-    rounds, each round one batched transform; the generator's stacked form,
-    kept as a byte-exact reference for the per-member path."""
+def guard_window_reference(grid):
+    """The generator's guard window from all n time nodes at once: the ramp
+    0.5 * erfc((|t| - mu) / (sqrt(2) sigma)) inside |t| < T/4, zero beyond,
+    scaled to peak 1."""
+    t = np.abs(grid.times())
+    t_flat = grid.span / 16.0
+    t_zero = grid.span / 4.0
+    sigma = (t_zero - t_flat) / 8.6
+    mu = 0.5 * (t_flat + t_zero)
+    inside = t < t_zero
+    arg = (t[inside] - mu) / (math.sqrt(2.0) * sigma)
+    w = np.zeros(grid.n)
+    w[inside] = 0.5 * np.fromiter(map(math.erfc, arg.tolist()), dtype=np.float64)
+    return w / np.max(w)
+
+
+def enveloped_spectra_batched(q, c, cfg, size):
+    """Half spectra of class members drawn as one (size, n/2+1) stack through
+    both projection rounds, each round one batched transform; the
+    generator's stacked form, kept as a byte-exact reference for the
+    per-member path."""
     from dataclasses import replace
 
     from specpredict.degeneracy import log_weight
@@ -174,17 +196,24 @@ def enveloped_members_batched(q, c, cfg, size):
         _random_hermitian_phases(grid, _generator(replace(cfg, seed=cfg.seed + i), _STREAM_CLASS))
         for i in range(size)
     ])
-    x = np.fft.irfft(signs * (_HEADROOM * env * phases), n=grid.n, axis=-1) / grid.delta_t
+    X = _HEADROOM * env * phases
     window = _guard_window(grid)
     for _ in range(_PROJECTION_ROUNDS):
+        x = np.fft.irfft(signs * X, n=grid.n, axis=-1) / grid.delta_t
         Xt = grid.delta_t * signs * np.fft.rfft(x * window, axis=-1)
         mag = np.abs(Xt)
         with np.errstate(invalid="ignore"):
             scale = np.where(mag > env, env / np.where(mag == 0.0, 1.0, mag), 1.0)
-        clipped = Xt * scale
-        clipped[:, 0] = 0.0
-        x = np.fft.irfft(signs * clipped, n=grid.n, axis=-1) / grid.delta_t
-    return x
+        X = Xt * scale
+        X[:, 0] = 0.0
+    return X
+
+
+def enveloped_members_batched(q, c, cfg, size):
+    """Samples of :func:`enveloped_spectra_batched`, one batched inverse."""
+    X = enveloped_spectra_batched(q, c, cfg, size)
+    signs = _signs(cfg.grid.n)[: cfg.grid.n // 2 + 1]
+    return np.fft.irfft(signs * X, n=cfg.grid.n, axis=-1) / cfg.grid.delta_t
 
 
 def row_norms_linalg(rows, grid):
@@ -201,12 +230,9 @@ def irfft_stack(values, grid):
 
 
 def member_half_spectra(ensemble):
-    """(m, n/2+1) stack of the member spectra at nodes 0..n/2, the stacked
-    form of the library's one-member ``_member_half``."""
-    from specpredict.experiments import _member_spectrum
-
-    h = ensemble[0].grid.n // 2 + 1
-    return np.stack([_member_spectrum(x)[:h] for x in ensemble])
+    """(m, n/2+1) stack of the members' stored spectra at nodes 0..n/2, the
+    stacked form of the library's one-member ``_member_half``."""
+    return np.stack([x.spectrum for x in ensemble])
 
 
 def error_channel_batched(pt, X):

@@ -14,7 +14,6 @@ from specpredict import (
     sample_class_member,
 )
 from specpredict.cli import main
-from specpredict.experiments import _member_spectrum
 from specpredict.spectral import irfft_rows
 
 GRID_SMALL = {"n": 4096, "delta_t": 0.02}
@@ -109,8 +108,7 @@ class TestPredictCommand:
         cls = DegeneracyClass(2.0, 1.0)
         x = sample_class_member(cls, GeneratorConfig(seed=7, grid=grid, profile="flat"))
         pt = build_predictor(AnticausalKernel((1.0,), (1.0,)), 10.0, 4.0, grid)
-        h = grid.n // 2 + 1
-        X = _member_spectrum(x)[:h]
+        X = x.spectrum
         expected = {
             "x.csv": x.samples.real,
             "y.csv": irfft_rows(pt.k_values * X, grid),

@@ -30,6 +30,7 @@ from specpredict.experiments import _member_spectrum
 from oracles import (
     build_predictor_full_grid,
     enveloped_members_batched,
+    enveloped_spectra_batched,
     error_channel_batched,
     gamma_sweep_reference,
     irfft_stack,
@@ -435,6 +436,46 @@ class TestStreamedSweep:
                 assert repr(got) == repr(want), (gamma, p)
 
 
+class TestGeneratedMembersAreNotRetransformed:
+    """Generated members give their stored spectrum: no experiment and no
+    ``predict`` command transforms their samples back."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_retransform(self, monkeypatch):
+        from specpredict import cli
+
+        def refuse(x):
+            raise AssertionError("a generated member was re-transformed")
+
+        monkeypatch.setattr(experiments, "_member_spectrum", refuse)
+        monkeypatch.setattr(cli, "_member_spectrum", refuse)
+
+    def test_experiments(self, ensemble):
+        gamma_sweep(KERNEL, CLS, (10.0, 30.0), 4.0, ensemble)
+        for p in (2, math.inf):
+            uniformity_check(KERNEL, CLS, 10.0, 4.0, ensemble, p)
+            pt = build_predictor(KERNEL, 10.0, 4.0, GRID)
+            prediction_error(pt, ensemble[0], p)
+            error_decomposition(pt, ensemble[0], p)
+        robustness_experiment(KERNEL, 10.0, 4.0, ensemble[0], [0.0, 0.05], cfg(2026))
+
+    def test_predict_command(self, tmp_path):
+        import json
+
+        from specpredict.cli import main
+
+        config = {
+            "grid": {"n": GRID.n, "delta_t": GRID.delta_t},
+            "kernel": {"poles": [1.0], "numerator": [1.0]},
+            "class": {"q": CLS.q, "c": CLS.c},
+            "predictor": {"r": 4.0, "gammas": [10.0]},
+            "signal": {"kind": "class_member", "seed": 7},
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["predict", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
 class TestPerRowChannelIsExact:
     """The error channel, its norms and the members are formed one row at a
     time; they equal the stacked forms in ``oracles`` byte for byte, signed
@@ -448,8 +489,13 @@ class TestPerRowChannelIsExact:
         assert got.real.tobytes() == want.tobytes()
         assert not np.any(got.imag)
 
+    def test_stored_spectra_match_batched_generation(self, ensemble):
+        want = enveloped_spectra_batched(CLS.q, CLS.c, cfg(2026), len(ensemble))
+        got = np.stack([x.spectrum for x in ensemble])
+        assert got.tobytes() == want.tobytes()
+
     def test_half_spectra_match_stacked_member_spectra(self, ensemble):
-        want = np.stack([_member_spectrum(x)[: GRID.n // 2 + 1] for x in ensemble])
+        want = np.stack([x.spectrum for x in ensemble])
         got = np.stack([experiments._member_half(x, GRID) for x in ensemble])
         assert got.tobytes() == want.tobytes()
 

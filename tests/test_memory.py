@@ -5,9 +5,10 @@ largest set of arrays alive at once; the FFT library's own scratch is not
 counted.  Members are drawn one at a time, and the sweep keeps one
 (gammas, n/2+1) array of error gains and takes the members one at a time,
 so no array sized by the ensemble is alive during a sweep and its peak does
-not grow with the ensemble.  Real members keep float64 samples, and a
-predictor and the line witness evaluate and keep nodes 0..n/2 only.  The
-per-grid tables (signs, signed and absolute omega, node weights) hold nodes
+not grow with the ensemble.  Generated members keep only the half spectrum
+(nodes 0..n/2) of their last projection, which the sweep reads in place,
+and a predictor and the line witness evaluate and keep nodes 0..n/2 only.
+The per-grid tables (signs, signed and absolute omega, node weights) hold nodes
 0..n/2 and are cached for one grid at a time, the witnesses split the t < 0
 share at n/2 in place, and lemma_check reduces its node sets in blocks, so
 none of them builds an n-node or n/2-node scratch array.
@@ -26,7 +27,7 @@ from specpredict import (
     line_witness,
     make_class_ensemble,
 )
-from specpredict import spectral
+from specpredict import experiments, spectral
 from specpredict.experiments import (
     DEFAULT_CLASS,
     DEFAULT_ENSEMBLE_SIZE,
@@ -130,6 +131,19 @@ def test_sweep_peak_does_not_grow_with_the_ensemble():
 def test_members_keep_real_samples_as_float64():
     ensemble = make_class_ensemble(DEFAULT_CLASS, CFG, DEFAULT_ENSEMBLE_SIZE)
     assert sum(x.samples.nbytes for x in ensemble) == DEFAULT_ENSEMBLE_SIZE * CFG.grid.n * 8
+
+
+# Bytes ``_member_half`` may allocate for a generated member: it returns the
+# stored half spectrum; re-forming it from the samples took a complex
+# n-point transform (1 MB at n = 2^16) and a 0.5 MB copy.
+MEMBER_HALF_ALLOC_BOUND = 1e3
+
+
+def test_member_half_reads_the_stored_spectrum():
+    (x,) = make_class_ensemble(DEFAULT_CLASS, CFG, 1)
+    X, peak = _traced_peak(lambda: experiments._member_half(x, CFG.grid))
+    assert X is x.spectrum
+    assert peak < MEMBER_HALF_ALLOC_BOUND, peak
 
 
 def test_build_predictor_peak_is_bounded():

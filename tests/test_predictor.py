@@ -186,6 +186,18 @@ class TestPredict:
         with pytest.raises(ValueError, match="real"):
             predict(pt, TimeSeries(small_grid, x + 1e-3j * x))
 
+    def test_generated_member_is_read_on_its_spectrum(self):
+        # transforming the samples back left roundoff where the low band's
+        # gain reaches exp(700): the prediction read ~1e285 at the defaults
+        from specpredict import GeneratorConfig, default_grid, sample_class_member
+
+        grid = default_grid()
+        x = sample_class_member(DegeneracyClass(2.0, 1.0), GeneratorConfig(seed=7, grid=grid))
+        pt = build_predictor(KERNEL, 10.0, 4.0, grid)
+        y_hat = predict(pt, x).samples
+        assert y_hat.tobytes() == irfft_rows(pt.khat_values * x.spectrum, grid).tobytes()
+        assert np.max(np.abs(y_hat)) < 1.0
+
 
 class TestCausalityDefect:
     """causality_defect is the t < 0 share (``_past_share``) of the inverse

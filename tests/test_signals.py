@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import os
 import subprocess
@@ -30,6 +31,8 @@ from specpredict.degeneracy import log_weight
 from specpredict.experiments import default_grid
 from specpredict.signals import _guard_window, _noise_spectrum
 from specpredict.spectral import irfft_rows
+
+from oracles import guard_window_reference
 
 GRID = make_grid(2**12, 0.02)
 CLS = DegeneracyClass(2.0, 1.0)
@@ -98,10 +101,10 @@ class TestClassNorm:
 
 class TestClassMember:
     def test_finite_class_norm(self):
-        # equality nodes re-evaluate with roundtrip roundoff on top, so the
-        # norm can sit a hair above the envelope amplitude
+        # read on the stored spectrum, which the clip leaves on the envelope
+        # at some node, exactly
         x = sample_class_member(CLS, cfg(1))
-        assert class_norm(x, CLS) <= 1.0 + 1e-3
+        assert class_norm(x, CLS) == 1.0
 
     def test_deterministic(self):
         a = sample_class_member(CLS, cfg(42))
@@ -165,7 +168,44 @@ class TestClassMember:
         assert np.all(X[live] <= np.maximum(envelope[live] * (1 + 1e-2), floor))
 
 
+# sha256 of the samples of the ten default-grid members at each ensemble
+# seed, concatenated; taken when members still stored their samples
+DEFAULT_MEMBER_DIGESTS = {
+    2026: "84aa15dac4eb396bae1e11856da5d8b70804e152ecdbfdc786a4a1ee7ae4d2c0",
+    7: "c9aa74d1f1b90a7194e3f50ff38ec9796e0a7dfaedcb35a21dda1a7b6b947d48",
+}
+
+
+@pytest.fixture(scope="module", params=sorted(DEFAULT_MEMBER_DIGESTS))
+def default_members(request):
+    """(seed, the ten members of the default configuration at that seed)."""
+    cfg_default = GeneratorConfig(seed=request.param, grid=default_grid())
+    return request.param, make_class_ensemble(CLS, cfg_default, 10)
+
+
+class TestDefaultMembers:
+    def test_samples_are_read_only_and_unchanged(self, default_members):
+        seed, members = default_members
+        digest = hashlib.sha256()
+        for x in members:
+            samples = x.samples
+            assert samples.dtype == np.float64 and not samples.flags.writeable
+            digest.update(samples.tobytes())
+        assert digest.hexdigest() == DEFAULT_MEMBER_DIGESTS[seed]
+
+    def test_class_norm_is_exactly_one(self, default_members):
+        _, members = default_members
+        assert [class_norm(x, CLS) for x in members] == [1.0] * len(members)
+
+
 class TestGuardWindow:
+    @pytest.mark.parametrize(
+        "n, dt", [(8, 0.3), (1024, 0.05), (2**12, 0.02), (2**13, 0.7), (2**16, 0.01), (2**17, 0.003)]
+    )
+    def test_blocks_match_the_all_node_formula(self, n, dt):
+        grid = make_grid(n, dt)
+        assert _guard_window(grid).tobytes() == guard_window_reference(grid).tobytes()
+
     def test_matches_scipy_erfc_oracle(self):
         special = pytest.importorskip("scipy.special")
         g = default_grid()

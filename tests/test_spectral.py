@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_series
 from specpredict import (
+    SpectralSeries,
     Spectrum,
     TimeSeries,
     forward_transform,
@@ -276,6 +277,18 @@ class TestTypeInvariants:
         real, cplx = TimeSeries(grid, samples), TimeSeries(grid, samples + 0j)
         assert real.samples.dtype == np.float64 and cplx.samples.dtype == np.complex128
         assert forward_transform(real).values.tobytes() == forward_transform(cplx).values.tobytes()
+
+    def test_spectral_series_keeps_its_spectrum_read_only(self, small_grid):
+        half = forward_transform(random_series(small_grid, 3)).values[: small_grid.n // 2 + 1]
+        half = half.copy()
+        x = SpectralSeries(small_grid, half)
+        assert x.spectrum is half and not half.flags.writeable
+        assert x.is_real
+        samples = x.samples
+        assert samples.dtype == np.float64 and not samples.flags.writeable
+        assert samples.tobytes() == irfft_rows(half, small_grid).tobytes()
+        with pytest.raises(ValueError, match="spectrum must have shape"):
+            SpectralSeries(small_grid, np.zeros(small_grid.n, dtype=complex))
 
     @pytest.mark.parametrize(
         "bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)], ids=["nan", "inf", "-inf", "complex-nan"]
