@@ -12,11 +12,14 @@ way: :func:`_member_half` checks the member and gives its half spectrum X
 :func:`_norms` inverts the product and takes its grid norms.  Generated
 members hold X itself, exact zeros included, and are read without any
 transform; only a series that arrives as samples is transformed, with its
-roundoff floor restored to zeros (:func:`_member_spectrum`).  Ensembles are
-streamed: a sweep keeps the error gain of each gamma, then takes the members
-one at a time and reduces their error figures under every gain into running
+roundoff floor restored to zeros (:func:`_member_spectrum`).  An all-zero
+product has all-zero norms and is not transformed.  Ensembles are streamed:
+a sweep keeps the error gain of each gamma, then takes the members one at a
+time and reduces their error figures under every gain into running
 worst-case figures, so what it holds grows with the number of gammas and not
-with the ensemble.
+with the ensemble.  Each gain is kept only up to its last nonzero node
+(:func:`_run_sweep`): from gamma = 100 on at the defaults that is omega = 0
+alone, where every class member is zero.
 """
 
 from __future__ import annotations
@@ -178,13 +181,41 @@ def _norms(half: np.ndarray, grid: FrequencyGrid):
     Callers bind each half spectrum to a name before multiplying it by a
     gain: numpy may form ``gain * <temporary>`` in the temporary's buffer as
     ``temporary * gain``, and complex products do not commute bitwise.
+    An all-zero ``half``, of any length (see :func:`_channel`), gives
+    (0.0, 0.0), as its transform would, without taking it.
     """
+    if not half.any():
+        return 0.0, 0.0
     return _row_norms(irfft_rows(half, grid), grid)
+
+
+def _channel(gain: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The error channel ``gain * X`` of a gain held on its support, a prefix
+    of X's nodes past which it is zero: formed on that prefix, and
+    zero-padded to X's length only when it is nonzero.  The padded nodes
+    differ from the full product at most in the sign of a zero, which no
+    norm or band sum sees."""
+    diff = gain * X[: gain.size]
+    if diff.size == X.size or not diff.any():
+        return diff
+    padded = np.zeros_like(X)
+    padded[: diff.size] = diff
+    return padded
+
+
+def _support(pt: PredictorTransfer) -> int:
+    """One past the last node where K_hat differs from K; the error gain
+    K_hat - K is exactly zero from there to node n/2."""
+    differs = pt.khat_values != pt.k_values
+    return differs.size - int(np.argmax(differs[::-1])) if differs.any() else 0
 
 
 def _band_split(diff: np.ndarray, grid: FrequencyGrid, threshold: float, rho: int):
     """(i1, i2): delta_omega * sum of |diff|^rho over both signs of omega, for
-    the half spectrum ``diff``, at |omega| <= threshold and above it."""
+    the half spectrum ``diff``, at |omega| <= threshold and above it; (0.0,
+    0.0) for an all-zero ``diff`` of any length, as the sums would give."""
+    if not diff.any():
+        return 0.0, 0.0
     omega_abs, weights = _half_nodes(grid)
     E = weights * np.abs(diff) ** rho
     low = omega_abs <= threshold
@@ -226,14 +257,24 @@ def error_decomposition(pt: PredictorTransfer, x: TimeSeries, p):
 
 def _run_sweep(kernel: AnticausalKernel, gammas, r: float, ensemble, cls: DegeneracyClass = None):
     """Sweep rows in two passes: each gamma's predictor fields and error gain,
-    then each member's error figures under every gain, as running maxima."""
+    then each member's error figures under every gain, as running maxima.
+
+    Each gain is written only on its support (:func:`_support`), a prefix
+    of its row in one (gammas, n/2+1) array, so the rest of the row is never
+    touched and its pages never become resident.  At the defaults that is
+    every node at gamma = 10 and 30 and omega = 0 alone from gamma = 100 on.
+    Channels are formed on the support (:func:`_channel`), and an all-zero
+    one is not transformed (:func:`_norms`).
+    """
     grid = _shared_real_grid(ensemble)
     h = grid.n // 2 + 1
-    gains = np.empty((len(gammas), h), dtype=np.complex128)
+    table = np.empty((len(gammas), h), dtype=np.complex128)
+    gains = []
     fields = []
-    for gamma, gain in zip(gammas, gains):
+    for gamma, table_row in zip(gammas, table):
         pt = build_predictor(kernel, gamma, r, grid)
-        np.subtract(pt.khat_values, pt.k_values, out=gain)
+        m = _support(pt)
+        gains.append(np.subtract(pt.khat_values[:m], pt.k_values[:m], out=table_row[:m]))
         row = dict(
             gamma=gamma,
             kappa_sup=pt.kappa_sup,
@@ -260,13 +301,13 @@ def _run_sweep(kernel: AnticausalKernel, gammas, r: float, ensemble, cls: Degene
     for x in ensemble:
         X = _member_half(x, grid)
         y_l2, y_sup = _norms(K * X, grid)
-        l2a, supa = np.array([_norms(gain * X, grid) for gain in gains]).T
+        l2a, supa = np.array([_norms(_channel(gain, X), grid) for gain in gains]).T
         l2r = _relative(l2a, y_l2)
         # np.argmax's rule: the first maximum leads, and a NaN is a maximum;
         # the leader's error channel is formed once more for its band split
         leads = (l2r > worst[1]) | (np.isnan(l2r) & ~np.isnan(worst[1]))
         for i in np.flatnonzero(leads):
-            bands[i] = _band_split(gains[i] * X, grid, fields[i]["omega_threshold"], 2)
+            bands[i] = _band_split(_channel(gains[i], X), grid, fields[i]["omega_threshold"], 2)
         np.maximum(worst, (l2a, l2r, supa, _relative(supa, y_sup)), out=worst)
 
     return [

@@ -350,8 +350,9 @@ def lemma_check(
 
     (a) above the band edge, Re((i*omega - a_j)/(i*omega + gamma^{-r})) > 0
     and |V_j(i*omega) - 1| < 1 for every pole; (b) max |V - 1| over
-    |omega| >= omega_floor, the quantity that must shrink as gamma grows;
-    (c) the weighted low-band bound |V| <= exp(c/|omega|^q) inside the band.
+    |omega| >= omega_floor, the quantity that must shrink as gamma grows,
+    +inf once a factor overflows there; (c) the weighted low-band bound
+    |V| <= exp(c/|omega|^q) inside the band.
     Each check is an all() or a max over a set symmetric in +-omega, on which
     V(-i*omega) is the conjugate of V(i*omega), so they read nodes 0..n/2.
     |omega| rises with the node index there, so each set is a tail of those
@@ -381,6 +382,10 @@ def lemma_check(
     tail_dev = float(
         np.max([np.max(np.abs(v_minus_one(o, pt.kernel, gamma, r))) for o in _blocks(tail)])
     )
+    if math.isnan(tail_dev):
+        # a factor overflowed and v_minus_one formed inf * 0: |V - 1| is
+        # unbounded there, read +inf as class_norm reads an overflow
+        tail_dev = math.inf
 
     holds, count, margin = _low_band_holds(pt.kernel, cls, gamma, r, grid)
     return LemmaReport(

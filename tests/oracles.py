@@ -316,11 +316,12 @@ def v_minus_one_stacked(omega, kernel, gamma, r):
 def lemma_tail_dev_stacked(pt, omega_floor=0.5):
     """``tail_dev_max`` of :func:`specpredict.lemma_check` as one maximum of
     :func:`v_minus_one_stacked` over every node 0..n/2 with |omega| >=
-    omega_floor, selected by a mask."""
+    omega_floor, selected by a mask, with each NaN node read as +inf."""
     om = np.abs(pt.grid.omegas()[: pt.grid.n // 2 + 1])
     with np.errstate(invalid="ignore"):  # inf - inf in the linear sum
         dev = v_minus_one_stacked(om[om >= omega_floor], pt.kernel, pt.gamma, pt.r)
-    return float(np.max(np.abs(dev)))
+    # NaN nodes are overflowed products, where |V - 1| is unbounded
+    return float(np.max(np.where(np.isnan(dev), np.inf, np.abs(dev))))
 
 
 def lemma_check_full_grid(pt, cls, omega_floor=0.5):
@@ -346,7 +347,8 @@ def lemma_check_full_grid(pt, cls, omega_floor=0.5):
         pass_dev = pass_dev and bool(np.all(dev < 1.0))
 
     tail = np.abs(om) >= omega_floor
-    tail_dev = float(np.max(np.abs(v_minus_one(om[tail], pt.kernel, gamma, r))))
+    dev = v_minus_one(om[tail], pt.kernel, gamma, r)
+    tail_dev = float(np.max(np.where(np.isnan(dev), np.inf, np.abs(dev))))
 
     band = (np.abs(om) > 0.0) & (np.abs(om) <= thr)
     count = int(np.count_nonzero(band))

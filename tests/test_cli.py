@@ -217,6 +217,21 @@ class TestLemmaCommand:
         assert math.isfinite(report["gamma0"])
         assert report["tail_dev_strictly_decreasing"] is True
 
+    def test_overflowed_tail_reads_inf(self, tmp_path):
+        # a floor of 0.01 reaches the nodes where a factor overflows at gamma = 100
+        config = base_config(
+            grid={"n": 2**16, "delta_t": 0.01},
+            **{"class": {"q": 5.0, "c": 1.0}},
+            predictor={"r": 0.6, "gammas": [10.0, 100.0]},
+            lemma={"omega_floor": 0.01},
+        )
+        code, outdir = run(tmp_path, "lemma", config)
+        assert code == 0
+        devs = [row["tail_dev_max"] for row in json.loads((outdir / "lemma.json").read_text())["rows"]]
+        assert math.isfinite(devs[0]) and devs[1] == math.inf
+        rows = [line for line in (outdir / "lemma.csv").read_text().splitlines() if line[0].isdigit()]
+        assert [row.split(",")[4] for row in rows][1] == "inf"
+
 
 class TestRobustnessCommand:
     def config(self):

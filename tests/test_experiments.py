@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from specpredict import (
     AnticausalKernel,
     DegeneracyClass,
     GeneratorConfig,
+    SpectralSeries,
     TimeSeries,
     build_predictor,
     class_norm,
@@ -20,6 +22,7 @@ from specpredict import (
     norm,
     prediction_error,
     robustness_experiment,
+    sample_bandlimited,
     sample_class_member,
     transfer,
     uniformity_check,
@@ -525,3 +528,88 @@ class TestPerRowChannelIsExact:
             want = row_norms_linalg(rows, grid)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
         assert math.isinf(got[0][2])
+
+
+# sha256 of repr(gamma_sweep(...).rows) at the defaults (ten members on the
+# default grid, the default kernel, class, gammas and r) at each ensemble
+# seed; taken when every gain was still kept and transformed at all nodes
+DEFAULT_SWEEP_DIGESTS = {
+    2026: "a0bd1335d9357719371cb0c41e70fca153681b1467ec857f0051a5fffd08892a",
+    7: "a76f1857ae61cb138c6bfade3ac852ea9139757840aeb9c1bbe577f509c1bc0a",
+}
+
+
+@pytest.fixture(scope="module", params=sorted(DEFAULT_SWEEP_DIGESTS))
+def default_members(request):
+    """(seed, the ten members of the default configuration at that seed)."""
+    cfg_default = GeneratorConfig(seed=request.param, grid=experiments.default_grid())
+    return request.param, make_class_ensemble(experiments.DEFAULT_CLASS, cfg_default, 10)
+
+
+def default_sweep(members):
+    return gamma_sweep(
+        experiments.DEFAULT_KERNEL,
+        experiments.DEFAULT_CLASS,
+        experiments.DEFAULT_GAMMAS,
+        experiments.DEFAULT_R,
+        members,
+    )
+
+
+class TestExactSupportChannel:
+    """Each gain is kept up to its last nonzero node and an all-zero error
+    channel is not transformed; no sweep figure moves."""
+
+    def test_default_sweep_rows_unchanged(self, default_members):
+        seed, members = default_members
+        rows = repr(default_sweep(members).rows)
+        assert hashlib.sha256(rows.encode()).hexdigest() == DEFAULT_SWEEP_DIGESTS[seed]
+
+    def test_all_zero_half_is_not_transformed(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an all-zero channel was transformed")
+
+        monkeypatch.setattr(experiments, "irfft_rows", refuse)
+        h = GRID.n // 2 + 1
+        for half in (np.zeros(h, complex), np.full(h, -0.0 - 0.0j), np.zeros(1, complex)):
+            assert experiments._norms(half, GRID) == (0.0, 0.0)
+        assert experiments._band_split(np.zeros(1, complex), GRID, 1.0, 2) == (0.0, 0.0)
+
+    def test_default_sweep_transform_count(self, default_members, monkeypatch):
+        # per member one target and the two nonzero channels (gamma 10, 30),
+        # plus one causality defect per gamma: 10 * 3 + 5, where a transform
+        # of every channel took 10 * 6 + 5
+        _, members = default_members
+        calls = []
+        real = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: calls.append(1) or real(*a, **k))
+        default_sweep(members)
+        assert len(calls) == 35 == 3 * len(members) + 5
+
+    def test_default_supports(self):
+        grid = experiments.default_grid()
+        supports = [
+            experiments._support(build_predictor(experiments.DEFAULT_KERNEL, g, 4.0, grid))
+            for g in experiments.DEFAULT_GAMMAS
+        ]
+        assert supports == [grid.n // 2 + 1] * 2 + [1] * 3
+
+    def test_low_band_members_match_stacked_sweep(self):
+        # pole 1 and r = 0.6 leave supports of 5 and 2 nodes at gamma = 100
+        # and 1000; band-limited members from omega = 0.2 (node 3) on have
+        # content inside the first, so their channels there are nonzero and
+        # zero-padded, and none inside the second
+        cls = DegeneracyClass(5.0, 1.0)
+        gammas = (10.0, 100.0, 1000.0)
+        members = make_class_ensemble(cls, cfg(31), 2)
+        members += [sample_bandlimited(2.0, cfg(40 + i, band=(0.2, 2.0))) for i in range(2)]
+        h = GRID.n // 2 + 1
+        supports = [experiments._support(build_predictor(KERNEL, g, 0.6, GRID)) for g in gammas]
+        assert supports == [h, 5, 2]
+        got = gamma_sweep(KERNEL, cls, gammas, 0.6, members).rows
+        # the stacked oracle reads stored spectra: band-limited members are
+        # given as their half spectra, roundoff floor zeroed as the sweep does
+        halves = [SpectralSeries(GRID, experiments._member_half(x, GRID)) for x in members]
+        assert repr(got) == repr(tuple(sweep_rows_stacked(KERNEL, cls, gammas, 0.6, halves)))
+        assert [row.err_l2_abs > 0.0 for row in got] == [True, True, False]
+        assert got[1].i1 > 0.0

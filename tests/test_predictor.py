@@ -265,6 +265,23 @@ class TestLemmaChecks:
             assert rep.tail_dev_max < prev
             prev = rep.tail_dev_max
 
+    def test_overflowed_tail_reads_inf(self):
+        # r = 0.6 and a floor of 0.01 reach the nodes where a factor overflows
+        # at gamma = 100 and v_minus_one forms inf * 0; the deviation there is
+        # unbounded, not undefined
+        grid = make_grid(2**16, 0.01)
+        cls = DegeneracyClass(5.0, 1.0)
+        devs = []
+        for gamma in (10.0, 100.0):
+            pt = build_predictor(KERNEL, gamma, 0.6, grid)
+            rep = lemma_check(pt, cls, omega_floor=0.01)
+            assert rep.tail_dev_max == lemma_tail_dev_stacked(pt, 0.01)
+            assert repr(rep) == repr(lemma_check_full_grid(pt, cls, 0.01))
+            devs.append(rep.tail_dev_max)
+        om = np.abs(_half_omegas(grid))
+        assert np.any(np.isnan(v_minus_one(om[om >= 0.01], KERNEL, 100.0, 0.6)))
+        assert math.isfinite(devs[0]) and devs[1] == math.inf
+
     def test_low_band_log_domain_bound(self):
         # gamma small enough that the band contains many nodes
         g = make_grid(2**14, 0.01)
