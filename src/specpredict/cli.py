@@ -44,7 +44,7 @@ from .kernels import kernel_from_dict
 from .predictor import LemmaReport, build_predictor, causality_defect, find_gamma0, lemma_check
 from .reports import ensure_dir, format_value, write_csv, write_json, write_svg_lineplot
 from .signals import GeneratorConfig, class_norm, sample_bandlimited, sample_class_member
-from .spectral import _half_nodes, forward_transform, irfft_rows, make_grid, norm, to_centered
+from .spectral import _half_sum, forward_transform, irfft_rows, make_grid, norm, to_centered
 
 
 class ConfigError(ValueError):
@@ -121,9 +121,6 @@ def _require(config: dict, command: str) -> None:
     for section in _REQUIRED[command]:
         if section not in config:
             raise ConfigError(f"command '{command}' requires the '{section}' section")
-        if command == "gen-signal" and section == "signal":
-            if config["signal"].get("kind", "class_member") == "class_member" and "class" not in config:
-                raise ConfigError("class_member signals require the 'class' section")
 
 
 def _apply_overrides(config: dict, pairs) -> None:
@@ -289,10 +286,10 @@ def _cmd_predict(config, outdir, formats):
     )
     if pt.any_saturated:
         # counted on the full grid: node k of 0 < k < n/2 stands for +-omega_k
-        saturated = int(np.sum(_half_nodes(grid)[1][pt.saturated]))
+        saturated = int(_half_sum(1.0, grid, pt.saturated))
+        readers = "khat.csv and causality_defect read" if "csv" in formats else "causality_defect reads"
         print(
-            f"warning: {saturated} of {grid.n} predictor nodes saturated; "
-            "khat.csv and causality_defect read clamped values",
+            f"warning: {saturated} of {grid.n} predictor nodes saturated; {readers} clamped values",
             file=sys.stderr,
         )
     return 0

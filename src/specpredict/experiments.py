@@ -33,7 +33,6 @@ from .degeneracy import DegeneracyClass
 from .kernels import AnticausalKernel, _transfer_half, kernel_to_dict
 from .predictor import (
     PredictorTransfer,
-    _logsumexp,
     build_predictor,
     causality_defect,
     lemma_check,
@@ -52,7 +51,9 @@ from .spectral import (
     SpectralSeries,
     TimeSeries,
     _half_nodes,
+    _half_sum,
     _is_sup,
+    _log_half_sum,
     forward_transform,
     irfft_rows,
     make_grid,
@@ -144,7 +145,9 @@ class SweepReport:
 
 
 def _shared_real_grid(ensemble) -> FrequencyGrid:
-    """The one grid of an ensemble of real class members; ValueError otherwise."""
+    """The one grid of a nonempty ensemble of real class members; ValueError otherwise."""
+    if len(ensemble) == 0:
+        raise ValueError("ensemble must be nonempty")
     grid = ensemble[0].grid
     if any(x.grid != grid for x in ensemble):
         raise ValueError("all ensemble members must share one grid")
@@ -216,11 +219,11 @@ def _band_split(diff: np.ndarray, grid: FrequencyGrid, threshold: float, rho: in
     0.0) for an all-zero ``diff`` of any length, as the sums would give."""
     if not diff.any():
         return 0.0, 0.0
-    omega_abs, weights = _half_nodes(grid)
-    E = weights * np.abs(diff) ** rho
-    low = omega_abs <= threshold
+    E = np.abs(diff) ** rho
+    # |omega| rises with the node index, so the low band is a prefix
+    m = int(np.searchsorted(_half_nodes(grid)[0], threshold, side="right"))
     dw = grid.delta_omega
-    return float(dw * np.sum(E[low])), float(dw * np.sum(E[~low]))
+    return dw * _half_sum(E[:m], grid, slice(m)), dw * _half_sum(E[m:], grid, slice(m, None))
 
 
 def _relative(err: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -339,8 +342,6 @@ def gamma_sweep(
     i1 + i2 = total spectral error measure holds row-wise.
     """
     gammas = _gamma_list(gammas)
-    if len(ensemble) == 0:
-        raise ValueError("ensemble must be nonempty")
     _require_admissible(r, cls)
     rows = _run_sweep(kernel, gammas, r, ensemble, cls=cls)
     meta = _metadata(kernel, ensemble[0].grid, r=r, ensemble_size=len(ensemble))
@@ -510,13 +511,11 @@ def counterexample_experiment(
     """
     grid = cfg.grid
     gammas = _gamma_list(gammas)
-    # the pair's own half spectra, exact zeros included; the log-weight counts
-    # each node for both signs of omega (see _half_nodes)
+    # the pair's own half spectra, exact zeros included
     X1, X2 = _counterexample_half_spectra(a, cfg)
-    log_w = np.log(_half_nodes(grid)[1])
     K = _transfer_half(kernel, grid)
     log_dw = math.log(grid.delta_omega)
-    log_norm_k_sq = _logsumexp(2.0 * _log_abs(K) + log_w) + log_dw
+    log_norm_k_sq = _log_half_sum(2.0 * _log_abs(K), grid) + log_dw
     tol = CALIBRATION["counterexample_identity_rel"]
 
     rows = []
@@ -524,10 +523,10 @@ def counterexample_experiment(
         pt = build_predictor(kernel, gamma, r, grid)
         with np.errstate(invalid="ignore"):
             diff_log = np.where(pt.saturated, pt.khat_log_mag, _log_abs(K - pt.khat_values))
-        le1 = _logsumexp(2.0 * (diff_log + _log_abs(X1)) + log_w) + log_dw - math.log(2 * math.pi)
-        le2 = _logsumexp(2.0 * (diff_log + _log_abs(X2)) + log_w) + log_dw - math.log(2 * math.pi)
+        le1 = _log_half_sum(2.0 * (diff_log + _log_abs(X1)), grid) + log_dw - math.log(2 * math.pi)
+        le2 = _log_half_sum(2.0 * (diff_log + _log_abs(X2)), grid) + log_dw - math.log(2 * math.pi)
         lhs_log = math.log(2 * math.pi) + np.logaddexp(le1, le2)
-        rhs_log = np.logaddexp(log_norm_k_sq, _logsumexp(2.0 * pt.khat_log_mag + log_w) + log_dw)
+        rhs_log = np.logaddexp(log_norm_k_sq, _log_half_sum(2.0 * pt.khat_log_mag, grid) + log_dw)
         rel_gap = abs(math.expm1(lhs_log - rhs_log))
         floor_ok = max(le1, le2) >= rhs_log - math.log(4 * math.pi) + math.log(0.95)
         with np.errstate(over="ignore"):

@@ -33,6 +33,8 @@ from .spectral import (
     TimeSeries,
     _half_nodes,
     _half_omegas,
+    _half_sum,
+    _log_half_sum,
     irfft_rows,
     rfft_rows,
 )
@@ -145,7 +147,7 @@ class PredictorTransfer:
     Real coefficients make K, V and K_hat conjugate-symmetric, so every
     sampled array holds nodes 0..n/2 only, as the half spectra of
     :func:`.spectral.rfft_rows` do (node n/2 is the unpaired omega_max); a
-    full-grid sum weights them with :func:`.spectral._half_nodes`.
+    full-grid sum over them is :func:`.spectral._half_sum`.
     ``k_values`` holds the kernel transfer K, sampled once per predictor.
     ``khat_values`` is magnitude-clamped at exp(700) where the log magnitude
     saturates (mask in ``saturated``); the unclamped log magnitude and phase
@@ -325,7 +327,7 @@ def _low_band_holds(
     om = _half_nodes(grid)[0]
     thr = omega_threshold(kernel, gamma, r)
     band = (om > 0.0) & (om <= thr)
-    count = 2 * int(np.count_nonzero(band)) - int(band[-1])
+    count = int(_half_sum(1.0, grid, band))
     if count == 0:
         return True, 0, -math.inf
     v_log, _ = v_logpolar(1j * om[band], kernel, gamma, r)
@@ -439,32 +441,20 @@ def find_gamma0(
     return hi
 
 
-def _logsumexp(values: np.ndarray) -> float:
-    a = np.asarray(values, dtype=float)
-    if a.size == 0:
-        return -math.inf
-    m = float(np.max(a))
-    if not math.isfinite(m):
-        return m
-    with np.errstate(under="ignore"):
-        return m + math.log(float(np.sum(np.exp(a - m))))
-
-
 def orthogonality_residual(pt: PredictorTransfer) -> float:
     """Normalized grid inner product of K and K_hat on the imaginary axis.
 
     |delta_omega * sum conj(K) K_hat| / (||K||_2 ||K_hat||_2) over the
     predictor's own grid samples, saturated nodes at their clamped log
     magnitude, evaluated in the log domain so they cannot overflow; the
-    normalization makes the grid spacing cancel.  Both signs of omega enter
-    through the node weights, and the terms at +-omega are conjugate, so the
-    sum is the weighted sum of their real parts.  0 for an identically zero
+    normalization makes the grid spacing cancel.  The terms at +-omega are
+    conjugate, so the sum over both signs of omega is the
+    :func:`.spectral._half_sum` of their real parts.  0 for an identically zero
     predictor.  It tracks the inner product of the kernels only when no node
     saturates and the degeneracy band is resolved; at the default sweep
     configuration it reads ~0.055 whatever the kernel (docs/numerics.md).
     :func:`line_witness` measures the kernel itself.
     """
-    weights = _half_nodes(pt.grid)[1]
     with np.errstate(divide="ignore"):
         k_log = np.log(np.abs(pt.k_values))
     kh_log = pt.khat_log_mag
@@ -475,12 +465,11 @@ def orthogonality_residual(pt: PredictorTransfer) -> float:
     L = float(np.max(terms[finite]))
     cos = np.cos(pt.khat_phase[finite] - np.angle(pt.k_values[finite]))
     with np.errstate(under="ignore"):
-        S = float(np.sum(weights[finite] * np.exp(terms[finite] - L) * cos))
+        S = _half_sum(np.exp(terms[finite] - L) * cos, pt.grid, finite)
     if S == 0.0:
         return 0.0
     num_log = L + math.log(abs(S))
-    log_w = np.log(weights)
-    den_log = 0.5 * _logsumexp(2.0 * k_log + log_w) + 0.5 * _logsumexp(2.0 * kh_log + log_w)
+    den_log = 0.5 * _log_half_sum(2.0 * k_log, pt.grid) + 0.5 * _log_half_sum(2.0 * kh_log, pt.grid)
     with np.errstate(over="ignore"):
         return float(np.exp(num_log - den_log))
 
@@ -545,13 +534,12 @@ def _line_figures(grid: FrequencyGrid, k_mirror: np.ndarray, khat_line: np.ndarr
     ``khat_line`` holds K_hat(sigma + i*omega), ``k_mirror`` K(-sigma + i*omega),
     both at nodes 0..n/2 of ``grid`` with a real half-rate node; scale does
     not matter.  Both are conjugate-symmetric, so the terms of the inner
-    product at +-omega are conjugate and it is the weighted sum of their real
-    parts (see :func:`.spectral._half_nodes`).
+    product at +-omega are conjugate and it is the :func:`.spectral._half_sum`
+    of their real parts.
     """
     defect = _past_share(irfft_rows(khat_line, grid))
-    weights = _half_nodes(grid)[1]
-    inner = np.sum(weights * (np.conj(k_mirror) * khat_line).real)
-    sq_norms = np.sum(weights * np.abs(k_mirror) ** 2) * np.sum(weights * np.abs(khat_line) ** 2)
+    inner = _half_sum((np.conj(k_mirror) * khat_line).real, grid)
+    sq_norms = _half_sum(np.abs(k_mirror) ** 2, grid) * _half_sum(np.abs(khat_line) ** 2, grid)
     return defect, float(abs(inner) / np.sqrt(sq_norms))
 
 

@@ -23,7 +23,8 @@ factor of node k, and the complex pair reads the nodes above n/2 through
 the mirrored index ``[n/2-1:0:-1]`` of the same tables.  ``_half_omegas``
 gives the signed omega at nodes 0..n/2, as ``omegas()`` does there, and
 ``_half_nodes`` gives |omega| and the weight with which each node enters a
-full-grid sum.  These per-grid tables are cached for one grid at a time:
+full-grid sum; ``_half_sum`` and its log-domain form ``_log_half_sum`` take
+every such sum.  These per-grid tables are cached for one grid at a time:
 every experiment runs on one grid, and the single-use grids of
 ``line_witness`` would otherwise pile up.  By the same symmetry ``_mirror``
 fills nodes n/2+1..n-1 from nodes 0..n/2 where all n nodes are needed: the
@@ -246,6 +247,32 @@ def _half_nodes(grid: FrequencyGrid):
     weights[[0, -1]] = 1.0
     omega_abs.flags.writeable = weights.flags.writeable = False
     return omega_abs, weights
+
+
+def _half_sum(values, grid: FrequencyGrid, nodes=slice(None)) -> float:
+    """Full-grid sum of a function even in omega from its ``values`` at
+    ``nodes`` (a slice or mask of nodes 0..n/2), each times its node's
+    weight 1 or 2: w * (a * b) is (w * a) * b bit for bit in the normal
+    range, so callers may group products either way (docs/numerics.md)."""
+    return float(np.sum(_half_nodes(grid)[1][nodes] * values))
+
+
+def _logsumexp(values) -> float:
+    """log(sum(exp(values))) without overflow; -inf for no values."""
+    a = np.asarray(values, dtype=float)
+    if a.size == 0:
+        return -math.inf
+    m = float(np.max(a))
+    if not math.isfinite(m):
+        return m
+    with np.errstate(under="ignore"):
+        return m + math.log(float(np.sum(np.exp(a - m))))
+
+
+def _log_half_sum(log_values: np.ndarray, grid: FrequencyGrid) -> float:
+    """log of :func:`_half_sum` of exp(``log_values``) at nodes 0..n/2, finite
+    where that sum overflows: the log-sum-exp of ``log_values + log(weight)``."""
+    return _logsumexp(log_values + np.log(_half_nodes(grid)[1]))
 
 
 @functools.lru_cache(maxsize=1)

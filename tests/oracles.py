@@ -375,7 +375,7 @@ def orthogonality_residual_full_grid(pt):
     """:func:`specpredict.orthogonality_residual` of an all-node predictor
     (:func:`build_predictor_full_grid`): the complex terms summed over all n
     nodes, in the log domain, with no node weights."""
-    from specpredict.predictor import _logsumexp
+    from specpredict.spectral import _logsumexp
 
     with np.errstate(divide="ignore"):
         k_log = np.log(np.abs(pt.k_values))

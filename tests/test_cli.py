@@ -145,6 +145,15 @@ class TestPredictCommand:
             "khat.csv and causality_defect read clamped values"
         ]
 
+    def test_json_only_warning_names_no_csv(self, tmp_path, capsys):
+        # khat.csv is not written, so the warning does not cite it
+        code, outdir = run(tmp_path, "predict", base_config(), extra=("--format", "json"))
+        assert code == 0
+        assert sorted(p.name for p in outdir.iterdir()) == ["summary.json"]
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: 1 of 4096 predictor nodes saturated; causality_defect reads clamped values"
+        ]
+
     def test_unsaturated_predictor_is_silent(self, tmp_path, capsys):
         config = base_config(
             kernel={"poles": [0.01], "numerator": [1.0]},
@@ -336,6 +345,14 @@ class TestGenSignalCommand:
 
     def test_missing_config_file_exit_2(self, tmp_path):
         assert main(["gen-signal", "--config", str(tmp_path / "nope.json")]) == 2
+
+    def test_class_member_without_class_exits_2(self, tmp_path, capsys):
+        config = base_config()
+        del config["class"]
+        code, outdir = run(tmp_path, "gen-signal", config)
+        assert code == 2
+        assert capsys.readouterr().err == "config error: class_member signals require the 'class' section\n"
+        assert not list(outdir.glob("*"))
 
 
 class TestMalformedConfigWithOverrides:

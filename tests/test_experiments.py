@@ -210,6 +210,10 @@ class TestUniformity:
         with pytest.raises(ValueError):
             uniformity_check(KERNEL, CLS, 10.0, 4.0, [white])
 
+    def test_rejects_empty_ensemble(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            uniformity_check(KERNEL, CLS, 10.0, 4.0, [])
+
 
 class TestRobustness:
     KER = AnticausalKernel((0.01,), (1.0,))
@@ -613,3 +617,22 @@ class TestExactSupportChannel:
         assert repr(got) == repr(tuple(sweep_rows_stacked(KERNEL, cls, gammas, 0.6, halves)))
         assert [row.err_l2_abs > 0.0 for row in got] == [True, True, False]
         assert got[1].i1 > 0.0
+
+
+# sha256 of repr(counterexample_experiment(...).rows), taken while the
+# experiment still added the log weights of nodes 0..n/2 itself
+COUNTEREXAMPLE_DIGESTS = {
+    "criterion 7": "06e0493d4945fe65f2ac0f0596173afd5997a6112d45a893211feab6f86b69b3",
+    "two poles, r = 0.6": "00f57fb74a68e0f8bdc5811cec675dfbfae466edfe9cbc3323ad9eacc6a8ca7a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNTEREXAMPLE_DIGESTS))
+def test_counterexample_rows_unchanged(name):
+    if name == "criterion 7":
+        kernel, grid, r = experiments.DEFAULT_KERNEL, experiments.default_grid(), experiments.DEFAULT_R
+    else:
+        kernel, grid, r = AnticausalKernel((0.5, 1.2), (0.3, 1.0)), GRID, 0.6
+    cfg5 = GeneratorConfig(seed=5, grid=grid)
+    rows = counterexample_experiment(0.5, kernel, experiments.DEFAULT_GAMMAS, cfg5, r=r).rows
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == COUNTEREXAMPLE_DIGESTS[name]

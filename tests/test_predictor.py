@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from specpredict import (
     transfer,
     v_minus_one,
 )
+from specpredict.experiments import DEFAULT_CLASS, DEFAULT_GAMMAS, DEFAULT_KERNEL, DEFAULT_R, default_grid
 from specpredict.kernels import _transfer_half
 from specpredict.predictor import _line_figures, _past_share, factor_exponent, v_logpolar
 from specpredict.spectral import _half_omegas, irfft_rows
@@ -560,3 +562,43 @@ def test_predictor_imports_no_full_grid_path():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
     }
     assert not called & {"times", "omegas"}
+
+
+# sha256 of repr() of each tuple of figures below, taken while each module
+# still weighted its own sums over nodes 0..n/2: moving them onto
+# spectral._half_sum and _log_half_sum moves no bit
+HALF_SUM_DIGESTS = {
+    "orthogonality_residual": "60a39a551a038103dee8c2f5565994092ee160106c21fe3318eef9e5576b36fd",
+    "line_witness": "6ff05754de3ea46e4c9802e8812bb87d8050266939604304b079b5fb491f8b5a",
+    "lemma_check": "d9b7b219fbff89ef83011e30dd891b9ec11ff938adb0b7d25a28a7f3c9b47e54",
+}
+
+
+def _digest(figures) -> str:
+    return hashlib.sha256(repr(figures).encode()).hexdigest()
+
+
+class TestHalfSumFiguresUnchanged:
+    def test_orthogonality_residual_at_the_criteria_configs(self):
+        grid = default_grid()
+        residuals = tuple(
+            orthogonality_residual(build_predictor(DEFAULT_KERNEL, g, DEFAULT_R, grid))
+            for g in DEFAULT_GAMMAS
+        )
+        assert _digest(residuals) == HALF_SUM_DIGESTS["orthogonality_residual"]
+
+    def test_line_witness_at_the_criteria_configs(self):
+        witnesses = tuple(line_witness(DEFAULT_KERNEL, g, DEFAULT_R) for g in DEFAULT_GAMMAS)
+        assert _digest(witnesses) == HALF_SUM_DIGESTS["line_witness"]
+
+    def test_lemma_low_band_nodes(self):
+        # from the whole half grid (gamma = 0.01, r = 4: node n/2 is in the
+        # band) down to 74 nodes
+        grid = default_grid()
+        configs = [(0.01, DEFAULT_R, DEFAULT_CLASS), (1.0, DEFAULT_R, DEFAULT_CLASS)]
+        configs += [(g, 0.6, DegeneracyClass(5.0, 1.0)) for g in (0.01, 1.0, 3.0, 10.0, 30.0)]
+        reports = tuple(
+            lemma_check(build_predictor(DEFAULT_KERNEL, g, r, grid), cls) for g, r, cls in configs
+        )
+        assert [rep.low_band_nodes for rep in reports] == [65535, 208, 830, 208, 150, 104, 74]
+        assert _digest(reports) == HALF_SUM_DIGESTS["lemma_check"]

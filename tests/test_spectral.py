@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -402,3 +404,88 @@ class TestSignVectors:
         assert irfft_rows(x[:h], grid).tobytes() == (
             np.fft.irfft(signs[:h] * x[:h], n=grid.n) / grid.delta_t
         ).tobytes()
+
+
+def _mirrored(half, n):
+    """The n-node array of an even function of omega from nodes 0..n/2: node
+    k holds node min(k, n - k)."""
+    k = np.arange(n)
+    return half[np.minimum(k, n - k)]
+
+
+class TestHalfNodeQuadrature:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), log2n=st.integers(3, 8))
+    def test_half_sum_is_the_sum_over_all_nodes(self, seed, log2n):
+        n = 2**log2n
+        grid = make_grid(n, 0.1)
+        rng = np.random.default_rng(seed)
+        # integer values: both sums are exact, so they agree bit for bit
+        values = rng.integers(-1000, 1001, n // 2 + 1).astype(float)
+        mask = rng.random(n // 2 + 1) < 0.5
+        full = _mirrored(values, n)
+        assert spectral._half_sum(values, grid) == np.sum(full)
+        assert spectral._half_sum(values[mask], grid, mask) == np.sum(full[_mirrored(mask, n)])
+        assert spectral._half_sum(values[1:3], grid, slice(1, 3)) == 2.0 * (values[1] + values[2])
+        assert spectral._half_sum(1.0, grid, mask) == np.count_nonzero(_mirrored(mask, n))
+        positive = rng.random(n // 2 + 1)
+        want = math.fsum(_mirrored(positive, n))
+        assert spectral._half_sum(positive, grid) == pytest.approx(want, rel=1e-13)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), log2n=st.integers(3, 8))
+    def test_log_half_sum_is_the_log_of_the_sum(self, seed, log2n):
+        n = 2**log2n
+        grid = make_grid(n, 0.1)
+        rng = np.random.default_rng(seed)
+        logs = rng.uniform(-30.0, 30.0, n // 2 + 1)
+        logs[1:][rng.random(n // 2) < 0.2] = -np.inf  # zero terms
+        want = math.log(spectral._half_sum(np.exp(logs), grid))
+        assert spectral._log_half_sum(logs, grid) == pytest.approx(want, rel=1e-13, abs=1e-13)
+        # past the double range the linear sum overflows and the log one does not
+        big = logs + 1000.0
+        with np.errstate(over="ignore"):
+            assert math.isinf(spectral._half_sum(np.exp(big), grid))
+        assert spectral._log_half_sum(big, grid) == pytest.approx(want + 1000.0, rel=1e-13)
+
+    def test_log_half_sum_of_no_mass_is_minus_inf(self):
+        grid = make_grid(8, 0.1)
+        assert spectral._log_half_sum(np.full(5, -np.inf), grid) == -math.inf
+        assert spectral._logsumexp(np.array([])) == -math.inf
+
+
+def _quadrature_bypasses(source: str) -> list:
+    """Lines of ``source`` that read the node weights, by a call of
+    ``_half_nodes`` not indexed [0], or that name ``_logsumexp``."""
+    tree = ast.parse(source)
+    radii = {
+        id(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.slice, ast.Constant)
+        and node.slice.value == 0
+    }
+
+    def name(node):
+        return getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+
+    return sorted(
+        {
+            node.lineno
+            for node in ast.walk(tree)
+            if name(node) == "_logsumexp"
+            or (isinstance(node, ast.Call) and name(node.func) == "_half_nodes" and id(node) not in radii)
+        }
+    )
+
+
+def test_only_spectral_reads_node_weights():
+    # one quadrature: outside spectral, sums over nodes 0..n/2 go through
+    # _half_sum and _log_half_sum, and only |omega| is read from _half_nodes
+    probe = "w = _half_nodes(g)[1]\nom, w = spectral._half_nodes(g)\nfrom .spectral import _logsumexp\nm._logsumexp(v)\n"
+    assert _quadrature_bypasses(probe) == [1, 2, 3, 4]
+    assert _quadrature_bypasses("om = spectral._half_nodes(g)[0]") == []
+    modules = [p for p in Path(spectral.__file__).parent.glob("*.py") if p.name != "spectral.py"]
+    assert len(modules) >= 9
+    found = {p.name: _quadrature_bypasses(p.read_text(encoding="utf-8")) for p in modules}
+    assert not any(found.values()), found
