@@ -17,6 +17,7 @@ from .experiments import (
     gamma_sweep,
     make_class_ensemble,
     nonpredictability_demo,
+    predict,
     prediction_error,
     robustness_experiment,
     uniformity_check,
@@ -40,7 +41,6 @@ from .predictor import (
     lemma_check,
     line_witness,
     orthogonality_residual,
-    predict,
     v_minus_one,
 )
 from .signals import (
@@ -61,7 +61,6 @@ from .spectral import (
     inverse_transform,
     make_grid,
     norm,
-    spectrum_l1,
     to_centered,
 )
 from .tolerances import CALIBRATION
@@ -109,7 +108,6 @@ __all__ = [
     "robustness_experiment",
     "sample_bandlimited",
     "sample_class_member",
-    "spectrum_l1",
     "time_kernel",
     "to_centered",
     "transfer",

@@ -30,7 +30,7 @@ from .experiments import (
     RobustnessRow,
     SweepRow,
     _member_half,
-    _member_spectrum,  # noqa: F401 - perfbench's span test wraps this binding
+    _member_spectrum,  # noqa: F401 - perfbench's INSTALL_PROBE wraps this binding
     _norms,
     _relative,
     _row_norms,
@@ -44,7 +44,8 @@ from .kernels import kernel_from_dict
 from .predictor import LemmaReport, build_predictor, causality_defect, find_gamma0, lemma_check
 from .reports import ensure_dir, format_value, write_csv, write_json, write_svg_lineplot
 from .signals import GeneratorConfig, class_norm, sample_bandlimited, sample_class_member
-from .spectral import _half_sum, forward_transform, irfft_rows, make_grid, norm, to_centered
+from .spectral import _half_sum, _mirror, irfft_rows, make_grid, norm, to_centered
+from .spectral import forward_transform  # noqa: F401 - perfbench's INSTALL_PROBE reads this binding
 
 
 class ConfigError(ValueError):
@@ -207,7 +208,10 @@ def _signal_from_config(config: dict, grid, cls):
     raise ConfigError(f"signal.kind must be 'class_member' or 'bandlimited', got {kind!r}")
 
 
-def _resolved(config: dict, command: str) -> dict:
+def _open_reports(outdir: str, config: dict, command: str) -> dict:
+    """Create ``outdir`` and give the metadata of ``command``'s reports; called
+    once the command has its figures, so a rejected config makes no directory."""
+    ensure_dir(outdir)
     return {"command": command, "config": config}
 
 
@@ -226,9 +230,10 @@ def _timeseries_csv(path, grid, samples, meta, column="x"):
     write_csv(path, ["t", column], np.column_stack((grid.times(), samples)), meta)
 
 
-def _spectrum_csv(path, X, meta):
-    om = to_centered(X.grid.omegas())
-    vals = to_centered(X.values)
+def _spectrum_csv(path, x, meta):
+    """The stored half spectrum of ``x`` at all n nodes, in centered order."""
+    om = to_centered(x.grid.omegas())
+    vals = to_centered(_mirror(x.spectrum))
     write_csv(path, ["omega", "re", "im"], np.column_stack((om, vals.real, vals.imag)), meta)
 
 
@@ -255,17 +260,16 @@ def _cmd_predict(config, outdir, formats):
         raise ConfigError("predict requires exactly one gamma")
     x, _ = _signal_from_config(config, grid, cls)
     pt = build_predictor(kernel, gammas[0], r, grid)
-    # a generated member gives its exact half spectrum; a band-limited
-    # signal's is re-formed with its roundoff floor zeroed (_member_half)
+    # every generated signal gives its exact half spectrum (_member_half)
     X = _member_half(x, grid)
     gain = pt.khat_values - pt.k_values
     err_l2, err_sup = _norms(gain * X, grid)
     y = irfft_rows(pt.k_values * X, grid)
     y_hat = irfft_rows(pt.khat_values * X, grid)
     y_l2, y_sup = _row_norms(y, grid)
-    meta = _resolved(config, "predict")
+    meta = _open_reports(outdir, config, "predict")
     if "csv" in formats:
-        _timeseries_csv(f"{outdir}/x.csv", grid, x.samples.real, meta)
+        _timeseries_csv(f"{outdir}/x.csv", grid, x.samples, meta)
         _timeseries_csv(f"{outdir}/y.csv", grid, y, meta)
         _timeseries_csv(f"{outdir}/yhat.csv", grid, y_hat, meta)
         khat = irfft_rows(pt.khat_values, grid)
@@ -301,7 +305,7 @@ def _cmd_sweep(config, outdir, formats):
     cfg = GeneratorConfig(seed=ens_cfg.get("seed", 0), grid=grid)
     ensemble = make_class_ensemble(cls, cfg, ens_cfg.get("size", 10))
     report = gamma_sweep(kernel, cls, gammas, r, ensemble, metadata={"seed": cfg.seed})
-    meta = _resolved(config, "sweep")
+    meta = _open_reports(outdir, config, "sweep")
     rows = _write_table(f"{outdir}/sweep.csv", SweepRow, report.rows, meta, formats)
     if "json" in formats:
         write_json(
@@ -332,7 +336,7 @@ def _cmd_lemma(config, outdir, formats):
         raise ConfigError(f"lemma.gamma0_bracket must be two numbers [lo, hi], got {list(bracket)!r}")
     reports = [lemma_check(build_predictor(kernel, g, r, grid), cls, floor) for g in gammas]
     gamma0 = find_gamma0(kernel, cls, r, grid, bracket=bracket)
-    meta = _resolved(config, "lemma")
+    meta = _open_reports(outdir, config, "lemma")
     rows = _write_table(
         f"{outdir}/lemma.csv", LemmaReport, reports, meta, formats, drop=("r", "omega_floor")
     )
@@ -356,15 +360,10 @@ def _cmd_robustness(config, outdir, formats):
     grid, kernel, cls, r, gammas = _build_objects(config, "robustness")
     x0, _ = _signal_from_config(config, grid, cls)
     noise_cfg = config["noise"]
-    band = noise_cfg.get("band")
-    cfg = GeneratorConfig(
-        seed=noise_cfg.get("seed", 0),
-        grid=grid,
-        band=tuple(band) if band else None,
-    )
+    cfg = GeneratorConfig(seed=noise_cfg.get("seed", 0), grid=grid, band=noise_cfg.get("band"))
     nus = [float(v) for v in noise_cfg["nus"]]
     reports = [robustness_experiment(kernel, g, r, x0, nus, cfg) for g in gammas]
-    meta = _resolved(config, "robustness")
+    meta = _open_reports(outdir, config, "robustness")
     rows = _write_table(
         f"{outdir}/robustness.csv",
         RobustnessRow,
@@ -404,7 +403,7 @@ def _cmd_counterexample(config, outdir, formats):
     ce = config["counterexample"]
     cfg = GeneratorConfig(seed=ce.get("seed", 0), grid=grid)
     report = counterexample_experiment(float(ce["a"]), kernel, gammas, cfg, r=r)
-    meta = _resolved(config, "counterexample")
+    meta = _open_reports(outdir, config, "counterexample")
     rows = _write_table(
         f"{outdir}/counterexample.csv", CounterexampleRow, report.rows, meta, formats
     )
@@ -430,7 +429,7 @@ def _cmd_demo_negative(config, outdir, formats):
     report = nonpredictability_demo(
         q_bad, cls.c, kernel, gammas, cfg, r, size=neg.get("size", 3), q_reference=cls.q
     )
-    meta = _resolved(config, "demo-negative")
+    meta = _open_reports(outdir, config, "demo-negative")
     rows = _write_table(f"{outdir}/negative.csv", NegativeDemoRow, report.rows, meta, formats)
     write_json(
         f"{outdir}/negative.json",
@@ -448,10 +447,10 @@ def _cmd_demo_negative(config, outdir, formats):
 def _cmd_gen_signal(config, outdir, formats):
     grid, kernel, cls, r, gammas = _build_objects(config, "gen-signal")
     x, cfg = _signal_from_config(config, grid, cls)
-    meta = _resolved(config, "gen-signal")
+    meta = _open_reports(outdir, config, "gen-signal")
     if "csv" in formats:
-        _timeseries_csv(f"{outdir}/signal.csv", grid, x.samples.real, meta)
-        _spectrum_csv(f"{outdir}/signal_spectrum.csv", forward_transform(x), meta)
+        _timeseries_csv(f"{outdir}/signal.csv", grid, x.samples, meta)
+        _spectrum_csv(f"{outdir}/signal_spectrum.csv", x, meta)
     write_json(
         f"{outdir}/signal.json",
         {
@@ -503,7 +502,6 @@ def main(argv=None) -> int:
         _require(config, args.command)
         formats = _formats(config, args.format)
         outdir = args.out if args.out != "." else config.get("output", {}).get("directory", ".")
-        ensure_dir(outdir)
         return _COMMANDS[args.command](config, outdir, formats)
     except (OSError, ValueError) as exc:
         # ConfigError and JSON syntax errors are ValueErrors, as are the

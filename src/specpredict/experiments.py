@@ -6,11 +6,11 @@ Reported errors are worst-case over the ensemble, matching the universal
 quantifier of the prediction guarantee at desk scale.  Everything is a pure
 function of its inputs plus generator seeds, so reports are bit-reproducible.
 
-Every experiment and the CLI's ``predict`` take a member's error the same
-way: :func:`_member_half` checks the member and gives its half spectrum X
-(nodes 0..n/2), the caller multiplies it by the gain K_hat - K, and
+Every experiment and :func:`predict` take a member's spectrum the same way:
+:func:`_member_half` checks the member and gives its half spectrum X (nodes
+0..n/2), the caller multiplies it by a gain (K_hat - K for the error), and
 :func:`_norms` inverts the product and takes its grid norms.  Generated
-members hold X itself, exact zeros included, and are read without any
+signals hold X itself, exact zeros included, and are read without any
 transform; only a series that arrives as samples is transformed, with its
 roundoff floor restored to zeros (:func:`_member_spectrum`).  An all-zero
 product has all-zero norms and is not transformed.  Ensembles are streamed:
@@ -40,10 +40,10 @@ from .predictor import (
 )
 from .signals import (
     GeneratorConfig,
-    _counterexample_half_spectra,
     _enveloped_member,
     _noise_spectrum,
     class_norm,
+    counterexample_pair,
     make_class_ensemble,
 )
 from .spectral import (
@@ -104,20 +104,17 @@ def _member_spectrum(x: TimeSeries) -> np.ndarray:
     """Transform of a real series that arrives as samples, with its spectral
     roundoff floor restored to exact zeros.
 
-    Generated class members carry their exact half spectrum (a
-    ``SpectralSeries``) and never come here.  Samples of a signal whose
-    spectrum has exact zeros at the degeneracy node and across the
-    deep-degeneracy band transform back with absolute roundoff (~1e-16 of
-    the peak) at every node, and the predictor's enormous low-band gain
-    would amplify that junk into garbage.  Values at or below the spectral
-    roundoff floor (the same calibration constant the class norm uses) are
-    therefore restored to exact zero, the same kind of cleanup as taking
-    the real part after inverting a hermitian spectrum.
+    Generated signals carry their exact half spectrum (a ``SpectralSeries``)
+    and never come here.  Samples of a signal whose spectrum has exact zeros
+    transform back with absolute roundoff (~1e-16 of the peak) at every
+    node, which the predictor's enormous low-band gain would amplify into
+    garbage.  Values at or below the roundoff floor (the class norm's
+    calibration constant) are therefore restored to exact zero.  That is the
+    only rule, so content at omega = 0 above it is kept (docs/numerics.md).
     """
     X = forward_transform(x).values.copy()
     floor = CALIBRATION["class_dc_floor_rel"] * float(np.max(np.abs(X)))
     X[np.abs(X) <= floor] = 0.0
-    X[0] = 0.0
     return X
 
 
@@ -169,6 +166,13 @@ def _member_half(x, grid: FrequencyGrid) -> np.ndarray:
     if not x.is_real:
         raise ValueError("class members must be real signals")
     return _member_spectrum(x)[: grid.n // 2 + 1].copy()
+
+
+def predict(pt: PredictorTransfer, x) -> TimeSeries:
+    """Causal prediction y_hat = inverse(K_hat * X) of a real series, X from
+    :func:`_member_half`; a circular product, as in :func:`.kernels.apply_anticausal`."""
+    X = _member_half(x, pt.grid)
+    return TimeSeries(pt.grid, irfft_rows(pt.khat_values * X, pt.grid))
 
 
 def _row_norms(rows: np.ndarray, grid: FrequencyGrid):
@@ -419,7 +423,6 @@ def robustness_experiment(
     grid = x0.grid
     if grid != cfg.grid:
         raise ValueError("time series grid does not match generator grid")
-    h = grid.n // 2 + 1
     pt = build_predictor(kernel, gamma, r, grid)
     # the clean member's spectrum carries its constructional X(0) = 0; the
     # noise spectrum keeps whatever degeneracy-node content it legitimately has
@@ -432,7 +435,7 @@ def robustness_experiment(
     j0 = sum(_band_split(clean_diff, grid, pt.omega_threshold, 1)) / (2 * math.pi)
     rows = []
     for nu in nus:
-        N = _noise_spectrum(float(nu), cfg)[:h]
+        N = _noise_spectrum(float(nu), cfg)
         # the clean channel plus the prediction of the noise, so the nu = 0
         # row reproduces eps_clean bit-exactly
         err = float(_norms(clean_diff + pt.khat_values * N, grid)[1])
@@ -512,7 +515,7 @@ def counterexample_experiment(
     grid = cfg.grid
     gammas = _gamma_list(gammas)
     # the pair's own half spectra, exact zeros included
-    X1, X2 = _counterexample_half_spectra(a, cfg)
+    X1, X2 = (x.spectrum for x in counterexample_pair(a, cfg))
     K = _transfer_half(kernel, grid)
     log_dw = math.log(grid.delta_omega)
     log_norm_k_sq = _log_half_sum(2.0 * _log_abs(K), grid) + log_dw

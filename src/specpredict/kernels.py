@@ -133,7 +133,7 @@ def transfer(kernel: AnticausalKernel, grid: FrequencyGrid, sigma: float = 0.0) 
     Nodes 0..n/2 are evaluated and the rest filled in as their conjugates,
     which is what evaluating them gives, bit for bit.
     """
-    return Spectrum(grid, _mirror(_transfer_half(kernel, grid, sigma), grid.n, np.conjugate))
+    return Spectrum(grid, _mirror(_transfer_half(kernel, grid, sigma)))
 
 
 def residues(kernel: AnticausalKernel) -> np.ndarray:

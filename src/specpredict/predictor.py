@@ -29,14 +29,11 @@ from .degeneracy import DegeneracyClass, log_weight
 from .kernels import AnticausalKernel, _transfer_half
 from .spectral import (
     FrequencyGrid,
-    SpectralSeries,
-    TimeSeries,
     _half_nodes,
     _half_omegas,
     _half_sum,
     _log_half_sum,
     irfft_rows,
-    rfft_rows,
 )
 from .tolerances import CALIBRATION
 
@@ -230,25 +227,6 @@ def build_predictor(
         khat_phase=khat_ph,
         saturated=sat | overflow,
     )
-
-
-def predict(pt: PredictorTransfer, x) -> TimeSeries:
-    """Causal prediction y_hat = inverse(K_hat * X) of a real series; same
-    guard rules as :func:`.kernels.apply_anticausal` (circular product,
-    middle-half support).  A ``SpectralSeries`` is read on its stored
-    spectrum, whose exact zeros the low band's huge gain must not meet as
-    roundoff.  Real values stored as complex are accepted; a series whose
-    imaginary part exceeds roundoff raises ValueError.
-    """
-    if x.grid != pt.grid:
-        raise ValueError("time series grid does not match predictor grid")
-    if isinstance(x, SpectralSeries):
-        X = x.spectrum
-    elif x.is_real:
-        X = rfft_rows(x.samples.real, pt.grid)
-    else:
-        raise ValueError("predict takes a real series, got a nonzero imaginary part")
-    return TimeSeries(pt.grid, irfft_rows(pt.khat_values * X, pt.grid))
 
 
 def _past_share(samples: np.ndarray) -> float:

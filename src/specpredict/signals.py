@@ -12,6 +12,9 @@ node.  The last projection is spectral, which is what makes membership exact,
 so a member keeps that half spectrum (a ``SpectralSeries``) and its samples
 are the inverse of it; the time support is then "near-compact", with guard
 residues held under the calibration guard level on adequately long windows.
+
+Band-limited draws, the counterexample pair and the noise are returned the
+same way, as the ``SpectralSeries`` of the half spectrum they are built on.
 """
 
 from __future__ import annotations
@@ -26,15 +29,13 @@ from .degeneracy import DegeneracyClass, log_weight
 from .spectral import (
     FrequencyGrid,
     SpectralSeries,
-    Spectrum,
     TimeSeries,
     _half_nodes,
     _half_omegas,
-    _mirror,
+    _half_sum,
     forward_transform,
     irfft_rows,
     rfft_rows,
-    spectrum_l1,
 )
 from .tolerances import CALIBRATION
 
@@ -74,12 +75,15 @@ class GeneratorConfig:
         elif self.sigma is not None:
             raise ValueError("sigma only applies to the gaussian profile")
         if self.band is not None:
-            lo, hi = self.band
+            try:
+                lo, hi = (float(v) for v in self.band)
+            except (TypeError, ValueError):
+                raise ValueError("band must be two numbers (lo, hi)") from None
             if not (0.0 < lo < hi < self.grid.omega_max):
                 raise ValueError(
                     f"band must satisfy 0 < lo < hi < omega_max={self.grid.omega_max}"
                 )
-            object.__setattr__(self, "band", (float(lo), float(hi)))
+            object.__setattr__(self, "band", (lo, hi))
         object.__setattr__(self, "seed", int(self.seed))
 
 
@@ -225,14 +229,15 @@ def sample_class_member(cls: DegeneracyClass, cfg: GeneratorConfig) -> SpectralS
     return _enveloped_member(cls.q, cls.c, cfg, 1)[0]
 
 
-def sample_bandlimited(omega_bar: float, cfg: GeneratorConfig) -> TimeSeries:
+def sample_bandlimited(omega_bar: float, cfg: GeneratorConfig) -> SpectralSeries:
     """Draw a real signal with spectrum support exactly inside |omega| <= omega_bar.
 
     A band narrower than the frequency step falls back to the fundamental
     node pair, giving a near-sinusoid.  On the grid, finite weighted class
     norms additionally require a gap at the degeneracy point; pass
     ``cfg.band`` to keep the support away from omega = 0 when members of a
-    specific class are wanted.
+    specific class are wanted.  The signal is the :class:`SpectralSeries`
+    of its last projection, zero off the support and at omega = 0 exactly.
     """
     grid = cfg.grid
     if not (0.0 < omega_bar < grid.omega_max):
@@ -245,36 +250,23 @@ def sample_bandlimited(omega_bar: float, cfg: GeneratorConfig) -> TimeSeries:
         support = om_abs == grid.delta_omega
     with np.errstate(under="ignore"):
         env = np.where(support, np.exp(_log_amplitude(cfg, om_abs)), 0.0)
-    env[0] = 0.0
     # roll the band edge off smoothly so the time taper sheds little mass
     # past the edge (exact support plus compact support cannot both be sharp)
     edge = 0.8 * omega_bar
     roll = (om_abs > edge) & (om_abs <= omega_bar) & support
     env[roll] *= 0.5 * (1.0 + np.cos(math.pi * (om_abs[roll] - edge) / (omega_bar - edge)))
 
-    x = irfft_rows(env * _random_hermitian_phases(grid, rng), grid)
+    X = env * _random_hermitian_phases(grid, rng)
     window = _guard_window(grid)
     for _ in range(_PROJECTION_ROUNDS):
-        Xt = np.where(support, rfft_rows(x * window, grid), 0.0)
-        Xt[0] = 0.0
-        x = irfft_rows(Xt, grid)
-    return TimeSeries(grid, x)
-
-
-def _counterexample_half_spectra(a: float, cfg: GeneratorConfig):
-    """Half spectra (nodes 0..n/2) of :func:`counterexample_pair`: one
-    unit-modulus spectrum, zeroed at |omega| >= a and at |omega| < a."""
-    grid = cfg.grid
-    if not (0.0 < a < grid.omega_max):
-        raise ValueError(f"split frequency must lie in (0, omega_max={grid.omega_max})")
-    unit = _random_hermitian_phases(grid, _generator(cfg, _STREAM_PAIR))
-    inner = _half_nodes(grid)[0] < a
-    return np.where(inner, unit, 0.0), np.where(inner, 0.0, unit)
+        X = np.where(support, rfft_rows(irfft_rows(X, grid) * window, grid), 0.0)
+    return SpectralSeries(grid, X)
 
 
 def counterexample_pair(a: float, cfg: GeneratorConfig):
     """Split one unit-modulus spectrum at |omega| = a into a band-limited part
-    and its complement.
+    and its complement, two :class:`SpectralSeries` zeroed at |omega| >= a
+    and at |omega| < a.
 
     Together the pair carries |X| = 1 at every node; separately the parts are
     supported on complementary node sets, which is what defeats any single
@@ -283,40 +275,41 @@ def counterexample_pair(a: float, cfg: GeneratorConfig):
     identity and needs no wraparound guard.
     """
     grid = cfg.grid
-    X1, X2 = _counterexample_half_spectra(a, cfg)
-    return TimeSeries(grid, irfft_rows(X1, grid)), TimeSeries(grid, irfft_rows(X2, grid))
+    if not (0.0 < a < grid.omega_max):
+        raise ValueError(f"split frequency must lie in (0, omega_max={grid.omega_max})")
+    unit = _random_hermitian_phases(grid, _generator(cfg, _STREAM_PAIR))
+    inner = _half_nodes(grid)[0] < a
+    return SpectralSeries(grid, np.where(inner, unit, 0.0)), SpectralSeries(grid, np.where(inner, 0.0, unit))
 
 
 def _noise_spectrum(nu: float, cfg: GeneratorConfig) -> np.ndarray:
-    """The n-node noise spectrum of :func:`add_noise` on ``cfg.grid``."""
+    """The half noise spectrum (nodes 0..n/2) of :func:`add_noise` on ``cfg.grid``."""
     if not (math.isfinite(nu) and nu >= 0):
         raise ValueError(f"noise intensity must be finite and >= 0, got {nu!r}")
     grid = cfg.grid
     if nu == 0.0:
-        return np.zeros(grid.n, dtype=np.complex128)
-    rng = _generator(cfg, _STREAM_NOISE)
-    half = _random_hermitian_phases(grid, rng)
-    unit = _mirror(half, grid.n, np.conjugate)
-    sel = _band_mask(cfg, np.abs(grid.omegas()))
-    count = int(np.count_nonzero(sel))
+        return np.zeros(grid.n // 2 + 1, dtype=np.complex128)
+    unit = _random_hermitian_phases(grid, _generator(cfg, _STREAM_NOISE))
+    sel = _band_mask(cfg, _half_nodes(grid)[0])
+    count = _half_sum(1.0, grid, sel)
     values = np.where(sel, nu / (count * grid.delta_omega), 0.0) * unit
-    return values * (nu / spectrum_l1(Spectrum(grid, values)))
+    return values * (nu / (grid.delta_omega * _half_sum(np.abs(values), grid)))
 
 
-def add_noise(x: TimeSeries, nu: float, cfg: GeneratorConfig):
+def add_noise(x, nu: float, cfg: GeneratorConfig):
     """Contaminate with hermitian flat-magnitude noise of exact L1 intensity nu.
 
     The magnitude is constant over the selected nodes (every node by default,
     or the configured band) and rescaled so that the grid L1 norm of the noise
-    spectrum equals nu; returns (contaminated series, noise spectrum).
-    """
+    spectrum equals nu; returns (contaminated series, noise ``SpectralSeries``).
+    A ``SpectralSeries`` is contaminated in its spectrum, a ``TimeSeries`` in
+    its samples."""
     if x.grid != cfg.grid:
         raise ValueError("time series grid does not match generator grid")
-    N = Spectrum(cfg.grid, _noise_spectrum(nu, cfg))
-    if nu == 0.0:
-        return x, N
-    eta = irfft_rows(N.values[: cfg.grid.n // 2 + 1], cfg.grid)
-    return TimeSeries(x.grid, x.samples + eta), N
+    N = SpectralSeries(cfg.grid, _noise_spectrum(nu, cfg))
+    if isinstance(x, SpectralSeries):
+        return SpectralSeries(x.grid, x.spectrum + N.spectrum), N
+    return TimeSeries(x.grid, x.samples + N.samples), N
 
 
 def class_norm(x, cls: DegeneracyClass) -> float:

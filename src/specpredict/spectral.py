@@ -26,15 +26,17 @@ gives the signed omega at nodes 0..n/2, as ``omegas()`` does there, and
 full-grid sum; ``_half_sum`` and its log-domain form ``_log_half_sum`` take
 every such sum.  These per-grid tables are cached for one grid at a time:
 every experiment runs on one grid, and the single-use grids of
-``line_witness`` would otherwise pile up.  By the same symmetry ``_mirror``
-fills nodes n/2+1..n-1 from nodes 0..n/2 where all n nodes are needed: the
-public ``transfer``, which ``apply_anticausal`` multiplies into a complex
-spectrum, and the noise spectrum of ``add_noise``.  The predictor and the
-experiments read nodes 0..n/2 only.  A ``TimeSeries`` stores real samples
-as float64, with no zero imaginary parts; their fast transform is bit for
-bit that of the same values stored as complex.  A ``SpectralSeries`` is a
-real signal stored as its half spectrum, for signals defined by their
-spectrum; its samples are the real inverse, formed on demand.
+``line_witness`` would otherwise pile up.  The predictor, the generators
+and the experiments read nodes 0..n/2 only; the complex pair and its
+``Spectrum`` serve the public ``transfer`` and ``apply_anticausal``, the
+transforms of user series, and the class norm of a series that arrives
+as samples.  ``_mirror`` fills nodes n/2+1..n-1 from nodes 0..n/2 where
+all n nodes are needed: ``transfer`` and the CLI's spectrum CSV.  A
+``TimeSeries`` stores real samples as float64, with no zero imaginary
+parts; their fast transform is bit for bit that of the same values stored
+as complex.  A ``SpectralSeries`` is a real signal stored as its half
+spectrum, as every generator returns it; its samples are the real inverse,
+formed on demand.
 
 Grids hold at most ``MAX_GRID_N`` = 2^24 samples, where one complex array
 already takes 256 MB; a larger ``n`` is rejected before anything is
@@ -208,19 +210,10 @@ class Spectrum:
         return float(defect) <= CALIBRATION["hermitian_rel"] * mag
 
 
-def _mirror(half: np.ndarray, n: int, flip=None) -> np.ndarray:
-    """The n-node array whose nodes 0..n/2 are ``half`` and whose node n-k is
-    ``flip`` of node k (unchanged when ``flip`` is None): ``np.conjugate``
-    for the values of a real signal's spectrum, ``np.negative`` for their
-    phases."""
-    h = n // 2 + 1
-    full = np.empty(n, dtype=half.dtype)
-    full[:h] = half
-    upper = full[h:]
-    upper[:] = half[h - 2 : 0 : -1]
-    if flip is not None:
-        flip(upper, out=upper)
-    return full
+def _mirror(half: np.ndarray) -> np.ndarray:
+    """All n nodes of a real signal's spectrum from its nodes 0..n/2: node
+    n-k is the conjugate of node k."""
+    return np.concatenate((half, np.conj(half[-2:0:-1])))
 
 
 @functools.lru_cache(maxsize=1)
@@ -360,8 +353,3 @@ def norm(x: TimeSeries, p) -> float:
     if _is_sup(p):
         return float(np.max(mags)) if mags.size else 0.0
     return float(math.sqrt(x.grid.delta_t) * np.linalg.norm(mags))
-
-
-def spectrum_l1(X: Spectrum) -> float:
-    """delta_omega * sum_k |X(i*omega_k)|, the grid estimate of the L1 norm."""
-    return float(X.grid.delta_omega * np.sum(np.abs(X.values)))

@@ -394,8 +394,9 @@ FULL_CONFIG = base_config(
 COMMANDS = ("predict", "sweep", "lemma", "robustness", "counterexample", "demo-negative", "gen-signal")
 
 
-def run_full(tmp_path, command, out):
-    extra = ("--set", "predictor.gammas=[30.0]") if command == "predict" else ()
+def run_full(tmp_path, command, out, extra=()):
+    if command == "predict":
+        extra = ("--set", "predictor.gammas=[30.0]", *extra)
     return run(tmp_path, command, FULL_CONFIG, out=out, extra=extra)
 
 
@@ -460,3 +461,34 @@ class TestRerunByteIdentity:
         assert names and names == sorted(p.name for p in out2.iterdir())
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+class TestOutputDirectory:
+    """The output directory is made only once the config is accepted."""
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("grid.n=7", "config error: grid: sample count must be a power of two >= 8, got 7"),
+            ("noise.band=[1.0]", "config error: band must be two numbers (lo, hi)"),
+            ("class.q=NaN", None),
+            ("signal.seed=-1", None),
+        ],
+    )
+    def test_rejected_config_makes_no_directory(self, tmp_path, capsys, override, message):
+        code, outdir = run_full(tmp_path, "robustness", "never_made", extra=("--set", override))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        if message is not None:
+            assert err == message + "\n"
+        assert not outdir.exists()
+
+    def test_existing_directory_is_kept(self, tmp_path):
+        outdir = tmp_path / "kept"
+        outdir.mkdir()
+        (outdir / "notes.txt").write_text("mine")
+        code, _ = run_full(tmp_path, "predict", "kept", extra=("--set", "grid.n=7"))
+        assert code == 2
+        assert [p.name for p in outdir.iterdir()] == ["notes.txt"]
+        assert (outdir / "notes.txt").read_text() == "mine"

@@ -1,6 +1,9 @@
+import ast
 import dataclasses
 import hashlib
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from specpredict import (
     GeneratorConfig,
     SpectralSeries,
     TimeSeries,
+    add_noise,
     build_predictor,
     class_norm,
     counterexample_experiment,
@@ -20,6 +24,7 @@ from specpredict import (
     make_grid,
     nonpredictability_demo,
     norm,
+    predict,
     prediction_error,
     robustness_experiment,
     sample_bandlimited,
@@ -29,6 +34,7 @@ from specpredict import (
 )
 from specpredict import experiments
 from specpredict.experiments import _member_spectrum
+from specpredict.spectral import irfft_rows
 
 from oracles import (
     build_predictor_full_grid,
@@ -443,44 +449,157 @@ class TestStreamedSweep:
                 assert repr(got) == repr(want), (gamma, p)
 
 
+class TestPredictOnSampleDefinedMembers:
+    """``predict`` reads a series that arrives as samples as the error
+    channel does, through ``_member_half`` and its roundoff floor."""
+
+    @pytest.mark.parametrize("case", ["class member", "band-limited"])
+    def test_predict_is_the_member_half_product(self, case):
+        grid = experiments.default_grid()
+        if case == "class member":
+            x = sample_class_member(CLS, GeneratorConfig(seed=7, grid=grid))
+        else:
+            x = sample_bandlimited(2.0, GeneratorConfig(seed=3, grid=grid, band=(0.2, 2.0)))
+        resampled = TimeSeries(grid, x.samples)
+        pt = build_predictor(KERNEL, 10.0, 4.0, grid)
+        y_hat = predict(pt, resampled).samples
+        X = experiments._member_half(resampled, grid)
+        assert y_hat.tobytes() == irfft_rows(pt.khat_values * X, grid).tobytes()
+        # without the floor the re-transform's roundoff met the low band's
+        # gain: the peaks read 1.0996e285 and 5.26e283
+        exact = predict(pt, x).samples
+        assert np.max(np.abs(y_hat - exact)) < 1e-12 * np.max(np.abs(exact))
+        # the prediction minus the target is the error prediction_error reads
+        y = irfft_rows(pt.k_values * X, grid)
+        err = prediction_error(pt, resampled, 2).abs_err
+        assert norm(TimeSeries(grid, y_hat - y), 2) == pytest.approx(err, rel=1e-9)
+
+
+# the complex transform pair, its n-node Spectrum and the re-transform of
+# a series that arrives as samples
+COMPLEX_PATH = ("forward_transform", "inverse_transform", "Spectrum", "_member_spectrum")
+CLI_COMMANDS = ("predict", "sweep", "lemma", "robustness", "counterexample", "demo-negative", "gen-signal")
+
+
 class TestGeneratedMembersAreNotRetransformed:
-    """Generated members give their stored spectrum: no experiment and no
-    ``predict`` command transforms their samples back."""
+    """Generated signals give their stored spectrum: no experiment and no
+    subcommand runs them through the complex pair or transforms their
+    samples back, noise included."""
 
     @pytest.fixture(autouse=True)
-    def forbid_retransform(self, monkeypatch):
-        from specpredict import cli
+    def forbid_complex_path(self, monkeypatch):
+        import specpredict.cli  # noqa: F401 - its bindings are patched too
 
-        def refuse(x):
-            raise AssertionError("a generated member was re-transformed")
+        def refuse(*args, **kwargs):
+            raise AssertionError("a generated signal took the complex path")
 
-        monkeypatch.setattr(experiments, "_member_spectrum", refuse)
-        monkeypatch.setattr(cli, "_member_spectrum", refuse)
+        patched = set()
+        for name, module in list(sys.modules.items()):
+            if name == "specpredict" or name.startswith("specpredict."):
+                for attr in COMPLEX_PATH:
+                    if hasattr(module, attr):
+                        monkeypatch.setattr(module, attr, refuse)
+                        patched.add(f"{name.rsplit('.', 1)[-1]}.{attr}")
+        # every binding the library makes of them, the package's included
+        assert {"spectral.forward_transform", "spectral.Spectrum", "signals.forward_transform",
+                "kernels.inverse_transform", "experiments._member_spectrum", "cli._member_spectrum",
+                "cli.forward_transform", "specpredict.Spectrum"} <= patched
 
     def test_experiments(self, ensemble):
-        gamma_sweep(KERNEL, CLS, (10.0, 30.0), 4.0, ensemble)
+        banded = [sample_bandlimited(2.0, cfg(40 + i, band=(0.2, 2.0))) for i in range(2)]
+        members = [*ensemble, *banded]
+        gamma_sweep(KERNEL, CLS, (10.0, 30.0), 4.0, members)
+        pt = build_predictor(KERNEL, 10.0, 4.0, GRID)
         for p in (2, math.inf):
-            uniformity_check(KERNEL, CLS, 10.0, 4.0, ensemble, p)
-            pt = build_predictor(KERNEL, 10.0, 4.0, GRID)
-            prediction_error(pt, ensemble[0], p)
-            error_decomposition(pt, ensemble[0], p)
-        robustness_experiment(KERNEL, 10.0, 4.0, ensemble[0], [0.0, 0.05], cfg(2026))
+            uniformity_check(KERNEL, CLS, 10.0, 4.0, members, p)
+            for x in (ensemble[0], banded[0]):
+                prediction_error(pt, x, p)
+                error_decomposition(pt, x, p)
+        for x in (ensemble[0], banded[0]):
+            predict(pt, x)
+            predict(pt, add_noise(x, 0.05, cfg(7, band=(1.0, 2.0)))[0])
+            class_norm(x, CLS)
+            robustness_experiment(KERNEL, 10.0, 4.0, x, [0.0, 0.05], cfg(2026))
+            robustness_experiment(KERNEL, 10.0, 4.0, x, [0.05], cfg(11, band=(1.0, 2.0)))
+        counterexample_experiment(0.5, KERNEL, (10.0, 100.0), cfg(5))
+        nonpredictability_demo(0.5, 1.0, AnticausalKernel((0.5,)), (10.0,), cfg(77), 2.5, size=1)
 
     def test_predict_command(self, tmp_path):
+        assert self.run_command(tmp_path, "predict", "class_member") == 0
+
+    @pytest.mark.parametrize(
+        "command, kind",
+        [(c, "class_member") for c in CLI_COMMANDS if c != "predict"]
+        + [(c, "bandlimited") for c in ("predict", "robustness", "gen-signal")],
+    )
+    def test_subcommands(self, tmp_path, command, kind):
+        # robustness exits 3 when the predictor saturates; no run may fail
+        # any other way
+        assert self.run_command(tmp_path, command, kind) in (0, 3)
+
+    @staticmethod
+    def run_command(tmp_path, command, kind) -> int:
         import json
 
         from specpredict.cli import main
 
+        signal = {"kind": kind, "seed": 7}
+        if kind == "bandlimited":
+            signal["omega_bar"] = 2.0
         config = {
             "grid": {"n": GRID.n, "delta_t": GRID.delta_t},
             "kernel": {"poles": [1.0], "numerator": [1.0]},
             "class": {"q": CLS.q, "c": CLS.c},
-            "predictor": {"r": 4.0, "gammas": [10.0]},
-            "signal": {"kind": "class_member", "seed": 7},
+            "predictor": {"r": 4.0, "gammas": [10.0] if command == "predict" else [10.0, 30.0]},
+            "signal": signal,
+            "ensemble": {"size": 2, "seed": 2026},
+            "noise": {"nus": [0.0, 0.05], "seed": 11, "band": [1.0, 2.0]},
+            "counterexample": {"a": 0.5, "seed": 5},
+            "negative": {"q_bad": 0.5, "seed": 77, "size": 1},
+            "lemma": {"omega_floor": 0.5, "gamma0_bracket": [0.5, 500.0]},
         }
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
-        assert main(["predict", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        return main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+
+
+def _top_level_loads(source: str, name: str) -> set:
+    """The top-level functions and classes of ``source`` that read ``name``,
+    as a bare name or an attribute; "<module>" for a read outside them."""
+    owners = set()
+    for stmt in ast.parse(source).body:
+        owner = getattr(stmt, "name", "<module>")
+        for node in ast.walk(stmt):
+            if getattr(node, "id", None) == name or getattr(node, "attr", None) == name:
+                owners.add(owner)
+    return owners
+
+
+def _imported(source: str) -> set:
+    return {
+        alias.name.rsplit(".", 1)[-1]
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+
+
+def test_only_named_readers_take_the_complex_path():
+    # signals and experiments stay on nodes 0..n/2; the forward transform of
+    # a series that arrives as samples has three readers, and cli's import
+    # is the binding perfbench's install probe reads
+    assert _top_level_loads("def f(x):\n    return spectral.forward_transform(x)\ny = g", "forward_transform") == {"f"}
+    sources = {p.name: p.read_text(encoding="utf-8") for p in Path(experiments.__file__).parent.glob("*.py")}
+    for name in ("signals.py", "experiments.py"):
+        assert not _imported(sources[name]) & {"Spectrum", "inverse_transform", "_mirror"}, name
+    readers = {(name, owner) for name, src in sources.items() for owner in _top_level_loads(src, "forward_transform")}
+    assert readers == {
+        ("experiments.py", "_member_spectrum"),
+        ("signals.py", "class_norm"),
+        ("kernels.py", "apply_anticausal"),
+    }
+    importers = {name for name, src in sources.items() if "forward_transform" in _imported(src)}
+    assert importers == {"__init__.py", "cli.py", "experiments.py", "kernels.py", "signals.py"}
 
 
 class TestPerRowChannelIsExact:

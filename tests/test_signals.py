@@ -14,6 +14,8 @@ import specpredict
 from specpredict import (
     DegeneracyClass,
     GeneratorConfig,
+    SpectralSeries,
+    Spectrum,
     TimeSeries,
     add_noise,
     class_norm,
@@ -24,13 +26,12 @@ from specpredict import (
     norm,
     sample_bandlimited,
     sample_class_member,
-    spectrum_l1,
 )
 from specpredict import signals
 from specpredict.degeneracy import log_weight
 from specpredict.experiments import default_grid
 from specpredict.signals import _guard_window, _noise_spectrum
-from specpredict.spectral import irfft_rows
+from specpredict.spectral import _half_nodes, _mirror, irfft_rows
 
 from oracles import guard_window_reference
 
@@ -247,6 +248,11 @@ class TestGeneratorConfig:
         with pytest.raises(ValueError):
             GeneratorConfig(seed=0, grid=GRID, profile="gaussian")
 
+    @pytest.mark.parametrize("band", [(1.0,), (0.5, 1.0, 2.0), (), 1.0, ("a", "b"), (1.0, None)])
+    def test_band_must_be_two_numbers(self, band):
+        with pytest.raises(ValueError, match=r"^band must be two numbers \(lo, hi\)$"):
+            GeneratorConfig(seed=0, grid=GRID, band=band)
+
     def test_band_must_be_interior(self):
         with pytest.raises(ValueError):
             GeneratorConfig(seed=0, grid=GRID, band=(0.0, 1.0))
@@ -269,12 +275,37 @@ class TestGeneratorConfig:
         assert len(members) == 2
 
 
+# sha256 of the samples, taken while the generators returned them as a
+# TimeSeries: holding the last projection's half spectrum moves no sample
+SAMPLE_DIGESTS = {
+    "bandlimited seed 3": "6d344fe3aae2d20518494f115365f547aa2eb3b7a8c686e567a945e7b82cfad0",
+    "bandlimited seed 8": "543bd2d0135fb0ab745b93b86de4925f0539bbc625be224a6f0f585cbb64ebc2",
+    "pair seed 5, inner": "687220e91e5c7c1a667a2186f1f4a4d15f63cbc66796c970fcbf6b28ea2620fd",
+    "pair seed 5, outer": "35d4108ed28dae60550a57a4512e1d1d3318508c744f1ebf4b9d6248bd3cf25c",
+}
+
+
+def _sample_digest(x) -> str:
+    return hashlib.sha256(x.samples.tobytes()).hexdigest()
+
+
 class TestBandlimited:
     def test_exact_support(self):
         x = sample_bandlimited(2.0, cfg(7))
         X = forward_transform(x).values
         outside = np.abs(GRID.omegas()) > 2.0
         assert np.max(np.abs(X[outside])) < 1e-13 * np.max(np.abs(X))
+        # the stored spectrum is exactly zero there, and at omega = 0
+        assert isinstance(x, SpectralSeries)
+        stored_outside = _half_nodes(GRID)[0] > 2.0
+        assert not np.any(x.spectrum[stored_outside]) and x.spectrum[0] == 0.0
+
+    def test_samples_unchanged(self):
+        grid = default_grid()
+        x3 = sample_bandlimited(2.0, GeneratorConfig(seed=3, grid=grid, band=(0.2, 2.0)))
+        x8 = sample_bandlimited(GRID.delta_omega / 2, cfg(8))
+        assert _sample_digest(x3) == SAMPLE_DIGESTS["bandlimited seed 3"]
+        assert _sample_digest(x8) == SAMPLE_DIGESTS["bandlimited seed 8"]
 
     def test_subresolution_band_gives_fundamental_pair(self):
         x = sample_bandlimited(GRID.delta_omega / 2, cfg(8))
@@ -317,9 +348,20 @@ class TestCounterexamplePair:
         total = norm(x1, 2) ** 2 + norm(x2, 2) ** 2
         assert total == pytest.approx(2 * GRID.omega_max / (2 * math.pi), rel=1e-10)
 
+    def test_samples_unchanged(self):
+        x1, x2 = counterexample_pair(0.5, GeneratorConfig(seed=5, grid=default_grid()))
+        assert isinstance(x1, SpectralSeries) and isinstance(x2, SpectralSeries)
+        assert _sample_digest(x1) == SAMPLE_DIGESTS["pair seed 5, inner"]
+        assert _sample_digest(x2) == SAMPLE_DIGESTS["pair seed 5, outer"]
+
     def test_rejects_out_of_range_split(self):
         with pytest.raises(ValueError):
             counterexample_pair(GRID.omega_max * 1.1, cfg(1))
+
+
+def _full_l1(half: np.ndarray) -> float:
+    """delta_omega * sum of |X| over all n nodes of GRID, from nodes 0..n/2."""
+    return GRID.delta_omega * float(np.sum(np.abs(_mirror(half))))
 
 
 class TestAddNoise:
@@ -327,14 +369,14 @@ class TestAddNoise:
         x = sample_class_member(CLS, cfg(13))
         noisy, N = add_noise(x, 0.0, cfg(13))
         assert np.array_equal(noisy.samples, x.samples)
-        assert np.all(N.values == 0)
+        assert np.all(N.spectrum == 0)
 
     @settings(max_examples=15, deadline=None)
     @given(nu=st.floats(1e-6, 10.0), seed=st.integers(0, 2**32 - 1))
     def test_exact_l1_calibration(self, nu, seed):
         x = TimeSeries(GRID, np.zeros(GRID.n))
         _, N = add_noise(x, nu, cfg(seed))
-        assert spectrum_l1(N) == pytest.approx(nu, rel=1e-12)
+        assert _full_l1(N.spectrum) == pytest.approx(nu, rel=1e-12)
 
     def test_flat_band_magnitude(self):
         # flat profile over 2K nodes means each carries nu / (2K delta_omega)
@@ -344,26 +386,33 @@ class TestAddNoise:
         count = int(np.count_nonzero((om >= band[0]) & (om <= band[1])))
         x = TimeSeries(GRID, np.zeros(GRID.n))
         _, N = add_noise(x, 1.0, noise_cfg)
-        sel = np.abs(N.values) > 0
-        assert int(np.count_nonzero(sel)) == count
-        assert np.allclose(np.abs(N.values[sel]), 1.0 / (count * GRID.delta_omega))
+        sel = np.abs(N.spectrum) > 0
+        # the band holds neither omega = 0 nor omega_max: K nodes of the half
+        assert 2 * int(np.count_nonzero(sel)) == count
+        assert np.allclose(np.abs(N.spectrum[sel]), 1.0 / (count * GRID.delta_omega))
 
     def test_noise_is_real_in_time(self):
         x = TimeSeries(GRID, np.zeros(GRID.n))
         noisy, N = add_noise(x, 0.3, cfg(15))
         assert noisy.is_real
-        from specpredict import Spectrum
-
-        assert Spectrum(GRID, N.values).is_hermitian
+        assert isinstance(N, SpectralSeries)
+        # nodes 0 and n/2 stand for themselves, so only their being real
+        # makes the n-node spectrum hermitian
+        assert N.spectrum[0].imag == 0.0 and N.spectrum[-1].imag == 0.0
+        assert Spectrum(GRID, _mirror(N.spectrum)).is_hermitian
 
     @pytest.mark.parametrize("band", [None, (1.0, 2.0)])
     def test_shares_the_noise_spectrum_helper(self, band):
         x = sample_class_member(CLS, cfg(16))
         noisy, N = add_noise(x, 0.2, cfg(16, band=band))
         values = _noise_spectrum(0.2, cfg(16, band=band))
-        assert N.values.tobytes() == values.tobytes()
-        eta = irfft_rows(values[: GRID.n // 2 + 1], GRID)
-        assert noisy.samples.tobytes() == (x.samples + eta).tobytes()
+        assert N.spectrum.tobytes() == values.tobytes()
+        # a spectral series is contaminated in its spectrum, samples in theirs
+        assert isinstance(noisy, SpectralSeries)
+        assert noisy.spectrum.tobytes() == (x.spectrum + values).tobytes()
+        noisy_ts, _ = add_noise(TimeSeries(GRID, x.samples), 0.2, cfg(16, band=band))
+        assert isinstance(noisy_ts, TimeSeries)
+        assert noisy_ts.samples.tobytes() == (x.samples + irfft_rows(values, GRID)).tobytes()
 
     def test_rejects_negative_intensity(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,6 @@ from specpredict import (
     inverse_transform,
     make_grid,
     norm,
-    spectrum_l1,
     to_centered,
 )
 from specpredict import spectral
@@ -195,23 +194,6 @@ class TestNorm:
     def test_rejects_other_p(self, small_grid):
         with pytest.raises(ValueError):
             norm(TimeSeries(small_grid, np.zeros(small_grid.n)), 3)
-
-
-class TestSpectrumL1:
-    def test_zero(self, small_grid):
-        assert spectrum_l1(Spectrum(small_grid, np.zeros(small_grid.n))) == 0.0
-
-    def test_counting(self, small_grid):
-        v = np.zeros(small_grid.n, dtype=complex)
-        v[[3, 17, 40]] = 1.0
-        assert spectrum_l1(Spectrum(small_grid, v)) == pytest.approx(3 * small_grid.delta_omega)
-
-    def test_gaussian_against_quadrature(self):
-        quad = pytest.importorskip("scipy.integrate")
-        g = make_grid(2**12, 0.05)
-        X = Spectrum(g, np.exp(-(g.omegas() ** 2) / 2) + 0j)
-        exact = quad.quad(lambda w: math.exp(-(w**2) / 2), -60, 60)[0]
-        assert spectrum_l1(X) == pytest.approx(exact, rel=1e-6)
 
 
 class TestHermitianSymmetrize:
@@ -414,6 +396,14 @@ def _mirrored(half, n):
 
 
 class TestHalfNodeQuadrature:
+    def test_gaussian_l1_against_quadrature(self):
+        # the grid L1 norm delta_omega * sum_k |X_k| of an even spectrum
+        quad = pytest.importorskip("scipy.integrate")
+        g = make_grid(2**12, 0.05)
+        values = np.exp(-(spectral._half_nodes(g)[0] ** 2) / 2)
+        exact = quad.quad(lambda w: math.exp(-(w**2) / 2), -60, 60)[0]
+        assert g.delta_omega * spectral._half_sum(values, g) == pytest.approx(exact, rel=1e-6)
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), log2n=st.integers(3, 8))
     def test_half_sum_is_the_sum_over_all_nodes(self, seed, log2n):
