@@ -55,10 +55,8 @@ from .signals import (
 from .spectral import (
     FrequencyGrid,
     SpectralSeries,
-    Spectrum,
     TimeSeries,
     forward_transform,
-    inverse_transform,
     make_grid,
     norm,
     to_centered,
@@ -77,7 +75,6 @@ __all__ = [
     "LineWitness",
     "PredictorTransfer",
     "SpectralSeries",
-    "Spectrum",
     "TimeSeries",
     "add_noise",
     "apply_anticausal",
@@ -92,7 +89,6 @@ __all__ = [
     "find_gamma0",
     "forward_transform",
     "gamma_sweep",
-    "inverse_transform",
     "kernel_from_json",
     "kernel_to_json",
     "lemma_check",

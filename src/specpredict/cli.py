@@ -44,7 +44,7 @@ from .kernels import kernel_from_dict
 from .predictor import LemmaReport, build_predictor, causality_defect, find_gamma0, lemma_check
 from .reports import ensure_dir, format_value, write_csv, write_json, write_svg_lineplot
 from .signals import GeneratorConfig, class_norm, sample_bandlimited, sample_class_member
-from .spectral import _half_sum, _mirror, irfft_rows, make_grid, norm, to_centered
+from .spectral import TimeSeries, _half_sum, irfft_rows, make_grid, norm, to_centered
 from .spectral import forward_transform  # noqa: F401 - perfbench's INSTALL_PROBE reads this binding
 
 
@@ -228,6 +228,12 @@ def _formats(config: dict, flag: str) -> tuple:
 
 def _timeseries_csv(path, grid, samples, meta, column="x"):
     write_csv(path, ["t", column], np.column_stack((grid.times(), samples)), meta)
+
+
+def _mirror(half: np.ndarray) -> np.ndarray:
+    """All n nodes of a real signal's spectrum from its nodes 0..n/2: node
+    n-k is the conjugate of node k."""
+    return np.concatenate((half, np.conj(half[-2:0:-1])))
 
 
 def _spectrum_csv(path, x, meta):
@@ -447,15 +453,17 @@ def _cmd_demo_negative(config, outdir, formats):
 def _cmd_gen_signal(config, outdir, formats):
     grid, kernel, cls, r, gammas = _build_objects(config, "gen-signal")
     x, cfg = _signal_from_config(config, grid, cls)
+    # the samples, inverted once from the stored spectrum
+    xt = TimeSeries(grid, x.samples)
     meta = _open_reports(outdir, config, "gen-signal")
     if "csv" in formats:
-        _timeseries_csv(f"{outdir}/signal.csv", grid, x.samples, meta)
+        _timeseries_csv(f"{outdir}/signal.csv", grid, xt.samples, meta)
         _spectrum_csv(f"{outdir}/signal_spectrum.csv", x, meta)
     write_json(
         f"{outdir}/signal.json",
         {
-            "l2": norm(x, 2),
-            "sup": norm(x, math.inf),
+            "l2": norm(xt, 2),
+            "sup": norm(xt, math.inf),
             "class_norm": None if cls is None else format_value(class_norm(x, cls)),
         },
         meta,

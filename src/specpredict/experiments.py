@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .degeneracy import DegeneracyClass
-from .kernels import AnticausalKernel, _transfer_half, kernel_to_dict
+from .kernels import AnticausalKernel, kernel_to_dict, transfer
 from .predictor import (
     PredictorTransfer,
     build_predictor,
@@ -101,8 +101,8 @@ def _require_admissible(r: float, cls: DegeneracyClass) -> None:
 
 
 def _member_spectrum(x: TimeSeries) -> np.ndarray:
-    """Transform of a real series that arrives as samples, with its spectral
-    roundoff floor restored to exact zeros.
+    """Half spectrum (nodes 0..n/2) of a real series that arrives as samples,
+    with its spectral roundoff floor restored to exact zeros.
 
     Generated signals carry their exact half spectrum (a ``SpectralSeries``)
     and never come here.  Samples of a signal whose spectrum has exact zeros
@@ -112,10 +112,9 @@ def _member_spectrum(x: TimeSeries) -> np.ndarray:
     calibration constant) are therefore restored to exact zero.  That is the
     only rule, so content at omega = 0 above it is kept (docs/numerics.md).
     """
-    X = forward_transform(x).values.copy()
-    floor = CALIBRATION["class_dc_floor_rel"] * float(np.max(np.abs(X)))
-    X[np.abs(X) <= floor] = 0.0
-    return X
+    X = forward_transform(x).spectrum
+    mags = np.abs(X)
+    return np.where(mags <= CALIBRATION["class_dc_floor_rel"] * float(np.max(mags)), 0.0, X)
 
 
 @dataclass(frozen=True)
@@ -141,31 +140,26 @@ class SweepReport:
     metadata: dict = field(default_factory=dict)
 
 
-def _shared_real_grid(ensemble) -> FrequencyGrid:
-    """The one grid of a nonempty ensemble of real class members; ValueError otherwise."""
+def _shared_grid(ensemble) -> FrequencyGrid:
+    """The one grid of a nonempty ensemble; ValueError otherwise."""
     if len(ensemble) == 0:
         raise ValueError("ensemble must be nonempty")
     grid = ensemble[0].grid
     if any(x.grid != grid for x in ensemble):
         raise ValueError("all ensemble members must share one grid")
-    if not all(x.is_real for x in ensemble):
-        raise ValueError("class members must be real signals")
     return grid
 
 
 def _member_half(x, grid: FrequencyGrid) -> np.ndarray:
-    """The half spectrum (nodes 0..n/2) of a real member on ``grid``:
-    a ``SpectralSeries``'s stored, read-only spectrum as it is, or
-    :func:`_member_spectrum` of a ``TimeSeries``, copied so the full
-    spectrum is released; ValueError for a series on another grid or with
-    a nonzero imaginary part."""
+    """The half spectrum (nodes 0..n/2) of a member on ``grid``: a
+    ``SpectralSeries``'s stored, read-only spectrum as it is, or
+    :func:`_member_spectrum` of a ``TimeSeries``; ValueError for a series
+    on another grid."""
     if x.grid != grid:
         raise ValueError("time series grid does not match predictor grid")
     if isinstance(x, SpectralSeries):
         return x.spectrum
-    if not x.is_real:
-        raise ValueError("class members must be real signals")
-    return _member_spectrum(x)[: grid.n // 2 + 1].copy()
+    return _member_spectrum(x)
 
 
 def predict(pt: PredictorTransfer, x) -> TimeSeries:
@@ -273,7 +267,7 @@ def _run_sweep(kernel: AnticausalKernel, gammas, r: float, ensemble, cls: Degene
     Channels are formed on the support (:func:`_channel`), and an all-zero
     one is not transformed (:func:`_norms`).
     """
-    grid = _shared_real_grid(ensemble)
+    grid = _shared_grid(ensemble)
     h = grid.n // 2 + 1
     table = np.empty((len(gammas), h), dtype=np.complex128)
     gains = []
@@ -300,7 +294,7 @@ def _run_sweep(kernel: AnticausalKernel, gammas, r: float, ensemble, cls: Degene
         # drop it before the next build
         del pt
 
-    K = _transfer_half(kernel, grid)
+    K = transfer(kernel, grid)
     # per gamma: worst l2, relative l2, sup and relative sup, reduced as np.max
     # reduces (NaN wins), and the band split of the worst relative-l2 member
     worst = np.full((4, len(gammas)), -np.inf)
@@ -368,7 +362,7 @@ def uniformity_check(
     uniform bound ||y - y_hat|| <= eps(gamma) * ||x||_class.
     """
     _require_admissible(r, cls)
-    grid = _shared_real_grid(ensemble)
+    grid = _shared_grid(ensemble)
     pt = build_predictor(kernel, gamma, r, grid)
     gain = pt.khat_values - pt.k_values
     worst = -np.inf
@@ -516,7 +510,7 @@ def counterexample_experiment(
     gammas = _gamma_list(gammas)
     # the pair's own half spectra, exact zeros included
     X1, X2 = (x.spectrum for x in counterexample_pair(a, cfg))
-    K = _transfer_half(kernel, grid)
+    K = transfer(kernel, grid)
     log_dw = math.log(grid.delta_omega)
     log_norm_k_sq = _log_half_sum(2.0 * _log_abs(K), grid) + log_dw
     tol = CALIBRATION["counterexample_identity_rel"]

@@ -23,15 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (
-    FrequencyGrid,
-    Spectrum,
-    TimeSeries,
-    _half_omegas,
-    _mirror,
-    forward_transform,
-    inverse_transform,
-)
+from .spectral import FrequencyGrid, TimeSeries, _half_omegas, forward_transform, irfft_rows
 
 
 @dataclass(frozen=True)
@@ -108,9 +100,18 @@ def _numerator_at(kernel: AnticausalKernel, s) -> np.ndarray:
     return out
 
 
-def _transfer_half(kernel: AnticausalKernel, grid: FrequencyGrid, sigma: float = 0.0) -> np.ndarray:
-    """:func:`transfer` at nodes 0..n/2, the unpaired node n/2 (-omega_max)
-    at its real part; the nodes above n/2 are the conjugates of these."""
+def transfer(kernel: AnticausalKernel, grid: FrequencyGrid, sigma: float = 0.0) -> np.ndarray:
+    """Sample K(s) = d(s) / prod_j (s - a_j) at s = sigma + i*omega, nodes 0..n/2.
+
+    The default sigma = 0 samples the imaginary axis.  For sigma < min_j a_j
+    the samples on the line Re s = sigma are the transform of the weighted
+    kernel kappa(t) e^{-sigma t}, still supported on t <= 0.  The denominator
+    never vanishes off the poles, so the values are finite.  Real
+    coefficients make K(conj s) = conj K(s), so these nodes stand for the
+    whole grid, as a real signal's half spectrum does.  The unpaired node
+    n/2 stands for both of +-omega_max at once and receives their average,
+    i.e. the real part.
+    """
     s = sigma + 1j * _half_omegas(grid)
     den = np.ones_like(s)
     for a in kernel.poles:
@@ -118,22 +119,6 @@ def _transfer_half(kernel: AnticausalKernel, grid: FrequencyGrid, sigma: float =
     values = _numerator_at(kernel, s) / den
     values[-1] = values[-1].real
     return values
-
-
-def transfer(kernel: AnticausalKernel, grid: FrequencyGrid, sigma: float = 0.0) -> Spectrum:
-    """Sample K(s) = d(s) / prod_j (s - a_j) at s = sigma + i*omega on the grid.
-
-    The default sigma = 0 samples the imaginary axis.  For sigma < min_j a_j
-    the samples on the line Re s = sigma are the transform of the weighted
-    kernel kappa(t) e^{-sigma t}, still supported on t <= 0.  The denominator
-    never vanishes off the poles, so the values are finite; real coefficients
-    make the result hermitian.  The unpaired half-rate node stands for both
-    of +-omega_max at once and receives their average, i.e. the real part,
-    which is what keeps the sampled transfer conjugate-symmetric on the grid.
-    Nodes 0..n/2 are evaluated and the rest filled in as their conjugates,
-    which is what evaluating them gives, bit for bit.
-    """
-    return Spectrum(grid, _mirror(_transfer_half(kernel, grid, sigma)))
 
 
 def residues(kernel: AnticausalKernel) -> np.ndarray:
@@ -167,11 +152,11 @@ def time_kernel(kernel: AnticausalKernel, grid: FrequencyGrid) -> TimeSeries:
 def apply_anticausal(kernel: AnticausalKernel, x: TimeSeries) -> TimeSeries:
     """Anti-causal convolution y(t) = integral_t^inf kappa(t-s) x(s) ds.
 
-    Computed as the inverse transform of K(i*omega) * X(i*omega).  The product
-    realizes a circular convolution, so the result approximates the linear
-    one only when the input carries >= n/4 near-zero guard samples at each
-    end of the window; the generators in :mod:`.signals` enforce that.
+    Computed as the inverse transform of K(i*omega) * X(i*omega) at nodes
+    0..n/2.  The product realizes a circular convolution, so the result
+    approximates the linear one only when the input carries >= n/4
+    near-zero guard samples at each end of the window; the generators in
+    :mod:`.signals` enforce that.
     """
-    X = forward_transform(x)
-    K = transfer(kernel, x.grid)
-    return inverse_transform(Spectrum(x.grid, K.values * X.values))
+    X = forward_transform(x).spectrum
+    return TimeSeries(x.grid, irfft_rows(transfer(kernel, x.grid) * X, x.grid))

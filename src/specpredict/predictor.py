@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degeneracy import DegeneracyClass, log_weight
-from .kernels import AnticausalKernel, _transfer_half
+from .kernels import AnticausalKernel, transfer
 from .spectral import (
     FrequencyGrid,
     _half_nodes,
@@ -199,7 +199,7 @@ def build_predictor(
         v_log[-1] = np.log(abs(ny_real)) if ny_real != 0.0 else -np.inf
     v_ph[-1] = 0.0 if ny_real >= 0.0 else math.pi
 
-    K = _transfer_half(kernel, grid)
+    K = transfer(kernel, grid)
     K.flags.writeable = False
     sat = v_log > _CLAMP_LOG
     v_vals = np.exp(np.minimum(v_log, _CLAMP_LOG)) * np.exp(1j * v_ph)
@@ -535,12 +535,12 @@ def line_witness(kernel: AnticausalKernel, gamma: float, r: float) -> LineWitnes
     """
     _check_sharpness(gamma, r)
     sigma, grid = _line_grid(kernel, gamma, r)
-    K = _transfer_half(kernel, grid, sigma)
+    K = transfer(kernel, grid, sigma)
     v_log, v_ph = v_logpolar(sigma + 1j * _half_omegas(grid), kernel, gamma, r)
     with np.errstate(divide="ignore"):
         khat_log = v_log + np.log(np.abs(K))
     with np.errstate(under="ignore"):
         khat = np.exp(khat_log - np.max(khat_log)) * np.exp(1j * (v_ph + np.angle(K)))
     khat[-1] = khat[-1].real
-    defect, residual = _line_figures(grid, _transfer_half(kernel, grid, -sigma), khat)
+    defect, residual = _line_figures(grid, transfer(kernel, grid, -sigma), khat)
     return LineWitness(sigma, grid, defect, residual)

@@ -315,25 +315,24 @@ def add_noise(x, nu: float, cfg: GeneratorConfig):
 def class_norm(x, cls: DegeneracyClass) -> float:
     """Grid estimate of sup |X(i*omega)| * e^{c/|omega|^q}; +inf for non-members.
 
-    A :class:`SpectralSeries` is read on its stored half spectrum, where
-    zeros are exact: any content at the degeneracy node exits the class.
-    For a ``TimeSeries`` the transform is recomputed from finite-precision
-    samples and carries absolute roundoff at every node, and the weight near
-    the degeneracy point is so large that evaluating it on roundoff values
-    would flag every representable signal; spectral values at or below the
-    roundoff floor (relative to the spectral peak, see the calibration
-    table) are therefore treated as exact zeros there, and content at the
-    degeneracy node above that floor exits the class.  Evaluated through
-    logarithms; the result may round to +inf for signals far outside the
-    class, which is the honest extended-real answer.
+    Read at nodes 0..n/2.  A :class:`SpectralSeries` is read on its stored
+    half spectrum, where zeros are exact: any content at the degeneracy
+    node exits the class.  For a ``TimeSeries`` the half spectrum is
+    computed from finite-precision samples and carries absolute roundoff at
+    every node, and the weight near the degeneracy point is so large that
+    evaluating it on roundoff values would flag every representable signal;
+    spectral values at or below the roundoff floor (relative to the
+    spectral peak, see the calibration table) are therefore treated as
+    exact zeros there, and content at the degeneracy node above that floor
+    exits the class.  Evaluated through logarithms; the result may round to
+    +inf for signals far outside the class, which is the honest
+    extended-real answer.
     """
     if isinstance(x, SpectralSeries):
         mags = np.abs(x.spectrum)
-        om = _half_omegas(x.grid)
         floor = 0.0
     else:
-        mags = np.abs(forward_transform(x).values)
-        om = x.grid.omegas()
+        mags = np.abs(forward_transform(x).spectrum)
         floor = max(
             CALIBRATION["class_zero_floor"],
             CALIBRATION["class_dc_floor_rel"] * float(np.max(mags)),
@@ -344,7 +343,7 @@ def class_norm(x, cls: DegeneracyClass) -> float:
     live[0] = False
     if not np.any(live):
         return 0.0
-    total = np.log(mags[live]) + log_weight(om[live], cls.q, cls.c)
+    total = np.log(mags[live]) + log_weight(_half_omegas(x.grid)[live], cls.q, cls.c)
     with np.errstate(over="ignore"):
         return float(np.exp(np.max(total)))
 

@@ -12,35 +12,27 @@ frequency nodes are kept in natural (fast-transform) order internally;
 centered reporting order
 {-omega_max, ..., -d_omega, 0, d_omega, ..., omega_max - d_omega}.
 
-Real signals have conjugate-symmetric spectra, so ``rfft_rows`` /
-``irfft_rows`` keep only nodes 0..n/2 (node n/2 is the unpaired omega_max)
-and transform along the last axis, one signal per row of an (m, n) stack.
-They carry the same centred-origin phase and delta_t scaling as the complex
-``forward_transform`` / ``inverse_transform`` pair.  The phase factors
-``(-1)^k`` and ``delta_t * (-1)^k`` are built once per grid, at nodes
-0..n/2 only, and shared read-only.  n is even, so node n-k carries the
-factor of node k, and the complex pair reads the nodes above n/2 through
-the mirrored index ``[n/2-1:0:-1]`` of the same tables.  ``_half_omegas``
-gives the signed omega at nodes 0..n/2, as ``omegas()`` does there, and
-``_half_nodes`` gives |omega| and the weight with which each node enters a
-full-grid sum; ``_half_sum`` and its log-domain form ``_log_half_sum`` take
-every such sum.  These per-grid tables are cached for one grid at a time:
-every experiment runs on one grid, and the single-use grids of
-``line_witness`` would otherwise pile up.  The predictor, the generators
-and the experiments read nodes 0..n/2 only; the complex pair and its
-``Spectrum`` serve the public ``transfer`` and ``apply_anticausal``, the
-transforms of user series, and the class norm of a series that arrives
-as samples.  ``_mirror`` fills nodes n/2+1..n-1 from nodes 0..n/2 where
-all n nodes are needed: ``transfer`` and the CLI's spectrum CSV.  A
-``TimeSeries`` stores real samples as float64, with no zero imaginary
-parts; their fast transform is bit for bit that of the same values stored
-as complex.  A ``SpectralSeries`` is a real signal stored as its half
-spectrum, as every generator returns it; its samples are the real inverse,
-formed on demand.
+Every signal is real, so its spectrum is conjugate-symmetric and is held
+at nodes 0..n/2 only (node n/2 is the unpaired omega_max).  There is one
+transform pair: :func:`forward_transform` takes a real ``TimeSeries`` to
+the ``SpectralSeries`` of its half spectrum, and ``SpectralSeries.samples``
+is the inverse.  ``rfft_rows`` / ``irfft_rows`` are the same pair on
+arrays, along the last axis, one signal per row of an (m, n) stack.  Both
+carry the centered-origin phase ``(-1)^k`` and the delta_t scaling, whose
+factors are built once per grid at nodes 0..n/2 (``_signs``) and shared
+read-only.  ``_half_omegas`` gives the signed omega at nodes 0..n/2, as
+``omegas()`` does there, and ``_half_nodes`` gives |omega| and the weight
+with which each node enters a full-grid sum; ``_half_sum`` and its
+log-domain form ``_log_half_sum`` take every such sum.  These per-grid
+tables are cached for one grid at a time: every experiment runs on one
+grid, and the single-use grids of ``line_witness`` would otherwise pile
+up.  A ``TimeSeries`` stores float64 samples and rejects complex input.  A
+``SpectralSeries`` keeps the half spectrum a generator built, and forms its
+samples on demand.
 
-Grids hold at most ``MAX_GRID_N`` = 2^24 samples, where one complex array
-already takes 256 MB; a larger ``n`` is rejected before anything is
-allocated.
+Grids hold at most ``MAX_GRID_N`` = 2^24 samples, where one array of
+samples already takes 128 MB; a larger ``n`` is rejected before anything
+is allocated.
 """
 
 from __future__ import annotations
@@ -50,8 +42,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .tolerances import CALIBRATION
 
 TWO_PI = 2.0 * math.pi
 MAX_GRID_N = 2**24
@@ -63,7 +53,7 @@ def _is_power_of_two(n: int) -> bool:
 
 def to_centered(values: np.ndarray) -> np.ndarray:
     """Reorder natural (fast-transform) node order to centered order."""
-    return np.fft.fftshift(values)
+    return np.roll(values, len(values) // 2)
 
 
 @dataclass(frozen=True)
@@ -113,12 +103,11 @@ class FrequencyGrid:
         return (np.arange(self.n) - self.n // 2) * self.delta_t
 
     def omegas(self) -> np.ndarray:
-        """Angular-frequency nodes in natural (fast-transform) order."""
-        return TWO_PI * np.fft.fftfreq(self.n, d=self.delta_t)
-
-    def omegas_centered(self) -> np.ndarray:
-        """Angular-frequency nodes in centered reporting order."""
-        return to_centered(self.omegas())
+        """Angular-frequency nodes in natural (fast-transform) order: node k
+        at k*delta_omega below n/2 and at (k - n)*delta_omega from n/2 on."""
+        k = np.arange(self.n)
+        k[self.n // 2 :] -= self.n
+        return TWO_PI * (k * (1.0 / (self.n * self.delta_t)))
 
 
 def make_grid(n: int, delta_t: float) -> FrequencyGrid:
@@ -135,11 +124,11 @@ def _read_only(arr: np.ndarray, n: int, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Sampled signal on a grid; index j holds the value at t_j = (j - n/2)*delta_t.
+    """Real sampled signal on a grid; index j holds the value at t_j = (j - n/2)*delta_t.
 
-    Real input is kept as a read-only float64 copy and complex input as a
-    complex128 one, so ``is_real`` holds by dtype for real storage.  Every
-    sample must be finite: NaN or infinite input raises ValueError.
+    The samples are kept as a read-only float64 copy.  Complex input raises
+    ValueError whatever its imaginary part, and so does a NaN or infinite
+    sample.
     """
 
     grid: FrequencyGrid
@@ -147,20 +136,12 @@ class TimeSeries:
 
     def __post_init__(self) -> None:
         arr = np.array(self.samples)
-        dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
-        arr = _read_only(arr.astype(dtype, copy=False), self.grid.n, "samples")
+        if np.iscomplexobj(arr):
+            raise ValueError("samples must be real")
+        arr = _read_only(arr.astype(np.float64, copy=False), self.grid.n, "samples")
         if not np.all(np.isfinite(arr)):
             raise ValueError("samples must be finite, got NaN or infinity")
         object.__setattr__(self, "samples", arr)
-
-    @property
-    def is_real(self) -> bool:
-        if not np.iscomplexobj(self.samples):
-            return True
-        mag = np.max(np.abs(self.samples))
-        if mag == 0.0:
-            return True
-        return float(np.max(np.abs(self.samples.imag))) <= CALIBRATION["real_imag_rel"] * mag
 
 
 @dataclass(frozen=True)
@@ -176,7 +157,6 @@ class SpectralSeries:
 
     grid: FrequencyGrid
     spectrum: np.ndarray
-    is_real = True
 
     def __post_init__(self) -> None:
         spectrum = np.asarray(self.spectrum, dtype=np.complex128)
@@ -189,39 +169,12 @@ class SpectralSeries:
         return samples
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Sampled transform X(i*omega_k) on a grid, natural node order."""
-
-    grid: FrequencyGrid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=np.complex128)
-        object.__setattr__(self, "values", _read_only(values, self.grid.n, "values"))
-
-    @property
-    def is_hermitian(self) -> bool:
-        mag = np.max(np.abs(self.values))
-        if mag == 0.0:
-            return True
-        idx = (-np.arange(self.grid.n)) % self.grid.n
-        defect = np.max(np.abs(self.values - np.conj(self.values[idx])))
-        return float(defect) <= CALIBRATION["hermitian_rel"] * mag
-
-
-def _mirror(half: np.ndarray) -> np.ndarray:
-    """All n nodes of a real signal's spectrum from its nodes 0..n/2: node
-    n-k is the conjugate of node k."""
-    return np.concatenate((half, np.conj(half[-2:0:-1])))
-
-
 @functools.lru_cache(maxsize=1)
 def _half_omegas(grid: FrequencyGrid) -> np.ndarray:
     """Signed omega at nodes 0..n/2, read-only and cached: bit for bit
     ``grid.omegas()[:n/2+1]``, node n/2 at -omega_max, without building
-    the n-node ``fftfreq``.  It forms k * (1/(n*delta_t)) as ``fftfreq``
-    does, negates node n/2, which is exact, and scales by 2*pi."""
+    all n nodes.  It forms k * (1/(n*delta_t)) as ``omegas`` does, negates
+    node n/2, which is exact, and scales by 2*pi."""
     om = np.arange(grid.n // 2 + 1) * (1.0 / (grid.n * grid.delta_t))
     om[-1] = -om[-1]
     om *= TWO_PI
@@ -271,10 +224,7 @@ def _log_half_sum(log_values: np.ndarray, grid: FrequencyGrid) -> float:
 @functools.lru_cache(maxsize=1)
 def _signs(grid: FrequencyGrid):
     """((-1)^k, delta_t * (-1)^k) at nodes 0..n/2, the phase factors tying
-    the centered time origin to natural order; read-only and cached.  The
-    real transforms read them as they are.  n is even, so node n-k takes
-    the factor of node k, and the complex pair scales nodes n/2+1..n-1 by
-    the mirrored slice ``[n/2-1:0:-1]``; no n-node table is built."""
+    the centered time origin to natural order; read-only and cached."""
     signs = np.ones(grid.n // 2 + 1)
     signs[1::2] = -1.0
     scaled = grid.delta_t * signs
@@ -282,34 +232,20 @@ def _signs(grid: FrequencyGrid):
     return signs, scaled
 
 
-def forward_transform(x: TimeSeries) -> Spectrum:
-    """Riemann approximation of the continuous Fourier integral.
+def forward_transform(x: TimeSeries) -> SpectralSeries:
+    """Riemann approximation of the continuous Fourier integral at nodes 0..n/2.
 
     X(i*omega_k) ~ delta_t * sum_j e^{-i*omega_k*t_j} x(t_j), computed with a
-    fast transform plus the (-1)^k phase correction for the centered origin.
+    real fast transform plus the (-1)^k phase correction for the centered
+    origin; :attr:`SpectralSeries.samples` is its inverse.
     """
-    values = np.fft.fft(x.samples)
-    scaled = _signs(x.grid)[1]
-    h = scaled.size
-    values[:h] *= scaled
-    values[h:] *= scaled[h - 2 : 0 : -1]
-    return Spectrum(x.grid, values)
-
-
-def inverse_transform(X: Spectrum) -> TimeSeries:
-    """Inverse of :func:`forward_transform`; exact round trip up to rounding."""
-    signs = _signs(X.grid)[0]
-    h = signs.size
-    phased = np.empty_like(X.values)
-    np.multiply(signs, X.values[:h], out=phased[:h])
-    np.multiply(signs[h - 2 : 0 : -1], X.values[h:], out=phased[h:])
-    samples = np.fft.ifft(phased)
-    samples /= X.grid.delta_t
-    return TimeSeries(X.grid, samples)
+    values = np.fft.rfft(x.samples)
+    values *= _signs(x.grid)[1]
+    return SpectralSeries(x.grid, values)
 
 
 def rfft_rows(samples, grid: FrequencyGrid) -> np.ndarray:
-    """:func:`forward_transform` of real signals along the last axis, nodes 0..n/2.
+    """:func:`forward_transform` of real rows along the last axis, nodes 0..n/2.
 
     ``samples`` is one real series of shape (n,) or a stack of shape (m, n);
     the result has shape (n/2+1,) or (m, n/2+1).
@@ -323,11 +259,11 @@ def rfft_rows(samples, grid: FrequencyGrid) -> np.ndarray:
 
 
 def irfft_rows(values, grid: FrequencyGrid) -> np.ndarray:
-    """:func:`inverse_transform` of half spectra (nodes 0..n/2) to real rows.
+    """Inverse of :func:`rfft_rows`: half spectra (nodes 0..n/2) to real rows.
 
     ``values`` has shape (n/2+1,) or (m, n/2+1); the conjugate-symmetric
     upper half is implied, and the imaginary parts at nodes 0 and n/2 are
-    dropped, as taking the real part of the complex inverse would.
+    dropped, as taking the real part of the full complex inverse would.
     """
     values = np.asarray(values, dtype=np.complex128)
     h = grid.n // 2 + 1
@@ -348,7 +284,7 @@ def _is_sup(p) -> bool:
 
 
 def norm(x: TimeSeries, p) -> float:
-    """Grid norm: p=2 gives sqrt(delta_t * sum |x|^2); p=inf gives max |x|."""
+    """Grid norm: p=2 gives sqrt(delta_t * sum x^2); p=inf gives max |x|."""
     mags = np.abs(x.samples)
     if _is_sup(p):
         return float(np.max(mags)) if mags.size else 0.0

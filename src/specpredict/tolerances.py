@@ -8,9 +8,6 @@ precision model would require recalibrating them together.
 """
 
 CALIBRATION = {
-    # spectral discretization
-    "real_imag_rel": 1e-12,         # max |imag| / max |sample| for a real series
-    "hermitian_rel": 1e-12,         # conjugate-symmetry defect, sup-normalized
     # predictor transfer
     "lemma_iv_slack": 1e-9,           # slack on the weighted low-band bound
     "causality_defect_max": 1e-3,     # share of kernel energy at t < 0

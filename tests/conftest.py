@@ -20,12 +20,9 @@ def oracle_grid():
     return make_grid(2**10, 0.1)
 
 
-def random_series(grid, seed, complex_valued=True):
+def random_series(grid, seed):
     rng = np.random.Generator(np.random.Philox(seed))
-    samples = rng.standard_normal(grid.n)
-    if complex_valued:
-        samples = samples + 1j * rng.standard_normal(grid.n)
-    return TimeSeries(grid, samples)
+    return TimeSeries(grid, rng.standard_normal(grid.n))
 
 
 def compact_pulse(grid, seed):
@@ -35,4 +32,4 @@ def compact_pulse(grid, seed):
     sigma = rng.uniform(1.0, 3.0)
     t0 = rng.uniform(-0.05, 0.05) * grid.span
     w0 = rng.uniform(0.3, 2.0)
-    return TimeSeries(grid, np.exp(-((t - t0) ** 2) / (2 * sigma**2)) * np.cos(w0 * t) + 0j)
+    return TimeSeries(grid, np.exp(-((t - t0) ** 2) / (2 * sigma**2)) * np.cos(w0 * t))

@@ -55,20 +55,19 @@ def anticausal_transform_quadrature(pole: float, omega: float, grid) -> complex:
 def gamma_sweep_reference(kernel, cls, gammas, r, ensemble):
     """Sweep rows from a per-member loop over full complex spectra.
 
-    Unlike the other oracles this one does use the library's complex fast
-    transforms: it is the one-member-at-a-time formulation of the sweep,
+    It is the one-member-at-a-time formulation of the sweep on all n nodes,
+    through the complex transforms of :func:`inverse_transform_n_node`,
     kept as a reference for the streamed half-spectrum path.  Returns one
     dict per gamma with the fields of ``SweepRow``.
     """
-    from specpredict import Spectrum, inverse_transform, lemma_check, norm, transfer
+    from specpredict import lemma_check
 
     grid = ensemble[0].grid
-    K = transfer(kernel, grid).values
+    K = transfer_full_grid(kernel, grid)
     members = []
     for x in ensemble:
         X = hermitian_full(x.spectrum)
-        y = inverse_transform(Spectrum(grid, K * X))
-        members.append((X, norm(y, 2), norm(y, math.inf)))
+        members.append((X, *_grid_norms(inverse_transform_n_node(K * X, grid), grid)))
     omega_abs = np.abs(grid.omegas())
     rows = []
     for gamma in sorted(float(g) for g in gammas):
@@ -77,8 +76,7 @@ def gamma_sweep_reference(kernel, cls, gammas, r, ensemble):
         worst_l2r, i1, i2 = -1.0, 0.0, 0.0
         for X, y_l2, y_sup in members:
             diff = (pt.khat_values - K) * X
-            d = inverse_transform(Spectrum(grid, diff))
-            l2a, supa = norm(d, 2), norm(d, math.inf)
+            l2a, supa = _grid_norms(inverse_transform_n_node(diff, grid), grid)
             l2r = 0.0 if l2a == 0.0 else l2a / max(y_l2, 1e-300)
             supr = 0.0 if supa == 0.0 else supa / max(y_sup, 1e-300)
             for key, value in zip(worst, (l2a, l2r, supa, supr)):
@@ -97,7 +95,7 @@ def gamma_sweep_reference(kernel, cls, gammas, r, ensemble):
                 kappa_sup=pt.kappa_sup,
                 omega_threshold=pt.omega_threshold,
                 causality_defect=past_share(
-                    inverse_transform(Spectrum(grid, pt.khat_values)).samples, grid.times()
+                    inverse_transform_n_node(pt.khat_values, grid), grid.times()
                 ),
                 i1=i1,
                 i2=i2,
@@ -109,9 +107,16 @@ def gamma_sweep_reference(kernel, cls, gammas, r, ensemble):
     return rows
 
 
+def _grid_norms(samples, grid):
+    """Grid l2 and sup norms of complex samples, as ``specpredict.norm``
+    takes them of real ones."""
+    mags = np.abs(samples)
+    return float(math.sqrt(grid.delta_t) * np.linalg.norm(mags)), float(np.max(mags))
+
+
 def _signs(n):
-    """(-1)^k at all n nodes, the sign table the complex transform pair
-    once multiplied in whole."""
+    """(-1)^k at all n nodes, the centered-origin phase of the n-node
+    complex transform pair."""
     signs = np.ones(n)
     signs[1::2] = -1.0
     return signs
@@ -123,15 +128,26 @@ def hermitian_full(half):
     return np.concatenate([half, np.conj(half[-2:0:-1])])
 
 
+def hermitian_defect(values):
+    """max |X_k - conj(X_{n-k})| over the n nodes of a spectrum, relative to
+    max |X|: 0 for the spectrum of a real signal; 0 for all-zero values."""
+    mag = np.max(np.abs(values))
+    if mag == 0.0:
+        return 0.0
+    mirror = np.conj(values[(-np.arange(values.size)) % values.size])
+    return float(np.max(np.abs(values - mirror)) / mag)
+
+
 def forward_transform_n_node(samples, grid):
-    """Spectrum values of ``forward_transform``, scaled by the n-node table."""
+    """The n-node complex Riemann-sum transform by a fast transform, scaled
+    by the n-node phase table; ``forward_transform`` keeps its nodes 0..n/2."""
     values = np.fft.fft(samples)
     values *= grid.delta_t * _signs(grid.n)
     return values
 
 
 def inverse_transform_n_node(values, grid):
-    """Samples of ``inverse_transform``, phased by the n-node table."""
+    """Complex inverse of :func:`forward_transform_n_node` at all n nodes."""
     samples = np.fft.ifft(_signs(grid.n) * values)
     samples /= grid.delta_t
     return samples
@@ -455,21 +471,11 @@ def build_predictor_full_grid(kernel, gamma, r, grid):
     )
 
 
-def hermitian_symmetrize(X):
-    """Project a :class:`specpredict.Spectrum` onto conjugate-symmetric
-    spectra: (X(i*w) + conj(X(-i*w))) / 2."""
-    from specpredict import Spectrum
-
-    idx = (-np.arange(X.grid.n)) % X.grid.n
-    return Spectrum(X.grid, 0.5 * (X.values + np.conj(X.values[idx])))
-
-
 def line_witness_full_grid(kernel, gamma, r):
     """(causality defect, orthogonality residual) of :func:`specpredict.line_witness`
     on its own grid, with K_hat and K evaluated at all n nodes, the time
     kernel taken by the complex inverse transform and the inner product
     summed over all n nodes with ``np.vdot``."""
-    from specpredict import Spectrum, inverse_transform
     from specpredict.predictor import _line_grid, v_logpolar
 
     sigma, grid = _line_grid(kernel, gamma, r)
@@ -481,7 +487,7 @@ def line_witness_full_grid(kernel, gamma, r):
         khat = np.exp(khat_log - np.max(khat_log)) * np.exp(1j * (v_ph + np.angle(K)))
     khat[grid.n // 2] = khat[grid.n // 2].real
     k_mirror = transfer_full_grid(kernel, grid, -sigma)
-    defect = past_share(inverse_transform(Spectrum(grid, khat)).samples, grid.times())
+    defect = past_share(inverse_transform_n_node(khat, grid), grid.times())
     residual = abs(np.vdot(k_mirror, khat)) / (np.linalg.norm(k_mirror) * np.linalg.norm(khat))
     return defect, float(residual)
 

@@ -3,6 +3,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from specpredict import (
@@ -11,6 +12,7 @@ from specpredict import (
     GeneratorConfig,
     build_predictor,
     make_grid,
+    norm,
     sample_class_member,
 )
 from specpredict.cli import main
@@ -335,6 +337,18 @@ class TestGenSignalCommand:
         # centered reporting order: first omega is -omega_max
         first = float(sp[2].split(",")[0])
         assert first == pytest.approx(-math.pi / GRID_SMALL["delta_t"])
+
+    def test_inverts_the_spectrum_once(self, tmp_path, monkeypatch):
+        # the generator's two projection rounds, then one inverse of the
+        # stored spectrum for signal.csv and both norms
+        calls = []
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: calls.append(1) or irfft(*a, **k))
+        code, outdir = run(tmp_path, "gen-signal", base_config())
+        assert code == 0 and len(calls) == 3
+        x = sample_class_member(DegeneracyClass(2.0, 1.0), GeneratorConfig(seed=7, grid=make_grid(**GRID_SMALL)))
+        summary = json.loads((outdir / "signal.json").read_text())
+        assert (summary["l2"], summary["sup"]) == (norm(x, 2), norm(x, math.inf))
 
     def test_bandlimited_kind(self, tmp_path):
         config = base_config(

@@ -33,8 +33,7 @@ from specpredict import (
     uniformity_check,
 )
 from specpredict import experiments
-from specpredict.experiments import _member_spectrum
-from specpredict.spectral import irfft_rows
+from specpredict.spectral import _half_sum, irfft_rows
 
 from oracles import (
     build_predictor_full_grid,
@@ -42,10 +41,13 @@ from oracles import (
     enveloped_spectra_batched,
     error_channel_batched,
     gamma_sweep_reference,
+    hermitian_full,
+    inverse_transform_n_node,
     irfft_stack,
     member_half_spectra,
     row_norms_linalg,
     sweep_rows_stacked,
+    transfer_full_grid,
     uniformity_check_stacked,
 )
 
@@ -71,9 +73,9 @@ class TestPredictionError:
 
     def test_identity_transfer_gives_zero_error(self):
         pt = build_predictor(KERNEL, 10.0, 4.0, GRID)
-        fake = dataclasses.replace(pt, khat_values=transfer(KERNEL, GRID).values[: GRID.n // 2 + 1])
+        fake = dataclasses.replace(pt, khat_values=transfer(KERNEL, GRID))
         rng = np.random.Generator(np.random.Philox(1))
-        x = TimeSeries(GRID, rng.standard_normal(GRID.n) + 0j)
+        x = TimeSeries(GRID, rng.standard_normal(GRID.n))
         err = prediction_error(fake, x, 2)
         assert err.abs_err < 1e-13 * norm(x, 2)
 
@@ -84,12 +86,10 @@ class TestPredictionError:
         assert (err.abs_err, err.rel_err) == (row.err_sup_abs, row.err_sup_rel)
 
     def test_rejects_non_real_member(self, ensemble):
-        pt = build_predictor(KERNEL, 10.0, 4.0, GRID)
-        x = TimeSeries(GRID, ensemble[0].samples * 1j)
+        # the series type holds real samples only, so no complex member
+        # reaches prediction_error or error_decomposition
         with pytest.raises(ValueError, match="real"):
-            prediction_error(pt, x, 2)
-        with pytest.raises(ValueError, match="real"):
-            error_decomposition(pt, x, 2)
+            TimeSeries(GRID, ensemble[0].samples * 1j)
 
     def test_rejects_member_on_another_grid(self, ensemble):
         pt = build_predictor(KERNEL, 10.0, 4.0, make_grid(GRID.n, 0.01))
@@ -105,8 +105,8 @@ class TestErrorDecomposition:
         khat = build_predictor_full_grid(KERNEL, 5.0, 4.0, GRID).khat_values
         for p, rho in ((2, 2), (math.inf, 1)):
             i1, i2 = error_decomposition(pt, ensemble[0], p)
-            X = _member_spectrum(ensemble[0])
-            K = transfer(KERNEL, GRID).values
+            X = hermitian_full(ensemble[0].spectrum)
+            K = transfer_full_grid(KERNEL, GRID)
             total = GRID.delta_omega * float(np.sum(np.abs((khat - K) * X) ** rho))
             assert i1 + i2 == pytest.approx(total, rel=1e-9)
 
@@ -120,16 +120,14 @@ class TestErrorDecomposition:
 
     def test_parseval_bridge(self, ensemble):
         # 2 pi * (time-domain L2 error)^2 equals the rho=2 spectral measure
-        from specpredict import Spectrum, inverse_transform
-
         pt = build_predictor(KERNEL, 5.0, 4.0, GRID)
         khat = build_predictor_full_grid(KERNEL, 5.0, 4.0, GRID).khat_values
         x = ensemble[0]
-        X = _member_spectrum(x)
-        K = transfer(KERNEL, GRID).values
-        diff = inverse_transform(Spectrum(GRID, (khat - K) * X))
+        X = hermitian_full(x.spectrum)
+        K = transfer_full_grid(KERNEL, GRID)
+        diff = inverse_transform_n_node((khat - K) * X, GRID)
         i1, i2 = error_decomposition(pt, x, 2)
-        assert 2 * math.pi * norm(diff, 2) ** 2 == pytest.approx(i1 + i2, rel=1e-6)
+        assert 2 * math.pi * norm(TimeSeries(GRID, diff.real), 2) ** 2 == pytest.approx(i1 + i2, rel=1e-6)
 
 
 class TestGammaSweep:
@@ -191,11 +189,9 @@ class TestUniformity:
         x = ensemble[0]
         ratio = uniformity_check(KERNEL, CLS, 10.0, 4.0, [x])
         khat = build_predictor_full_grid(KERNEL, 10.0, 4.0, GRID).khat_values
-        from specpredict import Spectrum, inverse_transform
-
-        X = _member_spectrum(x)
-        K = transfer(KERNEL, GRID).values
-        err = norm(inverse_transform(Spectrum(GRID, (khat - K) * X)), 2)
+        X = hermitian_full(x.spectrum)
+        K = transfer_full_grid(KERNEL, GRID)
+        err = norm(TimeSeries(GRID, inverse_transform_n_node((khat - K) * X, GRID).real), 2)
         assert ratio == pytest.approx(err / class_norm(x, CLS))
 
     def test_scaling_invariance(self, ensemble):
@@ -212,7 +208,7 @@ class TestUniformity:
 
     def test_rejects_nonmember(self):
         rng = np.random.Generator(np.random.Philox(3))
-        white = TimeSeries(GRID, rng.standard_normal(GRID.n) + 0j)
+        white = TimeSeries(GRID, rng.standard_normal(GRID.n))
         with pytest.raises(ValueError):
             uniformity_check(KERNEL, CLS, 10.0, 4.0, [white])
 
@@ -280,12 +276,12 @@ class TestCounterexample:
         from specpredict import apply_anticausal, counterexample_pair
 
         x1, x2 = counterexample_pair(0.5, cfg(5))
-        K = transfer(KERNEL, GRID).values
+        K = transfer(KERNEL, GRID)
         e_sq = 0.0
         for x in (x1, x2):
-            y = apply_anticausal(KERNEL, x)
+            y = apply_anticausal(KERNEL, TimeSeries(GRID, x.samples))
             e_sq += norm(y, 2) ** 2
-        norm_k_sq = GRID.delta_omega * float(np.sum(np.abs(K) ** 2))
+        norm_k_sq = GRID.delta_omega * _half_sum(np.abs(K) ** 2, GRID)
         assert 2 * math.pi * e_sq == pytest.approx(norm_k_sq, rel=1e-9)
 
     def test_identity_and_floor_across_sweep(self):
@@ -475,35 +471,35 @@ class TestPredictOnSampleDefinedMembers:
         assert norm(TimeSeries(grid, y_hat - y), 2) == pytest.approx(err, rel=1e-9)
 
 
-# the complex transform pair, its n-node Spectrum and the re-transform of
-# a series that arrives as samples
-COMPLEX_PATH = ("forward_transform", "inverse_transform", "Spectrum", "_member_spectrum")
+# the forward transform and the re-transform of a series that arrives as samples
+RETRANSFORM = ("forward_transform", "_member_spectrum")
 CLI_COMMANDS = ("predict", "sweep", "lemma", "robustness", "counterexample", "demo-negative", "gen-signal")
 
 
 class TestGeneratedMembersAreNotRetransformed:
     """Generated signals give their stored spectrum: no experiment and no
-    subcommand runs them through the complex pair or transforms their
-    samples back, noise included."""
+    subcommand transforms their samples back, noise included."""
 
     @pytest.fixture(autouse=True)
-    def forbid_complex_path(self, monkeypatch):
+    def forbid_retransform(self, monkeypatch):
         import specpredict.cli  # noqa: F401 - its bindings are patched too
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a generated signal took the complex path")
+            raise AssertionError("a generated signal was transformed back")
 
         patched = set()
         for name, module in list(sys.modules.items()):
             if name == "specpredict" or name.startswith("specpredict."):
-                for attr in COMPLEX_PATH:
+                for attr in RETRANSFORM:
                     if hasattr(module, attr):
                         monkeypatch.setattr(module, attr, refuse)
                         patched.add(f"{name.rsplit('.', 1)[-1]}.{attr}")
         # every binding the library makes of them, the package's included
-        assert {"spectral.forward_transform", "spectral.Spectrum", "signals.forward_transform",
-                "kernels.inverse_transform", "experiments._member_spectrum", "cli._member_spectrum",
-                "cli.forward_transform", "specpredict.Spectrum"} <= patched
+        assert patched == {
+            "spectral.forward_transform", "signals.forward_transform", "kernels.forward_transform",
+            "experiments.forward_transform", "experiments._member_spectrum", "cli._member_spectrum",
+            "cli.forward_transform", "specpredict.forward_transform",
+        }
 
     def test_experiments(self, ensemble):
         banded = [sample_bandlimited(2.0, cfg(40 + i, band=(0.2, 2.0))) for i in range(2)]
@@ -584,14 +580,14 @@ def _imported(source: str) -> set:
     }
 
 
-def test_only_named_readers_take_the_complex_path():
-    # signals and experiments stay on nodes 0..n/2; the forward transform of
-    # a series that arrives as samples has three readers, and cli's import
-    # is the binding perfbench's install probe reads
+def test_only_named_readers_take_the_forward_transform():
+    # the forward transform of a series that arrives as samples has three
+    # readers, and cli's import is the binding perfbench's install probe
+    # reads; the one n-node mirror of a half spectrum feeds the spectrum CSV
     assert _top_level_loads("def f(x):\n    return spectral.forward_transform(x)\ny = g", "forward_transform") == {"f"}
     sources = {p.name: p.read_text(encoding="utf-8") for p in Path(experiments.__file__).parent.glob("*.py")}
-    for name in ("signals.py", "experiments.py"):
-        assert not _imported(sources[name]) & {"Spectrum", "inverse_transform", "_mirror"}, name
+    mirrors = {(name, owner) for name, src in sources.items() for owner in _top_level_loads(src, "_mirror")}
+    assert mirrors == {("cli.py", "_spectrum_csv")}
     readers = {(name, owner) for name, src in sources.items() for owner in _top_level_loads(src, "forward_transform")}
     assert readers == {
         ("experiments.py", "_member_spectrum"),
@@ -612,8 +608,7 @@ class TestPerRowChannelIsExact:
     def test_members_match_batched_generation(self, ensemble):
         want = enveloped_members_batched(CLS.q, CLS.c, cfg(2026), len(ensemble))
         got = np.stack([x.samples for x in ensemble])
-        assert got.real.tobytes() == want.tobytes()
-        assert not np.any(got.imag)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
     def test_stored_spectra_match_batched_generation(self, ensemble):
         want = enveloped_spectra_batched(CLS.q, CLS.c, cfg(2026), len(ensemble))

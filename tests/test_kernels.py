@@ -7,10 +7,10 @@ import pytest
 from conftest import compact_pulse
 from specpredict import (
     AnticausalKernel,
+    SpectralSeries,
     TimeSeries,
     apply_anticausal,
     forward_transform,
-    inverse_transform,
     kernel_from_json,
     kernel_to_json,
     make_grid,
@@ -20,7 +20,15 @@ from specpredict import (
     transfer,
 )
 
-from oracles import anticausal_transform_quadrature, idft_direct, linear_convolve
+from oracles import (
+    anticausal_transform_quadrature,
+    forward_transform_n_node,
+    hermitian_full,
+    idft_direct,
+    inverse_transform_n_node,
+    linear_convolve,
+    transfer_full_grid,
+)
 
 
 class TestKernelValidation:
@@ -59,31 +67,39 @@ class TestKernelValidation:
 class TestTransfer:
     def test_dc_value_single_pole(self, small_grid):
         K = transfer(AnticausalKernel((1.0,), (1.0,)), small_grid)
-        k0 = np.where(small_grid.omegas() == 0.0)[0][0]
-        assert K.values[k0] == pytest.approx(-1.0)
+        assert K.shape == (small_grid.n // 2 + 1,) and small_grid.omegas()[0] == 0.0
+        assert K[0] == pytest.approx(-1.0)
 
-    def test_hermitian(self, small_grid):
-        K = transfer(AnticausalKernel((0.5, 1.3), (0.2, 1.0)), small_grid)
-        assert K.is_hermitian
+    @pytest.mark.parametrize("sigma", [0.0, 0.3, -0.3])
+    def test_half_nodes_stand_for_the_whole_grid(self, small_grid, sigma):
+        # nodes 0..n/2 of the all-node evaluation, whose nodes above n/2
+        # are the conjugates of these
+        kern = AnticausalKernel((0.5, 1.3), (0.2, 1.0))
+        K = transfer(kern, small_grid, sigma)
+        full = transfer_full_grid(kern, small_grid, sigma)
+        h = small_grid.n // 2 + 1
+        assert K.tobytes() == full[:h].tobytes()
+        assert K[-1].imag == 0.0
+        assert np.max(np.abs(full[h:] - np.conj(K[-2:0:-1]))) <= 1e-12 * np.max(np.abs(K))
 
     def test_matches_truncated_exponential_quadrature(self):
         # kernel -e^{lambda t} 1_{t<=0} transforms to 1/(i w - lambda)
         g = make_grid(2**18, 0.002)
         lam = 0.7
         K = transfer(AnticausalKernel((lam,), (1.0,)), g)
-        om = g.omegas()
+        om = g.omegas()[: g.n // 2 + 1]
         for w in (0.0, 0.5, 1.0, 3.0):
             k = int(np.argmin(np.abs(om - w)))
             oracle = anticausal_transform_quadrature(lam, om[k], g)
-            assert abs(K.values[k] - oracle) / abs(oracle) < 1e-4
+            assert abs(K[k] - oracle) / abs(oracle) < 1e-4
 
     def test_high_frequency_rolloff_slope(self):
         # |K| ~ 1/|w| for m=2 with a linear numerator
         g = make_grid(2**12, 0.01)
         K = transfer(AnticausalKernel((1.0, 2.0), (0.0, 1.0)), g)
-        om = g.omegas()
+        om = g.omegas()[: g.n // 2 + 1]
         sel = (om > 50) & (om < g.omega_max / 2)
-        slope = np.polyfit(np.log(om[sel]), np.log(np.abs(K.values[sel])), 1)[0]
+        slope = np.polyfit(np.log(om[sel]), np.log(np.abs(K[sel])), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.05)
 
 
@@ -94,11 +110,11 @@ class TestResidues:
 
     def test_reconstruction_matches_transfer(self, small_grid):
         k = AnticausalKernel((0.4, 1.1, 3.0), (2.0, 0.0, 1.0))
-        K = transfer(k, small_grid).values
-        s = 1j * small_grid.omegas()
+        K = transfer(k, small_grid)
+        s = 1j * small_grid.omegas()[: small_grid.n // 2 + 1]
         recon = sum(r / (s - a) for r, a in zip(residues(k), k.poles))
         # the half-rate node carries the +-omega_max average in both forms
-        recon[small_grid.n // 2] = recon[small_grid.n // 2].real
+        recon[-1] = recon[-1].real
         assert np.max(np.abs(recon - K) / np.abs(K)) < 1e-10
 
     def test_independent_linear_solve(self):
@@ -119,8 +135,8 @@ class TestTimeKernel:
         k = time_kernel(AnticausalKernel((1.0,), (1.0,)), g)
         t = g.times()
         past = t <= 0
-        assert np.allclose(k.samples.real[past], -np.exp(t[past]))
-        assert k.samples.real[g.n // 2] == pytest.approx(-1.0)
+        assert np.allclose(k.samples[past], -np.exp(t[past]))
+        assert k.samples[g.n // 2] == pytest.approx(-1.0)
 
     def test_vanishes_for_positive_times(self):
         g = make_grid(128, 0.1)
@@ -138,7 +154,7 @@ class TestTimeKernel:
         t = g.times()
         past = t <= 0
         expected = np.exp(t[past]) - np.exp(2 * t[past])
-        assert np.max(np.abs(k.samples.real[past] - expected)) < 1e-12
+        assert np.max(np.abs(k.samples[past] - expected)) < 1e-12
 
     def test_transform_tracks_transfer_on_fine_grid(self):
         # sampled-kernel transform error is O(a*dt/2) relative to the peak
@@ -146,9 +162,9 @@ class TestTimeKernel:
         g = make_grid(2**20, 0.001)
         kern = AnticausalKernel((1.0,), (1.0,))
         K = transfer(kern, g)
-        Ks = forward_transform(time_kernel(kern, g))
-        half = np.abs(g.omegas()) <= g.omega_max / 2
-        err = np.max(np.abs(Ks.values[half] - K.values[half])) / np.max(np.abs(K.values))
+        Ks = forward_transform(time_kernel(kern, g)).spectrum
+        half = np.abs(g.omegas()[: g.n // 2 + 1]) <= g.omega_max / 2
+        err = np.max(np.abs(Ks[half] - K[half])) / np.max(np.abs(K))
         assert err < 1e-3
 
 
@@ -165,7 +181,7 @@ class TestApplyAnticausal:
         y = apply_anticausal(AnticausalKernel((1.0,), (1.0,)), TimeSeries(oracle_grid, s))
         t = oracle_grid.times()
         window = (t < -1.0) & (t > -20.0)
-        assert np.max(np.abs(y.samples.real[window] - (-np.exp(t[window])))) < 0.05
+        assert np.max(np.abs(y.samples[window] - (-np.exp(t[window])))) < 0.05
 
     @pytest.mark.parametrize(
         "kern",
@@ -173,21 +189,33 @@ class TestApplyAnticausal:
     )
     def test_matches_direct_quadrature_oracle(self, oracle_grid, kern):
         K = transfer(kern, oracle_grid)
-        kernel_series = idft_direct(K.values, oracle_grid).real
+        kernel_series = idft_direct(hermitian_full(K), oracle_grid).real
         worst = 0.0
         for seed in range(5):
             x = compact_pulse(oracle_grid, 100 + seed)
             fast = apply_anticausal(kern, x)
-            slow = linear_convolve(kernel_series, x.samples.real, oracle_grid)
+            slow = linear_convolve(kernel_series, x.samples, oracle_grid)
             rel = norm(TimeSeries(oracle_grid, fast.samples - slow), 2) / norm(
-                TimeSeries(oracle_grid, slow + 0j), 2
+                TimeSeries(oracle_grid, slow), 2
             )
             worst = max(worst, rel)
         assert worst < 1e-6
 
+    @pytest.mark.parametrize("n", [2**10, 2**16])
+    def test_matches_the_n_node_oracle(self, n):
+        grid = make_grid(n, 0.05)
+        kern = AnticausalKernel((0.5, 1.2), (0.3, 1.0))
+        for seed in range(3):
+            x = compact_pulse(grid, 300 + seed)
+            full = transfer_full_grid(kern, grid) * forward_transform_n_node(x.samples, grid)
+            want = inverse_transform_n_node(full, grid)
+            got = apply_anticausal(kern, x)
+            assert got.samples.dtype == np.float64
+            assert np.max(np.abs(got.samples - want)) <= 1e-15 * np.max(np.abs(want))
+
     def test_effective_kernel_matches_idft_oracle(self, oracle_grid):
         kern = AnticausalKernel((0.5,), (1.0,))
         K = transfer(kern, oracle_grid)
-        fast = inverse_transform(K)
-        slow = idft_direct(K.values, oracle_grid)
-        assert np.max(np.abs(fast.samples - slow)) < 1e-12 * np.max(np.abs(slow))
+        fast = SpectralSeries(oracle_grid, K).samples
+        slow = idft_direct(hermitian_full(K), oracle_grid)
+        assert np.max(np.abs(fast - slow)) < 1e-12 * np.max(np.abs(slow))

@@ -9,13 +9,11 @@ import pytest
 from specpredict import (
     AnticausalKernel,
     DegeneracyClass,
-    Spectrum,
     TimeSeries,
     build_predictor,
     causality_defect,
     eval_v_factor,
     find_gamma0,
-    inverse_transform,
     lemma_check,
     line_witness,
     make_grid,
@@ -26,13 +24,14 @@ from specpredict import (
     v_minus_one,
 )
 from specpredict.experiments import DEFAULT_CLASS, DEFAULT_GAMMAS, DEFAULT_KERNEL, DEFAULT_R, default_grid
-from specpredict.kernels import _transfer_half
 from specpredict.predictor import _line_figures, _past_share, factor_exponent, v_logpolar
 from specpredict.spectral import _half_omegas, irfft_rows
 from specpredict.tolerances import CALIBRATION
 
 from oracles import (
     build_predictor_full_grid,
+    hermitian_defect,
+    inverse_transform_n_node,
     irfft_stack,
     lemma_check_full_grid,
     lemma_tail_dev_stacked,
@@ -94,7 +93,7 @@ class TestBuildPredictor:
     def test_large_gamma_transfer_approaches_kernel(self, small_grid):
         pt = build_predictor(KERNEL, 1000.0, 4.0, small_grid)
         h = small_grid.n // 2 + 1
-        K = transfer(KERNEL, small_grid).values[:h]
+        K = transfer(KERNEL, small_grid)
         nz = small_grid.omegas()[:h] != 0.0
         assert np.max(np.abs(pt.khat_values[nz] - K[nz])) < 1e-10
 
@@ -105,7 +104,7 @@ class TestBuildPredictor:
     def test_khat_is_nodewise_product(self, small_grid):
         pt = build_predictor(KERNEL, 20.0, 2.0, small_grid)
         h = small_grid.n // 2 + 1
-        K = transfer(KERNEL, small_grid).values[:h]
+        K = transfer(KERNEL, small_grid)
         v_log, v_ph = v_logpolar(1j * small_grid.omegas()[:h], KERNEL, 20.0, 2.0)
         finite = ~pt.saturated
         V = np.exp(v_log[finite]) * np.exp(1j * v_ph[finite])
@@ -119,10 +118,10 @@ class TestBuildPredictor:
         pt = build_predictor(kernel, 15.0, 1.0, small_grid)
         assert pt.khat_values.shape == (small_grid.n // 2 + 1,)
         ends = pt.khat_values[[0, -1]]
-        assert np.all(np.abs(ends.imag) <= CALIBRATION["hermitian_rel"] * np.abs(ends))
+        assert np.all(np.abs(ends.imag) <= 1e-12 * np.abs(ends))
         assert irfft_rows(pt.khat_values, small_grid).dtype == np.float64
         full = build_predictor_full_grid(kernel, 15.0, 1.0, small_grid).khat_values
-        assert Spectrum(small_grid, full).is_hermitian
+        assert hermitian_defect(full) <= 1e-12
 
     def test_kappa_sup_is_grid_max(self, small_grid):
         pt = build_predictor(KERNEL, 12.0, 0.8, small_grid)
@@ -170,10 +169,9 @@ class TestPredict:
         from specpredict import apply_anticausal
 
         pt = build_predictor(KERNEL, 10.0, 1.0, small_grid)
-        K = transfer(KERNEL, small_grid).values[: small_grid.n // 2 + 1]
-        fake = dataclasses.replace(pt, khat_values=K)
+        fake = dataclasses.replace(pt, khat_values=transfer(KERNEL, small_grid))
         rng = np.random.Generator(np.random.Philox(4))
-        x = TimeSeries(small_grid, rng.standard_normal(small_grid.n) + 0j)
+        x = TimeSeries(small_grid, rng.standard_normal(small_grid.n))
         y = apply_anticausal(KERNEL, x)
         y_hat = predict(fake, x)
         assert norm(TimeSeries(small_grid, y_hat.samples - y.samples), 2) < 1e-12 * norm(y, 2)
@@ -183,10 +181,10 @@ class TestPredict:
         x = np.random.Generator(np.random.Philox(5)).standard_normal(small_grid.n)
         y_hat = predict(pt, TimeSeries(small_grid, x))
         assert y_hat.samples.dtype == np.float64
-        # real values stored as complex predict the same
-        assert predict(pt, TimeSeries(small_grid, x + 0j)).samples.tobytes() == y_hat.samples.tobytes()
-        with pytest.raises(ValueError, match="real"):
-            predict(pt, TimeSeries(small_grid, x + 1e-3j * x))
+        # complex values never make a series, a zero imaginary part included
+        for z in (x + 0j, x + 1e-3j * x):
+            with pytest.raises(ValueError, match="real"):
+                TimeSeries(small_grid, z)
 
     def test_generated_member_is_read_on_its_spectrum(self):
         # transforming the samples back left roundoff where the low band's
@@ -404,7 +402,7 @@ def _assert_matches_full_grid(pt, ref):
     spectrum is within 1e-10 of the peak of the complex inverse of ref's."""
     h = pt.grid.n // 2 + 1
     got = irfft_rows(pt.khat_values, pt.grid)
-    want = inverse_transform(Spectrum(pt.grid, ref.khat_values)).samples
+    want = inverse_transform_n_node(ref.khat_values, pt.grid)
     assert got.dtype == np.float64
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
     for f in dataclasses.fields(pt):
@@ -456,8 +454,8 @@ class TestHalfNodePredictor:
     @pytest.mark.parametrize("poles, numerator", _KERNELS)
     def test_transfer_matches_full_grid(self, poles, numerator, sigma, grid):
         kernel = AnticausalKernel(poles, numerator)
-        got = transfer(kernel, grid, sigma).values
-        assert got.tobytes() == transfer_full_grid(kernel, grid, sigma).tobytes()
+        got = transfer(kernel, grid, sigma)
+        assert got.tobytes() == transfer_full_grid(kernel, grid, sigma)[: grid.n // 2 + 1].tobytes()
 
 
 class TestOrthogonality:
@@ -501,7 +499,7 @@ class TestLineWitness:
         a, sigma = 1.0, 0.5
         g = make_grid(2**14, 0.05)
         kern = AnticausalKernel((a,), (1.0,))
-        defect, residual = _line_figures(g, _transfer_half(kern, g, -sigma), _transfer_half(kern, g, sigma))
+        defect, residual = _line_figures(g, transfer(kern, g, -sigma), transfer(kern, g, sigma))
         q = math.exp(-2.0 * (a - sigma) * g.delta_t)
         share_t0 = 0.25 / (0.25 + q / (1.0 - q))
         assert residual == pytest.approx(math.sqrt(1.0 - (sigma / a) ** 2), abs=1e-3)
@@ -541,8 +539,8 @@ class TestLineWitness:
 
 
 def test_predictor_imports_no_full_grid_path():
-    # the predictor stays on nodes 0..n/2: nothing it imports builds, mirrors
-    # or inverts an n-node spectrum
+    # the predictor stays on nodes 0..n/2: nothing it imports mirrors a half
+    # spectrum onto n nodes or transforms samples
     from pathlib import Path
 
     from specpredict import predictor
@@ -554,7 +552,8 @@ def test_predictor_imports_no_full_grid_path():
         if isinstance(node, (ast.Import, ast.ImportFrom))
         for alias in node.names
     }
-    assert not imported & {"Spectrum", "inverse_transform", "transfer", "_mirror"}
+    assert "transfer" in imported
+    assert not imported & {"_mirror", "forward_transform"}
     # nor does it build n-node time or frequency nodes
     called = {
         node.func.attr

@@ -15,7 +15,6 @@ from specpredict import (
     DegeneracyClass,
     GeneratorConfig,
     SpectralSeries,
-    Spectrum,
     TimeSeries,
     add_noise,
     class_norm,
@@ -31,11 +30,12 @@ from specpredict import signals
 from specpredict.degeneracy import log_weight
 from specpredict.experiments import default_grid
 from specpredict.signals import _guard_window, _noise_spectrum
-from specpredict.spectral import _half_nodes, _mirror, irfft_rows
+from specpredict.spectral import _half_nodes, irfft_rows
 
-from oracles import guard_window_reference
+from oracles import guard_window_reference, hermitian_defect, hermitian_full
 
 GRID = make_grid(2**12, 0.02)
+HALF_OMEGAS = GRID.omegas()[: GRID.n // 2 + 1]
 CLS = DegeneracyClass(2.0, 1.0)
 
 
@@ -83,20 +83,18 @@ class TestClassNorm:
         assert class_norm(TimeSeries(GRID, np.zeros(GRID.n)), CLS) == 0.0
 
     def test_exact_envelope_has_unit_norm(self):
-        from specpredict import Spectrum, inverse_transform
-
-        om = GRID.omegas()
+        om = HALF_OMEGAS
         vals = np.where(
             (np.abs(om) > 0) & (np.abs(om) <= 1.0), np.exp(-log_weight(om, 2.0, 1.0)), 0.0
-        ).astype(complex)
-        x = inverse_transform(Spectrum(GRID, vals))
-        assert class_norm(TimeSeries(GRID, x.samples.real + 0j), CLS) == pytest.approx(
+        )
+        x = SpectralSeries(GRID, vals)
+        assert class_norm(TimeSeries(GRID, x.samples), CLS) == pytest.approx(
             1.0, rel=1e-5
         )
 
     def test_white_signal_is_not_a_member(self):
         rng = np.random.Generator(np.random.Philox(5))
-        white = TimeSeries(GRID, rng.standard_normal(GRID.n) + 0j)
+        white = TimeSeries(GRID, rng.standard_normal(GRID.n))
         assert class_norm(white, CLS) == math.inf
 
 
@@ -123,14 +121,15 @@ class TestClassMember:
             assert np.array_equal(x.samples, alone.samples), i
 
     def test_real_output(self):
-        assert sample_class_member(CLS, cfg(2)).is_real
+        x = sample_class_member(CLS, cfg(2))
+        assert isinstance(x, SpectralSeries) and x.samples.dtype == np.float64
 
     def test_deep_degeneracy_bound(self):
         # emitted spectrum obeys |X| <= exp(-c/w^q) exactly, so near w = 0.1
         # the content is at the e^{-100} scale, far below roundoff
         x = sample_class_member(CLS, cfg(3))
-        X = forward_transform(x).values
-        om = np.abs(GRID.omegas())
+        X = forward_transform(x).spectrum
+        om = np.abs(HALF_OMEGAS)
         node = int(np.argmin(np.abs(om - 0.1)))
         floor = 1e-12 * np.max(np.abs(X))
         assert abs(X[node]) <= max(math.exp(-1.0 / om[node] ** 2), floor)
@@ -139,8 +138,8 @@ class TestClassMember:
         # evaluated above a spectral roundoff floor; the floor keeps roundtrip
         # junk (absolute ~1e-16 of the peak) out of the enormous weights
         x = sample_class_member(CLS, cfg(4))
-        X = forward_transform(x).values
-        om = GRID.omegas()
+        X = forward_transform(x).spectrum
+        om = HALF_OMEGAS
         mags = np.abs(X)
         floor = 1e-10 * np.max(mags)
         live = mags > floor
@@ -155,13 +154,13 @@ class TestClassMember:
         x = sample_class_member(CLS, GeneratorConfig(seed=5, grid=g))
         t = g.times()
         guard = np.abs(t) > g.span / 4
-        peak = np.max(np.abs(x.samples.real))
-        assert np.max(np.abs(x.samples.real[guard])) <= 1e-5 * peak
+        peak = np.max(np.abs(x.samples))
+        assert np.max(np.abs(x.samples[guard])) <= 1e-5 * peak
 
     def test_gaussian_profile(self):
         x = sample_class_member(CLS, cfg(6, profile="gaussian", sigma=1.5))
-        X = np.abs(forward_transform(x).values)
-        om = np.abs(GRID.omegas())
+        X = np.abs(forward_transform(x).spectrum)
+        om = np.abs(HALF_OMEGAS)
         envelope = np.exp(-(om**2) / (2 * 1.5**2) - np.minimum(log_weight(om, 2.0, 1.0), 700.0))
         floor = 1e-10 * np.max(X)
         live = X > floor
@@ -292,8 +291,8 @@ def _sample_digest(x) -> str:
 class TestBandlimited:
     def test_exact_support(self):
         x = sample_bandlimited(2.0, cfg(7))
-        X = forward_transform(x).values
-        outside = np.abs(GRID.omegas()) > 2.0
+        X = forward_transform(x).spectrum
+        outside = np.abs(HALF_OMEGAS) > 2.0
         assert np.max(np.abs(X[outside])) < 1e-13 * np.max(np.abs(X))
         # the stored spectrum is exactly zero there, and at omega = 0
         assert isinstance(x, SpectralSeries)
@@ -309,9 +308,9 @@ class TestBandlimited:
 
     def test_subresolution_band_gives_fundamental_pair(self):
         x = sample_bandlimited(GRID.delta_omega / 2, cfg(8))
-        X = forward_transform(x).values
+        X = forward_transform(x).spectrum
         big = np.abs(X) > 1e-8 * np.max(np.abs(X))
-        populated = np.abs(GRID.omegas())[big]
+        populated = np.abs(HALF_OMEGAS)[big]
         assert np.allclose(populated, GRID.delta_omega)
 
     def test_membership_with_degeneracy_gap(self):
@@ -330,16 +329,16 @@ class TestBandlimited:
 class TestCounterexamplePair:
     def test_partition_of_unit_modulus(self):
         x1, x2 = counterexample_pair(0.5, cfg(10))
-        X1 = forward_transform(x1).values
-        X2 = forward_transform(x2).values
+        X1 = forward_transform(x1).spectrum
+        X2 = forward_transform(x2).spectrum
         mags = np.abs(X1) + np.abs(X2)
         assert np.max(np.abs(mags - 1.0)) < 1e-12
         assert np.max(np.abs(X1) * np.abs(X2)) < 1e-12
 
     def test_first_part_is_bandlimited(self):
         x1, _ = counterexample_pair(0.5, cfg(11))
-        X1 = forward_transform(x1).values
-        outside = np.abs(GRID.omegas()) >= 0.5
+        X1 = forward_transform(x1).spectrum
+        outside = np.abs(HALF_OMEGAS) >= 0.5
         assert np.max(np.abs(X1[outside])) < 1e-13
 
     def test_grid_energy_identity(self):
@@ -361,7 +360,7 @@ class TestCounterexamplePair:
 
 def _full_l1(half: np.ndarray) -> float:
     """delta_omega * sum of |X| over all n nodes of GRID, from nodes 0..n/2."""
-    return GRID.delta_omega * float(np.sum(np.abs(_mirror(half))))
+    return GRID.delta_omega * float(np.sum(np.abs(hermitian_full(half))))
 
 
 class TestAddNoise:
@@ -394,12 +393,12 @@ class TestAddNoise:
     def test_noise_is_real_in_time(self):
         x = TimeSeries(GRID, np.zeros(GRID.n))
         noisy, N = add_noise(x, 0.3, cfg(15))
-        assert noisy.is_real
+        assert isinstance(noisy, TimeSeries) and noisy.samples.dtype == np.float64
         assert isinstance(N, SpectralSeries)
         # nodes 0 and n/2 stand for themselves, so only their being real
         # makes the n-node spectrum hermitian
         assert N.spectrum[0].imag == 0.0 and N.spectrum[-1].imag == 0.0
-        assert Spectrum(GRID, _mirror(N.spectrum)).is_hermitian
+        assert hermitian_defect(hermitian_full(N.spectrum)) <= 1e-12
 
     @pytest.mark.parametrize("band", [None, (1.0, 2.0)])
     def test_shares_the_noise_spectrum_helper(self, band):

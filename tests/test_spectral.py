@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from conftest import random_series
 from specpredict import (
     SpectralSeries,
-    Spectrum,
     TimeSeries,
     forward_transform,
-    inverse_transform,
     make_grid,
     norm,
     to_centered,
@@ -23,7 +21,7 @@ from specpredict.spectral import MAX_GRID_N, FrequencyGrid, irfft_rows, rfft_row
 
 from oracles import (
     forward_transform_n_node,
-    hermitian_symmetrize,
+    hermitian_full,
     idft_direct,
     inverse_transform_n_node,
 )
@@ -63,7 +61,7 @@ class TestMakeGrid:
         g = make_grid(16, 0.5)
         om = g.omegas()
         assert np.count_nonzero(om == 0.0) == 1
-        centered = g.omegas_centered()
+        centered = to_centered(om)
         assert centered[0] == pytest.approx(-g.omega_max)
         assert centered[-1] == pytest.approx(g.omega_max - g.delta_omega)
         assert np.allclose(np.diff(centered), g.delta_omega)
@@ -71,56 +69,70 @@ class TestMakeGrid:
         assert g.delta_omega * g.n * g.delta_t == pytest.approx(2 * math.pi)
 
     def test_reindexing_helpers_invert(self):
-        g = make_grid(32, 0.1)
         v = np.arange(32.0)
         assert np.array_equal(np.fft.ifftshift(to_centered(v)), v)
-        assert np.array_equal(to_centered(g.omegas()), g.omegas_centered())
+        assert np.array_equal(to_centered(v), np.fft.fftshift(v))
+
+    @pytest.mark.parametrize("n, dt", [(8, 1.0), (256, 0.05), (2**16, 0.01), (2**18, 0.37)])
+    def test_omegas_are_fftfreq_bit_for_bit(self, n, dt):
+        g = make_grid(n, dt)
+        assert g.omegas().tobytes() == (2 * math.pi * np.fft.fftfreq(n, d=dt)).tobytes()
 
 
 class TestForwardTransform:
     def test_zero_signal(self, small_grid):
         X = forward_transform(TimeSeries(small_grid, np.zeros(small_grid.n)))
-        assert np.all(X.values == 0)
+        assert X.spectrum.shape == (small_grid.n // 2 + 1,) and np.all(X.spectrum == 0)
 
     def test_gaussian_pair(self):
         # closed-form transform of exp(-t^2/2) is sqrt(2 pi) exp(-w^2/2)
         g = make_grid(2**13, 0.05)
         t = g.times()
-        X = forward_transform(TimeSeries(g, np.exp(-(t**2) / 2) + 0j))
-        om = g.omegas()
+        X = forward_transform(TimeSeries(g, np.exp(-(t**2) / 2)))
+        om = g.omegas()[: g.n // 2 + 1]
         sel = np.abs(om) <= 3.0
         exact = math.sqrt(2 * math.pi) * np.exp(-(om[sel] ** 2) / 2)
-        assert np.max(np.abs(X.values[sel] - exact) / exact) < 1e-6
+        assert np.max(np.abs(X.spectrum[sel] - exact) / exact) < 1e-6
 
-    def test_real_input_gives_hermitian_spectrum(self, small_grid):
-        x = random_series(small_grid, 11, complex_valued=False)
-        assert forward_transform(x).is_hermitian
+    @pytest.mark.parametrize("n", [8, 256, 2**16])
+    def test_equals_the_first_nodes_of_the_n_node_oracle(self, n):
+        grid = make_grid(n, 0.05)
+        x = random_series(grid, 11)
+        full = forward_transform_n_node(x.samples, grid)
+        peak = np.max(np.abs(full))
+        assert np.max(np.abs(forward_transform(x).spectrum - full[: n // 2 + 1])) <= 1e-15 * peak
+        # a real signal's spectrum is conjugate-symmetric: nodes 0..n/2 hold it all
+        assert np.max(np.abs(full[n // 2 + 1 :] - np.conj(full[n // 2 - 1 : 0 : -1]))) <= 1e-15 * peak
 
     def test_matches_direct_summation(self, small_grid):
         x = random_series(small_grid, 3)
         X = forward_transform(x)
         direct = small_grid.delta_t * np.array(
-            [np.sum(np.exp(-1j * w * small_grid.times()) * x.samples) for w in small_grid.omegas()]
+            [
+                np.sum(np.exp(-1j * w * small_grid.times()) * x.samples)
+                for w in small_grid.omegas()[: small_grid.n // 2 + 1]
+            ]
         )
-        assert np.max(np.abs(X.values - direct)) < 1e-9 * np.max(np.abs(direct))
+        assert np.max(np.abs(X.spectrum - direct)) < 1e-9 * np.max(np.abs(direct))
 
 
 class TestInverseTransform:
     def test_round_trip(self, small_grid):
         x = random_series(small_grid, 17)
-        back = inverse_transform(forward_transform(x))
-        assert norm(TimeSeries(small_grid, back.samples - x.samples), 2) <= 1e-9 * norm(x, 2)
+        back = forward_transform(x).samples
+        assert norm(TimeSeries(small_grid, back - x.samples), 2) <= 1e-9 * norm(x, 2)
 
-    def test_hermitian_spectrum_gives_real_output(self, small_grid):
-        X = hermitian_symmetrize(
-            Spectrum(small_grid, np.exp(1j * np.linspace(0, 5, small_grid.n)))
-        )
-        x = inverse_transform(X)
-        assert x.is_real
+    def test_half_spectrum_inverts_as_its_conjugate_mirror(self, small_grid):
+        half = np.exp(1j * np.linspace(0, 5, small_grid.n // 2 + 1))
+        half[[0, -1]] = half[[0, -1]].real
+        want = inverse_transform_n_node(hermitian_full(half), small_grid)
+        peak = np.max(np.abs(want))
+        assert np.max(np.abs(want.imag)) <= 1e-15 * peak
+        assert np.max(np.abs(SpectralSeries(small_grid, half).samples - want.real)) <= 1e-15 * peak
 
     def test_flat_spectrum_is_discrete_delta(self):
         g = make_grid(64, 0.25)
-        x = inverse_transform(Spectrum(g, np.ones(g.n)))
+        x = SpectralSeries(g, np.ones(g.n // 2 + 1))
         oracle = idft_direct(np.ones(g.n), g)
         assert np.max(np.abs(x.samples - oracle)) < 1e-12 / g.delta_t
         expected = np.zeros(g.n)
@@ -133,8 +145,8 @@ class TestInverseTransform:
 def test_round_trip_property(seed, log2n):
     g = make_grid(2**log2n, 0.37)
     x = random_series(g, seed)
-    back = inverse_transform(forward_transform(x))
-    assert np.max(np.abs(back.samples - x.samples)) <= 1e-9 * (1 + np.max(np.abs(x.samples)))
+    back = forward_transform(x).samples
+    assert np.max(np.abs(back - x.samples)) <= 1e-9 * (1 + np.max(np.abs(x.samples)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -144,7 +156,7 @@ def test_parseval_property(seed):
     x = random_series(g, seed)
     X = forward_transform(x)
     time_energy = norm(x, 2) ** 2
-    freq_energy = g.delta_omega / (2 * math.pi) * float(np.sum(np.abs(X.values) ** 2))
+    freq_energy = g.delta_omega / (2 * math.pi) * spectral._half_sum(np.abs(X.spectrum) ** 2, g)
     assert freq_energy == pytest.approx(time_energy, rel=1e-8)
 
 
@@ -154,19 +166,9 @@ def test_linearity_property(seed, a, b):
     g = make_grid(64, 0.2)
     x = random_series(g, seed)
     z = random_series(g, seed + 1)
-    lhs = forward_transform(TimeSeries(g, a * x.samples + b * z.samples)).values
-    rhs = a * forward_transform(x).values + b * forward_transform(z).values
+    lhs = forward_transform(TimeSeries(g, a * x.samples + b * z.samples)).spectrum
+    rhs = a * forward_transform(x).spectrum + b * forward_transform(z).spectrum
     assert np.max(np.abs(lhs - rhs)) <= 1e-10 * (1 + np.max(np.abs(rhs)))
-
-
-@settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_real_iff_hermitian(seed):
-    g = make_grid(64, 0.2)
-    x_real = random_series(g, seed, complex_valued=False)
-    assert forward_transform(x_real).is_hermitian
-    X = hermitian_symmetrize(forward_transform(random_series(g, seed)))
-    assert inverse_transform(X).is_real
 
 
 class TestNorm:
@@ -186,7 +188,7 @@ class TestNorm:
         quad = pytest.importorskip("scipy.integrate")
         g = make_grid(2**12, 0.05)
         t = g.times()
-        x = TimeSeries(g, np.exp(-(t**2) / 2) + 0j)
+        x = TimeSeries(g, np.exp(-(t**2) / 2))
         exact_sq = quad.quad(lambda s: math.exp(-(s**2)), -40, 40)[0]
         assert norm(x, 2) == pytest.approx(math.sqrt(exact_sq), rel=1e-6)
         assert norm(x, math.inf) == pytest.approx(1.0, rel=1e-12)
@@ -196,56 +198,39 @@ class TestNorm:
             norm(TimeSeries(small_grid, np.zeros(small_grid.n)), 3)
 
 
-class TestHermitianSymmetrize:
-    def test_idempotent_on_hermitian(self, small_grid):
-        x = random_series(small_grid, 23, complex_valued=False)
-        X = forward_transform(x)
-        out = hermitian_symmetrize(X)
-        assert np.max(np.abs(out.values - X.values)) < 1e-12 * np.max(np.abs(X.values))
-
-    def test_splits_one_sided_line(self, small_grid):
-        v = np.zeros(small_grid.n, dtype=complex)
-        v[5] = 2.0 + 1.0j
-        out = hermitian_symmetrize(Spectrum(small_grid, v)).values
-        assert out[5] == pytest.approx((2.0 + 1.0j) / 2)
-        assert out[small_grid.n - 5] == pytest.approx((2.0 - 1.0j) / 2)
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_output_inverts_to_real(self, seed):
-        g = make_grid(64, 0.2)
-        X = forward_transform(random_series(g, seed))
-        sym = hermitian_symmetrize(X)
-        assert sym.is_hermitian
-        assert inverse_transform(sym).is_real
-
-
 class TestTypeInvariants:
     def test_series_length_checked(self, small_grid):
         with pytest.raises(ValueError):
             TimeSeries(small_grid, np.zeros(small_grid.n - 1))
         with pytest.raises(ValueError):
-            Spectrum(small_grid, np.zeros(small_grid.n + 1))
+            SpectralSeries(small_grid, np.zeros(small_grid.n // 2))
 
     def test_samples_read_only(self, small_grid):
         x = random_series(small_grid, 2)
         with pytest.raises(ValueError):
             x.samples[0] = 0.0
 
-    def test_is_real_flag(self, small_grid):
-        assert TimeSeries(small_grid, np.ones(small_grid.n)).is_real
-        assert not TimeSeries(small_grid, np.ones(small_grid.n) * (1 + 1e-6j)).is_real
-
-    def test_real_input_stored_as_float64_complex_as_complex128(self, small_grid):
+    def test_real_input_stored_as_float64(self, small_grid):
         n = small_grid.n
         for values in (np.ones(n), np.arange(n), np.ones(n, dtype=np.float32), [0.5] * n):
             x = TimeSeries(small_grid, values)
-            assert x.samples.dtype == np.float64 and x.is_real
+            assert x.samples.dtype == np.float64
             assert not x.samples.flags.writeable
-        for values in (np.ones(n) + 0j, np.ones(n, dtype=np.complex64), [0.5 + 1j] * n):
-            x = TimeSeries(small_grid, values)
-            assert x.samples.dtype == np.complex128
-            assert not x.samples.flags.writeable
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.ones(8) + 0j,
+            np.ones(8, dtype=np.complex64),
+            [0.5 + 0j] * 8,
+            [0.5 + 1j] * 8,
+            [complex(0.0, math.nan)] * 8,
+        ],
+        ids=["complex128-zero-imag", "complex64", "python-complex", "python-complex-imag", "complex-nan"],
+    )
+    def test_rejects_complex_samples(self, values):
+        with pytest.raises(ValueError, match="samples must be real"):
+            TimeSeries(make_grid(8, 1.0), values)
 
     def test_samples_are_copied(self, small_grid):
         values = np.ones(small_grid.n)
@@ -254,29 +239,25 @@ class TestTypeInvariants:
         assert x.samples[0] == 1.0
 
     @pytest.mark.parametrize("n", [8, 256, 2**16])
-    def test_float_storage_transforms_like_complex_storage(self, n):
+    def test_forward_transform_is_rfft_rows(self, n):
         grid = make_grid(n, 0.01)
         rng = np.random.Generator(np.random.Philox(n))
         samples = rng.standard_normal(n)
-        real, cplx = TimeSeries(grid, samples), TimeSeries(grid, samples + 0j)
-        assert real.samples.dtype == np.float64 and cplx.samples.dtype == np.complex128
-        assert forward_transform(real).values.tobytes() == forward_transform(cplx).values.tobytes()
+        X = forward_transform(TimeSeries(grid, samples))
+        assert isinstance(X, SpectralSeries) and X.grid == grid
+        assert X.spectrum.tobytes() == rfft_rows(samples, grid).tobytes()
 
     def test_spectral_series_keeps_its_spectrum_read_only(self, small_grid):
-        half = forward_transform(random_series(small_grid, 3)).values[: small_grid.n // 2 + 1]
-        half = half.copy()
+        half = forward_transform(random_series(small_grid, 3)).spectrum.copy()
         x = SpectralSeries(small_grid, half)
         assert x.spectrum is half and not half.flags.writeable
-        assert x.is_real
         samples = x.samples
         assert samples.dtype == np.float64 and not samples.flags.writeable
         assert samples.tobytes() == irfft_rows(half, small_grid).tobytes()
         with pytest.raises(ValueError, match="spectrum must have shape"):
             SpectralSeries(small_grid, np.zeros(small_grid.n, dtype=complex))
 
-    @pytest.mark.parametrize(
-        "bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)], ids=["nan", "inf", "-inf", "complex-nan"]
-    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     def test_rejects_non_finite_samples(self, bad):
         grid = make_grid(8, 1.0)
         with pytest.raises(ValueError, match="finite"):
@@ -294,26 +275,26 @@ class TestRowTransforms:
         return rng.standard_normal((3, n))
 
     @pytest.mark.parametrize("n", [8, 256, 2**16])
-    def test_rfft_rows_matches_forward_transform(self, n):
+    def test_rfft_rows_matches_the_n_node_oracle(self, n):
         grid = make_grid(n, 0.01)
         rows = self._rows(n)
         half = rfft_rows(rows, grid)
         assert half.shape == (3, n // 2 + 1)
         for row, got2d in zip(rows, half):
-            want = forward_transform(TimeSeries(grid, row)).values[: n // 2 + 1]
+            want = forward_transform_n_node(row, grid)[: n // 2 + 1]
             peak = np.max(np.abs(want))
             assert np.max(np.abs(got2d - want)) <= 1e-15 * peak
             assert np.max(np.abs(rfft_rows(row, grid) - want)) <= 1e-15 * peak
 
     @pytest.mark.parametrize("n", [8, 256, 2**16])
-    def test_irfft_rows_matches_inverse_transform(self, n):
+    def test_irfft_rows_matches_the_n_node_oracle(self, n):
         grid = make_grid(n, 0.01)
-        spectra = [forward_transform(TimeSeries(grid, row)).values for row in self._rows(n)]
+        spectra = [forward_transform_n_node(row, grid) for row in self._rows(n)]
         half = np.stack([X[: n // 2 + 1] for X in spectra])
         rows = irfft_rows(half, grid)
         assert rows.shape == (3, n) and rows.dtype == np.float64
         for X, h, got2d in zip(spectra, half, rows):
-            want = inverse_transform(Spectrum(grid, X)).samples
+            want = inverse_transform_n_node(X, grid).real
             peak = np.max(np.abs(want))
             assert np.max(np.abs(got2d - want)) <= 1e-15 * peak
             assert np.max(np.abs(irfft_rows(h, grid) - want)) <= 1e-15 * peak
@@ -350,7 +331,7 @@ class TestSignVectors:
         signs, scaled = spectral._signs(a)
         assert spectral._signs(b)[0] is signs and spectral._signs(b)[1] is scaled
         assert not signs.flags.writeable and not scaled.flags.writeable
-        # nodes 0..n/2 only; the complex pair mirrors them onto the rest
+        # nodes 0..n/2 only
         assert signs.tolist() == [1.0, -1.0] * 64 + [1.0]
         assert scaled.tobytes() == (0.05 * signs).tobytes()
         assert spectral._signs(make_grid(256, 0.1))[1] is not scaled
@@ -365,27 +346,24 @@ class TestSignVectors:
         assert spectral._half_nodes(grid)[0].tobytes() == np.abs(om).tobytes()
 
     def test_in_place_scaling_matches_out_of_place(self):
-        # the complex pair reads the (n/2+1)-node tables through the mirror
-        # and equals the products with the n-node table, signed zeros on
-        # both sides of node n/2 included
+        # the pair scales by the cached (n/2+1)-node tables in place, and
+        # equals the products with a fresh table, signed zeros included
         grid = make_grid(256, 0.05)
-        signs = np.where(np.arange(grid.n) % 2 == 0, 1.0, -1.0)
-        x = random_series(grid, 4).samples.copy()
-        x[:5] = [0.0, -0.0, 0.0j, -0.0 - 0.0j, 1e-320]
-        x[126:134] = [0.0, -0.0, 0.0j, -0.0 - 0.0j, complex(0.0, -0.0), complex(-0.0, 0.0), -0.0, 0.0]
-        x[-4:] = [-0.0, complex(-0.0, -0.0), complex(0.0, -0.0), 0.0]
-        X = Spectrum(grid, x)
-        assert forward_transform(TimeSeries(grid, x)).values.tobytes() == (
-            forward_transform_n_node(x, grid).tobytes()
-        )
-        assert inverse_transform(X).samples.tobytes() == inverse_transform_n_node(x, grid).tobytes()
         h = grid.n // 2 + 1
-        assert rfft_rows(x.real, grid).tobytes() == (
-            grid.delta_t * signs[:h] * np.fft.rfft(x.real)
-        ).tobytes()
-        assert irfft_rows(x[:h], grid).tobytes() == (
-            np.fft.irfft(signs[:h] * x[:h], n=grid.n) / grid.delta_t
-        ).tobytes()
+        signs = np.where(np.arange(h) % 2 == 0, 1.0, -1.0)
+        x = random_series(grid, 4).samples.copy()
+        x[:5] = [0.0, -0.0, 0.0, -0.0, 1e-320]
+        x[-4:] = [-0.0, 0.0, -0.0, 0.0]
+        rng = np.random.Generator(np.random.Philox(5))
+        half = rng.standard_normal(h) + 1j * rng.standard_normal(h)
+        half[:5] = [0.0, -0.0, 0.0j, -0.0 - 0.0j, complex(0.0, -0.0)]
+        half[-4:] = [complex(-0.0, 0.0), complex(-0.0, -0.0), -0.0, 0.0]
+        want = (grid.delta_t * signs * np.fft.rfft(x)).tobytes()
+        assert rfft_rows(x, grid).tobytes() == want
+        assert forward_transform(TimeSeries(grid, x)).spectrum.tobytes() == want
+        want = (np.fft.irfft(signs * half, n=grid.n) / grid.delta_t).tobytes()
+        assert irfft_rows(half, grid).tobytes() == want
+        assert SpectralSeries(grid, half).samples.tobytes() == want
 
 
 def _mirrored(half, n):
@@ -478,4 +456,44 @@ def test_only_spectral_reads_node_weights():
     modules = [p for p in Path(spectral.__file__).parent.glob("*.py") if p.name != "spectral.py"]
     assert len(modules) >= 9
     found = {p.name: _quadrature_bypasses(p.read_text(encoding="utf-8")) for p in modules}
+    assert not any(found.values()), found
+
+
+def _fft_reads(source: str) -> set:
+    """What ``source`` reads of numpy's fft module: the names read as
+    ``np.fft.<name>`` or ``numpy.fft.<name>``, "fft" for ``np.fft`` itself
+    read any other way, and "import" for an import of the module."""
+    tree = ast.parse(source)
+
+    def is_fft(node):
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == "fft"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        )
+
+    named = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute) and is_fft(node.value)}
+    reads = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and is_fft(node.value)}
+    reads |= {"fft" for node in ast.walk(tree) if is_fft(node) and id(node) not in named}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(a.name.startswith("numpy.fft") for a in node.names):
+            reads.add("import")
+        if isinstance(node, ast.ImportFrom) and (
+            (node.module or "").startswith("numpy.fft")
+            or (node.module == "numpy" and any(a.name == "fft" for a in node.names))
+        ):
+            reads.add("import")
+    return reads
+
+
+def test_only_spectral_calls_the_fast_transform():
+    # one transform pair: the real half-spectrum transforms, in spectral alone
+    probe = "a = np.fft.fft(x)\nb = numpy.fft.rfft(x)\nf = np.fft\nfrom numpy import fft\nimport numpy.fft\n"
+    assert _fft_reads(probe) == {"fft", "rfft", "import"}
+    assert _fft_reads("y = np.fft.irfft(v, n=8)\nz = x.fft") == {"irfft"}
+    modules = {p.name: p for p in Path(spectral.__file__).parent.glob("*.py")}
+    assert len(modules) >= 10
+    found = {name: _fft_reads(p.read_text(encoding="utf-8")) for name, p in modules.items()}
+    assert found.pop("spectral.py") == {"rfft", "irfft"}
     assert not any(found.values()), found
