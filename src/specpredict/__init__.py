@@ -59,7 +59,6 @@ from .spectral import (
     forward_transform,
     make_grid,
     norm,
-    to_centered,
 )
 from .tolerances import CALIBRATION
 
@@ -105,7 +104,6 @@ __all__ = [
     "sample_bandlimited",
     "sample_class_member",
     "time_kernel",
-    "to_centered",
     "transfer",
     "uniformity_check",
     "v_minus_one",

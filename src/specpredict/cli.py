@@ -42,9 +42,9 @@ from .experiments import (
 )
 from .kernels import kernel_from_dict
 from .predictor import LemmaReport, build_predictor, causality_defect, find_gamma0, lemma_check
-from .reports import ensure_dir, format_value, write_csv, write_json, write_svg_lineplot
+from .reports import ColumnBlocks, ensure_dir, format_value, write_csv, write_json, write_svg_lineplot
 from .signals import GeneratorConfig, class_norm, sample_bandlimited, sample_class_member
-from .spectral import TimeSeries, _half_sum, irfft_rows, make_grid, norm, to_centered
+from .spectral import TWO_PI, TimeSeries, _half_sum, irfft_rows, make_grid, norm
 from .spectral import forward_transform  # noqa: F401 - perfbench's INSTALL_PROBE reads this binding
 
 
@@ -227,20 +227,24 @@ def _formats(config: dict, flag: str) -> tuple:
 
 
 def _timeseries_csv(path, grid, samples, meta, column="x"):
-    write_csv(path, ["t", column], np.column_stack((grid.times(), samples)), meta)
-
-
-def _mirror(half: np.ndarray) -> np.ndarray:
-    """All n nodes of a real signal's spectrum from its nodes 0..n/2: node
-    n-k is the conjugate of node k."""
-    return np.concatenate((half, np.conj(half[-2:0:-1])))
+    """``samples`` against the grid's time nodes, formed a block at a time."""
+    write_csv(path, ["t", column], ColumnBlocks(grid.n, lambda a, b: (grid.times(a, b), samples[a:b])), meta)
 
 
 def _spectrum_csv(path, x, meta):
-    """The stored half spectrum of ``x`` at all n nodes, in centered order."""
-    om = to_centered(x.grid.omegas())
-    vals = to_centered(_mirror(x.spectrum))
-    write_csv(path, ["omega", "re", "im"], np.column_stack((om, vals.real, vals.imag)), meta)
+    """The stored half spectrum of ``x`` at all n nodes, in centered order,
+    formed a block at a time: row i is node k = i - n/2, at omega as
+    ``grid.omegas()`` forms it, with the value of node |k| of the half
+    spectrum, conjugated for -n/2 < k < 0 (node -n/2 is node n/2 itself)."""
+    grid, half = x.grid, x.spectrum
+
+    def block(start, stop):
+        k = np.arange(start, stop) - grid.n // 2
+        vals = half[np.abs(k)]
+        np.conjugate(vals, out=vals, where=(k < 0) & (k > -grid.n // 2))
+        return TWO_PI * (k * (1.0 / (grid.n * grid.delta_t))), vals.real, vals.imag
+
+    write_csv(path, ["omega", "re", "im"], ColumnBlocks(grid.n, block), meta)
 
 
 def _write_table(path, row_type, rows, meta, formats, drop=(), gammas=None) -> list:
@@ -270,16 +274,17 @@ def _cmd_predict(config, outdir, formats):
     X = _member_half(x, grid)
     gain = pt.khat_values - pt.k_values
     err_l2, err_sup = _norms(gain * X, grid)
+    del gain
     y = irfft_rows(pt.k_values * X, grid)
-    y_hat = irfft_rows(pt.khat_values * X, grid)
     y_l2, y_sup = _row_norms(y, grid)
     meta = _open_reports(outdir, config, "predict")
     if "csv" in formats:
-        _timeseries_csv(f"{outdir}/x.csv", grid, x.samples, meta)
+        # one n-sample series alive at a time: each is written, then dropped
         _timeseries_csv(f"{outdir}/y.csv", grid, y, meta)
-        _timeseries_csv(f"{outdir}/yhat.csv", grid, y_hat, meta)
-        khat = irfft_rows(pt.khat_values, grid)
-        _timeseries_csv(f"{outdir}/khat.csv", grid, khat, meta, column="khat")
+        del y
+        _timeseries_csv(f"{outdir}/x.csv", grid, x.samples, meta)
+        _timeseries_csv(f"{outdir}/yhat.csv", grid, irfft_rows(pt.khat_values * X, grid), meta)
+        _timeseries_csv(f"{outdir}/khat.csv", grid, irfft_rows(pt.khat_values, grid), meta, column="khat")
     write_json(
         f"{outdir}/summary.json",
         {

@@ -7,11 +7,14 @@ endings and a mandatory header row; comment lines starting with '#' carry
 the metadata.  The SVG writer is hand-rolled so repeated runs are
 byte-identical (figure libraries embed per-process ids).
 
-:func:`write_csv` takes one of two inputs.  A 2-D float64 array, as the
-time series and spectra are written, is printed by a vectorized ``'%.16e'``
-formatter in blocks of rows; its bytes are those of ``'%.16e' % v`` on every
-value.  Any other rows, such as the small tables of the experiments, go value
-by value through :func:`format_value`.
+:func:`write_csv` takes one of two inputs.  A float table, as the time
+series and spectra are written, is printed by a vectorized ``'%.16e'``
+formatter one block of ``_BLOCK_ROWS`` rows at a time; its bytes are those
+of ``'%.16e' % v`` on every value.  The CLI passes such a table as a
+:class:`ColumnBlocks`, which forms each block's columns when the writer asks
+for them, so no n-row table is stacked; a 2-D float64 array is written the
+same way.  Any other rows, such as the small tables of the experiments, go
+value by value through :func:`format_value`.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ import functools
 import json
 import math
 import os
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -170,21 +175,43 @@ def _float_rows(block: np.ndarray) -> bytes:
     return out[keep].tobytes()
 
 
+@dataclass(frozen=True)
+class ColumnBlocks:
+    """A float table of ``rows`` rows that :func:`write_csv` forms a block at a time.
+
+    ``block(start, stop)`` gives the columns of rows start..stop-1, one
+    float64 array each.  ``len()`` is the number of rows.
+    """
+
+    rows: int
+    block: Callable
+
+    def __len__(self) -> int:
+        return self.rows
+
+
 def write_csv(path: str, columns, rows, metadata: dict) -> None:
     """Write rows (sequences aligned with ``columns``) under a metadata comment.
 
-    ``rows`` is a 2-D float64 array of shape (n, len(columns)), written block
-    by block through the vectorized formatter, or any sized sequence of rows,
-    whose values go through :func:`format_value`.
+    ``rows`` is a :class:`ColumnBlocks` or a 2-D float64 array of shape
+    (m, len(columns)), written through the vectorized formatter one block of
+    rows at a time, or any sized sequence of rows, whose values go through
+    :func:`format_value`.  ``len(rows)`` is the number of data rows in every
+    case.
     """
-    floats = isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64
-    if floats and rows.shape[1] != len(columns):
-        raise ValueError(f"{len(columns)} columns but rows of {rows.shape[1]} values")
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64:
+        if rows.shape[1] != len(columns):
+            raise ValueError(f"{len(columns)} columns but rows of {rows.shape[1]} values")
+        table = rows
+        rows = ColumnBlocks(len(table), lambda start, stop: table[start:stop].T)
     with open(path, "wb") as fh:
         fh.write((_metadata_block(metadata) + "\n" + ",".join(columns) + "\n").encode("utf-8"))
-        if floats:
+        if isinstance(rows, ColumnBlocks):
             for start in range(0, len(rows), _BLOCK_ROWS):
-                fh.write(_float_rows(rows[start : start + _BLOCK_ROWS]))
+                block = rows.block(start, min(start + _BLOCK_ROWS, len(rows)))
+                if len(block) != len(columns):
+                    raise ValueError(f"{len(columns)} columns but blocks of {len(block)} columns")
+                fh.write(_float_rows(np.column_stack(block)))
         else:
             fh.writelines((",".join(map(format_value, row)) + "\n").encode("utf-8") for row in rows)
 

@@ -33,6 +33,8 @@ from .spectral import (
     _half_nodes,
     _half_omegas,
     _half_sum,
+    _irfft_phased,
+    _signs,
     forward_transform,
     irfft_rows,
     rfft_rows,
@@ -134,9 +136,9 @@ def _guard_window(grid: FrequencyGrid) -> np.ndarray:
     degeneracy band far below the envelope-projection scale; the hard cut
     sits 4.3 sigma past the ramp centre, where it has fallen to ~9e-6.
 
-    The ramp is ``0.5 * math.erfc`` of each node's |t_j|, formed as
-    ``grid.times()`` forms t_j, in blocks of ``_WINDOW_BLOCK`` nodes, so no
-    n-node time array or n/2-value list is built.  It is evaluated once per
+    The ramp is ``0.5 * math.erfc`` of each node's |t_j|, taken from
+    ``grid.times`` in blocks of ``_WINDOW_BLOCK`` nodes, so no n-node time
+    array or n/2-value list is built.  It is evaluated once per
     grid: the result is cached per (frozen, hashable) ``FrequencyGrid`` and
     returned read-only, so every caller shares one array.
     """
@@ -148,7 +150,7 @@ def _guard_window(grid: FrequencyGrid) -> np.ndarray:
     width = math.sqrt(2.0) * sigma
     w = np.zeros(n)
     for start in range(0, n, _WINDOW_BLOCK):
-        t = np.abs((np.arange(start, min(start + _WINDOW_BLOCK, n)) - n // 2) * grid.delta_t)
+        t = np.abs(grid.times(start, min(start + _WINDOW_BLOCK, n)))
         inside = t < t_zero
         arg = (t[inside] - mu) / width
         block = w[start : start + t.size]
@@ -171,8 +173,9 @@ def _enveloped_member(q: float, c: float, cfg: GeneratorConfig, size: int) -> li
     Returns ``size`` members seeded ``cfg.seed + i``; a seed range that
     leaves 64 unsigned bits raises ValueError before any member is drawn.
     They share the envelope and the window, and each runs through both
-    projection rounds on its own, in place on its own half spectrum and
-    samples, so a member does not depend on the ensemble it is drawn in.
+    projection rounds on its own, in place on its own half spectrum, so a
+    member does not depend on the ensemble it is drawn in.  The rounds of
+    every member share one sample buffer and one scale buffer.
     Each member is the :class:`SpectralSeries` of its last projection's
     half spectrum: the spectrum that is exactly in the class, not a
     re-transform of its samples.
@@ -196,6 +199,9 @@ def _enveloped_member(q: float, c: float, cfg: GeneratorConfig, size: int) -> li
     env[0] = 0.0
     start = _HEADROOM * env
     window = _guard_window(grid)
+    signs = _signs(grid)[0]
+    x = np.empty(grid.n)
+    scale = np.empty(env.size)
 
     members = []
     for i in range(size):
@@ -204,11 +210,14 @@ def _enveloped_member(q: float, c: float, cfg: GeneratorConfig, size: int) -> li
         # alternate time confinement with the spectral projection; the last
         # step is spectral, which makes the envelope bound and X(0) = 0 exact
         for _ in range(_PROJECTION_ROUNDS):
-            x = irfft_rows(X, grid)
+            # irfft_rows and rfft_rows through the buffers: the inverse's
+            # phase goes on in X's own buffer, which rfft_rows then overwrites
+            X *= signs
+            _irfft_phased(X, grid, out=x)
             x *= window
-            X = rfft_rows(x, grid)
-            # the clip scale min(env/|X|, 1), 1 where |X| = 0, in |X|'s buffer
-            scale = np.abs(X)
+            rfft_rows(x, grid, out=X)
+            # the clip scale min(env/|X|, 1), 1 where |X| = 0
+            np.abs(X, out=scale)
             with np.errstate(divide="ignore", invalid="ignore"):
                 np.divide(env, scale, out=scale)
             np.fmin(scale, 1.0, out=scale)

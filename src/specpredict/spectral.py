@@ -7,9 +7,8 @@ The continuous transform pair
 
 is approximated on a uniform time grid with the origin at the grid centre,
 so that both past (t < 0) and future (t > 0) samples exist on-grid.  The
-frequency nodes are kept in natural (fast-transform) order internally;
-``to_centered`` is the only reindexing helper and owns the conversion to the
-centered reporting order
+frequency nodes are kept in natural (fast-transform) order internally; the
+spectrum report lists them in the centered order
 {-omega_max, ..., -d_omega, 0, d_omega, ..., omega_max - d_omega}.
 
 Every signal is real, so its spectrum is conjugate-symmetric and is held
@@ -17,7 +16,10 @@ at nodes 0..n/2 only (node n/2 is the unpaired omega_max).  There is one
 transform pair: :func:`forward_transform` takes a real ``TimeSeries`` to
 the ``SpectralSeries`` of its half spectrum, and ``SpectralSeries.samples``
 is the inverse.  ``rfft_rows`` / ``irfft_rows`` are the same pair on
-arrays, along the last axis, one signal per row of an (m, n) stack.  Both
+arrays, along the last axis, one signal per row of an (m, n) stack;
+``rfft_rows`` can write into a given buffer, and ``_irfft_phased`` is the
+inverse of a spectrum that already carries the phase, so a caller that
+reuses buffers needs no scratch copy.  Both
 carry the centered-origin phase ``(-1)^k`` and the delta_t scaling, whose
 factors are built once per grid at nodes 0..n/2 (``_signs``) and shared
 read-only.  ``_half_omegas`` gives the signed omega at nodes 0..n/2, as
@@ -49,11 +51,6 @@ MAX_GRID_N = 2**24
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
-
-
-def to_centered(values: np.ndarray) -> np.ndarray:
-    """Reorder natural (fast-transform) node order to centered order."""
-    return np.roll(values, len(values) // 2)
 
 
 @dataclass(frozen=True)
@@ -98,9 +95,10 @@ class FrequencyGrid:
         """Largest resolvable angular frequency pi / delta_t."""
         return math.pi / self.delta_t
 
-    def times(self) -> np.ndarray:
-        """Time nodes t_j = (j - n/2) * delta_t, j = 0..n-1."""
-        return (np.arange(self.n) - self.n // 2) * self.delta_t
+    def times(self, start: int = 0, stop: int = None) -> np.ndarray:
+        """Time nodes t_j = (j - n/2) * delta_t for j = start..stop-1 (all n
+        by default); a range gives the same values as slicing all n nodes."""
+        return (np.arange(start, self.n if stop is None else stop) - self.n // 2) * self.delta_t
 
     def omegas(self) -> np.ndarray:
         """Angular-frequency nodes in natural (fast-transform) order: node k
@@ -244,16 +242,17 @@ def forward_transform(x: TimeSeries) -> SpectralSeries:
     return SpectralSeries(x.grid, values)
 
 
-def rfft_rows(samples, grid: FrequencyGrid) -> np.ndarray:
+def rfft_rows(samples, grid: FrequencyGrid, out=None) -> np.ndarray:
     """:func:`forward_transform` of real rows along the last axis, nodes 0..n/2.
 
     ``samples`` is one real series of shape (n,) or a stack of shape (m, n);
-    the result has shape (n/2+1,) or (m, n/2+1).
+    the result has shape (n/2+1,) or (m, n/2+1), and is written into ``out``
+    when that complex128 buffer is given.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim not in (1, 2) or samples.shape[-1] != grid.n:
         raise ValueError(f"samples must have shape ({grid.n},) or (m, {grid.n}), got {samples.shape}")
-    out = np.fft.rfft(samples, axis=-1)
+    out = np.fft.rfft(samples, axis=-1, out=out)
     out *= _signs(grid)[1]
     return out
 
@@ -269,7 +268,15 @@ def irfft_rows(values, grid: FrequencyGrid) -> np.ndarray:
     h = grid.n // 2 + 1
     if values.ndim not in (1, 2) or values.shape[-1] != h:
         raise ValueError(f"values must have shape ({h},) or (m, {h}), got {values.shape}")
-    out = np.fft.irfft(_signs(grid)[0] * values, n=grid.n, axis=-1)
+    return _irfft_phased(_signs(grid)[0] * values, grid)
+
+
+def _irfft_phased(phased: np.ndarray, grid: FrequencyGrid, out=None) -> np.ndarray:
+    """:func:`irfft_rows` of half spectra that already carry its (-1)^k
+    phase, written into the float64 buffer ``out`` when one is given; a
+    caller that may overwrite its spectrum phases it in place and needs no
+    phased copy."""
+    out = np.fft.irfft(phased, n=grid.n, axis=-1, out=out)
     out /= grid.delta_t
     return out
 

@@ -13,6 +13,7 @@ from specpredict import (
     build_predictor,
     make_grid,
     norm,
+    sample_bandlimited,
     sample_class_member,
 )
 from specpredict.cli import main
@@ -120,6 +121,16 @@ class TestPredictCommand:
         for name, samples in expected.items():
             rows = (outdir / name).read_text().splitlines()[2:]
             assert rows == [f"{t:.16e},{v:.16e}" for t, v in zip(grid.times(), samples)], name
+
+    @pytest.mark.parametrize("formats, inverses", [("json", 5), ("csv,json", 8)])
+    def test_forms_yhat_only_for_its_csv(self, tmp_path, monkeypatch, formats, inverses):
+        # the generator's two projection rounds, the error channel, y and the
+        # time kernel of causality_defect; csv adds x, yhat and khat
+        calls = []
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: calls.append(1) or irfft(*a, **k))
+        code, _ = run(tmp_path, "predict", base_config(), extra=("--format", formats))
+        assert code == 0 and len(calls) == inverses
 
     def test_saturated_predictor_warns(self, tmp_path, capsys):
         code, outdir = run(tmp_path, "predict", base_config())
@@ -337,6 +348,32 @@ class TestGenSignalCommand:
         # centered reporting order: first omega is -omega_max
         first = float(sp[2].split(",")[0])
         assert first == pytest.approx(-math.pi / GRID_SMALL["delta_t"])
+
+    @pytest.mark.parametrize(
+        "signal",
+        [
+            {"kind": "class_member", "seed": 7, "profile": "flat"},
+            {"kind": "bandlimited", "seed": 3, "omega_bar": 2.0},
+        ],
+    )
+    def test_csvs_match_per_value_formatting(self, tmp_path, signal):
+        grid = make_grid(1024, 0.05)
+        config = base_config(grid={"n": grid.n, "delta_t": grid.delta_t}, signal=signal)
+        code, outdir = run(tmp_path, "gen-signal", config)
+        assert code == 0
+        cfg = GeneratorConfig(seed=signal["seed"], grid=grid)
+        if signal["kind"] == "class_member":
+            x = sample_class_member(DegeneracyClass(2.0, 1.0), cfg)
+        else:
+            x = sample_bandlimited(signal["omega_bar"], cfg)
+        rows = (outdir / "signal.csv").read_text().splitlines()[2:]
+        assert rows == [f"{t:.16e},{v:.16e}" for t, v in zip(grid.times(), x.samples)]
+        # all n nodes in centered order, node n-k the conjugate of node k
+        half = x.spectrum
+        full = np.fft.fftshift(np.concatenate((half, np.conj(half[-2:0:-1]))))
+        rows = (outdir / "signal_spectrum.csv").read_text().splitlines()[2:]
+        om = np.fft.fftshift(grid.omegas())
+        assert rows == [f"{w:.16e},{v.real:.16e},{v.imag:.16e}" for w, v in zip(om, full)]
 
     def test_inverts_the_spectrum_once(self, tmp_path, monkeypatch):
         # the generator's two projection rounds, then one inverse of the

@@ -11,11 +11,16 @@ and a predictor and the line witness evaluate and keep nodes 0..n/2 only.
 The per-grid tables (signs, signed and absolute omega, node weights) hold nodes
 0..n/2 and are cached for one grid at a time, the witnesses split the t < 0
 share at n/2 in place, and lemma_check reduces its node sets in blocks, so
-none of them builds an n-node or n/2-node scratch array.
+none of them builds an n-node or n/2-node scratch array.  The predict command
+holds one n-sample series at a time, and a float CSV is formed and printed a
+block of rows at a time, so no (n, 2) table or n-node time array is built.
 """
 
 import gc
+import json
 import tracemalloc
+
+import numpy as np
 
 from specpredict import (
     AnticausalKernel,
@@ -27,7 +32,7 @@ from specpredict import (
     line_witness,
     make_class_ensemble,
 )
-from specpredict import experiments, spectral
+from specpredict import cli, experiments, spectral
 from specpredict.experiments import (
     DEFAULT_CLASS,
     DEFAULT_ENSEMBLE_SIZE,
@@ -71,6 +76,18 @@ LINE_WITNESS_PEAK_BOUND = 16e6
 # per-grid caches kept four grids and n-node sign tables, 5.25 MB with
 # (n/2+1)-node tables cached for one grid, that of gamma = 1000.
 LINE_CACHE_RESIDUE_BOUND = 5.5e6
+
+# Traced peak of one predict command at the README config (n = 2^16,
+# gamma = 100, csv and json): 6.90 MB with x, y, yhat and khat alive
+# together and each CSV stacked with the n time nodes as an (n, 2) table,
+# 4.37 MB with one series alive at a time and every CSV formed a block at a
+# time; the bound sits between.
+PREDICT_PEAK_BOUND = 5.0e6
+
+# Traced peak of writing one 2^16-sample series against its time nodes: 2.61
+# MB with the n time nodes and an (n, 2) stack, 1.66 MB a block at a time,
+# the formatter's scratch for one block of 4096 rows; the bound sits between.
+WRITE_CSV_PEAK_BOUND = 2.2e6
 
 # Traced peak of causality_defect at n = 2^16, gamma = 10: 2.43 MB with the
 # n time nodes, their mask and fresh |x| and square arrays beside the real
@@ -199,3 +216,31 @@ def test_lemma_check_peak_is_bounded():
     lemma_check(pt, DEFAULT_CLASS)  # per-grid caches outside the trace
     _, peak = _traced_peak(lambda: lemma_check(pt, DEFAULT_CLASS))
     assert peak < LEMMA_PEAK_BOUND, peak
+
+
+README_CONFIG = {
+    "grid": {"n": 65536, "delta_t": 0.01},
+    "kernel": {"poles": [1.0], "numerator": [1.0]},
+    "class": {"q": 2.0, "c": 1.0},
+    "predictor": {"r": 4.0, "gammas": [100]},
+    "signal": {"kind": "class_member", "seed": 7},
+}
+
+
+def test_predict_command_peak_is_bounded(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(README_CONFIG))
+    argv = ["predict", "--config", str(config), "--out", str(tmp_path / "out"), "--format", "csv,json"]
+    assert cli.main(argv) == 0  # per-grid caches and formatter tables outside the trace
+    code, peak = _traced_peak(lambda: cli.main(argv))
+    assert code == 0
+    assert peak < PREDICT_PEAK_BOUND, peak
+
+
+def test_write_csv_peak_is_a_block_of_scratch(tmp_path):
+    grid = CFG.grid
+    samples = np.random.default_rng(1).standard_normal(grid.n)
+    path = str(tmp_path / "x.csv")
+    cli._timeseries_csv(path, grid, samples, {"run": 1})  # formatter tables outside the trace
+    _, peak = _traced_peak(lambda: cli._timeseries_csv(path, grid, samples, {"run": 1}))
+    assert peak < WRITE_CSV_PEAK_BOUND, peak

@@ -12,6 +12,7 @@ from specpredict import make_grid
 from specpredict.cli import _timeseries_csv
 from specpredict.reports import (
     _BLOCK_ROWS,
+    ColumnBlocks,
     _float_rows,
     format_value,
     write_csv,
@@ -103,6 +104,36 @@ class TestFloatFormatter:
             write_csv(str(tmp_path / "bad.csv"), ["a"], np.zeros((3, 2)), {"run": 1})
 
 
+class TestColumnBlocks:
+    """A float table formed a block at a time prints as the stacked table."""
+
+    @pytest.mark.parametrize("size", [0, 1, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 3])
+    def test_blocks_print_as_the_stacked_table(self, tmp_path, size):
+        rng = np.random.default_rng(size)
+        a = rng.standard_normal(size) * 1e-200
+        b = rng.standard_normal(size) * 1e200
+        asked = []
+
+        def block(start, stop):
+            asked.append((start, stop))
+            return (np.arange(start, stop) * 0.5, a[start:stop], b[start:stop])
+
+        rows = ColumnBlocks(size, block)
+        path = tmp_path / "blocks.csv"
+        write_csv(str(path), ["t", "a", "b"], rows, {"run": 1})
+        stacked = np.column_stack((np.arange(size) * 0.5, a, b))
+        lines = path.read_bytes()
+        assert lines == HEADER + b"t,a,b\n" + per_value_lines(stacked)
+        # len() is the data row count, which the benchmark's trace reads
+        assert len(rows) == size == lines.count(b"\n") - 2
+        assert all(stop - start <= _BLOCK_ROWS for start, stop in asked)
+
+    def test_column_count_checked(self, tmp_path):
+        rows = ColumnBlocks(3, lambda start, stop: (np.zeros(stop - start),) * 2)
+        with pytest.raises(ValueError, match="columns"):
+            write_csv(str(tmp_path / "bad.csv"), ["a"], rows, {"run": 1})
+
+
 class TestWriters:
     def test_csv_layout(self, tmp_path):
         path = tmp_path / "table.csv"
@@ -185,10 +216,13 @@ class TestWriters:
         params = list(inspect.signature(write_csv).parameters)
         assert params == ["path", "columns", "rows", "metadata"]
 
-    def test_timeseries_csv_matches_per_value_formatting(self, tmp_path):
+    def test_timeseries_csv_matches_per_value_formatting(self, tmp_path, monkeypatch):
         x = random_series(make_grid(1024, 0.05), seed=3)
         path = tmp_path / "x.csv"
+        tables = []
+        monkeypatch.setattr("specpredict.cli.write_csv", lambda *a: tables.append(a[2]) or write_csv(*a))
         _timeseries_csv(str(path), x.grid, x.samples.real, {"run": 2})
+        assert isinstance(tables[0], ColumnBlocks) and len(tables[0]) == x.grid.n
         rows = (f"{t:.16e},{v:.16e}" for t, v in zip(x.grid.times(), x.samples.real))
         header = (
             '# {"generator": "numpy.random.Philox(SeedSequence(entropy=seed, '

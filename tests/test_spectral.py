@@ -14,7 +14,6 @@ from specpredict import (
     forward_transform,
     make_grid,
     norm,
-    to_centered,
 )
 from specpredict import spectral
 from specpredict.spectral import MAX_GRID_N, FrequencyGrid, irfft_rows, rfft_rows
@@ -61,17 +60,20 @@ class TestMakeGrid:
         g = make_grid(16, 0.5)
         om = g.omegas()
         assert np.count_nonzero(om == 0.0) == 1
-        centered = to_centered(om)
+        centered = np.fft.fftshift(om)
         assert centered[0] == pytest.approx(-g.omega_max)
         assert centered[-1] == pytest.approx(g.omega_max - g.delta_omega)
         assert np.allclose(np.diff(centered), g.delta_omega)
         # product identity delta_omega * n * delta_t = 2 pi
         assert g.delta_omega * g.n * g.delta_t == pytest.approx(2 * math.pi)
 
-    def test_reindexing_helpers_invert(self):
-        v = np.arange(32.0)
-        assert np.array_equal(np.fft.ifftshift(to_centered(v)), v)
-        assert np.array_equal(to_centered(v), np.fft.fftshift(v))
+    @pytest.mark.parametrize("n, dt", [(8, 1.0), (256, 0.05), (2**16, 0.01)])
+    def test_time_ranges_are_slices_of_the_time_nodes(self, n, dt):
+        g = make_grid(n, dt)
+        t = g.times()
+        assert t.tobytes() == ((np.arange(n) - n // 2) * dt).tobytes()
+        for start, stop in [(0, n), (0, 3), (n // 2 - 1, n // 2 + 2), (n - 5, n), (4, 4)]:
+            assert g.times(start, stop).tobytes() == t[start:stop].tobytes()
 
     @pytest.mark.parametrize("n, dt", [(8, 1.0), (256, 0.05), (2**16, 0.01), (2**18, 0.37)])
     def test_omegas_are_fftfreq_bit_for_bit(self, n, dt):
@@ -298,6 +300,20 @@ class TestRowTransforms:
             peak = np.max(np.abs(want))
             assert np.max(np.abs(got2d - want)) <= 1e-15 * peak
             assert np.max(np.abs(irfft_rows(h, grid) - want)) <= 1e-15 * peak
+
+    @pytest.mark.parametrize("n", [8, 256, 2**16])
+    def test_buffered_pair_equals_the_pair(self, n):
+        # the generator's buffers: rfft_rows into ``out``, and the inverse of
+        # a spectrum phased in place, give the bytes of the plain pair
+        grid = make_grid(n, 0.01)
+        row = self._rows(n)[0]
+        half = rfft_rows(row, grid)
+        out = np.empty(n // 2 + 1, dtype=complex)
+        assert rfft_rows(row, grid, out=out) is out and out.tobytes() == half.tobytes()
+        samples = np.empty(n)
+        out *= spectral._signs(grid)[0]
+        assert spectral._irfft_phased(out, grid, out=samples) is samples
+        assert samples.tobytes() == irfft_rows(half, grid).tobytes()
 
     @pytest.mark.parametrize("n", [8, 256, 2**16])
     def test_round_trip(self, n):
