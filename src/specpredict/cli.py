@@ -41,7 +41,7 @@ from .experiments import (
     robustness_experiment,
 )
 from .kernels import kernel_from_dict
-from .predictor import LemmaReport, build_predictor, causality_defect, find_gamma0, lemma_check
+from .predictor import LemmaReport, _past_share, build_predictor, causality_defect, find_gamma0, lemma_check
 from .reports import ColumnBlocks, ensure_dir, format_value, write_csv, write_json, write_svg_lineplot
 from .signals import GeneratorConfig, class_norm, sample_bandlimited, sample_class_member
 from .spectral import TWO_PI, TimeSeries, _half_sum, irfft_rows, make_grid, norm
@@ -284,7 +284,13 @@ def _cmd_predict(config, outdir, formats):
         del y
         _timeseries_csv(f"{outdir}/x.csv", grid, x.samples, meta)
         _timeseries_csv(f"{outdir}/yhat.csv", grid, irfft_rows(pt.khat_values * X, grid), meta)
-        _timeseries_csv(f"{outdir}/khat.csv", grid, irfft_rows(pt.khat_values, grid), meta, column="khat")
+        khat = irfft_rows(pt.khat_values, grid)
+        _timeseries_csv(f"{outdir}/khat.csv", grid, khat, meta, column="khat")
+        # causality_defect(pt) of the kernel just written; _past_share overwrites it
+        defect = _past_share(khat)
+        del khat
+    else:
+        defect = causality_defect(pt)
     write_json(
         f"{outdir}/summary.json",
         {
@@ -293,7 +299,7 @@ def _cmd_predict(config, outdir, formats):
             "err_sup": float(err_sup),
             "err_sup_rel": float(_relative(err_sup, y_sup)),
             "kappa_sup": pt.kappa_sup,
-            "causality_defect": causality_defect(pt),
+            "causality_defect": defect,
             "omega_threshold": pt.omega_threshold,
             "saturated": pt.any_saturated,
         },

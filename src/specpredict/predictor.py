@@ -149,8 +149,9 @@ class PredictorTransfer:
     ``khat_values`` is magnitude-clamped at exp(700) where the log magnitude
     saturates (mask in ``saturated``); the unclamped log magnitude and phase
     of K_hat ride along for log-domain arithmetic.  No time kernel is kept:
-    the readers that need one (:func:`causality_defect`, the CLI's
-    ``khat.csv``) take ``irfft_rows`` of ``khat_values``.  ``kappa_sup`` is
+    :func:`causality_defect` takes ``irfft_rows`` of ``khat_values``, and
+    the CLI's ``predict`` takes it once for ``khat.csv`` and reads the
+    causality defect from that same array.  ``kappa_sup`` is
     the grid max of |khat_values| (an under-estimate of the true sup,
     consistent with the grid resolution); ``omega_threshold`` is the
     degeneracy-band edge sqrt(max_j a_j * gamma^{-r}).

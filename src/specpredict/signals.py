@@ -1,9 +1,14 @@
 """Seed-deterministic test-signal generators.
 
 All generators are pure functions of (parameters, seed).  The pseudorandom
-source is numpy's Philox counter generator keyed through a SeedSequence with
-a per-purpose spawn key, so outputs are reproducible bit-exactly across
-platforms; :data:`ALGORITHM_ID` names the scheme inside every report.
+source is the Philox4x64-10 counter generator keyed through numpy's
+SeedSequence hash with a per-purpose spawn key, computed here on numpy
+arrays and Python ints: it is bit-identical to numpy's
+``Generator(Philox(SeedSequence(entropy=seed, spawn_key=(stream,))))``
+drawing ``uniform`` phases and two ``integers(0, 2)`` signs, without
+importing ``numpy.random``.  Outputs are reproducible bit-exactly across
+platforms and numpy releases; :data:`ALGORITHM_ID` names the scheme inside
+every report.
 
 Class members are built spectrum-first (envelope times random phase), tapered
 to the middle half of the time window for wraparound safety, then projected
@@ -89,9 +94,99 @@ class GeneratorConfig:
         object.__setattr__(self, "seed", int(self.seed))
 
 
-def _generator(cfg: GeneratorConfig, stream: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(stream,))
-    return np.random.Generator(np.random.Philox(seq))
+# SeedSequence's hash constants (INIT_A, MULT_A, INIT_B, MULT_B, MIX_MULT_L,
+# MIX_MULT_R) and Philox4x64's round multipliers and Weyl key increments
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 2**64 - 1
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+
+
+def _generator(cfg: GeneratorConfig, stream: int) -> tuple:
+    """The 128-bit Philox key of ``cfg.seed``'s ``stream``, as two 64-bit words.
+
+    This is ``SeedSequence(entropy=seed, spawn_key=(stream,))
+    .generate_state(2, uint64)``: the seed's two 32-bit words, zero-padded
+    to the pool size 4 because a spawn key is given, then the stream word,
+    run through the sequence's 32-bit hash mix.  Python ints masked to 32
+    bits throughout; numpy scalars would warn on the intended overflow.
+    """
+    entropy = (cfg.seed & _MASK32, cfg.seed >> 32, 0, 0, stream)
+    const = _HASH_INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = (const * _HASH_MULT_A) & _MASK32
+        value = (value * const) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return value ^ (value >> 16)
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = _HASH_INIT_B
+    state = []
+    for word in pool:
+        word ^= const
+        const = (const * _HASH_MULT_B) & _MASK32
+        word = (word * const) & _MASK32
+        state.append(word ^ (word >> 16))
+    return state[0] | state[1] << 32, state[2] | state[3] << 32
+
+
+def _philox_lanes(key: tuple, blocks: int):
+    """Philox4x64-10 of counter blocks 1..blocks under ``key``.
+
+    Returns (even, odd), each of shape (2, blocks): lanes 0 and 2, and lanes
+    1 and 3, of every block; word j of the stream is lane j % 4 of block
+    j // 4 + 1, as numpy's Philox buffers it.  All blocks run the rounds at
+    once; the 64x64 -> 128-bit products are formed from 32-bit halves.
+    """
+    m = np.array(_PHILOX_M, dtype=np.uint64)[:, None]
+    m_lo, m_hi = m & _MASK32, m >> 32
+    even = np.zeros((2, blocks), dtype=np.uint64)
+    even[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    odd = np.zeros((2, blocks), dtype=np.uint64)
+    lo, hi, a, b, c = (np.empty((2, blocks), dtype=np.uint64) for _ in range(5))
+    k = np.empty((2, 1), dtype=np.uint64)
+    for r in range(_PHILOX_ROUNDS):
+        k[0, 0] = (key[0] + r * _PHILOX_W[0]) & _MASK64
+        k[1, 0] = (key[1] + r * _PHILOX_W[1]) & _MASK64
+        # hi = hh + (t >> 32) + (((t & M32) + lh) >> 32), t = hl + (ll >> 32)
+        np.bitwise_and(even, _MASK32, out=a)
+        np.right_shift(even, 32, out=b)
+        np.multiply(m_lo, a, out=c)
+        np.multiply(m_hi, a, out=a)
+        c >>= 32
+        a += c
+        np.multiply(m_lo, b, out=c)
+        np.multiply(m_hi, b, out=hi)
+        np.right_shift(a, 32, out=b)
+        hi += b
+        a &= _MASK32
+        a += c
+        a >>= 32
+        hi += a
+        np.multiply(m, even, out=lo)
+        # (lane0, lane2) <- (hi1 ^ lane1 ^ k0, hi0 ^ lane3 ^ k1);
+        # (lane1, lane3) <- (lo1, lo0)
+        np.bitwise_xor(hi[::-1], odd, out=even)
+        even ^= k
+        odd, lo = lo[::-1], odd
+    return even, odd
 
 
 def _log_amplitude(cfg: GeneratorConfig, omega_abs: np.ndarray) -> np.ndarray:
@@ -107,18 +202,36 @@ def _band_mask(cfg: GeneratorConfig, omega_abs: np.ndarray) -> np.ndarray:
     return (omega_abs >= lo) & (omega_abs <= hi)
 
 
-def _random_hermitian_phases(grid: FrequencyGrid, rng: np.random.Generator) -> np.ndarray:
+def _random_hermitian_phases(grid: FrequencyGrid, key: tuple) -> np.ndarray:
     """Half of a unit-modulus hermitian spectrum, e^{i phi} at nodes 0..n/2.
 
-    The omega = 0 node and the unpaired omega_max node get random signs so
-    they stay real; the nodes above n/2 are the conjugate mirror.
+    Draws the first n/2 words u of the Philox stream under ``key``: node k
+    of 1..n/2-1 takes phi = 0.0 + 2 pi ((u_{k-1} >> 11) 2^-53), numpy's
+    ``uniform(0, 2 pi)``.  The omega = 0 node and the unpaired omega_max
+    node stay real and take the signs of bits 31 and 63 of the last word,
+    numpy's two ``integers(0, 2)`` from its buffered 32-bit halves.  The
+    nodes above n/2 are the conjugate mirror.
     """
     n = grid.n
-    phases = np.zeros(n // 2 + 1)
-    phases[1 : n // 2] = rng.uniform(0.0, 2.0 * math.pi, n // 2 - 1)
-    unit = np.exp(1j * phases)
-    unit[0] = rng.integers(0, 2) * 2.0 - 1.0
-    unit[n // 2] = rng.integers(0, 2) * 2.0 - 1.0
+    blocks = n // 8
+    even, odd = _philox_lanes(key, blocks)
+    last = int(odd[1, -1])
+    phases = np.empty(n // 2 + 1)
+    phases[0] = 0.0
+    # words 0..n/2-1 land on nodes 1..n/2; node n/2 takes its sign below
+    lanes = phases[1:].reshape(blocks, 4)
+    even >>= 11
+    odd >>= 11
+    for lane, words in enumerate((even[0], odd[0], even[1], odd[1])):
+        lanes[:, lane] = words
+    del even, odd, lanes, words
+    # 2 pi 2^-53 is exact, so one product rounds as 2 pi * (w 2^-53) does
+    phases *= 2.0 * math.pi * 2.0**-53
+    unit = phases * 1j
+    del phases
+    np.exp(unit, out=unit)
+    unit[0] = ((last >> 31) & 1) * 2.0 - 1.0
+    unit[n // 2] = (last >> 63) * 2.0 - 1.0
     return unit
 
 
@@ -251,7 +364,6 @@ def sample_bandlimited(omega_bar: float, cfg: GeneratorConfig) -> SpectralSeries
     grid = cfg.grid
     if not (0.0 < omega_bar < grid.omega_max):
         raise ValueError(f"omega_bar must lie in (0, omega_max={grid.omega_max})")
-    rng = _generator(cfg, _STREAM_BAND)
     om_abs = _half_nodes(grid)[0]
     support = (om_abs <= omega_bar) & _band_mask(cfg, om_abs)
     support[0] = False
@@ -265,7 +377,7 @@ def sample_bandlimited(omega_bar: float, cfg: GeneratorConfig) -> SpectralSeries
     roll = (om_abs > edge) & (om_abs <= omega_bar) & support
     env[roll] *= 0.5 * (1.0 + np.cos(math.pi * (om_abs[roll] - edge) / (omega_bar - edge)))
 
-    X = env * _random_hermitian_phases(grid, rng)
+    X = env * _random_hermitian_phases(grid, _generator(cfg, _STREAM_BAND))
     window = _guard_window(grid)
     for _ in range(_PROJECTION_ROUNDS):
         X = np.where(support, rfft_rows(irfft_rows(X, grid) * window, grid), 0.0)

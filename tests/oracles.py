@@ -183,6 +183,28 @@ def guard_window_reference(grid):
     return w / np.max(w)
 
 
+def philox_key(seed, stream):
+    """The two 64-bit Philox key words numpy derives from the seed sequence."""
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
+    return tuple(int(word) for word in seq.generate_state(2, np.uint64))
+
+
+def hermitian_phases_reference(grid, seed, stream):
+    """The generators' half unit spectrum drawn by numpy's own
+    ``Generator(Philox(SeedSequence(entropy=seed, spawn_key=(stream,))))``:
+    ``uniform(0, 2 pi)`` phases at nodes 1..n/2-1, then an ``integers(0, 2)``
+    sign for node 0 and one for node n/2."""
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
+    rng = np.random.Generator(np.random.Philox(seq))
+    n = grid.n
+    phases = np.zeros(n // 2 + 1)
+    phases[1 : n // 2] = rng.uniform(0.0, 2.0 * math.pi, n // 2 - 1)
+    unit = np.exp(1j * phases)
+    unit[0] = rng.integers(0, 2) * 2.0 - 1.0
+    unit[n // 2] = rng.integers(0, 2) * 2.0 - 1.0
+    return unit
+
+
 def enveloped_spectra_batched(q, c, cfg, size):
     """Half spectra of class members drawn as one (size, n/2+1) stack through
     both projection rounds, each round one batched transform; the

@@ -2,10 +2,13 @@ import importlib.util
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import specpredict
 from specpredict import (
     AnticausalKernel,
     DegeneracyClass,
@@ -122,15 +125,32 @@ class TestPredictCommand:
             rows = (outdir / name).read_text().splitlines()[2:]
             assert rows == [f"{t:.16e},{v:.16e}" for t, v in zip(grid.times(), samples)], name
 
-    @pytest.mark.parametrize("formats, inverses", [("json", 5), ("csv,json", 8)])
+    @pytest.mark.parametrize("formats, inverses", [("json", 5), ("csv,json", 7)])
     def test_forms_yhat_only_for_its_csv(self, tmp_path, monkeypatch, formats, inverses):
         # the generator's two projection rounds, the error channel, y and the
-        # time kernel of causality_defect; csv adds x, yhat and khat
+        # time kernel of causality_defect; csv adds x and yhat, and its
+        # khat.csv is the kernel causality_defect reads
         calls = []
         irfft = np.fft.irfft
         monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: calls.append(1) or irfft(*a, **k))
         code, _ = run(tmp_path, "predict", base_config(), extra=("--format", formats))
         assert code == 0 and len(calls) == inverses
+
+    def test_loads_neither_numpy_random_nor_openssl(self, tmp_path):
+        # signals computes the Philox stream itself; numpy.random would bring
+        # in OpenSSL's libcrypto through secrets, hmac and _hashlib
+        argv = ["predict", "--config", write_config(tmp_path, base_config()), "--out", str(tmp_path / "out")]
+        code = (
+            "import sys\n"
+            "from specpredict.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print([m for m in ('numpy.random', '_hashlib') if m in sys.modules])"
+        )
+        src = os.path.dirname(os.path.dirname(specpredict.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_saturated_predictor_warns(self, tmp_path, capsys):
         code, outdir = run(tmp_path, "predict", base_config())

@@ -14,6 +14,7 @@ share at n/2 in place, and lemma_check reduces its node sets in blocks, so
 none of them builds an n-node or n/2-node scratch array.  The predict command
 holds one n-sample series at a time, and a float CSV is formed and printed a
 block of rows at a time, so no (n, 2) table or n-node time array is built.
+A random phase draw frees its Philox round buffers before the exponential.
 """
 
 import gc
@@ -32,7 +33,7 @@ from specpredict import (
     line_witness,
     make_class_ensemble,
 )
-from specpredict import cli, experiments, spectral
+from specpredict import cli, experiments, signals, spectral
 from specpredict.experiments import (
     DEFAULT_CLASS,
     DEFAULT_ENSEMBLE_SIZE,
@@ -103,6 +104,14 @@ CAUSALITY_PEAK_BOUND = 1.2e6
 # between, below the 2.1 MB of four n/2-node complex arrays, the least that
 # an unblocked evaluation with two accumulators needs.
 LEMMA_PEAK_BOUND = 1.0e6
+
+# Traced peak of one random phase draw at n = 2^16 (n/2 Philox words): 1.31
+# MB through numpy.random (the phases, their complex product and its
+# exponential), 2.23 MB computing the words here with the lanes and the
+# round buffers alive through the exponential, 0.92 MB freeing them first,
+# when the seven (2, n/8) round buffers are the peak; the bound sits below
+# numpy's.
+PHASE_DRAW_PEAK_BOUND = 1.3e6
 
 
 def _traced_peak(fn):
@@ -201,6 +210,12 @@ def test_sweep_reuses_the_default_grid_tables():
     before = tables()
     gamma_sweep(DEFAULT_KERNEL, DEFAULT_CLASS, DEFAULT_GAMMAS, DEFAULT_R, ensemble)
     assert all(a is b for a, b in zip(before, tables()))
+
+
+def test_phase_draw_peak_is_bounded():
+    key = signals._generator(CFG, 0)
+    _, peak = _traced_peak(lambda: signals._random_hermitian_phases(CFG.grid, key))
+    assert peak < PHASE_DRAW_PEAK_BOUND, peak
 
 
 def test_causality_defect_peak_is_bounded():

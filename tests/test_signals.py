@@ -32,7 +32,13 @@ from specpredict.experiments import default_grid
 from specpredict.signals import _guard_window, _noise_spectrum
 from specpredict.spectral import _half_nodes, irfft_rows
 
-from oracles import guard_window_reference, hermitian_defect, hermitian_full
+from oracles import (
+    guard_window_reference,
+    hermitian_defect,
+    hermitian_full,
+    hermitian_phases_reference,
+    philox_key,
+)
 
 GRID = make_grid(2**12, 0.02)
 HALF_OMEGAS = GRID.omegas()[: GRID.n // 2 + 1]
@@ -272,6 +278,23 @@ class TestGeneratorConfig:
     def test_ensemble_may_end_at_the_largest_seed(self):
         members = make_class_ensemble(CLS, GeneratorConfig(seed=2**64 - 2, grid=GRID), 2)
         assert len(members) == 2
+
+
+# the seed's word boundaries: one 32-bit word, two, and the 64-bit extremes
+PHILOX_SEEDS = (0, 1, 7, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
+
+
+class TestPhiloxStream:
+    @pytest.mark.parametrize("n", [8, 16, 4096, 65536])
+    @pytest.mark.parametrize("seed", PHILOX_SEEDS)
+    def test_draw_is_numpy_randoms_byte_for_byte(self, n, seed):
+        grid = make_grid(n, 0.01)
+        cfg = GeneratorConfig(seed=seed, grid=grid)
+        for stream in range(4):
+            key = signals._generator(cfg, stream)
+            assert key == philox_key(seed, stream)
+            unit = signals._random_hermitian_phases(grid, key)
+            assert unit.tobytes() == hermitian_phases_reference(grid, seed, stream).tobytes()
 
 
 # sha256 of the samples, taken while the generators returned them as a

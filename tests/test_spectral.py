@@ -475,41 +475,58 @@ def test_only_spectral_reads_node_weights():
     assert not any(found.values()), found
 
 
-def _fft_reads(source: str) -> set:
-    """What ``source`` reads of numpy's fft module: the names read as
-    ``np.fft.<name>`` or ``numpy.fft.<name>``, "fft" for ``np.fft`` itself
-    read any other way, and "import" for an import of the module."""
+def _numpy_reads(source: str, module: str) -> set:
+    """What ``source`` reads of numpy's submodule ``module`` ("fft",
+    "random"): the names read as ``np.<module>.<name>`` or
+    ``numpy.<module>.<name>``, ``module`` for the submodule itself read any
+    other way, and "import" for an import of it."""
     tree = ast.parse(source)
 
-    def is_fft(node):
+    def is_module(node):
         return (
             isinstance(node, ast.Attribute)
-            and node.attr == "fft"
+            and node.attr == module
             and isinstance(node.value, ast.Name)
             and node.value.id in ("np", "numpy")
         )
 
-    named = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute) and is_fft(node.value)}
-    reads = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and is_fft(node.value)}
-    reads |= {"fft" for node in ast.walk(tree) if is_fft(node) and id(node) not in named}
+    named = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute) and is_module(node.value)}
+    reads = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and is_module(node.value)}
+    reads |= {module for node in ast.walk(tree) if is_module(node) and id(node) not in named}
+    dotted = f"numpy.{module}"
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import) and any(a.name.startswith("numpy.fft") for a in node.names):
+        if isinstance(node, ast.Import) and any(a.name.startswith(dotted) for a in node.names):
             reads.add("import")
         if isinstance(node, ast.ImportFrom) and (
-            (node.module or "").startswith("numpy.fft")
-            or (node.module == "numpy" and any(a.name == "fft" for a in node.names))
+            (node.module or "").startswith(dotted)
+            or (node.module == "numpy" and any(a.name == module for a in node.names))
         ):
             reads.add("import")
     return reads
 
 
+def _src_reads(module: str) -> dict:
+    """:func:`_numpy_reads` of every module of the package, by file name."""
+    modules = {p.name: p for p in Path(spectral.__file__).parent.glob("*.py")}
+    assert len(modules) >= 10
+    return {name: _numpy_reads(p.read_text(encoding="utf-8"), module) for name, p in modules.items()}
+
+
 def test_only_spectral_calls_the_fast_transform():
     # one transform pair: the real half-spectrum transforms, in spectral alone
     probe = "a = np.fft.fft(x)\nb = numpy.fft.rfft(x)\nf = np.fft\nfrom numpy import fft\nimport numpy.fft\n"
-    assert _fft_reads(probe) == {"fft", "rfft", "import"}
-    assert _fft_reads("y = np.fft.irfft(v, n=8)\nz = x.fft") == {"irfft"}
-    modules = {p.name: p for p in Path(spectral.__file__).parent.glob("*.py")}
-    assert len(modules) >= 10
-    found = {name: _fft_reads(p.read_text(encoding="utf-8")) for name, p in modules.items()}
+    assert _numpy_reads(probe, "fft") == {"fft", "rfft", "import"}
+    assert _numpy_reads("y = np.fft.irfft(v, n=8)\nz = x.fft", "fft") == {"irfft"}
+    found = _src_reads("fft")
     assert found.pop("spectral.py") == {"rfft", "irfft"}
+    assert not any(found.values()), found
+
+
+def test_no_module_reads_numpy_random():
+    # signals computes the Philox stream itself, so no run loads numpy.random
+    probe = "g = np.random.default_rng(1)\nr = numpy.random\nfrom numpy.random import Philox\n"
+    assert _numpy_reads(probe, "random") == {"default_rng", "random", "import"}
+    assert _numpy_reads("from numpy import random", "random") == {"import"}
+    assert _numpy_reads("import numpy.random as npr\nx = np.fft.rfft(v)", "random") == {"import"}
+    found = _src_reads("random")
     assert not any(found.values()), found
