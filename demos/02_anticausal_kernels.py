@@ -7,23 +7,25 @@ asks about the *future* of the input, which is what the predictor will have
 to approximate causally.
 """
 
+import json
+
 import numpy as np
 
 from specpredict import (
     AnticausalKernel,
     TimeSeries,
     apply_anticausal,
-    kernel_to_json,
     make_grid,
     norm,
     residues,
     time_kernel,
     transfer,
 )
+from specpredict.kernels import kernel_to_dict
 
 grid = make_grid(2**12, 0.05)
 kernel = AnticausalKernel(poles=(1.0, 2.0), numerator=(1.0,))
-print("kernel:", kernel_to_json(kernel))
+print("kernel:", json.dumps(kernel_to_dict(kernel)))
 print("partial-fraction residues:", residues(kernel))
 
 kappa = time_kernel(kernel, grid)

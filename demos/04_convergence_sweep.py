@@ -6,6 +6,7 @@ reports the worst-case prediction errors; also writes the log-log error
 plot next to this script.
 """
 
+import os
 from pathlib import Path
 
 from specpredict import (
@@ -16,7 +17,7 @@ from specpredict import (
     make_grid,
 )
 from specpredict.experiments import DEFAULT_GAMMAS, DEFAULT_KERNEL, DEFAULT_R
-from specpredict.reports import ensure_dir, write_svg_lineplot
+from specpredict.reports import write_svg_lineplot
 
 grid = make_grid(2**16, 0.01)
 cls = DegeneracyClass(q=2.0, c=1.0)
@@ -34,7 +35,8 @@ for row in report.rows:
 print("errors hit the roundoff floor once the factor deviation e^{-gamma} "
       "underflows; the run is the constructive side of weak predictability")
 
-out = ensure_dir(str(Path(__file__).parent / "out"))
+out = str(Path(__file__).parent / "out")
+os.makedirs(out, exist_ok=True)
 write_svg_lineplot(
     f"{out}/convergence.svg",
     [row.gamma for row in report.rows],

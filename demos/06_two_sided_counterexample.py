@@ -24,12 +24,9 @@ cfg = GeneratorConfig(seed=5, grid=grid)
 
 report = counterexample_experiment(0.5, kernel, (10.0, 30.0, 100.0, 300.0, 1000.0), cfg, r=4.0)
 print(f"split at |omega| = {report.split}")
-print(f"{'gamma':>7} {'identity gap':>13} {'floor holds':>12} {'residual':>9}")
+print(f"{'gamma':>7} {'identity gap':>13} {'floor holds':>12}")
 for row in report.rows:
-    print(
-        f"{row.gamma:7.0f} {row.identity_rel_gap:13.2e} {str(row.floor_ok):>12} "
-        f"{row.residual:9.3f}"
-    )
+    print(f"{row.gamma:7.0f} {row.identity_rel_gap:13.2e} {str(row.floor_ok):>12}")
 print("no gamma predicts both halves:", report.no_gamma_predicts_both)
 
 print("\nsame experiment where the transfer stays in double range "
@@ -46,5 +43,5 @@ small = counterexample_experiment(
 for row in small.rows:
     print(
         f"  gamma={row.gamma:4.0f}: e1={row.e1:.4f} e2={row.e2:.4f} "
-        f"gap={row.identity_rel_gap:.2e} residual={row.residual:.2e}"
+        f"gap={row.identity_rel_gap:.2e}"
     )

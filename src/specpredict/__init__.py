@@ -13,7 +13,6 @@ from .degeneracy import DegeneracyClass
 from .experiments import (
     counterexample_experiment,
     default_grid,
-    error_decomposition,
     gamma_sweep,
     make_class_ensemble,
     nonpredictability_demo,
@@ -25,8 +24,6 @@ from .experiments import (
 from .kernels import (
     AnticausalKernel,
     apply_anticausal,
-    kernel_from_json,
-    kernel_to_json,
     residues,
     time_kernel,
     transfer,
@@ -46,7 +43,6 @@ from .predictor import (
 from .signals import (
     ALGORITHM_ID,
     GeneratorConfig,
-    add_noise,
     class_norm,
     counterexample_pair,
     sample_bandlimited,
@@ -75,7 +71,6 @@ __all__ = [
     "PredictorTransfer",
     "SpectralSeries",
     "TimeSeries",
-    "add_noise",
     "apply_anticausal",
     "build_predictor",
     "causality_defect",
@@ -83,13 +78,10 @@ __all__ = [
     "counterexample_experiment",
     "counterexample_pair",
     "default_grid",
-    "error_decomposition",
     "eval_v_factor",
     "find_gamma0",
     "forward_transform",
     "gamma_sweep",
-    "kernel_from_json",
-    "kernel_to_json",
     "lemma_check",
     "line_witness",
     "make_class_ensemble",

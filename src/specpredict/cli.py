@@ -8,8 +8,9 @@ Subcommands wrap the experiment operations one-to-one:
 Each reads a single JSON config (``--config``), optionally overridden leaf
 by leaf with repeatable ``--set key=value`` flags, validates every module
 precondition up front, and writes reports into ``--out``.  Exit codes:
-0 success, 2 config validation failure, 3 numerical failure (an overflow
-saturation reached a quantity that feeds a pass/fail flag).
+0 success, 2 config validation failure or I/O error (an unreadable config,
+an unwritable ``--out``), 3 numerical failure (an overflow saturation
+reached a quantity that feeds a pass/fail flag).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -42,7 +44,7 @@ from .experiments import (
 )
 from .kernels import kernel_from_dict
 from .predictor import LemmaReport, _past_share, build_predictor, causality_defect, find_gamma0, lemma_check
-from .reports import ColumnBlocks, ensure_dir, format_value, write_csv, write_json, write_svg_lineplot
+from .reports import ColumnBlocks, format_value, write_csv, write_json, write_svg_lineplot
 from .signals import GeneratorConfig, class_norm, sample_bandlimited, sample_class_member
 from .spectral import TWO_PI, TimeSeries, _half_sum, irfft_rows, make_grid, norm
 from .spectral import forward_transform  # noqa: F401 - perfbench's INSTALL_PROBE reads this binding
@@ -63,8 +65,6 @@ _SCHEMA = {
     "signal": {
         "kind": (str,),
         "seed": (int,),
-        "profile": (str,),
-        "sigma": _NUM,
         "omega_bar": _NUM,
     },
     "ensemble": {"size": (int,), "seed": (int,)},
@@ -190,13 +190,7 @@ def _build_objects(config: dict, command: str):
 def _signal_from_config(config: dict, grid, cls):
     sig = config.get("signal", {})
     kind = sig.get("kind", "class_member")
-    profile = sig.get("profile", "flat")
-    cfg = GeneratorConfig(
-        seed=sig.get("seed", 0),
-        grid=grid,
-        profile=profile,
-        sigma=sig.get("sigma"),
-    )
+    cfg = GeneratorConfig(seed=sig.get("seed", 0), grid=grid)
     if kind == "class_member":
         if cls is None:
             raise ConfigError("class_member signals require the 'class' section")
@@ -211,7 +205,7 @@ def _signal_from_config(config: dict, grid, cls):
 def _open_reports(outdir: str, config: dict, command: str) -> dict:
     """Create ``outdir`` and give the metadata of ``command``'s reports; called
     once the command has its figures, so a rejected config makes no directory."""
-    ensure_dir(outdir)
+    os.makedirs(outdir, exist_ok=True)
     return {"command": command, "config": config}
 
 
@@ -522,7 +516,10 @@ def main(argv=None) -> int:
         formats = _formats(config, args.format)
         outdir = args.out if args.out != "." else config.get("output", {}).get("directory", ".")
         return _COMMANDS[args.command](config, outdir, formats)
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
         # ConfigError and JSON syntax errors are ValueErrors, as are the
         # module-level precondition violations that surface as config errors
         print(f"config error: {exc}", file=sys.stderr)

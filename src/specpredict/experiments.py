@@ -1,6 +1,6 @@
-"""Verification experiments: convergence sweeps, error decomposition,
-robustness under calibrated noise, the two-sided counterexample identity and
-the slow-degeneracy negative illustration.
+"""Verification experiments: convergence sweeps with their band split of the
+error, robustness under calibrated noise, the two-sided counterexample
+identity and the slow-degeneracy negative illustration.
 
 Reported errors are worst-case over the ensemble, matching the universal
 quantifier of the prediction guarantee at desk scale.  Everything is a pure
@@ -36,7 +36,6 @@ from .predictor import (
     build_predictor,
     causality_defect,
     lemma_check,
-    orthogonality_residual,
 )
 from .signals import (
     GeneratorConfig,
@@ -244,16 +243,6 @@ def prediction_error(pt: PredictorTransfer, x: TimeSeries, p) -> PredictionError
     y_l2, y_sup = _norms(pt.k_values * X, pt.grid)
     err, ref = (sup, y_sup) if _is_sup(p) else (l2, y_l2)
     return PredictionError(float(err), float(_relative(err, ref)))
-
-
-def error_decomposition(pt: PredictorTransfer, x: TimeSeries, p):
-    """The spectral error measure of a real class member, rho = 2 for p = 2
-    and rho = 1 for p = inf, split at the degeneracy-band edge into (i1, i2)
-    as :func:`_band_split` does; i1 + i2 is the full grid measure."""
-    rho = 1 if _is_sup(p) else 2
-    X = _member_half(x, pt.grid)
-    gain = pt.khat_values - pt.k_values
-    return _band_split(gain * X, pt.grid, pt.omega_threshold, rho)
 
 
 def _run_sweep(kernel: AnticausalKernel, gammas, r: float, ensemble, cls: DegeneracyClass = None):
@@ -464,7 +453,6 @@ class CounterexampleRow:
     e2: float
     identity_lhs: float
     identity_rhs: float
-    residual: float
     e1_sq_log: float
     e2_sq_log: float
     identity_lhs_log: float
@@ -534,7 +522,6 @@ def counterexample_experiment(
                     e2=float(np.exp(0.5 * le2)),
                     identity_lhs=float(np.exp(lhs_log)),
                     identity_rhs=float(np.exp(rhs_log)),
-                    residual=orthogonality_residual(pt),
                     e1_sq_log=float(le1),
                     e2_sq_log=float(le2),
                     identity_lhs_log=float(lhs_log),

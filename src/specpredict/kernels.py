@@ -17,7 +17,6 @@ The sign is forced by the e^{-i*omega*t} transform convention used by
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -81,14 +80,6 @@ def kernel_from_dict(obj: dict) -> AnticausalKernel:
     if unknown:
         raise ValueError(f"unknown kernel fields: {sorted(unknown)}")
     return AnticausalKernel(tuple(obj["poles"]), tuple(obj.get("numerator", [1.0])))
-
-
-def kernel_to_json(kernel: AnticausalKernel) -> str:
-    return json.dumps(kernel_to_dict(kernel))
-
-
-def kernel_from_json(text: str) -> AnticausalKernel:
-    return kernel_from_dict(json.loads(text))
 
 
 def _numerator_at(kernel: AnticausalKernel, s) -> np.ndarray:

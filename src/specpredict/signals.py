@@ -18,8 +18,9 @@ so a member keeps that half spectrum (a ``SpectralSeries``) and its samples
 are the inverse of it; the time support is then "near-compact", with guard
 residues held under the calibration guard level on adequately long windows.
 
-Band-limited draws, the counterexample pair and the noise are returned the
-same way, as the ``SpectralSeries`` of the half spectrum they are built on.
+Band-limited draws and the counterexample pair are returned the same way, as
+the ``SpectralSeries`` of the half spectrum they are built on; the noise of
+the robustness experiment is drawn as its half spectrum alone.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .degeneracy import DegeneracyClass, log_weight
 from .spectral import (
     FrequencyGrid,
     SpectralSeries,
-    TimeSeries,
     _half_nodes,
     _half_omegas,
     _half_sum,
@@ -56,17 +56,14 @@ _STREAM_NOISE = 3
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Seed, spectral amplitude profile and optional band restriction.
+    """Seed, grid and optional band restriction of a generator.
 
-    ``profile`` is either "flat" (unit amplitude) or "gaussian" with scale
-    ``sigma``; ``band`` restricts generated content to omega_lo <= |omega| <=
-    omega_hi strictly inside (0, omega_max).
+    ``band`` restricts generated content to omega_lo <= |omega| <= omega_hi
+    strictly inside (0, omega_max).
     """
 
     seed: int
     grid: FrequencyGrid
-    profile: str = "flat"
-    sigma: float = None
     band: tuple = None
 
     def __post_init__(self) -> None:
@@ -74,13 +71,6 @@ class GeneratorConfig:
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0 or self.seed >= 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        if self.profile not in ("flat", "gaussian"):
-            raise ValueError(f"profile must be 'flat' or 'gaussian', got {self.profile!r}")
-        if self.profile == "gaussian":
-            if not (isinstance(self.sigma, (int, float)) and self.sigma > 0):
-                raise ValueError("gaussian profile needs sigma > 0")
-        elif self.sigma is not None:
-            raise ValueError("sigma only applies to the gaussian profile")
         if self.band is not None:
             try:
                 lo, hi = (float(v) for v in self.band)
@@ -187,12 +177,6 @@ def _philox_lanes(key: tuple, blocks: int):
         even ^= k
         odd, lo = lo[::-1], odd
     return even, odd
-
-
-def _log_amplitude(cfg: GeneratorConfig, omega_abs: np.ndarray) -> np.ndarray:
-    if cfg.profile == "flat":
-        return np.zeros_like(omega_abs)
-    return -(omega_abs**2) / (2.0 * cfg.sigma**2)
 
 
 def _band_mask(cfg: GeneratorConfig, omega_abs: np.ndarray) -> np.ndarray:
@@ -305,7 +289,7 @@ def _enveloped_member(q: float, c: float, cfg: GeneratorConfig, size: int) -> li
     grid = cfg.grid
     om_abs = _half_nodes(grid)[0]
 
-    log_env = _log_amplitude(cfg, om_abs) - log_weight(om_abs, q, c)
+    log_env = -log_weight(om_abs, q, c)
     log_env[~_band_mask(cfg, om_abs)] = -np.inf
     with np.errstate(under="ignore"):
         env = np.exp(log_env)
@@ -341,7 +325,7 @@ def _enveloped_member(q: float, c: float, cfg: GeneratorConfig, size: int) -> li
 
 
 def sample_class_member(cls: DegeneracyClass, cfg: GeneratorConfig) -> SpectralSeries:
-    """Draw a real signal whose spectrum obeys |X| <= A(omega) e^{-c/|omega|^q}.
+    """Draw a real signal whose spectrum obeys |X| <= e^{-c/|omega|^q}.
 
     The bound holds exactly at every node of the stored half spectrum (so
     the class norm is finite by construction), X(0) = 0 exactly, and the
@@ -369,8 +353,7 @@ def sample_bandlimited(omega_bar: float, cfg: GeneratorConfig) -> SpectralSeries
     support[0] = False
     if not np.any(support):
         support = om_abs == grid.delta_omega
-    with np.errstate(under="ignore"):
-        env = np.where(support, np.exp(_log_amplitude(cfg, om_abs)), 0.0)
+    env = np.where(support, 1.0, 0.0)
     # roll the band edge off smoothly so the time taper sheds little mass
     # past the edge (exact support plus compact support cannot both be sharp)
     edge = 0.8 * omega_bar
@@ -404,7 +387,13 @@ def counterexample_pair(a: float, cfg: GeneratorConfig):
 
 
 def _noise_spectrum(nu: float, cfg: GeneratorConfig) -> np.ndarray:
-    """The half noise spectrum (nodes 0..n/2) of :func:`add_noise` on ``cfg.grid``."""
+    """Hermitian flat-magnitude noise of exact L1 intensity nu, as its half
+    spectrum (nodes 0..n/2) on ``cfg.grid``.
+
+    The magnitude is constant over the selected nodes (every node by default,
+    or the configured band) and rescaled so that the grid L1 norm of the
+    noise spectrum equals nu.
+    """
     if not (math.isfinite(nu) and nu >= 0):
         raise ValueError(f"noise intensity must be finite and >= 0, got {nu!r}")
     grid = cfg.grid
@@ -415,22 +404,6 @@ def _noise_spectrum(nu: float, cfg: GeneratorConfig) -> np.ndarray:
     count = _half_sum(1.0, grid, sel)
     values = np.where(sel, nu / (count * grid.delta_omega), 0.0) * unit
     return values * (nu / (grid.delta_omega * _half_sum(np.abs(values), grid)))
-
-
-def add_noise(x, nu: float, cfg: GeneratorConfig):
-    """Contaminate with hermitian flat-magnitude noise of exact L1 intensity nu.
-
-    The magnitude is constant over the selected nodes (every node by default,
-    or the configured band) and rescaled so that the grid L1 norm of the noise
-    spectrum equals nu; returns (contaminated series, noise ``SpectralSeries``).
-    A ``SpectralSeries`` is contaminated in its spectrum, a ``TimeSeries`` in
-    its samples."""
-    if x.grid != cfg.grid:
-        raise ValueError("time series grid does not match generator grid")
-    N = SpectralSeries(cfg.grid, _noise_spectrum(nu, cfg))
-    if isinstance(x, SpectralSeries):
-        return SpectralSeries(x.grid, x.spectrum + N.spectrum), N
-    return TimeSeries(x.grid, x.samples + N.samples), N
 
 
 def class_norm(x, cls: DegeneracyClass) -> float:

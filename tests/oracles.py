@@ -226,7 +226,7 @@ def enveloped_spectra_batched(q, c, cfg, size):
     h = grid.n // 2 + 1
     signs = _signs(grid.n)[:h]
     om_abs = np.abs(grid.omegas()[:h])
-    assert cfg.profile == "flat" and cfg.band is None
+    assert cfg.band is None
     with np.errstate(under="ignore"):
         env = np.exp(np.zeros_like(om_abs) - log_weight(om_abs, q, c))
     env[0] = 0.0

@@ -31,7 +31,7 @@ def base_config(**sections):
         "kernel": {"poles": [1.0], "numerator": [1.0]},
         "class": {"q": 2.0, "c": 1.0},
         "predictor": {"r": 4.0, "gammas": [10.0]},
-        "signal": {"kind": "class_member", "seed": 7, "profile": "flat"},
+        "signal": {"kind": "class_member", "seed": 7},
     }
     config.update(sections)
     return config
@@ -74,12 +74,27 @@ class TestPredictCommand:
         code, _ = run(tmp_path, "predict", config)
         assert code == 2
 
-    def test_unknown_key_rejected(self, tmp_path, capsys):
+    # generated spectra are flat under the envelope: no profile or sigma is settable
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("predictor", "sharpness", 3), ("signal", "profile", "flat"), ("signal", "sigma", 1.5)],
+    )
+    def test_unknown_key_rejected(self, tmp_path, capsys, section, key, value):
         config = base_config()
-        config["predictor"]["sharpness"] = 3
-        code, _ = run(tmp_path, "predict", config)
+        config[section][key] = value
+        code, outdir = run(tmp_path, "predict", config)
         assert code == 2
-        assert "unknown key" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: unknown key: {section}.{key}\n"
+        assert not outdir.exists()
+
+    def test_unwritable_out_is_an_io_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        code, _ = run(tmp_path, "gen-signal", base_config(), out="file/out")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error: ") and "file" in err
+        assert blocker.read_text() == "not a directory"
 
     def test_grid_above_cap_exits_2_before_allocating(self, tmp_path, capsys, monkeypatch):
         def no_signal(*args):
@@ -112,7 +127,7 @@ class TestPredictCommand:
         code, outdir = run(tmp_path, "predict", config)
         assert code == 0
         cls = DegeneracyClass(2.0, 1.0)
-        x = sample_class_member(cls, GeneratorConfig(seed=7, grid=grid, profile="flat"))
+        x = sample_class_member(cls, GeneratorConfig(seed=7, grid=grid))
         pt = build_predictor(AnticausalKernel((1.0,), (1.0,)), 10.0, 4.0, grid)
         X = x.spectrum
         expected = {
@@ -327,7 +342,7 @@ class TestCounterexampleCommand:
         assert code == 0
         lines = (outdir / "counterexample.csv").read_text().splitlines()
         header = lines[1].split(",")
-        assert header[:6] == ["gamma", "e1", "e2", "identity_lhs", "identity_rhs", "residual"]
+        assert header[:6] == ["gamma", "e1", "e2", "identity_lhs", "identity_rhs", "e1_sq_log"]
         report = json.loads((outdir / "counterexample.json").read_text())
         assert report["no_gamma_predicts_both"] is True
 
@@ -372,7 +387,7 @@ class TestGenSignalCommand:
     @pytest.mark.parametrize(
         "signal",
         [
-            {"kind": "class_member", "seed": 7, "profile": "flat"},
+            {"kind": "class_member", "seed": 7},
             {"kind": "bandlimited", "seed": 3, "omega_bar": 2.0},
         ],
     )
@@ -414,8 +429,9 @@ class TestGenSignalCommand:
         code, outdir = run(tmp_path, "gen-signal", config)
         assert code == 0
 
-    def test_missing_config_file_exit_2(self, tmp_path):
+    def test_missing_config_file_exit_2(self, tmp_path, capsys):
         assert main(["gen-signal", "--config", str(tmp_path / "nope.json")]) == 2
+        assert capsys.readouterr().err.startswith("I/O error: ")
 
     def test_class_member_without_class_exits_2(self, tmp_path, capsys):
         config = base_config()
@@ -488,7 +504,7 @@ class TestReportSchemas:
         "tail_dev_max,pass_low_band,low_band_nodes,low_band_margin",
         ("robustness", "robustness.csv"): "gamma,nu,err_sup_noisy,bound,holds,j0,j_eta",
         ("counterexample", "counterexample.csv"): "gamma,e1,e2,identity_lhs,identity_rhs,"
-        "residual,e1_sq_log,e2_sq_log,identity_lhs_log,identity_rhs_log,identity_rel_gap,"
+        "e1_sq_log,e2_sq_log,identity_lhs_log,identity_rhs_log,identity_rel_gap,"
         "identity_ok,floor_ok",
         ("demo-negative", "negative.csv"): "gamma,err_rel_slow,err_rel_reference",
     }

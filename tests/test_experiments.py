@@ -14,16 +14,15 @@ from specpredict import (
     GeneratorConfig,
     SpectralSeries,
     TimeSeries,
-    add_noise,
     build_predictor,
     class_norm,
     counterexample_experiment,
-    error_decomposition,
     gamma_sweep,
     make_class_ensemble,
     make_grid,
     nonpredictability_demo,
     norm,
+    orthogonality_residual,
     predict,
     prediction_error,
     robustness_experiment,
@@ -33,6 +32,7 @@ from specpredict import (
     uniformity_check,
 )
 from specpredict import experiments
+from specpredict.signals import _noise_spectrum
 from specpredict.spectral import _half_sum, irfft_rows
 
 from oracles import (
@@ -87,7 +87,7 @@ class TestPredictionError:
 
     def test_rejects_non_real_member(self, ensemble):
         # the series type holds real samples only, so no complex member
-        # reaches prediction_error or error_decomposition
+        # reaches prediction_error
         with pytest.raises(ValueError, match="real"):
             TimeSeries(GRID, ensemble[0].samples * 1j)
 
@@ -95,27 +95,31 @@ class TestPredictionError:
         pt = build_predictor(KERNEL, 10.0, 4.0, make_grid(GRID.n, 0.01))
         with pytest.raises(ValueError, match="grid"):
             prediction_error(pt, ensemble[0], 2)
-        with pytest.raises(ValueError, match="grid"):
-            error_decomposition(pt, ensemble[0], 2)
 
 
-class TestErrorDecomposition:
+def _band_split_of(pt, x, rho):
+    """The sweep's band split of the error channel (K_hat - K) X of member x."""
+    return experiments._band_split((pt.khat_values - pt.k_values) * x.spectrum, GRID, pt.omega_threshold, rho)
+
+
+class TestBandSplit:
     def test_partition_identity(self, ensemble):
         pt = build_predictor(KERNEL, 5.0, 4.0, GRID)
         khat = build_predictor_full_grid(KERNEL, 5.0, 4.0, GRID).khat_values
-        for p, rho in ((2, 2), (math.inf, 1)):
-            i1, i2 = error_decomposition(pt, ensemble[0], p)
+        for rho in (2, 1):
+            i1, i2 = _band_split_of(pt, ensemble[0], rho)
             X = hermitian_full(ensemble[0].spectrum)
             K = transfer_full_grid(KERNEL, GRID)
             total = GRID.delta_omega * float(np.sum(np.abs((khat - K) * X) ** rho))
             assert i1 + i2 == pytest.approx(total, rel=1e-9)
 
-    def test_subresolution_band_gives_zero_low_part(self, ensemble):
+    @pytest.mark.parametrize("rho", [2, 1])
+    def test_subresolution_band_gives_zero_low_part(self, ensemble, rho):
         # threshold below the first node: only the origin is inside, where
         # members carry an exact zero
         pt = build_predictor(KERNEL, 100.0, 4.0, GRID)
         assert pt.omega_threshold < GRID.delta_omega
-        i1, _ = error_decomposition(pt, ensemble[0], 2)
+        i1, _ = _band_split_of(pt, ensemble[0], rho)
         assert i1 == 0.0
 
     def test_parseval_bridge(self, ensemble):
@@ -126,7 +130,7 @@ class TestErrorDecomposition:
         X = hermitian_full(x.spectrum)
         K = transfer_full_grid(KERNEL, GRID)
         diff = inverse_transform_n_node((khat - K) * X, GRID)
-        i1, i2 = error_decomposition(pt, x, 2)
+        i1, i2 = _band_split_of(pt, x, 2)
         assert 2 * math.pi * norm(TimeSeries(GRID, diff.real), 2) ** 2 == pytest.approx(i1 + i2, rel=1e-6)
 
 
@@ -253,16 +257,13 @@ class TestRobustness:
 
     def test_one_inverse_transform_per_row(self, x0, monkeypatch):
         # the clean channel and one noisy error per row; j0 and j_eta come
-        # from the half spectra, and error_decomposition transforms nothing
+        # from the half spectra
         calls = []
         real = experiments.irfft_rows
         monkeypatch.setattr(experiments, "irfft_rows", lambda *a: calls.append(1) or real(*a))
         nus = [0.0, 0.01, 0.05]
         robustness_experiment(self.KER, 30.0, 0.6, x0, nus, cfg(424242))
         assert len(calls) == 1 + len(nus)
-        calls.clear()
-        error_decomposition(build_predictor(self.KER, 30.0, 0.6, GRID), x0, 2)
-        assert calls == []
 
     def test_rejects_nan_intensity(self, x0):
         # rejected up front, before the predictor is built or any noise drawn
@@ -301,7 +302,7 @@ class TestCounterexample:
         )
         for row in rep.rows:
             assert row.identity_ok
-            assert row.residual < 1e-2
+            assert orthogonality_residual(build_predictor(kern, row.gamma, 0.6, g)) < 1e-2
             assert math.isfinite(row.e1) and math.isfinite(row.e2)
             assert row.floor_ok
 
@@ -510,10 +511,10 @@ class TestGeneratedMembersAreNotRetransformed:
             uniformity_check(KERNEL, CLS, 10.0, 4.0, members, p)
             for x in (ensemble[0], banded[0]):
                 prediction_error(pt, x, p)
-                error_decomposition(pt, x, p)
         for x in (ensemble[0], banded[0]):
             predict(pt, x)
-            predict(pt, add_noise(x, 0.05, cfg(7, band=(1.0, 2.0)))[0])
+            noise = _noise_spectrum(0.05, cfg(7, band=(1.0, 2.0)))
+            predict(pt, SpectralSeries(GRID, x.spectrum + noise))
             class_norm(x, CLS)
             robustness_experiment(KERNEL, 10.0, 4.0, x, [0.0, 0.05], cfg(2026))
             robustness_experiment(KERNEL, 10.0, 4.0, x, [0.05], cfg(11, band=(1.0, 2.0)))
@@ -735,10 +736,11 @@ class TestExactSupportChannel:
 
 
 # sha256 of repr(counterexample_experiment(...).rows), taken while the
-# experiment still added the log weights of nodes 0..n/2 itself
+# experiment still added the log weights of nodes 0..n/2 itself, with the
+# dropped ``residual=...`` field cut out of the repr
 COUNTEREXAMPLE_DIGESTS = {
-    "criterion 7": "06e0493d4945fe65f2ac0f0596173afd5997a6112d45a893211feab6f86b69b3",
-    "two poles, r = 0.6": "00f57fb74a68e0f8bdc5811cec675dfbfae466edfe9cbc3323ad9eacc6a8ca7a",
+    "criterion 7": "68dd44732881c9350b86de182bb58c84ad56fc37c64aa97039cf9f1f879be62e",
+    "two poles, r = 0.6": "86abe79fe90f88076e6f45c44e80e56d9f8b9689842c1bfbba58a80eadd7fe11",
 }
 
 

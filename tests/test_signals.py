@@ -16,7 +16,6 @@ from specpredict import (
     GeneratorConfig,
     SpectralSeries,
     TimeSeries,
-    add_noise,
     class_norm,
     counterexample_pair,
     forward_transform,
@@ -30,7 +29,7 @@ from specpredict import signals
 from specpredict.degeneracy import log_weight
 from specpredict.experiments import default_grid
 from specpredict.signals import _guard_window, _noise_spectrum
-from specpredict.spectral import _half_nodes, irfft_rows
+from specpredict.spectral import _half_nodes
 
 from oracles import (
     guard_window_reference,
@@ -118,7 +117,7 @@ class TestClassMember:
         c = sample_class_member(CLS, cfg(43))
         assert not np.array_equal(a.samples, c.samples)
 
-    @pytest.mark.parametrize("kw", [{}, dict(profile="gaussian", sigma=1.5, band=(0.2, 5.0))])
+    @pytest.mark.parametrize("kw", [{}, dict(band=(0.2, 5.0))])
     def test_ensemble_rows_equal_single_draws(self, kw):
         base = cfg(2026, **kw)
         ensemble = make_class_ensemble(CLS, base, 10)
@@ -162,16 +161,6 @@ class TestClassMember:
         guard = np.abs(t) > g.span / 4
         peak = np.max(np.abs(x.samples))
         assert np.max(np.abs(x.samples[guard])) <= 1e-5 * peak
-
-    def test_gaussian_profile(self):
-        x = sample_class_member(CLS, cfg(6, profile="gaussian", sigma=1.5))
-        X = np.abs(forward_transform(x).spectrum)
-        om = np.abs(HALF_OMEGAS)
-        envelope = np.exp(-(om**2) / (2 * 1.5**2) - np.minimum(log_weight(om, 2.0, 1.0), 700.0))
-        floor = 1e-10 * np.max(X)
-        live = X > floor
-        live[0] = False
-        assert np.all(X[live] <= np.maximum(envelope[live] * (1 + 1e-2), floor))
 
 
 # sha256 of the samples of the ten default-grid members at each ensemble
@@ -245,14 +234,6 @@ class TestGuardWindow:
 
 
 class TestGeneratorConfig:
-    def test_rejects_bad_profile(self):
-        with pytest.raises(ValueError):
-            GeneratorConfig(seed=0, grid=GRID, profile="triangle")
-
-    def test_gaussian_needs_sigma(self):
-        with pytest.raises(ValueError):
-            GeneratorConfig(seed=0, grid=GRID, profile="gaussian")
-
     @pytest.mark.parametrize("band", [(1.0,), (0.5, 1.0, 2.0), (), 1.0, ("a", "b"), (1.0, None)])
     def test_band_must_be_two_numbers(self, band):
         with pytest.raises(ValueError, match=r"^band must be two numbers \(lo, hi\)$"):
@@ -386,61 +367,40 @@ def _full_l1(half: np.ndarray) -> float:
     return GRID.delta_omega * float(np.sum(np.abs(hermitian_full(half))))
 
 
-class TestAddNoise:
-    def test_zero_intensity_is_identity(self):
-        x = sample_class_member(CLS, cfg(13))
-        noisy, N = add_noise(x, 0.0, cfg(13))
-        assert np.array_equal(noisy.samples, x.samples)
-        assert np.all(N.spectrum == 0)
+class TestNoiseSpectrum:
+    def test_zero_intensity_is_zero(self):
+        N = _noise_spectrum(0.0, cfg(13))
+        assert N.shape == (GRID.n // 2 + 1,) and N.dtype == np.complex128
+        assert np.all(N == 0)
 
     @settings(max_examples=15, deadline=None)
     @given(nu=st.floats(1e-6, 10.0), seed=st.integers(0, 2**32 - 1))
     def test_exact_l1_calibration(self, nu, seed):
-        x = TimeSeries(GRID, np.zeros(GRID.n))
-        _, N = add_noise(x, nu, cfg(seed))
-        assert _full_l1(N.spectrum) == pytest.approx(nu, rel=1e-12)
+        assert _full_l1(_noise_spectrum(nu, cfg(seed))) == pytest.approx(nu, rel=1e-12)
 
     def test_flat_band_magnitude(self):
-        # flat profile over 2K nodes means each carries nu / (2K delta_omega)
+        # flat magnitude over 2K nodes means each carries nu / (2K delta_omega)
         band = (1.0, 2.0)
-        noise_cfg = cfg(14, band=band)
         om = np.abs(GRID.omegas())
         count = int(np.count_nonzero((om >= band[0]) & (om <= band[1])))
-        x = TimeSeries(GRID, np.zeros(GRID.n))
-        _, N = add_noise(x, 1.0, noise_cfg)
-        sel = np.abs(N.spectrum) > 0
+        N = _noise_spectrum(1.0, cfg(14, band=band))
+        sel = np.abs(N) > 0
         # the band holds neither omega = 0 nor omega_max: K nodes of the half
         assert 2 * int(np.count_nonzero(sel)) == count
-        assert np.allclose(np.abs(N.spectrum[sel]), 1.0 / (count * GRID.delta_omega))
+        assert np.allclose(np.abs(N[sel]), 1.0 / (count * GRID.delta_omega))
 
     def test_noise_is_real_in_time(self):
-        x = TimeSeries(GRID, np.zeros(GRID.n))
-        noisy, N = add_noise(x, 0.3, cfg(15))
-        assert isinstance(noisy, TimeSeries) and noisy.samples.dtype == np.float64
-        assert isinstance(N, SpectralSeries)
+        N = _noise_spectrum(0.3, cfg(15))
         # nodes 0 and n/2 stand for themselves, so only their being real
         # makes the n-node spectrum hermitian
-        assert N.spectrum[0].imag == 0.0 and N.spectrum[-1].imag == 0.0
-        assert hermitian_defect(hermitian_full(N.spectrum)) <= 1e-12
-
-    @pytest.mark.parametrize("band", [None, (1.0, 2.0)])
-    def test_shares_the_noise_spectrum_helper(self, band):
-        x = sample_class_member(CLS, cfg(16))
-        noisy, N = add_noise(x, 0.2, cfg(16, band=band))
-        values = _noise_spectrum(0.2, cfg(16, band=band))
-        assert N.spectrum.tobytes() == values.tobytes()
-        # a spectral series is contaminated in its spectrum, samples in theirs
-        assert isinstance(noisy, SpectralSeries)
-        assert noisy.spectrum.tobytes() == (x.spectrum + values).tobytes()
-        noisy_ts, _ = add_noise(TimeSeries(GRID, x.samples), 0.2, cfg(16, band=band))
-        assert isinstance(noisy_ts, TimeSeries)
-        assert noisy_ts.samples.tobytes() == (x.samples + irfft_rows(values, GRID)).tobytes()
+        assert N[0].imag == 0.0 and N[-1].imag == 0.0
+        assert hermitian_defect(hermitian_full(N)) <= 1e-12
 
     def test_rejects_negative_intensity(self):
         with pytest.raises(ValueError):
-            add_noise(TimeSeries(GRID, np.zeros(GRID.n)), -0.1, cfg(1))
+            _noise_spectrum(-0.1, cfg(1))
 
     @pytest.mark.parametrize("nu", [math.nan, math.inf])
     def test_rejects_non_finite_intensity(self, nu):
         with pytest.raises(ValueError, match="finite"):
-            add_noise(TimeSeries(GRID, np.zeros(GRID.n)), nu, cfg(1))
+            _noise_spectrum(nu, cfg(1))
