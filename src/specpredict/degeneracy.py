@@ -36,9 +36,13 @@ class DegeneracyClass:
 
 
 def log_weight(omega, q: float, c: float) -> np.ndarray:
-    """log of the class weight, c/|omega|^q; +inf at the degeneracy point."""
-    om = np.abs(np.asarray(omega, dtype=float))
-    out = np.full(om.shape, np.inf)
-    nz = om > 0.0
-    out[nz] = c * om[nz] ** (-q)
+    """log of the class weight, c/|omega|^q; +inf at the degeneracy point.
+
+    Formed in the one buffer of |omega|."""
+    out = np.array(omega, dtype=float)
+    np.abs(out, out=out)
+    nz = out > 0.0
+    np.power(out, -q, out=out, where=nz)
+    out *= c
+    out[~nz] = np.inf
     return out

@@ -14,16 +14,20 @@ signals hold X itself, exact zeros included, and are read without any
 transform; only a series that arrives as samples is transformed, with its
 roundoff floor restored to zeros (:func:`_member_spectrum`).  An all-zero
 product has all-zero norms and is not transformed.  Ensembles are streamed:
-a sweep keeps the error gain of each gamma, then takes the members one at a
-time and reduces their error figures under every gain into running
+a sweep keeps the error gain of each gamma, then reads each member once, one
+at a time, and reduces its error figures under every gain into running
 worst-case figures, so what it holds grows with the number of gammas and not
-with the ensemble.  Each gain is kept only up to its last nonzero node
-(:func:`_run_sweep`): from gamma = 100 on at the defaults that is omega = 0
-alone, where every class member is zero.
+with the ensemble.  A generated ensemble holds only its seeds and draws a
+member when it is read (:func:`.signals._enveloped_member`), so a sweep draws
+each member once.  Each gain is its own array, kept only up to its last
+nonzero node (:func:`_run_sweep`): from gamma = 100 on at the defaults that
+is omega = 0 alone, where every class member is zero.  A member's channels
+are formed in one workspace per call (:func:`_workspace`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -51,8 +55,10 @@ from .spectral import (
     TimeSeries,
     _half_nodes,
     _half_sum,
+    _irfft_phased,
     _is_sup,
     _log_half_sum,
+    _signs,
     forward_transform,
     irfft_rows,
     make_grid,
@@ -139,14 +145,15 @@ class SweepReport:
     metadata: dict = field(default_factory=dict)
 
 
-def _shared_grid(ensemble) -> FrequencyGrid:
-    """The one grid of a nonempty ensemble; ValueError otherwise."""
+def _grid_and_members(ensemble):
+    """(grid, members) of a nonempty ensemble: the grid of its first member
+    and an iterator over all its members that reads each once, so a lazy
+    ensemble draws each once.  ValueError for an empty ensemble; a member on
+    another grid raises in :func:`_member_half`."""
     if len(ensemble) == 0:
         raise ValueError("ensemble must be nonempty")
-    grid = ensemble[0].grid
-    if any(x.grid != grid for x in ensemble):
-        raise ValueError("all ensemble members must share one grid")
-    return grid
+    first = ensemble[0]
+    return first.grid, itertools.chain((first,), ensemble[1:])
 
 
 def _member_half(x, grid: FrequencyGrid) -> np.ndarray:
@@ -168,39 +175,64 @@ def predict(pt: PredictorTransfer, x) -> TimeSeries:
     return TimeSeries(pt.grid, irfft_rows(pt.khat_values * X, pt.grid))
 
 
-def _row_norms(rows: np.ndarray, grid: FrequencyGrid):
-    """Grid l2 (inf once a square overflows) and sup norms of real rows, (n,) or (m, n)."""
+def _row_norms(rows: np.ndarray, grid: FrequencyGrid, scratch=None):
+    """Grid l2 (inf once a square overflows) and sup norms of real rows, (n,) or (m, n);
+    the squares and magnitudes go into ``scratch``, a float64 buffer of
+    ``rows``' shape, when one is given."""
     with np.errstate(over="ignore"):
-        l2 = math.sqrt(grid.delta_t) * np.sqrt(np.add.reduce(np.square(rows), axis=-1))
-    return l2, np.max(np.abs(rows), axis=-1)
+        l2 = math.sqrt(grid.delta_t) * np.sqrt(np.add.reduce(np.square(rows, out=scratch), axis=-1))
+    return l2, np.max(np.abs(rows, out=scratch), axis=-1)
 
 
-def _norms(half: np.ndarray, grid: FrequencyGrid):
+def _norms(half: np.ndarray, grid: FrequencyGrid, work: np.ndarray = None):
     """:func:`_row_norms` of the real signal whose half spectrum is ``half``.
 
     Callers bind each half spectrum to a name before multiplying it by a
     gain: numpy may form ``gain * <temporary>`` in the temporary's buffer as
     ``temporary * gain``, and complex products do not commute bitwise.
     An all-zero ``half``, of any length (see :func:`_channel`), gives
-    (0.0, 0.0), as its transform would, without taking it.
+    (0.0, 0.0), as its transform would, without taking it.  Given ``work``
+    (:func:`_workspace`), whose head ``half`` then is, ``half`` is phased in
+    place and its inverse and the norms' scratch go into the rest of
+    ``work``; the figures are the same bit for bit.
     """
     if not half.any():
         return 0.0, 0.0
-    return _row_norms(irfft_rows(half, grid), grid)
+    if work is None:
+        return _row_norms(irfft_rows(half, grid), grid)
+    n = grid.n
+    np.multiply(_signs(grid)[0], half, out=half)
+    rows = _irfft_phased(half, grid, out=work[n + 2 : 2 * n + 2])
+    return _row_norms(rows, grid, scratch=work[2 * n + 2 :])
 
 
-def _channel(gain: np.ndarray, X: np.ndarray) -> np.ndarray:
+def _workspace(grid: FrequencyGrid) -> np.ndarray:
+    """One float64 block of 3n+2 values for :func:`_channel` and
+    :func:`_norms`: a half spectrum (n/2+1 complex values), its real inverse
+    and a real scratch row, so a member's channels allocate no (n/2+1)- or
+    n-value array.
+
+    Being one block matters on glibc: it is the largest buffer a sweep
+    frees, and its release lifts the allocator's dynamic mmap and trim
+    thresholds above the FFT's per-call scratch, which is then kept on the
+    heap instead of being returned to the system and faulted in again at
+    every transform (about 25,000 minor page faults per default sweep)."""
+    return np.empty(3 * grid.n + 2)
+
+
+def _channel(gain: np.ndarray, X: np.ndarray, work: np.ndarray) -> np.ndarray:
     """The error channel ``gain * X`` of a gain held on its support, a prefix
-    of X's nodes past which it is zero: formed on that prefix, and
-    zero-padded to X's length only when it is nonzero.  The padded nodes
-    differ from the full product at most in the sign of a zero, which no
-    norm or band sum sees."""
-    diff = gain * X[: gain.size]
-    if diff.size == X.size or not diff.any():
+    of X's nodes past which it is zero, written into the head of ``work``
+    (:func:`_workspace`): formed on that prefix, and zero-padded to X's
+    length only when it is nonzero.  The padded nodes differ from the full
+    product at most in the sign of a zero, which no norm or band sum sees."""
+    m = gain.size
+    half = work[: 2 * X.size].view(np.complex128)
+    diff = np.multiply(gain, X[:m], out=half[:m])
+    if m == X.size or not diff.any():
         return diff
-    padded = np.zeros_like(X)
-    padded[: diff.size] = diff
-    return padded
+    half[m:] = 0.0
+    return half
 
 
 def _support(pt: PredictorTransfer) -> int:
@@ -246,25 +278,24 @@ def prediction_error(pt: PredictorTransfer, x: TimeSeries, p) -> PredictionError
 
 
 def _run_sweep(kernel: AnticausalKernel, gammas, r: float, ensemble, cls: DegeneracyClass = None):
-    """Sweep rows in two passes: each gamma's predictor fields and error gain,
-    then each member's error figures under every gain, as running maxima.
+    """(grid, sweep rows) of a nonempty ensemble, in two passes: each gamma's
+    predictor fields and error gain, then each member's error figures under
+    every gain, as running maxima.  Each member is read once
+    (:func:`_grid_and_members`).
 
-    Each gain is written only on its support (:func:`_support`), a prefix
-    of its row in one (gammas, n/2+1) array, so the rest of the row is never
-    touched and its pages never become resident.  At the defaults that is
-    every node at gamma = 10 and 30 and omega = 0 alone from gamma = 100 on.
-    Channels are formed on the support (:func:`_channel`), and an all-zero
-    one is not transformed (:func:`_norms`).
+    Each gain is its own array, kept only on its support (:func:`_support`):
+    at the defaults that is every node at gamma = 10 and 30 and omega = 0
+    alone from gamma = 100 on.  Channels are formed on the support
+    (:func:`_channel`), and an all-zero one is not transformed
+    (:func:`_norms`).
     """
-    grid = _shared_grid(ensemble)
-    h = grid.n // 2 + 1
-    table = np.empty((len(gammas), h), dtype=np.complex128)
+    grid, members = _grid_and_members(ensemble)
     gains = []
     fields = []
-    for gamma, table_row in zip(gammas, table):
+    for gamma in gammas:
         pt = build_predictor(kernel, gamma, r, grid)
         m = _support(pt)
-        gains.append(np.subtract(pt.khat_values[:m], pt.k_values[:m], out=table_row[:m]))
+        gains.append(pt.khat_values[:m] - pt.k_values[:m])
         row = dict(
             gamma=gamma,
             kappa_sup=pt.kappa_sup,
@@ -288,19 +319,22 @@ def _run_sweep(kernel: AnticausalKernel, gammas, r: float, ensemble, cls: Degene
     # reduces (NaN wins), and the band split of the worst relative-l2 member
     worst = np.full((4, len(gammas)), -np.inf)
     bands = [None] * len(gammas)
-    for x in ensemble:
+    work = _workspace(grid)
+    for x in members:
         X = _member_half(x, grid)
-        y_l2, y_sup = _norms(K * X, grid)
-        l2a, supa = np.array([_norms(_channel(gain, X), grid) for gain in gains]).T
+        y_l2, y_sup = _norms(_channel(K, X, work), grid, work)
+        l2a, supa = np.array([_norms(_channel(gain, X, work), grid, work) for gain in gains]).T
         l2r = _relative(l2a, y_l2)
         # np.argmax's rule: the first maximum leads, and a NaN is a maximum;
         # the leader's error channel is formed once more for its band split
         leads = (l2r > worst[1]) | (np.isnan(l2r) & ~np.isnan(worst[1]))
         for i in np.flatnonzero(leads):
-            bands[i] = _band_split(_channel(gains[i], X), grid, fields[i]["omega_threshold"], 2)
+            bands[i] = _band_split(_channel(gains[i], X, work), grid, fields[i]["omega_threshold"], 2)
         np.maximum(worst, (l2a, l2r, supa, _relative(supa, y_sup)), out=worst)
+        # drop the member before the next one is drawn
+        del x, X
 
-    return [
+    return grid, [
         SweepRow(
             err_l2_abs=float(l2a),
             err_l2_rel=float(l2r),
@@ -330,8 +364,8 @@ def gamma_sweep(
     """
     gammas = _gamma_list(gammas)
     _require_admissible(r, cls)
-    rows = _run_sweep(kernel, gammas, r, ensemble, cls=cls)
-    meta = _metadata(kernel, ensemble[0].grid, r=r, ensemble_size=len(ensemble))
+    grid, rows = _run_sweep(kernel, gammas, r, ensemble, cls=cls)
+    meta = _metadata(kernel, grid, r=r, ensemble_size=len(ensemble))
     meta["class"] = {"q": cls.q, "c": cls.c}
     meta.update(metadata or {})
     return SweepReport(rows=tuple(rows), metadata=meta)
@@ -351,16 +385,17 @@ def uniformity_check(
     uniform bound ||y - y_hat|| <= eps(gamma) * ||x||_class.
     """
     _require_admissible(r, cls)
-    grid = _shared_grid(ensemble)
+    grid, members = _grid_and_members(ensemble)
     pt = build_predictor(kernel, gamma, r, grid)
     gain = pt.khat_values - pt.k_values
     worst = -np.inf
-    for x in ensemble:
+    work = _workspace(grid)
+    for x in members:
         norm = class_norm(x, cls)
         if math.isinf(norm):
             raise ValueError("ensemble member has infinite class norm")
         X = _member_half(x, grid)
-        l2, sup = _norms(gain * X, grid)
+        l2, sup = _norms(_channel(gain, X, work), grid, work)
         worst = np.maximum(worst, (sup if _is_sup(p) else l2) / norm)
     return float(worst)
 
@@ -586,8 +621,8 @@ def nonpredictability_demo(
     _require_admissible(r, reference)
     gammas = _gamma_list(gammas)
 
-    slow_rows = _run_sweep(kernel, gammas, r, _enveloped_member(q_bad, c, cfg, size))
-    ref_rows = _run_sweep(kernel, gammas, r, make_class_ensemble(reference, cfg, size))
+    _, slow_rows = _run_sweep(kernel, gammas, r, _enveloped_member(q_bad, c, cfg, size))
+    _, ref_rows = _run_sweep(kernel, gammas, r, make_class_ensemble(reference, cfg, size))
     rows = tuple(
         NegativeDemoRow(gamma=s.gamma, err_rel_slow=s.err_l2_rel, err_rel_reference=g.err_l2_rel)
         for s, g in zip(slow_rows, ref_rows)

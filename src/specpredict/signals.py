@@ -17,6 +17,9 @@ node.  The last projection is spectral, which is what makes membership exact,
 so a member keeps that half spectrum (a ``SpectralSeries``) and its samples
 are the inverse of it; the time support is then "near-compact", with guard
 residues held under the calibration guard level on adequately long windows.
+An ensemble of members holds only its seeds: a member is a pure function of
+(q, c, seed), so it is drawn each time it is read, and reading it twice
+draws it twice.
 
 Band-limited draws and the counterexample pair are returned the same way, as
 the ``SpectralSeries`` of the half spectrum they are built on; the noise of
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -264,18 +268,13 @@ _HEADROOM = 0.5
 _PROJECTION_ROUNDS = 2
 
 
-def _enveloped_member(q: float, c: float, cfg: GeneratorConfig, size: int) -> list:
+def _enveloped_member(q: float, c: float, cfg: GeneratorConfig, size: int) -> _Members:
     """Envelope-times-random-phase members for a raw (q, c) pair.
 
-    Returns ``size`` members seeded ``cfg.seed + i``; a seed range that
-    leaves 64 unsigned bits raises ValueError before any member is drawn.
-    They share the envelope and the window, and each runs through both
-    projection rounds on its own, in place on its own half spectrum, so a
-    member does not depend on the ensemble it is drawn in.  The rounds of
-    every member share one sample buffer and one scale buffer.
-    Each member is the :class:`SpectralSeries` of its last projection's
-    half spectrum: the spectrum that is exactly in the class, not a
-    re-transform of its samples.
+    Returns the ``size`` members seeded ``cfg.seed + i`` as a read-only
+    sequence that holds their seeds and draws a member each time it is read
+    (:class:`_Members`); a seed range that leaves 64 unsigned bits raises
+    ValueError here, before any member is drawn.
 
     No validation of q: callers admit q > 1 through DegeneracyClass, while
     the negative illustration deliberately feeds q in (0, 1).
@@ -286,42 +285,78 @@ def _enveloped_member(q: float, c: float, cfg: GeneratorConfig, size: int) -> li
             f"member seeds {cfg.seed}..{last} must fit in 64 unsigned bits: "
             f"for {size} members the seed must be at most {2**64 - size}"
         )
-    grid = cfg.grid
-    om_abs = _half_nodes(grid)[0]
+    return _Members(q, c, cfg, range(cfg.seed, cfg.seed + size))
 
-    log_env = -log_weight(om_abs, q, c)
-    log_env[~_band_mask(cfg, om_abs)] = -np.inf
-    with np.errstate(under="ignore"):
-        env = np.exp(log_env)
-    env[0] = 0.0
-    start = _HEADROOM * env
-    window = _guard_window(grid)
-    signs = _signs(grid)[0]
-    x = np.empty(grid.n)
-    scale = np.empty(env.size)
 
-    members = []
-    for i in range(size):
-        X = _random_hermitian_phases(grid, _generator(replace(cfg, seed=cfg.seed + i), _STREAM_CLASS))
-        X *= start
-        # alternate time confinement with the spectral projection; the last
-        # step is spectral, which makes the envelope bound and X(0) = 0 exact
-        for _ in range(_PROJECTION_ROUNDS):
-            # irfft_rows and rfft_rows through the buffers: the inverse's
-            # phase goes on in X's own buffer, which rfft_rows then overwrites
-            X *= signs
-            _irfft_phased(X, grid, out=x)
-            x *= window
-            rfft_rows(x, grid, out=X)
-            # the clip scale min(env/|X|, 1), 1 where |X| = 0
-            np.abs(X, out=scale)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(env, scale, out=scale)
-            np.fmin(scale, 1.0, out=scale)
-            X *= scale
-            X[0] = 0.0
-        members.append(SpectralSeries(grid, X))
-    return members
+class _Members(Sequence):
+    """Class members for a raw (q, c), one per seed of ``seeds`` (a range),
+    each drawn when it is read: the ensemble is its seeds.
+
+    ``members[i]`` draws member i afresh, so reading it twice draws it
+    twice; a slice is the members of the sliced seeds.  Each member runs
+    through both projection rounds on its own, in place on its own half
+    spectrum, so it does not depend on the ensemble it is drawn in, and it is
+    the :class:`SpectralSeries` of its last projection's half spectrum: the
+    spectrum that is exactly in the class, not a re-transform of its
+    samples.  The members of one iteration share the envelope, the window,
+    one sample buffer and one scale buffer.
+    """
+
+    def __init__(self, q: float, c: float, cfg: GeneratorConfig, seeds: range):
+        self._q, self._c, self._cfg, self._seeds = q, c, cfg, seeds
+
+    def __len__(self) -> int:
+        return len(self._seeds)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _Members(self._q, self._c, self._cfg, self._seeds[index])
+        return self._drawer()(self._seeds[index])
+
+    def __iter__(self):
+        draw = self._drawer()
+        return (draw(seed) for seed in self._seeds)
+
+    def _drawer(self):
+        """The function that draws the member of a seed, with its envelope,
+        window and buffers."""
+        cfg, grid = self._cfg, self._cfg.grid
+        om_abs = _half_nodes(grid)[0]
+        # the envelope e^{-c/|omega|^q}, formed in the buffer of the log weight
+        env = log_weight(om_abs, self._q, self._c)
+        np.negative(env, out=env)
+        env[~_band_mask(cfg, om_abs)] = -np.inf
+        with np.errstate(under="ignore"):
+            np.exp(env, out=env)
+        env[0] = 0.0
+        window = _guard_window(grid)
+        signs = _signs(grid)[0]
+        x = np.empty(grid.n)
+        scale = np.empty(env.size)
+
+        def draw(seed: int) -> SpectralSeries:
+            X = _random_hermitian_phases(grid, _generator(replace(cfg, seed=seed), _STREAM_CLASS))
+            # the starting spectrum, phases times the headroom envelope
+            X *= np.multiply(_HEADROOM, env, out=scale)
+            # alternate time confinement with the spectral projection; the last
+            # step is spectral, which makes the envelope bound and X(0) = 0 exact
+            for _ in range(_PROJECTION_ROUNDS):
+                # irfft_rows and rfft_rows through the buffers: the inverse's
+                # phase goes on in X's own buffer, which rfft_rows then overwrites
+                X *= signs
+                _irfft_phased(X, grid, out=x)
+                np.multiply(x, window, out=x)
+                rfft_rows(x, grid, out=X)
+                # the clip scale min(env/|X|, 1), 1 where |X| = 0
+                np.abs(X, out=scale)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    np.divide(env, scale, out=scale)
+                np.fmin(scale, 1.0, out=scale)
+                X *= scale
+                X[0] = 0.0
+            return SpectralSeries(grid, X)
+
+        return draw
 
 
 def sample_class_member(cls: DegeneracyClass, cfg: GeneratorConfig) -> SpectralSeries:
@@ -443,8 +478,11 @@ def class_norm(x, cls: DegeneracyClass) -> float:
 
 
 def make_class_ensemble(cls: DegeneracyClass, cfg: GeneratorConfig, size: int):
-    """Draw ``size`` independent class members, seeds derived as cfg.seed + i,
-    each a :class:`SpectralSeries` (see :func:`sample_class_member`)."""
+    """``size`` independent class members, seeds derived as cfg.seed + i,
+    each a :class:`SpectralSeries` (see :func:`sample_class_member`).
+
+    The ensemble is its seeds: a read-only sequence that draws a member each
+    time it is read (see :func:`_enveloped_member`)."""
     if size < 1:
         raise ValueError("ensemble size must be >= 1")
     return _enveloped_member(cls.q, cls.c, cfg, size)

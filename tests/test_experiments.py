@@ -31,7 +31,7 @@ from specpredict import (
     transfer,
     uniformity_check,
 )
-from specpredict import experiments
+from specpredict import experiments, signals
 from specpredict.signals import _noise_spectrum
 from specpredict.spectral import _half_sum, irfft_rows
 
@@ -375,14 +375,37 @@ class TestMixedEnsembleUniformity:
         # class members plus band-limited members with a degeneracy gap
         from specpredict import sample_bandlimited
 
-        members = make_class_ensemble(CLS, cfg(2026), 2)
         gapped = cfg(9, band=(0.5, 2.0))
-        members += [
+        members = list(make_class_ensemble(CLS, cfg(2026), 2)) + [
             sample_bandlimited(2.0, dataclasses.replace(gapped, seed=9 + i)) for i in range(2)
         ]
         r10 = uniformity_check(KERNEL, CLS, 10.0, 4.0, members)
         r30 = uniformity_check(KERNEL, CLS, 30.0, 4.0, members)
         assert r30 < r10
+
+
+class TestLazyEnsembleReads:
+    """The sweep and uniformity_check read each member of an ensemble once,
+    so a generated ensemble draws each member once per call."""
+
+    def test_each_member_is_drawn_once(self, monkeypatch):
+        ensemble = make_class_ensemble(CLS, cfg(2026), 4)
+        seeds = []
+        real = signals._generator
+        monkeypatch.setattr(signals, "_generator", lambda c, stream: seeds.append(c.seed) or real(c, stream))
+        gamma_sweep(KERNEL, CLS, (10.0, 30.0), 4.0, ensemble)
+        assert seeds == [2026, 2027, 2028, 2029]
+        seeds.clear()
+        uniformity_check(KERNEL, CLS, 10.0, 4.0, ensemble)
+        assert seeds == [2026, 2027, 2028, 2029]
+
+    def test_member_on_another_grid_is_rejected(self, ensemble):
+        other = sample_class_member(CLS, GeneratorConfig(seed=1, grid=make_grid(GRID.n, 0.01)))
+        for members in ([*ensemble, other], [other, *ensemble]):
+            with pytest.raises(ValueError, match="grid"):
+                gamma_sweep(KERNEL, CLS, (10.0,), 4.0, members)
+            with pytest.raises(ValueError, match="grid"):
+                uniformity_check(KERNEL, CLS, 10.0, 4.0, members)
 
 
 class TestStreamedSweep:
@@ -698,13 +721,18 @@ class TestExactSupportChannel:
     def test_default_sweep_transform_count(self, default_members, monkeypatch):
         # per member one target and the two nonzero channels (gamma 10, 30),
         # plus one causality defect per gamma: 10 * 3 + 5, where a transform
-        # of every channel took 10 * 6 + 5
+        # of every channel took 10 * 6 + 5; the lazy ensemble adds the two
+        # projection rounds of each member's one draw
         _, members = default_members
+        held = list(members)
         calls = []
         real = np.fft.irfft
         monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: calls.append(1) or real(*a, **k))
+        default_sweep(held)
+        assert len(calls) == 35 == 3 * len(held) + 5
+        calls.clear()
         default_sweep(members)
-        assert len(calls) == 35 == 3 * len(members) + 5
+        assert len(calls) == 35 + 2 * 10
 
     def test_default_supports(self):
         grid = experiments.default_grid()
@@ -721,8 +749,9 @@ class TestExactSupportChannel:
         # zero-padded, and none inside the second
         cls = DegeneracyClass(5.0, 1.0)
         gammas = (10.0, 100.0, 1000.0)
-        members = make_class_ensemble(cls, cfg(31), 2)
-        members += [sample_bandlimited(2.0, cfg(40 + i, band=(0.2, 2.0))) for i in range(2)]
+        members = list(make_class_ensemble(cls, cfg(31), 2)) + [
+            sample_bandlimited(2.0, cfg(40 + i, band=(0.2, 2.0))) for i in range(2)
+        ]
         h = GRID.n // 2 + 1
         supports = [experiments._support(build_predictor(KERNEL, g, 0.6, GRID)) for g in gammas]
         assert supports == [h, 5, 2]

@@ -2,12 +2,14 @@
 
 numpy reports its array buffers to ``tracemalloc``, so a traced peak is the
 largest set of arrays alive at once; the FFT library's own scratch is not
-counted.  Members are drawn one at a time, and the sweep keeps one
-(gammas, n/2+1) array of error gains and takes the members one at a time,
-so no array sized by the ensemble is alive during a sweep and its peak does
+counted.  An ensemble holds only its seeds: a member is drawn when the sweep
+reads it, and the sweep keeps one error gain per gamma, on its support,
+beside one workspace for a member's channels, so no array sized by the
+ensemble is alive while an ensemble is drawn and swept, and the peak does
 not grow with the ensemble.  Generated members keep only the half spectrum
 (nodes 0..n/2) of their last projection, which the sweep reads in place,
 and a predictor and the line witness evaluate and keep nodes 0..n/2 only.
+The class weight is formed in the one buffer of |omega|.
 The per-grid tables (signs, signed and absolute omega, node weights) hold nodes
 0..n/2 and are cached for one grid at a time, the witnesses split the t < 0
 share at n/2 in place, and lemma_check reduces its node sets in blocks, so
@@ -34,6 +36,7 @@ from specpredict import (
     make_class_ensemble,
 )
 from specpredict import cli, experiments, signals, spectral
+from specpredict.degeneracy import log_weight
 from specpredict.experiments import (
     DEFAULT_CLASS,
     DEFAULT_ENSEMBLE_SIZE,
@@ -51,12 +54,25 @@ CFG = GeneratorConfig(seed=2026, grid=default_grid())
 # 11.4-11.9 MB with predictors kept at nodes 0..n/2 beside an (m, 2^15+1)
 # stack of member spectra, 7.7 MB with members taken one at a time against
 # a (5, 2^15+1) array of error gains; the bound sits above the last and
-# below the one before.
+# below the one before.  Drawing each member as the sweep reads it, with
+# one gain array per gamma and one channel workspace, peaks at 6.4 MB.
 SWEEP_PEAK_BOUND = 8.5e6
 
 # The member-streamed sweep peaks at the same traced size for 10 and 20
-# members; the member stack made it grow by 0.52 MB a member (5.2 MB).
+# members; the member stack made it grow by 0.52 MB a member (5.2 MB), and
+# so did a held ensemble when its drawing is traced with the sweep.
 SWEEP_GROWTH_BOUND = 0.25e6
+
+# Traced bytes left alive by make_class_ensemble(DEFAULT_CLASS, CFG, 10):
+# 5.2 MB while the ensemble held its ten half spectra; an ensemble that
+# holds its seeds keeps a few hundred bytes.
+ENSEMBLE_ALIVE_BOUND = 10e3
+
+# Traced peak of log_weight at the n/2+1 nodes of the default grid: 1.08 MB
+# with |omega|, an inf-filled result and the masked power's compacted
+# copies, 0.33 MB forming the result in the buffer of |omega|; the bound
+# sits between.
+LOG_WEIGHT_PEAK_BOUND = 0.5e6
 
 # Traced peak of one build_predictor at n = 2^16, gamma = 10: 10.1 MB with
 # V, K and K_hat evaluated at all n nodes, 7.0 MB evaluated at nodes 0..n/2
@@ -124,9 +140,9 @@ def _traced_peak(fn):
 
 
 def test_generation_peak_stays_under_twice_the_samples():
-    make_class_ensemble(DEFAULT_CLASS, CFG, 1)  # per-grid caches outside the trace
+    make_class_ensemble(DEFAULT_CLASS, CFG, 1)[0]  # per-grid caches outside the trace
     ensemble, peak = _traced_peak(
-        lambda: make_class_ensemble(DEFAULT_CLASS, CFG, DEFAULT_ENSEMBLE_SIZE)
+        lambda: list(make_class_ensemble(DEFAULT_CLASS, CFG, DEFAULT_ENSEMBLE_SIZE))
     )
     samples = sum(x.samples.nbytes for x in ensemble)
     # the stacked projection rounds peaked at about 4x the samples
@@ -152,6 +168,37 @@ def test_sweep_peak_does_not_grow_with_the_ensemble():
     _, peak_10 = _traced_peak(lambda: sweep(ensemble[:DEFAULT_ENSEMBLE_SIZE]))
     _, peak_20 = _traced_peak(lambda: sweep(ensemble))
     assert abs(peak_20 - peak_10) < SWEEP_GROWTH_BOUND, (peak_10, peak_20)
+
+
+def test_ensemble_holds_no_member():
+    make_class_ensemble(DEFAULT_CLASS, CFG, 1)[0]  # per-grid caches outside the trace
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ensemble = make_class_ensemble(DEFAULT_CLASS, CFG, DEFAULT_ENSEMBLE_SIZE)
+        alive = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(ensemble) == DEFAULT_ENSEMBLE_SIZE
+    assert alive < ENSEMBLE_ALIVE_BOUND, alive
+
+
+def test_drawing_and_sweeping_peak_does_not_grow_with_the_ensemble():
+    def draw_and_sweep(size):
+        ensemble = make_class_ensemble(DEFAULT_CLASS, CFG, size)
+        return gamma_sweep(DEFAULT_KERNEL, DEFAULT_CLASS, DEFAULT_GAMMAS, DEFAULT_R, ensemble)
+
+    draw_and_sweep(1)  # per-grid caches outside the trace
+    _, peak_10 = _traced_peak(lambda: draw_and_sweep(DEFAULT_ENSEMBLE_SIZE))
+    _, peak_20 = _traced_peak(lambda: draw_and_sweep(2 * DEFAULT_ENSEMBLE_SIZE))
+    assert abs(peak_20 - peak_10) < SWEEP_GROWTH_BOUND, (peak_10, peak_20)
+
+
+def test_log_weight_forms_its_result_in_one_buffer():
+    omega = spectral._half_nodes(CFG.grid)[0]
+    lw, peak = _traced_peak(lambda: log_weight(omega, DEFAULT_CLASS.q, DEFAULT_CLASS.c))
+    assert lw.shape == omega.shape
+    assert peak < LOG_WEIGHT_PEAK_BOUND, peak
 
 
 def test_members_keep_real_samples_as_float64():

@@ -1,3 +1,4 @@
+import collections.abc
 import dataclasses
 import hashlib
 import math
@@ -75,6 +76,22 @@ class TestWeight:
 
     def test_infinite_at_origin(self):
         assert log_weight(np.array([0.0]), CLS.q, CLS.c)[0] == math.inf
+
+    @pytest.mark.parametrize("q", [0.5, 1.5, 2.0, 3.0, 5.0])
+    def test_one_buffer_form_matches_the_masked_power(self, q):
+        def masked(omega, q, c):
+            # the form before the result was formed in the buffer of |omega|
+            om = np.abs(np.asarray(omega, dtype=float))
+            out = np.full(om.shape, np.inf)
+            nz = om > 0.0
+            out[nz] = c * om[nz] ** (-q)
+            return out
+
+        extremes = np.array([0.0, 1e-300, 5e-324, 1e300])
+        for omega in (HALF_OMEGAS, -HALF_OMEGAS, GRID.omegas(), extremes, -extremes):
+            with np.errstate(over="ignore"):
+                want, got = masked(omega, q, 1.3), log_weight(omega, q, 1.3)
+            assert want.tobytes() == got.tobytes()
 
     def test_log_form_avoids_overflow(self):
         lw = log_weight(np.array([1e-3]), 2.0, 1.0)
@@ -176,6 +193,53 @@ def default_members(request):
     """(seed, the ten members of the default configuration at that seed)."""
     cfg_default = GeneratorConfig(seed=request.param, grid=default_grid())
     return request.param, make_class_ensemble(CLS, cfg_default, 10)
+
+
+class TestLazyEnsemble:
+    """An ensemble is its seeds: a read draws the member, bit for bit the
+    member that iteration draws."""
+
+    SIZE = 5
+
+    @pytest.fixture(scope="class")
+    @classmethod
+    def drawn(cls):
+        return [x.spectrum for x in make_class_ensemble(CLS, cfg(2026), cls.SIZE)]
+
+    def test_is_a_read_only_sequence(self):
+        ensemble = make_class_ensemble(CLS, cfg(2026), self.SIZE)
+        assert isinstance(ensemble, collections.abc.Sequence)
+        assert len(ensemble) == self.SIZE
+        with pytest.raises(TypeError):
+            ensemble[0] = ensemble[1]
+
+    def test_index_reads_match_iteration(self, drawn):
+        ensemble = make_class_ensemble(CLS, cfg(2026), self.SIZE)
+        for i in range(-self.SIZE, self.SIZE):
+            assert ensemble[i].spectrum.tobytes() == drawn[i].tobytes(), i
+
+    @pytest.mark.parametrize("i", [5, -6, 2**64])
+    def test_index_out_of_range(self, i):
+        with pytest.raises(IndexError):
+            make_class_ensemble(CLS, cfg(2026), self.SIZE)[i]
+
+    @pytest.mark.parametrize(
+        "part", [slice(1, 4), slice(None, None, -1), slice(4, None, -2), slice(0, 5, 3), slice(2, 2)]
+    )
+    def test_slices_hold_the_sliced_seeds(self, drawn, part):
+        ensemble = make_class_ensemble(CLS, cfg(2026), self.SIZE)
+        sliced = ensemble[part]
+        assert type(sliced) is type(ensemble) and len(sliced) == len(drawn[part])
+        assert [x.spectrum.tobytes() for x in sliced] == [X.tobytes() for X in drawn[part]]
+
+    def test_every_read_draws(self, monkeypatch):
+        ensemble = make_class_ensemble(CLS, cfg(7), 3)
+        seeds = []
+        real = signals._generator
+        monkeypatch.setattr(signals, "_generator", lambda c, stream: seeds.append(c.seed) or real(c, stream))
+        ensemble[1], ensemble[-2]
+        list(ensemble)
+        assert seeds == [8, 8, 7, 8, 9]
 
 
 class TestDefaultMembers:
