@@ -11,6 +11,7 @@ experiments (:mod:`.experiments`).
 
 from .degeneracy import DegeneracyClass
 from .experiments import (
+    class_norm,
     counterexample_experiment,
     default_grid,
     gamma_sweep,
@@ -43,7 +44,6 @@ from .predictor import (
 from .signals import (
     ALGORITHM_ID,
     GeneratorConfig,
-    class_norm,
     counterexample_pair,
     sample_bandlimited,
     sample_class_member,

@@ -36,16 +36,18 @@ from .experiments import (
     _norms,
     _relative,
     _row_norms,
+    class_norm,
     counterexample_experiment,
     gamma_sweep,
     make_class_ensemble,
     nonpredictability_demo,
+    predict,
     robustness_experiment,
 )
 from .kernels import kernel_from_dict
-from .predictor import LemmaReport, _past_share, build_predictor, causality_defect, find_gamma0, lemma_check
+from .predictor import LemmaReport, _past_share, build_predictor, find_gamma0, lemma_check
 from .reports import ColumnBlocks, format_value, write_csv, write_json, write_svg_lineplot
-from .signals import GeneratorConfig, class_norm, sample_bandlimited, sample_class_member
+from .signals import GeneratorConfig, sample_bandlimited, sample_class_member
 from .spectral import TWO_PI, TimeSeries, _half_sum, irfft_rows, make_grid, norm
 from .spectral import forward_transform  # noqa: F401 - perfbench's INSTALL_PROBE reads this binding
 
@@ -241,14 +243,14 @@ def _spectrum_csv(path, x, meta):
     write_csv(path, ["omega", "re", "im"], ColumnBlocks(grid.n, block), meta)
 
 
-def _write_table(path, row_type, rows, meta, formats, drop=(), gammas=None) -> list:
+def _write_table(path, row_type, rows, meta, formats, gammas=None) -> list:
     """Write dataclass ``rows`` as a CSV table, if ``formats`` asks for csv, and
     return them as JSON objects.
 
-    The columns are the fields of ``row_type`` less ``drop``; ``gammas``, one
-    value per row, leads each CSV row as a ``gamma`` column.
+    The columns are the fields of ``row_type``; ``gammas``, one value per
+    row, leads each CSV row as a ``gamma`` column.
     """
-    columns = [f.name for f in dataclasses.fields(row_type) if f.name not in drop]
+    columns = [f.name for f in dataclasses.fields(row_type)]
     values = [[getattr(row, c) for c in columns] for row in rows]
     if "csv" in formats:
         if gammas is None:
@@ -277,14 +279,13 @@ def _cmd_predict(config, outdir, formats):
         _timeseries_csv(f"{outdir}/y.csv", grid, y, meta)
         del y
         _timeseries_csv(f"{outdir}/x.csv", grid, x.samples, meta)
-        _timeseries_csv(f"{outdir}/yhat.csv", grid, irfft_rows(pt.khat_values * X, grid), meta)
-        khat = irfft_rows(pt.khat_values, grid)
+        _timeseries_csv(f"{outdir}/yhat.csv", grid, predict(pt, x).samples, meta)
+    khat = irfft_rows(pt.khat_values, grid)
+    if "csv" in formats:
         _timeseries_csv(f"{outdir}/khat.csv", grid, khat, meta, column="khat")
-        # causality_defect(pt) of the kernel just written; _past_share overwrites it
-        defect = _past_share(khat)
-        del khat
-    else:
-        defect = causality_defect(pt)
+    # causality_defect(pt) of this kernel; _past_share overwrites it
+    defect = _past_share(khat)
+    del khat
     write_json(
         f"{outdir}/summary.json",
         {
@@ -348,9 +349,7 @@ def _cmd_lemma(config, outdir, formats):
     reports = [lemma_check(build_predictor(kernel, g, r, grid), cls, floor) for g in gammas]
     gamma0 = find_gamma0(kernel, cls, r, grid, bracket=bracket)
     meta = _open_reports(outdir, config, "lemma")
-    rows = _write_table(
-        f"{outdir}/lemma.csv", LemmaReport, reports, meta, formats, drop=("r", "omega_floor")
-    )
+    rows = _write_table(f"{outdir}/lemma.csv", LemmaReport, reports, meta, formats)
     write_json(
         f"{outdir}/lemma.json",
         {
@@ -433,12 +432,9 @@ def _cmd_counterexample(config, outdir, formats):
 def _cmd_demo_negative(config, outdir, formats):
     grid, kernel, cls, r, gammas = _build_objects(config, "demo-negative")
     neg = config["negative"]
-    q_bad = float(neg["q_bad"])
-    if not (0.0 < q_bad < 1.0):
-        raise ConfigError(f"negative.q_bad must lie strictly inside (0, 1), got {q_bad}")
     cfg = GeneratorConfig(seed=neg.get("seed", 0), grid=grid)
     report = nonpredictability_demo(
-        q_bad, cls.c, kernel, gammas, cfg, r, size=neg.get("size", 3), q_reference=cls.q
+        float(neg["q_bad"]), cls.c, kernel, gammas, cfg, r, size=neg.get("size", 3), q_reference=cls.q
     )
     meta = _open_reports(outdir, config, "demo-negative")
     rows = _write_table(f"{outdir}/negative.csv", NegativeDemoRow, report.rows, meta, formats)

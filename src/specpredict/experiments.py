@@ -6,18 +6,18 @@ Reported errors are worst-case over the ensemble, matching the universal
 quantifier of the prediction guarantee at desk scale.  Everything is a pure
 function of its inputs plus generator seeds, so reports are bit-reproducible.
 
-Every experiment and :func:`predict` take a member's spectrum the same way:
-:func:`_member_half` checks the member and gives its half spectrum X (nodes
-0..n/2), the caller multiplies it by a gain (K_hat - K for the error), and
-:func:`_norms` inverts the product and takes its grid norms.  Generated
-signals hold X itself, exact zeros included, and are read without any
-transform; only a series that arrives as samples is transformed, with its
-roundoff floor restored to zeros (:func:`_member_spectrum`).  An all-zero
-product has all-zero norms and is not transformed.  Ensembles are streamed:
-a sweep keeps the error gain of each gamma, then reads each member once, one
-at a time, and reduces its error figures under every gain into running
-worst-case figures, so what it holds grows with the number of gammas and not
-with the ensemble.  A generated ensemble holds only its seeds and draws a
+Every experiment, :func:`predict` and :func:`class_norm` take a member's
+spectrum the same way: :func:`_member_half` checks the member and gives its
+half spectrum X (nodes 0..n/2), the caller multiplies it by a gain (K_hat -
+K for the error), and :func:`_norms` inverts the product and takes its grid
+norms.  Generated signals hold X itself, exact zeros included, and are read
+without any transform; only a series that arrives as samples is
+transformed, with its roundoff floor restored to zeros
+(:func:`_member_spectrum`).  An all-zero product has all-zero norms and is
+not transformed.  Ensembles are streamed: a sweep keeps the error gain of
+each gamma, then reads each member once, one at a time, and reduces its
+error figures under every gain into running worst-case figures, so what it
+holds grows with the number of gammas and not with the ensemble.  A generated ensemble holds only its seeds and draws a
 member when it is read (:func:`.signals._enveloped_member`), so a sweep draws
 each member once.  Each gain is its own array, kept only up to its last
 nonzero node (:func:`_run_sweep`): from gamma = 100 on at the defaults that
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .degeneracy import DegeneracyClass
+from .degeneracy import DegeneracyClass, log_weight
 from .kernels import AnticausalKernel, kernel_to_dict, transfer
 from .predictor import (
     PredictorTransfer,
@@ -45,7 +45,6 @@ from .signals import (
     GeneratorConfig,
     _enveloped_member,
     _noise_spectrum,
-    class_norm,
     counterexample_pair,
     make_class_ensemble,
 )
@@ -54,9 +53,9 @@ from .spectral import (
     SpectralSeries,
     TimeSeries,
     _half_nodes,
+    _half_omegas,
     _half_sum,
     _irfft_phased,
-    _is_sup,
     _log_half_sum,
     _signs,
     forward_transform,
@@ -78,12 +77,6 @@ DEFAULT_ENSEMBLE_SIZE = 10
 
 def default_grid() -> FrequencyGrid:
     return make_grid(DEFAULT_GRID_N, DEFAULT_GRID_DT)
-
-
-def _metadata(kernel: AnticausalKernel, grid: FrequencyGrid, **extra) -> dict:
-    """Report metadata: the kernel and grid of a run, then ``extra``."""
-    grid_dict = {"n": grid.n, "delta_t": grid.delta_t}
-    return {"kernel": kernel_to_dict(kernel), "grid": grid_dict, **extra}
 
 
 def _gamma_list(gammas) -> tuple:
@@ -168,11 +161,35 @@ def _member_half(x, grid: FrequencyGrid) -> np.ndarray:
     return _member_spectrum(x)
 
 
-def predict(pt: PredictorTransfer, x) -> TimeSeries:
-    """Causal prediction y_hat = inverse(K_hat * X) of a real series, X from
-    :func:`_member_half`; a circular product, as in :func:`.kernels.apply_anticausal`."""
+def class_norm(x, cls: DegeneracyClass) -> float:
+    """Grid estimate of sup |X(i*omega)| * e^{c/|omega|^q}; +inf for non-members.
+
+    Read at nodes 0..n/2 of the half spectrum :func:`_member_half` gives: a
+    ``SpectralSeries``'s stored one, where zeros are exact, or that of a
+    ``TimeSeries`` with its roundoff floor restored to exact zeros, since
+    the weight near the degeneracy point is so large that evaluating it on
+    roundoff would flag every representable signal.  Any content left at
+    the degeneracy node exits the class.  Evaluated through logarithms; the
+    result may round to +inf for signals far outside the class, which is
+    the honest extended-real answer.
+    """
+    mags = np.abs(_member_half(x, x.grid))
+    if mags[0] > 0.0:
+        return math.inf
+    live = mags > 0.0
+    if not np.any(live):
+        return 0.0
+    total = np.log(mags[live]) + log_weight(_half_omegas(x.grid)[live], cls.q, cls.c)
+    with np.errstate(over="ignore"):
+        return float(np.exp(np.max(total)))
+
+
+def predict(pt: PredictorTransfer, x) -> SpectralSeries:
+    """Causal prediction y_hat = K_hat X of a real series, X from
+    :func:`_member_half`, as the ``SpectralSeries`` of its half spectrum;
+    its samples are a circular product, as in :func:`.kernels.apply_anticausal`."""
     X = _member_half(x, pt.grid)
-    return TimeSeries(pt.grid, irfft_rows(pt.khat_values * X, pt.grid))
+    return SpectralSeries(pt.grid, pt.khat_values * X)
 
 
 def _row_norms(rows: np.ndarray, grid: FrequencyGrid, scratch=None):
@@ -261,20 +278,24 @@ def _relative(err: np.ndarray, ref: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PredictionError:
-    abs_err: float
-    rel_err: float
+    err_l2_abs: float
+    err_l2_rel: float
+    err_sup_abs: float
+    err_sup_rel: float
 
 
-def prediction_error(pt: PredictorTransfer, x: TimeSeries, p) -> PredictionError:
-    """Grid distance between the anti-causal target of a real class member
-    and its causal prediction, absolute and relative to the target: the
-    :func:`gamma_sweep` figures of a one-member ensemble."""
+def prediction_error(pt: PredictorTransfer, x) -> PredictionError:
+    """Grid l2 and sup distances between the anti-causal target of a real
+    class member and its causal prediction, absolute and relative to the
+    target: the :func:`gamma_sweep` figures of a one-member ensemble, field
+    for field."""
     X = _member_half(x, pt.grid)
     gain = pt.khat_values - pt.k_values
     l2, sup = _norms(gain * X, pt.grid)
     y_l2, y_sup = _norms(pt.k_values * X, pt.grid)
-    err, ref = (sup, y_sup) if _is_sup(p) else (l2, y_l2)
-    return PredictionError(float(err), float(_relative(err, ref)))
+    return PredictionError(
+        float(l2), float(_relative(l2, y_l2)), float(sup), float(_relative(sup, y_sup))
+    )
 
 
 def _run_sweep(kernel: AnticausalKernel, gammas, r: float, ensemble, cls: DegeneracyClass = None):
@@ -365,9 +386,14 @@ def gamma_sweep(
     gammas = _gamma_list(gammas)
     _require_admissible(r, cls)
     grid, rows = _run_sweep(kernel, gammas, r, ensemble, cls=cls)
-    meta = _metadata(kernel, grid, r=r, ensemble_size=len(ensemble))
-    meta["class"] = {"q": cls.q, "c": cls.c}
-    meta.update(metadata or {})
+    meta = {
+        "kernel": kernel_to_dict(kernel),
+        "grid": {"n": grid.n, "delta_t": grid.delta_t},
+        "r": r,
+        "ensemble_size": len(ensemble),
+        "class": {"q": cls.q, "c": cls.c},
+        **(metadata or {}),
+    }
     return SweepReport(rows=tuple(rows), metadata=meta)
 
 
@@ -377,9 +403,8 @@ def uniformity_check(
     gamma: float,
     r: float,
     ensemble,
-    p=2,
-) -> float:
-    """Worst error-to-class-norm ratio over the ensemble.
+) -> tuple:
+    """Worst error-to-class-norm ratios over the ensemble, (l2, sup).
 
     The sweep of this quantity over gamma is the desk-scale evidence for the
     uniform bound ||y - y_hat|| <= eps(gamma) * ||x||_class.
@@ -388,7 +413,7 @@ def uniformity_check(
     grid, members = _grid_and_members(ensemble)
     pt = build_predictor(kernel, gamma, r, grid)
     gain = pt.khat_values - pt.k_values
-    worst = -np.inf
+    worst = (-np.inf, -np.inf)
     work = _workspace(grid)
     for x in members:
         norm = class_norm(x, cls)
@@ -396,8 +421,8 @@ def uniformity_check(
             raise ValueError("ensemble member has infinite class norm")
         X = _member_half(x, grid)
         l2, sup = _norms(_channel(gain, X, work), grid, work)
-        worst = np.maximum(worst, (sup if _is_sup(p) else l2) / norm)
-    return float(worst)
+        worst = np.maximum(worst, (l2 / norm, sup / norm))
+    return float(worst[0]), float(worst[1])
 
 
 @dataclass(frozen=True)
@@ -413,12 +438,10 @@ class RobustnessRow:
 @dataclass(frozen=True)
 class RobustnessReport:
     gamma: float
-    r: float
     eps_clean: float
     kappa_sup: float
     rows: tuple
     saturated: bool
-    metadata: dict = field(default_factory=dict)
 
 
 def robustness_experiment(
@@ -472,12 +495,10 @@ def robustness_experiment(
         )
     return RobustnessReport(
         gamma=float(gamma),
-        r=float(r),
         eps_clean=eps_clean,
         kappa_sup=pt.kappa_sup,
         rows=tuple(rows),
         saturated=pt.any_saturated,
-        metadata=_metadata(kernel, grid, seed=cfg.seed),
     )
 
 
@@ -502,7 +523,6 @@ class CounterexampleReport:
     split: float
     rows: tuple
     no_gamma_predicts_both: bool
-    metadata: dict = field(default_factory=dict)
 
 
 def _log_abs(values: np.ndarray) -> np.ndarray:
@@ -570,7 +590,6 @@ def counterexample_experiment(
         split=float(a),
         rows=tuple(rows),
         no_gamma_predicts_both=all(row.floor_ok for row in rows),
-        metadata=_metadata(kernel, grid, r=r, seed=cfg.seed),
     )
 
 
@@ -587,11 +606,9 @@ class NegativeDemoReport:
     predictors, it can only exhibit the error floor."""
 
     q_bad: float
-    c: float
     rows: tuple
     final_ratio: float
     label: str = "ILLUSTRATIVE"
-    metadata: dict = field(default_factory=dict)
 
 
 def nonpredictability_demo(
@@ -629,12 +646,4 @@ def nonpredictability_demo(
     )
     final = rows[-1]
     ratio = math.inf if final.err_rel_reference == 0.0 else final.err_rel_slow / final.err_rel_reference
-    return NegativeDemoReport(
-        q_bad=float(q_bad),
-        c=float(c),
-        rows=rows,
-        final_ratio=float(ratio),
-        metadata=_metadata(
-            kernel, cfg.grid, r=r, q_reference=q_reference, seed=cfg.seed, size=size
-        ),
-    )
+    return NegativeDemoReport(q_bad=float(q_bad), rows=rows, final_ratio=float(ratio))

@@ -150,8 +150,8 @@ class PredictorTransfer:
     saturates (mask in ``saturated``); the unclamped log magnitude and phase
     of K_hat ride along for log-domain arithmetic.  No time kernel is kept:
     :func:`causality_defect` takes ``irfft_rows`` of ``khat_values``, and
-    the CLI's ``predict`` takes it once for ``khat.csv`` and reads the
-    causality defect from that same array.  ``kappa_sup`` is
+    the CLI's ``predict`` takes it once, reads the causality defect from it
+    and, for csv, writes it as ``khat.csv`` first.  ``kappa_sup`` is
     the grid max of |khat_values| (an under-estimate of the true sup,
     consistent with the grid resolution); ``omega_threshold`` is the
     degeneracy-band edge sqrt(max_j a_j * gamma^{-r}).
@@ -267,19 +267,18 @@ class LemmaReport:
 
     ``pass_positivity``/``pass_factor_dev`` cover every node above the band
     edge for every pole; ``tail_dev_max`` is max |V - 1| over |omega| >=
-    omega_floor; ``pass_low_band`` is the weighted low-band bound
-    log|V| <= c/|omega|^q on the nodes strictly inside the band (vacuously
-    true when the band falls below the grid resolution; ``low_band_nodes``
-    records how many nodes were actually checked).
+    the ``omega_floor`` of :func:`lemma_check`; ``pass_low_band`` is the
+    weighted low-band bound log|V| <= c/|omega|^q on the nodes strictly
+    inside the band (vacuously true when the band falls below the grid
+    resolution; ``low_band_nodes`` records how many nodes were actually
+    checked).
     """
 
     gamma: float
-    r: float
     omega_threshold: float
     pass_positivity: bool
     pass_factor_dev: bool
     tail_dev_max: float
-    omega_floor: float
     pass_low_band: bool
     low_band_nodes: int
     low_band_margin: float
@@ -371,12 +370,10 @@ def lemma_check(
     holds, count, margin = _low_band_holds(pt.kernel, cls, gamma, r, grid)
     return LemmaReport(
         gamma=gamma,
-        r=r,
         omega_threshold=thr,
         pass_positivity=pass_pos,
         pass_factor_dev=pass_dev,
         tail_dev_max=tail_dev,
-        omega_floor=float(omega_floor),
         pass_low_band=holds,
         low_band_nodes=count,
         low_band_margin=margin,
@@ -424,9 +421,11 @@ def orthogonality_residual(pt: PredictorTransfer) -> float:
     """Normalized grid inner product of K and K_hat on the imaginary axis.
 
     |delta_omega * sum conj(K) K_hat| / (||K||_2 ||K_hat||_2) over the
-    predictor's own grid samples, saturated nodes at their clamped log
-    magnitude, evaluated in the log domain so they cannot overflow; the
-    normalization makes the grid spacing cancel.  The terms at +-omega are
+    predictor's own grid samples, read from ``khat_log_mag``: saturated
+    nodes enter at their unclamped log magnitude, except node n/2, whose
+    conjugate-pair average is formed from the clamped value.  It is
+    evaluated in the log domain so they cannot overflow; the normalization
+    makes the grid spacing cancel.  The terms at +-omega are
     conjugate, so the sum over both signs of omega is the
     :func:`.spectral._half_sum` of their real parts.  0 for an identically zero
     predictor.  It tracks the inner product of the kernels only when no node

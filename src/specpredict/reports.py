@@ -8,13 +8,12 @@ the metadata.  The SVG writer is hand-rolled so repeated runs are
 byte-identical (figure libraries embed per-process ids).
 
 :func:`write_csv` takes one of two inputs.  A float table, as the time
-series and spectra are written, is printed by a vectorized ``'%.16e'``
-formatter one block of ``_BLOCK_ROWS`` rows at a time; its bytes are those
-of ``'%.16e' % v`` on every value.  The CLI passes such a table as a
-:class:`ColumnBlocks`, which forms each block's columns when the writer asks
-for them, so no n-row table is stacked; a 2-D float64 array is written the
-same way.  Any other rows, such as the small tables of the experiments, go
-value by value through :func:`format_value`.
+series and spectra are written, is a :class:`ColumnBlocks`, which forms each
+block's columns when the writer asks for them, so no n-row table is
+stacked; a vectorized ``'%.16e'`` formatter prints it one block of
+``_BLOCK_ROWS`` rows at a time, and its bytes are those of ``'%.16e' % v``
+on every value.  Any other rows, such as the small tables of the
+experiments, go value by value through :func:`format_value`.
 """
 
 from __future__ import annotations
@@ -192,17 +191,11 @@ class ColumnBlocks:
 def write_csv(path: str, columns, rows, metadata: dict) -> None:
     """Write rows (sequences aligned with ``columns``) under a metadata comment.
 
-    ``rows`` is a :class:`ColumnBlocks` or a 2-D float64 array of shape
-    (m, len(columns)), written through the vectorized formatter one block of
-    rows at a time, or any sized sequence of rows, whose values go through
-    :func:`format_value`.  ``len(rows)`` is the number of data rows in every
-    case.
+    ``rows`` is a :class:`ColumnBlocks`, written through the vectorized
+    formatter one block of rows at a time, or any sized sequence of rows,
+    whose values go through :func:`format_value`.  ``len(rows)`` is the
+    number of data rows in either case.
     """
-    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64:
-        if rows.shape[1] != len(columns):
-            raise ValueError(f"{len(columns)} columns but rows of {rows.shape[1]} values")
-        table = rows
-        rows = ColumnBlocks(len(table), lambda start, stop: table[start:stop].T)
     with open(path, "wb") as fh:
         fh.write((_metadata_block(metadata) + "\n" + ",".join(columns) + "\n").encode("utf-8"))
         if isinstance(rows, ColumnBlocks):

@@ -40,15 +40,12 @@ from .spectral import (
     FrequencyGrid,
     SpectralSeries,
     _half_nodes,
-    _half_omegas,
     _half_sum,
     _irfft_phased,
     _signs,
-    forward_transform,
     irfft_rows,
     rfft_rows,
 )
-from .tolerances import CALIBRATION
 
 ALGORITHM_ID = "numpy.random.Philox(SeedSequence(entropy=seed, spawn_key=(stream,)))"
 
@@ -439,42 +436,6 @@ def _noise_spectrum(nu: float, cfg: GeneratorConfig) -> np.ndarray:
     count = _half_sum(1.0, grid, sel)
     values = np.where(sel, nu / (count * grid.delta_omega), 0.0) * unit
     return values * (nu / (grid.delta_omega * _half_sum(np.abs(values), grid)))
-
-
-def class_norm(x, cls: DegeneracyClass) -> float:
-    """Grid estimate of sup |X(i*omega)| * e^{c/|omega|^q}; +inf for non-members.
-
-    Read at nodes 0..n/2.  A :class:`SpectralSeries` is read on its stored
-    half spectrum, where zeros are exact: any content at the degeneracy
-    node exits the class.  For a ``TimeSeries`` the half spectrum is
-    computed from finite-precision samples and carries absolute roundoff at
-    every node, and the weight near the degeneracy point is so large that
-    evaluating it on roundoff values would flag every representable signal;
-    spectral values at or below the roundoff floor (relative to the
-    spectral peak, see the calibration table) are therefore treated as
-    exact zeros there, and content at the degeneracy node above that floor
-    exits the class.  Evaluated through logarithms; the result may round to
-    +inf for signals far outside the class, which is the honest
-    extended-real answer.
-    """
-    if isinstance(x, SpectralSeries):
-        mags = np.abs(x.spectrum)
-        floor = 0.0
-    else:
-        mags = np.abs(forward_transform(x).spectrum)
-        floor = max(
-            CALIBRATION["class_zero_floor"],
-            CALIBRATION["class_dc_floor_rel"] * float(np.max(mags)),
-        )
-    if mags[0] > floor:
-        return math.inf
-    live = mags > floor
-    live[0] = False
-    if not np.any(live):
-        return 0.0
-    total = np.log(mags[live]) + log_weight(_half_omegas(x.grid)[live], cls.q, cls.c)
-    with np.errstate(over="ignore"):
-        return float(np.exp(np.max(total)))
 
 
 def make_class_ensemble(cls: DegeneracyClass, cfg: GeneratorConfig, size: int):

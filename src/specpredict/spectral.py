@@ -281,18 +281,12 @@ def _irfft_phased(phased: np.ndarray, grid: FrequencyGrid, out=None) -> np.ndarr
     return out
 
 
-def _is_sup(p) -> bool:
-    """True for the sup norm (inf, "inf", "sup"), False for p = 2; else ValueError."""
-    if p == 2:
-        return False
-    if p in ("inf", "sup") or (isinstance(p, (int, float)) and math.isinf(p)):
-        return True
-    raise ValueError(f"p must be 2 or inf, got {p!r}")
-
-
 def norm(x: TimeSeries, p) -> float:
-    """Grid norm: p=2 gives sqrt(delta_t * sum x^2); p=inf gives max |x|."""
+    """Grid norm: p=2 gives sqrt(delta_t * sum x^2); p=inf gives max |x|;
+    any other p raises ValueError."""
     mags = np.abs(x.samples)
-    if _is_sup(p):
-        return float(np.max(mags)) if mags.size else 0.0
-    return float(math.sqrt(x.grid.delta_t) * np.linalg.norm(mags))
+    if p == math.inf:
+        return float(np.max(mags))
+    if p == 2:
+        return float(math.sqrt(x.grid.delta_t) * np.linalg.norm(mags))
+    raise ValueError(f"p must be 2 or inf, got {p!r}")

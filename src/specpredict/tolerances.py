@@ -13,13 +13,11 @@ CALIBRATION = {
     "causality_defect_max": 1e-3,     # share of kernel energy at t < 0
     "orthogonality_residual_max": 1e-2,
     "v_overflow_clamp_log": 700.0,    # log-magnitude clamp for stored values
-    # signal generation
-    "class_zero_floor": 1e-300,       # absolute floor on |X(0)| for the zero signal
-    "class_dc_floor_rel": 1e-12,      # |X(0)| / max|X| above this exits the class;
-                                      # a transform recomputed from time samples
-                                      # carries ~1e-16 relative roundoff at the
-                                      # degeneracy node, so the floor is relative
     # experiments
+    "class_dc_floor_rel": 1e-12,      # spectral roundoff floor of a series that
+                                      # arrives as samples, relative to its peak:
+                                      # its recomputed transform carries ~1e-16
+                                      # relative roundoff at every node
     "counterexample_identity_rel": 0.05,
     "robustness_slack": 0.05,
 }

@@ -326,15 +326,15 @@ def sweep_rows_stacked(kernel, cls, gammas, r, ensemble):
     return rows
 
 
-def uniformity_check_stacked(kernel, cls, gamma, r, ensemble, p):
+def uniformity_check_stacked(kernel, cls, gamma, r, ensemble):
     """``uniformity_check`` from the stacked member half spectra and class
-    norms, with one batched error channel."""
+    norms, with one batched error channel: the worst (l2, sup) ratios."""
     from specpredict import build_predictor, class_norm
 
     norms = np.array([class_norm(x, cls) for x in ensemble])
     pt = build_predictor(kernel, gamma, r, ensemble[0].grid)
     _, l2, sup = error_channel_batched(pt, member_half_spectra(ensemble))
-    return float(np.max((sup if math.isinf(p) else l2) / norms))
+    return float(np.max(l2 / norms)), float(np.max(sup / norms))
 
 
 def v_minus_one_stacked(omega, kernel, gamma, r):
@@ -397,12 +397,10 @@ def lemma_check_full_grid(pt, cls, omega_floor=0.5):
         holds = margin <= CALIBRATION["lemma_iv_slack"]
     return LemmaReport(
         gamma=gamma,
-        r=r,
         omega_threshold=thr,
         pass_positivity=pass_pos,
         pass_factor_dev=pass_dev,
         tail_dev_max=tail_dev,
-        omega_floor=float(omega_floor),
         pass_low_band=holds,
         low_band_nodes=count,
         low_band_margin=margin,

@@ -361,7 +361,7 @@ class TestNegativeDemoCommand:
         report = json.loads((outdir / "negative.json").read_text())
         assert report["label"] == "ILLUSTRATIVE"
 
-    def test_q_bad_one_rejected(self, tmp_path):
+    def test_q_bad_one_rejected(self, tmp_path, capsys):
         config = {
             "grid": {"n": 4096, "delta_t": 0.02},
             "kernel": {"poles": [0.5], "numerator": [1.0]},
@@ -369,8 +369,10 @@ class TestNegativeDemoCommand:
             "predictor": {"r": 2.5, "gammas": [10.0]},
             "negative": {"q_bad": 1.0, "seed": 1, "size": 1},
         }
-        code, _ = run(tmp_path, "demo-negative", config)
+        code, outdir = run(tmp_path, "demo-negative", config)
         assert code == 2
+        assert capsys.readouterr().err == "config error: q_bad must lie strictly inside (0, 1), got 1.0\n"
+        assert not outdir.exists()
 
 
 class TestGenSignalCommand:

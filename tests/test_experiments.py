@@ -68,22 +68,22 @@ def ensemble():
 class TestPredictionError:
     def test_zero_signal(self):
         pt = build_predictor(KERNEL, 10.0, 4.0, GRID)
-        err = prediction_error(pt, TimeSeries(GRID, np.zeros(GRID.n)), 2)
-        assert err.abs_err == 0.0 and err.rel_err == 0.0
+        err = prediction_error(pt, TimeSeries(GRID, np.zeros(GRID.n)))
+        assert dataclasses.astuple(err) == (0.0, 0.0, 0.0, 0.0)
 
     def test_identity_transfer_gives_zero_error(self):
         pt = build_predictor(KERNEL, 10.0, 4.0, GRID)
         fake = dataclasses.replace(pt, khat_values=transfer(KERNEL, GRID))
         rng = np.random.Generator(np.random.Philox(1))
         x = TimeSeries(GRID, rng.standard_normal(GRID.n))
-        err = prediction_error(fake, x, 2)
-        assert err.abs_err < 1e-13 * norm(x, 2)
+        err = prediction_error(fake, x)
+        assert err.err_l2_abs < 1e-13 * norm(x, 2)
 
     def test_sup_norm_equals_sweep(self, ensemble):
         x = ensemble[0]
         row = gamma_sweep(KERNEL, CLS, (10.0,), 4.0, [x]).rows[0]
-        err = prediction_error(build_predictor(KERNEL, 10.0, 4.0, GRID), x, math.inf)
-        assert (err.abs_err, err.rel_err) == (row.err_sup_abs, row.err_sup_rel)
+        err = prediction_error(build_predictor(KERNEL, 10.0, 4.0, GRID), x)
+        assert (err.err_sup_abs, err.err_sup_rel) == (row.err_sup_abs, row.err_sup_rel)
 
     def test_rejects_non_real_member(self, ensemble):
         # the series type holds real samples only, so no complex member
@@ -94,7 +94,7 @@ class TestPredictionError:
     def test_rejects_member_on_another_grid(self, ensemble):
         pt = build_predictor(KERNEL, 10.0, 4.0, make_grid(GRID.n, 0.01))
         with pytest.raises(ValueError, match="grid"):
-            prediction_error(pt, ensemble[0], 2)
+            prediction_error(pt, ensemble[0])
 
 
 def _band_split_of(pt, x, rho):
@@ -191,12 +191,13 @@ class TestGammaSweep:
 class TestUniformity:
     def test_singleton_ratio(self, ensemble):
         x = ensemble[0]
-        ratio = uniformity_check(KERNEL, CLS, 10.0, 4.0, [x])
+        ratios = uniformity_check(KERNEL, CLS, 10.0, 4.0, [x])
         khat = build_predictor_full_grid(KERNEL, 10.0, 4.0, GRID).khat_values
         X = hermitian_full(x.spectrum)
         K = transfer_full_grid(KERNEL, GRID)
-        err = norm(TimeSeries(GRID, inverse_transform_n_node((khat - K) * X, GRID).real), 2)
-        assert ratio == pytest.approx(err / class_norm(x, CLS))
+        err = TimeSeries(GRID, inverse_transform_n_node((khat - K) * X, GRID).real)
+        size = class_norm(x, CLS)
+        assert ratios == pytest.approx((norm(err, 2) / size, norm(err, math.inf) / size))
 
     def test_scaling_invariance(self, ensemble):
         x = ensemble[0]
@@ -206,8 +207,8 @@ class TestUniformity:
         assert r2 == pytest.approx(r1, rel=1e-9)
 
     def test_ratio_shrinks_with_gamma(self, ensemble):
-        r10 = uniformity_check(KERNEL, CLS, 10.0, 4.0, ensemble)
-        r30 = uniformity_check(KERNEL, CLS, 30.0, 4.0, ensemble)
+        r10, _ = uniformity_check(KERNEL, CLS, 10.0, 4.0, ensemble)
+        r30, _ = uniformity_check(KERNEL, CLS, 30.0, 4.0, ensemble)
         assert r30 < r10 / 100
 
     def test_rejects_nonmember(self):
@@ -379,8 +380,8 @@ class TestMixedEnsembleUniformity:
         members = list(make_class_ensemble(CLS, cfg(2026), 2)) + [
             sample_bandlimited(2.0, dataclasses.replace(gapped, seed=9 + i)) for i in range(2)
         ]
-        r10 = uniformity_check(KERNEL, CLS, 10.0, 4.0, members)
-        r30 = uniformity_check(KERNEL, CLS, 30.0, 4.0, members)
+        r10, _ = uniformity_check(KERNEL, CLS, 10.0, 4.0, members)
+        r30, _ = uniformity_check(KERNEL, CLS, 30.0, 4.0, members)
         assert r30 < r10
 
 
@@ -427,7 +428,7 @@ class TestStreamedSweep:
 
     def _worst(self, ensemble, gamma):
         pt = build_predictor(KERNEL, gamma, 4.0, GRID)
-        return ensemble[int(np.argmax([prediction_error(pt, x, 2).rel_err for x in ensemble]))]
+        return ensemble[int(np.argmax([prediction_error(pt, x).err_l2_rel for x in ensemble]))]
 
     def test_copy_of_worst_member_leaves_rows_unchanged(self, ensemble):
         want = self._rows(ensemble)
@@ -448,11 +449,10 @@ class TestStreamedSweep:
         assert (before.i1, before.i2) == (4.0 * row.i1, 4.0 * row.i2)
         assert before.i2 > 0.0
 
-    @pytest.mark.parametrize("p", [2, math.inf])
     @pytest.mark.parametrize("gamma", [10.0, 30.0])
-    def test_uniformity_matches_stacked(self, ensemble, gamma, p):
-        got = uniformity_check(KERNEL, CLS, gamma, 4.0, ensemble, p)
-        want = uniformity_check_stacked(KERNEL, CLS, gamma, 4.0, ensemble, p)
+    def test_uniformity_matches_stacked(self, ensemble, gamma):
+        got = uniformity_check(KERNEL, CLS, gamma, 4.0, ensemble)
+        want = uniformity_check_stacked(KERNEL, CLS, gamma, 4.0, ensemble)
         assert repr(got) == repr(want)
 
     @pytest.mark.parametrize("seed", [2026, 7])
@@ -463,10 +463,9 @@ class TestStreamedSweep:
         grid = experiments.default_grid()
         members = make_class_ensemble(CLS, GeneratorConfig(seed=seed, grid=grid), 10)
         for gamma in (10.0, 30.0):
-            for p in (2, math.inf):
-                got = uniformity_check(KERNEL, CLS, gamma, 4.0, members, p)
-                want = uniformity_check_stacked(KERNEL, CLS, gamma, 4.0, members, p)
-                assert repr(got) == repr(want), (gamma, p)
+            got = uniformity_check(KERNEL, CLS, gamma, 4.0, members)
+            want = uniformity_check_stacked(KERNEL, CLS, gamma, 4.0, members)
+            assert repr(got) == repr(want), gamma
 
 
 class TestPredictOnSampleDefinedMembers:
@@ -491,7 +490,7 @@ class TestPredictOnSampleDefinedMembers:
         assert np.max(np.abs(y_hat - exact)) < 1e-12 * np.max(np.abs(exact))
         # the prediction minus the target is the error prediction_error reads
         y = irfft_rows(pt.k_values * X, grid)
-        err = prediction_error(pt, resampled, 2).abs_err
+        err = prediction_error(pt, resampled).err_l2_abs
         assert norm(TimeSeries(grid, y_hat - y), 2) == pytest.approx(err, rel=1e-9)
 
 
@@ -520,7 +519,7 @@ class TestGeneratedMembersAreNotRetransformed:
                         patched.add(f"{name.rsplit('.', 1)[-1]}.{attr}")
         # every binding the library makes of them, the package's included
         assert patched == {
-            "spectral.forward_transform", "signals.forward_transform", "kernels.forward_transform",
+            "spectral.forward_transform", "kernels.forward_transform",
             "experiments.forward_transform", "experiments._member_spectrum", "cli._member_spectrum",
             "cli.forward_transform", "specpredict.forward_transform",
         }
@@ -530,11 +529,9 @@ class TestGeneratedMembersAreNotRetransformed:
         members = [*ensemble, *banded]
         gamma_sweep(KERNEL, CLS, (10.0, 30.0), 4.0, members)
         pt = build_predictor(KERNEL, 10.0, 4.0, GRID)
-        for p in (2, math.inf):
-            uniformity_check(KERNEL, CLS, 10.0, 4.0, members, p)
-            for x in (ensemble[0], banded[0]):
-                prediction_error(pt, x, p)
+        uniformity_check(KERNEL, CLS, 10.0, 4.0, members)
         for x in (ensemble[0], banded[0]):
+            prediction_error(pt, x)
             predict(pt, x)
             noise = _noise_spectrum(0.05, cfg(7, band=(1.0, 2.0)))
             predict(pt, SpectralSeries(GRID, x.spectrum + noise))
@@ -605,7 +602,7 @@ def _imported(source: str) -> set:
 
 
 def test_only_named_readers_take_the_forward_transform():
-    # the forward transform of a series that arrives as samples has three
+    # the forward transform of a series that arrives as samples has two
     # readers, and cli's import is the binding perfbench's install probe
     # reads; no n-node mirror of a half spectrum is built, as the spectrum
     # CSV reads the half spectrum a block at a time
@@ -616,11 +613,10 @@ def test_only_named_readers_take_the_forward_transform():
     readers = {(name, owner) for name, src in sources.items() for owner in _top_level_loads(src, "forward_transform")}
     assert readers == {
         ("experiments.py", "_member_spectrum"),
-        ("signals.py", "class_norm"),
         ("kernels.py", "apply_anticausal"),
     }
     importers = {name for name, src in sources.items() if "forward_transform" in _imported(src)}
-    assert importers == {"__init__.py", "cli.py", "experiments.py", "kernels.py", "signals.py"}
+    assert importers == {"__init__.py", "cli.py", "experiments.py", "kernels.py"}
 
 
 class TestPerRowChannelIsExact:

@@ -9,6 +9,7 @@ import pytest
 from specpredict import (
     AnticausalKernel,
     DegeneracyClass,
+    SpectralSeries,
     TimeSeries,
     build_predictor,
     causality_defect,
@@ -157,6 +158,17 @@ class TestPredict:
         pt = build_predictor(KERNEL, 10.0, 1.0, small_grid)
         y = predict(pt, TimeSeries(small_grid, np.zeros(small_grid.n)))
         assert norm(y, 2) == 0.0
+
+    def test_returns_the_half_spectrum_of_the_prediction(self, small_grid):
+        # K_hat X itself, as every generator returns its signal: no
+        # inverse is taken until the samples are read
+        pt = build_predictor(KERNEL, 10.0, 1.0, small_grid)
+        rng = np.random.Generator(np.random.Philox(6))
+        X = rng.standard_normal(small_grid.n // 2 + 1) + 1j * rng.standard_normal(small_grid.n // 2 + 1)
+        y_hat = predict(pt, SpectralSeries(small_grid, X))
+        assert isinstance(y_hat, SpectralSeries) and y_hat.grid == small_grid
+        assert y_hat.spectrum.tobytes() == (pt.khat_values * X).tobytes()
+        assert not y_hat.spectrum.flags.writeable
 
     def test_grid_mismatch_rejected(self, small_grid):
         pt = build_predictor(KERNEL, 10.0, 1.0, small_grid)
@@ -569,7 +581,7 @@ def test_predictor_imports_no_full_grid_path():
 HALF_SUM_DIGESTS = {
     "orthogonality_residual": "60a39a551a038103dee8c2f5565994092ee160106c21fe3318eef9e5576b36fd",
     "line_witness": "6ff05754de3ea46e4c9802e8812bb87d8050266939604304b079b5fb491f8b5a",
-    "lemma_check": "d9b7b219fbff89ef83011e30dd891b9ec11ff938adb0b7d25a28a7f3c9b47e54",
+    "lemma_check": "e344249835770af8ea19e8ddee7e0ff6c8ceeac5e3ccd1f76ffce5096f392222",
 }
 
 

@@ -21,7 +21,6 @@ CLAIM_ONLY = {
     "uniformity_check": "the error-to-class-norm ratio behind the uniform bound over the class",
     "LineWitness": "the type of line_witness's result, read by the causality and "
     "orthogonality criteria",
-    "predict": "the causal prediction K_hat x itself, the object every claim is about",
 }
 
 

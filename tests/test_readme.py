@@ -1,6 +1,7 @@
 """The README library quick start runs and agrees with the experiments."""
 
 import contextlib
+import dataclasses
 import io
 import math
 import os
@@ -41,5 +42,6 @@ def test_prediction_error_is_the_sweep_error_bit_for_bit(quick_start):
     gammas = (10.0, 30.0, 100.0)
     rows = gamma_sweep(kernel, cls, gammas, r, [x]).rows
     for gamma, row in zip(gammas, rows):
-        err = prediction_error(build_predictor(kernel, gamma, r, x.grid), x, 2)
-        assert (err.abs_err, err.rel_err) == (row.err_l2_abs, row.err_l2_rel), gamma
+        err = prediction_error(build_predictor(kernel, gamma, r, x.grid), x)
+        want = (row.err_l2_abs, row.err_l2_rel, row.err_sup_abs, row.err_sup_rel)
+        assert dataclasses.astuple(err) == want, gamma

@@ -51,6 +51,11 @@ def per_value_lines(values) -> bytes:
     return "".join(",".join("%.16e" % v for v in row) + "\n" for row in values.tolist()).encode()
 
 
+def table(values: np.ndarray) -> ColumnBlocks:
+    """The rows of a 2-D float array as a :class:`ColumnBlocks` table."""
+    return ColumnBlocks(len(values), lambda start, stop: tuple(values[start:stop].T))
+
+
 def _edge_values():
     powers = 10.0 ** np.arange(-307, 308)
     values = [
@@ -84,13 +89,13 @@ class TestFloatFormatter:
         rng = np.random.default_rng(5)
         values = rng.standard_normal((2 * _BLOCK_ROWS + 3, 2)) * 10.0 ** rng.integers(-30, 30, (1, 2))
         path = tmp_path / "blocks.csv"
-        write_csv(str(path), ["a", "b"], values, {"run": 1})
+        write_csv(str(path), ["a", "b"], table(values), {"run": 1})
         assert path.read_bytes() == HEADER + b"a,b\n" + per_value_lines(values)
 
     def test_float_array_golden_bytes(self, tmp_path):
         values = np.array([[1.5, math.nan], [-math.nan, math.inf], [-math.inf, -0.0], [5e-324, 1e308]])
         path = tmp_path / "golden.csv"
-        write_csv(str(path), ["a", "b"], values, {"run": 1})
+        write_csv(str(path), ["a", "b"], table(values), {"run": 1})
         assert path.read_bytes() == HEADER + (
             b"a,b\n"
             b"1.5000000000000000e+00,nan\n"
@@ -101,7 +106,7 @@ class TestFloatFormatter:
 
     def test_float_array_column_count_checked(self, tmp_path):
         with pytest.raises(ValueError, match="columns"):
-            write_csv(str(tmp_path / "bad.csv"), ["a"], np.zeros((3, 2)), {"run": 1})
+            write_csv(str(tmp_path / "bad.csv"), ["a"], table(np.zeros((3, 2))), {"run": 1})
 
 
 class TestColumnBlocks:

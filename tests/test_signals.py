@@ -119,6 +119,20 @@ class TestClassNorm:
         white = TimeSeries(GRID, rng.standard_normal(GRID.n))
         assert class_norm(white, CLS) == math.inf
 
+    def test_samples_are_read_with_the_error_channel_floor(self):
+        # one roundoff floor: a series that arrives as samples is read on the
+        # half spectrum the error channel takes of it, where the roundoff at
+        # omega = 0 is an exact zero; content above the floor there exits
+        from specpredict.experiments import _member_half
+
+        samples = sample_class_member(CLS, cfg(3)).samples
+        x = TimeSeries(GRID, samples)
+        X = _member_half(x, GRID)
+        assert X[0] == 0.0 and forward_transform(x).spectrum[0] != 0.0
+        assert class_norm(x, CLS) == class_norm(SpectralSeries(GRID, X), CLS) < math.inf
+        offset = TimeSeries(GRID, samples + 1e-6 * np.max(np.abs(samples)))
+        assert class_norm(offset, CLS) == math.inf
+
 
 class TestClassMember:
     def test_finite_class_norm(self):
