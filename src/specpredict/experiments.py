@@ -22,12 +22,15 @@ member when it is read (:func:`.signals._enveloped_member`), so a sweep draws
 each member once.  Each gain is its own array, kept only up to its last
 nonzero node (:func:`_run_sweep`): from gamma = 100 on at the defaults that
 is omega = 0 alone, where every class member is zero.  A member's channels
-are formed in one workspace per call (:func:`_workspace`).
+are formed in one workspace of 2n+2 values per call (:func:`_workspace`):
+a channel's half spectrum and its inverse, which the norms read for the
+sup and then square in place for the l2 norm (:func:`_row_norms`).  No
+member is held once the sweep has moved on to the next
+(:func:`_grid_and_members`).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -141,12 +144,21 @@ class SweepReport:
 def _grid_and_members(ensemble):
     """(grid, members) of a nonempty ensemble: the grid of its first member
     and an iterator over all its members that reads each once, so a lazy
-    ensemble draws each once.  ValueError for an empty ensemble; a member on
-    another grid raises in :func:`_member_half`."""
+    ensemble draws each once, and holds none that it has handed on, so
+    member 0 is freed once the caller drops it.  ValueError for an empty
+    ensemble; a member on another grid raises in :func:`_member_half`."""
     if len(ensemble) == 0:
         raise ValueError("ensemble must be nonempty")
     first = ensemble[0]
-    return first.grid, itertools.chain((first,), ensemble[1:])
+    return first.grid, _first_then_rest(first, ensemble)
+
+
+def _first_then_rest(first, ensemble):
+    # itertools.chain((first,), ...) would keep its argument tuple, and
+    # member 0 with it, for the whole loop
+    yield first
+    del first
+    yield from ensemble[1:]
 
 
 def _member_half(x, grid: FrequencyGrid) -> np.ndarray:
@@ -173,13 +185,19 @@ def class_norm(x, cls: DegeneracyClass) -> float:
     result may round to +inf for signals far outside the class, which is
     the honest extended-real answer.
     """
-    mags = np.abs(_member_half(x, x.grid))
+    return _half_class_norm(_member_half(x, x.grid), x.grid, cls)
+
+
+def _half_class_norm(X: np.ndarray, grid: FrequencyGrid, cls: DegeneracyClass) -> float:
+    """:func:`class_norm` of the member whose half spectrum on ``grid`` is
+    ``X``, as :func:`_member_half` gives it."""
+    mags = np.abs(X)
     if mags[0] > 0.0:
         return math.inf
     live = mags > 0.0
     if not np.any(live):
         return 0.0
-    total = np.log(mags[live]) + log_weight(_half_omegas(x.grid)[live], cls.q, cls.c)
+    total = np.log(mags[live]) + log_weight(_half_omegas(grid)[live], cls.q, cls.c)
     with np.errstate(over="ignore"):
         return float(np.exp(np.max(total)))
 
@@ -193,12 +211,17 @@ def predict(pt: PredictorTransfer, x) -> SpectralSeries:
 
 
 def _row_norms(rows: np.ndarray, grid: FrequencyGrid, scratch=None):
-    """Grid l2 (inf once a square overflows) and sup norms of real rows, (n,) or (m, n);
-    the squares and magnitudes go into ``scratch``, a float64 buffer of
-    ``rows``' shape, when one is given."""
+    """Grid l2 (inf once a square overflows) and sup norms of real rows, (n,) or (m, n).
+
+    The sup is the larger of |max| and |min| of each row, which is max |x|
+    bit for bit (NaN wins, and an all-zero row reads +0.0), so no |x| array
+    is formed.  The squares go into ``scratch``, a float64 buffer of
+    ``rows``' shape, when one is given; it may be ``rows`` itself, which is
+    read for the sup first."""
+    sup = np.maximum(np.abs(np.max(rows, axis=-1)), np.abs(np.min(rows, axis=-1)))
     with np.errstate(over="ignore"):
         l2 = math.sqrt(grid.delta_t) * np.sqrt(np.add.reduce(np.square(rows, out=scratch), axis=-1))
-    return l2, np.max(np.abs(rows, out=scratch), axis=-1)
+    return l2, sup
 
 
 def _norms(half: np.ndarray, grid: FrequencyGrid, work: np.ndarray = None):
@@ -208,33 +231,33 @@ def _norms(half: np.ndarray, grid: FrequencyGrid, work: np.ndarray = None):
     gain: numpy may form ``gain * <temporary>`` in the temporary's buffer as
     ``temporary * gain``, and complex products do not commute bitwise.
     An all-zero ``half``, of any length (see :func:`_channel`), gives
-    (0.0, 0.0), as its transform would, without taking it.  Given ``work``
+    (0.0, 0.0), as its transform would, without taking it.  The inverse
+    is the norms' scratch: its squares overwrite it.  Given ``work``
     (:func:`_workspace`), whose head ``half`` then is, ``half`` is phased in
-    place and its inverse and the norms' scratch go into the rest of
-    ``work``; the figures are the same bit for bit.
+    place and its inverse goes into the rest of ``work``; the figures are
+    the same bit for bit.
     """
     if not half.any():
         return 0.0, 0.0
     if work is None:
-        return _row_norms(irfft_rows(half, grid), grid)
-    n = grid.n
-    np.multiply(_signs(grid)[0], half, out=half)
-    rows = _irfft_phased(half, grid, out=work[n + 2 : 2 * n + 2])
-    return _row_norms(rows, grid, scratch=work[2 * n + 2 :])
+        rows = irfft_rows(half, grid)
+    else:
+        np.multiply(_signs(grid)[0], half, out=half)
+        rows = _irfft_phased(half, grid, out=work[grid.n + 2 :])
+    return _row_norms(rows, grid, scratch=rows)
 
 
 def _workspace(grid: FrequencyGrid) -> np.ndarray:
-    """One float64 block of 3n+2 values for :func:`_channel` and
-    :func:`_norms`: a half spectrum (n/2+1 complex values), its real inverse
-    and a real scratch row, so a member's channels allocate no (n/2+1)- or
-    n-value array.
+    """One float64 block of 2n+2 values for :func:`_channel` and
+    :func:`_norms`: a half spectrum (n/2+1 complex values) and its real
+    inverse, so a member's channels allocate no (n/2+1)- or n-value array.
 
     Being one block matters on glibc: it is the largest buffer a sweep
     frees, and its release lifts the allocator's dynamic mmap and trim
     thresholds above the FFT's per-call scratch, which is then kept on the
     heap instead of being returned to the system and faulted in again at
     every transform (about 25,000 minor page faults per default sweep)."""
-    return np.empty(3 * grid.n + 2)
+    return np.empty(2 * grid.n + 2)
 
 
 def _channel(gain: np.ndarray, X: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -416,10 +439,12 @@ def uniformity_check(
     worst = (-np.inf, -np.inf)
     work = _workspace(grid)
     for x in members:
-        norm = class_norm(x, cls)
+        # one read of each member: a series that arrives as samples is
+        # transformed once, for its class norm and its error channel
+        X = _member_half(x, grid)
+        norm = _half_class_norm(X, grid, cls)
         if math.isinf(norm):
             raise ValueError("ensemble member has infinite class norm")
-        X = _member_half(x, grid)
         l2, sup = _norms(_channel(gain, X, work), grid, work)
         worst = np.maximum(worst, (l2 / norm, sup / norm))
     return float(worst[0]), float(worst[1])

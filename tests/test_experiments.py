@@ -3,10 +3,14 @@ import dataclasses
 import hashlib
 import math
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from specpredict import (
     AnticausalKernel,
@@ -52,6 +56,11 @@ from oracles import (
 )
 
 GRID = make_grid(2**12, 0.02)
+# finite doubles and subnormals beside signed zeros, infinities and NaN
+EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, math.inf, -math.inf, math.nan]),
+)
 KERNEL = AnticausalKernel((1.0,), (1.0,))
 CLS = DegeneracyClass(2.0, 1.0)
 
@@ -214,12 +223,29 @@ class TestUniformity:
     def test_rejects_nonmember(self):
         rng = np.random.Generator(np.random.Philox(3))
         white = TimeSeries(GRID, rng.standard_normal(GRID.n))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="ensemble member has infinite class norm"):
             uniformity_check(KERNEL, CLS, 10.0, 4.0, [white])
 
     def test_rejects_empty_ensemble(self):
         with pytest.raises(ValueError, match="nonempty"):
             uniformity_check(KERNEL, CLS, 10.0, 4.0, [])
+
+    def test_each_member_is_transformed_at_most_once(self, ensemble, monkeypatch):
+        # the class norm and the error channel read one half spectrum: a
+        # member that arrives as samples is transformed once, a generated
+        # one never; the ratios are those of the stacked form bit for bit
+        resampled = [TimeSeries(GRID, x.samples) for x in ensemble]
+        halves = [SpectralSeries(GRID, experiments._member_half(x, GRID)) for x in resampled]
+        want = uniformity_check_stacked(KERNEL, CLS, 10.0, 4.0, halves)
+        calls = []
+        real = experiments.forward_transform
+        monkeypatch.setattr(experiments, "forward_transform", lambda x: calls.append(type(x)) or real(x))
+        got = uniformity_check(KERNEL, CLS, 10.0, 4.0, resampled)
+        assert calls == [TimeSeries] * len(resampled)
+        assert repr(got) == repr(want)
+        calls.clear()
+        uniformity_check(KERNEL, CLS, 10.0, 4.0, ensemble)
+        assert calls == []
 
 
 class TestRobustness:
@@ -399,6 +425,21 @@ class TestLazyEnsembleReads:
         seeds.clear()
         uniformity_check(KERNEL, CLS, 10.0, 4.0, ensemble)
         assert seeds == [2026, 2027, 2028, 2029]
+
+    def test_member_is_freed_before_the_next_is_read(self, monkeypatch):
+        # an itertools.chain over (member 0,) and the rest keeps member 0 to the end
+        ensemble = make_class_ensemble(CLS, cfg(2026), 3)
+        refs, alive = [], []
+        real = experiments._member_half
+
+        def member_half(x, grid):
+            alive.append([ref() is not None for ref in refs])
+            refs.append(weakref.ref(x))
+            return real(x, grid)
+
+        monkeypatch.setattr(experiments, "_member_half", member_half)
+        gamma_sweep(KERNEL, CLS, (10.0, 30.0), 4.0, ensemble)
+        assert alive == [[], [False], [False, False]]
 
     def test_member_on_another_grid_is_rejected(self, ensemble):
         other = sample_class_member(CLS, GeneratorConfig(seed=1, grid=make_grid(GRID.n, 0.01)))
@@ -667,6 +708,40 @@ class TestPerRowChannelIsExact:
             want = row_norms_linalg(rows, grid)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
         assert math.isinf(got[0][2])
+        # the all -0.0 row: both norms read +0.0
+        assert not np.signbit(got[0][1]) and not np.signbit(got[1][1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=arrays(np.float64, st.sampled_from([(8,), (3, 8), (1, 16), (4, 32)]), elements=EDGE_FLOATS))
+    def test_row_norms_match_square_and_abs(self, rows):
+        # the sup is read as max(|max|, |min|) and the squares overwrite
+        # the rows; both norms equal those formed from np.square and np.abs
+        grid = make_grid(rows.shape[-1], 0.1)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            want_l2 = math.sqrt(grid.delta_t) * np.sqrt(np.add.reduce(np.square(rows), axis=-1))
+            want_sup = np.max(np.abs(rows), axis=-1)
+            scratch = rows.copy()
+            got = experiments._row_norms(scratch, grid, scratch=scratch)
+            fresh = experiments._row_norms(rows, grid)
+        want = (np.asarray(want_l2).tobytes(), np.asarray(want_sup).tobytes())
+        assert (np.asarray(got[0]).tobytes(), np.asarray(got[1]).tobytes()) == want
+        assert (np.asarray(fresh[0]).tobytes(), np.asarray(fresh[1]).tobytes()) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(log2n=st.integers(3, 6), data=st.data())
+    def test_norms_are_the_same_with_a_workspace(self, log2n, data):
+        grid = make_grid(2**log2n, 0.1)
+        h = grid.n // 2 + 1
+        parts = data.draw(arrays(np.float64, (2, h), elements=EDGE_FLOATS))
+        values = np.empty(h, np.complex128)
+        values.real, values.imag = parts
+        work = experiments._workspace(grid)
+        half = work[: 2 * h].view(np.complex128)
+        half[:] = values
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = experiments._norms(values.copy(), grid)
+            got = experiments._norms(half, grid, work)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 # sha256 of repr(gamma_sweep(...).rows) at the defaults (ten members on the

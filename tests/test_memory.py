@@ -4,10 +4,14 @@ numpy reports its array buffers to ``tracemalloc``, so a traced peak is the
 largest set of arrays alive at once; the FFT library's own scratch is not
 counted.  An ensemble holds only its seeds: a member is drawn when the sweep
 reads it, and the sweep keeps one error gain per gamma, on its support,
-beside one workspace for a member's channels, so no array sized by the
-ensemble is alive while an ensemble is drawn and swept, and the peak does
-not grow with the ensemble.  Generated members keep only the half spectrum
-(nodes 0..n/2) of their last projection, which the sweep reads in place,
+beside one workspace of 2n+2 values for a member's channels: a channel's
+half spectrum and its inverse, whose sup is read as the larger of |max| and
+|min| and whose squares overwrite it, so no |x| or scratch row is formed.
+The sweep holds no member once it has moved on to the next, member 0
+included, so no array sized by the ensemble is alive while an ensemble is
+drawn and swept, and the peak does not grow with the ensemble.  Generated
+members keep only the half spectrum (nodes 0..n/2) of their last
+projection, which the sweep reads in place,
 and a predictor and the line witness evaluate and keep nodes 0..n/2 only.
 The class weight is formed in the one buffer of |omega|.
 The per-grid tables (signs, signed and absolute omega, node weights) hold nodes
@@ -55,8 +59,18 @@ CFG = GeneratorConfig(seed=2026, grid=default_grid())
 # stack of member spectra, 7.7 MB with members taken one at a time against
 # a (5, 2^15+1) array of error gains; the bound sits above the last and
 # below the one before.  Drawing each member as the sweep reads it, with
-# one gain array per gamma and one channel workspace, peaks at 6.4 MB.
-SWEEP_PEAK_BOUND = 8.5e6
+# one gain array per gamma and one channel workspace, peaked at 6.4 MB.
+# With the per-grid caches filled before the trace, as below, a 3n+2-value
+# workspace beside a held member 0 peaks at 5.78 MB and a 2n+2-value one
+# that squares the inverse in place, with member 0 freed once member 1 is
+# read, at 4.76 MB (7.74 and 6.72 MB with the caches filled in the trace);
+# the bound sits between the last two.
+SWEEP_PEAK_BOUND = 5.3e6
+
+# Traced peak of _norms with a workspace at n = 2^16: 131 kB, the ufunc's
+# cast buffer for the float phase factors (np.getbufsize() complex values),
+# where an n-value row is 524 kB; the bound is that buffer plus 2 kB.
+NORMS_PEAK_BOUND = 16 * np.getbufsize() + 2e3
 
 # The member-streamed sweep peaks at the same traced size for 10 and 20
 # members; the member stack made it grow by 0.52 MB a member (5.2 MB), and
@@ -151,11 +165,27 @@ def test_generation_peak_stays_under_twice_the_samples():
 
 def test_sweep_peak_above_inputs_is_bounded():
     ensemble = make_class_ensemble(DEFAULT_CLASS, CFG, DEFAULT_ENSEMBLE_SIZE)
-    report, peak = _traced_peak(
-        lambda: gamma_sweep(DEFAULT_KERNEL, DEFAULT_CLASS, DEFAULT_GAMMAS, DEFAULT_R, ensemble)
-    )
+
+    def sweep(members):
+        return gamma_sweep(DEFAULT_KERNEL, DEFAULT_CLASS, DEFAULT_GAMMAS, DEFAULT_R, members)
+
+    sweep(ensemble[:1])  # per-grid caches outside the trace
+    report, peak = _traced_peak(lambda: sweep(ensemble))
     assert len(report.rows) == len(DEFAULT_GAMMAS)
     assert peak < SWEEP_PEAK_BOUND, peak
+
+
+def test_norms_workspace_holds_a_half_spectrum_and_its_inverse():
+    grid = default_grid()
+    work = experiments._workspace(grid)
+    assert work.dtype == np.float64 and work.size == 2 * grid.n + 2
+    X = experiments._member_half(make_class_ensemble(DEFAULT_CLASS, CFG, 1)[0], grid)
+    K = experiments.transfer(DEFAULT_KERNEL, grid)
+    experiments._norms(experiments._channel(K, X, work), grid, work)  # caches outside the trace
+    half = experiments._channel(K, X, work)
+    (l2, sup), peak = _traced_peak(lambda: experiments._norms(half, grid, work))
+    assert (l2, sup) == experiments._norms(K * X, grid)
+    assert peak < NORMS_PEAK_BOUND, peak
 
 
 def test_sweep_peak_does_not_grow_with_the_ensemble():
