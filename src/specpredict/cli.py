@@ -31,17 +31,14 @@ from .experiments import (
     NegativeDemoRow,
     RobustnessRow,
     SweepRow,
-    _member_half,
     _member_spectrum,  # noqa: F401 - perfbench's INSTALL_PROBE wraps this binding
-    _norms,
-    _relative,
-    _row_norms,
     class_norm,
     counterexample_experiment,
     gamma_sweep,
     make_class_ensemble,
     nonpredictability_demo,
     predict,
+    prediction_error,
     robustness_experiment,
 )
 from .kernels import kernel_from_dict
@@ -266,18 +263,12 @@ def _cmd_predict(config, outdir, formats):
         raise ConfigError("predict requires exactly one gamma")
     x, _ = _signal_from_config(config, grid, cls)
     pt = build_predictor(kernel, gammas[0], r, grid)
-    # every generated signal gives its exact half spectrum (_member_half)
-    X = _member_half(x, grid)
-    gain = pt.khat_values - pt.k_values
-    err_l2, err_sup = _norms(gain * X, grid)
-    del gain
-    y = irfft_rows(pt.k_values * X, grid)
-    y_l2, y_sup = _row_norms(y, grid)
+    err = prediction_error(pt, x)
     meta = _open_reports(outdir, config, "predict")
     if "csv" in formats:
-        # one n-sample series alive at a time: each is written, then dropped
-        _timeseries_csv(f"{outdir}/y.csv", grid, y, meta)
-        del y
+        # one n-sample series alive at a time: each is written, then dropped;
+        # a generated signal holds its exact half spectrum
+        _timeseries_csv(f"{outdir}/y.csv", grid, irfft_rows(pt.k_values * x.spectrum, grid), meta)
         _timeseries_csv(f"{outdir}/x.csv", grid, x.samples, meta)
         _timeseries_csv(f"{outdir}/yhat.csv", grid, predict(pt, x).samples, meta)
     khat = irfft_rows(pt.khat_values, grid)
@@ -289,10 +280,10 @@ def _cmd_predict(config, outdir, formats):
     write_json(
         f"{outdir}/summary.json",
         {
-            "err_l2": float(err_l2),
-            "err_l2_rel": float(_relative(err_l2, y_l2)),
-            "err_sup": float(err_sup),
-            "err_sup_rel": float(_relative(err_sup, y_sup)),
+            "err_l2": err.err_l2_abs,
+            "err_l2_rel": err.err_l2_rel,
+            "err_sup": err.err_sup_abs,
+            "err_sup_rel": err.err_sup_rel,
             "kappa_sup": pt.kappa_sup,
             "causality_defect": defect,
             "omega_threshold": pt.omega_threshold,

@@ -22,12 +22,12 @@ class DegeneracyClass:
     c: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.q, (int, float)) and math.isfinite(self.q) and self.q > 1):
-            raise ValueError(f"q must be a finite number > 1, got {self.q!r}")
-        if not (isinstance(self.c, (int, float)) and math.isfinite(self.c) and self.c > 0):
-            raise ValueError(f"c must be a finite number > 0, got {self.c!r}")
-        object.__setattr__(self, "q", float(self.q))
-        object.__setattr__(self, "c", float(self.c))
+        for name, low in (("q", 1), ("c", 0)):
+            value = getattr(self, name)
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number and math.isfinite(value) and value > low):
+                raise ValueError(f"{name} must be a finite number > {low}, got {value!r}")
+            object.__setattr__(self, name, float(value))
 
     @property
     def min_sharpness_exponent(self) -> float:

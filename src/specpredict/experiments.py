@@ -7,25 +7,24 @@ quantifier of the prediction guarantee at desk scale.  Everything is a pure
 function of its inputs plus generator seeds, so reports are bit-reproducible.
 
 Every experiment, :func:`predict` and :func:`class_norm` take a member's
-spectrum the same way: :func:`_member_half` checks the member and gives its
-half spectrum X (nodes 0..n/2), the caller multiplies it by a gain (K_hat -
-K for the error), and :func:`_norms` inverts the product and takes its grid
-norms.  Generated signals hold X itself, exact zeros included, and are read
-without any transform; only a series that arrives as samples is
-transformed, with its roundoff floor restored to zeros
-(:func:`_member_spectrum`).  An all-zero product has all-zero norms and is
-not transformed.  Ensembles are streamed: a sweep keeps the error gain of
-each gamma, then reads each member once, one at a time, and reduces its
-error figures under every gain into running worst-case figures, so what it
-holds grows with the number of gammas and not with the ensemble.  A generated ensemble holds only its seeds and draws a
-member when it is read (:func:`.signals._enveloped_member`), so a sweep draws
-each member once.  Each gain is its own array, kept only up to its last
-nonzero node (:func:`_run_sweep`): from gamma = 100 on at the defaults that
-is omega = 0 alone, where every class member is zero.  A member's channels
-are formed in one workspace of 2n+2 values per call (:func:`_workspace`):
-a channel's half spectrum and its inverse, which the norms read for the
-sup and then square in place for the l2 norm (:func:`_row_norms`).  No
-member is held once the sweep has moved on to the next
+half spectrum X (nodes 0..n/2) from :func:`_member_half`: generated signals
+hold X itself, exact zeros included; only a series that arrives as samples
+is transformed, with its roundoff floor restored to zeros
+(:func:`_member_spectrum`).  Error norms take one path: the error gain
+K_hat - K on its support (:func:`_error_gain`), its channel with X written
+into a workspace of 2n+2 values (:func:`_channel`, :func:`_workspace`), and
+the channel's inverse in the rest of it, read for the sup and then squared
+in place for the l2 norm (:func:`_norms`, :func:`_row_norms`); an all-zero
+channel is not transformed.  Only the robustness experiment keeps its gain
+at all nodes, for its band split and noisy sum.  :func:`prediction_error`
+is the sweep's member step (:func:`_member_errors`), and the CLI's predict
+reports it.  Ensembles are streamed: a sweep keeps the error gain of each
+gamma (from gamma = 100 on at the defaults, omega = 0 alone, where every
+class member is zero), then reads each member once and reduces its figures
+into running worst-case ones, so what it holds grows with the number of
+gammas, not with the ensemble.  A generated ensemble holds only its seeds
+and draws a member when it is read (:func:`.signals._enveloped_member`),
+and no member is held once the sweep has moved on to the next
 (:func:`_grid_and_members`).
 """
 
@@ -62,7 +61,6 @@ from .spectral import (
     _log_half_sum,
     _signs,
     forward_transform,
-    irfft_rows,
     make_grid,
 )
 from .tolerances import CALIBRATION
@@ -210,41 +208,36 @@ def predict(pt: PredictorTransfer, x) -> SpectralSeries:
     return SpectralSeries(pt.grid, pt.khat_values * X)
 
 
-def _row_norms(rows: np.ndarray, grid: FrequencyGrid, scratch=None):
-    """Grid l2 (inf once a square overflows) and sup norms of real rows, (n,) or (m, n).
+def _row_norms(rows: np.ndarray, grid: FrequencyGrid):
+    """Grid l2 (inf once a square overflows) and sup norms of real rows, (n,)
+    or (m, n); the squares overwrite ``rows``, which is read for the sup first.
 
     The sup is the larger of |max| and |min| of each row, which is max |x|
     bit for bit (NaN wins, and an all-zero row reads +0.0), so no |x| array
-    is formed.  The squares go into ``scratch``, a float64 buffer of
-    ``rows``' shape, when one is given; it may be ``rows`` itself, which is
-    read for the sup first."""
+    is formed."""
     sup = np.maximum(np.abs(np.max(rows, axis=-1)), np.abs(np.min(rows, axis=-1)))
     with np.errstate(over="ignore"):
-        l2 = math.sqrt(grid.delta_t) * np.sqrt(np.add.reduce(np.square(rows, out=scratch), axis=-1))
+        l2 = math.sqrt(grid.delta_t) * np.sqrt(np.add.reduce(np.square(rows, out=rows), axis=-1))
     return l2, sup
 
 
-def _norms(half: np.ndarray, grid: FrequencyGrid, work: np.ndarray = None):
-    """:func:`_row_norms` of the real signal whose half spectrum is ``half``.
+def _norms(half: np.ndarray, grid: FrequencyGrid, work: np.ndarray):
+    """:func:`_row_norms` of the real signal whose half spectrum is ``half``,
+    formed in ``work`` (:func:`_workspace`): ``half`` is phased into its
+    head, in place when it is that head, as :func:`_channel` leaves it, and
+    its inverse goes into the rest, which the norms overwrite.
 
     Callers bind each half spectrum to a name before multiplying it by a
     gain: numpy may form ``gain * <temporary>`` in the temporary's buffer as
     ``temporary * gain``, and complex products do not commute bitwise.
     An all-zero ``half``, of any length (see :func:`_channel`), gives
-    (0.0, 0.0), as its transform would, without taking it.  The inverse
-    is the norms' scratch: its squares overwrite it.  Given ``work``
-    (:func:`_workspace`), whose head ``half`` then is, ``half`` is phased in
-    place and its inverse goes into the rest of ``work``; the figures are
-    the same bit for bit.
+    (0.0, 0.0), as its transform would, without taking it.
     """
     if not half.any():
         return 0.0, 0.0
-    if work is None:
-        rows = irfft_rows(half, grid)
-    else:
-        np.multiply(_signs(grid)[0], half, out=half)
-        rows = _irfft_phased(half, grid, out=work[grid.n + 2 :])
-    return _row_norms(rows, grid, scratch=rows)
+    head = work[: grid.n + 2].view(np.complex128)
+    np.multiply(_signs(grid)[0], half, out=head)
+    return _row_norms(_irfft_phased(head, grid, out=work[grid.n + 2 :]), grid)
 
 
 def _workspace(grid: FrequencyGrid) -> np.ndarray:
@@ -275,11 +268,12 @@ def _channel(gain: np.ndarray, X: np.ndarray, work: np.ndarray) -> np.ndarray:
     return half
 
 
-def _support(pt: PredictorTransfer) -> int:
-    """One past the last node where K_hat differs from K; the error gain
-    K_hat - K is exactly zero from there to node n/2."""
+def _error_gain(pt: PredictorTransfer) -> np.ndarray:
+    """The error gain K_hat - K on nodes 0..m-1, m one past the last node where
+    K_hat differs from K: the gain is exactly zero from there to node n/2."""
     differs = pt.khat_values != pt.k_values
-    return differs.size - int(np.argmax(differs[::-1])) if differs.any() else 0
+    m = differs.size - int(np.argmax(differs[::-1])) if differs.any() else 0
+    return pt.khat_values[:m] - pt.k_values[:m]
 
 
 def _band_split(diff: np.ndarray, grid: FrequencyGrid, threshold: float, rho: int):
@@ -311,14 +305,19 @@ def prediction_error(pt: PredictorTransfer, x) -> PredictionError:
     """Grid l2 and sup distances between the anti-causal target of a real
     class member and its causal prediction, absolute and relative to the
     target: the :func:`gamma_sweep` figures of a one-member ensemble, field
-    for field."""
+    for field, as the sweep's member step (:func:`_member_errors`) forms them."""
     X = _member_half(x, pt.grid)
-    gain = pt.khat_values - pt.k_values
-    l2, sup = _norms(gain * X, pt.grid)
-    y_l2, y_sup = _norms(pt.k_values * X, pt.grid)
-    return PredictionError(
-        float(l2), float(_relative(l2, y_l2)), float(sup), float(_relative(sup, y_sup))
-    )
+    figures = _member_errors(X, pt.k_values, [_error_gain(pt)], pt.grid, _workspace(pt.grid))
+    return PredictionError(*(float(f[0]) for f in figures))
+
+
+def _member_errors(X: np.ndarray, K: np.ndarray, gains, grid: FrequencyGrid, work: np.ndarray):
+    """Arrays (l2, relative l2, sup, relative sup) of the member with half
+    spectrum ``X`` under each of ``gains``, relative to its target K X, every
+    channel formed and read in the one workspace ``work``."""
+    y_l2, y_sup = _norms(_channel(K, X, work), grid, work)
+    l2a, supa = np.array([_norms(_channel(gain, X, work), grid, work) for gain in gains]).T
+    return l2a, _relative(l2a, y_l2), supa, _relative(supa, y_sup)
 
 
 def _run_sweep(kernel: AnticausalKernel, gammas, r: float, ensemble, cls: DegeneracyClass = None):
@@ -327,7 +326,7 @@ def _run_sweep(kernel: AnticausalKernel, gammas, r: float, ensemble, cls: Degene
     every gain, as running maxima.  Each member is read once
     (:func:`_grid_and_members`).
 
-    Each gain is its own array, kept only on its support (:func:`_support`):
+    Each gain is its own array, kept only on its support (:func:`_error_gain`):
     at the defaults that is every node at gamma = 10 and 30 and omega = 0
     alone from gamma = 100 on.  Channels are formed on the support
     (:func:`_channel`), and an all-zero one is not transformed
@@ -338,8 +337,7 @@ def _run_sweep(kernel: AnticausalKernel, gammas, r: float, ensemble, cls: Degene
     fields = []
     for gamma in gammas:
         pt = build_predictor(kernel, gamma, r, grid)
-        m = _support(pt)
-        gains.append(pt.khat_values[:m] - pt.k_values[:m])
+        gains.append(_error_gain(pt))
         row = dict(
             gamma=gamma,
             kappa_sup=pt.kappa_sup,
@@ -366,15 +364,14 @@ def _run_sweep(kernel: AnticausalKernel, gammas, r: float, ensemble, cls: Degene
     work = _workspace(grid)
     for x in members:
         X = _member_half(x, grid)
-        y_l2, y_sup = _norms(_channel(K, X, work), grid, work)
-        l2a, supa = np.array([_norms(_channel(gain, X, work), grid, work) for gain in gains]).T
-        l2r = _relative(l2a, y_l2)
+        figures = _member_errors(X, K, gains, grid, work)
+        l2r = figures[1]
         # np.argmax's rule: the first maximum leads, and a NaN is a maximum;
         # the leader's error channel is formed once more for its band split
         leads = (l2r > worst[1]) | (np.isnan(l2r) & ~np.isnan(worst[1]))
         for i in np.flatnonzero(leads):
             bands[i] = _band_split(_channel(gains[i], X, work), grid, fields[i]["omega_threshold"], 2)
-        np.maximum(worst, (l2a, l2r, supa, _relative(supa, y_sup)), out=worst)
+        np.maximum(worst, figures, out=worst)
         # drop the member before the next one is drawn
         del x, X
 
@@ -434,8 +431,7 @@ def uniformity_check(
     """
     _require_admissible(r, cls)
     grid, members = _grid_and_members(ensemble)
-    pt = build_predictor(kernel, gamma, r, grid)
-    gain = pt.khat_values - pt.k_values
+    gain = _error_gain(build_predictor(kernel, gamma, r, grid))
     worst = (-np.inf, -np.inf)
     work = _workspace(grid)
     for x in members:
@@ -493,9 +489,11 @@ def robustness_experiment(
     # the clean member's spectrum carries its constructional X(0) = 0; the
     # noise spectrum keeps whatever degeneracy-node content it legitimately has
     X0 = _member_half(x0, grid)
+    # at all n/2+1 nodes, which the band splits and the noisy sum read
     gain = pt.khat_values - pt.k_values
     clean_diff = gain * X0
-    eps_clean = float(_norms(clean_diff, grid)[1])
+    work = _workspace(grid)
+    eps_clean = float(_norms(clean_diff, grid, work)[1])
     slack = CALIBRATION["robustness_slack"]
 
     j0 = sum(_band_split(clean_diff, grid, pt.omega_threshold, 1)) / (2 * math.pi)
@@ -504,7 +502,7 @@ def robustness_experiment(
         N = _noise_spectrum(float(nu), cfg)
         # the clean channel plus the prediction of the noise, so the nu = 0
         # row reproduces eps_clean bit-exactly
-        err = float(_norms(clean_diff + pt.khat_values * N, grid)[1])
+        err = float(_norms(clean_diff + pt.khat_values * N, grid, work)[1])
         bound = eps_clean + nu * (pt.kappa_sup + 1.0)
         noise_diff = gain * N
         j_eta = sum(_band_split(noise_diff, grid, pt.omega_threshold, 1)) / (2 * math.pi)

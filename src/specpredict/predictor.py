@@ -43,10 +43,10 @@ _VALUE_LOG_MAX = 705.0
 
 
 def _check_sharpness(gamma: float, r: float) -> None:
-    if not (isinstance(gamma, (int, float)) and math.isfinite(gamma) and gamma > 0):
-        raise ValueError(f"gamma must be finite and > 0, got {gamma!r}")
-    if not (isinstance(r, (int, float)) and math.isfinite(r) and r > 0):
-        raise ValueError(f"r must be finite and > 0, got {r!r}")
+    for name, value in (("gamma", gamma), ("r", r)):
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 def factor_exponent(z, a: float, gamma: float, r: float) -> np.ndarray:

@@ -75,7 +75,8 @@ class FrequencyGrid:
         if n > MAX_GRID_N:
             raise ValueError(f"sample count must be at most {MAX_GRID_N}, got {n}")
         dt = self.delta_t
-        if not (isinstance(dt, (int, float, np.floating)) and math.isfinite(dt) and dt > 0):
+        number = isinstance(dt, (int, float, np.floating)) and not isinstance(dt, bool)
+        if not (number and math.isfinite(dt) and dt > 0):
             raise ValueError(f"time step must be a positive finite number, got {dt!r}")
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "delta_t", float(dt))

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import math
@@ -16,6 +17,7 @@ from specpredict import (
     build_predictor,
     make_grid,
     norm,
+    prediction_error,
     sample_bandlimited,
     sample_class_member,
 )
@@ -140,11 +142,27 @@ class TestPredictCommand:
             rows = (outdir / name).read_text().splitlines()[2:]
             assert rows == [f"{t:.16e},{v:.16e}" for t, v in zip(grid.times(), samples)], name
 
-    @pytest.mark.parametrize("formats, inverses", [("json", 5), ("csv,json", 7)])
+    @pytest.mark.parametrize("gamma", [10.0, 100.0])
+    def test_summary_errors_are_prediction_error(self, tmp_path, gamma):
+        # the summary's error figures are the library's, exactly; at gamma =
+        # 100 the error channel is all zero and is not transformed
+        config = base_config(predictor={"r": 4.0, "gammas": [gamma]})
+        code, outdir = run(tmp_path, "predict", config, extra=("--format", "json"))
+        assert code == 0
+        summary = json.loads((outdir / "summary.json").read_text())
+        grid = make_grid(GRID_SMALL["n"], GRID_SMALL["delta_t"])
+        x = sample_class_member(DegeneracyClass(2.0, 1.0), GeneratorConfig(seed=7, grid=grid))
+        pt = build_predictor(AnticausalKernel((1.0,), (1.0,)), gamma, 4.0, grid)
+        got = tuple(summary[key] for key in ("err_l2", "err_l2_rel", "err_sup", "err_sup_rel"))
+        assert got == dataclasses.astuple(prediction_error(pt, x))
+        assert (got[0] == 0.0) == (gamma == 100.0)
+
+    @pytest.mark.parametrize("formats, inverses", [("json", 5), ("csv,json", 8)])
     def test_forms_yhat_only_for_its_csv(self, tmp_path, monkeypatch, formats, inverses):
-        # the generator's two projection rounds, the error channel, y and the
-        # time kernel of causality_defect; csv adds x and yhat, and its
-        # khat.csv is the kernel causality_defect reads
+        # the generator's two projection rounds, prediction_error's target
+        # and error channel, and the time kernel of causality_defect; csv
+        # adds y, x and yhat, and its khat.csv is the kernel causality_defect
+        # reads
         calls = []
         irfft = np.fft.irfft
         monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: calls.append(1) or irfft(*a, **k))

@@ -94,6 +94,32 @@ class TestPredictionError:
         err = prediction_error(build_predictor(KERNEL, 10.0, 4.0, GRID), x)
         assert (err.err_sup_abs, err.err_sup_rel) == (row.err_sup_abs, row.err_sup_rel)
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        poles=st.lists(st.sampled_from([0.3, 0.5, 1.0, 1.2, 2.0, 3.5]), min_size=1, max_size=3, unique=True),
+        data=st.data(),
+        gamma=st.floats(3.0, 300.0),
+        q=st.floats(1.5, 5.0),
+        r_above_min=st.floats(0.05, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+        as_samples=st.booleans(),
+    )
+    def test_equals_the_one_member_sweep(self, poles, data, gamma, q, r_above_min, seed, as_samples):
+        # prediction_error is the sweep's member step: a SpectralSeries is
+        # read as stored and a TimeSeries through _member_spectrum, and each
+        # field equals the one-member sweep row's bit for bit
+        numerator = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=len(poles)))
+        kernel = AnticausalKernel(tuple(poles), tuple(numerator))
+        cls = DegeneracyClass(q, 1.0)
+        r = cls.min_sharpness_exponent + r_above_min
+        x = sample_class_member(cls, cfg(seed))
+        if as_samples:
+            x = TimeSeries(GRID, x.samples)
+        row = gamma_sweep(kernel, cls, (gamma,), r, [x]).rows[0]
+        err = prediction_error(build_predictor(kernel, gamma, r, GRID), x)
+        want = (row.err_l2_abs, row.err_l2_rel, row.err_sup_abs, row.err_sup_rel)
+        assert np.array(dataclasses.astuple(err)).tobytes() == np.array(want).tobytes()
+
     def test_rejects_non_real_member(self, ensemble):
         # the series type holds real samples only, so no complex member
         # reaches prediction_error
@@ -286,8 +312,8 @@ class TestRobustness:
         # the clean channel and one noisy error per row; j0 and j_eta come
         # from the half spectra
         calls = []
-        real = experiments.irfft_rows
-        monkeypatch.setattr(experiments, "irfft_rows", lambda *a: calls.append(1) or real(*a))
+        real = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: calls.append(1) or real(*a, **k))
         nus = [0.0, 0.01, 0.05]
         robustness_experiment(self.KER, 30.0, 0.6, x0, nus, cfg(424242))
         assert len(calls) == 1 + len(nus)
@@ -642,6 +668,44 @@ def _imported(source: str) -> set:
     }
 
 
+def _gain_subtractions(source: str) -> set:
+    """The top-level functions and classes of ``source`` that subtract a
+    ``k_values`` from a ``khat_values``, whole or sliced; "<module>" for a
+    subtraction outside them."""
+
+    def field(node):
+        return getattr(node.value if isinstance(node, ast.Subscript) else node, "attr", None)
+
+    return {
+        getattr(stmt, "name", "<module>")
+        for stmt in ast.parse(source).body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Sub)
+        and (field(node.left), field(node.right)) == ("khat_values", "k_values")
+    }
+
+
+def test_error_norms_take_one_path():
+    # error norms are taken in experiments alone, and K_hat - K is formed
+    # only by _error_gain and by the robustness experiment's full-length gain
+    probe = "def f(pt):\n    return pt.khat_values[:m] - pt.k_values[:m]\nd = pt.khat_values - pt.k_values\n"
+    assert _gain_subtractions(probe) == {"f", "<module>"}
+    assert _gain_subtractions("d = pt.k_values - pt.khat_values") == set()
+    sources = {p.name: p.read_text(encoding="utf-8") for p in Path(experiments.__file__).parent.glob("*.py")}
+    assert len(sources) >= 10
+    helpers = ("_norms", "_row_norms", "_channel", "_error_gain")
+    readers = {
+        (name, helper)
+        for name, src in sources.items()
+        for helper in helpers
+        if helper in _imported(src) or _top_level_loads(src, helper)
+    }
+    assert {name for name, _ in readers} == {"experiments.py"}, readers
+    subtractions = {(name, owner) for name, src in sources.items() for owner in _gain_subtractions(src)}
+    assert subtractions == {("experiments.py", "_error_gain"), ("experiments.py", "robustness_experiment")}
+
+
 def test_only_named_readers_take_the_forward_transform():
     # the forward transform of a series that arrives as samples has two
     # readers, and cli's import is the binding perfbench's install probe
@@ -688,12 +752,13 @@ class TestPerRowChannelIsExact:
         pt = build_predictor(KERNEL, gamma, 4.0, GRID)
         diff, l2_want, sup_want = error_channel_batched(pt, X)
         gain = pt.khat_values - pt.k_values
-        l2, sup = np.array([experiments._norms(gain * row, GRID) for row in X]).T
+        work = experiments._workspace(GRID)
+        l2, sup = np.array([experiments._norms(gain * row, GRID, work) for row in X]).T
         assert (l2.tobytes(), sup.tobytes()) == (l2_want.tobytes(), sup_want.tobytes())
         for i, row in enumerate(X):
             assert (gain * row).tobytes() == diff[i].tobytes()
         K = pt.k_values
-        y_l2, y_sup = np.array([experiments._norms(K * row, GRID) for row in X]).T
+        y_l2, y_sup = np.array([experiments._norms(K * row, GRID, work) for row in X]).T
         y_l2_want, y_sup_want = row_norms_linalg(irfft_stack(K * X, GRID), GRID)
         assert (y_l2.tobytes(), y_sup.tobytes()) == (y_l2_want.tobytes(), y_sup_want.tobytes())
 
@@ -704,7 +769,7 @@ class TestPerRowChannelIsExact:
         rows[3] *= 1e-170  # the squares underflow
         grid = make_grid(64, 0.1)
         with np.errstate(under="ignore"):
-            got = experiments._row_norms(rows, grid)
+            got = experiments._row_norms(rows.copy(), grid)
             want = row_norms_linalg(rows, grid)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
         assert math.isinf(got[0][2])
@@ -721,27 +786,11 @@ class TestPerRowChannelIsExact:
             want_l2 = math.sqrt(grid.delta_t) * np.sqrt(np.add.reduce(np.square(rows), axis=-1))
             want_sup = np.max(np.abs(rows), axis=-1)
             scratch = rows.copy()
-            got = experiments._row_norms(scratch, grid, scratch=scratch)
-            fresh = experiments._row_norms(rows, grid)
+            got = experiments._row_norms(scratch, grid)
+            squares = np.square(rows)
         want = (np.asarray(want_l2).tobytes(), np.asarray(want_sup).tobytes())
         assert (np.asarray(got[0]).tobytes(), np.asarray(got[1]).tobytes()) == want
-        assert (np.asarray(fresh[0]).tobytes(), np.asarray(fresh[1]).tobytes()) == want
-
-    @settings(max_examples=40, deadline=None)
-    @given(log2n=st.integers(3, 6), data=st.data())
-    def test_norms_are_the_same_with_a_workspace(self, log2n, data):
-        grid = make_grid(2**log2n, 0.1)
-        h = grid.n // 2 + 1
-        parts = data.draw(arrays(np.float64, (2, h), elements=EDGE_FLOATS))
-        values = np.empty(h, np.complex128)
-        values.real, values.imag = parts
-        work = experiments._workspace(grid)
-        half = work[: 2 * h].view(np.complex128)
-        half[:] = values
-        with np.errstate(over="ignore", invalid="ignore"):
-            want = experiments._norms(values.copy(), grid)
-            got = experiments._norms(half, grid, work)
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert scratch.tobytes() == squares.tobytes()
 
 
 # sha256 of repr(gamma_sweep(...).rows) at the defaults (ten members on the
@@ -783,10 +832,11 @@ class TestExactSupportChannel:
         def refuse(*args):
             raise AssertionError("an all-zero channel was transformed")
 
-        monkeypatch.setattr(experiments, "irfft_rows", refuse)
+        monkeypatch.setattr(experiments, "_irfft_phased", refuse)
         h = GRID.n // 2 + 1
+        work = experiments._workspace(GRID)
         for half in (np.zeros(h, complex), np.full(h, -0.0 - 0.0j), np.zeros(1, complex)):
-            assert experiments._norms(half, GRID) == (0.0, 0.0)
+            assert experiments._norms(half, GRID, work) == (0.0, 0.0)
         assert experiments._band_split(np.zeros(1, complex), GRID, 1.0, 2) == (0.0, 0.0)
 
     def test_default_sweep_transform_count(self, default_members, monkeypatch):
@@ -808,7 +858,7 @@ class TestExactSupportChannel:
     def test_default_supports(self):
         grid = experiments.default_grid()
         supports = [
-            experiments._support(build_predictor(experiments.DEFAULT_KERNEL, g, 4.0, grid))
+            experiments._error_gain(build_predictor(experiments.DEFAULT_KERNEL, g, 4.0, grid)).size
             for g in experiments.DEFAULT_GAMMAS
         ]
         assert supports == [grid.n // 2 + 1] * 2 + [1] * 3
@@ -824,7 +874,7 @@ class TestExactSupportChannel:
             sample_bandlimited(2.0, cfg(40 + i, band=(0.2, 2.0))) for i in range(2)
         ]
         h = GRID.n // 2 + 1
-        supports = [experiments._support(build_predictor(KERNEL, g, 0.6, GRID)) for g in gammas]
+        supports = [experiments._error_gain(build_predictor(KERNEL, g, 0.6, GRID)).size for g in gammas]
         assert supports == [h, 5, 2]
         got = gamma_sweep(KERNEL, cls, gammas, 0.6, members).rows
         # the stacked oracle reads stored spectra: band-limited members are

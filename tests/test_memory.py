@@ -7,6 +7,9 @@ reads it, and the sweep keeps one error gain per gamma, on its support,
 beside one workspace of 2n+2 values for a member's channels: a channel's
 half spectrum and its inverse, whose sup is read as the larger of |max| and
 |min| and whose squares overwrite it, so no |x| or scratch row is formed.
+Every error norm is taken in such a workspace, so ``prediction_error`` and
+the predict command form one too; a half spectrum given to the norms from
+outside the workspace is phased into its head, not copied.
 The sweep holds no member once it has moved on to the next, member 0
 included, so no array sized by the ensemble is alive while an ensemble is
 drawn and swept, and the peak does not grow with the ensemble.  Generated
@@ -18,7 +21,7 @@ The per-grid tables (signs, signed and absolute omega, node weights) hold nodes
 0..n/2 and are cached for one grid at a time, the witnesses split the t < 0
 share at n/2 in place, and lemma_check reduces its node sets in blocks, so
 none of them builds an n-node or n/2-node scratch array.  The predict command
-holds one n-sample series at a time, and a float CSV is formed and printed a
+forms y only for its CSV and holds one n-sample series at a time, and a float CSV is formed and printed a
 block of rows at a time, so no (n, 2) table or n-node time array is built.
 A random phase draw frees its Philox round buffers before the exponential.
 """
@@ -67,7 +70,7 @@ CFG = GeneratorConfig(seed=2026, grid=default_grid())
 # the bound sits between the last two.
 SWEEP_PEAK_BOUND = 5.3e6
 
-# Traced peak of _norms with a workspace at n = 2^16: 131 kB, the ufunc's
+# Traced peak of _norms on a channel in its workspace at n = 2^16: 131 kB, the ufunc's
 # cast buffer for the float phase factors (np.getbufsize() complex values),
 # where an n-value row is 524 kB; the bound is that buffer plus 2 kB.
 NORMS_PEAK_BOUND = 16 * np.getbufsize() + 2e3
@@ -184,7 +187,7 @@ def test_norms_workspace_holds_a_half_spectrum_and_its_inverse():
     experiments._norms(experiments._channel(K, X, work), grid, work)  # caches outside the trace
     half = experiments._channel(K, X, work)
     (l2, sup), peak = _traced_peak(lambda: experiments._norms(half, grid, work))
-    assert (l2, sup) == experiments._norms(K * X, grid)
+    assert (l2, sup) == experiments._norms(K * X, grid, experiments._workspace(grid))
     assert peak < NORMS_PEAK_BOUND, peak
 
 

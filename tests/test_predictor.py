@@ -81,6 +81,23 @@ class TestVFactor:
         with pytest.raises(ValueError):
             eval_v_factor(1j, -2.0, 10.0, 4.0)
 
+    @pytest.mark.parametrize(
+        "make, match",
+        [
+            (lambda: make_grid(256, True), "time step"),
+            (lambda: DegeneracyClass(True, 1.0), "q must"),
+            (lambda: DegeneracyClass(2.0, True), "c must"),
+            (lambda: build_predictor(AnticausalKernel((1.0,)), True, 4.0, make_grid(256, 0.05)), "gamma must"),
+            (lambda: build_predictor(AnticausalKernel((1.0,)), 10.0, True, make_grid(256, 0.05)), "r must"),
+            (lambda: eval_v_factor(1j, 1.0, np.True_, 4.0), "gamma must"),
+        ],
+        ids=["delta_t", "q", "c", "gamma", "r", "numpy-bool-gamma"],
+    )
+    def test_bool_is_not_a_number(self, make, match):
+        # True would otherwise pass as 1 (delta_t = 1.0, c = 1.0, gamma = 1.0)
+        with pytest.raises(ValueError, match=match):
+            make()
+
     def test_v_minus_one_keeps_precision_for_tiny_deviation(self):
         om = np.array([1.0, 5.0])
         dev = v_minus_one(om, KERNEL, 100.0, 4.0)

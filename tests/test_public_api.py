@@ -16,8 +16,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # name -> the claim it checks; no non-test code calls these
 CLAIM_ONLY = {
-    "prediction_error": "the prediction error of one member, the weak-predictability claim "
-    "the sweep reports over an ensemble",
     "uniformity_check": "the error-to-class-norm ratio behind the uniform bound over the class",
     "LineWitness": "the type of line_witness's result, read by the causality and "
     "orthogonality criteria",
