@@ -240,21 +240,19 @@ def _spectrum_csv(path, x, meta):
     write_csv(path, ["omega", "re", "im"], ColumnBlocks(grid.n, block), meta)
 
 
-def _write_table(path, row_type, rows, meta, formats, gammas=None) -> list:
-    """Write dataclass ``rows`` as a CSV table, if ``formats`` asks for csv, and
-    return them as JSON objects.
+def _write_table(path, row_type, rows, meta, formats, gammas=None) -> None:
+    """Write dataclass ``rows`` as a CSV table, if ``formats`` asks for csv.
 
     The columns are the fields of ``row_type``; ``gammas``, one value per
     row, leads each CSV row as a ``gamma`` column.
     """
+    if "csv" not in formats:
+        return
     columns = [f.name for f in dataclasses.fields(row_type)]
     values = [[getattr(row, c) for c in columns] for row in rows]
-    if "csv" in formats:
-        if gammas is None:
-            write_csv(path, columns, values, meta)
-        else:
-            write_csv(path, ["gamma", *columns], [[g, *v] for g, v in zip(gammas, values)], meta)
-    return [dict(zip(columns, v)) for v in values]
+    if gammas is not None:
+        columns, values = ["gamma", *columns], [[g, *v] for g, v in zip(gammas, values)]
+    write_csv(path, columns, values, meta)
 
 
 def _cmd_predict(config, outdir, formats):
@@ -309,11 +307,9 @@ def _cmd_sweep(config, outdir, formats):
     ensemble = make_class_ensemble(cls, cfg, ens_cfg.get("size", 10))
     report = gamma_sweep(kernel, cls, gammas, r, ensemble, metadata={"seed": cfg.seed})
     meta = _open_reports(outdir, config, "sweep")
-    rows = _write_table(f"{outdir}/sweep.csv", SweepRow, report.rows, meta, formats)
+    _write_table(f"{outdir}/sweep.csv", SweepRow, report.rows, meta, formats)
     if "json" in formats:
-        write_json(
-            f"{outdir}/sweep.json", {"rows": rows, "sweep_metadata": report.metadata}, meta
-        )
+        write_json(f"{outdir}/sweep.json", dataclasses.asdict(report), meta)
     if "svg" in formats:
         gammas_list = [row.gamma for row in report.rows]
         write_svg_lineplot(
@@ -340,7 +336,7 @@ def _cmd_lemma(config, outdir, formats):
     reports = [lemma_check(build_predictor(kernel, g, r, grid), cls, floor) for g in gammas]
     gamma0 = find_gamma0(kernel, cls, r, grid, bracket=bracket)
     meta = _open_reports(outdir, config, "lemma")
-    rows = _write_table(f"{outdir}/lemma.csv", LemmaReport, reports, meta, formats)
+    _write_table(f"{outdir}/lemma.csv", LemmaReport, reports, meta, formats)
     write_json(
         f"{outdir}/lemma.json",
         {
@@ -350,7 +346,7 @@ def _cmd_lemma(config, outdir, formats):
                 a.tail_dev_max > b.tail_dev_max for a, b in zip(reports, reports[1:])
             ),
             "pass_low_band": all(rep.pass_low_band for rep in reports),
-            "rows": rows,
+            "rows": [dataclasses.asdict(rep) for rep in reports],
         },
         meta,
     )
@@ -365,7 +361,7 @@ def _cmd_robustness(config, outdir, formats):
     nus = [float(v) for v in noise_cfg["nus"]]
     reports = [robustness_experiment(kernel, g, r, x0, nus, cfg) for g in gammas]
     meta = _open_reports(outdir, config, "robustness")
-    rows = _write_table(
+    _write_table(
         f"{outdir}/robustness.csv",
         RobustnessRow,
         [row for rep in reports for row in rep.rows],
@@ -376,16 +372,7 @@ def _cmd_robustness(config, outdir, formats):
     write_json(
         f"{outdir}/robustness.json",
         {
-            "per_gamma": [
-                {
-                    "gamma": rep.gamma,
-                    "eps_clean": rep.eps_clean,
-                    "kappa_sup": rep.kappa_sup,
-                    "saturated": rep.saturated,
-                    "rows": rows[i * len(nus) : (i + 1) * len(nus)],
-                }
-                for i, rep in enumerate(reports)
-            ],
+            "per_gamma": [dataclasses.asdict(rep) for rep in reports],
             "all_bounds_hold": all(row.holds for rep in reports for row in rep.rows),
         },
         meta,
@@ -405,18 +392,8 @@ def _cmd_counterexample(config, outdir, formats):
     cfg = GeneratorConfig(seed=ce.get("seed", 0), grid=grid)
     report = counterexample_experiment(float(ce["a"]), kernel, gammas, cfg, r=r)
     meta = _open_reports(outdir, config, "counterexample")
-    rows = _write_table(
-        f"{outdir}/counterexample.csv", CounterexampleRow, report.rows, meta, formats
-    )
-    write_json(
-        f"{outdir}/counterexample.json",
-        {
-            "split": report.split,
-            "no_gamma_predicts_both": report.no_gamma_predicts_both,
-            "rows": rows,
-        },
-        meta,
-    )
+    _write_table(f"{outdir}/counterexample.csv", CounterexampleRow, report.rows, meta, formats)
+    write_json(f"{outdir}/counterexample.json", dataclasses.asdict(report), meta)
     return 0
 
 
@@ -428,17 +405,8 @@ def _cmd_demo_negative(config, outdir, formats):
         float(neg["q_bad"]), cls.c, kernel, gammas, cfg, r, size=neg.get("size", 3), q_reference=cls.q
     )
     meta = _open_reports(outdir, config, "demo-negative")
-    rows = _write_table(f"{outdir}/negative.csv", NegativeDemoRow, report.rows, meta, formats)
-    write_json(
-        f"{outdir}/negative.json",
-        {
-            "label": report.label,
-            "q_bad": report.q_bad,
-            "final_ratio": report.final_ratio,
-            "rows": rows,
-        },
-        meta,
-    )
+    _write_table(f"{outdir}/negative.csv", NegativeDemoRow, report.rows, meta, formats)
+    write_json(f"{outdir}/negative.json", dataclasses.asdict(report), meta)
     return 0
 
 

@@ -136,7 +136,7 @@ class SweepRow:
 @dataclass(frozen=True)
 class SweepReport:
     rows: tuple
-    metadata: dict = field(default_factory=dict)
+    sweep_metadata: dict = field(default_factory=dict)
 
 
 def _grid_and_members(ensemble):
@@ -414,7 +414,7 @@ def gamma_sweep(
         "class": {"q": cls.q, "c": cls.c},
         **(metadata or {}),
     }
-    return SweepReport(rows=tuple(rows), metadata=meta)
+    return SweepReport(rows=tuple(rows), sweep_metadata=meta)
 
 
 def uniformity_check(

@@ -15,9 +15,14 @@ from specpredict import (
     DegeneracyClass,
     GeneratorConfig,
     build_predictor,
+    counterexample_experiment,
+    gamma_sweep,
+    make_class_ensemble,
     make_grid,
+    nonpredictability_demo,
     norm,
     prediction_error,
+    robustness_experiment,
     sample_bandlimited,
     sample_class_member,
 )
@@ -43,6 +48,11 @@ def write_config(tmp_path, config, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(config, indent=2))
     return str(path)
+
+
+def as_json(report):
+    """``report`` as a JSON report holds it: its ``dataclasses.asdict``, round-tripped."""
+    return json.loads(json.dumps(dataclasses.asdict(report)))
 
 
 def run(tmp_path, command, config, out="out", extra=()):
@@ -256,6 +266,12 @@ class TestSweepCommand:
         lines = (outdir / "sweep.csv").read_text().splitlines()
         assert lines[1].split(",")[0] == "gamma"
         assert len(lines) == 2 + 2  # metadata, header, two rows
+        report = json.loads((outdir / "sweep.json").read_text())
+        del report["metadata"]
+        grid, cls = make_grid(**GRID_SMALL), DegeneracyClass(2.0, 1.0)
+        ensemble = make_class_ensemble(cls, GeneratorConfig(seed=2026, grid=grid), 2)
+        want = gamma_sweep(AnticausalKernel((1.0,)), cls, (10.0, 30.0), 4.0, ensemble, metadata={"seed": 2026})
+        assert report == as_json(want)
 
     def test_empty_gammas_exit_2(self, tmp_path):
         config = base_config(
@@ -327,6 +343,11 @@ class TestRobustnessCommand:
         rows = report["per_gamma"][0]["rows"]
         assert rows[0]["nu"] == 0.0
         assert rows[0]["err_sup_noisy"] == report["per_gamma"][0]["eps_clean"]
+        grid, cls = make_grid(**GRID_SMALL), DegeneracyClass(5.0, 1.0)
+        x0 = sample_class_member(cls, GeneratorConfig(seed=9, grid=grid))
+        cfg = GeneratorConfig(seed=11, grid=grid)
+        want = robustness_experiment(AnticausalKernel((0.01,)), 30.0, 0.6, x0, [0.0, 0.05], cfg)
+        assert report["per_gamma"] == [as_json(want)]
 
     def test_saturation_exits_3(self, tmp_path, capsys):
         config = self.config()
@@ -363,6 +384,9 @@ class TestCounterexampleCommand:
         assert header[:6] == ["gamma", "e1", "e2", "identity_lhs", "identity_rhs", "e1_sq_log"]
         report = json.loads((outdir / "counterexample.json").read_text())
         assert report["no_gamma_predicts_both"] is True
+        del report["metadata"]
+        cfg = GeneratorConfig(seed=5, grid=make_grid(**GRID_SMALL))
+        assert report == as_json(counterexample_experiment(0.5, AnticausalKernel((1.0,)), (10.0, 100.0), cfg, r=4.0))
 
 
 class TestNegativeDemoCommand:
@@ -378,6 +402,10 @@ class TestNegativeDemoCommand:
         assert code == 0
         report = json.loads((outdir / "negative.json").read_text())
         assert report["label"] == "ILLUSTRATIVE"
+        del report["metadata"]
+        cfg = GeneratorConfig(seed=77, grid=make_grid(16384, 0.04))
+        want = nonpredictability_demo(0.5, 1.0, AnticausalKernel((0.5,)), (10.0, 30.0), cfg, 2.5, size=2)
+        assert report == as_json(want)
 
     def test_q_bad_one_rejected(self, tmp_path, capsys):
         config = {

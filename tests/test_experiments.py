@@ -218,9 +218,9 @@ class TestGammaSweep:
 
     def test_metadata_recorded(self, ensemble):
         rep = gamma_sweep(KERNEL, CLS, (10.0,), 4.0, ensemble, metadata={"seed": 2026})
-        assert rep.metadata["kernel"] == {"poles": [1.0], "numerator": [1.0]}
-        assert rep.metadata["class"] == {"q": 2.0, "c": 1.0}
-        assert rep.metadata["seed"] == 2026
+        assert rep.sweep_metadata["kernel"] == {"poles": [1.0], "numerator": [1.0]}
+        assert rep.sweep_metadata["class"] == {"q": 2.0, "c": 1.0}
+        assert rep.sweep_metadata["seed"] == 2026
 
 
 class TestUniformity:
