@@ -37,6 +37,8 @@ class AnticausalKernel:
     numerator: tuple = (1.0,)
 
     def __post_init__(self) -> None:
+        if any(isinstance(v, (bool, np.bool_)) for v in (*self.poles, *self.numerator)):
+            raise ValueError(f"poles and numerator must be numbers, not bools, got {self!r}")
         poles = tuple(float(a) for a in self.poles)
         if len(poles) < 1:
             raise ValueError("kernel needs at least one pole")
@@ -91,6 +93,14 @@ def _numerator_at(kernel: AnticausalKernel, s) -> np.ndarray:
     return out
 
 
+def _transfer_at(kernel: AnticausalKernel, s: np.ndarray) -> np.ndarray:
+    """K(s) = d(s) / prod_j (s - a_j) at an array of complex points s."""
+    den = np.ones_like(s)
+    for a in kernel.poles:
+        den = den * (s - a)
+    return _numerator_at(kernel, s) / den
+
+
 def transfer(kernel: AnticausalKernel, grid: FrequencyGrid, sigma: float = 0.0) -> np.ndarray:
     """Sample K(s) = d(s) / prod_j (s - a_j) at s = sigma + i*omega, nodes 0..n/2.
 
@@ -103,11 +113,7 @@ def transfer(kernel: AnticausalKernel, grid: FrequencyGrid, sigma: float = 0.0) 
     n/2 stands for both of +-omega_max at once and receives their average,
     i.e. the real part.
     """
-    s = sigma + 1j * _half_omegas(grid)
-    den = np.ones_like(s)
-    for a in kernel.poles:
-        den = den * (s - a)
-    values = _numerator_at(kernel, s) / den
+    values = _transfer_at(kernel, sigma + 1j * _half_omegas(grid))
     values[-1] = values[-1].real
     return values
 

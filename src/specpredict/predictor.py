@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degeneracy import DegeneracyClass, log_weight
-from .kernels import AnticausalKernel, transfer
+from .kernels import AnticausalKernel, _transfer_at, transfer
 from .spectral import (
     FrequencyGrid,
     _half_nodes,
@@ -193,13 +193,6 @@ def build_predictor(
     """
     _check_sharpness(gamma, r)
     v_log, v_ph = v_logpolar(1j * _half_omegas(grid), kernel, gamma, r)
-    # the unpaired half-rate node stands for both +-omega_max; averaging the
-    # conjugate pair keeps V, and hence K_hat, conjugate-symmetric on-grid
-    with np.errstate(divide="ignore"):
-        ny_real = math.exp(min(v_log[-1], _CLAMP_LOG)) * math.cos(v_ph[-1])
-        v_log[-1] = np.log(abs(ny_real)) if ny_real != 0.0 else -np.inf
-    v_ph[-1] = 0.0 if ny_real >= 0.0 else math.pi
-
     K = transfer(kernel, grid)
     K.flags.writeable = False
     sat = v_log > _CLAMP_LOG
@@ -207,8 +200,16 @@ def build_predictor(
     with np.errstate(divide="ignore"):
         khat_log = v_log + np.log(np.abs(K))
     khat_ph = v_ph + np.angle(K)
-    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", under="ignore", over="ignore", invalid="ignore"):
         khat_vals = v_vals * K
+        # node n/2 stands for both +-omega_max: K_hat there is the average of
+        # the conjugate pair, Re(V K) of the complex V (clamped as at every
+        # node) and K (k_values keeps only Re(K)), so V = 1 leaves K_hat = K;
+        # its log magnitude and phase are those of this value, unclamped
+        ny = (v_vals[-1:] * _transfer_at(kernel, 1j * _half_omegas(grid)[-1:])).real
+        khat_vals[-1:] = ny
+        khat_log[-1:] = np.log(np.abs(ny)) + (v_log[-1:] - np.minimum(v_log[-1:], _CLAMP_LOG))
+        khat_ph[-1:] = np.where(ny < 0.0, math.pi, 0.0)
         overflow = ~np.isfinite(khat_vals)
         if np.any(overflow):
             khat_vals[overflow] = np.exp(

@@ -270,12 +270,17 @@ def _enveloped_member(q: float, c: float, cfg: GeneratorConfig, size: int) -> _M
 
     Returns the ``size`` members seeded ``cfg.seed + i`` as a read-only
     sequence that holds their seeds and draws a member each time it is read
-    (:class:`_Members`); a seed range that leaves 64 unsigned bits raises
-    ValueError here, before any member is drawn.
+    (:class:`_Members`); a size that is not an integer >= 1 (a bool is
+    not) or a seed range that leaves 64 unsigned bits raises ValueError
+    here, before any member is drawn.
 
     No validation of q: callers admit q > 1 through DegeneracyClass, while
     the negative illustration deliberately feeds q in (0, 1).
     """
+    if not isinstance(size, (int, np.integer)) or isinstance(size, bool):
+        raise ValueError(f"ensemble size must be an integer, got {size!r}")
+    if size < 1:
+        raise ValueError("ensemble size must be >= 1")
     last = cfg.seed + size - 1
     if last >= 2**64:
         raise ValueError(
@@ -444,6 +449,4 @@ def make_class_ensemble(cls: DegeneracyClass, cfg: GeneratorConfig, size: int):
 
     The ensemble is its seeds: a read-only sequence that draws a member each
     time it is read (see :func:`_enveloped_member`)."""
-    if size < 1:
-        raise ValueError("ensemble size must be >= 1")
     return _enveloped_member(cls.q, cls.c, cfg, size)

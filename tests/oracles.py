@@ -424,16 +424,20 @@ def orthogonality_residual_full_grid(pt):
     return float(np.exp(L + math.log(abs(S)) - den_log))
 
 
-def transfer_full_grid(kernel, grid, sigma=0.0):
-    """K(sigma + i*omega) evaluated at all n nodes, the half-rate node at its
-    real part: the reference for the library's half-node sampler."""
+def _transfer_values(kernel, s):
+    """K(s) at an array of complex points s, each as evaluated."""
     from specpredict.kernels import _numerator_at
 
-    s = sigma + 1j * grid.omegas()
     den = np.ones_like(s)
     for a in kernel.poles:
         den = den * (s - a)
-    values = _numerator_at(kernel, s) / den
+    return _numerator_at(kernel, s) / den
+
+
+def transfer_full_grid(kernel, grid, sigma=0.0):
+    """K(sigma + i*omega) evaluated at all n nodes, the half-rate node at its
+    real part: the reference for the library's half-node sampler."""
+    values = _transfer_values(kernel, sigma + 1j * grid.omegas())
     values[grid.n // 2] = values[grid.n // 2].real
     return values
 
@@ -451,12 +455,6 @@ def build_predictor_full_grid(kernel, gamma, r, grid):
 
     om = grid.omegas()
     v_log, v_ph = v_logpolar(1j * om, kernel, gamma, r)
-    ny = grid.n // 2
-    with np.errstate(divide="ignore"):
-        ny_real = math.exp(min(v_log[ny], _CLAMP_LOG)) * math.cos(v_ph[ny])
-        v_log[ny] = np.log(abs(ny_real)) if ny_real != 0.0 else -np.inf
-    v_ph[ny] = 0.0 if ny_real >= 0.0 else math.pi
-
     sat = v_log > _CLAMP_LOG
     v_vals = np.exp(np.minimum(v_log, _CLAMP_LOG)) * np.exp(1j * v_ph)
 
@@ -467,8 +465,14 @@ def build_predictor_full_grid(kernel, gamma, r, grid):
 
     khat_log = v_log + k_log
     khat_ph = v_ph + k_ph
-    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", under="ignore", over="ignore", invalid="ignore"):
         khat_vals = v_vals * K
+        # node n/2, omega_max: the real part of V K, both complex there
+        ny = slice(grid.n // 2, grid.n // 2 + 1)
+        ny_real = (v_vals[ny] * _transfer_values(kernel, 1j * om[ny])).real
+        khat_vals[ny] = ny_real
+        khat_log[ny] = np.log(np.abs(ny_real)) + (v_log[ny] - np.minimum(v_log[ny], _CLAMP_LOG))
+        khat_ph[ny] = np.where(ny_real < 0.0, math.pi, 0.0)
         overflow = ~np.isfinite(khat_vals)
         if np.any(overflow):
             khat_vals[overflow] = np.exp(

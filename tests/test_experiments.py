@@ -795,10 +795,11 @@ class TestPerRowChannelIsExact:
 
 # sha256 of repr(gamma_sweep(...).rows) at the defaults (ten members on the
 # default grid, the default kernel, class, gammas and r) at each ensemble
-# seed; taken when every gain was still kept and transformed at all nodes
+# seed; taken when every gain was still kept and transformed at all nodes,
+# and re-taken when node n/2 of K_hat became Re(V K)
 DEFAULT_SWEEP_DIGESTS = {
-    2026: "a0bd1335d9357719371cb0c41e70fca153681b1467ec857f0051a5fffd08892a",
-    7: "a76f1857ae61cb138c6bfade3ac852ea9139757840aeb9c1bbe577f509c1bc0a",
+    2026: "1bc54dda076969fdf2f925b01440b6c4fc7e9e0571f5202fb1524ba6cc9a7b98",
+    7: "8dd1447aee40795a5a2467018381a2ad0ff6cdfdc0c4eb9f5986c59d8cad0e03",
 }
 
 
@@ -887,10 +888,11 @@ class TestExactSupportChannel:
 
 # sha256 of repr(counterexample_experiment(...).rows), taken while the
 # experiment still added the log weights of nodes 0..n/2 itself, with the
-# dropped ``residual=...`` field cut out of the repr
+# dropped ``residual=...`` field cut out of the repr, and re-taken when node
+# n/2 of K_hat became Re(V K)
 COUNTEREXAMPLE_DIGESTS = {
-    "criterion 7": "68dd44732881c9350b86de182bb58c84ad56fc37c64aa97039cf9f1f879be62e",
-    "two poles, r = 0.6": "86abe79fe90f88076e6f45c44e80e56d9f8b9689842c1bfbba58a80eadd7fe11",
+    "criterion 7": "cc52dec0b6c2f874a4c1bd1db5b2b3fe29b4caa9ec10074bbeb9a4cd486aee6a",
+    "two poles, r = 0.6": "f0291e72aa0d2c8fbc1f74a69c6ab806d48b7c7679b9a10ed54c2837f4a6cc82",
 }
 
 

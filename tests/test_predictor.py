@@ -9,6 +9,7 @@ import pytest
 from specpredict import (
     AnticausalKernel,
     DegeneracyClass,
+    GeneratorConfig,
     SpectralSeries,
     TimeSeries,
     build_predictor,
@@ -17,7 +18,9 @@ from specpredict import (
     find_gamma0,
     lemma_check,
     line_witness,
+    make_class_ensemble,
     make_grid,
+    nonpredictability_demo,
     norm,
     orthogonality_residual,
     predict,
@@ -90,8 +93,18 @@ class TestVFactor:
             (lambda: build_predictor(AnticausalKernel((1.0,)), True, 4.0, make_grid(256, 0.05)), "gamma must"),
             (lambda: build_predictor(AnticausalKernel((1.0,)), 10.0, True, make_grid(256, 0.05)), "r must"),
             (lambda: eval_v_factor(1j, 1.0, np.True_, 4.0), "gamma must"),
+            (lambda: AnticausalKernel((True,)), "not bools"),
+            (lambda: AnticausalKernel((1.0, 2.0), (np.True_,)), "not bools"),
+            (lambda: make_class_ensemble(DEFAULT_CLASS, GeneratorConfig(seed=1, grid=make_grid(256, 0.05)), True), "size must"),
+            (
+                lambda: nonpredictability_demo(
+                    0.5, 1.0, KERNEL, (10.0,), GeneratorConfig(seed=1, grid=make_grid(256, 0.05)), 2.5, size=True
+                ),
+                "size must",
+            ),
         ],
-        ids=["delta_t", "q", "c", "gamma", "r", "numpy-bool-gamma"],
+        ids=["delta_t", "q", "c", "gamma", "r", "numpy-bool-gamma", "pole", "numpy-bool-numerator",
+             "ensemble-size", "negative-size"],
     )
     def test_bool_is_not_a_number(self, make, match):
         # True would otherwise pass as 1 (delta_t = 1.0, c = 1.0, gamma = 1.0)
@@ -140,6 +153,19 @@ class TestBuildPredictor:
         assert irfft_rows(pt.khat_values, small_grid).dtype == np.float64
         full = build_predictor_full_grid(kernel, 15.0, 1.0, small_grid).khat_values
         assert hermitian_defect(full) <= 1e-12
+
+    @pytest.mark.parametrize("gamma", [10.0, 30.0])
+    def test_half_rate_node_is_the_real_part_of_v_times_k(self, gamma):
+        # node n/2 stands for both +-omega_max: the average of K_hat's
+        # conjugate pair there is Re(V K), not Re(V) * Re(K)
+        grid = make_grid(256, 0.1)
+        w = math.pi / grid.delta_t
+        want = (eval_v_factor(1j * w, 1.0, gamma, 4.0) / (1j * w - 1.0)).real
+        pt = build_predictor(KERNEL, gamma, 4.0, grid)
+        assert abs(pt.khat_values[-1] - want) <= 1e-13 * abs(want)
+        # the log-polar fields carry the same real value
+        assert pt.khat_phase[-1] in (0.0, math.pi)
+        assert math.exp(pt.khat_log_mag[-1]) * math.cos(pt.khat_phase[-1]) == pytest.approx(want, rel=1e-13)
 
     def test_kappa_sup_is_grid_max(self, small_grid):
         pt = build_predictor(KERNEL, 12.0, 0.8, small_grid)
