@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .spectral import _real
 
 
 @dataclass(frozen=True)
@@ -22,12 +23,8 @@ class DegeneracyClass:
     c: float
 
     def __post_init__(self) -> None:
-        for name, low in (("q", 1), ("c", 0)):
-            value = getattr(self, name)
-            number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not (number and math.isfinite(value) and value > low):
-                raise ValueError(f"{name} must be a finite number > {low}, got {value!r}")
-            object.__setattr__(self, name, float(value))
+        object.__setattr__(self, "q", _real("q", self.q, 1.0))
+        object.__setattr__(self, "c", _real("c", self.c))
 
     @property
     def min_sharpness_exponent(self) -> float:

@@ -45,6 +45,7 @@ from .predictor import (
 )
 from .signals import (
     GeneratorConfig,
+    _band_mask,
     _enveloped_member,
     _noise_spectrum,
     counterexample_pair,
@@ -59,6 +60,7 @@ from .spectral import (
     _half_sum,
     _irfft_phased,
     _log_half_sum,
+    _real,
     _signs,
     forward_transform,
     make_grid,
@@ -81,12 +83,11 @@ def default_grid() -> FrequencyGrid:
 
 
 def _gamma_list(gammas) -> tuple:
-    """``gammas`` read once, as sorted floats; empty or non-positive input is rejected."""
-    out = tuple(sorted(float(g) for g in gammas))
+    """``gammas`` read once, as sorted floats; empty input or a gamma that is
+    not a positive finite number is rejected."""
+    out = tuple(sorted(_real("gamma", g) for g in gammas))
     if not out:
         raise ValueError("gammas must be nonempty")
-    if not all(g > 0 for g in out):
-        raise ValueError("gammas must be positive")
     return out
 
 
@@ -478,13 +479,15 @@ def robustness_experiment(
     Errors are always measured against the clean anti-causal target of x0;
     each row checks err <= eps_clean + nu*(kappa_sup + 1)*(1 + slack) with
     the 5% discretization slack from the calibration table.  The J-split
-    columns are grid diagnostics of the clean/noise error channels.
+    columns are grid diagnostics of the clean/noise error channels.  A noise
+    band that holds no grid node is rejected before the predictor is built.
     """
-    if not all(math.isfinite(nu) and nu >= 0 for nu in nus):
-        raise ValueError(f"noise intensities must be finite and >= 0, got {list(nus)!r}")
+    nus = [_real("noise intensity", nu, closed=True) for nu in nus]
     grid = x0.grid
     if grid != cfg.grid:
         raise ValueError("time series grid does not match generator grid")
+    if not np.any(_band_mask(cfg, _half_nodes(grid)[0])):
+        raise ValueError(f"noise band {cfg.band} holds no node of the grid")
     pt = build_predictor(kernel, gamma, r, grid)
     # the clean member's spectrum carries its constructional X(0) = 0; the
     # noise spectrum keeps whatever degeneracy-node content it legitimately has
@@ -499,7 +502,7 @@ def robustness_experiment(
     j0 = sum(_band_split(clean_diff, grid, pt.omega_threshold, 1)) / (2 * math.pi)
     rows = []
     for nu in nus:
-        N = _noise_spectrum(float(nu), cfg)
+        N = _noise_spectrum(nu, cfg)
         # the clean channel plus the prediction of the noise, so the nu = 0
         # row reproduces eps_clean bit-exactly
         err = float(_norms(clean_diff + pt.khat_values * N, grid, work)[1])
@@ -508,7 +511,7 @@ def robustness_experiment(
         j_eta = sum(_band_split(noise_diff, grid, pt.omega_threshold, 1)) / (2 * math.pi)
         rows.append(
             RobustnessRow(
-                nu=float(nu),
+                nu=nu,
                 err_sup_noisy=err,
                 bound=bound,
                 holds=bool(err <= eps_clean + nu * (pt.kappa_sup + 1.0) * (1.0 + slack)),
@@ -655,8 +658,7 @@ def nonpredictability_demo(
     once the band edge drops below it, slow members behave like class
     members and the contrast fades (ROADMAP item 3).
     """
-    if not (0.0 < q_bad < 1.0):
-        raise ValueError(f"q_bad must lie strictly inside (0, 1), got {q_bad!r}")
+    q_bad = _real("q_bad", q_bad, hi=1.0)
     reference = DegeneracyClass(q_reference, c)  # also validates c > 0
     _require_admissible(r, reference)
     gammas = _gamma_list(gammas)
@@ -669,4 +671,4 @@ def nonpredictability_demo(
     )
     final = rows[-1]
     ratio = math.inf if final.err_rel_reference == 0.0 else final.err_rel_slow / final.err_rel_reference
-    return NegativeDemoReport(q_bad=float(q_bad), rows=rows, final_ratio=float(ratio))
+    return NegativeDemoReport(q_bad=q_bad, rows=rows, final_ratio=float(ratio))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import FrequencyGrid, TimeSeries, _half_omegas, forward_transform, irfft_rows
+from .spectral import FrequencyGrid, TimeSeries, _half_omegas, _real, forward_transform, irfft_rows
 
 
 @dataclass(frozen=True)
@@ -37,27 +37,20 @@ class AnticausalKernel:
     numerator: tuple = (1.0,)
 
     def __post_init__(self) -> None:
-        if any(isinstance(v, (bool, np.bool_)) for v in (*self.poles, *self.numerator)):
-            raise ValueError(f"poles and numerator must be numbers, not bools, got {self!r}")
-        poles = tuple(float(a) for a in self.poles)
+        poles = tuple(_real("pole", a) for a in self.poles)
         if len(poles) < 1:
             raise ValueError("kernel needs at least one pole")
-        for a in poles:
-            if not (math.isfinite(a) and a > 0):
-                raise ValueError(f"poles must be finite and > 0, got {a!r}")
         scale = max(poles)
         for i in range(len(poles)):
             for j in range(i + 1, len(poles)):
                 if abs(poles[i] - poles[j]) <= 1e-12 * scale:
                     raise ValueError(f"repeated pole {poles[i]!r}: poles must be distinct")
-        numer = tuple(float(b) for b in self.numerator)
+        numer = tuple(_real("numerator coefficient", b, -math.inf) for b in self.numerator)
         if not 1 <= len(numer) <= len(poles):
             raise ValueError(
                 f"numerator degree must stay below the pole count {len(poles)}, "
                 f"got {len(numer)} coefficients"
             )
-        if not all(math.isfinite(b) for b in numer):
-            raise ValueError("numerator coefficients must be finite")
         object.__setattr__(self, "poles", poles)
         object.__setattr__(self, "numerator", numer)
 

@@ -33,6 +33,7 @@ from .spectral import (
     _half_omegas,
     _half_sum,
     _log_half_sum,
+    _real,
     irfft_rows,
 )
 from .tolerances import CALIBRATION
@@ -40,13 +41,6 @@ from .tolerances import CALIBRATION
 _CLAMP_LOG = CALIBRATION["v_overflow_clamp_log"]
 # second clamp for the product with K, kept slightly under the exp overflow edge
 _VALUE_LOG_MAX = 705.0
-
-
-def _check_sharpness(gamma: float, r: float) -> None:
-    for name, value in (("gamma", gamma), ("r", r)):
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (number and math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 def factor_exponent(z, a: float, gamma: float, r: float) -> np.ndarray:
@@ -71,9 +65,7 @@ def eval_v_factor(z, a: float, gamma: float, r: float):
     part exceeds the double range the result overflows to inf (the log-domain
     path in :func:`build_predictor` is the clamped alternative).
     """
-    _check_sharpness(gamma, r)
-    if not (math.isfinite(a) and a > 0):
-        raise ValueError(f"pole must be finite and > 0, got {a!r}")
+    a, gamma, r = _real("pole", a), _real("gamma", gamma), _real("r", r)
     with np.errstate(over="ignore", under="ignore"):
         out = 1.0 - np.exp(factor_exponent(z, a, gamma, r))
     if np.isscalar(z) or np.asarray(z).shape == ():
@@ -191,7 +183,7 @@ def build_predictor(
     experiments, not of the transfer itself, and is checked by callers that
     pair the predictor with a class.
     """
-    _check_sharpness(gamma, r)
+    gamma, r = _real("gamma", gamma), _real("r", r)
     v_log, v_ph = v_logpolar(1j * _half_omegas(grid), kernel, gamma, r)
     K = transfer(kernel, grid)
     K.flags.writeable = False
@@ -218,8 +210,8 @@ def build_predictor(
 
     return PredictorTransfer(
         kernel=kernel,
-        gamma=float(gamma),
-        r=float(r),
+        gamma=gamma,
+        r=r,
         grid=grid,
         k_values=K,
         khat_values=khat_vals,
@@ -342,8 +334,7 @@ def lemma_check(
     and max do not depend on the grouping, so no n/2-node temporaries are
     needed.
     """
-    if not (0 < omega_floor < pt.grid.omega_max):
-        raise ValueError(f"omega_floor must lie in (0, omega_max={pt.grid.omega_max})")
+    omega_floor = _real("omega_floor", omega_floor, hi=pt.grid.omega_max)
     grid, gamma, r = pt.grid, pt.gamma, pt.r
     om = _half_nodes(grid)[0]
     alpha = gamma ** (-r)
@@ -398,9 +389,8 @@ def find_gamma0(
     """
     if len(bracket) != 2:
         raise ValueError(f"bracket must hold exactly two numbers (lo, hi), got {bracket!r}")
-    lo, hi = (float(b) for b in bracket)
-    if not (0 < lo < hi):
-        raise ValueError("bracket must satisfy 0 < lo < hi")
+    lo = _real("bracket lo", bracket[0])
+    hi = _real("bracket hi", bracket[1], lo)
 
     def holds(g: float) -> bool:
         return _low_band_holds(kernel, cls, g, r, grid)[0]
@@ -534,14 +524,15 @@ def line_witness(kernel: AnticausalKernel, gamma: float, r: float) -> LineWitnes
     rest the conjugates.  Raises ValueError when the grid would exceed 2^20
     samples.
     """
-    _check_sharpness(gamma, r)
+    gamma, r = _real("gamma", gamma), _real("r", r)
     sigma, grid = _line_grid(kernel, gamma, r)
-    K = transfer(kernel, grid, sigma)
+    K = _transfer_at(kernel, sigma + 1j * _half_omegas(grid))
     v_log, v_ph = v_logpolar(sigma + 1j * _half_omegas(grid), kernel, gamma, r)
     with np.errstate(divide="ignore"):
         khat_log = v_log + np.log(np.abs(K))
     with np.errstate(under="ignore"):
         khat = np.exp(khat_log - np.max(khat_log)) * np.exp(1j * (v_ph + np.angle(K)))
+    # node n/2 stands for both +-omega_max: Re(V K), as in build_predictor
     khat[-1] = khat[-1].real
     defect, residual = _line_figures(grid, transfer(kernel, grid, -sigma), khat)
     return LineWitness(sigma, grid, defect, residual)

@@ -42,6 +42,7 @@ from .spectral import (
     _half_nodes,
     _half_sum,
     _irfft_phased,
+    _real,
     _signs,
     irfft_rows,
     rfft_rows,
@@ -74,14 +75,11 @@ class GeneratorConfig:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.band is not None:
             try:
-                lo, hi = (float(v) for v in self.band)
+                lo, hi = self.band
             except (TypeError, ValueError):
                 raise ValueError("band must be two numbers (lo, hi)") from None
-            if not (0.0 < lo < hi < self.grid.omega_max):
-                raise ValueError(
-                    f"band must satisfy 0 < lo < hi < omega_max={self.grid.omega_max}"
-                )
-            object.__setattr__(self, "band", (lo, hi))
+            lo = _real("band lo", lo, hi=self.grid.omega_max)
+            object.__setattr__(self, "band", (lo, _real("band hi", hi, lo, self.grid.omega_max)))
         object.__setattr__(self, "seed", int(self.seed))
 
 
@@ -383,8 +381,7 @@ def sample_bandlimited(omega_bar: float, cfg: GeneratorConfig) -> SpectralSeries
     of its last projection, zero off the support and at omega = 0 exactly.
     """
     grid = cfg.grid
-    if not (0.0 < omega_bar < grid.omega_max):
-        raise ValueError(f"omega_bar must lie in (0, omega_max={grid.omega_max})")
+    omega_bar = _real("omega_bar", omega_bar, hi=grid.omega_max)
     om_abs = _half_nodes(grid)[0]
     support = (om_abs <= omega_bar) & _band_mask(cfg, om_abs)
     support[0] = False
@@ -416,8 +413,7 @@ def counterexample_pair(a: float, cfg: GeneratorConfig):
     identity and needs no wraparound guard.
     """
     grid = cfg.grid
-    if not (0.0 < a < grid.omega_max):
-        raise ValueError(f"split frequency must lie in (0, omega_max={grid.omega_max})")
+    a = _real("split frequency a", a, hi=grid.omega_max)
     unit = _random_hermitian_phases(grid, _generator(cfg, _STREAM_PAIR))
     inner = _half_nodes(grid)[0] < a
     return SpectralSeries(grid, np.where(inner, unit, 0.0)), SpectralSeries(grid, np.where(inner, 0.0, unit))
@@ -429,10 +425,8 @@ def _noise_spectrum(nu: float, cfg: GeneratorConfig) -> np.ndarray:
 
     The magnitude is constant over the selected nodes (every node by default,
     or the configured band) and rescaled so that the grid L1 norm of the
-    noise spectrum equals nu.
+    noise spectrum equals nu, a finite number >= 0 that the caller checks.
     """
-    if not (math.isfinite(nu) and nu >= 0):
-        raise ValueError(f"noise intensity must be finite and >= 0, got {nu!r}")
     grid = cfg.grid
     if nu == 0.0:
         return np.zeros(grid.n // 2 + 1, dtype=np.complex128)

@@ -34,13 +34,14 @@ samples on demand.
 
 Grids hold at most ``MAX_GRID_N`` = 2^24 samples, where one array of
 samples already takes 128 MB; a larger ``n`` is rejected before anything
-is allocated.
+is allocated.  ``_real`` checks every real-valued argument of the package.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,22 @@ MAX_GRID_N = 2**24
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def _real(name: str, value, lo: float = 0.0, hi: float = math.inf, *, closed: bool = False) -> float:
+    """``float(value)`` for a real number with lo < value < hi (lo <= value
+    when ``closed``), the one check of every real-valued argument.
+
+    A bool is not a number here, nor is a string; NaN and +-inf lie in no
+    range.  Anything else raises ValueError naming ``name``, the range and
+    the value.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if (lo <= value if closed else lo < value) and value < hi:
+            return float(value)
+    raise ValueError(
+        f"{name} must be a finite real number in {'[' if closed else '('}{lo}, {hi}), got {value!r}"
+    )
 
 
 @dataclass(frozen=True)
@@ -74,12 +91,8 @@ class FrequencyGrid:
             raise ValueError(f"sample count must be a power of two >= 8, got {n}")
         if n > MAX_GRID_N:
             raise ValueError(f"sample count must be at most {MAX_GRID_N}, got {n}")
-        dt = self.delta_t
-        number = isinstance(dt, (int, float, np.floating)) and not isinstance(dt, bool)
-        if not (number and math.isfinite(dt) and dt > 0):
-            raise ValueError(f"time step must be a positive finite number, got {dt!r}")
         object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "delta_t", float(dt))
+        object.__setattr__(self, "delta_t", _real("delta_t", self.delta_t))
 
     @property
     def span(self) -> float:

@@ -503,7 +503,8 @@ def line_witness_full_grid(kernel, gamma, r):
     from specpredict.predictor import _line_grid, v_logpolar
 
     sigma, grid = _line_grid(kernel, gamma, r)
-    K = transfer_full_grid(kernel, grid, sigma)
+    # the complex K at node n/2 too, so that node takes Re(V K)
+    K = _transfer_values(kernel, sigma + 1j * grid.omegas())
     v_log, v_ph = v_logpolar(sigma + 1j * grid.omegas(), kernel, gamma, r)
     with np.errstate(divide="ignore"):
         khat_log = v_log + np.log(np.abs(K))
@@ -519,13 +520,15 @@ def line_witness_full_grid(kernel, gamma, r):
 def line_witness_half_grid(kernel, gamma, r):
     """(causality defect, orthogonality residual) of :func:`specpredict.line_witness`
     at nodes 0..n/2, with omega sliced from ``grid.omegas()``, K from
-    :func:`transfer_full_grid`, the real inverse phased by the n-node sign
-    table and the t < 0 share taken by :func:`past_share`."""
+    :func:`_transfer_values` and its mirror from :func:`transfer_full_grid`,
+    the real inverse phased by the n-node sign table and the t < 0 share
+    taken by :func:`past_share`."""
     from specpredict.predictor import _line_grid, v_logpolar
 
     sigma, grid = _line_grid(kernel, gamma, r)
     h = grid.n // 2 + 1
-    K = transfer_full_grid(kernel, grid, sigma)[:h]
+    # the complex K at node n/2 too, so that node takes Re(V K)
+    K = _transfer_values(kernel, sigma + 1j * grid.omegas()[:h])
     v_log, v_ph = v_logpolar(sigma + 1j * grid.omegas()[:h], kernel, gamma, r)
     with np.errstate(divide="ignore"):
         khat_log = v_log + np.log(np.abs(K))

@@ -365,7 +365,18 @@ class TestRobustnessCommand:
             tmp_path, "robustness", self.config(), extra=("--set", "noise.nus=[0.0, NaN]")
         )
         assert code == 2
-        assert "finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "config error: noise intensity must be a finite real number in [0.0, inf), got nan\n"
+        )
+        assert not (outdir / "robustness.json").exists()
+
+    def test_noise_band_without_a_node_exits_2(self, tmp_path, capsys):
+        # no node of the 4096-node, delta_t = 0.01 grid (delta_omega ~ 0.153)
+        # lies in [1.0, 1.05]
+        extra = ("--set", "grid.delta_t=0.01", "--set", "noise.band=[1.0, 1.05]")
+        code, outdir = run(tmp_path, "robustness", self.config(), extra=extra)
+        assert code == 2
+        assert capsys.readouterr().err == "config error: noise band (1.0, 1.05) holds no node of the grid\n"
         assert not (outdir / "robustness.json").exists()
 
 
@@ -417,7 +428,7 @@ class TestNegativeDemoCommand:
         }
         code, outdir = run(tmp_path, "demo-negative", config)
         assert code == 2
-        assert capsys.readouterr().err == "config error: q_bad must lie strictly inside (0, 1), got 1.0\n"
+        assert capsys.readouterr().err == "config error: q_bad must be a finite real number in (0.0, 1.0), got 1.0\n"
         assert not outdir.exists()
 
 

@@ -213,7 +213,7 @@ class TestGammaSweep:
     def test_generator_gammas_read_once(self, ensemble):
         rows = gamma_sweep(KERNEL, CLS, (g for g in (30.0, 10.0)), 4.0, ensemble).rows
         assert rows == gamma_sweep(KERNEL, CLS, (10.0, 30.0), 4.0, ensemble).rows
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match=r"^gamma must be a finite real number in \(0\.0, inf\), got -1\.0$"):
             gamma_sweep(KERNEL, CLS, (g for g in (-1.0,)), 4.0, ensemble)
 
     def test_metadata_recorded(self, ensemble):
@@ -305,7 +305,7 @@ class TestRobustness:
         assert hi.kappa_sup > lo.kappa_sup
 
     def test_rejects_negative_intensity(self, x0):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^noise intensity must be a finite real number in \[0\.0, inf\), got -0\.01$"):
             robustness_experiment(self.KER, 30.0, 0.6, x0, [-0.01], cfg(1))
 
     def test_one_inverse_transform_per_row(self, x0, monkeypatch):
@@ -318,10 +318,19 @@ class TestRobustness:
         robustness_experiment(self.KER, 30.0, 0.6, x0, nus, cfg(424242))
         assert len(calls) == 1 + len(nus)
 
-    def test_rejects_nan_intensity(self, x0):
+    @pytest.mark.parametrize("nu", [math.nan, math.inf])
+    def test_rejects_non_finite_intensity(self, x0, nu):
         # rejected up front, before the predictor is built or any noise drawn
-        with pytest.raises(ValueError, match="intensities must be finite"):
-            robustness_experiment(self.KER, 30.0, 0.6, x0, [0.0, math.nan], cfg(1))
+        with pytest.raises(ValueError, match=rf"^noise intensity must be a finite real number in \[0\.0, inf\), got {nu}$"):
+            robustness_experiment(self.KER, 30.0, 0.6, x0, [0.0, nu], cfg(1))
+
+    def test_rejects_noise_band_without_a_node(self, x0, monkeypatch):
+        # [1.0, 1.05] falls between nodes 13 and 14 (delta_omega ~ 0.0767):
+        # flat noise there would divide by a node count of 0
+        assert not np.any((GRID.omegas() >= 1.0) & (GRID.omegas() <= 1.05))
+        monkeypatch.setattr(experiments, "build_predictor", lambda *a: pytest.fail("predictor built"))
+        with pytest.raises(ValueError, match=r"^noise band \(1\.0, 1\.05\) holds no node of the grid$"):
+            robustness_experiment(self.KER, 30.0, 0.6, x0, [0.0, 0.05], cfg(424242, band=(1.0, 1.05)))
 
 
 class TestCounterexample:
@@ -395,7 +404,7 @@ class TestNegativeDemo:
             return nonpredictability_demo(0.5, 1.0, KERNEL, gammas, cfg(1), r=2.5, size=1)
 
         assert demo(g for g in (10.0, 3.0)).rows == demo((3.0, 10.0)).rows
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match=r"^gamma must be a finite real number in \(0\.0, inf\), got -1\.0$"):
             demo(g for g in (-1.0,))
 
     def test_slow_degeneracy_error_floor(self):

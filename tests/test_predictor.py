@@ -1,7 +1,10 @@
 import ast
 import dataclasses
+import functools
 import hashlib
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,8 @@ from specpredict import (
     TimeSeries,
     build_predictor,
     causality_defect,
+    counterexample_experiment,
+    counterexample_pair,
     eval_v_factor,
     find_gamma0,
     lemma_check,
@@ -24,10 +29,15 @@ from specpredict import (
     norm,
     orthogonality_residual,
     predict,
+    robustness_experiment,
+    sample_bandlimited,
+    sample_class_member,
     transfer,
     v_minus_one,
 )
+from specpredict import predictor, spectral
 from specpredict.experiments import DEFAULT_CLASS, DEFAULT_GAMMAS, DEFAULT_KERNEL, DEFAULT_R, default_grid
+from specpredict.kernels import _transfer_at
 from specpredict.predictor import _line_figures, _past_share, factor_exponent, v_logpolar
 from specpredict.spectral import _half_omegas, irfft_rows
 from specpredict.tolerances import CALIBRATION
@@ -84,33 +94,6 @@ class TestVFactor:
         with pytest.raises(ValueError):
             eval_v_factor(1j, -2.0, 10.0, 4.0)
 
-    @pytest.mark.parametrize(
-        "make, match",
-        [
-            (lambda: make_grid(256, True), "time step"),
-            (lambda: DegeneracyClass(True, 1.0), "q must"),
-            (lambda: DegeneracyClass(2.0, True), "c must"),
-            (lambda: build_predictor(AnticausalKernel((1.0,)), True, 4.0, make_grid(256, 0.05)), "gamma must"),
-            (lambda: build_predictor(AnticausalKernel((1.0,)), 10.0, True, make_grid(256, 0.05)), "r must"),
-            (lambda: eval_v_factor(1j, 1.0, np.True_, 4.0), "gamma must"),
-            (lambda: AnticausalKernel((True,)), "not bools"),
-            (lambda: AnticausalKernel((1.0, 2.0), (np.True_,)), "not bools"),
-            (lambda: make_class_ensemble(DEFAULT_CLASS, GeneratorConfig(seed=1, grid=make_grid(256, 0.05)), True), "size must"),
-            (
-                lambda: nonpredictability_demo(
-                    0.5, 1.0, KERNEL, (10.0,), GeneratorConfig(seed=1, grid=make_grid(256, 0.05)), 2.5, size=True
-                ),
-                "size must",
-            ),
-        ],
-        ids=["delta_t", "q", "c", "gamma", "r", "numpy-bool-gamma", "pole", "numpy-bool-numerator",
-             "ensemble-size", "negative-size"],
-    )
-    def test_bool_is_not_a_number(self, make, match):
-        # True would otherwise pass as 1 (delta_t = 1.0, c = 1.0, gamma = 1.0)
-        with pytest.raises(ValueError, match=match):
-            make()
-
     def test_v_minus_one_keeps_precision_for_tiny_deviation(self):
         om = np.array([1.0, 5.0])
         dev = v_minus_one(om, KERNEL, 100.0, 4.0)
@@ -118,6 +101,156 @@ class TestVFactor:
         assert np.all(np.abs(dev) == pytest.approx(expected, rel=1e-10))
         # naive evaluation would round these ~1e-44 deviations to zero
         assert 0 < abs(dev[0]) < 1e-40
+
+
+GRID_256 = make_grid(256, 0.05)
+CFG_256 = GeneratorConfig(seed=1, grid=GRID_256)
+
+
+@functools.cache
+def _pt_256():
+    return build_predictor(KERNEL, 10.0, 4.0, GRID_256)
+
+
+@functools.cache
+def _x0_256():
+    return sample_class_member(DEFAULT_CLASS, CFG_256)
+
+
+# Every real-valued argument the package checks, each through
+# spectral._real: (test id, the name its error gives, a call that passes v
+# as that argument, a valid fraction, a valid integer or None)
+REAL_ARGUMENTS = [
+    ("delta_t", "delta_t", lambda v: make_grid(256, v), 0.07, 1),
+    ("q", "q", lambda v: DegeneracyClass(v, 1.0), 2.3, 3),
+    ("c", "c", lambda v: DegeneracyClass(2.0, v), 0.7, 2),
+    ("gamma", "gamma", lambda v: build_predictor(KERNEL, v, 4.0, GRID_256), 12.3, 10),
+    ("r", "r", lambda v: build_predictor(KERNEL, 10.0, v, GRID_256), 3.3, 4),
+    ("pole", "pole", lambda v: AnticausalKernel((v,)), 0.7, 2),
+    ("numerator", "numerator coefficient", lambda v: AnticausalKernel((1.0, 2.0), (v,)), 0.3, -1),
+    ("v-factor-pole", "pole", lambda v: eval_v_factor(1j, v, 10.0, 4.0), 0.7, 2),
+    ("v-factor-gamma", "gamma", lambda v: eval_v_factor(1j, 1.0, v, 4.0), 12.3, 10),
+    ("line-witness-r", "r", lambda v: line_witness(KERNEL, 10.0, v), 4.3, 4),
+    (
+        "noise",
+        "noise intensity",
+        lambda v: robustness_experiment(KERNEL, 10.0, 4.0, _x0_256(), [v], CFG_256),
+        0.03,
+        1,
+    ),
+    ("sweep-gammas", "gamma", lambda v: counterexample_experiment(0.5, KERNEL, (v,), CFG_256, r=4.0), 12.3, 10),
+    ("band-lo", "band lo", lambda v: GeneratorConfig(seed=1, grid=GRID_256, band=(v, 20.0)), 1.3, 1),
+    ("band-hi", "band hi", lambda v: GeneratorConfig(seed=1, grid=GRID_256, band=(1.0, v)), 20.3, 20),
+    ("omega_bar", "omega_bar", lambda v: sample_bandlimited(v, CFG_256), 5.3, 5),
+    ("split", "split frequency a", lambda v: counterexample_pair(v, CFG_256), 0.7, 1),
+    ("omega_floor", "omega_floor", lambda v: lemma_check(_pt_256(), DEFAULT_CLASS, omega_floor=v), 0.7, 1),
+    (
+        "bracket-lo",
+        "bracket lo",
+        lambda v: find_gamma0(KERNEL, DEFAULT_CLASS, 4.0, GRID_256, bracket=(v, 2000.0)),
+        0.7,
+        1,
+    ),
+    (
+        "bracket-hi",
+        "bracket hi",
+        lambda v: find_gamma0(KERNEL, DEFAULT_CLASS, 4.0, GRID_256, bracket=(0.5, v)),
+        1500.3,
+        1500,
+    ),
+    ("q_bad", "q_bad", lambda v: nonpredictability_demo(v, 1.0, KERNEL, (10.0,), CFG_256, 2.5, size=1), 0.3, None),
+]
+
+
+def _bits(obj):
+    """``obj`` down to the bytes of its arrays and the reprs of its scalars,
+    each with its type."""
+    if isinstance(obj, np.ndarray):
+        return obj.dtype.str, obj.shape, obj.tobytes()
+    if dataclasses.is_dataclass(obj):
+        return type(obj).__name__, tuple(_bits(getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    if isinstance(obj, (tuple, list)):
+        return tuple(_bits(v) for v in obj)
+    if isinstance(obj, dict):
+        return tuple((k, _bits(v)) for k, v in obj.items())
+    return type(obj).__name__, repr(obj)
+
+
+class TestRealArguments:
+    @pytest.mark.parametrize(
+        "value",
+        [True, np.True_, math.nan, math.inf, -math.inf, "1.0"],
+        ids=["True", "numpy-True", "nan", "inf", "-inf", "string"],
+    )
+    @pytest.mark.parametrize(
+        "name, call", [pytest.param(name, call, id=ident) for ident, name, call, *_ in REAL_ARGUMENTS]
+    )
+    def test_bool_is_not_a_number(self, name, call, value):
+        # True would otherwise pass as 1.0, and "1.0" as the float it spells
+        pattern = rf"^{re.escape(name)} must be a finite real number in [\[(]\S+, \S+\), got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=pattern):
+            call(value)
+
+    @pytest.mark.parametrize(
+        "call, value",
+        [
+            pytest.param(call, kind(integer if kind is np.int64 else fraction), id=f"{ident}-{kind.__name__}")
+            for ident, _, call, fraction, integer in REAL_ARGUMENTS
+            for kind in (np.int64, np.float32, np.float64)
+            if integer is not None or kind is not np.int64
+        ],
+    )
+    def test_numpy_scalars_are_their_floats(self, call, value):
+        # every entry point computes with float(value): a float32 argument
+        # is widened, not carried into the arithmetic or the result
+        assert _bits(call(value)) == _bits(call(float(value)))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: make_class_ensemble(DEFAULT_CLASS, CFG_256, True),
+            lambda: nonpredictability_demo(0.5, 1.0, KERNEL, (10.0,), CFG_256, 2.5, size=True),
+        ],
+        ids=["ensemble-size", "negative-size"],
+    )
+    def test_bool_is_not_an_integer(self, make):
+        with pytest.raises(ValueError, match=r"^ensemble size must be an integer, got True$"):
+            make()
+
+
+def test_bool_checks_have_six_owners():
+    # the real-valued arguments share spectral._real; the integers n, seed
+    # and size keep their one check each; the CLI's schema and the report
+    # formatter tell bools from numbers for their own ends
+    owners = set()
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, (*path, child.name))
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "isinstance"
+                and any(
+                    isinstance(n, ast.Name) and n.id == "bool" or isinstance(n, ast.Attribute) and n.attr == "bool_"
+                    for n in ast.walk(child.args[1])
+                )
+            ):
+                owners.add(".".join(path))
+            visit(child, path)
+
+    for path in Path(spectral.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))
+    assert owners == {
+        "spectral._real",
+        "spectral.FrequencyGrid.__post_init__",
+        "signals.GeneratorConfig.__post_init__",
+        "signals._enveloped_member",
+        "cli._matches",
+        "reports.format_value",
+    }
 
 
 class TestBuildPredictor:
@@ -585,6 +718,21 @@ class TestLineWitness:
             else:
                 assert a < 1e-12
 
+    def test_half_rate_node_is_the_real_part_of_v_times_k(self, monkeypatch):
+        # node n/2 of the line samples stands for sigma +- i*omega_max:
+        # Re(V K) of the complex K there, as build_predictor takes it
+        seen = []
+        real = predictor._line_figures
+        monkeypatch.setattr(predictor, "_line_figures", lambda g, m, khat: seen.append(khat) or real(g, m, khat))
+        w = line_witness(KERNEL, 10.0, 4.0)
+        khat = seen[0]
+        ends = [w.sigma + 0j, complex(w.sigma, w.grid.omega_max)]
+        vk = [eval_v_factor(z, 1.0, 10.0, 4.0) * _transfer_at(KERNEL, np.array([z]))[0] for z in ends]
+        # samples are scaled by their peak: compare node n/2 to node 0
+        want = vk[1].real / vk[0].real
+        assert khat[-1].imag == 0.0
+        assert abs(khat[-1].real / khat[0].real - want) <= 1e-13 * abs(want)
+
     def test_rejects_grid_beyond_budget(self):
         # poles 30x apart: the step follows the fast pole, the ringing the
         # slow one, and gamma = 1000 needs ~2^28 samples; the size check runs
@@ -596,10 +744,6 @@ class TestLineWitness:
 def test_predictor_imports_no_full_grid_path():
     # the predictor stays on nodes 0..n/2: nothing it imports mirrors a half
     # spectrum onto n nodes or transforms samples
-    from pathlib import Path
-
-    from specpredict import predictor
-
     tree = ast.parse(Path(predictor.__file__).read_text(encoding="utf-8"))
     imported = {
         alias.name.rsplit(".", 1)[-1]
@@ -620,10 +764,11 @@ def test_predictor_imports_no_full_grid_path():
 
 # sha256 of repr() of each tuple of figures below, taken while each module
 # still weighted its own sums over nodes 0..n/2: moving them onto
-# spectral._half_sum and _log_half_sum moves no bit
+# spectral._half_sum and _log_half_sum moves no bit.  The line witness's was
+# re-taken when its node n/2 became Re(V K), which moves its gamma = 10 pair
 HALF_SUM_DIGESTS = {
     "orthogonality_residual": "60a39a551a038103dee8c2f5565994092ee160106c21fe3318eef9e5576b36fd",
-    "line_witness": "6ff05754de3ea46e4c9802e8812bb87d8050266939604304b079b5fb491f8b5a",
+    "line_witness": "fff4d78b06c4526d708789e1bd85eec98e057e4ab6c2b6b2f4ef808da4560f8b",
     "lemma_check": "e344249835770af8ea19e8ddee7e0ff6c8ceeac5e3ccd1f76ffce5096f392222",
 }
 
