@@ -6,8 +6,9 @@ Subcommands wrap the experiment operations one-to-one:
     gen-signal
 
 Each reads a single JSON config (``--config``), optionally overridden leaf
-by leaf with repeatable ``--set key=value`` flags, validates every module
-precondition up front, and writes reports into ``--out``.  Exit codes:
+by leaf with repeatable ``--set key=value`` flags, hands every value
+unconverted to the library check that owns it, and writes reports into
+``--out``.  Exit codes:
 0 success, 2 config validation failure or I/O error (an unreadable config,
 an unwritable ``--out``), 3 numerical failure (an overflow saturation
 reached a quantity that feeds a pass/fail flag).
@@ -26,12 +27,14 @@ import numpy as np
 
 from .degeneracy import DegeneracyClass
 from .experiments import (
-    DEFAULT_R,
+    DEFAULT_ENSEMBLE_SIZE,
     CounterexampleRow,
     NegativeDemoRow,
     RobustnessRow,
     SweepRow,
+    _gamma_list,
     _member_spectrum,  # noqa: F401 - perfbench's INSTALL_PROBE wraps this binding
+    _require_admissible,
     class_norm,
     counterexample_experiment,
     gamma_sweep,
@@ -45,7 +48,7 @@ from .kernels import kernel_from_dict
 from .predictor import LemmaReport, _past_share, build_predictor, find_gamma0, lemma_check
 from .reports import ColumnBlocks, format_value, write_csv, write_json, write_svg_lineplot
 from .signals import GeneratorConfig, sample_bandlimited, sample_class_member
-from .spectral import TWO_PI, TimeSeries, _half_sum, irfft_rows, make_grid, norm
+from .spectral import TWO_PI, TimeSeries, _half_sum, _real, irfft_rows, make_grid, norm
 from .spectral import forward_transform  # noqa: F401 - perfbench's INSTALL_PROBE reads this binding
 
 
@@ -143,46 +146,37 @@ def _apply_overrides(config: dict, pairs) -> None:
         section[keys[1]] = value
 
 
-def _build_objects(config: dict, command: str):
-    """Turn validated JSON into domain objects, surfacing precondition names."""
-    grid_cfg = config["grid"]
+def _leaf(config: dict, section: str, leaf: str):
+    """``config[section][leaf]``, a leaf the command cannot run without."""
     try:
-        grid = make_grid(grid_cfg["n"], grid_cfg["delta_t"])
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"grid: {exc}") from exc
+        return config[section][leaf]
+    except KeyError:
+        raise ConfigError(f"{section}.{leaf} is required") from None
 
-    kernel = None
+
+def _checked(section: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, a library ValueError raised as a config error of ``section``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
+def _build_objects(config: dict, command: str):
+    """Turn validated JSON into domain objects; each value goes unconverted to
+    the library rule that checks it."""
+    grid = _checked("grid", make_grid, _leaf(config, "grid", "n"), _leaf(config, "grid", "delta_t"))
+    kernel = cls = r = gammas = None
     if "kernel" in config:
-        try:
-            kernel = kernel_from_dict(config["kernel"])
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"kernel: {exc}") from exc
-
-    cls = None
+        _leaf(config, "kernel", "poles")  # the numerator has a library default
+        kernel = _checked("kernel", kernel_from_dict, config["kernel"])
     if "class" in config:
-        try:
-            cls = DegeneracyClass(config["class"]["q"], config["class"]["c"])
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"class: {exc}") from exc
-
-    r, gammas = DEFAULT_R, ()
+        cls = _checked("class", DegeneracyClass, _leaf(config, "class", "q"), _leaf(config, "class", "c"))
     if "predictor" in config:
-        pred = config["predictor"]
-        if "r" not in pred or "gammas" not in pred:
-            raise ConfigError("predictor section needs both 'r' and 'gammas'")
-        r = float(pred["r"])
-        gammas = tuple(float(g) for g in pred["gammas"])
-        if len(gammas) == 0:
-            raise ConfigError("predictor.gammas must be nonempty")
-        if any(not (g > 0 and math.isfinite(g)) for g in gammas):
-            raise ConfigError("predictor.gammas must be positive finite numbers")
-        if not (r > 0 and math.isfinite(r)):
-            raise ConfigError("predictor.r must be positive and finite")
-        if cls is not None and command in _NEEDS_ADMISSIBLE_R and not r > cls.min_sharpness_exponent:
-            raise ConfigError(
-                f"predictor.r={r} violates the hypothesis r > 2/(q-1) = "
-                f"{cls.min_sharpness_exponent} for q={cls.q}"
-            )
+        gammas = _checked("predictor", _gamma_list, _leaf(config, "predictor", "gammas"))
+        r = _checked("predictor", _real, "r", _leaf(config, "predictor", "r"))
+        if cls is not None and command in _NEEDS_ADMISSIBLE_R:
+            _checked("predictor", _require_admissible, r, cls)
     return grid, kernel, cls, r, gammas
 
 
@@ -195,9 +189,7 @@ def _signal_from_config(config: dict, grid, cls):
             raise ConfigError("class_member signals require the 'class' section")
         return sample_class_member(cls, cfg), cfg
     if kind == "bandlimited":
-        if "omega_bar" not in sig:
-            raise ConfigError("bandlimited signals require signal.omega_bar")
-        return sample_bandlimited(float(sig["omega_bar"]), cfg), cfg
+        return sample_bandlimited(_leaf(config, "signal", "omega_bar"), cfg), cfg
     raise ConfigError(f"signal.kind must be 'class_member' or 'bandlimited', got {kind!r}")
 
 
@@ -304,20 +296,19 @@ def _cmd_sweep(config, outdir, formats):
     grid, kernel, cls, r, gammas = _build_objects(config, "sweep")
     ens_cfg = config["ensemble"]
     cfg = GeneratorConfig(seed=ens_cfg.get("seed", 0), grid=grid)
-    ensemble = make_class_ensemble(cls, cfg, ens_cfg.get("size", 10))
+    ensemble = make_class_ensemble(cls, cfg, ens_cfg.get("size", DEFAULT_ENSEMBLE_SIZE))
     report = gamma_sweep(kernel, cls, gammas, r, ensemble, metadata={"seed": cfg.seed})
     meta = _open_reports(outdir, config, "sweep")
     _write_table(f"{outdir}/sweep.csv", SweepRow, report.rows, meta, formats)
     if "json" in formats:
         write_json(f"{outdir}/sweep.json", dataclasses.asdict(report), meta)
     if "svg" in formats:
-        gammas_list = [row.gamma for row in report.rows]
         write_svg_lineplot(
             f"{outdir}/sweep.svg",
-            gammas_list,
+            [row.gamma for row in report.rows],
             {
-                "err_l2_rel": [max(row.err_l2_rel, 1e-320) for row in report.rows],
-                "err_sup_rel": [max(row.err_sup_rel, 1e-320) for row in report.rows],
+                "err_l2_rel": [row.err_l2_rel for row in report.rows],
+                "err_sup_rel": [row.err_sup_rel for row in report.rows],
             },
             title="worst-case relative error vs gamma",
             x_label="gamma (log)",
@@ -329,12 +320,10 @@ def _cmd_sweep(config, outdir, formats):
 def _cmd_lemma(config, outdir, formats):
     grid, kernel, cls, r, gammas = _build_objects(config, "lemma")
     lemma_cfg = config.get("lemma", {})
-    floor = float(lemma_cfg.get("omega_floor", 0.5))
-    bracket = tuple(lemma_cfg.get("gamma0_bracket", [0.5, 2000.0]))
-    if len(bracket) != 2:
-        raise ConfigError(f"lemma.gamma0_bracket must be two numbers [lo, hi], got {list(bracket)!r}")
+    bracket = lemma_cfg.get("gamma0_bracket", (0.5, 2000.0))
+    gamma0 = _checked("lemma", find_gamma0, kernel, cls, r, grid, bracket=bracket)
+    floor = lemma_cfg.get("omega_floor", 0.5)
     reports = [lemma_check(build_predictor(kernel, g, r, grid), cls, floor) for g in gammas]
-    gamma0 = find_gamma0(kernel, cls, r, grid, bracket=bracket)
     meta = _open_reports(outdir, config, "lemma")
     _write_table(f"{outdir}/lemma.csv", LemmaReport, reports, meta, formats)
     write_json(
@@ -355,10 +344,9 @@ def _cmd_lemma(config, outdir, formats):
 
 def _cmd_robustness(config, outdir, formats):
     grid, kernel, cls, r, gammas = _build_objects(config, "robustness")
+    noise_cfg, nus = config["noise"], _leaf(config, "noise", "nus")
     x0, _ = _signal_from_config(config, grid, cls)
-    noise_cfg = config["noise"]
     cfg = GeneratorConfig(seed=noise_cfg.get("seed", 0), grid=grid, band=noise_cfg.get("band"))
-    nus = [float(v) for v in noise_cfg["nus"]]
     reports = [robustness_experiment(kernel, g, r, x0, nus, cfg) for g in gammas]
     meta = _open_reports(outdir, config, "robustness")
     _write_table(
@@ -367,7 +355,7 @@ def _cmd_robustness(config, outdir, formats):
         [row for rep in reports for row in rep.rows],
         meta,
         formats,
-        gammas=[rep.gamma for rep in reports for _ in nus],
+        gammas=[rep.gamma for rep in reports for _ in rep.rows],
     )
     write_json(
         f"{outdir}/robustness.json",
@@ -390,7 +378,7 @@ def _cmd_counterexample(config, outdir, formats):
     grid, kernel, cls, r, gammas = _build_objects(config, "counterexample")
     ce = config["counterexample"]
     cfg = GeneratorConfig(seed=ce.get("seed", 0), grid=grid)
-    report = counterexample_experiment(float(ce["a"]), kernel, gammas, cfg, r=r)
+    report = counterexample_experiment(_leaf(config, "counterexample", "a"), kernel, gammas, cfg, r=r)
     meta = _open_reports(outdir, config, "counterexample")
     _write_table(f"{outdir}/counterexample.csv", CounterexampleRow, report.rows, meta, formats)
     write_json(f"{outdir}/counterexample.json", dataclasses.asdict(report), meta)
@@ -401,9 +389,8 @@ def _cmd_demo_negative(config, outdir, formats):
     grid, kernel, cls, r, gammas = _build_objects(config, "demo-negative")
     neg = config["negative"]
     cfg = GeneratorConfig(seed=neg.get("seed", 0), grid=grid)
-    report = nonpredictability_demo(
-        float(neg["q_bad"]), cls.c, kernel, gammas, cfg, r, size=neg.get("size", 3), q_reference=cls.q
-    )
+    q_bad, size = _leaf(config, "negative", "q_bad"), neg.get("size", 3)
+    report = nonpredictability_demo(q_bad, cls.c, kernel, gammas, cfg, r, size=size, q_reference=cls.q)
     meta = _open_reports(outdir, config, "demo-negative")
     _write_table(f"{outdir}/negative.csv", NegativeDemoRow, report.rows, meta, formats)
     write_json(f"{outdir}/negative.json", dataclasses.asdict(report), meta)

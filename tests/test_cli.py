@@ -1,3 +1,5 @@
+import ast
+import copy
 import dataclasses
 import importlib.util
 import json
@@ -26,6 +28,7 @@ from specpredict import (
     sample_bandlimited,
     sample_class_member,
 )
+from specpredict import cli
 from specpredict.cli import main
 from specpredict.spectral import irfft_rows
 
@@ -308,6 +311,20 @@ class TestLemmaCommand:
         assert math.isfinite(report["gamma0"])
         assert report["tail_dev_strictly_decreasing"] is True
 
+    def test_unsorted_gammas_report_in_ascending_order(self, tmp_path):
+        def report(gammas, out):
+            config = base_config(predictor={"r": 4.0, "gammas": gammas}, lemma={"gamma0_bracket": [0.5, 500.0]})
+            code, outdir = run(tmp_path, "lemma", config, out=out)
+            assert code == 0
+            summary = json.loads((outdir / "lemma.json").read_text())
+            del summary["metadata"]
+            return summary, (outdir / "lemma.csv").read_text().splitlines()[1:]
+
+        unsorted = report([30, 10], "unsorted")
+        assert [row["gamma"] for row in unsorted[0]["rows"]] == [10.0, 30.0]
+        assert unsorted[0]["tail_dev_strictly_decreasing"] is True
+        assert unsorted == report([10, 30], "sorted")
+
     def test_overflowed_tail_reads_inf(self, tmp_path):
         # a floor of 0.01 reaches the nodes where a factor overflows at gamma = 100
         config = base_config(
@@ -348,6 +365,20 @@ class TestRobustnessCommand:
         cfg = GeneratorConfig(seed=11, grid=grid)
         want = robustness_experiment(AnticausalKernel((0.01,)), 30.0, 0.6, x0, [0.0, 0.05], cfg)
         assert report["per_gamma"] == [as_json(want)]
+
+    def test_unsorted_gammas_report_in_ascending_order(self, tmp_path):
+        def report(gammas, out):
+            config = self.config()
+            config["predictor"]["gammas"] = gammas
+            code, outdir = run(tmp_path, "robustness", config, out=out)
+            assert code == 0
+            summary = json.loads((outdir / "robustness.json").read_text())
+            del summary["metadata"]
+            return summary, (outdir / "robustness.csv").read_text().splitlines()[1:]
+
+        unsorted = report([100, 30], "unsorted")
+        assert [rep["gamma"] for rep in unsorted[0]["per_gamma"]] == [30.0, 100.0]
+        assert unsorted == report([30, 100], "sorted")
 
     def test_saturation_exits_3(self, tmp_path, capsys):
         config = self.config()
@@ -523,7 +554,7 @@ class TestListElementTypes:
         extra = ("--set", f"lemma.gamma0_bracket={bracket}")
         code, outdir = run(tmp_path, "lemma", base_config(), extra=extra)
         assert code == 2
-        assert capsys.readouterr().err.startswith("config error: lemma.gamma0_bracket")
+        assert capsys.readouterr().err.startswith("config error: lemma: bracket must hold exactly two numbers")
         assert not (outdir / "lemma.json").exists()
 
 
@@ -638,3 +669,42 @@ class TestOutputDirectory:
         assert code == 2
         assert [p.name for p in outdir.iterdir()] == ["notes.txt"]
         assert (outdir / "notes.txt").read_text() == "mine"
+
+
+# the leaves each command cannot run without; omega_bar only for a bandlimited signal
+_PREDICTION = ("grid.n", "grid.delta_t", "kernel.poles", "predictor.r", "predictor.gammas")
+_CLASS = ("class.q", "class.c")
+REQUIRED_LEAVES = {
+    "predict": (*_PREDICTION, *_CLASS, "signal.omega_bar"),
+    "sweep": (*_PREDICTION, *_CLASS),
+    "lemma": (*_PREDICTION, *_CLASS),
+    "robustness": (*_PREDICTION, *_CLASS, "signal.omega_bar", "noise.nus"),
+    "counterexample": (*_PREDICTION, "counterexample.a"),
+    "demo-negative": (*_PREDICTION, *_CLASS, "negative.q_bad"),
+    "gen-signal": ("grid.n", "grid.delta_t", *_CLASS, "signal.omega_bar"),
+}
+
+
+class TestRequiredLeaves:
+    @pytest.mark.parametrize(
+        "command, dotted", [(command, dotted) for command, leaves in REQUIRED_LEAVES.items() for dotted in leaves]
+    )
+    def test_missing_leaf_exits_2_naming_it(self, tmp_path, capsys, command, dotted):
+        config = copy.deepcopy(FULL_CONFIG)
+        config["predictor"]["gammas"] = [30.0] if command == "predict" else [10.0, 30.0]
+        section, leaf = dotted.split(".")
+        if section == "signal":
+            config["signal"] = {"kind": "bandlimited", "seed": 3, "omega_bar": 2.0}
+        del config[section][leaf]
+        code, outdir = run(tmp_path, command, config, out="never_made")
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {dotted} is required\n"
+        assert not outdir.exists()
+
+
+def test_cli_converts_and_checks_no_value_itself():
+    # every config value goes to the library rule that owns it, so the CLI
+    # holds no float() cast and no finiteness check of its own
+    tree = ast.parse(open(cli.__file__, encoding="utf-8").read())
+    calls = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert not calls & {"float", "math.isfinite"}
