@@ -97,15 +97,17 @@ def _transfer_at(kernel: AnticausalKernel, s: np.ndarray) -> np.ndarray:
 def transfer(kernel: AnticausalKernel, grid: FrequencyGrid, sigma: float = 0.0) -> np.ndarray:
     """Sample K(s) = d(s) / prod_j (s - a_j) at s = sigma + i*omega, nodes 0..n/2.
 
-    The default sigma = 0 samples the imaginary axis.  For sigma < min_j a_j
-    the samples on the line Re s = sigma are the transform of the weighted
-    kernel kappa(t) e^{-sigma t}, still supported on t <= 0.  The denominator
+    The default sigma = 0 samples the imaginary axis.  sigma must be a real
+    number below min_j a_j; the samples on the line Re s = sigma are then
+    the transform of the weighted kernel kappa(t) e^{-sigma t}, still
+    supported on t <= 0.  The denominator
     never vanishes off the poles, so the values are finite.  Real
     coefficients make K(conj s) = conj K(s), so these nodes stand for the
     whole grid, as a real signal's half spectrum does.  The unpaired node
     n/2 stands for both of +-omega_max at once and receives their average,
     i.e. the real part.
     """
+    sigma = _real("sigma", sigma, -math.inf, min(kernel.poles))
     values = _transfer_at(kernel, sigma + 1j * _half_omegas(grid))
     values[-1] = values[-1].real
     return values

@@ -387,6 +387,7 @@ def find_gamma0(
     reports that no threshold exists in the bracket.  A bracket that does not
     hold exactly two numbers raises ValueError too.
     """
+    r = _real("r", r)
     if len(bracket) != 2:
         raise ValueError(f"bracket must hold exactly two numbers (lo, hi), got {bracket!r}")
     lo = _real("bracket lo", bracket[0])

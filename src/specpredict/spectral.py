@@ -60,11 +60,14 @@ def _real(name: str, value, lo: float = 0.0, hi: float = math.inf, *, closed: bo
 
     A bool is not a number here, nor is a string; NaN and +-inf lie in no
     range.  Anything else raises ValueError naming ``name``, the range and
-    the value.
+    the value, and so does an integer beyond the float range.
     """
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         if (lo <= value if closed else lo < value) and value < hi:
-            return float(value)
+            try:
+                return float(value)
+            except OverflowError:
+                pass
     raise ValueError(
         f"{name} must be a finite real number in {'[' if closed else '('}{lo}, {hi}), got {value!r}"
     )

@@ -683,6 +683,7 @@ REQUIRED_LEAVES = {
     "demo-negative": (*_PREDICTION, *_CLASS, "negative.q_bad"),
     "gen-signal": ("grid.n", "grid.delta_t", *_CLASS, "signal.omega_bar"),
 }
+BEYOND_FLOAT = "1" + "0" * 400
 
 
 class TestRequiredLeaves:
@@ -699,6 +700,34 @@ class TestRequiredLeaves:
         code, outdir = run(tmp_path, command, config, out="never_made")
         assert code == 2
         assert capsys.readouterr().err == f"config error: {dotted} is required\n"
+        assert not outdir.exists()
+
+
+class TestIntegersBeyondFloatRange:
+    # command, leaf, its value with {} for the integer, the check that names it
+    CASES = [
+        ("robustness", "grid.delta_t", "{}", "grid: delta_t"),
+        ("robustness", "kernel.poles", "[{}]", "kernel: pole"),
+        ("robustness", "class.q", "{}", "class: q"),
+        ("robustness", "predictor.gammas", "[10, {}]", "predictor: gamma"),
+        ("robustness", "predictor.r", "{}", "predictor: r"),
+        ("robustness", "noise.nus", "[{}]", "noise intensity"),
+        ("lemma", "lemma.gamma0_bracket", "[0.5, {}]", "lemma: bracket hi"),
+    ]
+
+    @pytest.mark.parametrize(
+        "command, override, check",
+        [
+            pytest.param(command, f"{leaf}={value.format(BEYOND_FLOAT)}", check, id=leaf)
+            for command, leaf, value, check in CASES
+        ],
+    )
+    def test_exit_2_naming_the_check(self, tmp_path, capsys, command, override, check):
+        code, outdir = run_full(tmp_path, command, "never_made", extra=("--set", override))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {check} must be a finite real number in ")
+        assert err.endswith(f", got {BEYOND_FLOAT}\n")
         assert not outdir.exists()
 
 

@@ -131,6 +131,8 @@ REAL_ARGUMENTS = [
     ("v-factor-pole", "pole", lambda v: eval_v_factor(1j, v, 10.0, 4.0), 0.7, 2),
     ("v-factor-gamma", "gamma", lambda v: eval_v_factor(1j, 1.0, v, 4.0), 12.3, 10),
     ("line-witness-r", "r", lambda v: line_witness(KERNEL, 10.0, v), 4.3, 4),
+    ("find-gamma0-r", "r", lambda v: find_gamma0(KERNEL, DEFAULT_CLASS, v, GRID_256), 3.3, 4),
+    ("sigma", "sigma", lambda v: transfer(KERNEL, GRID_256, v), 0.3, -1),
     (
         "noise",
         "noise intensity",
@@ -179,17 +181,24 @@ def _bits(obj):
 class TestRealArguments:
     @pytest.mark.parametrize(
         "value",
-        [True, np.True_, math.nan, math.inf, -math.inf, "1.0"],
-        ids=["True", "numpy-True", "nan", "inf", "-inf", "string"],
+        [True, np.True_, math.nan, math.inf, -math.inf, "1.0", 10**400],
+        ids=["True", "numpy-True", "nan", "inf", "-inf", "string", "beyond-float"],
     )
     @pytest.mark.parametrize(
         "name, call", [pytest.param(name, call, id=ident) for ident, name, call, *_ in REAL_ARGUMENTS]
     )
     def test_bool_is_not_a_number(self, name, call, value):
-        # True would otherwise pass as 1.0, and "1.0" as the float it spells
+        # True would otherwise pass as 1.0, and "1.0" as the float it spells;
+        # an integer beyond the float range is out of every range
         pattern = rf"^{re.escape(name)} must be a finite real number in [\[(]\S+, \S+\), got {re.escape(repr(value))}$"
         with pytest.raises(ValueError, match=pattern):
             call(value)
+
+    def test_integer_beyond_float_range(self):
+        # float(10**400) raises OverflowError; _real gives its ValueError
+        pattern = r"^x must be a finite real number in \(0\.0, inf\), got 10{400}$"
+        with pytest.raises(ValueError, match=pattern):
+            spectral._real("x", 10**400)
 
     @pytest.mark.parametrize(
         "call, value",
