@@ -8,7 +8,7 @@ Subcommands wrap the experiment operations one-to-one:
 Each reads a single JSON config (``--config``), optionally overridden leaf
 by leaf with repeatable ``--set key=value`` flags, hands every value
 unconverted to the library check that owns it, and writes reports into
-``--out``.  Exit codes:
+``--out``, or ``output.directory`` when ``--out`` is not given.  Exit codes:
 0 success, 2 config validation failure or I/O error (an unreadable config,
 an unwritable ``--out``), 3 numerical failure (an overflow saturation
 reached a quantity that feeds a pass/fail flag).
@@ -87,9 +87,6 @@ _REQUIRED = {
     "gen-signal": ("grid", "signal"),
 }
 
-# commands whose prediction step pairs the exponent r with the class exponent q
-_NEEDS_ADMISSIBLE_R = {"predict", "sweep", "robustness", "demo-negative"}
-
 
 def _matches(value, kinds) -> bool:
     """``value`` has one of the leaf types ``kinds``; a bool is never a number."""
@@ -105,8 +102,6 @@ def _type_names(kinds) -> str:
 
 
 def _validate_tree(config: dict) -> None:
-    if not isinstance(config, dict):
-        raise ConfigError("config root must be a JSON object")
     for section, body in config.items():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown key: {section}")
@@ -127,6 +122,8 @@ def _require(config: dict, command: str) -> None:
 
 
 def _apply_overrides(config: dict, pairs) -> None:
+    if not isinstance(config, dict):
+        raise ConfigError("config root must be a JSON object")
     for pair in pairs or ():
         if "=" not in pair:
             raise ConfigError(f"--set expects key=value, got {pair!r}")
@@ -138,8 +135,6 @@ def _apply_overrides(config: dict, pairs) -> None:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        if not isinstance(config, dict):
-            raise ConfigError("config root must be a JSON object")
         section = config.setdefault(keys[0], {})
         if not isinstance(section, dict):
             raise ConfigError(f"section '{keys[0]}' must be an object")
@@ -162,7 +157,7 @@ def _checked(section: str, make, *args, **kwargs):
         raise ConfigError(f"{section}: {exc}") from exc
 
 
-def _build_objects(config: dict, command: str):
+def _build_objects(config: dict):
     """Turn validated JSON into domain objects; each value goes unconverted to
     the library rule that checks it."""
     grid = _checked("grid", make_grid, _leaf(config, "grid", "n"), _leaf(config, "grid", "delta_t"))
@@ -175,8 +170,6 @@ def _build_objects(config: dict, command: str):
     if "predictor" in config:
         gammas = _checked("predictor", _gamma_list, _leaf(config, "predictor", "gammas"))
         r = _checked("predictor", _real, "r", _leaf(config, "predictor", "r"))
-        if cls is not None and command in _NEEDS_ADMISSIBLE_R:
-            _checked("predictor", _require_admissible, r, cls)
     return grid, kernel, cls, r, gammas
 
 
@@ -187,9 +180,9 @@ def _signal_from_config(config: dict, grid, cls):
     if kind == "class_member":
         if cls is None:
             raise ConfigError("class_member signals require the 'class' section")
-        return sample_class_member(cls, cfg), cfg
+        return sample_class_member(cls, cfg)
     if kind == "bandlimited":
-        return sample_bandlimited(_leaf(config, "signal", "omega_bar"), cfg), cfg
+        return sample_bandlimited(_leaf(config, "signal", "omega_bar"), cfg)
     raise ConfigError(f"signal.kind must be 'class_member' or 'bandlimited', got {kind!r}")
 
 
@@ -248,10 +241,11 @@ def _write_table(path, row_type, rows, meta, formats, gammas=None) -> None:
 
 
 def _cmd_predict(config, outdir, formats):
-    grid, kernel, cls, r, gammas = _build_objects(config, "predict")
+    grid, kernel, cls, r, gammas = _build_objects(config)
+    _checked("predictor", _require_admissible, r, cls)
     if len(gammas) != 1:
         raise ConfigError("predict requires exactly one gamma")
-    x, _ = _signal_from_config(config, grid, cls)
+    x = _signal_from_config(config, grid, cls)
     pt = build_predictor(kernel, gammas[0], r, grid)
     err = prediction_error(pt, x)
     meta = _open_reports(outdir, config, "predict")
@@ -293,7 +287,7 @@ def _cmd_predict(config, outdir, formats):
 
 
 def _cmd_sweep(config, outdir, formats):
-    grid, kernel, cls, r, gammas = _build_objects(config, "sweep")
+    grid, kernel, cls, r, gammas = _build_objects(config)
     ens_cfg = config["ensemble"]
     cfg = GeneratorConfig(seed=ens_cfg.get("seed", 0), grid=grid)
     ensemble = make_class_ensemble(cls, cfg, ens_cfg.get("size", DEFAULT_ENSEMBLE_SIZE))
@@ -318,7 +312,7 @@ def _cmd_sweep(config, outdir, formats):
 
 
 def _cmd_lemma(config, outdir, formats):
-    grid, kernel, cls, r, gammas = _build_objects(config, "lemma")
+    grid, kernel, cls, r, gammas = _build_objects(config)
     lemma_cfg = config.get("lemma", {})
     bracket = lemma_cfg.get("gamma0_bracket", (0.5, 2000.0))
     gamma0 = _checked("lemma", find_gamma0, kernel, cls, r, grid, bracket=bracket)
@@ -343,9 +337,10 @@ def _cmd_lemma(config, outdir, formats):
 
 
 def _cmd_robustness(config, outdir, formats):
-    grid, kernel, cls, r, gammas = _build_objects(config, "robustness")
+    grid, kernel, cls, r, gammas = _build_objects(config)
+    _checked("predictor", _require_admissible, r, cls)
     noise_cfg, nus = config["noise"], _leaf(config, "noise", "nus")
-    x0, _ = _signal_from_config(config, grid, cls)
+    x0 = _signal_from_config(config, grid, cls)
     cfg = GeneratorConfig(seed=noise_cfg.get("seed", 0), grid=grid, band=noise_cfg.get("band"))
     reports = [robustness_experiment(kernel, g, r, x0, nus, cfg) for g in gammas]
     meta = _open_reports(outdir, config, "robustness")
@@ -375,7 +370,7 @@ def _cmd_robustness(config, outdir, formats):
 
 
 def _cmd_counterexample(config, outdir, formats):
-    grid, kernel, cls, r, gammas = _build_objects(config, "counterexample")
+    grid, kernel, cls, r, gammas = _build_objects(config)
     ce = config["counterexample"]
     cfg = GeneratorConfig(seed=ce.get("seed", 0), grid=grid)
     report = counterexample_experiment(_leaf(config, "counterexample", "a"), kernel, gammas, cfg, r=r)
@@ -386,7 +381,7 @@ def _cmd_counterexample(config, outdir, formats):
 
 
 def _cmd_demo_negative(config, outdir, formats):
-    grid, kernel, cls, r, gammas = _build_objects(config, "demo-negative")
+    grid, kernel, cls, r, gammas = _build_objects(config)
     neg = config["negative"]
     cfg = GeneratorConfig(seed=neg.get("seed", 0), grid=grid)
     q_bad, size = _leaf(config, "negative", "q_bad"), neg.get("size", 3)
@@ -398,8 +393,8 @@ def _cmd_demo_negative(config, outdir, formats):
 
 
 def _cmd_gen_signal(config, outdir, formats):
-    grid, kernel, cls, r, gammas = _build_objects(config, "gen-signal")
-    x, cfg = _signal_from_config(config, grid, cls)
+    grid, kernel, cls, r, gammas = _build_objects(config)
+    x = _signal_from_config(config, grid, cls)
     # the samples, inverted once from the stored spectrum
     xt = TimeSeries(grid, x.samples)
     meta = _open_reports(outdir, config, "gen-signal")
@@ -438,7 +433,7 @@ def main(argv=None) -> int:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON configuration")
-        p.add_argument("--out", default=".", help="output directory")
+        p.add_argument("--out", default=None, help="output directory (default: output.directory, else .)")
         p.add_argument(
             "--set",
             dest="overrides",
@@ -456,7 +451,7 @@ def main(argv=None) -> int:
         _validate_tree(config)
         _require(config, args.command)
         formats = _formats(config, args.format)
-        outdir = args.out if args.out != "." else config.get("output", {}).get("directory", ".")
+        outdir = args.out if args.out is not None else config.get("output", {}).get("directory", ".")
         return _COMMANDS[args.command](config, outdir, formats)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

@@ -59,8 +59,10 @@ from .spectral import (
     _half_omegas,
     _half_sum,
     _irfft_phased,
+    _log_abs,
     _log_half_sum,
     _real,
+    _sequence,
     _signs,
     forward_transform,
     make_grid,
@@ -85,7 +87,7 @@ def default_grid() -> FrequencyGrid:
 def _gamma_list(gammas) -> tuple:
     """``gammas`` read once, as sorted floats; empty input or a gamma that is
     not a positive finite number is rejected."""
-    out = tuple(sorted(_real("gamma", g) for g in gammas))
+    out = tuple(sorted(_real("gamma", g) for g in _sequence("gammas", gammas)))
     if not out:
         raise ValueError("gammas must be nonempty")
     return out
@@ -482,7 +484,7 @@ def robustness_experiment(
     columns are grid diagnostics of the clean/noise error channels.  A noise
     band that holds no grid node is rejected before the predictor is built.
     """
-    nus = [_real("noise intensity", nu, closed=True) for nu in nus]
+    nus = [_real("noise intensity", nu, closed=True) for nu in _sequence("nus", nus)]
     grid = x0.grid
     if grid != cfg.grid:
         raise ValueError("time series grid does not match generator grid")
@@ -549,11 +551,6 @@ class CounterexampleReport:
     split: float
     rows: tuple
     no_gamma_predicts_both: bool
-
-
-def _log_abs(values: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(values))
 
 
 def counterexample_experiment(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import FrequencyGrid, TimeSeries, _half_omegas, _real, forward_transform, irfft_rows
+from .spectral import FrequencyGrid, TimeSeries, _half_omegas, _real, _sequence, forward_transform, irfft_rows
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class AnticausalKernel:
     numerator: tuple = (1.0,)
 
     def __post_init__(self) -> None:
-        poles = tuple(_real("pole", a) for a in self.poles)
+        poles = tuple(_real("pole", a) for a in _sequence("poles", self.poles))
         if len(poles) < 1:
             raise ValueError("kernel needs at least one pole")
         scale = max(poles)
@@ -45,7 +45,9 @@ class AnticausalKernel:
             for j in range(i + 1, len(poles)):
                 if abs(poles[i] - poles[j]) <= 1e-12 * scale:
                     raise ValueError(f"repeated pole {poles[i]!r}: poles must be distinct")
-        numer = tuple(_real("numerator coefficient", b, -math.inf) for b in self.numerator)
+        numer = tuple(
+            _real("numerator coefficient", b, -math.inf) for b in _sequence("numerator", self.numerator)
+        )
         if not 1 <= len(numer) <= len(poles):
             raise ValueError(
                 f"numerator degree must stay below the pole count {len(poles)}, "
@@ -74,7 +76,7 @@ def kernel_from_dict(obj: dict) -> AnticausalKernel:
     unknown = set(obj) - {"poles", "numerator"}
     if unknown:
         raise ValueError(f"unknown kernel fields: {sorted(unknown)}")
-    return AnticausalKernel(tuple(obj["poles"]), tuple(obj.get("numerator", [1.0])))
+    return AnticausalKernel(obj["poles"], obj.get("numerator", (1.0,)))
 
 
 def _numerator_at(kernel: AnticausalKernel, s) -> np.ndarray:

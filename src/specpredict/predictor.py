@@ -32,8 +32,10 @@ from .spectral import (
     _half_nodes,
     _half_omegas,
     _half_sum,
+    _log_abs,
     _log_half_sum,
     _real,
+    _sequence,
     irfft_rows,
 )
 from .tolerances import CALIBRATION
@@ -189,8 +191,7 @@ def build_predictor(
     K.flags.writeable = False
     sat = v_log > _CLAMP_LOG
     v_vals = np.exp(np.minimum(v_log, _CLAMP_LOG)) * np.exp(1j * v_ph)
-    with np.errstate(divide="ignore"):
-        khat_log = v_log + np.log(np.abs(K))
+    khat_log = v_log + _log_abs(K)
     khat_ph = v_ph + np.angle(K)
     with np.errstate(divide="ignore", under="ignore", over="ignore", invalid="ignore"):
         khat_vals = v_vals * K
@@ -388,7 +389,7 @@ def find_gamma0(
     hold exactly two numbers raises ValueError too.
     """
     r = _real("r", r)
-    if len(bracket) != 2:
+    if len(_sequence("bracket", bracket)) != 2:
         raise ValueError(f"bracket must hold exactly two numbers (lo, hi), got {bracket!r}")
     lo = _real("bracket lo", bracket[0])
     hi = _real("bracket hi", bracket[1], lo)
@@ -425,8 +426,7 @@ def orthogonality_residual(pt: PredictorTransfer) -> float:
     configuration it reads ~0.055 whatever the kernel (docs/numerics.md).
     :func:`line_witness` measures the kernel itself.
     """
-    with np.errstate(divide="ignore"):
-        k_log = np.log(np.abs(pt.k_values))
+    k_log = _log_abs(pt.k_values)
     kh_log = pt.khat_log_mag
     terms = k_log + kh_log
     finite = np.isfinite(terms)
@@ -529,8 +529,7 @@ def line_witness(kernel: AnticausalKernel, gamma: float, r: float) -> LineWitnes
     sigma, grid = _line_grid(kernel, gamma, r)
     K = _transfer_at(kernel, sigma + 1j * _half_omegas(grid))
     v_log, v_ph = v_logpolar(sigma + 1j * _half_omegas(grid), kernel, gamma, r)
-    with np.errstate(divide="ignore"):
-        khat_log = v_log + np.log(np.abs(K))
+    khat_log = v_log + _log_abs(K)
     with np.errstate(under="ignore"):
         khat = np.exp(khat_log - np.max(khat_log)) * np.exp(1j * (v_ph + np.angle(K)))
     # node n/2 stands for both +-omega_max: Re(V K), as in build_predictor

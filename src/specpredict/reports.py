@@ -163,6 +163,7 @@ def _float_rows(block: np.ndarray) -> bytes:
 
     keep = np.ones((size, _SLOT), bool)
     nan = np.isnan(values)
+    # an assignment: numpy 2.4.6's signbit(out=<strided bool view>) is wrong from 16 values on
     keep[:, 0] = np.signbit(values) & ~nan
     keep[:, 21] = np.abs(exponent) >= 100
     special = np.flatnonzero(~finite)

@@ -43,6 +43,7 @@ from .spectral import (
     _half_sum,
     _irfft_phased,
     _real,
+    _sequence,
     _signs,
     irfft_rows,
     rfft_rows,
@@ -75,8 +76,8 @@ class GeneratorConfig:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.band is not None:
             try:
-                lo, hi = self.band
-            except (TypeError, ValueError):
+                lo, hi = _sequence("band", self.band)
+            except ValueError:
                 raise ValueError("band must be two numbers (lo, hi)") from None
             lo = _real("band lo", lo, hi=self.grid.omega_max)
             object.__setattr__(self, "band", (lo, _real("band hi", hi, lo, self.grid.omega_max)))

@@ -34,7 +34,8 @@ samples on demand.
 
 Grids hold at most ``MAX_GRID_N`` = 2^24 samples, where one array of
 samples already takes 128 MB; a larger ``n`` is rejected before anything
-is allocated.  ``_real`` checks every real-valued argument of the package.
+is allocated.  ``_real`` checks every real-valued argument of the package,
+and ``_sequence`` every argument that takes a list of them.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +73,24 @@ def _real(name: str, value, lo: float = 0.0, hi: float = math.inf, *, closed: bo
     raise ValueError(
         f"{name} must be a finite real number in {'[' if closed else '('}{lo}, {hi}), got {value!r}"
     )
+
+
+def _sequence(name: str, values) -> tuple:
+    """``values``, an argument that takes a list of numbers, as a tuple; a
+    number, a string, a mapping or anything else that is no list of values
+    raises ValueError naming ``name``."""
+    if not isinstance(values, (str, bytes, Mapping)):
+        try:
+            return tuple(values)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be a list of numbers, got {values!r}")
+
+
+def _log_abs(values: np.ndarray) -> np.ndarray:
+    """log|values|, -inf where a value is zero."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(values))
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from specpredict import (
 )
 from specpredict import cli
 from specpredict.cli import main
+from specpredict.experiments import _require_admissible
 from specpredict.spectral import irfft_rows
 
 GRID_SMALL = {"n": 4096, "delta_t": 0.02}
@@ -539,6 +540,14 @@ class TestMalformedConfigWithOverrides:
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: ")
 
+    @pytest.mark.parametrize("root", [[], "grid", 5, None])
+    @pytest.mark.parametrize("extra", [(), ("--set", "grid.n=8")], ids=["plain", "set"])
+    def test_non_object_root_reads_one_line(self, tmp_path, capsys, root, extra):
+        code, outdir = run(tmp_path, "predict", root, extra=extra)
+        assert code == 2
+        assert capsys.readouterr().err == "config error: config root must be a JSON object\n"
+        assert not outdir.exists()
+
 
 class TestListElementTypes:
     @pytest.mark.parametrize(
@@ -661,6 +670,16 @@ class TestOutputDirectory:
             assert err == message + "\n"
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("out, directory", [(".", "."), ("given", "given"), (None, "from_config")])
+    def test_out_whenever_given_names_the_directory(self, tmp_path, monkeypatch, out, directory):
+        # --out . is the working directory, not a stand-in for output.directory
+        monkeypatch.chdir(tmp_path)
+        config = base_config(output={"directory": "from_config", "formats": ["json"]})
+        extra = () if out is None else ("--out", out)
+        assert main(["predict", "--config", write_config(tmp_path, config), *extra]) == 0
+        assert sorted(p.name for p in tmp_path.rglob("summary.json")) == ["summary.json"]
+        assert (tmp_path / directory / "summary.json").exists()
+
     def test_existing_directory_is_kept(self, tmp_path):
         outdir = tmp_path / "kept"
         outdir.mkdir()
@@ -729,6 +748,42 @@ class TestIntegersBeyondFloatRange:
         assert err.startswith(f"config error: {check} must be a finite real number in ")
         assert err.endswith(f", got {BEYOND_FLOAT}\n")
         assert not outdir.exists()
+
+
+class TestAdmissibleR:
+    """r > 2/(q-1) is checked once per command: by the library for sweep and
+    demo-negative, by the CLI for predict and robustness, whose library
+    calls take no class."""
+
+    @pytest.mark.parametrize(
+        "command, section",
+        [("predict", "predictor: "), ("robustness", "predictor: "), ("sweep", ""), ("demo-negative", "")],
+    )
+    def test_boundary_r_exits_2_before_any_signal(self, tmp_path, capsys, monkeypatch, command, section):
+        def no_signal(*args):
+            raise AssertionError("a signal was drawn for an inadmissible r")
+
+        monkeypatch.setattr("specpredict.cli._signal_from_config", no_signal)
+        with pytest.raises(ValueError) as info:
+            _require_admissible(2.0, DegeneracyClass(2.0, 1.0))
+        code, outdir = run_full(tmp_path, command, "never_made", extra=("--set", "predictor.r=2.0"))
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {section}{info.value}\n"
+        assert not outdir.exists()
+
+
+def test_cli_checks_admissibility_only_where_the_library_cannot():
+    # sweep and demo-negative pass the class to gamma_sweep and
+    # nonpredictability_demo, which check r themselves
+    tree = ast.parse(open(cli.__file__, encoding="utf-8").read())
+    readers = {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Name) and node.id == "_require_admissible"
+    }
+    assert readers == {"_cmd_predict", "_cmd_robustness"}
 
 
 def test_cli_converts_and_checks_no_value_itself():

@@ -21,6 +21,7 @@ from specpredict import (
     counterexample_pair,
     eval_v_factor,
     find_gamma0,
+    gamma_sweep,
     lemma_check,
     line_witness,
     make_class_ensemble,
@@ -37,7 +38,7 @@ from specpredict import (
 )
 from specpredict import predictor, spectral
 from specpredict.experiments import DEFAULT_CLASS, DEFAULT_GAMMAS, DEFAULT_KERNEL, DEFAULT_R, default_grid
-from specpredict.kernels import _transfer_at
+from specpredict.kernels import _transfer_at, kernel_from_dict
 from specpredict.predictor import _line_figures, _past_share, factor_exponent, v_logpolar
 from specpredict.spectral import _half_omegas, irfft_rows
 from specpredict.tolerances import CALIBRATION
@@ -163,6 +164,28 @@ REAL_ARGUMENTS = [
     ("q_bad", "q_bad", lambda v: nonpredictability_demo(v, 1.0, KERNEL, (10.0,), CFG_256, 2.5, size=1), 0.3, None),
 ]
 
+# Every argument that takes a list of real numbers, each through
+# spectral._sequence: (test id, the name its error gives, a call that passes
+# v as that list)
+LIST_ARGUMENTS = [
+    ("poles", "poles", lambda v: AnticausalKernel(v)),
+    ("numerator", "numerator", lambda v: AnticausalKernel((1.0,), v)),
+    ("kernel-from-dict", "poles", lambda v: kernel_from_dict({"poles": v})),
+    (
+        "sweep-gammas",
+        "gammas",
+        lambda v: gamma_sweep(KERNEL, DEFAULT_CLASS, v, 4.0, make_class_ensemble(DEFAULT_CLASS, CFG_256, 1)),
+    ),
+    ("counterexample-gammas", "gammas", lambda v: counterexample_experiment(0.5, KERNEL, v, CFG_256, r=4.0)),
+    (
+        "negative-gammas",
+        "gammas",
+        lambda v: nonpredictability_demo(0.5, 1.0, KERNEL, v, CFG_256, 2.5, size=1),
+    ),
+    ("nus", "nus", lambda v: robustness_experiment(KERNEL, 10.0, 4.0, _x0_256(), v, CFG_256)),
+    ("bracket", "bracket", lambda v: find_gamma0(KERNEL, DEFAULT_CLASS, 4.0, GRID_256, bracket=v)),
+]
+
 
 def _bits(obj):
     """``obj`` down to the bytes of its arrays and the reprs of its scalars,
@@ -191,6 +214,17 @@ class TestRealArguments:
         # True would otherwise pass as 1.0, and "1.0" as the float it spells;
         # an integer beyond the float range is out of every range
         pattern = rf"^{re.escape(name)} must be a finite real number in [\[(]\S+, \S+\), got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=pattern):
+            call(value)
+
+    @pytest.mark.parametrize("value", [10, 0.05, "12", {1.0: 2.0}], ids=["int", "float", "string", "mapping"])
+    @pytest.mark.parametrize(
+        "name, call", [pytest.param(name, call, id=ident) for ident, name, call in LIST_ARGUMENTS]
+    )
+    def test_list_argument_must_be_a_list(self, name, call, value):
+        # a number would otherwise raise TypeError, a string be read as its
+        # characters and a mapping as its keys
+        pattern = rf"^{re.escape(name)} must be a list of numbers, got {re.escape(repr(value))}$"
         with pytest.raises(ValueError, match=pattern):
             call(value)
 

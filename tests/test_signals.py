@@ -312,7 +312,7 @@ class TestGuardWindow:
 
 
 class TestGeneratorConfig:
-    @pytest.mark.parametrize("band", [(1.0,), (0.5, 1.0, 2.0), (), 1.0])
+    @pytest.mark.parametrize("band", [(1.0,), (0.5, 1.0, 2.0), (), 1.0, "ab", {1.0: 0.0, 2.0: 0.0}])
     def test_band_must_be_two_numbers(self, band):
         with pytest.raises(ValueError, match=r"^band must be two numbers \(lo, hi\)$"):
             GeneratorConfig(seed=0, grid=GRID, band=band)
