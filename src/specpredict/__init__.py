@@ -31,6 +31,7 @@ from .kernels import (
 )
 from .predictor import (
     LineWitness,
+    NumericalFailure,
     PredictorTransfer,
     build_predictor,
     causality_defect,
@@ -68,6 +69,7 @@ __all__ = [
     "FrequencyGrid",
     "GeneratorConfig",
     "LineWitness",
+    "NumericalFailure",
     "PredictorTransfer",
     "SpectralSeries",
     "TimeSeries",

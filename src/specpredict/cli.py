@@ -7,11 +7,11 @@ Subcommands wrap the experiment operations one-to-one:
 
 Each reads a single JSON config (``--config``), optionally overridden leaf
 by leaf with repeatable ``--set key=value`` flags, hands every value
-unconverted to the library check that owns it, and writes reports into
-``--out``, or ``output.directory`` when ``--out`` is not given.  Exit codes:
-0 success, 2 config validation failure or I/O error (an unreadable config,
-an unwritable ``--out``), 3 numerical failure (an overflow saturation
-reached a quantity that feeds a pass/fail flag).
+unconverted to the library check that owns it, and writes its JSON report
+and the CSV and SVG files ``--format`` names into ``--out``, or
+``output.directory`` without ``--out``.  Only :func:`main` gives exit codes:
+0 success, 2 config validation failure or I/O error, 3 ``NumericalFailure``
+(a saturated gain bound check, or no lemma gamma0 in its bracket).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .experiments import (
     robustness_experiment,
 )
 from .kernels import kernel_from_dict
-from .predictor import LemmaReport, _past_share, build_predictor, find_gamma0, lemma_check
+from .predictor import LemmaReport, NumericalFailure, _past_share, build_predictor, find_gamma0, lemma_check
 from .reports import ColumnBlocks, format_value, write_csv, write_json, write_svg_lineplot
 from .signals import GeneratorConfig, sample_bandlimited, sample_class_member
 from .spectral import TWO_PI, TimeSeries, _half_sum, _real, irfft_rows, make_grid, norm
@@ -283,7 +283,6 @@ def _cmd_predict(config, outdir, formats):
             f"warning: {saturated} of {grid.n} predictor nodes saturated; {readers} clamped values",
             file=sys.stderr,
         )
-    return 0
 
 
 def _cmd_sweep(config, outdir, formats):
@@ -294,8 +293,7 @@ def _cmd_sweep(config, outdir, formats):
     report = gamma_sweep(kernel, cls, gammas, r, ensemble, metadata={"seed": cfg.seed})
     meta = _open_reports(outdir, config, "sweep")
     _write_table(f"{outdir}/sweep.csv", SweepRow, report.rows, meta, formats)
-    if "json" in formats:
-        write_json(f"{outdir}/sweep.json", dataclasses.asdict(report), meta)
+    write_json(f"{outdir}/sweep.json", dataclasses.asdict(report), meta)
     if "svg" in formats:
         write_svg_lineplot(
             f"{outdir}/sweep.svg",
@@ -308,7 +306,6 @@ def _cmd_sweep(config, outdir, formats):
             x_label="gamma (log)",
             y_label="relative error (log)",
         )
-    return 0
 
 
 def _cmd_lemma(config, outdir, formats):
@@ -333,7 +330,6 @@ def _cmd_lemma(config, outdir, formats):
         },
         meta,
     )
-    return 0
 
 
 def _cmd_robustness(config, outdir, formats):
@@ -361,12 +357,7 @@ def _cmd_robustness(config, outdir, formats):
         meta,
     )
     if any(rep.saturated for rep in reports):
-        print(
-            "numerical failure: overflow saturation reached the gain bound check",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
+        raise NumericalFailure("overflow saturation reached the gain bound check")
 
 
 def _cmd_counterexample(config, outdir, formats):
@@ -377,7 +368,6 @@ def _cmd_counterexample(config, outdir, formats):
     meta = _open_reports(outdir, config, "counterexample")
     _write_table(f"{outdir}/counterexample.csv", CounterexampleRow, report.rows, meta, formats)
     write_json(f"{outdir}/counterexample.json", dataclasses.asdict(report), meta)
-    return 0
 
 
 def _cmd_demo_negative(config, outdir, formats):
@@ -389,7 +379,6 @@ def _cmd_demo_negative(config, outdir, formats):
     meta = _open_reports(outdir, config, "demo-negative")
     _write_table(f"{outdir}/negative.csv", NegativeDemoRow, report.rows, meta, formats)
     write_json(f"{outdir}/negative.json", dataclasses.asdict(report), meta)
-    return 0
 
 
 def _cmd_gen_signal(config, outdir, formats):
@@ -410,7 +399,6 @@ def _cmd_gen_signal(config, outdir, formats):
         },
         meta,
     )
-    return 0
 
 
 _COMMANDS = {
@@ -441,7 +429,7 @@ def main(argv=None) -> int:
             metavar="KEY=VALUE",
             help="override a config leaf, e.g. predictor.r=4",
         )
-        p.add_argument("--format", default=None, help="comma list out of csv,json,svg")
+        p.add_argument("--format", default=None, help="comma list out of csv,json,svg; json is always on")
     args = parser.parse_args(argv)
 
     try:
@@ -452,7 +440,7 @@ def main(argv=None) -> int:
         _require(config, args.command)
         formats = _formats(config, args.format)
         outdir = args.out if args.out is not None else config.get("output", {}).get("directory", ".")
-        return _COMMANDS[args.command](config, outdir, formats)
+        _COMMANDS[args.command](config, outdir, formats)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 2
@@ -461,6 +449,10 @@ def main(argv=None) -> int:
         # module-level precondition violations that surface as config errors
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except NumericalFailure as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    return 0
 
 
 if __name__ == "__main__":

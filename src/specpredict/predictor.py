@@ -41,8 +41,11 @@ from .spectral import (
 from .tolerances import CALIBRATION
 
 _CLAMP_LOG = CALIBRATION["v_overflow_clamp_log"]
-# second clamp for the product with K, kept slightly under the exp overflow edge
-_VALUE_LOG_MAX = 705.0
+_VALUE_LOG_MAX = CALIBRATION["khat_value_clamp_log"]
+
+
+class NumericalFailure(ArithmeticError):
+    """An accepted input for which the computation gives no trustworthy figure."""
 
 
 def factor_exponent(z, a: float, gamma: float, r: float) -> np.ndarray:
@@ -187,8 +190,7 @@ def build_predictor(
     """
     gamma, r = _real("gamma", gamma), _real("r", r)
     v_log, v_ph = v_logpolar(1j * _half_omegas(grid), kernel, gamma, r)
-    K = transfer(kernel, grid)
-    K.flags.writeable = False
+    K = _transfer_at(kernel, 1j * _half_omegas(grid))
     sat = v_log > _CLAMP_LOG
     v_vals = np.exp(np.minimum(v_log, _CLAMP_LOG)) * np.exp(1j * v_ph)
     khat_log = v_log + _log_abs(K)
@@ -197,10 +199,11 @@ def build_predictor(
         khat_vals = v_vals * K
         # node n/2 stands for both +-omega_max: K_hat there is the average of
         # the conjugate pair, Re(V K) of the complex V (clamped as at every
-        # node) and K (k_values keeps only Re(K)), so V = 1 leaves K_hat = K;
-        # its log magnitude and phase are those of this value, unclamped
-        ny = (v_vals[-1:] * _transfer_at(kernel, 1j * _half_omegas(grid)[-1:])).real
+        # node) and K, and k_values keeps Re(K) as transfer does, so V = 1
+        # leaves K_hat = K; its log magnitude and phase are those of Re(V K)
+        ny = (v_vals[-1:] * K[-1:]).real
         khat_vals[-1:] = ny
+        K[-1] = K[-1].real
         khat_log[-1:] = np.log(np.abs(ny)) + (v_log[-1:] - np.minimum(v_log[-1:], _CLAMP_LOG))
         khat_ph[-1:] = np.where(ny < 0.0, math.pi, 0.0)
         overflow = ~np.isfinite(khat_vals)
@@ -208,6 +211,7 @@ def build_predictor(
             khat_vals[overflow] = np.exp(
                 np.minimum(khat_log[overflow], _VALUE_LOG_MAX)
             ) * np.exp(1j * khat_ph[overflow])
+    K.flags.writeable = False
 
     return PredictorTransfer(
         kernel=kernel,
@@ -384,9 +388,9 @@ def find_gamma0(
 
     Assumes the pass region is upward closed in gamma (which the construction
     guarantees for admissible r).  If the bound already holds at the bracket
-    floor, the floor is returned; if it fails at the ceiling, a ValueError
-    reports that no threshold exists in the bracket.  A bracket that does not
-    hold exactly two numbers raises ValueError too.
+    floor, the floor is returned; if it fails at the ceiling, NumericalFailure
+    reports that no threshold exists in the bracket.  A bracket that does
+    not hold exactly two numbers raises ValueError.
     """
     r = _real("r", r)
     if len(_sequence("bracket", bracket)) != 2:
@@ -400,7 +404,7 @@ def find_gamma0(
     if holds(lo):
         return lo
     if not holds(hi):
-        raise ValueError(f"low-band bound fails at the bracket ceiling {hi}")
+        raise NumericalFailure(f"low-band bound fails at the bracket ceiling {hi}")
     for _ in range(60):  # 60 halvings of log(hi/lo) pass double precision
         mid = math.sqrt(lo * hi)
         if holds(mid):

@@ -341,6 +341,20 @@ class TestLemmaCommand:
         rows = [line for line in (outdir / "lemma.csv").read_text().splitlines() if line[0].isdigit()]
         assert [row.split(",")[4] for row in rows][1] == "inf"
 
+    def test_bound_failing_at_the_bracket_ceiling_exits_3(self, tmp_path, capsys):
+        # at r = 0.5 the low-band bound of X(2, 1e-6) fails at gamma 5: no
+        # threshold lies in the bracket, a numerical failure, not a config error
+        config = base_config(
+            grid={"n": 4096, "delta_t": 0.05},
+            **{"class": {"q": 2.0, "c": 1e-6}},
+            predictor={"r": 0.5, "gammas": [10.0]},
+            lemma={"gamma0_bracket": [1, 5]},
+        )
+        code, outdir = run(tmp_path, "lemma", config)
+        assert code == 3
+        assert capsys.readouterr().err == "numerical failure: low-band bound fails at the bracket ceiling 5.0\n"
+        assert not outdir.exists()
+
 
 class TestRobustnessCommand:
     def config(self):
@@ -391,6 +405,15 @@ class TestRobustnessCommand:
         assert "saturation" in capsys.readouterr().err
         # the report is still written for inspection
         assert (outdir / "robustness.json").exists()
+
+    def test_saturation_reads_one_line(self, tmp_path, capsys):
+        config = self.config()
+        config["kernel"] = {"poles": [1.0], "numerator": [1.0]}
+        config["class"] = {"q": 2.0, "c": 1.0}
+        config["predictor"] = {"r": 4.0, "gammas": [100.0]}
+        code, _ = run(tmp_path, "robustness", config)
+        assert code == 3
+        assert capsys.readouterr().err == "numerical failure: overflow saturation reached the gain bound check\n"
 
     def test_nan_noise_level_exits_2(self, tmp_path, capsys):
         code, outdir = run(
@@ -649,6 +672,32 @@ class TestRerunByteIdentity:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+class TestJsonAlwaysWritten:
+    """``--format`` chooses the CSV and SVG files; every command writes its JSON report."""
+
+    JSON = {
+        "predict": "summary.json",
+        "sweep": "sweep.json",
+        "lemma": "lemma.json",
+        "robustness": "robustness.json",
+        "counterexample": "counterexample.json",
+        "demo-negative": "negative.json",
+        "gen-signal": "signal.json",
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_format_csv_writes_the_json_report(self, tmp_path, command):
+        code, csv_only = run_full(tmp_path, command, "csv", extra=("--format", "csv"))
+        # robustness saturates at these gammas and exits 3 after its reports
+        assert code == (3 if command == "robustness" else 0)
+        _, with_json = run_full(tmp_path, command, "csv_json", extra=("--format", "csv,json"))
+        names = sorted(p.name for p in csv_only.iterdir())
+        assert self.JSON[command] in names
+        assert names == sorted(p.name for p in with_json.iterdir())
+        for name in names:
+            assert (csv_only / name).read_bytes() == (with_json / name).read_bytes(), name
+
+
 class TestOutputDirectory:
     """The output directory is made only once the config is accepted."""
 
@@ -784,6 +833,21 @@ def test_cli_checks_admissibility_only_where_the_library_cannot():
         if isinstance(node, ast.Name) and node.id == "_require_admissible"
     }
     assert readers == {"_cmd_predict", "_cmd_robustness"}
+
+
+def test_only_main_gives_the_exit_code():
+    # the commands return nothing and raise on failure; main maps the
+    # exception to 2 or 3
+    tree = ast.parse(open(cli.__file__, encoding="utf-8").read())
+    commands = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name.startswith("_cmd_")]
+    assert len(commands) == len(cli._COMMANDS)
+    returns = [
+        (func.name, ast.unparse(node))
+        for func in commands
+        for node in ast.walk(func)
+        if isinstance(node, ast.Return) and node.value is not None
+    ]
+    assert returns == []
 
 
 def test_cli_converts_and_checks_no_value_itself():

@@ -169,6 +169,46 @@ class TestBandSplit:
         assert 2 * math.pi * norm(TimeSeries(GRID, diff.real), 2) ** 2 == pytest.approx(i1 + i2, rel=1e-6)
 
 
+class TestErrorIdentities:
+    """Identities the error figures keep on any grid, kernel and gamma."""
+
+    @staticmethod
+    def member(n, seed):
+        return sample_class_member(CLS, GeneratorConfig(seed=seed, grid=make_grid(n, 0.02)))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n=st.sampled_from([256, 512, 1024, 2048, 4096]),
+        poles=st.lists(st.sampled_from([0.3, 0.5, 1.0, 1.2, 2.0, 3.5]), min_size=1, max_size=3, unique=True),
+        gamma=st.floats(1.0, 30.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_parseval_splits_the_l2_error_into_the_bands(self, n, poles, gamma, seed):
+        # the time-domain l2 error and the spectral band split i1 + i2 of a
+        # one-member sweep measure one quantity: 2 pi ||e||^2 = i1 + i2
+        row = gamma_sweep(AnticausalKernel(tuple(poles)), CLS, (gamma,), 2.5, [self.member(n, seed)]).rows[0]
+        lhs, rhs = 2.0 * math.pi * row.err_l2_abs**2, row.i1 + row.i2
+        assert (lhs == 0.0) == (rhs == 0.0)
+        assert abs(lhs - rhs) <= 1e-12 * rhs
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n=st.sampled_from([256, 1024, 4096]),
+        poles=st.lists(st.sampled_from([0.3, 0.5, 1.0, 1.2, 2.0, 3.5]), min_size=1, max_size=3, unique=True),
+        gamma=st.floats(1.0, 100.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scaling_the_member_by_four_is_exact(self, n, poles, gamma, seed):
+        # a power of two scales every product and square root exactly: the
+        # absolute figures scale by 4 bit for bit and the relative ones stay
+        x = self.member(n, seed)
+        pt = build_predictor(AnticausalKernel(tuple(poles)), gamma, 2.5, x.grid)
+        err = prediction_error(pt, x)
+        err4 = prediction_error(pt, SpectralSeries(x.grid, 4 * x.spectrum))
+        want = (4 * err.err_l2_abs, err.err_l2_rel, 4 * err.err_sup_abs, err.err_sup_rel)
+        assert np.array(dataclasses.astuple(err4)).tobytes() == np.array(want).tobytes()
+
+
 class TestGammaSweep:
     def test_rejects_inadmissible_r(self, ensemble):
         with pytest.raises(ValueError, match=r"r > 2/\(q-1\)"):

@@ -13,6 +13,7 @@ from specpredict import (
     AnticausalKernel,
     DegeneracyClass,
     GeneratorConfig,
+    NumericalFailure,
     SpectralSeries,
     TimeSeries,
     build_predictor,
@@ -534,6 +535,20 @@ class TestLemmaChecks:
         for gamma in (max(g0, 10.0), 100.0, 1000.0):
             rep = lemma_check(build_predictor(KERNEL, gamma, 4.0, g), DegeneracyClass(2.0, 1.0))
             assert rep.pass_low_band
+
+    def test_gamma0_failing_at_the_ceiling_is_a_numerical_failure(self):
+        # at r = 0.5 the low-band bound of X(2, 1e-6) fails at gamma 5
+        cls = DegeneracyClass(2.0, 1e-6)
+        with pytest.raises(NumericalFailure) as info:
+            find_gamma0(KERNEL, cls, 0.5, make_grid(4096, 0.05), bracket=(1, 5))
+        assert str(info.value) == "low-band bound fails at the bracket ceiling 5.0"
+        assert not isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("bracket", [(5.0, 1.0), (0.5,), 5])
+    def test_malformed_gamma0_bracket_stays_a_value_error(self, bracket):
+        with pytest.raises(ValueError) as info:
+            find_gamma0(KERNEL, DegeneracyClass(2.0, 1e-6), 0.5, make_grid(4096, 0.05), bracket=bracket)
+        assert not isinstance(info.value, NumericalFailure)
 
     @pytest.mark.parametrize("bracket", [(0.5, 500.0, 7), (0.5,)])
     def test_gamma0_bracket_must_hold_two_numbers(self, bracket):
