@@ -311,9 +311,9 @@ def _cmd_sweep(config, outdir, formats):
 def _cmd_lemma(config, outdir, formats):
     grid, kernel, cls, r, gammas = _build_objects(config)
     lemma_cfg = config.get("lemma", {})
+    floor = _checked("lemma", _real, "omega_floor", lemma_cfg.get("omega_floor", 0.5), hi=grid.omega_max)
     bracket = lemma_cfg.get("gamma0_bracket", (0.5, 2000.0))
     gamma0 = _checked("lemma", find_gamma0, kernel, cls, r, grid, bracket=bracket)
-    floor = lemma_cfg.get("omega_floor", 0.5)
     reports = [lemma_check(build_predictor(kernel, g, r, grid), cls, floor) for g in gammas]
     meta = _open_reports(outdir, config, "lemma")
     _write_table(f"{outdir}/lemma.csv", LemmaReport, reports, meta, formats)

@@ -15,17 +15,17 @@ K_hat - K on its support (:func:`_error_gain`), its channel with X written
 into a workspace of 2n+2 values (:func:`_channel`, :func:`_workspace`), and
 the channel's inverse in the rest of it, read for the sup and then squared
 in place for the l2 norm (:func:`_norms`, :func:`_row_norms`); an all-zero
-channel is not transformed.  Only the robustness experiment keeps its gain
-at all nodes, for its band split and noisy sum.  :func:`prediction_error`
-is the sweep's member step (:func:`_member_errors`), and the CLI's predict
-reports it.  Ensembles are streamed: a sweep keeps the error gain of each
-gamma (from gamma = 100 on at the defaults, omega = 0 alone, where every
-class member is zero), then reads each member once and reduces its figures
-into running worst-case ones, so what it holds grows with the number of
-gammas, not with the ensemble.  A generated ensemble holds only its seeds
-and draws a member when it is read (:func:`.signals._enveloped_member`),
-and no member is held once the sweep has moved on to the next
-(:func:`_grid_and_members`).
+channel is not transformed.  The robustness experiment forms its clean,
+noisy and noise channels so, and the counterexample reads log|K_hat - K|
+from that gain.  :func:`prediction_error` is the sweep's member step
+(:func:`_member_errors`), and the CLI's predict reports it.  Ensembles are
+streamed: a sweep keeps the error gain of each gamma (from gamma = 100 on
+at the defaults, omega = 0 alone, where every class member is zero), then
+reads each member once and reduces its figures into running worst-case
+ones, so what it holds grows with the number of gammas, not with the
+ensemble.  A generated ensemble holds only its seeds and draws a member
+when it is read (:func:`.signals._enveloped_member`), and no member is
+held once the sweep has moved on to the next (:func:`_grid_and_members`).
 """
 
 from __future__ import annotations
@@ -261,7 +261,8 @@ def _channel(gain: np.ndarray, X: np.ndarray, work: np.ndarray) -> np.ndarray:
     of X's nodes past which it is zero, written into the head of ``work``
     (:func:`_workspace`): formed on that prefix, and zero-padded to X's
     length only when it is nonzero.  The padded nodes differ from the full
-    product at most in the sign of a zero, which no norm or band sum sees."""
+    product at most in the sign of a zero, which no norm, band split or
+    noisy sum sees, so every error figure reads this one channel."""
     m = gain.size
     half = work[: 2 * X.size].view(np.complex128)
     diff = np.multiply(gain, X[:m], out=half[:m])
@@ -338,7 +339,11 @@ def _run_sweep(kernel: AnticausalKernel, gammas, r: float, ensemble, cls: Degene
     grid, members = _grid_and_members(ensemble)
     gains = []
     fields = []
+    pt = None
     for gamma in gammas:
+        # of a predictor's (n/2+1)-node arrays the sweep keeps only the gain,
+        # and K from the last; drop the previous one before the next build
+        del pt
         pt = build_predictor(kernel, gamma, r, grid)
         gains.append(_error_gain(pt))
         row = dict(
@@ -355,11 +360,9 @@ def _run_sweep(kernel: AnticausalKernel, gammas, r: float, ensemble, cls: Degene
                 lemma_tail_dev=rep.tail_dev_max,
             )
         fields.append(row)
-        # of a predictor's (n/2+1)-node arrays the sweep keeps only the gain;
-        # drop it before the next build
-        del pt
+    K = pt.k_values
+    del pt
 
-    K = transfer(kernel, grid)
     # per gamma: worst l2, relative l2, sup and relative sup, reduced as np.max
     # reduces (NaN wins), and the band split of the worst relative-l2 member
     worst = np.full((4, len(gammas)), -np.inf)
@@ -494,33 +497,26 @@ def robustness_experiment(
     # the clean member's spectrum carries its constructional X(0) = 0; the
     # noise spectrum keeps whatever degeneracy-node content it legitimately has
     X0 = _member_half(x0, grid)
-    # at all n/2+1 nodes, which the band splits and the noisy sum read
-    gain = pt.khat_values - pt.k_values
-    clean_diff = gain * X0
+    gain = _error_gain(pt)
     work = _workspace(grid)
-    eps_clean = float(_norms(clean_diff, grid, work)[1])
+    # the clean channel is split into bands before its norms phase it in place
+    clean = _channel(gain, X0, work)
+    j0 = sum(_band_split(clean, grid, pt.omega_threshold, 1)) / (2 * math.pi)
+    eps_clean = float(_norms(clean, grid, work)[1])
     slack = CALIBRATION["robustness_slack"]
 
-    j0 = sum(_band_split(clean_diff, grid, pt.omega_threshold, 1)) / (2 * math.pi)
     rows = []
     for nu in nus:
         N = _noise_spectrum(nu, cfg)
-        # the clean channel plus the prediction of the noise, so the nu = 0
-        # row reproduces eps_clean bit-exactly
-        err = float(_norms(clean_diff + pt.khat_values * N, grid, work)[1])
+        # the prediction of the noise plus the clean channel on the gain's
+        # support, so the nu = 0 row reproduces eps_clean bit-exactly
+        noisy = _channel(pt.khat_values, N, work)
+        noisy[: gain.size] += gain * X0[: gain.size]
+        err = float(_norms(noisy, grid, work)[1])
         bound = eps_clean + nu * (pt.kappa_sup + 1.0)
-        noise_diff = gain * N
-        j_eta = sum(_band_split(noise_diff, grid, pt.omega_threshold, 1)) / (2 * math.pi)
-        rows.append(
-            RobustnessRow(
-                nu=nu,
-                err_sup_noisy=err,
-                bound=bound,
-                holds=bool(err <= eps_clean + nu * (pt.kappa_sup + 1.0) * (1.0 + slack)),
-                j0=j0,
-                j_eta=j_eta,
-            )
-        )
+        holds = bool(err <= eps_clean + nu * (pt.kappa_sup + 1.0) * (1.0 + slack))
+        j_eta = sum(_band_split(_channel(gain, N, work), grid, pt.omega_threshold, 1)) / (2 * math.pi)
+        rows.append(RobustnessRow(nu=nu, err_sup_noisy=err, bound=bound, holds=holds, j0=j0, j_eta=j_eta))
     return RobustnessReport(
         gamma=float(gamma),
         eps_clean=eps_clean,
@@ -584,8 +580,11 @@ def counterexample_experiment(
     rows = []
     for gamma in gammas:
         pt = build_predictor(kernel, gamma, r, grid)
-        with np.errstate(invalid="ignore"):
-            diff_log = np.where(pt.saturated, pt.khat_log_mag, _log_abs(K - pt.khat_values))
+        # log|K_hat - K|: -inf past the gain's support, log|K_hat| where saturated
+        gain = _error_gain(pt)
+        diff_log = np.full(K.size, -np.inf)
+        diff_log[: gain.size] = _log_abs(gain)
+        np.copyto(diff_log, pt.khat_log_mag, where=pt.saturated)
         le1 = _log_half_sum(2.0 * (diff_log + _log_abs(X1)), grid) + log_dw - math.log(2 * math.pi)
         le2 = _log_half_sum(2.0 * (diff_log + _log_abs(X2)), grid) + log_dw - math.log(2 * math.pi)
         lhs_log = math.log(2 * math.pi) + np.logaddexp(le1, le2)

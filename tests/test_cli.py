@@ -1,6 +1,7 @@
 import ast
 import copy
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import math
@@ -355,6 +356,15 @@ class TestLemmaCommand:
         assert capsys.readouterr().err == "numerical failure: low-band bound fails at the bracket ceiling 5.0\n"
         assert not outdir.exists()
 
+    def test_omega_floor_is_checked_before_gamma0_is_sought(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "find_gamma0", lambda *a, **k: pytest.fail("gamma0 sought"))
+        code, outdir = run_full(tmp_path, "lemma", "never_made", extra=("--set", "lemma.omega_floor=NaN"))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: lemma: omega_floor must be a finite real number in (0.0, 157.07963267948966), got nan\n"
+        )
+        assert not outdir.exists()
+
 
 class TestRobustnessCommand:
     def config(self):
@@ -670,6 +680,75 @@ class TestRerunByteIdentity:
         assert names and names == sorted(p.name for p in out2.iterdir())
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+# (exit code, sha256 of every file written) of each command at FULL_CONFIG
+# under --format csv,json,svg, taken before robustness and counterexample
+# read their error gain from _error_gain; robustness saturates at these
+# gammas and exits 3 after its reports
+REPORT_DIGESTS = {
+    "predict": (
+        0,
+        {
+            "khat.csv": "5b404ca645d4e0ecea3891b0473f2db0ec110eff5a01446ff3ea5528e8d46d03",
+            "summary.json": "7005356e4e59a02c37ecb296ca74c049d8fa3881baf0227aacd7441c9a3945c8",
+            "x.csv": "c503542005e23562ac5ef6b12ea77c25286e0978150836a97d2d33160dc8f771",
+            "y.csv": "13caf166aff1797ace04e4a392a595c50a915898f678db8f06f2fb0f017d7cf9",
+            "yhat.csv": "ffbffe239fadf028b7d2810422c3527596e79aa6645f7ddaa0ed6995f8489c3c",
+        },
+    ),
+    "sweep": (
+        0,
+        {
+            "sweep.csv": "98dc51c9912bc34ca885c2d5ec8ea03a33939893bc0f4a35f67da3ad26536d41",
+            "sweep.json": "49e16dc45acfe405eed168af7c3a7725931a2276f19108303c465b4ec30cfb6d",
+            "sweep.svg": "4a24c49eedc932d7964e2ba8c7ec31eefb8d997a120307a4975a9c2bd1aed77c",
+        },
+    ),
+    "lemma": (
+        0,
+        {
+            "lemma.csv": "17d78941a8a80c55d5587215262884687d761ef9ce4461ca9c53825d531b54fc",
+            "lemma.json": "32a4442d977f3ec48b381dba7ea917fb348ac50209c978ffd94bbec5dbbfdd3c",
+        },
+    ),
+    "robustness": (
+        3,
+        {
+            "robustness.csv": "23fd7134660840c97b271b317bb5eaa50b2990029146350b9091ffbd931cc08c",
+            "robustness.json": "1e8158fed92da69dcaea43febf98335eb8767b77d0ce31468aa459bc9c323647",
+        },
+    ),
+    "counterexample": (
+        0,
+        {
+            "counterexample.csv": "13f9cc461d279ab1a4892b107210a16730f64827a4a7f708418d88a10aebc477",
+            "counterexample.json": "c0349a8ae3318cee5ee035378bedb2f6754b3da4cdb082155b4405dfb16a96ba",
+        },
+    ),
+    "demo-negative": (
+        0,
+        {
+            "negative.csv": "646febfb3c42abc782837563499a5ac280005af083dd7d45ac0fa9539e268880",
+            "negative.json": "8aa3c24ae9d494014e44f7dede58665204957741a39e245e8c26b1e185fc5bfc",
+        },
+    ),
+    "gen-signal": (
+        0,
+        {
+            "signal.csv": "24b5d4abf128f533e9327e58920aeec3a3ca4b2b58d80011daf487f8e8f1d7fa",
+            "signal.json": "ba4350ed5b17d8d140f60c73d8a2b7cdf1f81d2f501df5c60f0bc296a6a56f3e",
+            "signal_spectrum.csv": "fa39ea66649e61cd98b7313ed0e1e5d627098c8487ec9325f3db8d47083a18d9",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_report_bytes_and_exit_code_are_pinned(tmp_path, command):
+    code, outdir = run_full(tmp_path, command, "out", extra=("--format", "csv,json,svg"))
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(outdir.iterdir())}
+    assert (code, digests) == REPORT_DIGESTS[command]
 
 
 class TestJsonAlwaysWritten:

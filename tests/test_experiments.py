@@ -718,9 +718,9 @@ def _imported(source: str) -> set:
 
 
 def _gain_subtractions(source: str) -> set:
-    """The top-level functions and classes of ``source`` that subtract a
-    ``k_values`` from a ``khat_values``, whole or sliced; "<module>" for a
-    subtraction outside them."""
+    """The top-level functions and classes of ``source`` with a subtraction
+    that has a ``khat_values``, whole or sliced, on either side; "<module>"
+    for a subtraction outside them."""
 
     def field(node):
         return getattr(node.value if isinstance(node, ast.Subscript) else node, "attr", None)
@@ -731,16 +731,20 @@ def _gain_subtractions(source: str) -> set:
         for node in ast.walk(stmt)
         if isinstance(node, ast.BinOp)
         and isinstance(node.op, ast.Sub)
-        and (field(node.left), field(node.right)) == ("khat_values", "k_values")
+        and "khat_values" in (field(node.left), field(node.right))
     }
 
 
 def test_error_norms_take_one_path():
-    # error norms are taken in experiments alone, and K_hat - K is formed
-    # only by _error_gain and by the robustness experiment's full-length gain
-    probe = "def f(pt):\n    return pt.khat_values[:m] - pt.k_values[:m]\nd = pt.khat_values - pt.k_values\n"
-    assert _gain_subtractions(probe) == {"f", "<module>"}
-    assert _gain_subtractions("d = pt.k_values - pt.khat_values") == set()
+    # error norms are taken in experiments alone, and K_hat - K is formed,
+    # in either order, only by _error_gain
+    probe = (
+        "def f(pt):\n    return pt.khat_values[:m] - pt.k_values[:m]\n"
+        "def g(pt):\n    return K - pt.khat_values\n"
+        "d = pt.k_values - pt.khat_values\n"
+    )
+    assert _gain_subtractions(probe) == {"f", "g", "<module>"}
+    assert _gain_subtractions("d = pt.k_values - pt.khat_log_mag\ne = pt.khat_values * N") == set()
     sources = {p.name: p.read_text(encoding="utf-8") for p in Path(experiments.__file__).parent.glob("*.py")}
     assert len(sources) >= 10
     helpers = ("_norms", "_row_norms", "_channel", "_error_gain")
@@ -752,7 +756,7 @@ def test_error_norms_take_one_path():
     }
     assert {name for name, _ in readers} == {"experiments.py"}, readers
     subtractions = {(name, owner) for name, src in sources.items() for owner in _gain_subtractions(src)}
-    assert subtractions == {("experiments.py", "_error_gain"), ("experiments.py", "robustness_experiment")}
+    assert subtractions == {("experiments.py", "_error_gain")}
 
 
 def test_only_named_readers_take_the_forward_transform():

@@ -7,9 +7,10 @@ reads it, and the sweep keeps one error gain per gamma, on its support,
 beside one workspace of 2n+2 values for a member's channels: a channel's
 half spectrum and its inverse, whose sup is read as the larger of |max| and
 |min| and whose squares overwrite it, so no |x| or scratch row is formed.
-Every error norm is taken in such a workspace, so ``prediction_error`` and
-the predict command form one too; a half spectrum given to the norms from
-outside the workspace is phased into its head, not copied.
+Every error norm is taken in such a workspace, so ``prediction_error``,
+the robustness experiment and the predict command form one too; a half
+spectrum given to the norms from outside the workspace is phased into its
+head, not copied.
 The sweep holds no member once it has moved on to the next, member 0
 included, so no array sized by the ensemble is alive while an ensemble is
 drawn and swept, and the peak does not grow with the ensemble.  Generated
@@ -34,6 +35,7 @@ import numpy as np
 
 from specpredict import (
     AnticausalKernel,
+    DegeneracyClass,
     GeneratorConfig,
     build_predictor,
     causality_defect,
@@ -41,6 +43,8 @@ from specpredict import (
     lemma_check,
     line_witness,
     make_class_ensemble,
+    robustness_experiment,
+    sample_class_member,
 )
 from specpredict import cli, experiments, signals, spectral
 from specpredict.degeneracy import log_weight
@@ -145,6 +149,14 @@ LEMMA_PEAK_BOUND = 1.0e6
 # when the seven (2, n/8) round buffers are the peak; the bound sits below
 # numpy's.
 PHASE_DRAW_PEAK_BOUND = 1.3e6
+
+# Traced peak of robustness_experiment at criterion 8's configuration (pole
+# 0.01, q = 5, c = 1, r = 0.6, seed 424242, gamma = 100, nu = 0.01, 0.05,
+# 0.1) on the default grid: 6.36 MB with the gain, the clean channel and the
+# noise channel each formed at all n/2+1 nodes beside the noisy sum, 4.79 MB
+# taking the gain on its support and every channel in one workspace (5.31
+# MB at gamma = 10, where the support is every node); the bound sits between.
+ROBUSTNESS_PEAK_BOUND = 5.5e6
 
 
 def _traced_peak(fn):
@@ -311,6 +323,20 @@ def test_lemma_check_peak_is_bounded():
     lemma_check(pt, DEFAULT_CLASS)  # per-grid caches outside the trace
     _, peak = _traced_peak(lambda: lemma_check(pt, DEFAULT_CLASS))
     assert peak < LEMMA_PEAK_BOUND, peak
+
+
+def test_robustness_peak_is_bounded():
+    kernel = AnticausalKernel((0.01,), (1.0,))
+    cfg = GeneratorConfig(seed=424242, grid=default_grid())
+    x0 = sample_class_member(DegeneracyClass(5.0, 1.0), cfg)
+
+    def run():
+        return robustness_experiment(kernel, 100.0, 0.6, x0, [0.01, 0.05, 0.1], cfg)
+
+    run()  # per-grid caches outside the trace
+    report, peak = _traced_peak(run)
+    assert len(report.rows) == 3 and not report.saturated
+    assert peak < ROBUSTNESS_PEAK_BOUND, peak
 
 
 README_CONFIG = {
