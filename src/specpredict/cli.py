@@ -27,6 +27,7 @@ import numpy as np
 
 from .degeneracy import DegeneracyClass
 from .experiments import (
+    DEFAULT_DEMO_SIZE,
     DEFAULT_ENSEMBLE_SIZE,
     CounterexampleRow,
     NegativeDemoRow,
@@ -44,8 +45,9 @@ from .experiments import (
     prediction_error,
     robustness_experiment,
 )
-from .kernels import kernel_from_dict
-from .predictor import LemmaReport, NumericalFailure, _past_share, build_predictor, find_gamma0, lemma_check
+from .kernels import DEFAULT_NUMERATOR, AnticausalKernel
+from .predictor import DEFAULT_GAMMA0_BRACKET, DEFAULT_OMEGA_FLOOR, LemmaReport, NumericalFailure, _past_share
+from .predictor import build_predictor, find_gamma0, lemma_check
 from .reports import ColumnBlocks, format_value, write_csv, write_json, write_svg_lineplot
 from .signals import GeneratorConfig, sample_bandlimited, sample_class_member
 from .spectral import TWO_PI, TimeSeries, _half_sum, _real, irfft_rows, make_grid, norm
@@ -56,25 +58,24 @@ class ConfigError(ValueError):
     """Configuration rejected before any computation."""
 
 
-# a leaf's allowed types; [types] stands for a JSON array of such values
+# each leaf: (its allowed types, its default); [types] stands for a JSON
+# array of such values, and _NO_DEFAULT marks a leaf that must be given
+_NO_DEFAULT = object()
 _NUM = (int, float)
 _NUMS = ([_NUM],)
+_SEED = ((int,), 0)
 _SCHEMA = {
-    "grid": {"n": (int,), "delta_t": _NUM},
-    "kernel": {"poles": _NUMS, "numerator": _NUMS},
-    "class": {"q": _NUM, "c": _NUM},
-    "predictor": {"r": _NUM, "gammas": _NUMS},
-    "signal": {
-        "kind": (str,),
-        "seed": (int,),
-        "omega_bar": _NUM,
-    },
-    "ensemble": {"size": (int,), "seed": (int,)},
-    "noise": {"nus": _NUMS, "seed": (int,), "band": ([_NUM], type(None))},
-    "counterexample": {"a": _NUM, "seed": (int,)},
-    "negative": {"q_bad": _NUM, "seed": (int,), "size": (int,)},
-    "lemma": {"omega_floor": _NUM, "gamma0_bracket": _NUMS},
-    "output": {"directory": (str,), "formats": ([(str,)],)},
+    "grid": {"n": ((int,), _NO_DEFAULT), "delta_t": (_NUM, _NO_DEFAULT)},
+    "kernel": {"poles": (_NUMS, _NO_DEFAULT), "numerator": (_NUMS, DEFAULT_NUMERATOR)},
+    "class": {"q": (_NUM, _NO_DEFAULT), "c": (_NUM, _NO_DEFAULT)},
+    "predictor": {"r": (_NUM, _NO_DEFAULT), "gammas": (_NUMS, _NO_DEFAULT)},
+    "signal": {"kind": ((str,), "class_member"), "seed": _SEED, "omega_bar": (_NUM, _NO_DEFAULT)},
+    "ensemble": {"size": ((int,), DEFAULT_ENSEMBLE_SIZE), "seed": _SEED},
+    "noise": {"nus": (_NUMS, _NO_DEFAULT), "seed": _SEED, "band": (([_NUM], type(None)), None)},
+    "counterexample": {"a": (_NUM, _NO_DEFAULT), "seed": _SEED},
+    "negative": {"q_bad": (_NUM, _NO_DEFAULT), "seed": _SEED, "size": ((int,), DEFAULT_DEMO_SIZE)},
+    "lemma": {"omega_floor": (_NUM, DEFAULT_OMEGA_FLOOR), "gamma0_bracket": (_NUMS, DEFAULT_GAMMA0_BRACKET)},
+    "output": {"directory": ((str,), "."), "formats": (([(str,)],), ("csv", "json"))},
 }
 
 _REQUIRED = {
@@ -110,7 +111,7 @@ def _validate_tree(config: dict) -> None:
         for key, value in body.items():
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key: {section}.{key}")
-            expected = _SCHEMA[section][key]
+            expected = _SCHEMA[section][key][0]
             if not _matches(value, expected):
                 raise ConfigError(f"{section}.{key} must be {_type_names(expected)}, got {value!r}")
 
@@ -142,11 +143,12 @@ def _apply_overrides(config: dict, pairs) -> None:
 
 
 def _leaf(config: dict, section: str, leaf: str):
-    """``config[section][leaf]``, a leaf the command cannot run without."""
-    try:
-        return config[section][leaf]
-    except KeyError:
-        raise ConfigError(f"{section}.{leaf} is required") from None
+    """``config[section][leaf]``, else the leaf's ``_SCHEMA`` default; a
+    ConfigError for a leaf that has none."""
+    value = config.get(section, {}).get(leaf, _SCHEMA[section][leaf][1])
+    if value is _NO_DEFAULT:
+        raise ConfigError(f"{section}.{leaf} is required")
+    return value
 
 
 def _checked(section: str, make, *args, **kwargs):
@@ -163,8 +165,9 @@ def _build_objects(config: dict):
     grid = _checked("grid", make_grid, _leaf(config, "grid", "n"), _leaf(config, "grid", "delta_t"))
     kernel = cls = r = gammas = None
     if "kernel" in config:
-        _leaf(config, "kernel", "poles")  # the numerator has a library default
-        kernel = _checked("kernel", kernel_from_dict, config["kernel"])
+        kernel = _checked(
+            "kernel", AnticausalKernel, _leaf(config, "kernel", "poles"), _leaf(config, "kernel", "numerator")
+        )
     if "class" in config:
         cls = _checked("class", DegeneracyClass, _leaf(config, "class", "q"), _leaf(config, "class", "c"))
     if "predictor" in config:
@@ -174,9 +177,8 @@ def _build_objects(config: dict):
 
 
 def _signal_from_config(config: dict, grid, cls):
-    sig = config.get("signal", {})
-    kind = sig.get("kind", "class_member")
-    cfg = GeneratorConfig(seed=sig.get("seed", 0), grid=grid)
+    kind = _leaf(config, "signal", "kind")
+    cfg = GeneratorConfig(seed=_leaf(config, "signal", "seed"), grid=grid)
     if kind == "class_member":
         if cls is None:
             raise ConfigError("class_member signals require the 'class' section")
@@ -197,7 +199,7 @@ def _formats(config: dict, flag: str) -> tuple:
     if flag:
         formats = tuple(part.strip() for part in flag.split(","))
     else:
-        formats = tuple(config.get("output", {}).get("formats", ["csv", "json"]))
+        formats = tuple(_leaf(config, "output", "formats"))
     unknown = set(formats) - {"csv", "json", "svg"}
     if unknown:
         raise ConfigError(f"unknown output formats: {sorted(unknown)}")
@@ -287,9 +289,8 @@ def _cmd_predict(config, outdir, formats):
 
 def _cmd_sweep(config, outdir, formats):
     grid, kernel, cls, r, gammas = _build_objects(config)
-    ens_cfg = config["ensemble"]
-    cfg = GeneratorConfig(seed=ens_cfg.get("seed", 0), grid=grid)
-    ensemble = make_class_ensemble(cls, cfg, ens_cfg.get("size", DEFAULT_ENSEMBLE_SIZE))
+    cfg = GeneratorConfig(seed=_leaf(config, "ensemble", "seed"), grid=grid)
+    ensemble = make_class_ensemble(cls, cfg, _leaf(config, "ensemble", "size"))
     report = gamma_sweep(kernel, cls, gammas, r, ensemble, metadata={"seed": cfg.seed})
     meta = _open_reports(outdir, config, "sweep")
     _write_table(f"{outdir}/sweep.csv", SweepRow, report.rows, meta, formats)
@@ -310,9 +311,8 @@ def _cmd_sweep(config, outdir, formats):
 
 def _cmd_lemma(config, outdir, formats):
     grid, kernel, cls, r, gammas = _build_objects(config)
-    lemma_cfg = config.get("lemma", {})
-    floor = _checked("lemma", _real, "omega_floor", lemma_cfg.get("omega_floor", 0.5), hi=grid.omega_max)
-    bracket = lemma_cfg.get("gamma0_bracket", (0.5, 2000.0))
+    floor = _checked("lemma", _real, "omega_floor", _leaf(config, "lemma", "omega_floor"), hi=grid.omega_max)
+    bracket = _leaf(config, "lemma", "gamma0_bracket")
     gamma0 = _checked("lemma", find_gamma0, kernel, cls, r, grid, bracket=bracket)
     reports = [lemma_check(build_predictor(kernel, g, r, grid), cls, floor) for g in gammas]
     meta = _open_reports(outdir, config, "lemma")
@@ -335,9 +335,9 @@ def _cmd_lemma(config, outdir, formats):
 def _cmd_robustness(config, outdir, formats):
     grid, kernel, cls, r, gammas = _build_objects(config)
     _checked("predictor", _require_admissible, r, cls)
-    noise_cfg, nus = config["noise"], _leaf(config, "noise", "nus")
+    nus = _leaf(config, "noise", "nus")
     x0 = _signal_from_config(config, grid, cls)
-    cfg = GeneratorConfig(seed=noise_cfg.get("seed", 0), grid=grid, band=noise_cfg.get("band"))
+    cfg = GeneratorConfig(seed=_leaf(config, "noise", "seed"), grid=grid, band=_leaf(config, "noise", "band"))
     reports = [robustness_experiment(kernel, g, r, x0, nus, cfg) for g in gammas]
     meta = _open_reports(outdir, config, "robustness")
     _write_table(
@@ -362,8 +362,7 @@ def _cmd_robustness(config, outdir, formats):
 
 def _cmd_counterexample(config, outdir, formats):
     grid, kernel, cls, r, gammas = _build_objects(config)
-    ce = config["counterexample"]
-    cfg = GeneratorConfig(seed=ce.get("seed", 0), grid=grid)
+    cfg = GeneratorConfig(seed=_leaf(config, "counterexample", "seed"), grid=grid)
     report = counterexample_experiment(_leaf(config, "counterexample", "a"), kernel, gammas, cfg, r=r)
     meta = _open_reports(outdir, config, "counterexample")
     _write_table(f"{outdir}/counterexample.csv", CounterexampleRow, report.rows, meta, formats)
@@ -372,9 +371,8 @@ def _cmd_counterexample(config, outdir, formats):
 
 def _cmd_demo_negative(config, outdir, formats):
     grid, kernel, cls, r, gammas = _build_objects(config)
-    neg = config["negative"]
-    cfg = GeneratorConfig(seed=neg.get("seed", 0), grid=grid)
-    q_bad, size = _leaf(config, "negative", "q_bad"), neg.get("size", 3)
+    cfg = GeneratorConfig(seed=_leaf(config, "negative", "seed"), grid=grid)
+    q_bad, size = _leaf(config, "negative", "q_bad"), _leaf(config, "negative", "size")
     report = nonpredictability_demo(q_bad, cls.c, kernel, gammas, cfg, r, size=size, q_reference=cls.q)
     meta = _open_reports(outdir, config, "demo-negative")
     _write_table(f"{outdir}/negative.csv", NegativeDemoRow, report.rows, meta, formats)
@@ -439,7 +437,7 @@ def main(argv=None) -> int:
         _validate_tree(config)
         _require(config, args.command)
         formats = _formats(config, args.format)
-        outdir = args.out if args.out is not None else config.get("output", {}).get("directory", ".")
+        outdir = args.out if args.out is not None else _leaf(config, "output", "directory")
         _COMMANDS[args.command](config, outdir, formats)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .degeneracy import DegeneracyClass, log_weight
-from .kernels import AnticausalKernel, kernel_to_dict, transfer
+from .kernels import AnticausalKernel, kernel_to_dict
 from .predictor import (
     PredictorTransfer,
     build_predictor,
@@ -78,6 +78,7 @@ DEFAULT_CLASS = DegeneracyClass(q=2.0, c=1.0)
 DEFAULT_R = 4.0
 DEFAULT_GAMMAS = (10.0, 30.0, 100.0, 300.0, 1000.0)
 DEFAULT_ENSEMBLE_SIZE = 10
+DEFAULT_DEMO_SIZE = 3
 
 
 def default_grid() -> FrequencyGrid:
@@ -572,17 +573,16 @@ def counterexample_experiment(
     gammas = _gamma_list(gammas)
     # the pair's own half spectra, exact zeros included
     X1, X2 = (x.spectrum for x in counterexample_pair(a, cfg))
-    K = transfer(kernel, grid)
     log_dw = math.log(grid.delta_omega)
-    log_norm_k_sq = _log_half_sum(2.0 * _log_abs(K), grid) + log_dw
     tol = CALIBRATION["counterexample_identity_rel"]
 
     rows = []
     for gamma in gammas:
         pt = build_predictor(kernel, gamma, r, grid)
+        log_norm_k_sq = _log_half_sum(2.0 * _log_abs(pt.k_values), grid) + log_dw
         # log|K_hat - K|: -inf past the gain's support, log|K_hat| where saturated
         gain = _error_gain(pt)
-        diff_log = np.full(K.size, -np.inf)
+        diff_log = np.full(pt.k_values.size, -np.inf)
         diff_log[: gain.size] = _log_abs(gain)
         np.copyto(diff_log, pt.khat_log_mag, where=pt.saturated)
         le1 = _log_half_sum(2.0 * (diff_log + _log_abs(X1)), grid) + log_dw - math.log(2 * math.pi)
@@ -640,7 +640,7 @@ def nonpredictability_demo(
     gammas,
     cfg: GeneratorConfig,
     r: float,
-    size: int = 3,
+    size: int = DEFAULT_DEMO_SIZE,
     q_reference: float = 2.0,
 ) -> NegativeDemoReport:
     """Contrast slow degeneracy exp(-c/|omega|^q_bad), q_bad in (0,1), against

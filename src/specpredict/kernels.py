@@ -25,6 +25,10 @@ import numpy as np
 from .spectral import FrequencyGrid, TimeSeries, _half_omegas, _real, _sequence, forward_transform, irfft_rows
 
 
+# the numerator d = 1 of a kernel given by its poles alone
+DEFAULT_NUMERATOR = (1.0,)
+
+
 @dataclass(frozen=True)
 class AnticausalKernel:
     """Poles {a_j} in (0, inf) and real numerator coefficients, ascending degree.
@@ -34,7 +38,7 @@ class AnticausalKernel:
     """
 
     poles: tuple
-    numerator: tuple = (1.0,)
+    numerator: tuple = DEFAULT_NUMERATOR
 
     def __post_init__(self) -> None:
         poles = tuple(_real("pole", a) for a in _sequence("poles", self.poles))
@@ -68,15 +72,6 @@ class AnticausalKernel:
 def kernel_to_dict(kernel: AnticausalKernel) -> dict:
     """{"poles": [...], "numerator": [...]} (ascending degree), the one JSON form of a kernel."""
     return {"poles": list(kernel.poles), "numerator": list(kernel.numerator)}
-
-
-def kernel_from_dict(obj: dict) -> AnticausalKernel:
-    """Inverse of :func:`kernel_to_dict`; the numerator defaults to [1.0] and
-    unknown fields are rejected."""
-    unknown = set(obj) - {"poles", "numerator"}
-    if unknown:
-        raise ValueError(f"unknown kernel fields: {sorted(unknown)}")
-    return AnticausalKernel(obj["poles"], obj.get("numerator", (1.0,)))
 
 
 def _numerator_at(kernel: AnticausalKernel, s) -> np.ndarray:

@@ -43,6 +43,10 @@ from .tolerances import CALIBRATION
 _CLAMP_LOG = CALIBRATION["v_overflow_clamp_log"]
 _VALUE_LOG_MAX = CALIBRATION["khat_value_clamp_log"]
 
+# lemma_check's floor and find_gamma0's bracket when a caller gives none
+DEFAULT_OMEGA_FLOOR = 0.5
+DEFAULT_GAMMA0_BRACKET = (0.5, 2000.0)
+
 
 class NumericalFailure(ArithmeticError):
     """An accepted input for which the computation gives no trustworthy figure."""
@@ -322,7 +326,7 @@ def _blocks(nodes: np.ndarray):
 
 
 def lemma_check(
-    pt: PredictorTransfer, cls: DegeneracyClass, omega_floor: float = 0.5
+    pt: PredictorTransfer, cls: DegeneracyClass, omega_floor: float = DEFAULT_OMEGA_FLOOR
 ) -> LemmaReport:
     """Evaluate the three checkable factor bounds over the grid.
 
@@ -382,7 +386,7 @@ def find_gamma0(
     cls: DegeneracyClass,
     r: float,
     grid: FrequencyGrid,
-    bracket=(0.5, 2000.0),
+    bracket=DEFAULT_GAMMA0_BRACKET,
 ) -> float:
     """Bisect for the smallest gamma at which the low-band bound holds.
 

@@ -49,7 +49,7 @@ from specpredict.experiments import (
     DEFAULT_R,
     default_grid,
 )
-from specpredict.spectral import _half_sum
+from specpredict.spectral import _half_omegas, _half_sum
 
 
 def report(num, ok, detail):
@@ -154,7 +154,7 @@ def test_criterion_03_lemma_suite(grid):
     )
 
 
-def test_criterion_04_convergence(default_sweep):
+def test_criterion_04_convergence(grid, default_sweep):
     start = time.time()
     sweep, _ = default_sweep
     first, last = sweep.rows[0], sweep.rows[-1]
@@ -171,6 +171,16 @@ def test_criterion_04_convergence(default_sweep):
         f"{first.err_sup_rel:.2e}->{last.err_sup_rel:.2e}, i1 {first.i1:.1e}->{last.i1:.1e}, "
         f"i2 {first.i2:.2e}->{last.i2:.2e} (>=10x shrink each)",
     )
+    # the i1 check above holds as 0 <= 0: the band error i1 is exactly zero
+    # at every gamma, since every member is exactly zero at each node with
+    # |omega| <= omega_threshold
+    assert all(row.i1 == 0.0 for row in sweep.rows)
+    omega_abs = np.abs(_half_omegas(grid))  # node n/2 reads -omega_max
+    members = make_class_ensemble(DEFAULT_CLASS, GeneratorConfig(seed=2026, grid=grid), 10)
+    for row in sweep.rows:
+        band = np.flatnonzero(omega_abs <= row.omega_threshold)
+        assert band.tolist() == ([0, 1] if row.gamma == 10.0 else [0]), row.gamma
+        assert all(np.all(x.spectrum[band] == 0.0) for x in members), row.gamma
 
 
 def test_criterion_05_causality(default_sweep):

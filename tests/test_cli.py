@@ -3,9 +3,11 @@ import copy
 import dataclasses
 import hashlib
 import importlib.util
+import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -19,7 +21,9 @@ from specpredict import (
     GeneratorConfig,
     build_predictor,
     counterexample_experiment,
+    find_gamma0,
     gamma_sweep,
+    lemma_check,
     make_class_ensemble,
     make_grid,
     nonpredictability_demo,
@@ -29,7 +33,7 @@ from specpredict import (
     sample_bandlimited,
     sample_class_member,
 )
-from specpredict import cli
+from specpredict import cli, experiments
 from specpredict.cli import main
 from specpredict.experiments import _require_admissible
 from specpredict.spectral import irfft_rows
@@ -91,10 +95,16 @@ class TestPredictCommand:
         code, _ = run(tmp_path, "predict", config)
         assert code == 2
 
-    # generated spectra are flat under the envelope: no profile or sigma is settable
+    # generated spectra are flat under the envelope: no profile or sigma is
+    # settable; a kernel is its poles and numerator, with no zeros
     @pytest.mark.parametrize(
         "section, key, value",
-        [("predictor", "sharpness", 3), ("signal", "profile", "flat"), ("signal", "sigma", 1.5)],
+        [
+            ("predictor", "sharpness", 3),
+            ("signal", "profile", "flat"),
+            ("signal", "sigma", 1.5),
+            ("kernel", "zeros", []),
+        ],
     )
     def test_unknown_key_rejected(self, tmp_path, capsys, section, key, value):
         config = base_config()
@@ -935,3 +945,60 @@ def test_cli_converts_and_checks_no_value_itself():
     tree = ast.parse(open(cli.__file__, encoding="utf-8").read())
     calls = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
     assert not calls & {"float", "math.isfinite"}
+
+
+def _readers(test) -> set:
+    """The top-level functions of cli.py holding a node that passes ``test``."""
+    tree = ast.parse(open(cli.__file__, encoding="utf-8").read())
+    return {getattr(top, "name", None) for top in tree.body for node in ast.walk(top) if test(node)}
+
+
+def test_every_leaf_is_read_through_leaf():
+    # one reader: only _leaf calls .get, and the config tree is subscripted
+    # only where a leaf is read, the tree validated or an override applied
+    gets = _readers(lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "get")
+    subscripts = _readers(lambda n: isinstance(n, ast.Subscript) and ast.unparse(n.value) == "config")
+    assert gets == {"_leaf"}
+    assert subscripts <= {"_leaf", "_validate_tree", "_apply_overrides"}
+
+
+def _field_default(cls, name):
+    return {f.name: f.default for f in dataclasses.fields(cls)}[name]
+
+
+def _parameter_default(func, name):
+    return inspect.signature(func).parameters[name].default
+
+
+# the leaves whose default the CLI shares with the library, and where the
+# library keeps it
+LIBRARY_DEFAULTS = {
+    "ensemble.size": lambda: experiments.DEFAULT_ENSEMBLE_SIZE,
+    "negative.size": lambda: _parameter_default(nonpredictability_demo, "size"),
+    "lemma.omega_floor": lambda: _parameter_default(lemma_check, "omega_floor"),
+    "lemma.gamma0_bracket": lambda: _parameter_default(find_gamma0, "bracket"),
+    "kernel.numerator": lambda: _field_default(AnticausalKernel, "numerator"),
+}
+
+
+@pytest.mark.parametrize("dotted", sorted(LIBRARY_DEFAULTS))
+def test_cli_default_is_the_library_default(dotted):
+    # one copy of each default: the schema holds the library's own object
+    section, leaf = dotted.split(".")
+    assert cli._SCHEMA[section][leaf][1] is LIBRARY_DEFAULTS[dotted]()
+
+
+def test_readme_lists_each_leaf_as_the_schema_does():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as fh:
+        text = fh.read().split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = re.search(r"these leaves are\s+required:(.*?)Every other leaf", text, re.S).group(1)
+    required = set(re.findall(r"`(\w+\.\w+)`", named))
+    defaults = {leaf: json.loads(value) for leaf, value in re.findall(r"^\| `(\w+\.\w+)` \| `(.+)` \|$", text, re.M)}
+    schema = {f"{s}.{leaf}": entry[1] for s, leaves in cli._SCHEMA.items() for leaf, entry in leaves.items()}
+    assert required == {dotted for dotted, default in schema.items() if default is cli._NO_DEFAULT}
+    assert defaults == {
+        dotted: json.loads(json.dumps(default))
+        for dotted, default in schema.items()
+        if default is not cli._NO_DEFAULT
+    }
+    assert set().union(*REQUIRED_LEAVES.values()) == required

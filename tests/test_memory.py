@@ -48,6 +48,7 @@ from specpredict import (
 )
 from specpredict import cli, experiments, signals, spectral
 from specpredict.degeneracy import log_weight
+from specpredict.kernels import transfer
 from specpredict.experiments import (
     DEFAULT_CLASS,
     DEFAULT_ENSEMBLE_SIZE,
@@ -195,7 +196,7 @@ def test_norms_workspace_holds_a_half_spectrum_and_its_inverse():
     work = experiments._workspace(grid)
     assert work.dtype == np.float64 and work.size == 2 * grid.n + 2
     X = experiments._member_half(make_class_ensemble(DEFAULT_CLASS, CFG, 1)[0], grid)
-    K = experiments.transfer(DEFAULT_KERNEL, grid)
+    K = transfer(DEFAULT_KERNEL, grid)
     experiments._norms(experiments._channel(K, X, work), grid, work)  # caches outside the trace
     half = experiments._channel(K, X, work)
     (l2, sup), peak = _traced_peak(lambda: experiments._norms(half, grid, work))

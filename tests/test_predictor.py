@@ -39,7 +39,7 @@ from specpredict import (
 )
 from specpredict import predictor, spectral
 from specpredict.experiments import DEFAULT_CLASS, DEFAULT_GAMMAS, DEFAULT_KERNEL, DEFAULT_R, default_grid
-from specpredict.kernels import _transfer_at, kernel_from_dict
+from specpredict.kernels import _transfer_at
 from specpredict.predictor import _line_figures, _past_share, factor_exponent, v_logpolar
 from specpredict.spectral import _half_omegas, irfft_rows
 from specpredict.tolerances import CALIBRATION
@@ -66,6 +66,17 @@ class TestVFactor:
     def test_zero_at_pole(self):
         assert eval_v_factor(1.0, 1.0, 50.0, 4.0) == 0.0
         assert abs(eval_v_factor(2.5, 2.5, 3.0, 0.5)) < 1e-15
+
+    @pytest.mark.parametrize("r", [0.6, 4.0])
+    @pytest.mark.parametrize("gamma", [0.5, 10.0, 1000.0])
+    @pytest.mark.parametrize("poles", [(1.0,), (1.0, 2.0), (0.5, 1.0, 2.0), (1e-5, 2.0), (0.3, 1.0, 2.5)])
+    def test_product_cancels_every_pole(self, poles, gamma, r):
+        # K_hat = V * K is holomorphic in the right half-plane only if V
+        # vanishes at each pole of K; the causality and orthogonality
+        # witnesses are relative figures and cannot see a pole left over
+        kernel = AnticausalKernel(poles)
+        log_v = v_logpolar(np.asarray(kernel.poles, complex), kernel, gamma, r)[0]
+        assert np.all(log_v == -np.inf), log_v
 
     def test_factor_dev_below_one_outside_band(self):
         # |V_j - 1| < 1 wherever |omega| exceeds the band edge
@@ -171,7 +182,6 @@ REAL_ARGUMENTS = [
 LIST_ARGUMENTS = [
     ("poles", "poles", lambda v: AnticausalKernel(v)),
     ("numerator", "numerator", lambda v: AnticausalKernel((1.0,), v)),
-    ("kernel-from-dict", "poles", lambda v: kernel_from_dict({"poles": v})),
     (
         "sweep-gammas",
         "gammas",
