@@ -33,7 +33,6 @@ from .spectral import (
     _half_omegas,
     _half_sum,
     _log_abs,
-    _log_half_sum,
     _real,
     _sequence,
     irfft_rows,
@@ -82,38 +81,40 @@ def eval_v_factor(z, a: float, gamma: float, r: float):
     return out
 
 
-def _factor_logpolar(z: np.ndarray, a: float, gamma: float, r: float):
-    """(log|V_j|, arg V_j) at complex points z, stable for huge exponents.
-
-    Where Re w <= 690 the factor 1 - e^w is formed exactly; beyond that
-    1 - e^w = -e^w (1 - e^{-w}) gives log magnitude Re w and phase Im w + pi
-    up to an e^{-Re w} correction far below double rounding.
-    """
-    w = factor_exponent(z, a, gamma, r)
-    wr = w.real
-    logmag = np.empty_like(wr)
-    phase = np.empty_like(wr)
-    exact = wr <= 690.0
-    with np.errstate(under="ignore", divide="ignore"):
-        f = 1.0 - np.exp(w[exact])
-        logmag[exact] = np.log(np.abs(f))
-        phase[exact] = np.angle(f)
-    big = ~exact
-    logmag[big] = wr[big]
-    phase[big] = w.imag[big] + math.pi
-    return logmag, phase
-
-
 def v_logpolar(z: np.ndarray, kernel: AnticausalKernel, gamma: float, r: float):
-    """(log|V|, arg V) of the full product at complex points z (i*omega on the axis)."""
+    """(log|V|, arg V) of the full product at complex points z (i*omega on the axis).
+
+    Stable for huge exponents: where Re w <= 690 each factor 1 - e^w is
+    formed exactly; beyond that 1 - e^w = -e^w (1 - e^{-w}) gives log
+    magnitude Re w and phase Im w + pi up to an e^{-Re w} correction far
+    below double rounding.
+    """
     z = np.asarray(z, dtype=np.complex128)
     logmag = np.zeros(z.shape)
     phase = np.zeros(z.shape)
     for a in kernel.poles:
-        lm, ph = _factor_logpolar(z, a, gamma, r)
-        logmag += lm
-        phase += ph
+        w = factor_exponent(z, a, gamma, r)
+        exact = w.real <= 690.0
+        with np.errstate(under="ignore", divide="ignore"):
+            f = 1.0 - np.exp(w[exact])
+            logmag[exact] += np.log(np.abs(f))
+            phase[exact] += np.angle(f)
+        big = ~exact
+        logmag[big] += w.real[big]
+        phase[big] += w.imag[big] + math.pi
     return logmag, phase
+
+
+def _khat_logpolar(kernel: AnticausalKernel, gamma: float, r: float, z: np.ndarray):
+    """(K, log|V|, arg V, log|K_hat|, arg K_hat) at complex points z.
+
+    V is evaluated before K, so K is not alive beside the factor loop's
+    complex temporaries; the other order raises the traced peak of
+    :func:`build_predictor` past the bound in tests/test_memory.py.
+    """
+    v_log, v_ph = v_logpolar(z, kernel, gamma, r)
+    K = _transfer_at(kernel, z)
+    return K, v_log, v_ph, v_log + _log_abs(K), v_ph + np.angle(K)
 
 
 def v_minus_one(omega, kernel: AnticausalKernel, gamma: float, r: float) -> np.ndarray:
@@ -193,12 +194,9 @@ def build_predictor(
     pair the predictor with a class.
     """
     gamma, r = _real("gamma", gamma), _real("r", r)
-    v_log, v_ph = v_logpolar(1j * _half_omegas(grid), kernel, gamma, r)
-    K = _transfer_at(kernel, 1j * _half_omegas(grid))
+    K, v_log, v_ph, khat_log, khat_ph = _khat_logpolar(kernel, gamma, r, 1j * _half_omegas(grid))
     sat = v_log > _CLAMP_LOG
     v_vals = np.exp(np.minimum(v_log, _CLAMP_LOG)) * np.exp(1j * v_ph)
-    khat_log = v_log + _log_abs(K)
-    khat_ph = v_ph + np.angle(K)
     with np.errstate(divide="ignore", under="ignore", over="ignore", invalid="ignore"):
         khat_vals = v_vals * K
         # node n/2 stands for both +-omega_max: K_hat there is the average of
@@ -418,38 +416,43 @@ def find_gamma0(
     return hi
 
 
+def _peak_normalized(log_mag: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """Complex samples exp(log_mag - max log_mag + i*phase): scaled by their
+    peak, so a log magnitude far beyond the double range does not overflow;
+    the samples far below the peak underflow to 0."""
+    with np.errstate(under="ignore"):
+        return np.exp(log_mag - np.max(log_mag)) * np.exp(1j * phase)
+
+
+def _inner_ratio(grid: FrequencyGrid, k: np.ndarray, khat: np.ndarray) -> float:
+    """|sum conj(k) khat| / (||k||_2 ||khat||_2) over the full ``grid``.
+
+    ``k`` and ``khat`` hold nodes 0..n/2 of conjugate-symmetric samples with
+    a real half-rate node; scale does not matter.  The terms of the inner
+    product at +-omega are conjugate, so it is the
+    :func:`.spectral._half_sum` of their real parts.
+    """
+    inner = _half_sum((np.conj(k) * khat).real, grid)
+    sq_norms = _half_sum(np.abs(k) ** 2, grid) * _half_sum(np.abs(khat) ** 2, grid)
+    return float(abs(inner) / np.sqrt(sq_norms))
+
+
 def orthogonality_residual(pt: PredictorTransfer) -> float:
     """Normalized grid inner product of K and K_hat on the imaginary axis.
 
-    |delta_omega * sum conj(K) K_hat| / (||K||_2 ||K_hat||_2) over the
-    predictor's own grid samples, read from ``khat_log_mag``: saturated
-    nodes enter at their unclamped log magnitude, except node n/2, whose
-    conjugate-pair average is formed from the clamped value.  It is
-    evaluated in the log domain so they cannot overflow; the normalization
-    makes the grid spacing cancel.  The terms at +-omega are
-    conjugate, so the sum over both signs of omega is the
-    :func:`.spectral._half_sum` of their real parts.  0 for an identically zero
-    predictor.  It tracks the inner product of the kernels only when no node
-    saturates and the degeneracy band is resolved; at the default sweep
-    configuration it reads ~0.055 whatever the kernel (docs/numerics.md).
-    :func:`line_witness` measures the kernel itself.
+    :func:`_inner_ratio` of ``k_values`` and K_hat over the predictor's own
+    grid samples, K_hat formed from ``khat_log_mag`` and ``khat_phase``
+    scaled by their peak: saturated nodes enter at their unclamped log
+    magnitude, except node n/2, whose conjugate-pair average is formed from
+    the clamped value.  0 for an identically zero predictor.  It tracks the
+    inner product of the kernels only when no node saturates and the
+    degeneracy band is resolved; at the default sweep configuration the
+    peak at omega = 0 leaves |K(0)| / ||K||, ~0.055 whatever the gamma
+    (docs/numerics.md).  :func:`line_witness` measures the kernel itself.
     """
-    k_log = _log_abs(pt.k_values)
-    kh_log = pt.khat_log_mag
-    terms = k_log + kh_log
-    finite = np.isfinite(terms)
-    if not np.any(finite):
+    if not np.any(np.isfinite(pt.khat_log_mag)):
         return 0.0
-    L = float(np.max(terms[finite]))
-    cos = np.cos(pt.khat_phase[finite] - np.angle(pt.k_values[finite]))
-    with np.errstate(under="ignore"):
-        S = _half_sum(np.exp(terms[finite] - L) * cos, pt.grid, finite)
-    if S == 0.0:
-        return 0.0
-    num_log = L + math.log(abs(S))
-    den_log = 0.5 * _log_half_sum(2.0 * k_log, pt.grid) + 0.5 * _log_half_sum(2.0 * kh_log, pt.grid)
-    with np.errstate(over="ignore"):
-        return float(np.exp(num_log - den_log))
+    return _inner_ratio(pt.grid, pt.k_values, _peak_normalized(pt.khat_log_mag, pt.khat_phase))
 
 
 # The line witness grid, in units of the kernel's own scales: the step puts
@@ -506,21 +509,6 @@ def _line_grid(kernel: AnticausalKernel, gamma: float, r: float):
     return sigma, FrequencyGrid(n, delta_t)
 
 
-def _line_figures(grid: FrequencyGrid, k_mirror: np.ndarray, khat_line: np.ndarray):
-    """(causality defect, orthogonality residual) from samples on the lines.
-
-    ``khat_line`` holds K_hat(sigma + i*omega), ``k_mirror`` K(-sigma + i*omega),
-    both at nodes 0..n/2 of ``grid`` with a real half-rate node; scale does
-    not matter.  Both are conjugate-symmetric, so the terms of the inner
-    product at +-omega are conjugate and it is the :func:`.spectral._half_sum`
-    of their real parts.
-    """
-    defect = _past_share(irfft_rows(khat_line, grid))
-    inner = _half_sum((np.conj(k_mirror) * khat_line).real, grid)
-    sq_norms = _half_sum(np.abs(k_mirror) ** 2, grid) * _half_sum(np.abs(khat_line) ** 2, grid)
-    return defect, float(abs(inner) / np.sqrt(sq_norms))
-
-
 def line_witness(kernel: AnticausalKernel, gamma: float, r: float) -> LineWitness:
     """Measure the causal support of K_hat = V * K off the imaginary axis.
 
@@ -535,12 +523,10 @@ def line_witness(kernel: AnticausalKernel, gamma: float, r: float) -> LineWitnes
     """
     gamma, r = _real("gamma", gamma), _real("r", r)
     sigma, grid = _line_grid(kernel, gamma, r)
-    K = _transfer_at(kernel, sigma + 1j * _half_omegas(grid))
-    v_log, v_ph = v_logpolar(sigma + 1j * _half_omegas(grid), kernel, gamma, r)
-    khat_log = v_log + _log_abs(K)
-    with np.errstate(under="ignore"):
-        khat = np.exp(khat_log - np.max(khat_log)) * np.exp(1j * (v_ph + np.angle(K)))
+    khat_log, khat_ph = _khat_logpolar(kernel, gamma, r, sigma + 1j * _half_omegas(grid))[3:]
+    khat = _peak_normalized(khat_log, khat_ph)
     # node n/2 stands for both +-omega_max: Re(V K), as in build_predictor
     khat[-1] = khat[-1].real
-    defect, residual = _line_figures(grid, transfer(kernel, grid, -sigma), khat)
+    defect = _past_share(irfft_rows(khat, grid))
+    residual = _inner_ratio(grid, transfer(kernel, grid, -sigma), khat)
     return LineWitness(sigma, grid, defect, residual)

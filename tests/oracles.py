@@ -351,6 +351,27 @@ def v_minus_one_stacked(omega, kernel, gamma, r):
     return np.where(tiny, np.sum(f, axis=0), direct)
 
 
+def v_logpolar_mpmath(z, poles, gamma, r, dps=50):
+    """:func:`specpredict.predictor.v_logpolar` at ``dps`` digits with
+    mpmath: (log|V|, arg V, max_j |Im w_j|) at each complex point of ``z``,
+    V = prod_j (1 - e^{w_j}) and w_j = -gamma (z - a_j)/(z + gamma^{-r})
+    with gamma^{-r} taken at ``dps`` digits.  arg V is the sum of the
+    principal arguments of the factors; the first two are mpf lists."""
+    import mpmath
+
+    log_mag, phase, im_w = [], [], []
+    with mpmath.workdps(dps):
+        alpha = mpmath.mpf(gamma) ** (-mpmath.mpf(r))
+        for zk in np.asarray(z, dtype=np.complex128):
+            zm = mpmath.mpc(zk.real, zk.imag)
+            ws = [-gamma * (zm - a) / (zm + alpha) for a in poles]
+            factors = [1 - mpmath.exp(w) for w in ws]
+            log_mag.append(mpmath.fsum(mpmath.log(abs(f)) for f in factors))
+            phase.append(mpmath.fsum(mpmath.arg(f) for f in factors))
+            im_w.append(max(abs(float(w.imag)) for w in ws))
+    return log_mag, phase, np.array(im_w)
+
+
 def lemma_tail_dev_stacked(pt, omega_floor=0.5):
     """``tail_dev_max`` of :func:`specpredict.lemma_check` as one maximum of
     :func:`v_minus_one_stacked` over every node 0..n/2 with |omega| >=
@@ -410,17 +431,21 @@ def lemma_check_full_grid(pt, cls, omega_floor=0.5):
 def orthogonality_residual_full_grid(pt):
     """:func:`specpredict.orthogonality_residual` of an all-node predictor
     (:func:`build_predictor_full_grid`): the complex terms summed over all n
-    nodes, in the log domain, with no node weights."""
+    nodes, in the log domain, with no node weights.  The K_hat logs are
+    shifted by their max first: unshifted, the numerator's log and the
+    norm's both sit near the peak log|K_hat|, up to a * gamma^(r+1), and
+    their difference keeps only the absolute accuracy of a log that size."""
     from specpredict.spectral import _logsumexp
 
     with np.errstate(divide="ignore"):
         k_log = np.log(np.abs(pt.k_values))
-    terms = k_log + pt.khat_log_mag
+    kh_log = pt.khat_log_mag - np.max(pt.khat_log_mag)
+    terms = k_log + kh_log
     finite = np.isfinite(terms)
     L = float(np.max(terms[finite]))
     dphase = pt.khat_phase[finite] - np.angle(pt.k_values[finite])
     S = np.sum(np.exp(terms[finite] - L) * np.exp(1j * dphase))
-    den_log = 0.5 * _logsumexp(2.0 * k_log) + 0.5 * _logsumexp(2.0 * pt.khat_log_mag)
+    den_log = 0.5 * _logsumexp(2.0 * k_log) + 0.5 * _logsumexp(2.0 * kh_log)
     return float(np.exp(L + math.log(abs(S)) - den_log))
 
 

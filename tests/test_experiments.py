@@ -35,7 +35,7 @@ from specpredict import (
     transfer,
     uniformity_check,
 )
-from specpredict import experiments, signals
+from specpredict import experiments, predictor, signals
 from specpredict.signals import _noise_spectrum
 from specpredict.spectral import _half_sum, irfft_rows
 
@@ -255,6 +255,41 @@ class TestGammaSweep:
         assert rows == gamma_sweep(KERNEL, CLS, (10.0, 30.0), 4.0, ensemble).rows
         with pytest.raises(ValueError, match=r"^gamma must be a finite real number in \(0\.0, inf\), got -1\.0$"):
             gamma_sweep(KERNEL, CLS, (g for g in (-1.0,)), 4.0, ensemble)
+
+    def test_time_scale_covariance(self):
+        # slowing time by s maps the poles to a/s, delta_t to s delta_t, the
+        # class weight c/|omega|^q to c s^-q/|omega|^q and gamma^-r to
+        # s gamma^-r, i.e. r to r + ln s/ln gamma: V is unchanged at the
+        # scaled nodes and K = 1/(z - a) is multiplied by s, so relative
+        # errors and the residual keep their value and gains double
+        s, q, c, r = 2.0, 2.0, 1.0, 2.5
+
+        def run(scale):
+            grid = make_grid(4096, 0.05 * scale)
+            kernel = AnticausalKernel((0.5 / scale,))
+            cls = DegeneracyClass(q, c * scale**-q)
+            ensemble = make_class_ensemble(cls, GeneratorConfig(seed=11, grid=grid), 4)
+            rows = [
+                gamma_sweep(kernel, cls, (g,), r + math.log(scale) / math.log(g), ensemble).rows[0]
+                for g in (3.0, 5.0, 10.0)
+            ]
+            residuals = [
+                orthogonality_residual(build_predictor(kernel, g, r + math.log(scale) / math.log(g), grid))
+                for g in (3.0, 10.0, 30.0, 300.0)
+            ]
+            return rows, residuals
+
+        (rows, residuals), (scaled_rows, scaled_residuals) = run(1.0), run(s)
+        for row, scaled in zip(rows, scaled_rows):
+            assert scaled.err_l2_rel == pytest.approx(row.err_l2_rel, rel=1e-15, abs=0.0), row.gamma
+            assert scaled.err_sup_rel == pytest.approx(row.err_sup_rel, rel=1e-15, abs=0.0), row.gamma
+            assert scaled.kappa_sup == pytest.approx(s * row.kappa_sup, rel=1e-13, abs=0.0), row.gamma
+            assert scaled.i1 == pytest.approx(s * row.i1, rel=1e-13, abs=0.0), row.gamma
+            assert scaled.lemma_pass_high_band is row.lemma_pass_high_band
+            assert scaled.lemma_pass_low_band is row.lemma_pass_low_band
+        assert [row.i1 > 0.0 for row in rows] == [True, True, False]
+        for scaled, residual in zip(scaled_residuals, residuals):
+            assert scaled == pytest.approx(residual, rel=1e-15, abs=0.0)
 
     def test_metadata_recorded(self, ensemble):
         rep = gamma_sweep(KERNEL, CLS, (10.0,), 4.0, ensemble, metadata={"seed": 2026})
@@ -757,6 +792,18 @@ def test_error_norms_take_one_path():
     assert {name for name, _ in readers} == {"experiments.py"}, readers
     subtractions = {(name, owner) for name, src in sources.items() for owner in _gain_subtractions(src)}
     assert subtractions == {("experiments.py", "_error_gain")}
+
+
+def test_witnesses_take_one_formula():
+    # the orthogonality residual on the axis and on Re z = sigma is one
+    # inner ratio of a peak-scaled K_hat, K_hat on both lines comes from one
+    # evaluator, and no log-domain half sum is left in the predictor
+    src = Path(predictor.__file__).read_text(encoding="utf-8")
+    for helper in ("_inner_ratio", "_peak_normalized"):
+        assert _top_level_loads(src, helper) == {"orthogonality_residual", "line_witness"}, helper
+    assert _top_level_loads(src, "_khat_logpolar") == {"build_predictor", "line_witness"}
+    assert "_log_half_sum" not in _imported(src)
+    assert _top_level_loads(src, "_log_half_sum") == set()
 
 
 def test_only_named_readers_take_the_forward_transform():

@@ -40,7 +40,7 @@ from specpredict import (
 from specpredict import predictor, spectral
 from specpredict.experiments import DEFAULT_CLASS, DEFAULT_GAMMAS, DEFAULT_KERNEL, DEFAULT_R, default_grid
 from specpredict.kernels import _transfer_at
-from specpredict.predictor import _line_figures, _past_share, factor_exponent, v_logpolar
+from specpredict.predictor import _inner_ratio, _past_share, factor_exponent, v_logpolar
 from specpredict.spectral import _half_omegas, irfft_rows
 from specpredict.tolerances import CALIBRATION
 
@@ -56,6 +56,7 @@ from oracles import (
     orthogonality_residual_full_grid,
     past_share,
     transfer_full_grid,
+    v_logpolar_mpmath,
     v_minus_one_stacked,
 )
 
@@ -77,6 +78,36 @@ class TestVFactor:
         kernel = AnticausalKernel(poles)
         log_v = v_logpolar(np.asarray(kernel.poles, complex), kernel, gamma, r)[0]
         assert np.all(log_v == -np.inf), log_v
+
+    @pytest.mark.parametrize(
+        "poles, gamma, r, sigma",
+        [
+            ((1.0,), 100.0, 1.0, 0.0),
+            ((1.0,), 1000.0, 4.0, 0.0),
+            ((0.5, 1.0, 2.0), 300.0, 2.0, 0.0),
+            ((0.5, 1.0, 2.0), 100.0, 1.0, 0.25),
+            ((1.0,), 30.0, 1.0, 0.5),
+        ],
+    )
+    def test_logpolar_matches_mpmath(self, poles, gamma, r, sigma):
+        # Re w_j runs from below 0 to 1e15 on the axis and stays below the
+        # exact form's limit of 690 on the lines, so the cases cross the
+        # switch between the exact factor and -e^w; arg V is compared modulo
+        # 2 pi where m max_j |Im w_j|, to which its rounding is relative,
+        # leaves it meaningful to 1e-8
+        mpmath = pytest.importorskip("mpmath")
+        alpha = gamma ** (-r)
+        om = np.concatenate(([0.0], np.geomspace(alpha * 1e-3, alpha * 1e3, 200)))
+        z = sigma + 1j * om
+        got_log, got_ph = v_logpolar(z, AnticausalKernel(poles), gamma, r)
+        want_log, want_ph, im_w = v_logpolar_mpmath(z, poles, gamma, r)
+        phase_scale = np.maximum(1.0, len(poles) * im_w)
+        with mpmath.workdps(50):
+            for k in range(z.size):
+                assert abs(got_log[k] - float(want_log[k])) <= 1e-14 * max(1.0, abs(float(want_log[k]))), k
+                if phase_scale[k] < 1e6:
+                    turn = (mpmath.mpf(got_ph[k]) - want_ph[k]) % (2 * mpmath.pi)
+                    assert float(min(turn, 2 * mpmath.pi - turn)) <= 1e-14 * phase_scale[k], k
 
     def test_factor_dev_below_one_outside_band(self):
         # |V_j - 1| < 1 wherever |omega| exceeds the band edge
@@ -730,7 +761,17 @@ class TestOrthogonality:
 
     @pytest.mark.parametrize(
         "poles, gamma, r, n",
-        [((1.0,), 10.0, 4.0, 2**16), ((1.0,), 30.0, 0.6, 2**16), ((0.5, 2.0), 15.0, 1.0, 4096)],
+        [
+            ((1.0,), 10.0, 4.0, 2**16),
+            ((1.0,), 30.0, 0.6, 2**16),
+            ((0.5, 2.0), 15.0, 1.0, 4096),
+            # the default grid at r = 4, where log|K_hat| peaks near
+            # a * gamma^5: up to 1e15, at which a float64 log holds ~0.1
+            ((1.0,), 300.0, 4.0, 2**16),
+            ((1.0,), 1000.0, 4.0, 2**16),
+            ((1.0, 2.0), 1000.0, 4.0, 2**16),
+            ((0.5, 1.0, 2.0), 1000.0, 4.0, 2**16),
+        ],
     )
     def test_weighted_half_sum_matches_full_grid(self, poles, gamma, r, n):
         grid = make_grid(n, 0.01)
@@ -738,7 +779,7 @@ class TestOrthogonality:
         want = orthogonality_residual_full_grid(build_predictor_full_grid(kernel, gamma, r, grid))
         assert want > 1e-3
         got = orthogonality_residual(build_predictor(kernel, gamma, r, grid))
-        assert got == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_small_residual_at_representable_config(self):
         g = make_grid(2**17, 0.01)
@@ -755,7 +796,9 @@ class TestLineWitness:
         a, sigma = 1.0, 0.5
         g = make_grid(2**14, 0.05)
         kern = AnticausalKernel((a,), (1.0,))
-        defect, residual = _line_figures(g, transfer(kern, g, -sigma), transfer(kern, g, sigma))
+        khat = transfer(kern, g, sigma)
+        defect = _past_share(irfft_rows(khat, g))
+        residual = _inner_ratio(g, transfer(kern, g, -sigma), khat)
         q = math.exp(-2.0 * (a - sigma) * g.delta_t)
         share_t0 = 0.25 / (0.25 + q / (1.0 - q))
         assert residual == pytest.approx(math.sqrt(1.0 - (sigma / a) ** 2), abs=1e-3)
@@ -790,8 +833,8 @@ class TestLineWitness:
         # node n/2 of the line samples stands for sigma +- i*omega_max:
         # Re(V K) of the complex K there, as build_predictor takes it
         seen = []
-        real = predictor._line_figures
-        monkeypatch.setattr(predictor, "_line_figures", lambda g, m, khat: seen.append(khat) or real(g, m, khat))
+        real = predictor._inner_ratio
+        monkeypatch.setattr(predictor, "_inner_ratio", lambda g, m, khat: seen.append(khat) or real(g, m, khat))
         w = line_witness(KERNEL, 10.0, 4.0)
         khat = seen[0]
         ends = [w.sigma + 0j, complex(w.sigma, w.grid.omega_max)]
@@ -833,9 +876,13 @@ def test_predictor_imports_no_full_grid_path():
 # sha256 of repr() of each tuple of figures below, taken while each module
 # still weighted its own sums over nodes 0..n/2: moving them onto
 # spectral._half_sum and _log_half_sum moves no bit.  The line witness's was
-# re-taken when its node n/2 became Re(V K), which moves its gamma = 10 pair
+# re-taken when its node n/2 became Re(V K), which moves its gamma = 10 pair.
+# The residual's was re-taken when it became the line witness's inner
+# product on a peak-scaled K_hat: its log-domain form subtracted two logs
+# near a * gamma^5 and read 0.0552988 with relative errors of 3.3e-12 to
+# 2.0e-2 from gamma 10 to 1000; every gamma now reads 0.05529877573429793
 HALF_SUM_DIGESTS = {
-    "orthogonality_residual": "60a39a551a038103dee8c2f5565994092ee160106c21fe3318eef9e5576b36fd",
+    "orthogonality_residual": "1b9689a5175a2323dc5959ce84b48628e3476b8997871ba61abbea7873045d1f",
     "line_witness": "fff4d78b06c4526d708789e1bd85eec98e057e4ab6c2b6b2f4ef808da4560f8b",
     "lemma_check": "e344249835770af8ea19e8ddee7e0ff6c8ceeac5e3ccd1f76ffce5096f392222",
 }
