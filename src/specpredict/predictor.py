@@ -266,12 +266,12 @@ class LemmaReport:
     """Grid evaluation of the predictor-factor bounds for one (gamma, class).
 
     ``pass_positivity``/``pass_factor_dev`` cover every node above the band
-    edge for every pole; ``tail_dev_max`` is max |V - 1| over |omega| >=
-    the ``omega_floor`` of :func:`lemma_check`; ``pass_low_band`` is the
-    weighted low-band bound log|V| <= c/|omega|^q on the nodes strictly
-    inside the band (vacuously true when the band falls below the grid
-    resolution; ``low_band_nodes`` records how many nodes were actually
-    checked).
+    edge for every pole, and are read at the first, where both bounds are
+    tightest; ``tail_dev_max`` is max |V - 1| over |omega| >= the
+    ``omega_floor`` of :func:`lemma_check`; ``pass_low_band`` is the weighted
+    low-band bound log|V| <= c/|omega|^q on the nodes strictly inside the
+    band (vacuously true when the band falls below the grid resolution;
+    ``low_band_nodes`` records how many nodes were actually checked).
     """
 
     gamma: float
@@ -313,7 +313,7 @@ def _low_band_holds(
     return margin <= CALIBRATION["lemma_iv_slack"], count, margin
 
 
-# nodes per block of lemma_check's node-wise checks; a block's complex
+# nodes per block of lemma_check's tail maximum; a block's complex
 # temporaries take 64 kB each
 _LEMMA_BLOCK = 4096
 
@@ -333,13 +333,12 @@ def lemma_check(
     |omega| >= omega_floor, the quantity that must shrink as gamma grows,
     +inf once a factor overflows there; (c) the weighted low-band bound
     |V| <= exp(c/|omega|^q) inside the band.
-    Each check is an all() or a max over a set symmetric in +-omega, on which
-    V(-i*omega) is the conjugate of V(i*omega), so they read nodes 0..n/2.
-    |omega| rises with the node index there, so each set is a tail of those
-    nodes, and the checks take it in blocks of ``_LEMMA_BLOCK`` nodes: every
-    node's value is what one evaluation over the whole set gives, and all()
-    and max do not depend on the grouping, so no n/2-node temporaries are
-    needed.
+    Each set is symmetric in +-omega, where V(-i*omega) is the conjugate of
+    V(i*omega), so the checks read nodes 0..n/2.  (a) reads the first node
+    above the edge: the real part u = (omega^2 - a_j alpha)/(omega^2 + alpha^2)
+    rises with omega^2 and |V_j - 1| = exp(-gamma u) falls, so each all()
+    takes its value there (docs/numerics.md).  (b) takes its tail in blocks
+    of ``_LEMMA_BLOCK`` nodes, so no n/2-node temporaries are needed.
     """
     omega_floor = _real("omega_floor", omega_floor, hi=pt.grid.omega_max)
     grid, gamma, r = pt.grid, pt.gamma, pt.r
@@ -349,13 +348,13 @@ def lemma_check(
 
     pass_pos = True
     pass_dev = True
-    for o in _blocks(om[np.searchsorted(om, thr, side="right") :]):
-        for a in pt.kernel.poles:
-            re_ratio = (o**2 - a * alpha) / (o**2 + alpha**2)
-            pass_pos = pass_pos and bool(np.all(re_ratio > 0.0))
-            with np.errstate(under="ignore"):
-                dev = np.abs(np.exp(factor_exponent(1j * o, a, gamma, r)))
-            pass_dev = pass_dev and bool(np.all(dev < 1.0))
+    o = om[np.searchsorted(om, thr, side="right") :][:1]
+    for a in pt.kernel.poles:
+        re_ratio = (o**2 - a * alpha) / (o**2 + alpha**2)
+        pass_pos = pass_pos and bool(np.all(re_ratio > 0.0))
+        with np.errstate(under="ignore"):
+            dev = np.abs(np.exp(factor_exponent(1j * o, a, gamma, r)))
+        pass_dev = pass_dev and bool(np.all(dev < 1.0))
 
     tail = om[np.searchsorted(om, omega_floor) :]
     tail_dev = float(

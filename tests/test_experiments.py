@@ -22,6 +22,7 @@ from specpredict import (
     class_norm,
     counterexample_experiment,
     gamma_sweep,
+    lemma_check,
     make_class_ensemble,
     make_grid,
     nonpredictability_demo,
@@ -256,13 +257,18 @@ class TestGammaSweep:
         with pytest.raises(ValueError, match=r"^gamma must be a finite real number in \(0\.0, inf\), got -1\.0$"):
             gamma_sweep(KERNEL, CLS, (g for g in (-1.0,)), 4.0, ensemble)
 
-    def test_time_scale_covariance(self):
+    @pytest.mark.parametrize("s", [2.0, 0.5, 3.0])
+    def test_time_scale_covariance(self, s):
         # slowing time by s maps the poles to a/s, delta_t to s delta_t, the
         # class weight c/|omega|^q to c s^-q/|omega|^q and gamma^-r to
         # s gamma^-r, i.e. r to r + ln s/ln gamma: V is unchanged at the
         # scaled nodes and K = 1/(z - a) is multiplied by s, so relative
-        # errors and the residual keep their value and gains double
-        s, q, c, r = 2.0, 2.0, 1.0, 2.5
+        # errors, the residual and the lemma's figures (with omega_floor
+        # scaled by 1/s) keep their value and gains scale by s.  A power of
+        # two scales the grid exactly; s = 3 rounds every node.  r = 3 keeps
+        # r + ln s/ln gamma admissible (> 2) at s = 0.5 and gamma 3
+        q, c, r = 2.0, 1.0, 3.0
+        rel, gain_rel = (1e-15, 1e-13) if math.log2(s).is_integer() else (1e-12, 1e-12)
 
         def run(scale):
             grid = make_grid(4096, 0.05 * scale)
@@ -273,23 +279,31 @@ class TestGammaSweep:
                 gamma_sweep(kernel, cls, (g,), r + math.log(scale) / math.log(g), ensemble).rows[0]
                 for g in (3.0, 5.0, 10.0)
             ]
-            residuals = [
-                orthogonality_residual(build_predictor(kernel, g, r + math.log(scale) / math.log(g), grid))
+            pts = [
+                build_predictor(kernel, g, r + math.log(scale) / math.log(g), grid)
                 for g in (3.0, 10.0, 30.0, 300.0)
             ]
-            return rows, residuals
+            residuals = [orthogonality_residual(pt) for pt in pts]
+            lemmas = [lemma_check(pt, cls, omega_floor=0.5 / scale) for pt in pts]
+            return rows, residuals, lemmas
 
-        (rows, residuals), (scaled_rows, scaled_residuals) = run(1.0), run(s)
+        (rows, residuals, lemmas), (scaled_rows, scaled_residuals, scaled_lemmas) = run(1.0), run(s)
         for row, scaled in zip(rows, scaled_rows):
-            assert scaled.err_l2_rel == pytest.approx(row.err_l2_rel, rel=1e-15, abs=0.0), row.gamma
-            assert scaled.err_sup_rel == pytest.approx(row.err_sup_rel, rel=1e-15, abs=0.0), row.gamma
-            assert scaled.kappa_sup == pytest.approx(s * row.kappa_sup, rel=1e-13, abs=0.0), row.gamma
-            assert scaled.i1 == pytest.approx(s * row.i1, rel=1e-13, abs=0.0), row.gamma
+            assert scaled.err_l2_rel == pytest.approx(row.err_l2_rel, rel=rel, abs=0.0), row.gamma
+            assert scaled.err_sup_rel == pytest.approx(row.err_sup_rel, rel=rel, abs=0.0), row.gamma
+            assert scaled.kappa_sup == pytest.approx(s * row.kappa_sup, rel=gain_rel, abs=0.0), row.gamma
+            assert scaled.i1 == pytest.approx(s * row.i1, rel=gain_rel, abs=0.0), row.gamma
             assert scaled.lemma_pass_high_band is row.lemma_pass_high_band
             assert scaled.lemma_pass_low_band is row.lemma_pass_low_band
         assert [row.i1 > 0.0 for row in rows] == [True, True, False]
         for scaled, residual in zip(scaled_residuals, residuals):
-            assert scaled == pytest.approx(residual, rel=1e-15, abs=0.0)
+            assert scaled == pytest.approx(residual, rel=rel, abs=0.0)
+        assert [rep.low_band_nodes for rep in lemmas] == [8, 0, 0, 0]
+        for rep, scaled in zip(lemmas, scaled_lemmas):
+            for flag in ("pass_positivity", "pass_factor_dev", "pass_low_band", "low_band_nodes"):
+                assert getattr(scaled, flag) == getattr(rep, flag), (rep.gamma, flag)
+            assert scaled.tail_dev_max == pytest.approx(rep.tail_dev_max, rel=1e-12, abs=0.0), rep.gamma
+            assert scaled.low_band_margin == pytest.approx(rep.low_band_margin, rel=1e-12, abs=0.0), rep.gamma
 
     def test_metadata_recorded(self, ensemble):
         rep = gamma_sweep(KERNEL, CLS, (10.0,), 4.0, ensemble, metadata={"seed": 2026})
@@ -442,6 +456,21 @@ class TestCounterexample:
             assert orthogonality_residual(build_predictor(kern, row.gamma, 0.6, g)) < 1e-2
             assert math.isfinite(row.e1) and math.isfinite(row.e2)
             assert row.floor_ok
+
+    def test_energy_identity_carries_the_cross_term(self):
+        # |X1|^2 + |X2|^2 = 1 at every node, so 2 pi (e1^2 + e2^2) is
+        # ||K_hat - K||^2 = ||K||^2 + ||K_hat||^2 - 2 Re <K, K_hat> exactly:
+        # identity_rel_gap measures the grid's cross term alone
+        g = make_grid(2**17, 0.01)
+        kern = AnticausalKernel((0.01,), (1.0,))
+        rep = counterexample_experiment(
+            0.5, kern, (10.0, 30.0), GeneratorConfig(seed=5, grid=g), r=0.6
+        )
+        for row in rep.rows:
+            pt = build_predictor(kern, row.gamma, 0.6, g)
+            cross = 2.0 * g.delta_omega * _half_sum((np.conj(pt.k_values) * pt.khat_values).real, g)
+            assert row.identity_lhs == pytest.approx(row.identity_rhs - cross, rel=1e-12, abs=0.0)
+            assert row.identity_rel_gap > 1e-6
 
     def test_complement_error_is_read_on_its_own_support(self):
         # x2 is zero at the saturated degeneracy node; its exact spectrum
@@ -792,6 +821,37 @@ def test_error_norms_take_one_path():
     assert {name for name, _ in readers} == {"experiments.py"}, readers
     subtractions = {(name, owner) for name, src in sources.items() for owner in _gain_subtractions(src)}
     assert subtractions == {("experiments.py", "_error_gain")}
+
+
+def _block_loop_calls(source: str, function: str, callee: str) -> list:
+    """One entry per call of ``callee`` in the top-level ``function`` of
+    ``source``, sorted: True where the call sits in a for loop or a
+    comprehension over ``_blocks(...)``."""
+
+    def over_blocks(node):
+        iters = [node.iter] if isinstance(node, ast.For) else [g.iter for g in getattr(node, "generators", ())]
+        return any(isinstance(it, ast.Call) and getattr(it.func, "id", None) == "_blocks" for it in iters)
+
+    def calls(node, inside):
+        if isinstance(node, ast.Call) and callee in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            yield inside
+        for child in ast.iter_child_nodes(node):
+            yield from calls(child, inside or over_blocks(node))
+
+    return sorted(calls(next(s for s in ast.parse(source).body if getattr(s, "name", None) == function), False))
+
+
+def test_lemma_reads_its_high_band_bounds_at_one_node():
+    # lemma_check evaluates the factor bound once per pole, at the first
+    # node above the band edge, not in a pass over the high band in blocks
+    probe = (
+        "def f(om):\n    for o in _blocks(om):\n        factor_exponent(o)\n    factor_exponent(om[:1])\n"
+        "def g(om):\n    return [predictor.factor_exponent(o) for o in _blocks(om)]\n"
+    )
+    assert _block_loop_calls(probe, "f", "factor_exponent") == [False, True]
+    assert _block_loop_calls(probe, "g", "factor_exponent") == [True]
+    src = Path(predictor.__file__).read_text(encoding="utf-8")
+    assert _block_loop_calls(src, "lemma_check", "factor_exponent") == [False]
 
 
 def test_witnesses_take_one_formula():

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specpredict import (
     AnticausalKernel,
@@ -629,6 +631,57 @@ class TestHalfGridLemma:
     def test_edge_configurations_match_full_grid(self, poles, gamma, r, cls, grid):
         pt = build_predictor(AnticausalKernel(poles), gamma, r, grid)
         assert repr(lemma_check(pt, cls)) == repr(lemma_check_full_grid(pt, cls))
+
+
+class TestHighBandFlags:
+    """lemma_check reads pass_positivity and pass_factor_dev at the first node
+    above the band edge alone: both quantities are monotone in |omega|, so
+    the flags equal the full-grid oracle's, which reads every node."""
+
+    CLS = DegeneracyClass(2.0, 1.0)
+
+    @staticmethod
+    def flags(rep):
+        return rep.pass_positivity, rep.pass_factor_dev
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.sampled_from([2**8, 2**9, 2**10, 2**11, 2**12, 2**13]),
+        delta_t=st.floats(-3.0, 0.0).map(lambda e: 10.0**e),
+        poles=st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=3).filter(
+            lambda ps: all(abs(a - b) > 1e-9 * max(ps) for i, a in enumerate(ps) for b in ps[:i])
+        ),
+        gamma=st.floats(math.log10(0.3), 3.0).map(lambda e: 10.0**e),
+        r=st.floats(0.3, 5.0),
+    )
+    def test_flags_match_full_grid(self, n, delta_t, poles, gamma, r):
+        pt = build_predictor(AnticausalKernel(tuple(poles)), gamma, r, make_grid(n, delta_t))
+        assert self.flags(lemma_check(pt, self.CLS)) == self.flags(lemma_check_full_grid(pt, self.CLS))
+
+    @pytest.mark.parametrize("gamma, r", [(10.0, 1.0), (3.0, 0.5), (100.0, 2.0)])
+    @pytest.mark.parametrize("k", [1, 20, 300])
+    @pytest.mark.parametrize("ulps", range(-3, 4))
+    def test_flags_at_the_band_edge_match_full_grid(self, gamma, r, k, ulps):
+        # the pole fl(omega_k^2 / alpha), moved by a few ulps, puts the band
+        # edge sqrt(a alpha) at node k, on either side of it or on it
+        grid = make_grid(4096, 0.05)
+        pole = float(_half_omegas(grid)[k]) ** 2 / gamma ** (-r)
+        for _ in range(abs(ulps)):
+            pole = math.nextafter(pole, math.copysign(math.inf, ulps))
+        pt = build_predictor(AnticausalKernel((pole,)), gamma, r, grid)
+        assert self.flags(lemma_check(pt, self.CLS)) == self.flags(lemma_check_full_grid(pt, self.CLS))
+
+    def test_edge_an_ulp_below_the_first_node_fails_the_factor_bound(self):
+        # the pole is one ulp below omega_1^2 / alpha, so the edge sits one ulp
+        # below node 1; there Re w ~ -2.3e-14 is below the rounding of the
+        # division (|w| ~ 3.1e4) and |e^w| reads 1.0: the flag is computed,
+        # not taken as True above the edge
+        grid = make_grid(4096, 0.05)
+        pole = 9.412388230409007
+        assert math.nextafter(pole, math.inf) == float(_half_omegas(grid)[1]) ** 2 / 100.0 ** (-2.0)
+        pt = build_predictor(AnticausalKernel((pole,)), 100.0, 2.0, grid)
+        assert self.flags(lemma_check(pt, self.CLS)) == (True, False)
+        assert self.flags(lemma_check_full_grid(pt, self.CLS)) == (True, False)
 
 
 class TestVMinusOneAccumulation:
