@@ -484,9 +484,11 @@ def robustness_experiment(
 
     Errors are always measured against the clean anti-causal target of x0;
     each row checks err <= eps_clean + nu*(kappa_sup + 1)*(1 + slack) with
-    the 5% discretization slack from the calibration table.  The J-split
-    columns are grid diagnostics of the clean/noise error channels.  A noise
-    band that holds no grid node is rejected before the predictor is built.
+    the 5% discretization slack from the calibration table.  ``j0`` and
+    ``j_eta`` are delta_omega/(2pi) times the sum of |channel| over all n
+    nodes of the clean and the noise error channel, both bands, so each
+    bounds its channel's sup (triangle inequality).  A noise band that holds
+    no node is rejected.
     """
     nus = [_real("noise intensity", nu, closed=True) for nu in _sequence("nus", nus)]
     grid = x0.grid
@@ -562,12 +564,15 @@ def counterexample_experiment(
     For each gamma, the squared errors on the band-limited part and its
     complement satisfy the on-grid energy identity
 
-        2*pi*(e1^2 + e2^2) = ||K||_2^2 + ||K_hat||_2^2,
+        2*pi*(e1^2 + e2^2) = ||K||_2^2 + ||K_hat||_2^2
+                             - 2*delta_omega*sum_k Re(conj(K) K_hat)
 
-    so max(e1, e2) is bounded below by sqrt((||K||^2 + ||K_hat||^2)/(4*pi)):
-    no choice of gamma can predict both halves.  All energies are accumulated
-    in the log domain because |K_hat| can exceed the double range near the
-    degeneracy node; linear columns saturate to inf where that happens.
+    (docs/numerics.md).  ``identity_ok`` and ``floor_ok`` read its first two
+    terms within 5%: the left side is within 5% of them, and max(e1, e2)^2
+    is at least 95% of (||K||^2 + ||K_hat||^2)/(4*pi), so no choice of gamma
+    predicts both halves.  All energies are accumulated in the log domain:
+    |K_hat| can exceed the double range near the degeneracy node, where the
+    linear columns saturate to inf.
     """
     grid = cfg.grid
     gammas = _gamma_list(gammas)

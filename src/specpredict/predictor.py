@@ -118,25 +118,19 @@ def _khat_logpolar(kernel: AnticausalKernel, gamma: float, r: float, z: np.ndarr
 
 
 def v_minus_one(omega, kernel: AnticausalKernel, gamma: float, r: float) -> np.ndarray:
-    """V(i*omega) - 1 with full relative accuracy when V is close to 1.
+    """V(i*omega) - 1 by the recurrence D <- D + f_j (1 + D) from D = 0.
 
-    Each factor deviation f_j = -e^{w_j} is exact; when every |f_j| is tiny
-    the product expansion collapses to sum f_j, which avoids the catastrophic
-    1 - 1 cancellation of forming V first.
+    With the exact factor deviations f_j = -e^{w_j}, no step subtracts 1
+    from a value near 1: D is f_1 exactly for one pole, and within a few
+    rounding units of (1 + max_j |w_j|) (prod_j (1 + |f_j|) - 1) for more
+    (docs/numerics.md).  An overflowed factor reads NaN (inf * 0).
     """
     om = np.asarray(omega, dtype=float)
-    # accumulated from 1 and 0, as np.prod and np.sum reduce a stack of the f_j
-    prod = np.ones(om.shape, dtype=np.complex128)
-    linear = np.zeros(om.shape, dtype=np.complex128)
-    tiny = np.ones(om.shape, dtype=bool)
+    d = np.zeros(om.shape, dtype=np.complex128)
     for a in kernel.poles:
-        with np.errstate(over="ignore", under="ignore"):
-            f = -np.exp(factor_exponent(1j * om, a, gamma, r))
-        tiny &= np.abs(f) < 1e-6
-        with np.errstate(invalid="ignore", over="ignore"):
-            prod *= 1.0 + f
-            linear += f
-    return np.where(tiny, linear, prod - 1.0)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            d += -np.exp(factor_exponent(1j * om, a, gamma, r)) * (1.0 + d)
+    return d
 
 
 @dataclass(frozen=True)

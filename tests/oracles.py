@@ -337,18 +337,25 @@ def uniformity_check_stacked(kernel, cls, gamma, r, ensemble):
     return float(np.max(l2 / norms)), float(np.max(sup / norms))
 
 
-def v_minus_one_stacked(omega, kernel, gamma, r):
-    """:func:`specpredict.v_minus_one` from the (P, len(omega)) stack of the
-    factor deviations f_j, reduced with ``np.prod`` and ``np.sum``."""
-    from specpredict.predictor import factor_exponent
+def v_minus_one_mpmath(omega, poles, gamma, r):
+    """:func:`specpredict.v_minus_one` with mpmath as prod_j (1 + f_j) - 1,
+    f_j = -e^{w_j}, at 40 + m gamma / 2.3 digits for m poles: |f_j| >=
+    e^{-gamma}, so that many digits hold the difference from 1 at every
+    node.  Returns V - 1 and the scale (1 + max_j |w_j|) (prod_j (1 + |f_j|)
+    - 1) of the recurrence's rounding, both at that precision, for each
+    real node of ``omega``."""
+    import mpmath
 
-    om = np.asarray(omega, dtype=float)
-    with np.errstate(over="ignore", under="ignore"):
-        f = np.stack([-np.exp(factor_exponent(1j * om, a, gamma, r)) for a in kernel.poles])
-    tiny = np.all(np.abs(f) < 1e-6, axis=0)
-    with np.errstate(invalid="ignore", over="ignore"):
-        direct = np.prod(1.0 + f, axis=0) - 1.0
-    return np.where(tiny, np.sum(f, axis=0), direct)
+    want, scale = [], []
+    with mpmath.workdps(int(40 + len(poles) * gamma / 2.3)):
+        alpha = mpmath.mpf(gamma) ** (-mpmath.mpf(r))
+        for o in np.asarray(omega, dtype=float):
+            z = mpmath.mpc(0.0, o)
+            ws = [-gamma * (z - a) / (z + alpha) for a in poles]
+            fs = [-mpmath.exp(w) for w in ws]
+            want.append(mpmath.fprod(1 + f for f in fs) - 1)
+            scale.append((1 + max(abs(w) for w in ws)) * (mpmath.fprod(1 + abs(f) for f in fs) - 1))
+    return want, scale
 
 
 def v_logpolar_mpmath(z, poles, gamma, r, dps=50):
@@ -374,11 +381,13 @@ def v_logpolar_mpmath(z, poles, gamma, r, dps=50):
 
 def lemma_tail_dev_stacked(pt, omega_floor=0.5):
     """``tail_dev_max`` of :func:`specpredict.lemma_check` as one maximum of
-    :func:`v_minus_one_stacked` over every node 0..n/2 with |omega| >=
-    omega_floor, selected by a mask, with each NaN node read as +inf."""
+    one :func:`specpredict.v_minus_one` call over every node 0..n/2 with
+    |omega| >= omega_floor, selected by a mask rather than cut in blocks,
+    with each NaN node read as +inf."""
+    from specpredict import v_minus_one
+
     om = np.abs(pt.grid.omegas()[: pt.grid.n // 2 + 1])
-    with np.errstate(invalid="ignore"):  # inf - inf in the linear sum
-        dev = v_minus_one_stacked(om[om >= omega_floor], pt.kernel, pt.gamma, pt.r)
+    dev = v_minus_one(om[om >= omega_floor], pt.kernel, pt.gamma, pt.r)
     # NaN nodes are overflowed products, where |V - 1| is unbounded
     return float(np.max(np.where(np.isnan(dev), np.inf, np.abs(dev))))
 

@@ -59,7 +59,7 @@ from oracles import (
     past_share,
     transfer_full_grid,
     v_logpolar_mpmath,
-    v_minus_one_stacked,
+    v_minus_one_mpmath,
 )
 
 KERNEL = AnticausalKernel((1.0,), (1.0,))
@@ -540,6 +540,21 @@ class TestLemmaChecks:
             assert rep.tail_dev_max < prev
             prev = rep.tail_dev_max
 
+    @pytest.mark.parametrize("n, dt", [(2**16, 0.01), (4096, 0.02), (1024, 0.1)])
+    @pytest.mark.parametrize("pole", [0.01, 0.3, 1.0, 3.0])
+    @pytest.mark.parametrize("gamma", [3.0, 10.0, 14.0, 30.0, 100.0])
+    @pytest.mark.parametrize("floor", [0.5, 1.0])
+    def test_one_pole_tail_is_its_first_node(self, n, dt, pole, gamma, floor):
+        # for one pole V - 1 is f_1 = -e^{w_1}, and |f_1| = exp(-gamma u)
+        # falls with omega (docs/numerics.md), so the tail maximum is the
+        # factor deviation at the first node at or above the floor
+        grid = make_grid(n, dt)
+        pt = build_predictor(AnticausalKernel((pole,)), gamma, 4.0, grid)
+        om = _half_omegas(grid)
+        o1 = om[np.searchsorted(om, floor)]
+        want = float(np.abs(np.exp(factor_exponent(1j * o1, pole, gamma, 4.0))))
+        assert lemma_check(pt, DegeneracyClass(2.0, 1.0), floor).tail_dev_max == want
+
     def test_overflowed_tail_reads_inf(self):
         # r = 0.6 and a floor of 0.01 reach the nodes where a factor overflows
         # at gamma = 100 and v_minus_one forms inf * 0; the deviation there is
@@ -685,21 +700,27 @@ class TestHighBandFlags:
 
 
 class TestVMinusOneAccumulation:
-    """v_minus_one accumulates the factors pole by pole; it equals the stacked
-    reduction in ``oracles`` byte for byte, NaN nodes of overflowed products
-    included."""
+    """v_minus_one's recurrence D <- D + f_j (1 + D) is within 8 rounding
+    units of (1 + max_j |w_j|) (prod_j (1 + |f_j|) - 1) of the mpmath value
+    of prod_j (1 + f_j) - 1 at each finite node, plus 8 m 2^-1074 for the
+    absolute rounding of exponentials in the subnormal range; the nodes of
+    overflowed products read NaN."""
 
     OMEGAS = make_grid(2**16, 0.01).omegas()
+    # node 0, the band and its edge densely, the tail sparsely
+    NODES = np.unique(np.r_[0, np.geomspace(1, 2**15, 80).astype(int)])
 
     @pytest.mark.parametrize("poles", [(1.0,), (0.5, 1.0), (0.5, 1.0, 2.0), (0.3, 0.7, 1.5, 3.0)])
-    @pytest.mark.parametrize("gamma", [10.0, 100.0, 1000.0])
+    @pytest.mark.parametrize("gamma", [10.0, 14.0, 100.0, 1000.0])
     @pytest.mark.parametrize("r", [4.0, 0.6])
-    def test_matches_stacked(self, poles, gamma, r):
-        kernel = AnticausalKernel(poles)
-        got = v_minus_one(self.OMEGAS, kernel, gamma, r)
-        with np.errstate(invalid="ignore"):  # inf - inf in the oracle's linear sum
-            want = v_minus_one_stacked(self.OMEGAS, kernel, gamma, r)
-        assert got.tobytes() == want.tobytes()
+    def test_matches_mpmath(self, poles, gamma, r):
+        mpmath = pytest.importorskip("mpmath")
+        got = v_minus_one(self.OMEGAS, AnticausalKernel(poles), gamma, r)
+        nodes = self.NODES[np.isfinite(got[self.NODES])]
+        want, scale = v_minus_one_mpmath(self.OMEGAS[nodes], poles, gamma, r)
+        for k, d, s in zip(nodes, want, scale):
+            err = abs(mpmath.mpc(got[k]) - d)
+            assert err <= 8 * (s * mpmath.mpf(2) ** -53 + len(poles) * mpmath.mpf(2) ** -1074), k
         if r == 0.6 and gamma >= 100.0:
             # overflowed products beyond the omega = 0 node
             assert np.count_nonzero(np.isnan(got)) > 10
