@@ -33,10 +33,11 @@ print(f"band edge Omega(gamma) = {pt.omega_threshold:.4f} "
 print(f"grid gain sup |K_hat| = {pt.kappa_sup:.3e}, saturated: {pt.any_saturated}")
 
 om = np.array([0.001, 0.01, 0.03, 0.1, 1.0, 10.0])
-dev = np.abs(v_minus_one(om, kernel, gamma, r))
-for w, d in zip(om, dev):
+# V - 1 = D e^s, with s carrying what leaves the double range
+s, d = v_minus_one(om, kernel, gamma, r)
+for w, sk, dk in zip(om, s, np.abs(d)):
     side = "inside" if w <= pt.omega_threshold else "outside"
-    print(f"  |V(i{w:g}) - 1| = {d:.3e}   ({side} the band)")
+    print(f"  |V(i{w:g}) - 1| = {dk:.3e} e^{sk:.1f}   ({side} the band)")
 
 print(f"causality defect (energy share at t < 0): {causality_defect(pt):.2e}")
 print(f"orthogonality residual <K, K_hat>: {orthogonality_residual(pt):.2e}")

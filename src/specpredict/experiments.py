@@ -17,7 +17,7 @@ the channel's inverse in the rest of it, read for the sup and then squared
 in place for the l2 norm (:func:`_norms`, :func:`_row_norms`); an all-zero
 channel is not transformed.  The robustness experiment forms its clean,
 noisy and noise channels so, and the counterexample reads log|K_hat - K|
-from that gain.  :func:`prediction_error` is the sweep's member step
+from :func:`v_minus_one`.  :func:`prediction_error` is the sweep's member step
 (:func:`_member_errors`), and the CLI's predict reports it.  Ensembles are
 streamed: a sweep keeps the error gain of each gamma (from gamma = 100 on
 at the defaults, omega = 0 alone, where every class member is zero), then
@@ -42,6 +42,7 @@ from .predictor import (
     build_predictor,
     causality_defect,
     lemma_check,
+    v_minus_one,
 )
 from .signals import (
     GeneratorConfig,
@@ -570,9 +571,10 @@ def counterexample_experiment(
     (docs/numerics.md).  ``identity_ok`` and ``floor_ok`` read its first two
     terms within 5%: the left side is within 5% of them, and max(e1, e2)^2
     is at least 95% of (||K||^2 + ||K_hat||^2)/(4*pi), so no choice of gamma
-    predicts both halves.  All energies are accumulated in the log domain:
-    |K_hat| can exceed the double range near the degeneracy node, where the
-    linear columns saturate to inf.
+    predicts both halves.  Energies are summed in the log domain, where the
+    linear columns saturate to inf: log|K_hat - K| = s + log|D| + log|K|
+    with V - 1 = D e^s (:func:`.predictor.v_minus_one`), at node n/2
+    (V - 1) times the stored real K rather than Re(V K) - K.
     """
     grid = cfg.grid
     gammas = _gamma_list(gammas)
@@ -585,11 +587,8 @@ def counterexample_experiment(
     for gamma in gammas:
         pt = build_predictor(kernel, gamma, r, grid)
         log_norm_k_sq = _log_half_sum(2.0 * _log_abs(pt.k_values), grid) + log_dw
-        # log|K_hat - K|: -inf past the gain's support, log|K_hat| where saturated
-        gain = _error_gain(pt)
-        diff_log = np.full(pt.k_values.size, -np.inf)
-        diff_log[: gain.size] = _log_abs(gain)
-        np.copyto(diff_log, pt.khat_log_mag, where=pt.saturated)
+        s, d = v_minus_one(_half_omegas(grid), kernel, gamma, r)
+        diff_log = s + _log_abs(d) + _log_abs(pt.k_values)
         le1 = _log_half_sum(2.0 * (diff_log + _log_abs(X1)), grid) + log_dw - math.log(2 * math.pi)
         le2 = _log_half_sum(2.0 * (diff_log + _log_abs(X2)), grid) + log_dw - math.log(2 * math.pi)
         lhs_log = math.log(2 * math.pi) + np.logaddexp(le1, le2)

@@ -117,20 +117,25 @@ def _khat_logpolar(kernel: AnticausalKernel, gamma: float, r: float, z: np.ndarr
     return K, v_log, v_ph, v_log + _log_abs(K), v_ph + np.angle(K)
 
 
-def v_minus_one(omega, kernel: AnticausalKernel, gamma: float, r: float) -> np.ndarray:
-    """V(i*omega) - 1 by the recurrence D <- D + f_j (1 + D) from D = 0.
+def v_minus_one(omega, kernel: AnticausalKernel, gamma: float, r: float):
+    """(s, D) with V(i*omega) - 1 = D e^s, s = sum_j m_j and m_j = max(Re w_j, 0).
 
-    With the exact factor deviations f_j = -e^{w_j}, no step subtracts 1
-    from a value near 1: D is f_1 exactly for one pole, and within a few
-    rounding units of (1 + max_j |w_j|) (prod_j (1 + |f_j|) - 1) for more
-    (docs/numerics.md).  An overflowed factor reads NaN (inf * 0).
+    The recurrence D <- D + f_j (1 + D) from D = 0, f_j = -e^{w_j}, in units
+    of e^s: D <- -e^{w_j - m_j} (e^{-s} + D) + e^{-m_j} D, then s <- s + m_j,
+    so no step overflows.  Where every m_j = 0, s = 0 and D is f_1 exactly
+    for one pole, within a few rounding units of (1 + max_j |w_j|)
+    (prod_j (1 + |f_j|) - 1) for more (docs/numerics.md).  |V - 1| is
+    np.abs(D * np.exp(s)), +inf past the double range.
     """
     om = np.asarray(omega, dtype=float)
-    d = np.zeros(om.shape, dtype=np.complex128)
-    for a in kernel.poles:
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            d += -np.exp(factor_exponent(1j * om, a, gamma, r)) * (1.0 + d)
-    return d
+    s, d = np.zeros(om.shape), np.zeros(om.shape, dtype=np.complex128)
+    with np.errstate(under="ignore"):
+        for a in kernel.poles:
+            w = factor_exponent(1j * om, a, gamma, r)
+            m = np.maximum(w.real, 0.0)
+            d = -np.exp(w - m) * (np.exp(-s) + d) + np.exp(-m) * d
+            s += m
+    return s, d
 
 
 @dataclass(frozen=True)
@@ -340,8 +345,7 @@ def lemma_check(
     alpha = gamma ** (-r)
     thr = pt.omega_threshold
 
-    pass_pos = True
-    pass_dev = True
+    pass_pos = pass_dev = True
     o = om[np.searchsorted(om, thr, side="right") :][:1]
     for a in pt.kernel.poles:
         re_ratio = (o**2 - a * alpha) / (o**2 + alpha**2)
@@ -350,14 +354,11 @@ def lemma_check(
             dev = np.abs(np.exp(factor_exponent(1j * o, a, gamma, r)))
         pass_dev = pass_dev and bool(np.all(dev < 1.0))
 
-    tail = om[np.searchsorted(om, omega_floor) :]
-    tail_dev = float(
-        np.max([np.max(np.abs(v_minus_one(o, pt.kernel, gamma, r))) for o in _blocks(tail)])
-    )
-    if math.isnan(tail_dev):
-        # a factor overflowed and v_minus_one formed inf * 0: |V - 1| is
-        # unbounded there, read +inf as class_norm reads an overflow
-        tail_dev = math.inf
+    tail_dev = 0.0
+    for o in _blocks(om[np.searchsorted(om, omega_floor) :]):
+        s, d = v_minus_one(o, pt.kernel, gamma, r)
+        with np.errstate(over="ignore", invalid="ignore"):
+            tail_dev = max(tail_dev, float(np.max(np.abs(d * np.exp(s)))))
 
     holds, count, margin = _low_band_holds(pt.kernel, cls, gamma, r, grid)
     return LemmaReport(

@@ -382,14 +382,13 @@ def v_logpolar_mpmath(z, poles, gamma, r, dps=50):
 def lemma_tail_dev_stacked(pt, omega_floor=0.5):
     """``tail_dev_max`` of :func:`specpredict.lemma_check` as one maximum of
     one :func:`specpredict.v_minus_one` call over every node 0..n/2 with
-    |omega| >= omega_floor, selected by a mask rather than cut in blocks,
-    with each NaN node read as +inf."""
+    |omega| >= omega_floor, selected by a mask rather than cut in blocks."""
     from specpredict import v_minus_one
 
     om = np.abs(pt.grid.omegas()[: pt.grid.n // 2 + 1])
-    dev = v_minus_one(om[om >= omega_floor], pt.kernel, pt.gamma, pt.r)
-    # NaN nodes are overflowed products, where |V - 1| is unbounded
-    return float(np.max(np.where(np.isnan(dev), np.inf, np.abs(dev))))
+    s, d = v_minus_one(om[om >= omega_floor], pt.kernel, pt.gamma, pt.r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(d * np.exp(s))))
 
 
 def lemma_check_full_grid(pt, cls, omega_floor=0.5):
@@ -415,8 +414,9 @@ def lemma_check_full_grid(pt, cls, omega_floor=0.5):
         pass_dev = pass_dev and bool(np.all(dev < 1.0))
 
     tail = np.abs(om) >= omega_floor
-    dev = v_minus_one(om[tail], pt.kernel, gamma, r)
-    tail_dev = float(np.max(np.where(np.isnan(dev), np.inf, np.abs(dev))))
+    s, d = v_minus_one(om[tail], pt.kernel, gamma, r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tail_dev = float(np.max(np.abs(d * np.exp(s))))
 
     band = (np.abs(om) > 0.0) & (np.abs(om) <= thr)
     count = int(np.count_nonzero(band))

@@ -698,7 +698,11 @@ class TestRerunByteIdentity:
 # gammas and exits 3 after its reports.  sweep's and lemma's were re-taken
 # when v_minus_one became one recurrence, which moved the gamma-10 tail
 # deviation (lemma_tail_dev, tail_dev_max) from 4.5557718599384103e-05 to
-# 4.5557718599387444e-05
+# 4.5557718599387444e-05.  counterexample's were re-taken when it read
+# log|K_hat - K| from v_minus_one's scaled (s, D) at every node, which moved
+# e2 and e2_sq_log only: gamma 10 e2 2.6908058205751258e-05 ->
+# 2.6908058113735968e-05, gamma 30 e2 5.5424788893915053e-14 ->
+# 5.541827796448862e-14
 REPORT_DIGESTS = {
     "predict": (
         0,
@@ -735,8 +739,8 @@ REPORT_DIGESTS = {
     "counterexample": (
         0,
         {
-            "counterexample.csv": "13f9cc461d279ab1a4892b107210a16730f64827a4a7f708418d88a10aebc477",
-            "counterexample.json": "c0349a8ae3318cee5ee035378bedb2f6754b3da4cdb082155b4405dfb16a96ba",
+            "counterexample.csv": "d00661f08d333bd11a82c3fed9105519696ca5e2c5dfa5fd8f4f269150262008",
+            "counterexample.json": "f822eacb026eeea4edcf577541c4a22f576f31d52e4dbb8c36f0dc1d02c88cd7",
         },
     ),
     "demo-negative": (

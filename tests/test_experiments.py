@@ -38,7 +38,7 @@ from specpredict import (
 )
 from specpredict import experiments, predictor, signals
 from specpredict.signals import _noise_spectrum
-from specpredict.spectral import _half_sum, irfft_rows
+from specpredict.spectral import _half_omegas, _half_sum, _log_abs, _log_half_sum, irfft_rows
 
 from oracles import (
     build_predictor_full_grid,
@@ -285,9 +285,15 @@ class TestGammaSweep:
             ]
             residuals = [orthogonality_residual(pt) for pt in pts]
             lemmas = [lemma_check(pt, cls, omega_floor=0.5 / scale) for pt in pts]
-            return rows, residuals, lemmas
+            split = [
+                counterexample_experiment(
+                    0.5 / scale, kernel, (pt.gamma,), GeneratorConfig(seed=5, grid=grid), pt.r
+                ).rows[0]
+                for pt in pts
+            ]
+            return rows, residuals, lemmas, split
 
-        (rows, residuals, lemmas), (scaled_rows, scaled_residuals, scaled_lemmas) = run(1.0), run(s)
+        (rows, residuals, lemmas, split), (scaled_rows, scaled_residuals, scaled_lemmas, scaled_split) = run(1.0), run(s)
         for row, scaled in zip(rows, scaled_rows):
             assert scaled.err_l2_rel == pytest.approx(row.err_l2_rel, rel=rel, abs=0.0), row.gamma
             assert scaled.err_sup_rel == pytest.approx(row.err_sup_rel, rel=rel, abs=0.0), row.gamma
@@ -304,6 +310,14 @@ class TestGammaSweep:
                 assert getattr(scaled, flag) == getattr(rep, flag), (rep.gamma, flag)
             assert scaled.tail_dev_max == pytest.approx(rep.tail_dev_max, rel=1e-12, abs=0.0), rep.gamma
             assert scaled.low_band_margin == pytest.approx(rep.low_band_margin, rel=1e-12, abs=0.0), rep.gamma
+        # the split's unit-modulus spectra are unchanged at the scaled nodes
+        # and delta_omega falls by s, so every squared error and both sides
+        # of the energy identity gain a factor s
+        for row, scaled in zip(split, scaled_split):
+            for name in ("e1_sq_log", "e2_sq_log", "identity_lhs_log", "identity_rhs_log"):
+                want = getattr(row, name) + math.log(s)
+                assert getattr(scaled, name) == pytest.approx(want, rel=rel, abs=0.0), (row.gamma, name)
+            assert (scaled.identity_ok, scaled.floor_ok) == (row.identity_ok, row.floor_ok)
 
     def test_metadata_recorded(self, ensemble):
         rep = gamma_sweep(KERNEL, CLS, (10.0,), 4.0, ensemble, metadata={"seed": 2026})
@@ -480,6 +494,23 @@ class TestCounterexample:
         for row in rep.rows:
             assert row.e2_sq_log < 0.0 < row.e1_sq_log
             assert row.identity_ok and row.floor_ok
+
+    @pytest.mark.parametrize("gamma", [10.0, 30.0, 100.0, 300.0])
+    def test_one_pole_complement_error_closed_form(self, gamma):
+        # for one pole V - 1 = -e^{w}, so log|K_hat - K| is Re w + log|K| at
+        # every node, and e2^2 is the log half sum of twice that plus
+        # log|X2| bit for bit; at gamma 1000 e^{w} underflows on the tail
+        # (ROADMAP item 1) and the experiment reads -inf
+        from specpredict import counterexample_pair
+
+        grid, kernel, r = experiments.default_grid(), experiments.DEFAULT_KERNEL, experiments.DEFAULT_R
+        cfg5 = GeneratorConfig(seed=5, grid=grid)
+        row = counterexample_experiment(0.5, kernel, (gamma,), cfg5, r=r).rows[0]
+        x2 = counterexample_pair(0.5, cfg5)[1]
+        re_w = predictor.factor_exponent(1j * _half_omegas(grid), kernel.poles[0], gamma, r).real
+        log_terms = 2.0 * (re_w + _log_abs(transfer(kernel, grid)) + _log_abs(x2.spectrum))
+        want = _log_half_sum(log_terms, grid) + math.log(grid.delta_omega) - math.log(2 * math.pi)
+        assert row.e2_sq_log == want
 
     def test_generator_gammas_read_once(self):
         rep = counterexample_experiment(0.5, KERNEL, (g for g in (100.0, 10.0)), cfg(5), r=4.0)
@@ -875,6 +906,27 @@ def test_v_minus_one_has_one_path():
     assert _branch_points(src, "v_minus_one") == []
 
 
+def _names_read(source: str, function: str) -> set:
+    """The names and attribute names that the top-level ``function`` of
+    ``source`` reads or calls."""
+    fn = next(s for s in ast.parse(source).body if getattr(s, "name", None) == function)
+    return {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)} | {
+        node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)
+    }
+
+
+def test_v_minus_one_alone_reads_past_the_double_range():
+    # v_minus_one's (s, D) decides how V - 1 reads where a factor overflows:
+    # the counterexample neither switches to log|K_hat| at saturated nodes
+    # nor subtracts K from the clamped K_hat, and the lemma has no NaN rule
+    probe = "def f(pt):\n    return math.isnan(_error_gain(pt)[pt.saturated])\n"
+    assert {"isnan", "_error_gain", "saturated"} <= _names_read(probe, "f")
+    read = _names_read(Path(experiments.__file__).read_text(encoding="utf-8"), "counterexample_experiment")
+    assert {"saturated", "_error_gain"} & read == set()
+    assert "v_minus_one" in read
+    assert "isnan" not in _names_read(Path(predictor.__file__).read_text(encoding="utf-8"), "lemma_check")
+
+
 def test_witnesses_take_one_formula():
     # the orthogonality residual on the axis and on Re z = sigma is one
     # inner ratio of a peak-scaled K_hat, K_hat on both lines comes from one
@@ -1072,10 +1124,13 @@ class TestExactSupportChannel:
 # sha256 of repr(counterexample_experiment(...).rows), taken while the
 # experiment still added the log weights of nodes 0..n/2 itself, with the
 # dropped ``residual=...`` field cut out of the repr, and re-taken when node
-# n/2 of K_hat became Re(V K)
+# n/2 of K_hat became Re(V K), and again when log|K_hat - K| was read from
+# v_minus_one's scaled (s, D) at every node: only e2 and e2_sq_log moved,
+# criterion 7's e2_sq_log from -inf to -201.04823994748693 at gamma 100 and
+# from -61.04812601811845 to -61.04818220959615 at gamma 30
 COUNTEREXAMPLE_DIGESTS = {
-    "criterion 7": "cc52dec0b6c2f874a4c1bd1db5b2b3fe29b4caa9ec10074bbeb9a4cd486aee6a",
-    "two poles, r = 0.6": "f0291e72aa0d2c8fbc1f74a69c6ab806d48b7c7679b9a10ed54c2837f4a6cc82",
+    "criterion 7": "eed43417400494b6713f23be56ebbf42fb4ae6f1d825a10f2a9bd029b9ca611d",
+    "two poles, r = 0.6": "9001171e447efd78bbd6f2c087a5854ab0a7dd9f2bb2f1da7fc40961cdf22229",
 }
 
 

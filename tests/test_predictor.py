@@ -142,7 +142,8 @@ class TestVFactor:
 
     def test_v_minus_one_keeps_precision_for_tiny_deviation(self):
         om = np.array([1.0, 5.0])
-        dev = v_minus_one(om, KERNEL, 100.0, 4.0)
+        s, dev = v_minus_one(om, KERNEL, 100.0, 4.0)
+        assert not s.any()
         expected = np.exp(factor_exponent(1j * om, 1.0, 100.0, 4.0).real)
         assert np.all(np.abs(dev) == pytest.approx(expected, rel=1e-10))
         # naive evaluation would round these ~1e-44 deviations to zero
@@ -403,7 +404,8 @@ class TestBuildPredictor:
         om = small_grid.omegas()
         k = int(np.argmin(np.abs(om - 1.0)))
         for gamma in (10.0, 100.0, 1000.0, 10000.0):
-            dev = abs(v_minus_one(np.array([om[k]]), KERNEL, gamma, 4.0)[0])
+            s, d = v_minus_one(np.array([om[k]]), KERNEL, gamma, 4.0)
+            dev = abs(d[0] * np.exp(s[0]))
             devs.append(dev)
         assert all(a >= b for a, b in zip(devs, devs[1:]))
         assert devs[-1] == 0.0
@@ -557,8 +559,7 @@ class TestLemmaChecks:
 
     def test_overflowed_tail_reads_inf(self):
         # r = 0.6 and a floor of 0.01 reach the nodes where a factor overflows
-        # at gamma = 100 and v_minus_one forms inf * 0; the deviation there is
-        # unbounded, not undefined
+        # at gamma = 100, where |V - 1| = |D| e^s leaves the double range
         grid = make_grid(2**16, 0.01)
         cls = DegeneracyClass(5.0, 1.0)
         devs = []
@@ -569,7 +570,9 @@ class TestLemmaChecks:
             assert repr(rep) == repr(lemma_check_full_grid(pt, cls, 0.01))
             devs.append(rep.tail_dev_max)
         om = np.abs(_half_omegas(grid))
-        assert np.any(np.isnan(v_minus_one(om[om >= 0.01], KERNEL, 100.0, 0.6)))
+        s, d = v_minus_one(om[om >= 0.01], KERNEL, 100.0, 0.6)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.any(np.isinf(np.abs(d * np.exp(s))))
         assert math.isfinite(devs[0]) and devs[1] == math.inf
 
     def test_low_band_log_domain_bound(self):
@@ -703,8 +706,9 @@ class TestVMinusOneAccumulation:
     """v_minus_one's recurrence D <- D + f_j (1 + D) is within 8 rounding
     units of (1 + max_j |w_j|) (prod_j (1 + |f_j|) - 1) of the mpmath value
     of prod_j (1 + f_j) - 1 at each finite node, plus 8 m 2^-1074 for the
-    absolute rounding of exponentials in the subnormal range; the nodes of
-    overflowed products read NaN."""
+    absolute rounding of exponentials in the subnormal range.  At the nodes
+    of overflowed products |D e^s| reads +inf, and s + log|D| is within 4
+    rounding units of log|V - 1|."""
 
     OMEGAS = make_grid(2**16, 0.01).omegas()
     # node 0, the band and its edge densely, the tail sparsely
@@ -715,15 +719,23 @@ class TestVMinusOneAccumulation:
     @pytest.mark.parametrize("r", [4.0, 0.6])
     def test_matches_mpmath(self, poles, gamma, r):
         mpmath = pytest.importorskip("mpmath")
-        got = v_minus_one(self.OMEGAS, AnticausalKernel(poles), gamma, r)
+        log_scale, dev = v_minus_one(self.OMEGAS, AnticausalKernel(poles), gamma, r)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = dev * np.exp(log_scale)
         nodes = self.NODES[np.isfinite(got[self.NODES])]
         want, scale = v_minus_one_mpmath(self.OMEGAS[nodes], poles, gamma, r)
         for k, d, s in zip(nodes, want, scale):
             err = abs(mpmath.mpc(got[k]) - d)
             assert err <= 8 * (s * mpmath.mpf(2) ** -53 + len(poles) * mpmath.mpf(2) ** -1074), k
+        over = np.setdiff1d(self.NODES, nodes)
+        want, _ = v_minus_one_mpmath(self.OMEGAS[over], poles, gamma, r)
+        for k, v in zip(over, want):
+            log_dev = mpmath.log(abs(v))
+            got_log = log_scale[k] + math.log(abs(dev[k]))
+            assert abs(got_log - log_dev) <= 4 * abs(log_dev) * mpmath.mpf(2) ** -53, k
         if r == 0.6 and gamma >= 100.0:
             # overflowed products beyond the omega = 0 node
-            assert np.count_nonzero(np.isnan(got)) > 10
+            assert np.count_nonzero(np.isinf(np.abs(got))) > 10
 
 
 class TestPreSplitIdentity:
@@ -788,6 +800,9 @@ _KERNELS = [
         ((0.5, 1.0, 2.0), (0.1, 1.0)),
     ]
 ]
+# |K(0)| = 2e4 > e^{9.78}: V K overflows at omega = 0 where V is clamped at
+# e^700, the nodes build_predictor repairs; its poles lie below sigma = 0.25
+_REPAIR_KERNEL = pytest.param((0.01, 0.005), (1.0,), id="poles[0.01, 0.005]-num[1.0]")
 _GRIDS = [make_grid(4096, 0.01), make_grid(2**16, 0.01)]
 
 
@@ -798,7 +813,7 @@ class TestHalfNodePredictor:
     @pytest.mark.parametrize("grid", _GRIDS, ids=["n4096", "n65536"])
     @pytest.mark.parametrize("r", [4.0, 0.6])
     @pytest.mark.parametrize("gamma", [10.0, 30.0, 100.0, 300.0, 1000.0])
-    @pytest.mark.parametrize("poles, numerator", _KERNELS)
+    @pytest.mark.parametrize("poles, numerator", [*_KERNELS, _REPAIR_KERNEL])
     def test_matches_full_grid(self, poles, numerator, gamma, r, grid):
         kernel = AnticausalKernel(poles, numerator)
         _assert_matches_full_grid(
@@ -809,6 +824,11 @@ class TestHalfNodePredictor:
         grid = _GRIDS[1]
         assert build_predictor(KERNEL, 10.0, 4.0, grid).any_saturated
         assert not build_predictor(KERNEL, 10.0, 0.6, grid).any_saturated
+        # V K overflows at omega = 0 and build_predictor's repair clamps it
+        pt = build_predictor(AnticausalKernel((0.01, 0.005)), 10.0, 4.0, grid)
+        assert pt.saturated[0]
+        assert np.all(np.isfinite(pt.khat_values.view(float)))
+        assert pt.kappa_sup == math.exp(705)
 
     @pytest.mark.parametrize("grid", _GRIDS, ids=["n4096", "n65536"])
     @pytest.mark.parametrize("sigma", [0.0, 0.25, -0.25])
