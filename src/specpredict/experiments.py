@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .degeneracy import DegeneracyClass, log_weight
-from .kernels import AnticausalKernel, kernel_to_dict
+from .kernels import AnticausalKernel, kernel_to_dict, transfer
 from .predictor import (
     PredictorTransfer,
     build_predictor,
@@ -572,30 +572,30 @@ def counterexample_experiment(
     terms within 5%: the left side is within 5% of them, and max(e1, e2)^2
     is at least 95% of (||K||^2 + ||K_hat||^2)/(4*pi), so no choice of gamma
     predicts both halves.  Energies are summed in the log domain, where the
-    linear columns saturate to inf: log|K_hat - K| = s + log|D| + log|K|
-    with V - 1 = D e^s (:func:`.predictor.v_minus_one`), at node n/2
-    (V - 1) times the stored real K rather than Re(V K) - K.
+    linear columns saturate to inf: log|K_hat - K| = s + log|D| + log|K| and
+    log|K_hat| = s + log|e^{-s} + D| + log|K| with V - 1 = D e^s
+    (:func:`.predictor.v_minus_one`), K real at node n/2 as transfer keeps it.
     """
     grid = cfg.grid
     gammas = _gamma_list(gammas)
     # the pair's own half spectra, exact zeros included
     X1, X2 = (x.spectrum for x in counterexample_pair(a, cfg))
     log_dw = math.log(grid.delta_omega)
-    tol = CALIBRATION["counterexample_identity_rel"]
+    log_k = _log_abs(transfer(kernel, grid))
+    log_norm_k_sq = _log_half_sum(2.0 * log_k, grid) + log_dw
 
     rows = []
     for gamma in gammas:
-        pt = build_predictor(kernel, gamma, r, grid)
-        log_norm_k_sq = _log_half_sum(2.0 * _log_abs(pt.k_values), grid) + log_dw
         s, d = v_minus_one(_half_omegas(grid), kernel, gamma, r)
-        diff_log = s + _log_abs(d) + _log_abs(pt.k_values)
-        le1 = _log_half_sum(2.0 * (diff_log + _log_abs(X1)), grid) + log_dw - math.log(2 * math.pi)
-        le2 = _log_half_sum(2.0 * (diff_log + _log_abs(X2)), grid) + log_dw - math.log(2 * math.pi)
-        lhs_log = math.log(2 * math.pi) + np.logaddexp(le1, le2)
-        rhs_log = np.logaddexp(log_norm_k_sq, _log_half_sum(2.0 * pt.khat_log_mag, grid) + log_dw)
-        rel_gap = abs(math.expm1(lhs_log - rhs_log))
-        floor_ok = max(le1, le2) >= rhs_log - math.log(4 * math.pi) + math.log(0.95)
-        with np.errstate(over="ignore"):
+        diff_log = s + _log_abs(d) + log_k
+        with np.errstate(under="ignore", over="ignore"):
+            khat_log = s + _log_abs(np.exp(-s) + d) + log_k
+            le1 = _log_half_sum(2.0 * (diff_log + _log_abs(X1)), grid) + log_dw - math.log(2 * math.pi)
+            le2 = _log_half_sum(2.0 * (diff_log + _log_abs(X2)), grid) + log_dw - math.log(2 * math.pi)
+            lhs_log = math.log(2 * math.pi) + np.logaddexp(le1, le2)
+            rhs_log = np.logaddexp(log_norm_k_sq, _log_half_sum(2.0 * khat_log, grid) + log_dw)
+            rel_gap = abs(math.expm1(lhs_log - rhs_log))
+            floor_ok = max(le1, le2) >= rhs_log - math.log(4 * math.pi) + math.log(0.95)
             rows.append(
                 CounterexampleRow(
                     gamma=gamma,
@@ -608,7 +608,7 @@ def counterexample_experiment(
                     identity_lhs_log=float(lhs_log),
                     identity_rhs_log=float(rhs_log),
                     identity_rel_gap=float(rel_gap),
-                    identity_ok=bool(rel_gap <= tol),
+                    identity_ok=bool(rel_gap <= CALIBRATION["counterexample_identity_rel"]),
                     floor_ok=bool(floor_ok),
                 )
             )

@@ -13,9 +13,9 @@ on t >= 0 and acts as a causal predictor of the anti-causal convolution.
 
 Near omega = 0 the factor exponent has real part up to gamma^{r+1} * a_j, so
 |V| can exceed the double-precision range astronomically.  All magnitudes
-are therefore carried in log-magnitude/phase form; stored complex values are
-clamped at exp(700) with a saturation flag, and every low-band check works
-entirely in the log domain.
+are therefore carried in log-magnitude/phase form; stored K_hat values are
+clamped in modulus at exp(700), and every low-band check works entirely in
+the log domain.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ from .spectral import (
 )
 from .tolerances import CALIBRATION
 
-_CLAMP_LOG = CALIBRATION["v_overflow_clamp_log"]
-_VALUE_LOG_MAX = CALIBRATION["khat_value_clamp_log"]
+_CLAMP_LOG = CALIBRATION["khat_clamp_log"]
 
 # lemma_check's floor and find_gamma0's bracket when a caller gives none
 DEFAULT_OMEGA_FLOOR = 0.5
@@ -70,8 +69,8 @@ def eval_v_factor(z, a: float, gamma: float, r: float):
 
     Valid on the closed right half-plane and the imaginary axis.  The
     exponential is entire, so there is no branch ambiguity; where its real
-    part exceeds the double range the result overflows to inf (the log-domain
-    path in :func:`build_predictor` is the clamped alternative).
+    part exceeds the double range the result overflows to inf
+    (:func:`v_logpolar` is the log-polar alternative, which does not).
     """
     a, gamma, r = _real("pole", a), _real("gamma", gamma), _real("r", r)
     with np.errstate(over="ignore", under="ignore"):
@@ -81,27 +80,29 @@ def eval_v_factor(z, a: float, gamma: float, r: float):
     return out
 
 
+def _scaled_exp(z, a: float, gamma: float, r: float):
+    """(m, e^{w - m}) of the :func:`factor_exponent` w, m = max(Re w, 0)."""
+    w = np.asarray(factor_exponent(z, a, gamma, r))
+    m = np.maximum(w.real, 0.0)
+    w.real -= m
+    return m, np.exp(w, out=w)
+
+
 def v_logpolar(z: np.ndarray, kernel: AnticausalKernel, gamma: float, r: float):
     """(log|V|, arg V) of the full product at complex points z (i*omega on the axis).
 
-    Stable for huge exponents: where Re w <= 690 each factor 1 - e^w is
-    formed exactly; beyond that 1 - e^w = -e^w (1 - e^{-w}) gives log
-    magnitude Re w and phase Im w + pi up to an e^{-Re w} correction far
-    below double rounding.
+    Each factor is 1 - e^w = e^m (e^{-m} - e^{w - m}) (:func:`_scaled_exp`),
+    of log magnitude m + log|e^{-m} - e^{w - m}|, so no exponential
+    overflows however large Re w grows; where Re w <= 0 it is 1 - e^w exactly.
     """
     z = np.asarray(z, dtype=np.complex128)
-    logmag = np.zeros(z.shape)
-    phase = np.zeros(z.shape)
-    for a in kernel.poles:
-        w = factor_exponent(z, a, gamma, r)
-        exact = w.real <= 690.0
-        with np.errstate(under="ignore", divide="ignore"):
-            f = 1.0 - np.exp(w[exact])
-            logmag[exact] += np.log(np.abs(f))
-            phase[exact] += np.angle(f)
-        big = ~exact
-        logmag[big] += w.real[big]
-        phase[big] += w.imag[big] + math.pi
+    logmag, phase = np.zeros(z.shape), np.zeros(z.shape)
+    with np.errstate(under="ignore"):
+        for a in kernel.poles:
+            m, f = _scaled_exp(z, a, gamma, r)
+            logmag += m
+            logmag += _log_abs(np.subtract(np.exp(-m), f, out=f))
+            phase += np.angle(f)
     return logmag, phase
 
 
@@ -131,9 +132,10 @@ def v_minus_one(omega, kernel: AnticausalKernel, gamma: float, r: float):
     s, d = np.zeros(om.shape), np.zeros(om.shape, dtype=np.complex128)
     with np.errstate(under="ignore"):
         for a in kernel.poles:
-            w = factor_exponent(1j * om, a, gamma, r)
-            m = np.maximum(w.real, 0.0)
-            d = -np.exp(w - m) * (np.exp(-s) + d) + np.exp(-m) * d
+            m, f = _scaled_exp(1j * om, a, gamma, r)
+            f *= np.exp(-s) + d
+            d *= np.exp(-m)
+            d -= f
             s += m
     return s, d
 
@@ -147,14 +149,14 @@ class PredictorTransfer:
     :func:`.spectral.rfft_rows` do (node n/2 is the unpaired omega_max); a
     full-grid sum over them is :func:`.spectral._half_sum`.
     ``k_values`` holds the kernel transfer K, sampled once per predictor.
-    ``khat_values`` is magnitude-clamped at exp(700) where the log magnitude
-    saturates (mask in ``saturated``); the unclamped log magnitude and phase
-    of K_hat ride along for log-domain arithmetic.  No time kernel is kept:
+    ``khat_values`` is V K where |V| and |K_hat| lie within exp(700), else
+    |K_hat| clamped there, at the nodes ``saturated`` marks; the unclamped
+    log magnitude and phase of K_hat ride along.  No time kernel is kept:
     :func:`causality_defect` takes ``irfft_rows`` of ``khat_values``, and
     the CLI's ``predict`` takes it once, reads the causality defect from it
-    and, for csv, writes it as ``khat.csv`` first.  ``kappa_sup`` is
-    the grid max of |khat_values| (an under-estimate of the true sup,
-    consistent with the grid resolution); ``omega_threshold`` is the
+    and, for csv, writes it as ``khat.csv`` first.  ``kappa_sup`` is the
+    grid max of |khat_values|, exactly exp(700) once a node is clamped (an
+    under-estimate of the true sup); ``omega_threshold`` is the
     degeneracy-band edge sqrt(max_j a_j * gamma^{-r}).
     """
 
@@ -168,7 +170,11 @@ class PredictorTransfer:
     omega_threshold: float
     khat_log_mag: np.ndarray
     khat_phase: np.ndarray
-    saturated: np.ndarray
+
+    @property
+    def saturated(self) -> np.ndarray:
+        """Nodes whose stored ``khat_values`` is clamped: log|K_hat| > 700."""
+        return self.khat_log_mag > _CLAMP_LOG
 
     @property
     def any_saturated(self) -> bool:
@@ -194,24 +200,18 @@ def build_predictor(
     """
     gamma, r = _real("gamma", gamma), _real("r", r)
     K, v_log, v_ph, khat_log, khat_ph = _khat_logpolar(kernel, gamma, r, 1j * _half_omegas(grid))
-    sat = v_log > _CLAMP_LOG
-    v_vals = np.exp(np.minimum(v_log, _CLAMP_LOG)) * np.exp(1j * v_ph)
+    # V K where |V| and |K_hat| lie within e^700, else |K_hat| clamped there.
+    # Node n/2 stands for both +-omega_max: K_hat is Re of the stored value,
+    # log|K_hat| adds the clamp back, and k_values keeps Re(K) as transfer does
+    clamp = np.maximum(v_log, khat_log) > _CLAMP_LOG
     with np.errstate(divide="ignore", under="ignore", over="ignore", invalid="ignore"):
-        khat_vals = v_vals * K
-        # node n/2 stands for both +-omega_max: K_hat there is the average of
-        # the conjugate pair, Re(V K) of the complex V (clamped as at every
-        # node) and K, and k_values keeps Re(K) as transfer does, so V = 1
-        # leaves K_hat = K; its log magnitude and phase are those of Re(V K)
-        ny = (v_vals[-1:] * K[-1:]).real
-        khat_vals[-1:] = ny
-        K[-1] = K[-1].real
-        khat_log[-1:] = np.log(np.abs(ny)) + (v_log[-1:] - np.minimum(v_log[-1:], _CLAMP_LOG))
-        khat_ph[-1:] = np.where(ny < 0.0, math.pi, 0.0)
-        overflow = ~np.isfinite(khat_vals)
-        if np.any(overflow):
-            khat_vals[overflow] = np.exp(
-                np.minimum(khat_log[overflow], _VALUE_LOG_MAX)
-            ) * np.exp(1j * khat_ph[overflow])
+        khat_vals = np.exp(v_log) * np.exp(1j * v_ph) * K
+        khat_vals[clamp] = np.exp(np.minimum(khat_log[clamp], _CLAMP_LOG)) * np.exp(1j * khat_ph[clamp])
+        ny = khat_vals[-1:].real.copy()
+        khat_log[-1:] = np.log(np.abs(ny)) + np.maximum(khat_log[-1:] - _CLAMP_LOG, 0.0)
+    khat_ph[-1:] = np.where(ny < 0.0, math.pi, 0.0)
+    khat_vals[-1:] = ny
+    K[-1] = K[-1].real
     K.flags.writeable = False
 
     return PredictorTransfer(
@@ -221,11 +221,10 @@ def build_predictor(
         grid=grid,
         k_values=K,
         khat_values=khat_vals,
-        kappa_sup=float(np.max(np.abs(khat_vals))),
+        kappa_sup=math.exp(_CLAMP_LOG) if np.any(khat_log > _CLAMP_LOG) else float(np.max(np.abs(khat_vals))),
         omega_threshold=omega_threshold(kernel, gamma, r),
         khat_log_mag=khat_log,
         khat_phase=khat_ph,
-        saturated=sat | overflow,
     )
 
 
@@ -359,6 +358,7 @@ def lemma_check(
         s, d = v_minus_one(o, pt.kernel, gamma, r)
         with np.errstate(over="ignore", invalid="ignore"):
             tail_dev = max(tail_dev, float(np.max(np.abs(d * np.exp(s)))))
+        del s, d  # not alive beside the next block's recurrence
 
     holds, count, margin = _low_band_holds(pt.kernel, cls, gamma, r, grid)
     return LemmaReport(
@@ -436,9 +436,9 @@ def orthogonality_residual(pt: PredictorTransfer) -> float:
 
     :func:`_inner_ratio` of ``k_values`` and K_hat over the predictor's own
     grid samples, K_hat formed from ``khat_log_mag`` and ``khat_phase``
-    scaled by their peak: saturated nodes enter at their unclamped log
-    magnitude, except node n/2, whose conjugate-pair average is formed from
-    the clamped value.  0 for an identically zero predictor.  It tracks the
+    scaled by their peak: every node enters at its unclamped log magnitude,
+    node n/2 as the real part of its clamped value scaled back by the clamp.
+    0 for an identically zero predictor.  It tracks the
     inner product of the kernels only when no node saturates and the
     degeneracy band is resolved; at the default sweep configuration the
     peak at omega = 0 leaves |K(0)| / ||K||, ~0.055 whatever the gamma

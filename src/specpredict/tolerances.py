@@ -12,8 +12,7 @@ CALIBRATION = {
     "lemma_iv_slack": 1e-9,           # slack on the weighted low-band bound
     "causality_defect_max": 1e-3,     # share of kernel energy at t < 0
     "orthogonality_residual_max": 1e-2,
-    "v_overflow_clamp_log": 700.0,    # log-magnitude clamp for stored values
-    "khat_value_clamp_log": 705.0,    # clamp of V*K, under the exp overflow edge
+    "khat_clamp_log": 700.0,          # clamp of stored |K_hat|, under exp's overflow edge
     # experiments
     "class_dc_floor_rel": 1e-12,      # spectral roundoff floor of a series that
                                       # arrives as samples, relative to its peak:

@@ -479,40 +479,26 @@ def transfer_full_grid(kernel, grid, sigma=0.0):
 def build_predictor_full_grid(kernel, gamma, r, grid):
     """:func:`specpredict.build_predictor` with V, K and K_hat evaluated and
     kept at all n nodes, both signs of omega, rather than at nodes 0..n/2."""
-    from specpredict.predictor import (
-        _CLAMP_LOG,
-        _VALUE_LOG_MAX,
-        PredictorTransfer,
-        omega_threshold,
-        v_logpolar,
-    )
+    from specpredict.predictor import _CLAMP_LOG, PredictorTransfer, omega_threshold, v_logpolar
 
     om = grid.omegas()
     v_log, v_ph = v_logpolar(1j * om, kernel, gamma, r)
-    sat = v_log > _CLAMP_LOG
-    v_vals = np.exp(np.minimum(v_log, _CLAMP_LOG)) * np.exp(1j * v_ph)
-
-    K = transfer_full_grid(kernel, grid)
+    # the complex K at node n/2 too, so that node takes Re(V K)
+    K = _transfer_values(kernel, 1j * om)
     with np.errstate(divide="ignore"):
-        k_log = np.log(np.abs(K))
-    k_ph = np.angle(K)
-
-    khat_log = v_log + k_log
-    khat_ph = v_ph + k_ph
+        khat_log = v_log + np.log(np.abs(K))
+    khat_ph = v_ph + np.angle(K)
     with np.errstate(divide="ignore", under="ignore", over="ignore", invalid="ignore"):
-        khat_vals = v_vals * K
-        # node n/2, omega_max: the real part of V K, both complex there
-        ny = slice(grid.n // 2, grid.n // 2 + 1)
-        ny_real = (v_vals[ny] * _transfer_values(kernel, 1j * om[ny])).real
+        khat_vals = np.exp(np.minimum(v_log, _CLAMP_LOG)) * np.exp(1j * v_ph) * K
+        # V K only where both |V| and |K_hat| lie within e^700
+        clamp = (v_log > _CLAMP_LOG) | (khat_log > _CLAMP_LOG)
+        khat_vals[clamp] = np.exp(np.minimum(khat_log[clamp], _CLAMP_LOG)) * np.exp(1j * khat_ph[clamp])
+        ny = grid.n // 2
+        ny_real = khat_vals[ny].real
         khat_vals[ny] = ny_real
-        khat_log[ny] = np.log(np.abs(ny_real)) + (v_log[ny] - np.minimum(v_log[ny], _CLAMP_LOG))
-        khat_ph[ny] = np.where(ny_real < 0.0, math.pi, 0.0)
-        overflow = ~np.isfinite(khat_vals)
-        if np.any(overflow):
-            khat_vals[overflow] = np.exp(
-                np.minimum(khat_log[overflow], _VALUE_LOG_MAX)
-            ) * np.exp(1j * khat_ph[overflow])
-    sat = sat | overflow
+        khat_log[ny] = np.log(np.abs(ny_real)) + max(khat_log[ny] - _CLAMP_LOG, 0.0)
+        khat_ph[ny] = math.pi if ny_real < 0.0 else 0.0
+    K[ny] = K[ny].real
 
     return PredictorTransfer(
         kernel=kernel,
@@ -521,11 +507,10 @@ def build_predictor_full_grid(kernel, gamma, r, grid):
         grid=grid,
         k_values=K,
         khat_values=khat_vals,
-        kappa_sup=float(np.max(np.abs(khat_vals))),
+        kappa_sup=math.exp(_CLAMP_LOG) if np.any(khat_log > _CLAMP_LOG) else float(np.max(np.abs(khat_vals))),
         omega_threshold=omega_threshold(kernel, gamma, r),
         khat_log_mag=khat_log,
         khat_phase=khat_ph,
-        saturated=sat,
     )
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -39,6 +39,7 @@ from specpredict import (
 from specpredict import experiments, predictor, signals
 from specpredict.signals import _noise_spectrum
 from specpredict.spectral import _half_omegas, _half_sum, _log_abs, _log_half_sum, irfft_rows
+from specpredict.tolerances import CALIBRATION
 
 from oracles import (
     build_predictor_full_grid,
@@ -264,9 +265,12 @@ class TestGammaSweep:
         # s gamma^-r, i.e. r to r + ln s/ln gamma: V is unchanged at the
         # scaled nodes and K = 1/(z - a) is multiplied by s, so relative
         # errors, the residual and the lemma's figures (with omega_floor
-        # scaled by 1/s) keep their value and gains scale by s.  A power of
-        # two scales the grid exactly; s = 3 rounds every node.  r = 3 keeps
-        # r + ln s/ln gamma admissible (> 2) at s = 0.5 and gamma 3
+        # scaled by 1/s) keep their value and gains scale by s: the log sup
+        # shifts by ln s, and the stored sup does too where no node is
+        # clamped at e^700 (gamma 3 and 5) and reads e^700 on both sides
+        # where one is (gamma 10).  A power of two scales the grid exactly;
+        # s = 3 rounds every node.  r = 3 keeps r + ln s/ln gamma admissible
+        # (> 2) at s = 0.5 and gamma 3
         q, c, r = 2.0, 1.0, 3.0
         rel, gain_rel = (1e-15, 1e-13) if math.log2(s).is_integer() else (1e-12, 1e-12)
 
@@ -291,17 +295,25 @@ class TestGammaSweep:
                 ).rows[0]
                 for pt in pts
             ]
-            return rows, residuals, lemmas, split
+            log_sups = [float(np.max(pt.khat_log_mag)) for pt in pts]
+            return rows, residuals, lemmas, split, log_sups
 
-        (rows, residuals, lemmas, split), (scaled_rows, scaled_residuals, scaled_lemmas, scaled_split) = run(1.0), run(s)
+        (rows, residuals, lemmas, split, log_sups), scaled_run = run(1.0), run(s)
+        scaled_rows, scaled_residuals, scaled_lemmas, scaled_split, scaled_log_sups = scaled_run
+        assert [row.kappa_sup == math.exp(700) for row in rows] == [False, False, True]
         for row, scaled in zip(rows, scaled_rows):
             assert scaled.err_l2_rel == pytest.approx(row.err_l2_rel, rel=rel, abs=0.0), row.gamma
             assert scaled.err_sup_rel == pytest.approx(row.err_sup_rel, rel=rel, abs=0.0), row.gamma
-            assert scaled.kappa_sup == pytest.approx(s * row.kappa_sup, rel=gain_rel, abs=0.0), row.gamma
+            if row.gamma < 10.0:
+                assert scaled.kappa_sup == pytest.approx(s * row.kappa_sup, rel=gain_rel, abs=0.0), row.gamma
+            else:
+                assert scaled.kappa_sup == row.kappa_sup == math.exp(700)
             assert scaled.i1 == pytest.approx(s * row.i1, rel=gain_rel, abs=0.0), row.gamma
             assert scaled.lemma_pass_high_band is row.lemma_pass_high_band
             assert scaled.lemma_pass_low_band is row.lemma_pass_low_band
         assert [row.i1 > 0.0 for row in rows] == [True, True, False]
+        for log_sup, scaled in zip(log_sups, scaled_log_sups):
+            assert scaled == pytest.approx(log_sup + math.log(s), rel=rel, abs=0.0)
         for scaled, residual in zip(scaled_residuals, residuals):
             assert scaled == pytest.approx(residual, rel=rel, abs=0.0)
         assert [rep.low_band_nodes for rep in lemmas] == [8, 0, 0, 0]
@@ -318,6 +330,36 @@ class TestGammaSweep:
                 want = getattr(row, name) + math.log(s)
                 assert getattr(scaled, name) == pytest.approx(want, rel=rel, abs=0.0), (row.gamma, name)
             assert (scaled.identity_ok, scaled.floor_ok) == (row.identity_ok, row.floor_ok)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        pole=st.floats(-1.5, 0.5).map(lambda e: 10.0**e),
+        gamma=st.floats(math.log10(1.2), 2.0).map(lambda e: 10.0**e),
+        r=st.floats(2.1, 5.0),
+        s=st.floats(-0.6, 0.6).map(lambda e: 10.0**e),
+    )
+    def test_time_scale_covariance_property(self, pole, gamma, r, s):
+        # the covariance above at random (pole, gamma, r, s) on 256 nodes:
+        # relative figures and lemma flags keep their value and the log sup
+        # of K_hat shifts by ln s.  The error channel is formed as K_hat - K,
+        # so a relative error carries an absolute rounding of about one unit
+        # roundoff (5.3e-17 at worst over 1,863 draws): abs=2e-16
+        assume(r + math.log(s) / math.log(gamma) > 2.0)
+
+        def run(scale):
+            grid = make_grid(256, 0.05 * scale)
+            kernel, cls = AnticausalKernel((pole / scale,)), DegeneracyClass(2.0, scale**-2.0)
+            ensemble = make_class_ensemble(cls, GeneratorConfig(seed=3, grid=grid), 2)
+            scaled_r = r + math.log(scale) / math.log(gamma)
+            pt = build_predictor(kernel, gamma, scaled_r, grid)
+            return gamma_sweep(kernel, cls, (gamma,), scaled_r, ensemble).rows[0], float(np.max(pt.khat_log_mag))
+
+        (row, log_sup), (scaled, scaled_log_sup) = run(1.0), run(s)
+        for name in ("err_l2_rel", "err_sup_rel", "causality_defect"):
+            assert getattr(scaled, name) == pytest.approx(getattr(row, name), rel=1e-12, abs=2e-16), name
+        assert scaled.lemma_pass_high_band is row.lemma_pass_high_band
+        assert scaled.lemma_pass_low_band is row.lemma_pass_low_band
+        assert scaled_log_sup == pytest.approx(log_sup + math.log(s), rel=1e-12, abs=0.0)
 
     def test_metadata_recorded(self, ensemble):
         rep = gamma_sweep(KERNEL, CLS, (10.0,), 4.0, ensemble, metadata={"seed": 2026})
@@ -904,6 +946,37 @@ def test_v_minus_one_has_one_path():
     assert sorted(_branch_points(probe, "f")) == ["Call", "Compare"]
     src = Path(predictor.__file__).read_text(encoding="utf-8")
     assert _branch_points(src, "v_minus_one") == []
+
+
+def _masked_subscripts(source: str, function: str) -> list:
+    """The subscripts in the top-level ``function`` of ``source`` indexed by
+    a name or an inverted name (``x[mask]``, ``x[~mask]``), as source text."""
+    fn = next(s for s in ast.parse(source).body if getattr(s, "name", None) == function)
+    return [
+        ast.unparse(node)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Subscript)
+        and isinstance(getattr(node.slice, "operand", node.slice), ast.Name)
+    ]
+
+
+def test_v_logpolar_has_one_path_and_the_predictor_one_clamp():
+    # every factor of V takes the one scaled step: no threshold on Re w
+    # switches between two masked branches, and the stored K_hat is clamped
+    # by the one CALIBRATION key
+    probe = "def f(w, x):\n    exact = w.real <= 690.0\n    x[exact] += 1.0\n    x[~exact] -= w[1:][0]\n"
+    assert _branch_points(probe, "f") == ["Compare"]
+    assert _masked_subscripts(probe, "f") == ["x[exact]", "x[~exact]"]
+    src = Path(predictor.__file__).read_text(encoding="utf-8")
+    assert _branch_points(src, "v_logpolar") == []
+    assert _masked_subscripts(src, "v_logpolar") == []
+    read = {
+        node.slice.value
+        for node in ast.walk(ast.parse(src))
+        if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "CALIBRATION"
+    }
+    assert {key for key in read if "clamp" in key} == {"khat_clamp_log"}
+    assert [key for key in CALIBRATION if "clamp" in key] == ["khat_clamp_log"]
 
 
 def _names_read(source: str, function: str) -> set:

@@ -143,6 +143,12 @@ CAUSALITY_PEAK_BOUND = 1.2e6
 # an unblocked evaluation with two accumulators needs.
 LEMMA_PEAK_BOUND = 1.0e6
 
+# The same at gamma = 1000, where the peak is the tail's V - 1 on a block:
+# 0.527 MB forming each pole's step as one expression, 0.494 MB stepping in
+# place with a block's (s, D) alive beside the next block's recurrence,
+# 0.396 MB freeing them first; the bound sits between the last two.
+LEMMA_STEP_PEAK_BOUND = 0.45e6
+
 # Traced peak of one random phase draw at n = 2^16 (n/2 Philox words): 1.31
 # MB through numpy.random (the phases, their complex product and its
 # exponential), 2.23 MB computing the words here with the lanes and the
@@ -324,6 +330,14 @@ def test_lemma_check_peak_is_bounded():
     lemma_check(pt, DEFAULT_CLASS)  # per-grid caches outside the trace
     _, peak = _traced_peak(lambda: lemma_check(pt, DEFAULT_CLASS))
     assert peak < LEMMA_PEAK_BOUND, peak
+
+
+def test_lemma_check_steps_v_minus_one_in_place():
+    kernel = AnticausalKernel((0.5, 1.0, 2.0))
+    pt = build_predictor(kernel, 1000.0, DEFAULT_R, CFG.grid)
+    lemma_check(pt, DEFAULT_CLASS)  # per-grid caches outside the trace
+    _, peak = _traced_peak(lambda: lemma_check(pt, DEFAULT_CLASS))
+    assert peak < LEMMA_STEP_PEAK_BOUND, peak
 
 
 def test_robustness_peak_is_bounded():

@@ -92,9 +92,9 @@ class TestVFactor:
         ],
     )
     def test_logpolar_matches_mpmath(self, poles, gamma, r, sigma):
-        # Re w_j runs from below 0 to 1e15 on the axis and stays below the
-        # exact form's limit of 690 on the lines, so the cases cross the
-        # switch between the exact factor and -e^w; arg V is compared modulo
+        # Re w_j runs from below 0 to 1e15 on the axis and stays below 690
+        # on the lines, so the cases cross Re w = 0, where each factor
+        # starts to be scaled by e^{Re w}; arg V is compared modulo
         # 2 pi where m max_j |Im w_j|, to which its rounding is relative,
         # leaves it meaningful to 1e-8
         mpmath = pytest.importorskip("mpmath")
@@ -148,6 +148,18 @@ class TestVFactor:
         assert np.all(np.abs(dev) == pytest.approx(expected, rel=1e-10))
         # naive evaluation would round these ~1e-44 deviations to zero
         assert 0 < abs(dev[0]) < 1e-40
+
+    @pytest.mark.parametrize("omega", [0.5, 1e-3])
+    def test_scalar_point_reads_as_one_node(self, omega):
+        # a scalar point gives the 0-d value of the one-node array, on both
+        # sides of Re w = 0 (Re w ~ 490 at omega = 1e-3)
+        kernel = AnticausalKernel((0.5, 1.0))
+        for got, want in (
+            (v_minus_one(omega, kernel, 10.0, 4.0), v_minus_one(np.array([omega]), kernel, 10.0, 4.0)),
+            (v_logpolar(1j * omega, kernel, 10.0, 4.0), v_logpolar(np.array([1j * omega]), kernel, 10.0, 4.0)),
+        ):
+            assert [x.shape for x in got] == [(), ()]
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
 
 GRID_256 = make_grid(256, 0.05)
@@ -398,6 +410,36 @@ class TestBuildPredictor:
         assert pt.any_saturated
         assert np.all(np.isfinite(pt.khat_values[~pt.saturated].view(float)))
         assert math.isfinite(pt.kappa_sup)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([2**8, 2**10, 2**12]),
+        delta_t=st.floats(-2.0, 0.0).map(lambda e: 10.0**e),
+        poles=st.one_of(
+            st.just((0.01, 0.005)),
+            st.lists(st.sampled_from([0.005, 0.01, 0.3, 1.0, 2.0, 3.5]), min_size=1, max_size=3, unique=True),
+        ),
+        numerator=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=1),
+        gamma=st.floats(math.log10(0.5), 3.0).map(lambda e: 10.0**e),
+        r=st.floats(0.3, 5.0),
+    )
+    def test_one_clamp_at_e700(self, n, delta_t, poles, numerator, gamma, r):
+        # every stored K_hat lies within e^700 up to the rounding of
+        # e^700 e^{i arg K_hat}, exactly the nodes with log|K_hat| > 700 are
+        # clamped (node n/2 keeps the real part of its clamped value), the
+        # others hold |K_hat| itself, and the gain reads the clamp wherever
+        # one node is
+        pt = build_predictor(AnticausalKernel(tuple(poles), tuple(numerator)), gamma, r, make_grid(n, delta_t))
+        assert np.all(np.isfinite(pt.khat_values.view(float)))
+        assert np.all(np.abs(pt.khat_values) <= math.exp(700) * (1 + 2**-50))
+        sat = pt.saturated
+        assert np.array_equal(sat, pt.khat_log_mag > 700.0)
+        assert np.abs(pt.khat_values[:-1][sat[:-1]]) == pytest.approx(math.exp(700), rel=2**-50, abs=0.0)
+        with np.errstate(under="ignore"):
+            unclamped = np.exp(pt.khat_log_mag[~sat])
+        assert np.abs(pt.khat_values[~sat]) == pytest.approx(unclamped, rel=1e-12, abs=1e-300)
+        if pt.any_saturated:
+            assert pt.kappa_sup == math.exp(700)
 
     def test_pointwise_convergence_in_gamma(self, small_grid):
         devs = []
@@ -800,8 +842,8 @@ _KERNELS = [
         ((0.5, 1.0, 2.0), (0.1, 1.0)),
     ]
 ]
-# |K(0)| = 2e4 > e^{9.78}: V K overflows at omega = 0 where V is clamped at
-# e^700, the nodes build_predictor repairs; its poles lie below sigma = 0.25
+# |K(0)| = 2e4 > e^{9.78}: V K would overflow at omega = 0 even with |V|
+# within e^700, so |K_hat| is clamped there; its poles lie below sigma = 0.25
 _REPAIR_KERNEL = pytest.param((0.01, 0.005), (1.0,), id="poles[0.01, 0.005]-num[1.0]")
 _GRIDS = [make_grid(4096, 0.01), make_grid(2**16, 0.01)]
 
@@ -824,11 +866,11 @@ class TestHalfNodePredictor:
         grid = _GRIDS[1]
         assert build_predictor(KERNEL, 10.0, 4.0, grid).any_saturated
         assert not build_predictor(KERNEL, 10.0, 0.6, grid).any_saturated
-        # V K overflows at omega = 0 and build_predictor's repair clamps it
+        # V K would overflow at omega = 0, where |K_hat| is clamped at e^700
         pt = build_predictor(AnticausalKernel((0.01, 0.005)), 10.0, 4.0, grid)
         assert pt.saturated[0]
         assert np.all(np.isfinite(pt.khat_values.view(float)))
-        assert pt.kappa_sup == math.exp(705)
+        assert pt.kappa_sup == math.exp(700)
 
     @pytest.mark.parametrize("grid", _GRIDS, ids=["n4096", "n65536"])
     @pytest.mark.parametrize("sigma", [0.0, 0.25, -0.25])
@@ -974,11 +1016,16 @@ def test_predictor_imports_no_full_grid_path():
 # The residual's was re-taken when it became the line witness's inner
 # product on a peak-scaled K_hat: its log-domain form subtracted two logs
 # near a * gamma^5 and read 0.0552988 with relative errors of 3.3e-12 to
-# 2.0e-2 from gamma 10 to 1000; every gamma now reads 0.05529877573429793
+# 2.0e-2 from gamma 10 to 1000; every gamma now reads 0.05529877573429793.
+# The line witness's and the lemma's were re-taken when v_logpolar formed
+# each factor as e^m (e^{-m} - e^{w - m}), m = max(Re w, 0), in place of
+# 1 - e^w: the rounding moves where 0 < Re w.  The line figures above 1e-14
+# moved at most 9.4e-12 relative (those below are roundoff), and
+# low_band_margin at most 6.5e-13 (-17.27595592414848 -> -17.27595592413724)
 HALF_SUM_DIGESTS = {
     "orthogonality_residual": "1b9689a5175a2323dc5959ce84b48628e3476b8997871ba61abbea7873045d1f",
-    "line_witness": "fff4d78b06c4526d708789e1bd85eec98e057e4ab6c2b6b2f4ef808da4560f8b",
-    "lemma_check": "e344249835770af8ea19e8ddee7e0ff6c8ceeac5e3ccd1f76ffce5096f392222",
+    "line_witness": "9e2a08633a825f003fa7d1173c69b7a3b6fd58367f86d09555a01ece42735ce9",
+    "lemma_check": "6d6bfce280f7a9cc258aa1d45c0dfa0629ed91968efe33fa47d356740bef8942",
 }
 
 
