@@ -10,20 +10,19 @@ importing ``numpy.random``.  Outputs are reproducible bit-exactly across
 platforms and numpy releases; :data:`ALGORITHM_ID` names the scheme inside
 every report.
 
-Class members are built spectrum-first (envelope times random phase), tapered
-to the middle half of the time window for wraparound safety, then projected
-back under the envelope so the degeneracy inequality holds exactly at every
-node.  The last projection is spectral, which is what makes membership exact,
-so a member keeps that half spectrum (a ``SpectralSeries``) and its samples
-are the inverse of it; the time support is then "near-compact", with guard
-residues held under the calibration guard level on adequately long windows.
-An ensemble of members holds only its seeds: a member is a pure function of
-(q, c, seed), so it is drawn each time it is read, and reading it twice
-draws it twice.
-
-Band-limited draws and the counterexample pair are returned the same way, as
-the ``SpectralSeries`` of the half spectrum they are built on; the noise of
-the robustness experiment is drawn as its half spectrum alone.
+Every generated signal is built spectrum-first (a magnitude times random
+phase), and class members and band-limited draws go through one projection,
+:func:`_project`: it tapers the signal to the middle half of the time window
+for wraparound safety, then clips the spectrum under a bound (the class
+envelope, or a band's support) so that the bound holds exactly at every
+node.  The last step is spectral, so a signal keeps that half spectrum (a
+``SpectralSeries``) and its samples are the inverse of it; the time support
+is then "near-compact", with guard residues held under the calibration guard
+level on adequately long windows.  An ensemble of members holds only its
+seeds: a member is a pure function of (q, c, seed), so it is drawn each
+time it is read, and reading it twice draws it twice.  The counterexample
+pair is returned as its half spectrum too; the noise of the robustness
+experiment is drawn as its half spectrum alone.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from .spectral import (
     _real,
     _sequence,
     _signs,
-    irfft_rows,
     rfft_rows,
 )
 
@@ -264,6 +262,31 @@ _HEADROOM = 0.5
 _PROJECTION_ROUNDS = 2
 
 
+def _project(X: np.ndarray, clip: np.ndarray, grid: FrequencyGrid) -> SpectralSeries:
+    """Alternate confinement to the guard window with the projection of
+    ``X`` under |X| <= ``clip``, in place on ``X``, for ``_PROJECTION_ROUNDS``
+    rounds; the last step is spectral, so the bound and X(0) = 0 are exact.
+    A node is scaled by min(clip/|X|, 1), 1 where |X| = 0: an infinite clip
+    keeps it, a zero clip makes it a signed zero.  The sample and scale
+    buffers live for one call."""
+    x = np.empty(grid.n)
+    scale = np.empty(X.size)
+    for _ in range(_PROJECTION_ROUNDS):
+        # irfft_rows and rfft_rows through the buffers: the inverse's phase
+        # goes on in X's own buffer, which rfft_rows then overwrites
+        X *= _signs(grid)[0]
+        _irfft_phased(X, grid, out=x)
+        np.multiply(x, _guard_window(grid), out=x)
+        rfft_rows(x, grid, out=X)
+        np.abs(X, out=scale)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(clip, scale, out=scale)
+        np.fmin(scale, 1.0, out=scale)
+        X *= scale
+        X[0] = 0.0
+    return SpectralSeries(grid, X)
+
+
 def _enveloped_member(q: float, c: float, cfg: GeneratorConfig, size: int) -> _Members:
     """Envelope-times-random-phase members for a raw (q, c) pair.
 
@@ -295,12 +318,10 @@ class _Members(Sequence):
 
     ``members[i]`` draws member i afresh, so reading it twice draws it
     twice; a slice is the members of the sliced seeds.  Each member runs
-    through both projection rounds on its own, in place on its own half
-    spectrum, so it does not depend on the ensemble it is drawn in, and it is
-    the :class:`SpectralSeries` of its last projection's half spectrum: the
-    spectrum that is exactly in the class, not a re-transform of its
-    samples.  The members of one iteration share the envelope, the window,
-    one sample buffer and one scale buffer.
+    through :func:`_project` on its own half spectrum, so it does not depend
+    on the ensemble it is drawn in, and it is the :class:`SpectralSeries` of
+    the spectrum that is exactly in the class, not a re-transform of its
+    samples.  The members of one iteration share only the envelope.
     """
 
     def __init__(self, q: float, c: float, cfg: GeneratorConfig, seeds: range):
@@ -319,8 +340,8 @@ class _Members(Sequence):
         return (draw(seed) for seed in self._seeds)
 
     def _drawer(self):
-        """The function that draws the member of a seed, with its envelope,
-        window and buffers."""
+        """The function that draws the member of a seed; it holds only the
+        envelope, and each draw projects in buffers of its own."""
         cfg, grid = self._cfg, self._cfg.grid
         om_abs = _half_nodes(grid)[0]
         # the envelope e^{-c/|omega|^q}, formed in the buffer of the log weight
@@ -330,32 +351,11 @@ class _Members(Sequence):
         with np.errstate(under="ignore"):
             np.exp(env, out=env)
         env[0] = 0.0
-        window = _guard_window(grid)
-        signs = _signs(grid)[0]
-        x = np.empty(grid.n)
-        scale = np.empty(env.size)
 
         def draw(seed: int) -> SpectralSeries:
             X = _random_hermitian_phases(grid, _generator(replace(cfg, seed=seed), _STREAM_CLASS))
-            # the starting spectrum, phases times the headroom envelope
-            X *= np.multiply(_HEADROOM, env, out=scale)
-            # alternate time confinement with the spectral projection; the last
-            # step is spectral, which makes the envelope bound and X(0) = 0 exact
-            for _ in range(_PROJECTION_ROUNDS):
-                # irfft_rows and rfft_rows through the buffers: the inverse's
-                # phase goes on in X's own buffer, which rfft_rows then overwrites
-                X *= signs
-                _irfft_phased(X, grid, out=x)
-                np.multiply(x, window, out=x)
-                rfft_rows(x, grid, out=X)
-                # the clip scale min(env/|X|, 1), 1 where |X| = 0
-                np.abs(X, out=scale)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    np.divide(env, scale, out=scale)
-                np.fmin(scale, 1.0, out=scale)
-                X *= scale
-                X[0] = 0.0
-            return SpectralSeries(grid, X)
+            X *= _HEADROOM * env
+            return _project(X, env, grid)
 
         return draw
 
@@ -378,8 +378,9 @@ def sample_bandlimited(omega_bar: float, cfg: GeneratorConfig) -> SpectralSeries
     node pair, giving a near-sinusoid.  On the grid, finite weighted class
     norms additionally require a gap at the degeneracy point; pass
     ``cfg.band`` to keep the support away from omega = 0 when members of a
-    specific class are wanted.  The signal is the :class:`SpectralSeries`
-    of its last projection, zero off the support and at omega = 0 exactly.
+    specific class are wanted.  :func:`_project` clips it at infinity on the
+    support and at 0 off it, so it is the :class:`SpectralSeries` of its last
+    projection, a signed zero off the support and +0 at omega = 0.
     """
     grid = cfg.grid
     omega_bar = _real("omega_bar", omega_bar, hi=grid.omega_max)
@@ -396,10 +397,7 @@ def sample_bandlimited(omega_bar: float, cfg: GeneratorConfig) -> SpectralSeries
     env[roll] *= 0.5 * (1.0 + np.cos(math.pi * (om_abs[roll] - edge) / (omega_bar - edge)))
 
     X = env * _random_hermitian_phases(grid, _generator(cfg, _STREAM_BAND))
-    window = _guard_window(grid)
-    for _ in range(_PROJECTION_ROUNDS):
-        X = np.where(support, rfft_rows(irfft_rows(X, grid) * window, grid), 0.0)
-    return SpectralSeries(grid, X)
+    return _project(X, np.where(support, np.inf, 0.0), grid)
 
 
 def counterexample_pair(a: float, cfg: GeneratorConfig):

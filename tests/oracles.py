@@ -561,3 +561,36 @@ def line_witness_half_grid(kernel, gamma, r):
     inner = np.sum(weights * (np.conj(k_mirror) * khat).real)
     sq_norms = np.sum(weights * np.abs(k_mirror) ** 2) * np.sum(weights * np.abs(khat) ** 2)
     return defect, float(abs(inner) / np.sqrt(sq_norms))
+
+
+def one_pole_error_log(kernel, gamma, r, X, grid):
+    """log err_l2_rel of the one-pole predictor on the member with half
+    spectrum ``X``, in closed form: V - 1 = -e^w, so by Parseval
+
+        log err_rel = (LSE(log w_k + 2 log|K X| + 2 Re w)
+                       - LSE(log w_k + 2 log|K X|)) / 2
+
+    over nodes 0..n/2 with node weights w_k (1 at nodes 0 and n/2, else 2),
+    where Re w = -gamma + gamma (a + alpha) alpha / (omega^2 + alpha^2),
+    alpha = gamma^-r, is read from the formula, not from the library, and K
+    is the one-pole transfer d(i omega) / (i omega - a), its real part at
+    the unpaired node n/2 as the library samples it.  Nodes where K X is
+    zero drop out.  numpy only; finite where the figure itself underflows."""
+    (a,) = kernel.poles
+    h = grid.n // 2 + 1
+    omega = np.abs(grid.omegas()[:h])
+    alpha = gamma ** (-r)
+    re_w = -gamma + gamma * (a + alpha) * alpha / (omega**2 + alpha**2)
+    s = 1j * omega
+    K = np.polynomial.polynomial.polyval(s, kernel.numerator) / (s - a)
+    K[-1] = K[-1].real
+    weights = np.full(h, 2.0)
+    weights[[0, -1]] = 1.0
+    live = np.abs(K * X) > 0.0
+    base = np.log(weights[live]) + 2.0 * np.log(np.abs(K * X)[live])
+
+    def lse(v):
+        top = np.max(v)
+        return top + math.log(np.sum(np.exp(v - top)))
+
+    return 0.5 * (lse(base + 2.0 * re_w[live]) - lse(base))

@@ -51,6 +51,7 @@ from oracles import (
     inverse_transform_n_node,
     irfft_stack,
     member_half_spectra,
+    one_pole_error_log,
     row_norms_linalg,
     sweep_rows_stacked,
     transfer_full_grid,
@@ -948,6 +949,46 @@ def test_v_minus_one_has_one_path():
     assert _branch_points(src, "v_minus_one") == []
 
 
+def _callers(source: str, names: set) -> set:
+    """The innermost functions of ``source`` (nested ones and methods
+    included) that call one of ``names``, by name; None for a call at
+    module level."""
+    found = set()
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                callee = getattr(child.func, "id", getattr(child.func, "attr", None))
+                if callee in names:
+                    found.add(function)
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_signals_have_one_projection():
+    # class members and band-limited draws share _project, the one loop that
+    # alternates the time window with the spectral clip; a generator with a
+    # transform loop of its own calls the row transforms itself
+    probe = (
+        "def f(X):\n    def draw(s):\n        return rfft_rows(s)\n    return draw\n"
+        "def g(X):\n    return spectral.irfft_rows(X)\n"
+    )
+    assert _callers(probe, {"rfft_rows", "irfft_rows"}) == {"draw", "g"}
+    src = Path(signals.__file__).read_text(encoding="utf-8")
+    transforms = {"rfft_rows", "irfft_rows", "_irfft_phased"}
+    assert _callers(src, transforms) == {"_project"}
+    assert _callers(src, {"_project"}) == {"draw", "sample_bandlimited"}
+    imported = {
+        alias.name for node in ast.walk(ast.parse(src)) if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
+    assert "irfft_rows" not in imported
+
+
 def _masked_subscripts(source: str, function: str) -> list:
     """The subscripts in the top-level ``function`` of ``source`` indexed by
     a name or an inverted name (``x[mask]``, ``x[~mask]``), as source text."""
@@ -1216,3 +1257,27 @@ def test_counterexample_rows_unchanged(name):
     cfg5 = GeneratorConfig(seed=5, grid=grid)
     rows = counterexample_experiment(0.5, kernel, experiments.DEFAULT_GAMMAS, cfg5, r=r).rows
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == COUNTEREXAMPLE_DIGESTS[name]
+
+
+# Probe B's log10 err_l2_rel of the worst member at the defaults (seed 2026,
+# ten members), by the exact channel (V - 1) K X scaled by e^gamma and by
+# the Parseval log-sum, which agree to every printed digit
+PROBE_B_LOG10 = {10.0: -4.342855008, 30.0: -13.028831132, 100.0: -43.429448101,
+                 300.0: -130.288344568, 1000.0: -434.294481903}
+
+
+def test_one_pole_sweep_meets_the_closed_form():
+    # for one pole V - 1 = -e^w, so err_l2_rel has a closed form; the grid's
+    # K_hat - K cancels |V - 1| ~ e^-gamma against 1, about 2^-53 e^gamma
+    # per node (8 such units at gamma 10), and reads 0.0 from gamma 100 on
+    grid = experiments.default_grid()
+    members = list(make_class_ensemble(experiments.DEFAULT_CLASS, GeneratorConfig(seed=2026, grid=grid), 10))
+    rows = default_sweep(members).rows
+    for row in rows:
+        worst = max(
+            one_pole_error_log(experiments.DEFAULT_KERNEL, row.gamma, experiments.DEFAULT_R, x.spectrum, grid)
+            for x in members
+        )
+        assert abs(worst / math.log(10.0) - PROBE_B_LOG10[row.gamma]) < 1e-9, row.gamma
+        if row.gamma <= 30.0:
+            assert abs(row.err_l2_rel / math.exp(worst) - 1.0) <= 16 * 2.0**-53 * math.exp(row.gamma)
