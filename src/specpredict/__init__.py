@@ -45,7 +45,6 @@ from .predictor import (
 from .signals import (
     ALGORITHM_ID,
     GeneratorConfig,
-    counterexample_pair,
     sample_bandlimited,
     sample_class_member,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "causality_defect",
     "class_norm",
     "counterexample_experiment",
-    "counterexample_pair",
     "default_grid",
     "eval_v_factor",
     "find_gamma0",

@@ -72,7 +72,7 @@ _SCHEMA = {
     "signal": {"kind": ((str,), "class_member"), "seed": _SEED, "omega_bar": (_NUM, _NO_DEFAULT)},
     "ensemble": {"size": ((int,), DEFAULT_ENSEMBLE_SIZE), "seed": _SEED},
     "noise": {"nus": (_NUMS, _NO_DEFAULT), "seed": _SEED, "band": (([_NUM], type(None)), None)},
-    "counterexample": {"a": (_NUM, _NO_DEFAULT), "seed": _SEED},
+    "counterexample": {"a": (_NUM, _NO_DEFAULT)},
     "negative": {"q_bad": (_NUM, _NO_DEFAULT), "seed": _SEED, "size": ((int,), DEFAULT_DEMO_SIZE)},
     "lemma": {"omega_floor": (_NUM, DEFAULT_OMEGA_FLOOR), "gamma0_bracket": (_NUMS, DEFAULT_GAMMA0_BRACKET)},
     "output": {"directory": ((str,), "."), "formats": (([(str,)],), ("csv", "json"))},
@@ -362,8 +362,7 @@ def _cmd_robustness(config, outdir, formats):
 
 def _cmd_counterexample(config, outdir, formats):
     grid, kernel, cls, r, gammas = _build_objects(config)
-    cfg = GeneratorConfig(seed=_leaf(config, "counterexample", "seed"), grid=grid)
-    report = counterexample_experiment(_leaf(config, "counterexample", "a"), kernel, gammas, cfg, r=r)
+    report = counterexample_experiment(_leaf(config, "counterexample", "a"), kernel, gammas, grid, r=r)
     meta = _open_reports(outdir, config, "counterexample")
     _write_table(f"{outdir}/counterexample.csv", CounterexampleRow, report.rows, meta, formats)
     write_json(f"{outdir}/counterexample.json", dataclasses.asdict(report), meta)

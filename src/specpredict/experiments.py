@@ -16,8 +16,9 @@ into a workspace of 2n+2 values (:func:`_channel`, :func:`_workspace`), and
 the channel's inverse in the rest of it, read for the sup and then squared
 in place for the l2 norm (:func:`_norms`, :func:`_row_norms`); an all-zero
 channel is not transformed.  The robustness experiment forms its clean,
-noisy and noise channels so, and the counterexample reads log|K_hat - K|
-from :func:`v_minus_one`.  :func:`prediction_error` is the sweep's member step
+noisy and noise channels so.  The counterexample draws no signal: it reads
+log|K_hat - K| from :func:`v_minus_one` on each side of its split, where
+|X| = 1.  :func:`prediction_error` is the sweep's member step
 (:func:`_member_errors`), and the CLI's predict reports it.  Ensembles are
 streamed: a sweep keeps the error gain of each gamma (from gamma = 100 on
 at the defaults, omega = 0 alone, where every class member is zero), then
@@ -49,7 +50,6 @@ from .signals import (
     _band_mask,
     _enveloped_member,
     _noise_spectrum,
-    counterexample_pair,
     make_class_ensemble,
 )
 from .spectral import (
@@ -557,18 +557,21 @@ def counterexample_experiment(
     a: float,
     kernel: AnticausalKernel,
     gammas,
-    cfg: GeneratorConfig,
+    grid: FrequencyGrid,
     r: float = DEFAULT_R,
 ) -> CounterexampleReport:
-    """Two-sided prediction of one unit-modulus spectrum split at |omega| = a.
+    """Two-sided prediction of a unit-modulus spectrum split at |omega| = a.
 
-    For each gamma, the squared errors on the band-limited part and its
-    complement satisfy the on-grid energy identity
+    The band-limited part X1 has |X1| = 1 at the nodes with |omega| < a and
+    0 at the rest; its complement X2 is 1 where X1 is 0.  For each gamma the
+    squared errors on the two parts satisfy the on-grid energy identity
 
         2*pi*(e1^2 + e2^2) = ||K||_2^2 + ||K_hat||_2^2
                              - 2*delta_omega*sum_k Re(conj(K) K_hat)
 
-    (docs/numerics.md).  ``identity_ok`` and ``floor_ok`` read its first two
+    (docs/numerics.md), in which only |X1|^2 + |X2|^2 = 1 enters, so no phase
+    is drawn: e1^2 sums |K_hat - K|^2 over the inner nodes and e2^2 over the
+    rest.  ``identity_ok`` and ``floor_ok`` read the identity's first two
     terms within 5%: the left side is within 5% of them, and max(e1, e2)^2
     is at least 95% of (||K||^2 + ||K_hat||^2)/(4*pi), so no choice of gamma
     predicts both halves.  Energies are summed in the log domain, where the
@@ -576,10 +579,9 @@ def counterexample_experiment(
     log|K_hat| = s + log|e^{-s} + D| + log|K| with V - 1 = D e^s
     (:func:`.predictor.v_minus_one`), K real at node n/2 as transfer keeps it.
     """
-    grid = cfg.grid
+    a = _real("split frequency a", a, hi=grid.omega_max)
     gammas = _gamma_list(gammas)
-    # the pair's own half spectra, exact zeros included
-    X1, X2 = (x.spectrum for x in counterexample_pair(a, cfg))
+    inner = _half_nodes(grid)[0] < a
     log_dw = math.log(grid.delta_omega)
     log_k = _log_abs(transfer(kernel, grid))
     log_norm_k_sq = _log_half_sum(2.0 * log_k, grid) + log_dw
@@ -590,8 +592,8 @@ def counterexample_experiment(
         diff_log = s + _log_abs(d) + log_k
         with np.errstate(under="ignore", over="ignore"):
             khat_log = s + _log_abs(np.exp(-s) + d) + log_k
-            le1 = _log_half_sum(2.0 * (diff_log + _log_abs(X1)), grid) + log_dw - math.log(2 * math.pi)
-            le2 = _log_half_sum(2.0 * (diff_log + _log_abs(X2)), grid) + log_dw - math.log(2 * math.pi)
+            le1 = _log_half_sum(np.where(inner, 2.0 * diff_log, -np.inf), grid) + log_dw - math.log(2 * math.pi)
+            le2 = _log_half_sum(np.where(inner, -np.inf, 2.0 * diff_log), grid) + log_dw - math.log(2 * math.pi)
             lhs_log = math.log(2 * math.pi) + np.logaddexp(le1, le2)
             rhs_log = np.logaddexp(log_norm_k_sq, _log_half_sum(2.0 * khat_log, grid) + log_dw)
             rel_gap = abs(math.expm1(lhs_log - rhs_log))

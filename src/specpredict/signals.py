@@ -20,9 +20,10 @@ node.  The last step is spectral, so a signal keeps that half spectrum (a
 is then "near-compact", with guard residues held under the calibration guard
 level on adequately long windows.  An ensemble of members holds only its
 seeds: a member is a pure function of (q, c, seed), so it is drawn each
-time it is read, and reading it twice draws it twice.  The counterexample
-pair is returned as its half spectrum too; the noise of the robustness
-experiment is drawn as its half spectrum alone.
+time it is read, and reading it twice draws it twice.  The noise of the
+robustness experiment is drawn as its half spectrum alone.  The two-sided
+counterexample draws nothing: its figures read only |X| = 1 on each side of
+its split (:func:`.experiments.counterexample_experiment`).
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ ALGORITHM_ID = "numpy.random.Philox(SeedSequence(entropy=seed, spawn_key=(stream
 
 _STREAM_CLASS = 0
 _STREAM_BAND = 1
-_STREAM_PAIR = 2
 _STREAM_NOISE = 3
 
 
@@ -398,24 +398,6 @@ def sample_bandlimited(omega_bar: float, cfg: GeneratorConfig) -> SpectralSeries
 
     X = env * _random_hermitian_phases(grid, _generator(cfg, _STREAM_BAND))
     return _project(X, np.where(support, np.inf, 0.0), grid)
-
-
-def counterexample_pair(a: float, cfg: GeneratorConfig):
-    """Split one unit-modulus spectrum at |omega| = a into a band-limited part
-    and its complement, two :class:`SpectralSeries` zeroed at |omega| >= a
-    and at |omega| < a.
-
-    Together the pair carries |X| = 1 at every node; separately the parts are
-    supported on complementary node sets, which is what defeats any single
-    causal predictor on both at once.  These signals fill the whole time
-    window (no taper): the associated experiment is a pure on-grid spectral
-    identity and needs no wraparound guard.
-    """
-    grid = cfg.grid
-    a = _real("split frequency a", a, hi=grid.omega_max)
-    unit = _random_hermitian_phases(grid, _generator(cfg, _STREAM_PAIR))
-    inner = _half_nodes(grid)[0] < a
-    return SpectralSeries(grid, np.where(inner, unit, 0.0)), SpectralSeries(grid, np.where(inner, 0.0, unit))
 
 
 def _noise_spectrum(nu: float, cfg: GeneratorConfig) -> np.ndarray:

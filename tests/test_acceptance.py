@@ -218,8 +218,7 @@ def test_criterion_06_orthogonality(default_sweep):
 
 
 def test_criterion_07_counterexample(grid):
-    cfg = GeneratorConfig(seed=5, grid=grid)
-    rep = counterexample_experiment(0.5, DEFAULT_KERNEL, DEFAULT_GAMMAS, cfg, r=DEFAULT_R)
+    rep = counterexample_experiment(0.5, DEFAULT_KERNEL, DEFAULT_GAMMAS, grid, r=DEFAULT_R)
     identity_ok = all(row.identity_ok for row in rep.rows)
     floor_ok = all(row.floor_ok for row in rep.rows)
     worst_gap = max(row.identity_rel_gap for row in rep.rows)
@@ -277,7 +276,7 @@ def test_criterion_10_reproducibility(tmp_path):
         "predictor": {"r": 4.0, "gammas": [10.0, 30.0]},
         "signal": {"kind": "class_member", "seed": 7},
         "ensemble": {"size": 2, "seed": 2026},
-        "counterexample": {"a": 0.5, "seed": 5},
+        "counterexample": {"a": 0.5},
         "output": {"directory": ".", "formats": ["csv", "json", "svg"]},
     }
     cfg_path = tmp_path / "config.json"

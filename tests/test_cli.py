@@ -33,7 +33,7 @@ from specpredict import (
     sample_bandlimited,
     sample_class_member,
 )
-from specpredict import cli, experiments
+from specpredict import cli, experiments, signals
 from specpredict.cli import main
 from specpredict.experiments import _require_admissible
 from specpredict.spectral import irfft_rows
@@ -461,7 +461,7 @@ class TestCounterexampleCommand:
             "grid": {"n": 4096, "delta_t": 0.02},
             "kernel": {"poles": [1.0], "numerator": [1.0]},
             "predictor": {"r": 4.0, "gammas": [10.0, 100.0]},
-            "counterexample": {"a": 0.5, "seed": 5},
+            "counterexample": {"a": 0.5},
         }
         code, outdir = run(tmp_path, "counterexample", config)
         assert code == 0
@@ -471,8 +471,24 @@ class TestCounterexampleCommand:
         report = json.loads((outdir / "counterexample.json").read_text())
         assert report["no_gamma_predicts_both"] is True
         del report["metadata"]
-        cfg = GeneratorConfig(seed=5, grid=make_grid(**GRID_SMALL))
-        assert report == as_json(counterexample_experiment(0.5, AnticausalKernel((1.0,)), (10.0, 100.0), cfg, r=4.0))
+        grid = make_grid(**GRID_SMALL)
+        assert report == as_json(counterexample_experiment(0.5, AnticausalKernel((1.0,)), (10.0, 100.0), grid, r=4.0))
+
+    def test_seed_is_an_unknown_key(self, tmp_path, capsys):
+        # the counterexample draws no signal, so it takes no seed
+        code, outdir = run_full(tmp_path, "counterexample", "never_made", extra=("--set", "counterexample.seed=5"))
+        assert code == 2
+        assert capsys.readouterr().err == "config error: unknown key: counterexample.seed\n"
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("a", ["0.0", "-0.5", "200.0"])
+    def test_bad_split_exits_2(self, tmp_path, capsys, a):
+        code, outdir = run_full(tmp_path, "counterexample", "never_made", extra=("--set", f"counterexample.a={a}"))
+        assert code == 2
+        omega_max = make_grid(**GRID_SMALL).omega_max
+        want = f"config error: split frequency a must be a finite real number in (0.0, {omega_max}), got {a}\n"
+        assert capsys.readouterr().err == want
+        assert not outdir.exists()
 
 
 class TestNegativeDemoCommand:
@@ -615,7 +631,7 @@ FULL_CONFIG = base_config(
     predictor={"r": 4.0, "gammas": [10.0, 30.0]},
     ensemble={"size": 2, "seed": 2026},
     noise={"nus": [0.0, 0.05], "seed": 11, "band": None},
-    counterexample={"a": 0.5, "seed": 5},
+    counterexample={"a": 0.5},
     negative={"q_bad": 0.5, "seed": 77, "size": 2},
     lemma={"omega_floor": 0.5, "gamma0_bracket": [0.5, 500.0]},
     output={"directory": ".", "formats": ["csv", "json", "svg"]},
@@ -702,60 +718,63 @@ class TestRerunByteIdentity:
 # log|K_hat - K| from v_minus_one's scaled (s, D) at every node, which moved
 # e2 and e2_sq_log only: gamma 10 e2 2.6908058205751258e-05 ->
 # 2.6908058113735968e-05, gamma 30 e2 5.5424788893915053e-14 ->
-# 5.541827796448862e-14
+# 5.541827796448862e-14.  All were re-taken when the counterexample section
+# lost its seed leaf, which moves only the config each report echoes: with
+# counterexample.seed taken out of the echo, every file is byte-identical to
+# the one before and every exit code the same
 REPORT_DIGESTS = {
     "predict": (
         0,
         {
-            "khat.csv": "5b404ca645d4e0ecea3891b0473f2db0ec110eff5a01446ff3ea5528e8d46d03",
-            "summary.json": "7005356e4e59a02c37ecb296ca74c049d8fa3881baf0227aacd7441c9a3945c8",
-            "x.csv": "c503542005e23562ac5ef6b12ea77c25286e0978150836a97d2d33160dc8f771",
-            "y.csv": "13caf166aff1797ace04e4a392a595c50a915898f678db8f06f2fb0f017d7cf9",
-            "yhat.csv": "ffbffe239fadf028b7d2810422c3527596e79aa6645f7ddaa0ed6995f8489c3c",
+            "khat.csv": "be0d6775481a82e10055f4bf2440dc805d56149fb2a18431b7a577b201755513",
+            "summary.json": "0b16c7174bb71bb61a7353d51d34d83790cd56b77e0085deebc8fdb4e6f135d4",
+            "x.csv": "91d4cb04a9dd73d506726647cf8bcc03feb1e29557015d5eb29b580c0b7a56df",
+            "y.csv": "b97bae92ac4e5604d01645684bed52ee977159c43e371d2cc3b4402767b58adf",
+            "yhat.csv": "c510722436f2950c99e96e6c1b57d556b41560df61453277694bffa684e1b4dc",
         },
     ),
     "sweep": (
         0,
         {
-            "sweep.csv": "e637497de2c7bd45655615f5a7a61e10ffa23ba3cc06715aa29d9715a1a70bae",
-            "sweep.json": "2bd198632e08f82f250d7a3fdc81004328b52472113838e9365968ead9377821",
+            "sweep.csv": "c40eb43d8b24f614e658b537815ad9a92598a22d354a3c2572a524084e028d28",
+            "sweep.json": "6f3b3dee7cdec08cdd435b8738f1c19f76256fc74207e0bb516bccf79b43f15b",
             "sweep.svg": "4a24c49eedc932d7964e2ba8c7ec31eefb8d997a120307a4975a9c2bd1aed77c",
         },
     ),
     "lemma": (
         0,
         {
-            "lemma.csv": "e760b4f360f84f3ad17bf0afde48d94650f8bd18f11a496ccf28527b9bb17f63",
-            "lemma.json": "815ccf5d7c949f7b14cc1a11a1fbf3b111a28cc2e82807438dafd77c19630acb",
+            "lemma.csv": "51e7e56fcd0a21a2c62955568b21fc60c430732ddb58ca3f02ee1b4364e67968",
+            "lemma.json": "920b85338332c36e069e82983014525bff1134e3860ebad38b8c2f3e6aaa3be4",
         },
     ),
     "robustness": (
         3,
         {
-            "robustness.csv": "23fd7134660840c97b271b317bb5eaa50b2990029146350b9091ffbd931cc08c",
-            "robustness.json": "1e8158fed92da69dcaea43febf98335eb8767b77d0ce31468aa459bc9c323647",
+            "robustness.csv": "d03d779c80c13f4e63fda74e6c37a225bfebf1b18d7421bfc314b315984c58a2",
+            "robustness.json": "97e3ae535f999b1a67049dd3c5d96b2a58063d204d4ca753b7f5fd040055b282",
         },
     ),
     "counterexample": (
         0,
         {
-            "counterexample.csv": "d00661f08d333bd11a82c3fed9105519696ca5e2c5dfa5fd8f4f269150262008",
-            "counterexample.json": "f822eacb026eeea4edcf577541c4a22f576f31d52e4dbb8c36f0dc1d02c88cd7",
+            "counterexample.csv": "40e6e09d68151b8745013eb88a70063ff7e388286b7081fc7a55959f4038e87a",
+            "counterexample.json": "575782c3eb47ffec7fef0018a34db1a5efc12f70ffc3ef3c4ca9514cff5900c7",
         },
     ),
     "demo-negative": (
         0,
         {
-            "negative.csv": "646febfb3c42abc782837563499a5ac280005af083dd7d45ac0fa9539e268880",
-            "negative.json": "8aa3c24ae9d494014e44f7dede58665204957741a39e245e8c26b1e185fc5bfc",
+            "negative.csv": "71d05e9cecbc4e04e0532aaa81909d52d8c384df11cbdb3980a26af81c75fa19",
+            "negative.json": "734310ce643ac35da60ace2dc04dc6d3b4750d3dfd1125d8b26dc463c9537f7b",
         },
     ),
     "gen-signal": (
         0,
         {
-            "signal.csv": "24b5d4abf128f533e9327e58920aeec3a3ca4b2b58d80011daf487f8e8f1d7fa",
-            "signal.json": "ba4350ed5b17d8d140f60c73d8a2b7cdf1f81d2f501df5c60f0bc296a6a56f3e",
-            "signal_spectrum.csv": "fa39ea66649e61cd98b7313ed0e1e5d627098c8487ec9325f3db8d47083a18d9",
+            "signal.csv": "602872281658561afd6e2e4aa197391ffadaa6743e6117f257d95b140eb64b07",
+            "signal.json": "f6275dd483b5718457b8bb50eeba9c4fc69955d15b0d3af43e85cb5a1953e176",
+            "signal_spectrum.csv": "c14e1ee7b90a8dc2e16542a102528a885c052fb02c01043ea0b9d696986a8c92",
         },
     ),
 }
@@ -967,6 +986,36 @@ def test_every_leaf_is_read_through_leaf():
     subscripts = _readers(lambda n: isinstance(n, ast.Subscript) and ast.unparse(n.value) == "config")
     assert gets == {"_leaf"}
     assert subscripts <= {"_leaf", "_validate_tree", "_apply_overrides"}
+
+
+def test_every_schema_leaf_is_read():
+    # a leaf that no command reads is a knob that does nothing: each leaf of
+    # _SCHEMA is read by a _leaf(config, section, leaf) call, and no call
+    # names a leaf outside it
+    read = _calls(cli, "_leaf")
+    assert all(len(args) == 3 and all(isinstance(a, ast.Constant) for a in args[1:]) for args in read)
+    assert {(args[1].value, args[2].value) for args in read} == {
+        (section, leaf) for section, leaves in cli._SCHEMA.items() for leaf in leaves
+    }
+
+
+def test_every_signal_stream_is_drawn():
+    # a Philox stream that no generator draws keys nothing: each
+    # signals._STREAM_* constant is passed to _generator, and each is its own
+    streams = {name: value for name, value in vars(signals).items() if name.startswith("_STREAM_")}
+    passed = {a.id for args in _calls(signals, "_generator") for a in args if isinstance(a, ast.Name)}
+    assert streams and set(streams) <= passed
+    assert len(set(streams.values())) == len(streams)
+
+
+def _calls(module, name) -> list:
+    """The positional arguments of every call of the bare ``name`` in ``module``'s source."""
+    tree = ast.parse(open(module.__file__, encoding="utf-8").read())
+    return [
+        node.args
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+    ]
 
 
 def _field_default(cls, name):

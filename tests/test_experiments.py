@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import hashlib
 import math
+import re
 import sys
 import weakref
 from pathlib import Path
@@ -290,12 +291,7 @@ class TestGammaSweep:
             ]
             residuals = [orthogonality_residual(pt) for pt in pts]
             lemmas = [lemma_check(pt, cls, omega_floor=0.5 / scale) for pt in pts]
-            split = [
-                counterexample_experiment(
-                    0.5 / scale, kernel, (pt.gamma,), GeneratorConfig(seed=5, grid=grid), pt.r
-                ).rows[0]
-                for pt in pts
-            ]
+            split = [counterexample_experiment(0.5 / scale, kernel, (pt.gamma,), grid, pt.r).rows[0] for pt in pts]
             log_sups = [float(np.max(pt.khat_log_mag)) for pt in pts]
             return rows, residuals, lemmas, split, log_sups
 
@@ -323,9 +319,9 @@ class TestGammaSweep:
                 assert getattr(scaled, flag) == getattr(rep, flag), (rep.gamma, flag)
             assert scaled.tail_dev_max == pytest.approx(rep.tail_dev_max, rel=1e-12, abs=0.0), rep.gamma
             assert scaled.low_band_margin == pytest.approx(rep.low_band_margin, rel=1e-12, abs=0.0), rep.gamma
-        # the split's unit-modulus spectra are unchanged at the scaled nodes
-        # and delta_omega falls by s, so every squared error and both sides
-        # of the energy identity gain a factor s
+        # the split's sides are unchanged at the scaled nodes and delta_omega
+        # falls by s, so every squared error and both sides of the energy
+        # identity gain a factor s
         for row, scaled in zip(split, scaled_split):
             for name in ("e1_sq_log", "e2_sq_log", "identity_lhs_log", "identity_rhs_log"):
                 want = getattr(row, name) + math.log(s)
@@ -481,21 +477,27 @@ class TestRobustness:
 
 
 class TestCounterexample:
-    def test_zero_predictor_limit(self):
-        # with K_hat = 0 the identity collapses to 2 pi (e1^2 + e2^2) = ||K||^2
-        from specpredict import apply_anticausal, counterexample_pair
+    def test_zero_predictor_limit(self, monkeypatch):
+        # with K_hat = 0 (V - 1 = -1) the identity collapses to
+        # 2 pi (e1^2 + e2^2) = ||K||^2, and each e is the l2 norm of K applied,
+        # in time, to its side of a unit-modulus spectrum of any phase
+        from specpredict import apply_anticausal
 
-        x1, x2 = counterexample_pair(0.5, cfg(5))
-        K = transfer(KERNEL, GRID)
-        e_sq = 0.0
-        for x in (x1, x2):
-            y = apply_anticausal(KERNEL, TimeSeries(GRID, x.samples))
-            e_sq += norm(y, 2) ** 2
-        norm_k_sq = GRID.delta_omega * _half_sum(np.abs(K) ** 2, GRID)
-        assert 2 * math.pi * e_sq == pytest.approx(norm_k_sq, rel=1e-9)
+        monkeypatch.setattr(experiments, "v_minus_one", lambda om, *a: (np.zeros(om.shape), np.full(om.shape, -1.0)))
+        row = counterexample_experiment(0.5, KERNEL, (10.0,), GRID, r=4.0).rows[0]
+        k = np.arange(GRID.n // 2 + 1)
+        unit = np.exp(0.1j * k**2)
+        unit[[0, -1]] = 1.0
+        inner = np.abs(_half_omegas(GRID)) < 0.5
+        for e, side in ((row.e1, inner), (row.e2, ~inner)):
+            x = TimeSeries(GRID, SpectralSeries(GRID, np.where(side, unit, 0.0)).samples)
+            assert e == pytest.approx(norm(apply_anticausal(KERNEL, x), 2), rel=1e-9)
+        norm_k_sq = GRID.delta_omega * _half_sum(np.abs(transfer(KERNEL, GRID)) ** 2, GRID)
+        assert 2 * math.pi * (row.e1**2 + row.e2**2) == pytest.approx(norm_k_sq, rel=1e-12)
+        assert row.identity_lhs == pytest.approx(row.identity_rhs, rel=1e-12)
 
     def test_identity_and_floor_across_sweep(self):
-        rep = counterexample_experiment(0.5, KERNEL, (10.0, 100.0, 1000.0), cfg(5), r=4.0)
+        rep = counterexample_experiment(0.5, KERNEL, (10.0, 100.0, 1000.0), GRID, r=4.0)
         for row in rep.rows:
             assert row.identity_ok
             assert row.identity_rel_gap <= 0.05
@@ -506,9 +508,7 @@ class TestCounterexample:
         # gains stay in range, orthogonality is genuine, identity is nontrivial
         g = make_grid(2**17, 0.01)
         kern = AnticausalKernel((0.01,), (1.0,))
-        rep = counterexample_experiment(
-            0.5, kern, (10.0, 30.0), GeneratorConfig(seed=5, grid=g), r=0.6
-        )
+        rep = counterexample_experiment(0.5, kern, (10.0, 30.0), g, r=0.6)
         for row in rep.rows:
             assert row.identity_ok
             assert orthogonality_residual(build_predictor(kern, row.gamma, 0.6, g)) < 1e-2
@@ -521,9 +521,7 @@ class TestCounterexample:
         # identity_rel_gap measures the grid's cross term alone
         g = make_grid(2**17, 0.01)
         kern = AnticausalKernel((0.01,), (1.0,))
-        rep = counterexample_experiment(
-            0.5, kern, (10.0, 30.0), GeneratorConfig(seed=5, grid=g), r=0.6
-        )
+        rep = counterexample_experiment(0.5, kern, (10.0, 30.0), g, r=0.6)
         for row in rep.rows:
             pt = build_predictor(kern, row.gamma, 0.6, g)
             cross = 2.0 * g.delta_omega * _half_sum((np.conj(pt.k_values) * pt.khat_values).real, g)
@@ -533,7 +531,7 @@ class TestCounterexample:
     def test_complement_error_is_read_on_its_own_support(self):
         # x2 is zero at the saturated degeneracy node; its exact spectrum
         # keeps that zero, so e2 stays small while e1 carries the saturation
-        rep = counterexample_experiment(0.5, KERNEL, (10.0, 30.0), cfg(5), r=4.0)
+        rep = counterexample_experiment(0.5, KERNEL, (10.0, 30.0), GRID, r=4.0)
         for row in rep.rows:
             assert row.e2_sq_log < 0.0 < row.e1_sq_log
             assert row.identity_ok and row.floor_ok
@@ -541,29 +539,29 @@ class TestCounterexample:
     @pytest.mark.parametrize("gamma", [10.0, 30.0, 100.0, 300.0])
     def test_one_pole_complement_error_closed_form(self, gamma):
         # for one pole V - 1 = -e^{w}, so log|K_hat - K| is Re w + log|K| at
-        # every node, and e2^2 is the log half sum of twice that plus
-        # log|X2| bit for bit; at gamma 1000 e^{w} underflows on the tail
-        # (ROADMAP item 1) and the experiment reads -inf
-        from specpredict import counterexample_pair
-
+        # every node, and e2^2 is the log half sum of twice that over the
+        # nodes with |omega| >= a bit for bit; at gamma 1000 e^{w} underflows
+        # on the tail (ROADMAP item 1) and the experiment reads -inf
         grid, kernel, r = experiments.default_grid(), experiments.DEFAULT_KERNEL, experiments.DEFAULT_R
-        cfg5 = GeneratorConfig(seed=5, grid=grid)
-        row = counterexample_experiment(0.5, kernel, (gamma,), cfg5, r=r).rows[0]
-        x2 = counterexample_pair(0.5, cfg5)[1]
+        row = counterexample_experiment(0.5, kernel, (gamma,), grid, r=r).rows[0]
         re_w = predictor.factor_exponent(1j * _half_omegas(grid), kernel.poles[0], gamma, r).real
-        log_terms = 2.0 * (re_w + _log_abs(transfer(kernel, grid)) + _log_abs(x2.spectrum))
+        log_terms = 2.0 * (re_w + _log_abs(transfer(kernel, grid)))
+        log_terms[np.abs(_half_omegas(grid)) < 0.5] = -np.inf
         want = _log_half_sum(log_terms, grid) + math.log(grid.delta_omega) - math.log(2 * math.pi)
         assert row.e2_sq_log == want
 
     def test_generator_gammas_read_once(self):
-        rep = counterexample_experiment(0.5, KERNEL, (g for g in (100.0, 10.0)), cfg(5), r=4.0)
-        assert rep.rows == counterexample_experiment(0.5, KERNEL, (10.0, 100.0), cfg(5), r=4.0).rows
+        rep = counterexample_experiment(0.5, KERNEL, (g for g in (100.0, 10.0)), GRID, r=4.0)
+        assert rep.rows == counterexample_experiment(0.5, KERNEL, (10.0, 100.0), GRID, r=4.0).rows
         with pytest.raises(ValueError, match="nonempty"):
-            counterexample_experiment(0.5, KERNEL, (g for g in ()), cfg(5), r=4.0)
+            counterexample_experiment(0.5, KERNEL, (g for g in ()), GRID, r=4.0)
 
-    def test_rejects_bad_split(self):
-        with pytest.raises(ValueError):
-            counterexample_experiment(GRID.omega_max + 1, KERNEL, (10.0,), cfg(1))
+    @pytest.mark.parametrize("a", [GRID.omega_max + 1, 0.0, -0.5])
+    def test_rejects_bad_split(self, a):
+        # the split is checked first, before the gammas
+        message = f"split frequency a must be a finite real number in (0.0, {GRID.omega_max}), got {a!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            counterexample_experiment(a, KERNEL, (), GRID)
 
 
 class TestNegativeDemo:
@@ -793,7 +791,7 @@ class TestGeneratedMembersAreNotRetransformed:
             class_norm(x, CLS)
             robustness_experiment(KERNEL, 10.0, 4.0, x, [0.0, 0.05], cfg(2026))
             robustness_experiment(KERNEL, 10.0, 4.0, x, [0.05], cfg(11, band=(1.0, 2.0)))
-        counterexample_experiment(0.5, KERNEL, (10.0, 100.0), cfg(5))
+        counterexample_experiment(0.5, KERNEL, (10.0, 100.0), GRID)
         nonpredictability_demo(0.5, 1.0, AnticausalKernel((0.5,)), (10.0,), cfg(77), 2.5, size=1)
 
     def test_predict_command(self, tmp_path):
@@ -826,7 +824,7 @@ class TestGeneratedMembersAreNotRetransformed:
             "signal": signal,
             "ensemble": {"size": 2, "seed": 2026},
             "noise": {"nus": [0.0, 0.05], "seed": 11, "band": [1.0, 2.0]},
-            "counterexample": {"a": 0.5, "seed": 5},
+            "counterexample": {"a": 0.5},
             "negative": {"q_bad": 0.5, "seed": 77, "size": 1},
             "lemma": {"omega_floor": 0.5, "gamma0_bracket": [0.5, 500.0]},
         }
@@ -1254,8 +1252,7 @@ def test_counterexample_rows_unchanged(name):
         kernel, grid, r = experiments.DEFAULT_KERNEL, experiments.default_grid(), experiments.DEFAULT_R
     else:
         kernel, grid, r = AnticausalKernel((0.5, 1.2), (0.3, 1.0)), GRID, 0.6
-    cfg5 = GeneratorConfig(seed=5, grid=grid)
-    rows = counterexample_experiment(0.5, kernel, experiments.DEFAULT_GAMMAS, cfg5, r=r).rows
+    rows = counterexample_experiment(0.5, kernel, experiments.DEFAULT_GAMMAS, grid, r=r).rows
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == COUNTEREXAMPLE_DIGESTS[name]
 
 

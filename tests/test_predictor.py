@@ -21,7 +21,6 @@ from specpredict import (
     build_predictor,
     causality_defect,
     counterexample_experiment,
-    counterexample_pair,
     eval_v_factor,
     find_gamma0,
     gamma_sweep,
@@ -199,11 +198,11 @@ REAL_ARGUMENTS = [
         0.03,
         1,
     ),
-    ("sweep-gammas", "gamma", lambda v: counterexample_experiment(0.5, KERNEL, (v,), CFG_256, r=4.0), 12.3, 10),
+    ("sweep-gammas", "gamma", lambda v: counterexample_experiment(0.5, KERNEL, (v,), GRID_256, r=4.0), 12.3, 10),
     ("band-lo", "band lo", lambda v: GeneratorConfig(seed=1, grid=GRID_256, band=(v, 20.0)), 1.3, 1),
     ("band-hi", "band hi", lambda v: GeneratorConfig(seed=1, grid=GRID_256, band=(1.0, v)), 20.3, 20),
     ("omega_bar", "omega_bar", lambda v: sample_bandlimited(v, CFG_256), 5.3, 5),
-    ("split", "split frequency a", lambda v: counterexample_pair(v, CFG_256), 0.7, 1),
+    ("split", "split frequency a", lambda v: counterexample_experiment(v, KERNEL, (10.0,), GRID_256, r=4.0), 0.7, 1),
     ("omega_floor", "omega_floor", lambda v: lemma_check(_pt_256(), DEFAULT_CLASS, omega_floor=v), 0.7, 1),
     (
         "bracket-lo",
@@ -233,7 +232,7 @@ LIST_ARGUMENTS = [
         "gammas",
         lambda v: gamma_sweep(KERNEL, DEFAULT_CLASS, v, 4.0, make_class_ensemble(DEFAULT_CLASS, CFG_256, 1)),
     ),
-    ("counterexample-gammas", "gammas", lambda v: counterexample_experiment(0.5, KERNEL, v, CFG_256, r=4.0)),
+    ("counterexample-gammas", "gammas", lambda v: counterexample_experiment(0.5, KERNEL, v, GRID_256, r=4.0)),
     (
         "negative-gammas",
         "gammas",

@@ -18,11 +18,9 @@ from specpredict import (
     SpectralSeries,
     TimeSeries,
     class_norm,
-    counterexample_pair,
     forward_transform,
     make_class_ensemble,
     make_grid,
-    norm,
     sample_bandlimited,
     sample_class_member,
 )
@@ -371,8 +369,6 @@ class TestPhiloxStream:
 SAMPLE_DIGESTS = {
     "bandlimited seed 3": "6d344fe3aae2d20518494f115365f547aa2eb3b7a8c686e567a945e7b82cfad0",
     "bandlimited seed 8": "543bd2d0135fb0ab745b93b86de4925f0539bbc625be224a6f0f585cbb64ebc2",
-    "pair seed 5, inner": "687220e91e5c7c1a667a2186f1f4a4d15f63cbc66796c970fcbf6b28ea2620fd",
-    "pair seed 5, outer": "35d4108ed28dae60550a57a4512e1d1d3318508c744f1ebf4b9d6248bd3cf25c",
 }
 
 
@@ -416,38 +412,6 @@ class TestBandlimited:
             sample_bandlimited(GRID.omega_max, cfg(1))
         with pytest.raises(ValueError):
             sample_bandlimited(0.0, cfg(1))
-
-
-class TestCounterexamplePair:
-    def test_partition_of_unit_modulus(self):
-        x1, x2 = counterexample_pair(0.5, cfg(10))
-        X1 = forward_transform(x1).spectrum
-        X2 = forward_transform(x2).spectrum
-        mags = np.abs(X1) + np.abs(X2)
-        assert np.max(np.abs(mags - 1.0)) < 1e-12
-        assert np.max(np.abs(X1) * np.abs(X2)) < 1e-12
-
-    def test_first_part_is_bandlimited(self):
-        x1, _ = counterexample_pair(0.5, cfg(11))
-        X1 = forward_transform(x1).spectrum
-        outside = np.abs(HALF_OMEGAS) >= 0.5
-        assert np.max(np.abs(X1[outside])) < 1e-13
-
-    def test_grid_energy_identity(self):
-        # Parseval of the unit-modulus split: total energy (1/2pi)*2*omega_max
-        x1, x2 = counterexample_pair(0.5, cfg(12))
-        total = norm(x1, 2) ** 2 + norm(x2, 2) ** 2
-        assert total == pytest.approx(2 * GRID.omega_max / (2 * math.pi), rel=1e-10)
-
-    def test_samples_unchanged(self):
-        x1, x2 = counterexample_pair(0.5, GeneratorConfig(seed=5, grid=default_grid()))
-        assert isinstance(x1, SpectralSeries) and isinstance(x2, SpectralSeries)
-        assert _sample_digest(x1) == SAMPLE_DIGESTS["pair seed 5, inner"]
-        assert _sample_digest(x2) == SAMPLE_DIGESTS["pair seed 5, outer"]
-
-    def test_rejects_out_of_range_split(self):
-        with pytest.raises(ValueError):
-            counterexample_pair(GRID.omega_max * 1.1, cfg(1))
 
 
 def _full_l1(half: np.ndarray) -> float:
