@@ -576,8 +576,9 @@ def counterexample_experiment(
     is at least 95% of (||K||^2 + ||K_hat||^2)/(4*pi), so no choice of gamma
     predicts both halves.  Energies are summed in the log domain, where the
     linear columns saturate to inf: log|K_hat - K| = s + log|D| + log|K| and
-    log|K_hat| = s + log|e^{-s} + D| + log|K| with V - 1 = D e^s
-    (:func:`.predictor.v_minus_one`), K real at node n/2 as transfer keeps it.
+    log|K_hat| = t + log|e^{-t} + D e^{s - t}| + log|K| with V - 1 = D e^s
+    (:func:`.predictor.v_minus_one`) and t = max(s, 0), K real at node n/2
+    as transfer keeps it.
     """
     a = _real("split frequency a", a, hi=grid.omega_max)
     gammas = _gamma_list(gammas)
@@ -591,7 +592,10 @@ def counterexample_experiment(
         s, d = v_minus_one(_half_omegas(grid), kernel, gamma, r)
         diff_log = s + _log_abs(d) + log_k
         with np.errstate(under="ignore", over="ignore"):
-            khat_log = s + _log_abs(np.exp(-s) + d) + log_k
+            # log|V| = t + log|e^{-t} + D e^{s - t}| with t = max(s, 0): e^{-s}
+            # overflows where s < -709, below the normal range of V - 1
+            t = np.maximum(s, 0.0)
+            khat_log = t + _log_abs(np.exp(-t) + d * np.exp(s - t)) + log_k
             le1 = _log_half_sum(np.where(inner, 2.0 * diff_log, -np.inf), grid) + log_dw - math.log(2 * math.pi)
             le2 = _log_half_sum(np.where(inner, -np.inf, 2.0 * diff_log), grid) + log_dw - math.log(2 * math.pi)
             lhs_log = math.log(2 * math.pi) + np.logaddexp(le1, le2)

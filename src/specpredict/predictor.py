@@ -41,6 +41,9 @@ from .tolerances import CALIBRATION
 
 _CLAMP_LOG = CALIBRATION["khat_clamp_log"]
 
+# e^x is a normal double for x >= -708 (the least normal is 2^-1022 = e^-708.4)
+_NORMAL_LOG = -708.0
+
 # lemma_check's floor and find_gamma0's bracket when a caller gives none
 DEFAULT_OMEGA_FLOOR = 0.5
 DEFAULT_GAMMA0_BRACKET = (0.5, 2000.0)
@@ -80,9 +83,11 @@ def eval_v_factor(z, a: float, gamma: float, r: float):
     return out
 
 
-def _scaled_exp(z, a: float, gamma: float, r: float):
-    """(m, e^{w - m}) of the :func:`factor_exponent` w, m = max(Re w, 0)."""
+def _scaled_exp(z, a: float, gamma: float, r: float, shift=0.0):
+    """(m, e^{w - m}) of the :func:`factor_exponent` w less ``shift``,
+    m = max(Re w - shift, 0)."""
     w = np.asarray(factor_exponent(z, a, gamma, r))
+    w.real -= shift
     m = np.maximum(w.real, 0.0)
     w.real -= m
     return m, np.exp(w, out=w)
@@ -119,24 +124,32 @@ def _khat_logpolar(kernel: AnticausalKernel, gamma: float, r: float, z: np.ndarr
 
 
 def v_minus_one(omega, kernel: AnticausalKernel, gamma: float, r: float):
-    """(s, D) with V(i*omega) - 1 = D e^s, s = sum_j m_j and m_j = max(Re w_j, 0).
+    """(s, D) with V(i*omega) - 1 = D e^s, s = b + sum_j m_j, m_j = max(Re w_j - b, 0)
+    and b = min(max_j Re w_j + 708, 0).
 
     The recurrence D <- D + f_j (1 + D) from D = 0, f_j = -e^{w_j}, in units
-    of e^s: D <- -e^{w_j - m_j} (e^{-s} + D) + e^{-m_j} D, then s <- s + m_j,
-    so no step overflows.  Where every m_j = 0, s = 0 and D is f_1 exactly
-    for one pole, within a few rounding units of (1 + max_j |w_j|)
-    (prod_j (1 + |f_j|) - 1) for more (docs/numerics.md).  |V - 1| is
-    np.abs(D * np.exp(s)), +inf past the double range.
+    of e^s: D <- -e^{w_j - b - m_j} (e^{-s} + D) + e^{-m_j} D, then
+    s <- s + m_j, so no step overflows, and b is added last.  b is 0 unless
+    every e^{w_j} lies below the normal range; there it lifts the largest to
+    e^-708, where every |f_j| <= e^-708 leaves D = sum_j f_j e^{-b} to
+    rounding, so no step underflows it either.  Where every m_j = 0 and
+    b = 0, s = 0 and D is f_1 exactly for one pole, within a few rounding
+    units of (1 + max_j |w_j|) (prod_j (1 + |f_j|) - 1) for more
+    (docs/numerics.md).  |V - 1| is np.abs(D * np.exp(s)), +inf past the
+    double range and 0 below it.
     """
     om = np.asarray(omega, dtype=float)
+    # Re w = -gamma (omega^2 - a alpha) / (omega^2 + alpha^2) grows with the pole a
+    b = np.minimum(factor_exponent(1j * om, max(kernel.poles), gamma, r).real - _NORMAL_LOG, 0.0)
     s, d = np.zeros(om.shape), np.zeros(om.shape, dtype=np.complex128)
     with np.errstate(under="ignore"):
         for a in kernel.poles:
-            m, f = _scaled_exp(1j * om, a, gamma, r)
+            m, f = _scaled_exp(1j * om, a, gamma, r, b)
             f *= np.exp(-s) + d
             d *= np.exp(-m)
             d -= f
             s += m
+    s += b
     return s, d
 
 

@@ -536,19 +536,29 @@ class TestCounterexample:
             assert row.e2_sq_log < 0.0 < row.e1_sq_log
             assert row.identity_ok and row.floor_ok
 
-    @pytest.mark.parametrize("gamma", [10.0, 30.0, 100.0, 300.0])
+    @pytest.mark.parametrize("gamma", [10.0, 30.0, 100.0, 300.0, 1000.0])
     def test_one_pole_complement_error_closed_form(self, gamma):
         # for one pole V - 1 = -e^{w}, so log|K_hat - K| is Re w + log|K| at
         # every node, and e2^2 is the log half sum of twice that over the
-        # nodes with |omega| >= a bit for bit; at gamma 1000 e^{w} underflows
-        # on the tail (ROADMAP item 1) and the experiment reads -inf
+        # nodes with |omega| >= a, bit for bit up to gamma 300; at gamma 1000
+        # e^{w} lies below the normal range on the tail, where v_minus_one
+        # lifts it by its own scale, and e2_sq_log meets the closed form
+        # -2001.048241547996 to rounding
         grid, kernel, r = experiments.default_grid(), experiments.DEFAULT_KERNEL, experiments.DEFAULT_R
         row = counterexample_experiment(0.5, kernel, (gamma,), grid, r=r).rows[0]
         re_w = predictor.factor_exponent(1j * _half_omegas(grid), kernel.poles[0], gamma, r).real
         log_terms = 2.0 * (re_w + _log_abs(transfer(kernel, grid)))
         log_terms[np.abs(_half_omegas(grid)) < 0.5] = -np.inf
         want = _log_half_sum(log_terms, grid) + math.log(grid.delta_omega) - math.log(2 * math.pi)
-        assert row.e2_sq_log == want
+        assert row.e2_sq_log == (want if gamma < 1000.0 else pytest.approx(want, rel=1e-12, abs=0.0))
+
+    def test_identity_holds_where_the_shift_passes_e709(self):
+        # from gamma near 1417 v_minus_one's shift b falls below -709 on the
+        # tail, where e^{-s} overflows; log|K_hat| reads t = max(s, 0) there
+        rep = counterexample_experiment(0.5, AnticausalKernel((0.01,), (1.0,)), (2000.0, 5000.0), GRID, r=0.6)
+        for row in rep.rows:
+            assert math.isfinite(row.identity_rhs_log) and math.isfinite(row.e2_sq_log)
+            assert row.identity_ok and row.floor_ok
 
     def test_generator_gammas_read_once(self):
         rep = counterexample_experiment(0.5, KERNEL, (g for g in (100.0, 10.0)), GRID, r=4.0)
@@ -1239,10 +1249,13 @@ class TestExactSupportChannel:
 # n/2 of K_hat became Re(V K), and again when log|K_hat - K| was read from
 # v_minus_one's scaled (s, D) at every node: only e2 and e2_sq_log moved,
 # criterion 7's e2_sq_log from -inf to -201.04823994748693 at gamma 100 and
-# from -61.04812601811845 to -61.04818220959615 at gamma 30
+# from -61.04812601811845 to -61.04818220959615 at gamma 30.  Re-taken
+# when v_minus_one lifted e^{w_j} below the normal range by its own scale:
+# only e2_sq_log at gamma 1000 moved, from -inf to -2001.048241547996
+# (criterion 7) and to -1871.0281784450306 (two poles)
 COUNTEREXAMPLE_DIGESTS = {
-    "criterion 7": "eed43417400494b6713f23be56ebbf42fb4ae6f1d825a10f2a9bd029b9ca611d",
-    "two poles, r = 0.6": "9001171e447efd78bbd6f2c087a5854ab0a7dd9f2bb2f1da7fc40961cdf22229",
+    "criterion 7": "f6fcef1b821bd76544cf8a9bbcfe10ce5a1898b998bc7825f02a5b47bcda1086",
+    "two poles, r = 0.6": "ee6078614e65b7be1cd439f8fe6b5e26eb7f938fd32aefd0801c0654da9fead5",
 }
 
 

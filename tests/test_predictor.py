@@ -749,7 +749,9 @@ class TestVMinusOneAccumulation:
     of prod_j (1 + f_j) - 1 at each finite node, plus 8 m 2^-1074 for the
     absolute rounding of exponentials in the subnormal range.  At the nodes
     of overflowed products |D e^s| reads +inf, and s + log|D| is within 4
-    rounding units of log|V - 1|."""
+    rounding units of log|V - 1|.  Where every e^{w_j} lies below the normal
+    range, D e^s underflows, and s + log|D| meets log|V - 1| within the same
+    8-unit bound divided by |V - 1|."""
 
     OMEGAS = make_grid(2**16, 0.01).omegas()
     # node 0, the band and its edge densely, the tail sparsely
@@ -768,6 +770,10 @@ class TestVMinusOneAccumulation:
         for k, d, s in zip(nodes, want, scale):
             err = abs(mpmath.mpc(got[k]) - d)
             assert err <= 8 * (s * mpmath.mpf(2) ** -53 + len(poles) * mpmath.mpf(2) ** -1074), k
+            if log_scale[k] < 0.0:
+                # D e^s underflows: the same bound, relative to |V - 1|, on s + log|D|
+                got_log = log_scale[k] + math.log(abs(dev[k]))
+                assert abs(got_log - mpmath.log(abs(d))) <= 8 * s * mpmath.mpf(2) ** -53 / abs(d), k
         over = np.setdiff1d(self.NODES, nodes)
         want, _ = v_minus_one_mpmath(self.OMEGAS[over], poles, gamma, r)
         for k, v in zip(over, want):
@@ -777,6 +783,8 @@ class TestVMinusOneAccumulation:
         if r == 0.6 and gamma >= 100.0:
             # overflowed products beyond the omega = 0 node
             assert np.count_nonzero(np.isinf(np.abs(got))) > 10
+        # products below the normal range on the tail at gamma 1000 alone
+        assert (np.count_nonzero(log_scale[self.NODES] < 0.0) > 10) == (gamma == 1000.0)
 
 
 class TestPreSplitIdentity:
