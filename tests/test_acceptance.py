@@ -164,14 +164,17 @@ def test_criterion_04_convergence(grid, default_sweep):
     ok_sup = last.err_sup_rel <= 0.1 * first.err_sup_rel
     ok_i1 = last.i1 <= 0.1 * first.i1
     ok_i2 = last.i2 <= 0.1 * first.i2
+    # a shrink from 0 passes as 0 <= 0, as it would for V = 1, K_hat = K:
+    # the first gamma's errors must be measured (i1 is 0 by construction)
+    measured = first.err_l2_rel > 0.0 and first.err_sup_rel > 0.0 and first.i2 > 0.0
     elapsed = time.time() - start
-    ok = ok_l2 and ok_sup and ok_i1 and ok_i2
+    ok = ok_l2 and ok_sup and ok_i1 and ok_i2 and measured
     assert report(
         4,
         ok,
         f"l2 rel {first.err_l2_rel:.2e}->{last.err_l2_rel:.2e}, sup rel "
         f"{first.err_sup_rel:.2e}->{last.err_sup_rel:.2e}, i1 {first.i1:.1e}->{last.i1:.1e}, "
-        f"i2 {first.i2:.2e}->{last.i2:.2e} (>=10x shrink each)",
+        f"i2 {first.i2:.2e}->{last.i2:.2e} (>=10x shrink each, first-gamma errors > 0: {measured})",
     )
     # the i1 check above holds as 0 <= 0: the band error i1 is exactly zero
     # at every gamma, since every member is exactly zero at each node with
@@ -257,7 +260,8 @@ def test_criterion_09_negative_illustration(grid):
     cfg = GeneratorConfig(seed=77, grid=grid)
     rep = nonpredictability_demo(0.5, 1.0, kernel, (10.0, 30.0), cfg, r=2.5, size=3)
     final = rep.rows[-1]
-    ok = final.err_rel_slow >= 10.0 * final.err_rel_reference
+    # 0 >= 10 * 0 would pass for a predictor with no error on either class
+    ok = final.err_rel_slow >= 10.0 * final.err_rel_reference and final.err_rel_reference > 0.0
     assert report(
         9,
         ok,

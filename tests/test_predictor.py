@@ -948,6 +948,30 @@ class TestLineWitness:
         assert defect == pytest.approx(1.0 - share_t0, abs=1e-3)
         assert defect > 0.98
 
+    @pytest.mark.parametrize("poles", [(1.0,), (0.5, 2.0), (0.01,)])
+    @pytest.mark.parametrize("gamma", [10.0, 100.0])
+    @pytest.mark.parametrize("r", [4.0, 0.6])
+    def test_time_scale_covariance(self, poles, gamma, r):
+        # slowing time by s maps the poles to a/s and r to r + ln s/ln gamma
+        # (gamma^-r to s gamma^-r): sigma, the step and the ringing scale by
+        # s, so the line grid keeps its n and both witnesses, ratios of
+        # energies, keep their value.  A figure below 1e-14 is roundoff and
+        # only stays roundoff (pole 1, gamma 10, r 4 reads 1.660349e-11 and
+        # 1.342163e-06 at every s)
+        base = line_witness(AnticausalKernel(poles), gamma, r)
+        for s in (2.0, 0.5, 3.0):
+            kernel = AnticausalKernel(tuple(a / s for a in poles))
+            scaled = line_witness(kernel, gamma, r + math.log(s) / math.log(gamma))
+            assert scaled.grid.n == base.grid.n, s
+            assert scaled.sigma == pytest.approx(base.sigma / s, rel=1e-15), s
+            for name in ("causality_defect", "orthogonality_residual"):
+                want, got = getattr(base, name), getattr(scaled, name)
+                assert want > 1e-12 or want < 1e-14, (name, want)
+                if want > 1e-12:
+                    assert got == pytest.approx(want, rel=1e-9, abs=0.0), (s, name)
+                else:
+                    assert got < 1e-14, (s, name)
+
     def test_both_witnesses_certify_representable_config(self):
         kern = AnticausalKernel((0.01,), (1.0,))
         pt = build_predictor(kern, 30.0, 0.6, make_grid(2**17, 0.01))
