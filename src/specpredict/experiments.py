@@ -592,8 +592,7 @@ def counterexample_experiment(
         s, d = v_minus_one(_half_omegas(grid), kernel, gamma, r)
         diff_log = s + _log_abs(d) + log_k
         with np.errstate(under="ignore", over="ignore"):
-            # log|V| = t + log|e^{-t} + D e^{s - t}| with t = max(s, 0): e^{-s}
-            # overflows where s < -709, below the normal range of V - 1
+            # not e^{-s}: it overflows where v_minus_one lifts V - 1 by s < -709
             t = np.maximum(s, 0.0)
             khat_log = t + _log_abs(np.exp(-t) + d * np.exp(s - t)) + log_k
             le1 = _log_half_sum(np.where(inner, 2.0 * diff_log, -np.inf), grid) + log_dw - math.log(2 * math.pi)
@@ -619,7 +618,7 @@ def counterexample_experiment(
                 )
             )
     return CounterexampleReport(
-        split=float(a),
+        split=a,
         rows=tuple(rows),
         no_gamma_predicts_both=all(row.floor_ok for row in rows),
     )

@@ -132,15 +132,16 @@ def v_minus_one(omega, kernel: AnticausalKernel, gamma: float, r: float):
     s <- s + m_j, so no step overflows, and b is added last.  b is 0 unless
     every e^{w_j} lies below the normal range; there it lifts the largest to
     e^-708, where every |f_j| <= e^-708 leaves D = sum_j f_j e^{-b} to
-    rounding, so no step underflows it either.  Where every m_j = 0 and
+    rounding, so D does not underflow to 0.  Where every m_j = 0 and
     b = 0, s = 0 and D is f_1 exactly for one pole, within a few rounding
     units of (1 + max_j |w_j|) (prod_j (1 + |f_j|) - 1) for more
     (docs/numerics.md).  |V - 1| is np.abs(D * np.exp(s)), +inf past the
     double range and 0 below it.
     """
     om = np.asarray(omega, dtype=float)
-    # Re w = -gamma (omega^2 - a alpha) / (omega^2 + alpha^2) grows with the pole a
-    b = np.minimum(factor_exponent(1j * om, max(kernel.poles), gamma, r).real - _NORMAL_LOG, 0.0)
+    # max_j Re w_j = -gamma (omega^2 - a alpha) / (omega^2 + alpha^2) at the largest pole a
+    alpha = gamma ** (-r)
+    b = np.minimum(-gamma * (om**2 - kernel.max_pole * alpha) / (om**2 + alpha**2) - _NORMAL_LOG, 0.0)
     s, d = np.zeros(om.shape), np.zeros(om.shape, dtype=np.complex128)
     with np.errstate(under="ignore"):
         for a in kernel.poles:
