@@ -46,7 +46,7 @@ from .experiments import (
     robustness_experiment,
 )
 from .kernels import DEFAULT_NUMERATOR, AnticausalKernel
-from .predictor import DEFAULT_GAMMA0_BRACKET, DEFAULT_OMEGA_FLOOR, LemmaReport, NumericalFailure, _past_share
+from .predictor import DEFAULT_GAMMA0_BRACKET, LemmaReport, NumericalFailure, _past_share
 from .predictor import build_predictor, find_gamma0, lemma_check
 from .reports import ColumnBlocks, format_value, write_csv, write_json, write_svg_lineplot
 from .signals import GeneratorConfig, sample_bandlimited, sample_class_member
@@ -74,7 +74,7 @@ _SCHEMA = {
     "noise": {"nus": (_NUMS, _NO_DEFAULT), "seed": _SEED, "band": (([_NUM], type(None)), None)},
     "counterexample": {"a": (_NUM, _NO_DEFAULT)},
     "negative": {"q_bad": (_NUM, _NO_DEFAULT), "seed": _SEED, "size": ((int,), DEFAULT_DEMO_SIZE)},
-    "lemma": {"omega_floor": (_NUM, DEFAULT_OMEGA_FLOOR), "gamma0_bracket": (_NUMS, DEFAULT_GAMMA0_BRACKET)},
+    "lemma": {"gamma0_bracket": (_NUMS, DEFAULT_GAMMA0_BRACKET)},
     "output": {"directory": ((str,), "."), "formats": (([(str,)],), ("csv", "json"))},
 }
 
@@ -311,10 +311,9 @@ def _cmd_sweep(config, outdir, formats):
 
 def _cmd_lemma(config, outdir, formats):
     grid, kernel, cls, r, gammas = _build_objects(config)
-    floor = _checked("lemma", _real, "omega_floor", _leaf(config, "lemma", "omega_floor"), hi=grid.omega_max)
     bracket = _leaf(config, "lemma", "gamma0_bracket")
     gamma0 = _checked("lemma", find_gamma0, kernel, cls, r, grid, bracket=bracket)
-    reports = [lemma_check(build_predictor(kernel, g, r, grid), cls, floor) for g in gammas]
+    reports = [lemma_check(build_predictor(kernel, g, r, grid), cls) for g in gammas]
     meta = _open_reports(outdir, config, "lemma")
     _write_table(f"{outdir}/lemma.csv", LemmaReport, reports, meta, formats)
     write_json(

@@ -41,11 +41,10 @@ from .tolerances import CALIBRATION
 
 _CLAMP_LOG = CALIBRATION["khat_clamp_log"]
 
-# e^x is a normal double for x >= -708 (the least normal is 2^-1022 = e^-708.4)
-_NORMAL_LOG = -708.0
+# v_minus_one's lift target, above the least normal e^-708.4: subnormals are slow
+_LIFT_LOG = -700.0
 
-# lemma_check's floor and find_gamma0's bracket when a caller gives none
-DEFAULT_OMEGA_FLOOR = 0.5
+# find_gamma0's bracket when a caller gives none
 DEFAULT_GAMMA0_BRACKET = (0.5, 2000.0)
 
 
@@ -125,13 +124,13 @@ def _khat_logpolar(kernel: AnticausalKernel, gamma: float, r: float, z: np.ndarr
 
 def v_minus_one(omega, kernel: AnticausalKernel, gamma: float, r: float):
     """(s, D) with V(i*omega) - 1 = D e^s, s = b + sum_j m_j, m_j = max(Re w_j - b, 0)
-    and b = min(max_j Re w_j + 708, 0).
+    and b = min(max_j Re w_j + 700, 0).
 
     The recurrence D <- D + f_j (1 + D) from D = 0, f_j = -e^{w_j}, in units
     of e^s: D <- -e^{w_j - b - m_j} (e^{-s} + D) + e^{-m_j} D, then
     s <- s + m_j, so no step overflows, and b is added last.  b is 0 unless
-    every e^{w_j} lies below the normal range; there it lifts the largest to
-    e^-708, where every |f_j| <= e^-708 leaves D = sum_j f_j e^{-b} to
+    the largest e^{w_j} lies below e^-700; there it lifts the largest to
+    e^-700, where every |f_j| <= e^-700 leaves D = sum_j f_j e^{-b} to
     rounding, so D does not underflow to 0.  Where every m_j = 0 and
     b = 0, s = 0 and D is f_1 exactly for one pole, within a few rounding
     units of (1 + max_j |w_j|) (prod_j (1 + |f_j|) - 1) for more
@@ -141,7 +140,7 @@ def v_minus_one(omega, kernel: AnticausalKernel, gamma: float, r: float):
     om = np.asarray(omega, dtype=float)
     # max_j Re w_j = -gamma (omega^2 - a alpha) / (omega^2 + alpha^2) at the largest pole a
     alpha = gamma ** (-r)
-    b = np.minimum(-gamma * (om**2 - kernel.max_pole * alpha) / (om**2 + alpha**2) - _NORMAL_LOG, 0.0)
+    b = np.minimum(-gamma * (om**2 - kernel.max_pole * alpha) / (om**2 + alpha**2) - _LIFT_LOG, 0.0)
     s, d = np.zeros(om.shape), np.zeros(om.shape, dtype=np.complex128)
     with np.errstate(under="ignore"):
         for a in kernel.poles:
@@ -279,8 +278,8 @@ class LemmaReport:
 
     ``pass_positivity``/``pass_factor_dev`` cover every node above the band
     edge for every pole, and are read at the first, where both bounds are
-    tightest; ``tail_dev_max`` is max |V - 1| over |omega| >= the
-    ``omega_floor`` of :func:`lemma_check`; ``pass_low_band`` is the weighted
+    tightest; ``tail_dev_max`` is max |V - 1| over |omega| >= half the
+    largest pole; ``pass_low_band`` is the weighted
     low-band bound log|V| <= c/|omega|^q on the nodes strictly inside the
     band (vacuously true when the band falls below the grid resolution;
     ``low_band_nodes`` records how many nodes were actually checked).
@@ -335,49 +334,51 @@ def _blocks(nodes: np.ndarray):
     return (nodes[i : i + _LEMMA_BLOCK] for i in range(0, nodes.size, _LEMMA_BLOCK))
 
 
-def lemma_check(
-    pt: PredictorTransfer, cls: DegeneracyClass, omega_floor: float = DEFAULT_OMEGA_FLOOR
-) -> LemmaReport:
+def _high_band_flags(pt: PredictorTransfer):
+    """(pass_positivity, pass_factor_dev) of :func:`lemma_check`, read at the
+    first node above the band edge: u = (omega^2 - a_j alpha)/(omega^2 + alpha^2)
+    rises with omega^2 and |V_j - 1| = exp(-gamma u) falls, so each all()
+    takes its value there (docs/numerics.md)."""
+    om = _half_nodes(pt.grid)[0]
+    o = om[np.searchsorted(om, pt.omega_threshold, side="right") :][:1]
+    alpha = pt.gamma ** (-pt.r)
+    pass_pos = pass_dev = True
+    for a in pt.kernel.poles:
+        pass_pos &= bool(np.all((o**2 - a * alpha) / (o**2 + alpha**2) > 0.0))
+        with np.errstate(under="ignore"):
+            pass_dev &= bool(np.all(np.abs(np.exp(factor_exponent(1j * o, a, pt.gamma, pt.r))) < 1.0))
+    return pass_pos, pass_dev
+
+
+def lemma_check(pt: PredictorTransfer, cls: DegeneracyClass) -> LemmaReport:
     """Evaluate the three checkable factor bounds over the grid.
 
     (a) above the band edge, Re((i*omega - a_j)/(i*omega + gamma^{-r})) > 0
     and |V_j(i*omega) - 1| < 1 for every pole; (b) max |V - 1| over
-    |omega| >= omega_floor, the quantity that must shrink as gamma grows,
-    +inf once a factor overflows there; (c) the weighted low-band bound
+    |omega| >= max_j a_j / 2, the quantity that must shrink as gamma grows,
+    +inf once a factor overflows there; the floor in the kernel's own units
+    keeps (b) unchanged under a change of time unit, and one at or past
+    omega_max raises ValueError; (c) the weighted low-band bound
     |V| <= exp(c/|omega|^q) inside the band.
     Each set is symmetric in +-omega, where V(-i*omega) is the conjugate of
     V(i*omega), so the checks read nodes 0..n/2.  (a) reads the first node
-    above the edge: the real part u = (omega^2 - a_j alpha)/(omega^2 + alpha^2)
-    rises with omega^2 and |V_j - 1| = exp(-gamma u) falls, so each all()
-    takes its value there (docs/numerics.md).  (b) takes its tail in blocks
+    above the edge (:func:`_high_band_flags`).  (b) takes its tail in blocks
     of ``_LEMMA_BLOCK`` nodes, so no n/2-node temporaries are needed.
     """
-    omega_floor = _real("omega_floor", omega_floor, hi=pt.grid.omega_max)
-    grid, gamma, r = pt.grid, pt.gamma, pt.r
-    om = _half_nodes(grid)[0]
-    alpha = gamma ** (-r)
-    thr = pt.omega_threshold
-
-    pass_pos = pass_dev = True
-    o = om[np.searchsorted(om, thr, side="right") :][:1]
-    for a in pt.kernel.poles:
-        re_ratio = (o**2 - a * alpha) / (o**2 + alpha**2)
-        pass_pos = pass_pos and bool(np.all(re_ratio > 0.0))
-        with np.errstate(under="ignore"):
-            dev = np.abs(np.exp(factor_exponent(1j * o, a, gamma, r)))
-        pass_dev = pass_dev and bool(np.all(dev < 1.0))
-
+    floor = _real("lemma tail floor max_pole / 2", 0.5 * pt.kernel.max_pole, hi=pt.grid.omega_max)
+    pass_pos, pass_dev = _high_band_flags(pt)
+    om = _half_nodes(pt.grid)[0]
     tail_dev = 0.0
-    for o in _blocks(om[np.searchsorted(om, omega_floor) :]):
-        s, d = v_minus_one(o, pt.kernel, gamma, r)
+    for o in _blocks(om[np.searchsorted(om, floor) :]):
+        s, d = v_minus_one(o, pt.kernel, pt.gamma, pt.r)
         with np.errstate(over="ignore", invalid="ignore"):
             tail_dev = max(tail_dev, float(np.max(np.abs(d * np.exp(s)))))
         del s, d  # not alive beside the next block's recurrence
 
-    holds, count, margin = _low_band_holds(pt.kernel, cls, gamma, r, grid)
+    holds, count, margin = _low_band_holds(pt.kernel, cls, pt.gamma, pt.r, pt.grid)
     return LemmaReport(
-        gamma=gamma,
-        omega_threshold=thr,
+        gamma=pt.gamma,
+        omega_threshold=pt.omega_threshold,
         pass_positivity=pass_pos,
         pass_factor_dev=pass_dev,
         tail_dev_max=tail_dev,

@@ -11,14 +11,6 @@ import math
 import numpy as np
 
 
-def dft_direct(samples: np.ndarray, grid) -> np.ndarray:
-    """O(n^2) Riemann sum delta_t * sum_j e^{-i w_k t_j} x_j, no FFT."""
-    t = grid.times()
-    om = grid.omegas()
-    M = np.exp(-1j * np.outer(om, t))
-    return grid.delta_t * (M @ samples)
-
-
 def idft_direct(values: np.ndarray, grid) -> np.ndarray:
     """O(n^2) inverse sum (delta_omega/2pi) * sum_k e^{i w_k t_j} X_k."""
     t = grid.times()
@@ -379,41 +371,50 @@ def v_logpolar_mpmath(z, poles, gamma, r, dps=50):
     return log_mag, phase, np.array(im_w)
 
 
-def lemma_tail_dev_stacked(pt, omega_floor=0.5):
+def lemma_tail_dev_stacked(pt):
     """``tail_dev_max`` of :func:`specpredict.lemma_check` as one maximum of
     one :func:`specpredict.v_minus_one` call over every node 0..n/2 with
-    |omega| >= omega_floor, selected by a mask rather than cut in blocks."""
+    |omega| >= max_pole / 2, selected by a mask rather than cut in blocks."""
     from specpredict import v_minus_one
 
     om = np.abs(pt.grid.omegas()[: pt.grid.n // 2 + 1])
-    s, d = v_minus_one(om[om >= omega_floor], pt.kernel, pt.gamma, pt.r)
+    s, d = v_minus_one(om[om >= 0.5 * pt.kernel.max_pole], pt.kernel, pt.gamma, pt.r)
     with np.errstate(over="ignore", invalid="ignore"):
         return float(np.max(np.abs(d * np.exp(s))))
 
 
-def lemma_check_full_grid(pt, cls, omega_floor=0.5):
-    """:func:`specpredict.lemma_check` evaluated on all n nodes, both signs of
-    omega, as a reference for the library's half-grid evaluation."""
-    from specpredict.degeneracy import log_weight
-    from specpredict.predictor import LemmaReport, factor_exponent, v_logpolar, v_minus_one
-    from specpredict.tolerances import CALIBRATION
+def high_band_flags_full_grid(pt):
+    """(pass_positivity, pass_factor_dev) of :func:`specpredict.lemma_check`
+    read at every node above the band edge, on all n nodes."""
+    from specpredict.predictor import factor_exponent
 
-    grid, gamma, r = pt.grid, pt.gamma, pt.r
-    om = grid.omegas()
-    alpha = gamma ** (-r)
-    thr = pt.omega_threshold
-    outside = np.abs(om) > thr
-
+    om = pt.grid.omegas()
+    alpha = pt.gamma ** (-pt.r)
+    outside = np.abs(om) > pt.omega_threshold
     pass_pos = True
     pass_dev = True
     for a in pt.kernel.poles:
         re_ratio = (om[outside] ** 2 - a * alpha) / (om[outside] ** 2 + alpha**2)
         pass_pos = pass_pos and bool(np.all(re_ratio > 0.0))
         with np.errstate(under="ignore"):
-            dev = np.abs(np.exp(factor_exponent(1j * om[outside], a, gamma, r)))
+            dev = np.abs(np.exp(factor_exponent(1j * om[outside], a, pt.gamma, pt.r)))
         pass_dev = pass_dev and bool(np.all(dev < 1.0))
+    return pass_pos, pass_dev
 
-    tail = np.abs(om) >= omega_floor
+
+def lemma_check_full_grid(pt, cls):
+    """:func:`specpredict.lemma_check` evaluated on all n nodes, both signs of
+    omega, as a reference for the library's half-grid evaluation."""
+    from specpredict.degeneracy import log_weight
+    from specpredict.predictor import LemmaReport, v_logpolar, v_minus_one
+    from specpredict.tolerances import CALIBRATION
+
+    grid, gamma, r = pt.grid, pt.gamma, pt.r
+    om = grid.omegas()
+    thr = pt.omega_threshold
+    pass_pos, pass_dev = high_band_flags_full_grid(pt)
+
+    tail = np.abs(om) >= 0.5 * pt.kernel.max_pole
     s, d = v_minus_one(om[tail], pt.kernel, gamma, r)
     with np.errstate(over="ignore", invalid="ignore"):
         tail_dev = float(np.max(np.abs(d * np.exp(s))))

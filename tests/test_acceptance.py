@@ -137,14 +137,14 @@ def test_criterion_03_lemma_suite(grid):
     tail_devs = []
     all_high, all_low = True, True
     for gamma in (10.0, 100.0, 1000.0):
-        rep = lemma_check(build_predictor(DEFAULT_KERNEL, gamma, 4.0, grid), cls, 0.5)
+        rep = lemma_check(build_predictor(DEFAULT_KERNEL, gamma, 4.0, grid), cls)
         all_high = all_high and rep.pass_high_band
         tail_devs.append(rep.tail_dev_max)
     decreasing = all(a > b for a, b in zip(tail_devs, tail_devs[1:]))
     gamma0 = find_gamma0(DEFAULT_KERNEL, cls, 4.0, grid, bracket=(0.5, 2000.0))
     for gamma in (10.0, 100.0, 1000.0):
         if gamma >= gamma0:
-            rep = lemma_check(build_predictor(DEFAULT_KERNEL, gamma, 4.0, grid), cls, 0.5)
+            rep = lemma_check(build_predictor(DEFAULT_KERNEL, gamma, 4.0, grid), cls)
             all_low = all_low and rep.pass_low_band
     elapsed = time.time() - start
     ok = all_high and decreasing and math.isfinite(gamma0) and all_low and elapsed < 10.0

@@ -23,7 +23,6 @@ from specpredict import (
     counterexample_experiment,
     find_gamma0,
     gamma_sweep,
-    lemma_check,
     make_class_ensemble,
     make_grid,
     nonpredictability_demo,
@@ -313,7 +312,7 @@ class TestLemmaCommand:
     def test_reports_flags_and_gamma0(self, tmp_path):
         config = base_config(
             predictor={"r": 4.0, "gammas": [10.0, 100.0]},
-            lemma={"omega_floor": 0.5, "gamma0_bracket": [0.5, 500.0]},
+            lemma={"gamma0_bracket": [0.5, 500.0]},
         )
         code, outdir = run(tmp_path, "lemma", config)
         assert code == 0
@@ -338,12 +337,13 @@ class TestLemmaCommand:
         assert unsorted == report([10, 30], "sorted")
 
     def test_overflowed_tail_reads_inf(self, tmp_path):
-        # a floor of 0.01 reaches the nodes where a factor overflows at gamma = 100
+        # the floor 0.005 of pole 0.01 reaches the nodes where a factor
+        # overflows at gamma = 2000
         config = base_config(
-            grid={"n": 2**16, "delta_t": 0.01},
+            grid={"n": 2**15, "delta_t": 0.1},
+            kernel={"poles": [0.01]},
             **{"class": {"q": 5.0, "c": 1.0}},
-            predictor={"r": 0.6, "gammas": [10.0, 100.0]},
-            lemma={"omega_floor": 0.01},
+            predictor={"r": 0.63, "gammas": [10.0, 2000.0]},
         )
         code, outdir = run(tmp_path, "lemma", config)
         assert code == 0
@@ -366,14 +366,6 @@ class TestLemmaCommand:
         assert capsys.readouterr().err == "numerical failure: low-band bound fails at the bracket ceiling 5.0\n"
         assert not outdir.exists()
 
-    def test_omega_floor_is_checked_before_gamma0_is_sought(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "find_gamma0", lambda *a, **k: pytest.fail("gamma0 sought"))
-        code, outdir = run_full(tmp_path, "lemma", "never_made", extra=("--set", "lemma.omega_floor=NaN"))
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "config error: lemma: omega_floor must be a finite real number in (0.0, 157.07963267948966), got nan\n"
-        )
-        assert not outdir.exists()
 
 
 class TestRobustnessCommand:
@@ -633,7 +625,7 @@ FULL_CONFIG = base_config(
     noise={"nus": [0.0, 0.05], "seed": 11, "band": None},
     counterexample={"a": 0.5},
     negative={"q_bad": 0.5, "seed": 77, "size": 2},
-    lemma={"omega_floor": 0.5, "gamma0_bracket": [0.5, 500.0]},
+    lemma={"gamma0_bracket": [0.5, 500.0]},
     output={"directory": ".", "formats": ["csv", "json", "svg"]},
 )
 COMMANDS = ("predict", "sweep", "lemma", "robustness", "counterexample", "demo-negative", "gen-signal")
@@ -726,55 +718,55 @@ REPORT_DIGESTS = {
     "predict": (
         0,
         {
-            "khat.csv": "be0d6775481a82e10055f4bf2440dc805d56149fb2a18431b7a577b201755513",
-            "summary.json": "0b16c7174bb71bb61a7353d51d34d83790cd56b77e0085deebc8fdb4e6f135d4",
-            "x.csv": "91d4cb04a9dd73d506726647cf8bcc03feb1e29557015d5eb29b580c0b7a56df",
-            "y.csv": "b97bae92ac4e5604d01645684bed52ee977159c43e371d2cc3b4402767b58adf",
-            "yhat.csv": "c510722436f2950c99e96e6c1b57d556b41560df61453277694bffa684e1b4dc",
+            "khat.csv": "21770a0ba4a4258ea6f744b950415461656fe478ba8a0392c9d931a45d267764",
+            "summary.json": "096973271aaf57c79550fe3840acd0a94dd94125f05779d6c324763c4b51e242",
+            "x.csv": "ceedcf932a92371adda97e03760e13985d621817aa416b19b44cb14c7bee3966",
+            "y.csv": "54034414a3653ae8bbbc3fa87151764b9d71ac80d6b31af908bc2235380f0d16",
+            "yhat.csv": "e35af465948f91df47a4cfa0ab44d2485f3b64798cbdcabcb49eb7abab820e97",
         },
     ),
     "sweep": (
         0,
         {
-            "sweep.csv": "c40eb43d8b24f614e658b537815ad9a92598a22d354a3c2572a524084e028d28",
-            "sweep.json": "6f3b3dee7cdec08cdd435b8738f1c19f76256fc74207e0bb516bccf79b43f15b",
+            "sweep.csv": "2b23ebb91844c0a7f22b37edb2d17c3be73912f2e5203abcb1a54c89c21c22e1",
+            "sweep.json": "d350a30a10a001b4d2570480e707327408468a1c3150870b500caf6cd7c10a69",
             "sweep.svg": "4a24c49eedc932d7964e2ba8c7ec31eefb8d997a120307a4975a9c2bd1aed77c",
         },
     ),
     "lemma": (
         0,
         {
-            "lemma.csv": "51e7e56fcd0a21a2c62955568b21fc60c430732ddb58ca3f02ee1b4364e67968",
-            "lemma.json": "920b85338332c36e069e82983014525bff1134e3860ebad38b8c2f3e6aaa3be4",
+            "lemma.csv": "4b2f66d8182726f7b82cc89e819f65ba051309fb74f9b21a11441b40d8735246",
+            "lemma.json": "008563786e126dac10777a482bebb7cb33a58e7324f7567106a587315f6bb694",
         },
     ),
     "robustness": (
         3,
         {
-            "robustness.csv": "d03d779c80c13f4e63fda74e6c37a225bfebf1b18d7421bfc314b315984c58a2",
-            "robustness.json": "97e3ae535f999b1a67049dd3c5d96b2a58063d204d4ca753b7f5fd040055b282",
+            "robustness.csv": "6f2e4226a8a2f4205abf4f80c69f4c117dc316155f8c670b3a01b2134e1219b0",
+            "robustness.json": "b47a0ba11e37d51ca3718efebee9220cf04223856ca88195e99b2f33189aa6ad",
         },
     ),
     "counterexample": (
         0,
         {
-            "counterexample.csv": "40e6e09d68151b8745013eb88a70063ff7e388286b7081fc7a55959f4038e87a",
-            "counterexample.json": "575782c3eb47ffec7fef0018a34db1a5efc12f70ffc3ef3c4ca9514cff5900c7",
+            "counterexample.csv": "184a38f547025627af3835fca0ba602c26a4a1f872f22d423465f473e2a318a7",
+            "counterexample.json": "814d0ea64b1199ae077e64c122fa7fecb440d54d32c798a543bcc54b3b432fdf",
         },
     ),
     "demo-negative": (
         0,
         {
-            "negative.csv": "71d05e9cecbc4e04e0532aaa81909d52d8c384df11cbdb3980a26af81c75fa19",
-            "negative.json": "734310ce643ac35da60ace2dc04dc6d3b4750d3dfd1125d8b26dc463c9537f7b",
+            "negative.csv": "7d2c91ac603e2c1a6299c17c024b7f7c14ddd0e6678094285bde19ae63417e20",
+            "negative.json": "bd3f7bba96b2db72a17687e2a214cf8d3d98ccd3438a534906ced874c050c6e4",
         },
     ),
     "gen-signal": (
         0,
         {
-            "signal.csv": "602872281658561afd6e2e4aa197391ffadaa6743e6117f257d95b140eb64b07",
-            "signal.json": "f6275dd483b5718457b8bb50eeba9c4fc69955d15b0d3af43e85cb5a1953e176",
-            "signal_spectrum.csv": "c14e1ee7b90a8dc2e16542a102528a885c052fb02c01043ea0b9d696986a8c92",
+            "signal.csv": "1e0ca79cbf1780065b2a6f8693d6c2d7945ad08c4d7af0b1d6bdd2721d78d7a4",
+            "signal.json": "d3ac5c30a6791824eb8ad8aa292a580d50c34274c3ee35279ee03fe46dc1c92c",
+            "signal_spectrum.csv": "cd40235138670884093aaaf7b72db5ec242106586e3a847df82fac10762e9822",
         },
     ),
 }
@@ -1031,7 +1023,6 @@ def _parameter_default(func, name):
 LIBRARY_DEFAULTS = {
     "ensemble.size": lambda: experiments.DEFAULT_ENSEMBLE_SIZE,
     "negative.size": lambda: _parameter_default(nonpredictability_demo, "size"),
-    "lemma.omega_floor": lambda: _parameter_default(lemma_check, "omega_floor"),
     "lemma.gamma0_bracket": lambda: _parameter_default(find_gamma0, "bracket"),
     "kernel.numerator": lambda: _field_default(AnticausalKernel, "numerator"),
 }

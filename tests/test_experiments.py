@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -266,9 +266,9 @@ class TestGammaSweep:
         # class weight c/|omega|^q to c s^-q/|omega|^q and gamma^-r to
         # s gamma^-r, i.e. r to r + ln s/ln gamma: V is unchanged at the
         # scaled nodes and K = 1/(z - a) is multiplied by s, so relative
-        # errors, the residual and the lemma's figures (with omega_floor
-        # scaled by 1/s) keep their value and gains scale by s: the log sup
-        # shifts by ln s, and the stored sup does too where no node is
+        # errors, the residual and the lemma's figures (its tail floor, half
+        # the pole, scales by 1/s) keep their value and gains scale by s: the
+        # log sup shifts by ln s, and the stored sup does too where no node is
         # clamped at e^700 (gamma 3 and 5) and reads e^700 on both sides
         # where one is (gamma 10).  A power of two scales the grid exactly;
         # s = 3 rounds every node.  r = 3 keeps r + ln s/ln gamma admissible
@@ -290,7 +290,7 @@ class TestGammaSweep:
                 for g in (3.0, 10.0, 30.0, 300.0)
             ]
             residuals = [orthogonality_residual(pt) for pt in pts]
-            lemmas = [lemma_check(pt, cls, omega_floor=0.5 / scale) for pt in pts]
+            lemmas = [lemma_check(pt, cls) for pt in pts]
             split = [counterexample_experiment(0.5 / scale, kernel, (pt.gamma,), grid, pt.r).rows[0] for pt in pts]
             log_sups = [float(np.max(pt.khat_log_mag)) for pt in pts]
             return rows, residuals, lemmas, split, log_sups
@@ -335,12 +335,15 @@ class TestGammaSweep:
         r=st.floats(2.1, 5.0),
         s=st.floats(-0.6, 0.6).map(lambda e: 10.0**e),
     )
+    # a fixed tail floor of 0.5 read 0.6353 here and 9.0029 once rescaled
+    @example(pole=2.863, gamma=1.534, r=3.419, s=0.608)
     def test_time_scale_covariance_property(self, pole, gamma, r, s):
         # the covariance above at random (pole, gamma, r, s) on 256 nodes:
-        # relative figures and lemma flags keep their value and the log sup
-        # of K_hat shifts by ln s.  The error channel is formed as K_hat - K,
-        # so a relative error carries an absolute rounding of about one unit
-        # roundoff (5.3e-17 at worst over 1,863 draws): abs=2e-16
+        # relative figures, the lemma's tail deviation and flags keep their
+        # value and the log sup of K_hat shifts by ln s.  The error channel
+        # is formed as K_hat - K, so a relative error carries an absolute
+        # rounding of about one unit roundoff (5.3e-17 at worst over 1,863
+        # draws): abs=2e-16
         assume(r + math.log(s) / math.log(gamma) > 2.0)
 
         def run(scale):
@@ -354,6 +357,7 @@ class TestGammaSweep:
         (row, log_sup), (scaled, scaled_log_sup) = run(1.0), run(s)
         for name in ("err_l2_rel", "err_sup_rel", "causality_defect"):
             assert getattr(scaled, name) == pytest.approx(getattr(row, name), rel=1e-12, abs=2e-16), name
+        assert scaled.lemma_tail_dev == pytest.approx(row.lemma_tail_dev, rel=1e-12, abs=0.0)
         assert scaled.lemma_pass_high_band is row.lemma_pass_high_band
         assert scaled.lemma_pass_low_band is row.lemma_pass_low_band
         assert scaled_log_sup == pytest.approx(log_sup + math.log(s), rel=1e-12, abs=0.0)
@@ -836,7 +840,7 @@ class TestGeneratedMembersAreNotRetransformed:
             "noise": {"nus": [0.0, 0.05], "seed": 11, "band": [1.0, 2.0]},
             "counterexample": {"a": 0.5},
             "negative": {"q_bad": 0.5, "seed": 77, "size": 1},
-            "lemma": {"omega_floor": 0.5, "gamma0_bracket": [0.5, 500.0]},
+            "lemma": {"gamma0_bracket": [0.5, 500.0]},
         }
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
@@ -926,7 +930,8 @@ def _block_loop_calls(source: str, function: str, callee: str) -> list:
 
 def test_lemma_reads_its_high_band_bounds_at_one_node():
     # lemma_check evaluates the factor bound once per pole, at the first
-    # node above the band edge, not in a pass over the high band in blocks
+    # node above the band edge (_high_band_flags), not in a pass over the
+    # high band in blocks
     probe = (
         "def f(om):\n    for o in _blocks(om):\n        factor_exponent(o)\n    factor_exponent(om[:1])\n"
         "def g(om):\n    return [predictor.factor_exponent(o) for o in _blocks(om)]\n"
@@ -934,7 +939,8 @@ def test_lemma_reads_its_high_band_bounds_at_one_node():
     assert _block_loop_calls(probe, "f", "factor_exponent") == [False, True]
     assert _block_loop_calls(probe, "g", "factor_exponent") == [True]
     src = Path(predictor.__file__).read_text(encoding="utf-8")
-    assert _block_loop_calls(src, "lemma_check", "factor_exponent") == [False]
+    assert _block_loop_calls(src, "_high_band_flags", "factor_exponent") == [False]
+    assert _block_loop_calls(src, "lemma_check", "factor_exponent") == []
 
 
 def _branch_points(source: str, function: str) -> list:

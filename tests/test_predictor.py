@@ -48,6 +48,7 @@ from specpredict.tolerances import CALIBRATION
 from oracles import (
     build_predictor_full_grid,
     hermitian_defect,
+    high_band_flags_full_grid,
     inverse_transform_n_node,
     irfft_stack,
     lemma_check_full_grid,
@@ -166,11 +167,6 @@ CFG_256 = GeneratorConfig(seed=1, grid=GRID_256)
 
 
 @functools.cache
-def _pt_256():
-    return build_predictor(KERNEL, 10.0, 4.0, GRID_256)
-
-
-@functools.cache
 def _x0_256():
     return sample_class_member(DEFAULT_CLASS, CFG_256)
 
@@ -203,7 +199,6 @@ REAL_ARGUMENTS = [
     ("band-hi", "band hi", lambda v: GeneratorConfig(seed=1, grid=GRID_256, band=(1.0, v)), 20.3, 20),
     ("omega_bar", "omega_bar", lambda v: sample_bandlimited(v, CFG_256), 5.3, 5),
     ("split", "split frequency a", lambda v: counterexample_experiment(v, KERNEL, (10.0,), GRID_256, r=4.0), 0.7, 1),
-    ("omega_floor", "omega_floor", lambda v: lemma_check(_pt_256(), DEFAULT_CLASS, omega_floor=v), 0.7, 1),
     (
         "bracket-lo",
         "bracket lo",
@@ -586,32 +581,34 @@ class TestLemmaChecks:
     @pytest.mark.parametrize("n, dt", [(2**16, 0.01), (4096, 0.02), (1024, 0.1)])
     @pytest.mark.parametrize("pole", [0.01, 0.3, 1.0, 3.0])
     @pytest.mark.parametrize("gamma", [3.0, 10.0, 14.0, 30.0, 100.0])
-    @pytest.mark.parametrize("floor", [0.5, 1.0])
-    def test_one_pole_tail_is_its_first_node(self, n, dt, pole, gamma, floor):
+    @pytest.mark.parametrize("r", [4.0, 1.0])
+    def test_one_pole_tail_is_its_first_node(self, n, dt, pole, gamma, r):
         # for one pole V - 1 is f_1 = -e^{w_1}, and |f_1| = exp(-gamma u)
         # falls with omega (docs/numerics.md), so the tail maximum is the
-        # factor deviation at the first node at or above the floor
+        # factor deviation at the first node at or above the floor pole / 2,
+        # inside the band at r = 1 for some configurations
         grid = make_grid(n, dt)
-        pt = build_predictor(AnticausalKernel((pole,)), gamma, 4.0, grid)
+        pt = build_predictor(AnticausalKernel((pole,)), gamma, r, grid)
         om = _half_omegas(grid)
-        o1 = om[np.searchsorted(om, floor)]
-        want = float(np.abs(np.exp(factor_exponent(1j * o1, pole, gamma, 4.0))))
-        assert lemma_check(pt, DegeneracyClass(2.0, 1.0), floor).tail_dev_max == want
+        o1 = om[np.searchsorted(om, 0.5 * pole)]
+        want = float(np.abs(np.exp(factor_exponent(1j * o1, pole, gamma, r))))
+        assert lemma_check(pt, DegeneracyClass(2.0, 1.0)).tail_dev_max == want
 
     def test_overflowed_tail_reads_inf(self):
-        # r = 0.6 and a floor of 0.01 reach the nodes where a factor overflows
-        # at gamma = 100, where |V - 1| = |D| e^s leaves the double range
-        grid = make_grid(2**16, 0.01)
-        cls = DegeneracyClass(5.0, 1.0)
+        # at pole 0.01 and r = 0.63, gamma^-r is near 0.8 pole at gamma 2000,
+        # so the first nodes above the floor 0.005 sit where a factor
+        # overflows: |V - 1| = |D| e^s leaves the double range
+        grid = make_grid(2**15, 0.1)
+        kernel, cls = AnticausalKernel((0.01,)), DegeneracyClass(5.0, 1.0)
         devs = []
-        for gamma in (10.0, 100.0):
-            pt = build_predictor(KERNEL, gamma, 0.6, grid)
-            rep = lemma_check(pt, cls, omega_floor=0.01)
-            assert rep.tail_dev_max == lemma_tail_dev_stacked(pt, 0.01)
-            assert repr(rep) == repr(lemma_check_full_grid(pt, cls, 0.01))
+        for gamma in (10.0, 2000.0):
+            pt = build_predictor(kernel, gamma, 0.63, grid)
+            rep = lemma_check(pt, cls)
+            assert rep.tail_dev_max == lemma_tail_dev_stacked(pt)
+            assert repr(rep) == repr(lemma_check_full_grid(pt, cls))
             devs.append(rep.tail_dev_max)
         om = np.abs(_half_omegas(grid))
-        s, d = v_minus_one(om[om >= 0.01], KERNEL, 100.0, 0.6)
+        s, d = v_minus_one(om[om >= 0.005], kernel, 2000.0, 0.63)
         with np.errstate(over="ignore", invalid="ignore"):
             assert np.any(np.isinf(np.abs(d * np.exp(s))))
         assert math.isfinite(devs[0]) and devs[1] == math.inf
@@ -625,10 +622,11 @@ class TestLemmaChecks:
         assert rep.pass_low_band
 
     def test_rejects_out_of_band_floor(self):
+        # the floor, half the largest pole, lies beyond omega_max = 314.16
         g = make_grid(2**10, 0.01)
-        pt = build_predictor(KERNEL, 10.0, 1.0, g)
-        with pytest.raises(ValueError):
-            lemma_check(pt, DegeneracyClass(2.0, 1.0), omega_floor=g.omega_max * 2)
+        pt = build_predictor(AnticausalKernel((1.0, 1000.0)), 10.0, 1.0, g)
+        with pytest.raises(ValueError, match=r"^lemma tail floor max_pole / 2 must be .* got 500\.0$"):
+            lemma_check(pt, DegeneracyClass(2.0, 1.0))
 
     def test_gamma0_located(self):
         g = make_grid(2**14, 0.01)
@@ -683,8 +681,9 @@ class TestHalfGridLemma:
         [
             # the low-band bound fails
             ((3.0, 5.0), 0.5, 1.0, DegeneracyClass(2.0, 0.1), make_grid(4096, 0.02)),
-            # the band covers the whole grid, the unpaired omega_max node included
-            ((100.0,), 0.5, 4.0, DegeneracyClass(2.0, 1.0), make_grid(64, 0.5)),
+            # the band covers the whole grid, the unpaired omega_max node
+            # included, with the floor 5 below omega_max = 6.28
+            ((10.0,), 0.5, 4.0, DegeneracyClass(2.0, 1.0), make_grid(64, 0.5)),
         ],
     )
     def test_edge_configurations_match_full_grid(self, poles, gamma, r, cls, grid):
@@ -694,14 +693,10 @@ class TestHalfGridLemma:
 
 class TestHighBandFlags:
     """lemma_check reads pass_positivity and pass_factor_dev at the first node
-    above the band edge alone: both quantities are monotone in |omega|, so
-    the flags equal the full-grid oracle's, which reads every node."""
-
-    CLS = DegeneracyClass(2.0, 1.0)
-
-    @staticmethod
-    def flags(rep):
-        return rep.pass_positivity, rep.pass_factor_dev
+    above the band edge alone (predictor._high_band_flags): both quantities
+    are monotone in |omega|, so the flags equal the full-grid oracle's, which
+    reads every node.  The helper is read directly, as most of these kernels
+    put lemma_check's tail floor, half the largest pole, past omega_max."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -715,7 +710,7 @@ class TestHighBandFlags:
     )
     def test_flags_match_full_grid(self, n, delta_t, poles, gamma, r):
         pt = build_predictor(AnticausalKernel(tuple(poles)), gamma, r, make_grid(n, delta_t))
-        assert self.flags(lemma_check(pt, self.CLS)) == self.flags(lemma_check_full_grid(pt, self.CLS))
+        assert predictor._high_band_flags(pt) == high_band_flags_full_grid(pt)
 
     @pytest.mark.parametrize("gamma, r", [(10.0, 1.0), (3.0, 0.5), (100.0, 2.0)])
     @pytest.mark.parametrize("k", [1, 20, 300])
@@ -728,7 +723,7 @@ class TestHighBandFlags:
         for _ in range(abs(ulps)):
             pole = math.nextafter(pole, math.copysign(math.inf, ulps))
         pt = build_predictor(AnticausalKernel((pole,)), gamma, r, grid)
-        assert self.flags(lemma_check(pt, self.CLS)) == self.flags(lemma_check_full_grid(pt, self.CLS))
+        assert predictor._high_band_flags(pt) == high_band_flags_full_grid(pt)
 
     def test_edge_an_ulp_below_the_first_node_fails_the_factor_bound(self):
         # the pole is one ulp below omega_1^2 / alpha, so the edge sits one ulp
@@ -739,8 +734,10 @@ class TestHighBandFlags:
         pole = 9.412388230409007
         assert math.nextafter(pole, math.inf) == float(_half_omegas(grid)[1]) ** 2 / 100.0 ** (-2.0)
         pt = build_predictor(AnticausalKernel((pole,)), 100.0, 2.0, grid)
-        assert self.flags(lemma_check(pt, self.CLS)) == (True, False)
-        assert self.flags(lemma_check_full_grid(pt, self.CLS)) == (True, False)
+        assert predictor._high_band_flags(pt) == (True, False)
+        assert high_band_flags_full_grid(pt) == (True, False)
+        rep = lemma_check(pt, DegeneracyClass(2.0, 1.0))
+        assert (rep.pass_positivity, rep.pass_factor_dev) == (True, False)
 
 
 class TestVMinusOneAccumulation:
