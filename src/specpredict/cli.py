@@ -311,9 +311,9 @@ def _cmd_sweep(config, outdir, formats):
 
 def _cmd_lemma(config, outdir, formats):
     grid, kernel, cls, r, gammas = _build_objects(config)
-    bracket = _leaf(config, "lemma", "gamma0_bracket")
-    gamma0 = _checked("lemma", find_gamma0, kernel, cls, r, grid, bracket=bracket)
-    reports = [lemma_check(build_predictor(kernel, g, r, grid), cls) for g in gammas]
+    # the rows first: a tail floor past omega_max exits 2 before any bisection
+    reports = [_checked("lemma", lemma_check, build_predictor(kernel, g, r, grid), cls) for g in gammas]
+    gamma0 = _checked("lemma", find_gamma0, kernel, cls, r, grid, bracket=_leaf(config, "lemma", "gamma0_bracket"))
     meta = _open_reports(outdir, config, "lemma")
     _write_table(f"{outdir}/lemma.csv", LemmaReport, reports, meta, formats)
     write_json(

@@ -366,6 +366,23 @@ class TestLemmaCommand:
         assert capsys.readouterr().err == "numerical failure: low-band bound fails at the bracket ceiling 5.0\n"
         assert not outdir.exists()
 
+    def test_omega_floor_is_checked_before_gamma0_is_sought(self, tmp_path, capsys, monkeypatch):
+        # the tail floor of pole 400 is 200, past omega_max = pi / 0.02
+        monkeypatch.setattr(cli, "find_gamma0", lambda *a, **k: pytest.fail("gamma0 sought"))
+        code, outdir = run_full(tmp_path, "lemma", "never_made", extra=("--set", "kernel.poles=[400]"))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: lemma: lemma tail floor max_pole / 2 must be a finite real number"
+            " in (0.0, 157.07963267948966), got 200.0\n"
+        )
+        assert not outdir.exists()
+
+    def test_omega_floor_is_an_unknown_key(self, tmp_path, capsys):
+        # the tail floor is half the largest pole, no longer a leaf
+        code, outdir = run_full(tmp_path, "lemma", "never_made", extra=("--set", "lemma.omega_floor=0.5"))
+        assert code == 2
+        assert capsys.readouterr().err == "config error: unknown key: lemma.omega_floor\n"
+        assert not outdir.exists()
 
 
 class TestRobustnessCommand:

@@ -184,6 +184,8 @@ REAL_ARGUMENTS = [
     ("numerator", "numerator coefficient", lambda v: AnticausalKernel((1.0, 2.0), (v,)), 0.3, -1),
     ("v-factor-pole", "pole", lambda v: eval_v_factor(1j, v, 10.0, 4.0), 0.7, 2),
     ("v-factor-gamma", "gamma", lambda v: eval_v_factor(1j, 1.0, v, 4.0), 12.3, 10),
+    ("v-factor-r", "r", lambda v: eval_v_factor(1j, 1.0, 10.0, v), 3.3, 4),
+    ("line-witness-gamma", "gamma", lambda v: line_witness(KERNEL, v, 4.0), 12.3, 10),
     ("line-witness-r", "r", lambda v: line_witness(KERNEL, 10.0, v), 4.3, 4),
     ("find-gamma0-r", "r", lambda v: find_gamma0(KERNEL, DEFAULT_CLASS, v, GRID_256), 3.3, 4),
     ("sigma", "sigma", lambda v: transfer(KERNEL, GRID_256, v), 0.3, -1),
