@@ -59,12 +59,11 @@ from .spectral import (
     _half_nodes,
     _half_omegas,
     _half_sum,
-    _irfft_phased,
+    _irfft,
     _log_abs,
     _log_half_sum,
     _real,
     _sequence,
-    _signs,
     forward_transform,
     make_grid,
 )
@@ -227,10 +226,12 @@ def _row_norms(rows: np.ndarray, grid: FrequencyGrid):
 
 
 def _norms(half: np.ndarray, grid: FrequencyGrid, work: np.ndarray):
-    """:func:`_row_norms` of the real signal whose half spectrum is ``half``,
-    formed in ``work`` (:func:`_workspace`): ``half`` is phased into its
-    head, in place when it is that head, as :func:`_channel` leaves it, and
-    its inverse goes into the rest, which the norms overwrite.
+    """:func:`_row_norms` of the real signal whose half spectrum is ``half``:
+    its natural-order inverse goes into the tail of ``work``
+    (:func:`_workspace`), which the norms overwrite.  Neither norm depends on
+    the order of the samples, so no time origin is put on them; the l2 sum
+    may differ from the centred order's in its last bit at n <= 128 only
+    (docs/numerics.md, section 8).
 
     Callers bind each half spectrum to a name before multiplying it by a
     gain: numpy may form ``gain * <temporary>`` in the temporary's buffer as
@@ -240,15 +241,14 @@ def _norms(half: np.ndarray, grid: FrequencyGrid, work: np.ndarray):
     """
     if not half.any():
         return 0.0, 0.0
-    head = work[: grid.n + 2].view(np.complex128)
-    np.multiply(_signs(grid)[0], half, out=head)
-    return _row_norms(_irfft_phased(head, grid, out=work[grid.n + 2 :]), grid)
+    return _row_norms(_irfft(half, grid, out=work[grid.n + 2 :]), grid)
 
 
 def _workspace(grid: FrequencyGrid) -> np.ndarray:
     """One float64 block of 2n+2 values for :func:`_channel` and
-    :func:`_norms`: a half spectrum (n/2+1 complex values) and its real
-    inverse, so a member's channels allocate no (n/2+1)- or n-value array.
+    :func:`_norms`: a channel's half spectrum (n/2+1 complex values) in its
+    head and that channel's real inverse in the rest, so a member's channels
+    allocate no (n/2+1)- or n-value array.
 
     Being one block matters on glibc: it is the largest buffer a sweep
     frees, and its release lifts the allocator's dynamic mmap and trim

@@ -41,11 +41,10 @@ from .spectral import (
     SpectralSeries,
     _half_nodes,
     _half_sum,
-    _irfft_phased,
+    _irfft,
     _real,
     _sequence,
-    _signs,
-    rfft_rows,
+    _rfft,
 )
 
 ALGORITHM_ID = "numpy.random.Philox(SeedSequence(entropy=seed, spawn_key=(stream,)))"
@@ -232,23 +231,25 @@ def _guard_window(grid: FrequencyGrid) -> np.ndarray:
     sits 4.3 sigma past the ramp centre, where it has fallen to ~9e-6.
 
     The ramp is ``0.5 * math.erfc`` of each node's |t_j|, taken from
-    ``grid.times`` in blocks of ``_WINDOW_BLOCK`` nodes, so no n-node time
-    array or n/2-value list is built.  It is evaluated once per
-    grid: the result is cached per (frozen, hashable) ``FrequencyGrid`` and
-    returned read-only, so every caller shares one array.
+    ``grid.times`` in blocks of at most ``_WINDOW_BLOCK`` nodes, each put
+    at its place in natural order (t = 0 at sample 0, as :func:`_project`
+    takes the samples), so no n-node time array or n/2-value list is built.
+    It is evaluated once per grid: the result is cached per (frozen,
+    hashable) ``FrequencyGrid`` and returned read-only.
     """
     n = grid.n
+    step = min(_WINDOW_BLOCK, n // 2)
     t_flat = grid.span / 16.0
     t_zero = grid.span / 4.0
     sigma = (t_zero - t_flat) / 8.6
     mu = 0.5 * (t_flat + t_zero)
     width = math.sqrt(2.0) * sigma
     w = np.zeros(n)
-    for start in range(0, n, _WINDOW_BLOCK):
-        t = np.abs(grid.times(start, min(start + _WINDOW_BLOCK, n)))
+    for start in range(0, n, step):
+        t = np.abs(grid.times(start, start + step))
         inside = t < t_zero
         arg = (t[inside] - mu) / width
-        block = w[start : start + t.size]
+        block = w[(start + n // 2) % n :][:step]
         block[inside] = 0.5 * np.fromiter(map(math.erfc, arg.tolist()), dtype=np.float64)
     w /= np.max(w)
     w.flags.writeable = False
@@ -272,12 +273,10 @@ def _project(X: np.ndarray, clip: np.ndarray, grid: FrequencyGrid) -> SpectralSe
     x = np.empty(grid.n)
     scale = np.empty(X.size)
     for _ in range(_PROJECTION_ROUNDS):
-        # irfft_rows and rfft_rows through the buffers: the inverse's phase
-        # goes on in X's own buffer, which rfft_rows then overwrites
-        X *= _signs(grid)[0]
-        _irfft_phased(X, grid, out=x)
+        # the natural-order pair through the buffers: no time origin needed
+        _irfft(X, grid, out=x)
         np.multiply(x, _guard_window(grid), out=x)
-        rfft_rows(x, grid, out=X)
+        _rfft(x, grid, out=X)
         np.abs(X, out=scale)
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(clip, scale, out=scale)

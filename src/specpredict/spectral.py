@@ -16,13 +16,14 @@ at nodes 0..n/2 only (node n/2 is the unpaired omega_max).  There is one
 transform pair: :func:`forward_transform` takes a real ``TimeSeries`` to
 the ``SpectralSeries`` of its half spectrum, and ``SpectralSeries.samples``
 is the inverse.  ``rfft_rows`` / ``irfft_rows`` are the same pair on
-arrays, along the last axis, one signal per row of an (m, n) stack;
-``rfft_rows`` can write into a given buffer, and ``_irfft_phased`` is the
-inverse of a spectrum that already carries the phase, so a caller that
-reuses buffers needs no scratch copy.  Both
-carry the centered-origin phase ``(-1)^k`` and the delta_t scaling, whose
-factors are built once per grid at nodes 0..n/2 (``_signs``) and shared
-read-only.  ``_half_omegas`` gives the signed omega at nodes 0..n/2, as
+arrays, along the last axis, one signal per row of an (m, n) stack.  On
+these power-of-two grids the centred origin is a rotation by n/2 samples,
+the phase (-1)^k at node k: the forward transforms scale node k by
+delta_t (-1)^k in place, and the inverse swaps the halves of its rows
+(docs/numerics.md, section 8).  ``_rfft`` / ``_irfft`` are the natural-order
+pair, t = 0 at sample 0, for the norms and the generators' window, which
+need no time origin; both write into a given buffer.
+``_half_omegas`` gives the signed omega at nodes 0..n/2, as
 ``omegas()`` does there, and ``_half_nodes`` gives |omega| and the weight
 with which each node enters a full-grid sum; ``_half_sum`` and its
 log-domain form ``_log_half_sum`` take every such sum.  These per-grid
@@ -256,42 +257,34 @@ def _log_half_sum(log_values: np.ndarray, grid: FrequencyGrid) -> float:
     return _logsumexp(log_values + np.log(_half_nodes(grid)[1]))
 
 
-@functools.lru_cache(maxsize=1)
-def _signs(grid: FrequencyGrid):
-    """((-1)^k, delta_t * (-1)^k) at nodes 0..n/2, the phase factors tying
-    the centered time origin to natural order; read-only and cached."""
-    signs = np.ones(grid.n // 2 + 1)
-    signs[1::2] = -1.0
-    scaled = grid.delta_t * signs
-    signs.flags.writeable = scaled.flags.writeable = False
-    return signs, scaled
+def _centre(values: np.ndarray, delta_t: float) -> np.ndarray:
+    """``values`` at nodes 0..n/2 times delta_t (-1)^k in place, each node by
+    the complex (+-delta_t, 0) a sign table holds, signed zeros included."""
+    values[..., ::2] *= delta_t
+    values[..., 1::2] *= -delta_t
+    return values
 
 
 def forward_transform(x: TimeSeries) -> SpectralSeries:
     """Riemann approximation of the continuous Fourier integral at nodes 0..n/2.
 
     X(i*omega_k) ~ delta_t * sum_j e^{-i*omega_k*t_j} x(t_j), computed with a
-    real fast transform plus the (-1)^k phase correction for the centered
-    origin; :attr:`SpectralSeries.samples` is its inverse.
+    real fast transform whose nodes are scaled by delta_t (-1)^k for the
+    centred origin; :attr:`SpectralSeries.samples` is its inverse.
     """
-    values = np.fft.rfft(x.samples)
-    values *= _signs(x.grid)[1]
-    return SpectralSeries(x.grid, values)
+    return SpectralSeries(x.grid, _centre(np.fft.rfft(x.samples), x.grid.delta_t))
 
 
-def rfft_rows(samples, grid: FrequencyGrid, out=None) -> np.ndarray:
+def rfft_rows(samples, grid: FrequencyGrid) -> np.ndarray:
     """:func:`forward_transform` of real rows along the last axis, nodes 0..n/2.
 
     ``samples`` is one real series of shape (n,) or a stack of shape (m, n);
-    the result has shape (n/2+1,) or (m, n/2+1), and is written into ``out``
-    when that complex128 buffer is given.
+    the result has shape (n/2+1,) or (m, n/2+1).
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim not in (1, 2) or samples.shape[-1] != grid.n:
         raise ValueError(f"samples must have shape ({grid.n},) or (m, {grid.n}), got {samples.shape}")
-    out = np.fft.rfft(samples, axis=-1, out=out)
-    out *= _signs(grid)[1]
-    return out
+    return _centre(np.fft.rfft(samples, axis=-1), grid.delta_t)
 
 
 def irfft_rows(values, grid: FrequencyGrid) -> np.ndarray:
@@ -300,30 +293,38 @@ def irfft_rows(values, grid: FrequencyGrid) -> np.ndarray:
     ``values`` has shape (n/2+1,) or (m, n/2+1); the conjugate-symmetric
     upper half is implied, and the imaginary parts at nodes 0 and n/2 are
     dropped, as taking the real part of the full complex inverse would.
+    The natural-order inverse's past (t < 0, its samples n/2..n-1) is
+    swapped to the front through one n/2-value temporary.
     """
     values = np.asarray(values, dtype=np.complex128)
     h = grid.n // 2 + 1
     if values.ndim not in (1, 2) or values.shape[-1] != h:
         raise ValueError(f"values must have shape ({h},) or (m, {h}), got {values.shape}")
-    return _irfft_phased(_signs(grid)[0] * values, grid)
-
-
-def _irfft_phased(phased: np.ndarray, grid: FrequencyGrid, out=None) -> np.ndarray:
-    """:func:`irfft_rows` of half spectra that already carry its (-1)^k
-    phase, written into the float64 buffer ``out`` when one is given; a
-    caller that may overwrite its spectrum phases it in place and needs no
-    phased copy."""
-    out = np.fft.irfft(phased, n=grid.n, axis=-1, out=out)
-    out /= grid.delta_t
+    out = _irfft(values, grid)
+    past = out[..., h - 1 :].copy()
+    out[..., h - 1 :] = out[..., : h - 1]
+    out[..., : h - 1] = past
     return out
+
+
+def _rfft(samples: np.ndarray, grid: FrequencyGrid, out=None) -> np.ndarray:
+    """Natural-order forward transform of real rows, t = j * delta_t (mod T)
+    at sample j, into the complex128 buffer ``out`` when one is given."""
+    out = np.fft.rfft(samples, axis=-1, out=out)
+    return np.multiply(out, grid.delta_t, out=out)
+
+
+def _irfft(values: np.ndarray, grid: FrequencyGrid, out=None) -> np.ndarray:
+    """Inverse of :func:`_rfft`, into the float64 buffer ``out`` when given."""
+    out = np.fft.irfft(values, n=grid.n, axis=-1, out=out)
+    return np.divide(out, grid.delta_t, out=out)
 
 
 def norm(x: TimeSeries, p) -> float:
     """Grid norm: p=2 gives sqrt(delta_t * sum x^2); p=inf gives max |x|;
     any other p raises ValueError."""
-    mags = np.abs(x.samples)
     if p == math.inf:
-        return float(np.max(mags))
-    if p == 2:
-        return float(math.sqrt(x.grid.delta_t) * np.linalg.norm(mags))
+        return float(np.max(np.abs(x.samples)))
+    if p == 2:  # a pairwise sum, as the error norms take it, not BLAS's threads
+        return float(math.sqrt(x.grid.delta_t) * np.sqrt(np.add.reduce(np.square(x.samples))))
     raise ValueError(f"p must be 2 or inf, got {p!r}")

@@ -199,9 +199,10 @@ def hermitian_phases_reference(grid, seed, stream):
 
 def enveloped_spectra_batched(q, c, cfg, size):
     """Half spectra of class members drawn as one (size, n/2+1) stack through
-    both projection rounds, each round one batched transform; the
-    generator's stacked form, kept as a byte-exact reference for the
-    per-member path."""
+    both projection rounds, each round one batched transform with the
+    centred origin's sign table and the window at the centred time nodes;
+    the generator's stacked form, kept as a byte-exact reference for its
+    per-member, natural-order path."""
     from dataclasses import replace
 
     from specpredict.degeneracy import log_weight
@@ -210,7 +211,6 @@ def enveloped_spectra_batched(q, c, cfg, size):
         _PROJECTION_ROUNDS,
         _STREAM_CLASS,
         _generator,
-        _guard_window,
         _random_hermitian_phases,
     )
 
@@ -227,7 +227,7 @@ def enveloped_spectra_batched(q, c, cfg, size):
         for i in range(size)
     ])
     X = _HEADROOM * env * phases
-    window = _guard_window(grid)
+    window = guard_window_reference(grid)
     for _ in range(_PROJECTION_ROUNDS):
         x = np.fft.irfft(signs * X, n=grid.n, axis=-1) / grid.delta_t
         Xt = grid.delta_t * signs * np.fft.rfft(x * window, axis=-1)
@@ -254,9 +254,24 @@ def row_norms_linalg(rows, grid):
 
 
 def irfft_stack(values, grid):
-    """Real rows of a whole (m, n/2+1) stack of half spectra in one transform."""
+    """Real rows of a whole (m, n/2+1) stack of half spectra in one transform,
+    the centred origin put on by the sign table."""
     h = grid.n // 2 + 1
     return np.fft.irfft(_signs(grid.n)[:h] * values, n=grid.n, axis=-1) / grid.delta_t
+
+
+def rfft_stack(rows, grid):
+    """Half spectra (nodes 0..n/2) of real rows on the centred time nodes,
+    the fast transform times the sign table scaled by delta_t."""
+    h = grid.n // 2 + 1
+    return grid.delta_t * _signs(grid.n)[:h] * np.fft.rfft(rows, axis=-1)
+
+
+def centred_l2(values, grid):
+    """Grid l2 norms of the real rows of half spectra ``values``, their
+    squares summed pairwise in the centred time order of :func:`irfft_stack`."""
+    rows = irfft_stack(values, grid)
+    return math.sqrt(grid.delta_t) * np.sqrt(np.add.reduce(np.square(rows), axis=-1))
 
 
 def member_half_spectra(ensemble):

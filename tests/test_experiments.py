@@ -50,6 +50,7 @@ from oracles import (
     gamma_sweep_reference,
     hermitian_full,
     inverse_transform_n_node,
+    centred_l2,
     irfft_stack,
     member_half_spectra,
     one_pole_error_log,
@@ -76,6 +77,11 @@ def cfg(seed=0, **kw):
 @pytest.fixture(scope="module")
 def ensemble():
     return make_class_ensemble(CLS, cfg(2026), 4)
+
+
+def _ulps(a, b) -> int:
+    """Units in the last place between two positive doubles."""
+    return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
 
 
 class TestPredictionError:
@@ -123,6 +129,28 @@ class TestPredictionError:
         err = prediction_error(build_predictor(kernel, gamma, r, GRID), x)
         want = (row.err_l2_abs, row.err_l2_rel, row.err_sup_abs, row.err_sup_rel)
         assert np.array(dataclasses.astuple(err)).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256, 4096])
+    def test_l2_equals_the_centred_order_sum(self, n):
+        # the l2 norms square and sum the inverse in natural order; from
+        # n = 256 the pairwise sum's top split falls at n/2, so the bits are
+        # those of the centred order, and below it numpy's eight sequential
+        # accumulators may round the last unit differently (4 ulps allowed)
+        ulps = 0 if n >= 256 else 4
+        grid = make_grid(n, 0.5)
+        members = make_class_ensemble(CLS, GeneratorConfig(seed=1, grid=grid), 3)
+        X = member_half_spectra(members)
+        gammas = (3.0, 10.0, 30.0)
+        rows = gamma_sweep(KERNEL, CLS, gammas, 4.0, members).rows
+        for gamma, row in zip(gammas, rows):
+            pt = build_predictor(KERNEL, gamma, 4.0, grid)
+            l2 = centred_l2((pt.khat_values - pt.k_values) * X, grid)
+            rel = l2 / centred_l2(pt.k_values * X, grid)
+            assert np.all(l2 > 0.0)
+            for x, want_abs, want_rel in zip(members, l2, rel):
+                err = prediction_error(pt, x)
+                assert _ulps(err.err_l2_abs, want_abs) <= ulps and _ulps(err.err_l2_rel, want_rel) <= ulps
+            assert _ulps(row.err_l2_abs, np.max(l2)) <= ulps and _ulps(row.err_l2_rel, np.max(rel)) <= ulps
 
     def test_rejects_non_real_member(self, ensemble):
         # the series type holds real samples only, so no complex member
@@ -994,7 +1022,7 @@ def test_signals_have_one_projection():
     )
     assert _callers(probe, {"rfft_rows", "irfft_rows"}) == {"draw", "g"}
     src = Path(signals.__file__).read_text(encoding="utf-8")
-    transforms = {"rfft_rows", "irfft_rows", "_irfft_phased"}
+    transforms = {"rfft_rows", "irfft_rows", "_rfft", "_irfft"}
     assert _callers(src, transforms) == {"_project"}
     assert _callers(src, {"_project"}) == {"draw", "sample_bandlimited"}
     imported = {
@@ -1196,7 +1224,7 @@ class TestExactSupportChannel:
         def refuse(*args):
             raise AssertionError("an all-zero channel was transformed")
 
-        monkeypatch.setattr(experiments, "_irfft_phased", refuse)
+        monkeypatch.setattr(experiments, "_irfft", refuse)
         h = GRID.n // 2 + 1
         work = experiments._workspace(GRID)
         for half in (np.zeros(h, complex), np.full(h, -0.0 - 0.0j), np.zeros(1, complex)):

@@ -8,9 +8,9 @@ beside one workspace of 2n+2 values for a member's channels: a channel's
 half spectrum and its inverse, whose sup is read as the larger of |max| and
 |min| and whose squares overwrite it, so no |x| or scratch row is formed.
 Every error norm is taken in such a workspace, so ``prediction_error``,
-the robustness experiment and the predict command form one too; a half
-spectrum given to the norms from outside the workspace is phased into its
-head, not copied.
+the robustness experiment and the predict command form one too; the norms
+invert a half spectrum in natural order, wherever it lies, with no phase
+and no copy.
 The sweep holds no member once it has moved on to the next, member 0
 included, so no array sized by the ensemble is alive while an ensemble is
 drawn and swept, and the peak does not grow with the ensemble.  Generated
@@ -18,10 +18,12 @@ members keep only the half spectrum (nodes 0..n/2) of their last
 projection, which the sweep reads in place,
 and a predictor and the line witness evaluate and keep nodes 0..n/2 only.
 The class weight is formed in the one buffer of |omega|.
-The per-grid tables (signs, signed and absolute omega, node weights) hold nodes
-0..n/2 and are cached for one grid at a time, the witnesses split the t < 0
-share at n/2 in place, and lemma_check reduces its node sets in blocks, so
-none of them builds an n-node or n/2-node scratch array.  The predict command
+The per-grid tables (signed and absolute omega, node weights) hold nodes
+0..n/2 and are cached for one grid at a time; no sign table is kept, as the
+centred origin is a rotation by n/2 (docs/numerics.md, section 8).  The
+witnesses split the t < 0 share at n/2 in place, and lemma_check reduces
+its node sets in blocks, so none of them builds an n-node or n/2-node
+scratch array.  The predict command
 forms y only for its CSV and holds one n-sample series at a time, and a float CSV is formed and printed a
 block of rows at a time, so no (n, 2) table or n-node time array is built.
 A random phase draw frees its Philox round buffers before the exponential.
@@ -75,9 +77,11 @@ CFG = GeneratorConfig(seed=2026, grid=default_grid())
 # the bound sits between the last two.
 SWEEP_PEAK_BOUND = 5.3e6
 
-# Traced peak of _norms on a channel in its workspace at n = 2^16: 131 kB, the ufunc's
-# cast buffer for the float phase factors (np.getbufsize() complex values),
-# where an n-value row is 524 kB; the bound is that buffer plus 2 kB.
+# Traced peak of _norms on a channel in its workspace at n = 2^16: 131 kB
+# while the channel was phased by a float sign table, whose ufunc cast
+# buffer held np.getbufsize() complex values, where an n-value row is
+# 524 kB; 9 kB inverting the channel in natural order with no phase.  The
+# bound is that buffer plus 2 kB.
 NORMS_PEAK_BOUND = 16 * np.getbufsize() + 2e3
 
 # The member-streamed sweep peaks at the same traced size for 10 and 20
@@ -131,8 +135,9 @@ WRITE_CSV_PEAK_BOUND = 2.2e6
 # Traced peak of causality_defect at n = 2^16, gamma = 10: 2.43 MB with the
 # n time nodes, their mask and fresh |x| and square arrays beside the real
 # inverse, 1.05 MB splitting the t < 0 share at n/2 in place, where the
-# inverse and its phased half spectrum are all that is alive; the bound
-# sits between.
+# inverse and its phased half spectrum were all that was alive, 0.79 MB
+# with the inverse rotated by n/2 through an n/2-value temporary in place
+# of the phased copy; the bound sits between the first two.
 CAUSALITY_PEAK_BOUND = 1.2e6
 
 # Traced peak of lemma_check for poles (0.5, 1, 2) at n = 2^16, gamma = 10:
@@ -273,7 +278,7 @@ def test_member_half_reads_the_stored_spectrum():
 
 def test_build_predictor_peak_is_bounded():
     grid = CFG.grid
-    build_predictor(DEFAULT_KERNEL, 10.0, DEFAULT_R, grid)  # caches (signs) outside the trace
+    build_predictor(DEFAULT_KERNEL, 10.0, DEFAULT_R, grid)  # per-grid caches outside the trace
     pt, peak = _traced_peak(lambda: build_predictor(DEFAULT_KERNEL, 10.0, DEFAULT_R, grid))
     assert pt.khat_values.shape == (grid.n // 2 + 1,)
     assert peak < BUILD_PEAK_BOUND, peak
@@ -304,7 +309,7 @@ def test_sweep_reuses_the_default_grid_tables():
     ensemble = make_class_ensemble(DEFAULT_CLASS, CFG, 2)
 
     def tables():
-        return (spectral._half_omegas(grid), *spectral._half_nodes(grid), *spectral._signs(grid))
+        return (spectral._half_omegas(grid), *spectral._half_nodes(grid), signals._guard_window(grid))
 
     before = tables()
     gamma_sweep(DEFAULT_KERNEL, DEFAULT_CLASS, DEFAULT_GAMMAS, DEFAULT_R, ensemble)

@@ -1,5 +1,8 @@
 import ast
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +12,15 @@ from hypothesis import strategies as st
 
 from conftest import random_series
 from specpredict import (
+    DegeneracyClass,
+    GeneratorConfig,
     SpectralSeries,
     TimeSeries,
     forward_transform,
+    make_class_ensemble,
     make_grid,
     norm,
+    sample_bandlimited,
 )
 from specpredict import spectral
 from specpredict.spectral import MAX_GRID_N, FrequencyGrid, irfft_rows, rfft_rows
@@ -23,6 +30,8 @@ from oracles import (
     hermitian_full,
     idft_direct,
     inverse_transform_n_node,
+    irfft_stack,
+    rfft_stack,
 )
 
 
@@ -199,6 +208,24 @@ class TestNorm:
         with pytest.raises(ValueError):
             norm(TimeSeries(small_grid, np.zeros(small_grid.n)), 3)
 
+    def test_l2_does_not_depend_on_the_blas_thread_count(self):
+        # a BLAS dot product splits its sum by thread; the l2 is a pairwise
+        # sum, whose bits do not depend on the machine
+        src = Path(spectral.__file__).parents[1]
+        code = (
+            "import numpy as np\nfrom specpredict import TimeSeries, make_grid, norm\n"
+            "x = np.random.Generator(np.random.Philox(2026)).standard_normal(2**20)\n"
+            "print(norm(TimeSeries(make_grid(2**20, 1e-6), x), 2).hex())\n"
+        )
+        out = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+            env["OPENBLAS_NUM_THREADS"] = threads
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            out.append(proc.stdout.strip())
+        assert out[0] == out[1], out
+
 
 class TestTypeInvariants:
     def test_series_length_checked(self, small_grid):
@@ -303,17 +330,18 @@ class TestRowTransforms:
 
     @pytest.mark.parametrize("n", [8, 256, 2**16])
     def test_buffered_pair_equals_the_pair(self, n):
-        # the generator's buffers: rfft_rows into ``out``, and the inverse of
-        # a spectrum phased in place, give the bytes of the plain pair
+        # the generator's buffers: the natural-order pair written into
+        # ``out`` gives the bytes of the plain pair at the same time nodes,
+        # sample j at time node (j + n/2) % n
         grid = make_grid(n, 0.01)
         row = self._rows(n)[0]
         half = rfft_rows(row, grid)
         out = np.empty(n // 2 + 1, dtype=complex)
-        assert rfft_rows(row, grid, out=out) is out and out.tobytes() == half.tobytes()
+        assert spectral._rfft(np.roll(row, -(n // 2)), grid, out=out) is out
+        assert out.tobytes() == half.tobytes()
         samples = np.empty(n)
-        out *= spectral._signs(grid)[0]
-        assert spectral._irfft_phased(out, grid, out=samples) is samples
-        assert samples.tobytes() == irfft_rows(half, grid).tobytes()
+        assert spectral._irfft(out, grid, out=samples) is samples
+        assert np.roll(samples, n // 2).tobytes() == irfft_rows(half, grid).tobytes()
 
     @pytest.mark.parametrize("n", [8, 256, 2**16])
     def test_round_trip(self, n):
@@ -341,16 +369,15 @@ class TestRowTransforms:
 
 
 class TestSignVectors:
-    def test_cached_read_only_per_grid(self):
-        a, b = make_grid(256, 0.05), make_grid(256, 0.05)
-        assert a is not b
-        signs, scaled = spectral._signs(a)
-        assert spectral._signs(b)[0] is signs and spectral._signs(b)[1] is scaled
-        assert not signs.flags.writeable and not scaled.flags.writeable
-        # nodes 0..n/2 only
-        assert signs.tolist() == [1.0, -1.0] * 64 + [1.0]
-        assert scaled.tobytes() == (0.05 * signs).tobytes()
-        assert spectral._signs(make_grid(256, 0.1))[1] is not scaled
+    def test_centring_scales_by_the_sign_table(self):
+        # the forward transforms scale node k of nodes 0..n/2 by
+        # delta_t (-1)^k in place, row by row, as the table's product does
+        signs = np.array([1.0, -1.0] * 64 + [1.0])
+        for dt in (0.05, 0.1):
+            values = np.ones((2, 129), dtype=complex)
+            assert spectral._centre(values, dt) is values
+            want = dt * signs * np.ones(129, dtype=complex)
+            assert values[0].tobytes() == values[1].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n, dt", [(8, 1.0), (256, 0.05), (2**16, 0.01), (2**18, 0.05)])
     def test_half_omegas_are_the_first_nodes_of_omegas(self, n, dt):
@@ -380,6 +407,69 @@ class TestSignVectors:
         want = (np.fft.irfft(signs * half, n=grid.n) / grid.delta_t).tobytes()
         assert irfft_rows(half, grid).tobytes() == want
         assert SpectralSeries(grid, half).samples.tobytes() == want
+
+
+def _bits_but_zero_signs(got, want):
+    """True when ``got`` and ``want`` hold the same bits, except that a zero
+    may differ in sign."""
+    got, want = got.view(np.float64), want.view(np.float64)
+    live = got != 0.0
+    return np.array_equal(got, want) and got[live].tobytes() == want[live].tobytes()
+
+
+class TestCentredOriginIsARotation:
+    """The centred time origin is a rotation of the natural-order pair by n/2
+    samples (the DFT shift theorem), bit for bit on every admitted n up to
+    2^17; a numpy release that breaks the identity fails here."""
+
+    @staticmethod
+    def _rows(grid):
+        n = grid.n
+        rng = np.random.Generator(np.random.Philox(n))
+        rows = [rng.standard_normal((3, n)) * scale for scale in (1.0, 1e300, 1e-300)]
+        signed = rng.standard_normal((3, n))
+        signed[0] = 0.0
+        signed[1] = -0.0
+        signed[2, : n // 2] = -0.0
+        return rows + [signed, rng.standard_normal(n)]
+
+    @staticmethod
+    def _spectra(grid):
+        n, h = grid.n, grid.n // 2 + 1
+        rng = np.random.Generator(np.random.Philox(n + 1))
+        spectra = [(rng.standard_normal((3, h)) + 1j * rng.standard_normal((3, h))) * s for s in (1.0, 1e300, 1e-300)]
+        # signed zeros: at random nodes, off a band's support, and where a
+        # class envelope underflows (its first four nodes)
+        zeros = spectra[0].copy()
+        zeros[rng.random((3, h)) < 0.5] = complex(-0.0, 0.0)
+        zeros[rng.random((3, h)) < 0.3] = complex(0.0, -0.0)
+        band = sample_bandlimited(grid.omega_max / 4, GeneratorConfig(seed=n, grid=grid)).spectrum
+        cls = DegeneracyClass(2.0, 800.0 * (4.0 * grid.delta_omega) ** 2)
+        members = np.stack([x.spectrum for x in make_class_ensemble(cls, GeneratorConfig(seed=n, grid=grid), 2)])
+        assert (band == 0.0).any() and np.all(members[:, :5] == 0.0)
+        return spectra + [zeros, band, members]
+
+    @pytest.mark.parametrize("n", [2**p for p in range(3, 18)])
+    def test_forward_transforms_equal_the_sign_table(self, n):
+        grid = make_grid(n, 0.01)
+        for rows in self._rows(grid):
+            want = rfft_stack(rows, grid)
+            assert rfft_rows(rows, grid).tobytes() == want.tobytes()
+            for row, want_row in zip(np.atleast_2d(rows), np.atleast_2d(want)):
+                assert forward_transform(TimeSeries(grid, row)).spectrum.tobytes() == want_row.tobytes()
+            # the natural-order forward of the rotated rows
+            natural = spectral._rfft(np.roll(rows, -(n // 2), axis=-1), grid)
+            assert _bits_but_zero_signs(natural, want)
+
+    @pytest.mark.parametrize("n", [2**p for p in range(3, 18)])
+    def test_inverse_is_the_natural_inverse_rotated(self, n):
+        grid = make_grid(n, 0.01)
+        for values in self._spectra(grid):
+            got = irfft_rows(values, grid)
+            natural = np.fft.irfft(values, n=n, axis=-1) / grid.delta_t
+            assert got.tobytes() == np.roll(natural, n // 2, axis=-1).tobytes()
+            # the sign table's inverse, up to the sign of a zero sample
+            assert _bits_but_zero_signs(got, irfft_stack(values, grid))
 
 
 def _mirrored(half, n):
